@@ -18,106 +18,101 @@ type Problem interface {
 	Root() Subproblem
 }
 
-// maxCached bounds the expander's state cache. When exceeded, the cache is
-// reset to just the root: correctness never depends on the cache, it only
-// saves replaying decision paths, so a reset merely costs O(depth) branch
-// calls on the next cold Locate.
-const maxCached = 1 << 15
-
 // Expander is the code-driven protocol.Expander: it resolves a subproblem
 // code into live solver state by re-deriving it from the initial problem
 // data — the paper's central §5.3.1 claim, exercised for real instead of
 // replayed from a recorded tree.
 //
-// Reconstruction is incremental. States reached during normal expansion are
-// cached, so a child's state is derived from its parent's in one Branch
-// call; only codes arriving cold — work grants, failure recovery — replay
-// their ⟨variable, branch⟩ path from the deepest cached ancestor (worst
-// case the root). Because branching is deterministic, every process derives
+// §5.3.1 needs that only when a code arrives cold. On the warm path the
+// state rides on the pool item (protocol.Item.State), exactly as the
+// sequential engine's Item.Sub does: Root, Locate and every Outcome child
+// carry it, and Outcome branches what it is handed. The expander keeps no
+// table of states, so there is nothing to key, grow, cap or evict, and a
+// popped, pruned or granted-away subproblem is garbage the moment its pool
+// entry goes.
+//
+// The cold path — a granted or recovered code, or an item built from a bare
+// code — replays the ⟨variable, branch⟩ decisions from the root. The codes
+// of one grant or one recovery plan are neighbours in the tree, so the
+// replay keeps the states along the previous code's path and restarts from
+// the longest prefix the two codes share. That stack is at most one tree
+// depth of states. Because branching is deterministic, every process derives
 // identical state for the same code.
 //
 // An Expander is not safe for concurrent use: create one per process, which
 // also matches the model — each process re-derives subproblems from its own
 // copy of the initial data.
 type Expander struct {
-	root  Subproblem
-	cache map[string]Subproblem // code.Key() -> derived state
+	root Subproblem
+	// The previous cold replay: path[d] is the state behind prev[:d+1].
+	prev code.Code
+	path []Subproblem
 }
 
 var _ protocol.Expander = (*Expander)(nil)
 
 // NewExpander builds an expander over p's initial data.
 func NewExpander(p Problem) *Expander {
-	return &Expander{root: p.Root(), cache: make(map[string]Subproblem)}
+	return &Expander{root: p.Root()}
 }
 
-// state returns the solver state behind c, deriving it from the deepest
-// cached ancestor. ok is false when c disagrees with the deterministic
-// branching — a code no honest process can produce.
-func (e *Expander) state(c code.Code) (Subproblem, bool) {
-	if len(c) == 0 {
-		return e.root, true
+// replay derives the state behind c from the initial data, restarting from
+// the deepest state it shares with the previous replay. ok is false when c
+// disagrees with the deterministic branching — a code no honest process can
+// produce.
+func (e *Expander) replay(c code.Code) (Subproblem, bool) {
+	d := 0
+	for d < len(c) && d < len(e.prev) && c[d] == e.prev[d] {
+		d++
 	}
-	if s, ok := e.cache[c.Key()]; ok {
-		return s, true
+	s := e.root
+	if d > 0 {
+		s = e.path[d-1]
 	}
-	s, depth := e.root, 0
-	for d := len(c) - 1; d > 0; d-- {
-		if cs, ok := e.cache[c[:d].Key()]; ok {
-			s, depth = cs, d
-			break
-		}
-	}
-	for ; depth < len(c); depth++ {
+	clear(e.path[d:]) // abandoned states must not outlive the truncation
+	e.prev, e.path = e.prev[:d], e.path[:d]
+	for ; d < len(c); d++ {
 		v, zero, one, ok := s.Branch()
-		if !ok || v != c[depth].Var {
+		if !ok || v != c[d].Var {
 			return nil, false
 		}
-		if c[depth].Branch == 0 {
+		if c[d].Branch == 0 {
 			s = zero
 		} else {
 			s = one
 		}
-		e.put(c[:depth+1].Key(), s)
+		e.prev, e.path = append(e.prev, c[d]), append(e.path, s)
 	}
 	return s, true
 }
 
-func (e *Expander) put(key string, s Subproblem) {
-	if len(e.cache) >= maxCached {
-		e.cache = make(map[string]Subproblem)
-	}
-	e.cache[key] = s
-}
-
 // Locate implements protocol.Expander: re-derive the state behind c and
-// price it. Ref is unused — the code itself is the handle.
+// price it.
 func (e *Expander) Locate(c code.Code) (protocol.Item, bool) {
-	s, ok := e.state(c)
+	s, ok := e.replay(c)
 	if !ok {
 		return protocol.Item{}, false
 	}
-	return protocol.Item{Code: c, Bound: s.Bound()}, true
+	return protocol.Item{Code: c, Bound: s.Bound(), State: s}, true
 }
 
 // Root implements protocol.Expander.
 func (e *Expander) Root() protocol.Item {
-	return protocol.Item{Code: code.Root(), Bound: e.root.Bound()}
+	return protocol.Item{Code: code.Root(), Bound: e.root.Bound(), State: e.root}
 }
 
 // Outcome implements protocol.Expander: branch the subproblem exactly as
 // the sequential engine would — feasibility first, then decomposition —
-// computing children bounds on the fly. The expanded state leaves the
-// cache (it is never branched twice by the same process); its children
-// enter it, so the cache tracks the frontier, not the whole tree.
+// computing children bounds on the fly.
 func (e *Expander) Outcome(it protocol.Item) protocol.Outcome {
-	s, ok := e.state(it.Code)
+	s, ok := it.State.(Subproblem)
 	if !ok {
-		// Unreachable for codes produced by honest processes; fathom
-		// defensively so the protocol completes rather than wedges.
-		return protocol.Outcome{}
+		if s, ok = e.replay(it.Code); !ok {
+			// Unreachable for codes produced by honest processes; fathom
+			// defensively so the protocol completes rather than wedges.
+			return protocol.Outcome{}
+		}
 	}
-	delete(e.cache, it.Code.Key())
 	if val, feasible := s.Feasible(); feasible {
 		return protocol.Outcome{Feasible: true, Value: val}
 	}
@@ -127,9 +122,9 @@ func (e *Expander) Outcome(it protocol.Item) protocol.Outcome {
 	}
 	out := protocol.Outcome{Children: make([]protocol.Item, 0, 2)}
 	for b, child := range []Subproblem{zero, one} {
-		cc := it.Code.Child(v, uint8(b))
-		e.put(cc.Key(), child)
-		out.Children = append(out.Children, protocol.Item{Code: cc, Bound: child.Bound()})
+		out.Children = append(out.Children, protocol.Item{
+			Code: it.Code.Child(v, uint8(b)), Bound: child.Bound(), State: child,
+		})
 	}
 	return out
 }

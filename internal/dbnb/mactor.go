@@ -2,6 +2,7 @@ package dbnb
 
 import (
 	"math/rand"
+	"slices"
 
 	"gossipbnb/internal/code"
 	"gossipbnb/internal/instance"
@@ -326,19 +327,7 @@ func (a *mactor) wakeup() {
 
 func (a *mactor) drainInbox() {
 	cfg := &a.h.cfg
-	if len(a.inbox) > 1 {
-		// Canonical batch order: (arrival time, sender), stable insertion
-		// sort — the batch is nearly sorted already.
-		for i := 1; i < len(a.inbox); i++ {
-			m := a.inbox[i]
-			j := i - 1
-			for j >= 0 && (a.inbox[j].at > m.at || (a.inbox[j].at == m.at && a.inbox[j].from > m.from)) {
-				a.inbox[j+1] = a.inbox[j]
-				j--
-			}
-			a.inbox[j+1] = m
-		}
-	}
+	slices.SortStableFunc(a.inbox, arrivalOrder)
 	commCost, contractCost, lbCost := 0.0, 0.0, 0.0
 	for i := 0; i < len(a.inbox); i++ {
 		m := a.inbox[i]

@@ -1,7 +1,9 @@
 package dbnb
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 
 	"gossipbnb/internal/code"
 	"gossipbnb/internal/metrics"
@@ -17,6 +19,20 @@ type inMsg struct {
 	from sim.NodeID
 	at   float64
 	msg  protocol.Msg
+}
+
+// arrivalOrder is the canonical order of a delivery batch: (arrival time,
+// sender). Both drivers sort with slices.SortStableFunc, which is a zero-
+// allocation insertion sort on the usual handful of messages and stays
+// O(n log n) when a same-time broadcast lands thousands deep on a busy
+// process — where a plain insertion sort went quadratic. Any stable sort on
+// this key yields the same sequence, so event-order hashes do not depend on
+// the algorithm.
+func arrivalOrder(a, b inMsg) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.from, b.from)
 }
 
 // node drives one protocol.Core under the virtual-time simulator. The split
@@ -525,22 +541,12 @@ func (n *node) wakeup() {
 // CPU cost as one busy period, then resumes the loop.
 func (n *node) drainInbox() {
 	cfg := &n.h.cfg
-	if !n.sh.legacy && len(n.inbox) > 1 {
-		// Canonical batch order: (arrival time, sender), stable. Arrival
-		// times and per-sender send order are invariant in the shard count;
-		// the raw append order is not — it follows kernel tie-breaking,
-		// which differs once simultaneous senders live on different shards.
-		// The batch is nearly sorted (time-ordered except same-time groups),
-		// so a stable insertion sort runs in ~O(n) with zero allocations.
-		for i := 1; i < len(n.inbox); i++ {
-			m := n.inbox[i]
-			j := i - 1
-			for j >= 0 && (n.inbox[j].at > m.at || (n.inbox[j].at == m.at && n.inbox[j].from > m.from)) {
-				n.inbox[j+1] = n.inbox[j]
-				j--
-			}
-			n.inbox[j+1] = m
-		}
+	if !n.sh.legacy {
+		// Canonical batch order: arrival times and per-sender send order are
+		// invariant in the shard count; the raw append order is not — it
+		// follows kernel tie-breaking, which differs once simultaneous
+		// senders live on different shards.
+		slices.SortStableFunc(n.inbox, arrivalOrder)
 	}
 	commCost, contractCost, lbCost := 0.0, 0.0, 0.0
 	// Handling a message never delivers another one synchronously (sends go

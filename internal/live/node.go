@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -261,15 +262,52 @@ func (c liveClock) Now() float64 { return time.Since(c.start).Seconds() }
 type instSender struct {
 	inc *incarnation
 	id  protocol.InstanceID
+	// flush is the codes slice of the report flush in progress — the table
+	// hands out a fresh one per flush, so its identity names the flush — and
+	// flushTo the peers that flush has reached.
+	flush   []code.Code
+	flushTo []protocol.NodeID
 }
 
-func (s instSender) Send(to protocol.NodeID, m protocol.Msg) {
+func (s *instSender) Send(to protocol.NodeID, m protocol.Msg) {
+	if s.repeatsFlush(to, m) {
+		return
+	}
 	if s.id != 0 {
 		m = protocol.InstMsg{Instance: s.id, Msg: m}
 	}
 	s.inc.det.noteSent(NodeID(to))
 	n := s.inc.n
 	n.cl.tr.Send(n.id, NodeID(to), m)
+}
+
+// repeatsFlush reports whether m is a report that the flush in progress has
+// already put on the link to to. Core.FlushReport draws its ReportFanout
+// targets with replacement — on a two-member view every flush names the one
+// peer twice — and the copy is byte for byte the first message again: merging
+// it changes nothing at the receiver, so at-least-once delivery loses nothing
+// when the sender drops it. The draw itself stays in the core, untouched, so
+// the simulator's random sequence does not move.
+func (s *instSender) repeatsFlush(to protocol.NodeID, m protocol.Msg) bool {
+	var codes []code.Code
+	switch t := m.(type) {
+	case protocol.Report:
+		codes = t.Codes
+	case protocol.DigestReport:
+		codes = t.Codes
+	}
+	if len(codes) == 0 {
+		return false
+	}
+	if len(codes) != len(s.flush) || &codes[0] != &s.flush[0] {
+		s.flush, s.flushTo = codes, append(s.flushTo[:0], to)
+		return false
+	}
+	if slices.Contains(s.flushTo, to) {
+		return true
+	}
+	s.flushTo = append(s.flushTo, to)
+	return false
 }
 
 // NewCluster builds a cluster replaying a recorded basic tree under cfg:
@@ -377,7 +415,7 @@ func (cl *Cluster) newCore(inc *incarnation, exp protocol.Expander, id protocol.
 		DiffGossip:       cfg.DiffGossip,
 	}, protocol.Deps{
 		Clock:     cl.clock,
-		Sender:    instSender{inc, id},
+		Sender:    &instSender{inc: inc, id: id},
 		Expander:  exp,
 		Peers:     n.peers,
 		Rand:      cl.rand,
@@ -797,7 +835,7 @@ func (inc *incarnation) handle(env Envelope) (protocol.InstanceID, protocol.Effe
 		// everything else about a finished instance is droppable.
 		if _, isReq := pm.(protocol.WorkRequest); isReq {
 			if tomb, ok := inc.mux.Reaped(id); ok {
-				instSender{inc, id}.Send(protocol.NodeID(env.From),
+				(&instSender{inc: inc, id: id}).Send(protocol.NodeID(env.From),
 					protocol.Report{Codes: []code.Code{code.Root()}, Incumbent: tomb})
 			}
 		}

@@ -61,12 +61,16 @@ type BroadcastSender interface {
 // concurrent use: each process owns one.
 type Expander interface {
 	// Locate resolves a self-contained subproblem code into an active-problem
-	// Item (driver handle plus bound). ok is false when the code does not
-	// identify a node of the problem being solved.
+	// Item (bound plus the expander's own Ref/State handle). ok is false when
+	// the code does not identify a node of the problem being solved. This is
+	// the cold path: codes arriving in a grant or re-created by recovery.
 	Locate(c code.Code) (Item, bool)
 	// Root returns the seed item for the original problem.
 	Root() Item
-	// Outcome branches it, revealing feasibility, value, and children.
+	// Outcome branches it, revealing feasibility, value, and children. The
+	// children carry their handles, so expanding one later resolves nothing.
+	// An item whose handle is unset (built from a bare code) must still
+	// work, at Locate's price.
 	Outcome(it Item) Outcome
 }
 

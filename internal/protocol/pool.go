@@ -2,13 +2,18 @@ package protocol
 
 import "gossipbnb/internal/code"
 
-// Item is one active problem: its self-contained code, an opaque driver
-// handle (for the simulator this is the basic-tree index, saving a re-lookup
-// on pop), and its recorded bound.
+// Item is one active problem: its self-contained code, its recorded bound,
+// and two opaque handles that belong to whichever Expander produced it and
+// save re-resolving the code on pop — Ref for expanders that index a recorded
+// tree, State for expanders that hold live solver state. The core copies
+// both blindly and never sends either: only the code crosses the wire
+// (§5.3.1), and the receiving process's Expander.Locate fills them in afresh.
+// A state therefore lives exactly as long as its pool entry.
 type Item struct {
 	Code  code.Code
 	Ref   int32
 	Bound float64
+	State any
 }
 
 // pool holds the active problems under either selection rule (§2): a binary
