@@ -201,6 +201,57 @@ func TestRestartAfterSystemTerminated(t *testing.T) {
 	}
 }
 
+// TestCrashAfterTerminationKeepsDetection: a Crash that fires long after a
+// process detected termination still takes its network endpoint down, but it
+// must not turn the process's detection into "crashed" — the run terminated,
+// and the schedule's tail cannot un-terminate it. Every process crashing a
+// thousand seconds after the fault-free finish leaves the result untouched,
+// on both kernels and for instance contexts alike.
+func TestCrashAfterTerminationKeepsDetection(t *testing.T) {
+	tr := smallTree(4)
+	for _, S := range []int{0, 4} {
+		cfg := Config{Procs: 4, Seed: 3, Shards: S}
+		base := Run(tr, cfg)
+		mustTerminate(t, base)
+		for i := 0; i < cfg.Procs; i++ {
+			cfg.Crashes = append(cfg.Crashes, Crash{Time: base.Time + 1000, Node: i})
+		}
+		late := Run(tr, cfg)
+		if !late.Terminated || !late.OptimumOK || late.Time != base.Time {
+			t.Errorf("Shards=%d: late crashes changed the outcome: terminated=%v optimumOK=%v time %g (fault-free %g)",
+				S, late.Terminated, late.OptimumOK, late.Time, base.Time)
+		}
+		for i, d := range late.DetectTimes {
+			if d != base.DetectTimes[i] {
+				t.Errorf("Shards=%d: process %d detection %g, fault-free %g", S, i, d, base.DetectTimes[i])
+			}
+		}
+	}
+
+	mcfg := Config{Procs: 4, Seed: 3, Prune: true, Select: DepthFirst, Shards: 4, Instances: fourInstances()[:2]}
+	mbase := RunInstances(mcfg)
+	if !mbase.Terminated {
+		t.Fatal("multi-instance baseline did not terminate")
+	}
+	for i := 0; i < mcfg.Procs; i++ {
+		// Whole-process and instance-scoped, both after everything finished.
+		mcfg.Crashes = append(mcfg.Crashes,
+			Crash{Time: mbase.Time + 1000, Node: i},
+			Crash{Time: mbase.Time + 2000, Node: i, Instance: 2})
+	}
+	mlate := RunInstances(mcfg)
+	for i, ir := range mlate.Instances {
+		if !ir.Terminated || !ir.OptimumOK || ir.Time != mbase.Instances[i].Time {
+			t.Errorf("instance %d: late crashes changed the outcome: %+v", ir.ID, ir)
+		}
+		for p, d := range ir.DetectTimes {
+			if d != mbase.Instances[i].DetectTimes[p] {
+				t.Errorf("instance %d process %d detection %g, fault-free %g", ir.ID, p, d, mbase.Instances[i].DetectTimes[p])
+			}
+		}
+	}
+}
+
 // TestRestartWithMembership exercises the §5.2 rejoin path: the restarted
 // process announces itself to the gossip servers as a brand-new member,
 // rebuilds its view, and finishes the computation with the group.

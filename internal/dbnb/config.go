@@ -227,7 +227,8 @@ type Config struct {
 
 	// Instances is the multi-instance workload of RunInstances: every listed
 	// problem is solved concurrently over the same process pool, each scoped
-	// to its own wire InstanceID. Run/RunProblem ignore it.
+	// to its own wire InstanceID. Run/RunProblem ignore it. Multi-instance
+	// runs always use the sharded substrate: Shards < 1 means one shard.
 	Instances []Instance
 
 	// MaxTime aborts a run that fails to terminate (0 = 1e9 seconds).

@@ -8,8 +8,8 @@ import (
 	"gossipbnb/internal/sim"
 )
 
-// insertionSortInbox is the hand-rolled canonicalisation both drivers used
-// before they called slices.SortStableFunc, kept as the reference the golden
+// insertionSortInbox is the hand-rolled canonicalisation the driver used
+// before it called slices.SortStableFunc, kept as the reference the golden
 // event-order hashes were captured against.
 func insertionSortInbox(in []inMsg) {
 	for i := 1; i < len(in); i++ {

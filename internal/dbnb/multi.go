@@ -1,34 +1,31 @@
 package dbnb
 
 import (
-	"math"
-
 	"gossipbnb/internal/bnb"
-	"gossipbnb/internal/code"
-	"gossipbnb/internal/instance"
 	"gossipbnb/internal/metrics"
 	"gossipbnb/internal/protocol"
 	"gossipbnb/internal/sim"
 )
 
-// This file is the multi-instance sim driver: one simulated cluster solving
-// several problem instances concurrently, each scoped to its own wire
-// InstanceID. The paper's mechanism is per-problem by construction — the
-// completion tree and the termination detector scope to one root — so
-// multiplexing is namespacing: every process hosts an instance.Mux routing
-// inbound messages to one protocol core per instance, and each instance runs
-// the unmodified §5 protocol among its peers' same-instance cores.
+// Multi-instance runs: one simulated cluster solving several problem
+// instances concurrently, each scoped to its own wire InstanceID. The paper's
+// mechanism is per-problem by construction — the completion tree and the
+// termination detector scope to one root — so multiplexing is namespacing,
+// not a second driver: every process hosts an instance.Mux routing inbound
+// messages to one node (execution context) per instance, and each instance
+// runs the unmodified §5 protocol among its peers' same-instance cores,
+// through the same harness as a single-problem run.
 //
-// The execution model gives every instance its own modeled execution context
-// per process (an independent worker slice: own busy periods, own timers, own
-// randomness stream derived from (seed, instance, process)), while the
-// network endpoints are shared. That makes failure-free instances causally
+// Every instance has its own modeled execution context per process (an
+// independent worker slice: own busy periods, own timers, own randomness
+// stream derived from (seed, instance, process)), while the network
+// endpoints are shared. That makes failure-free instances causally
 // independent — the basis of the isolation guarantee the chaos tests pin —
 // and keeps runs deterministic in (config, seed) and invariant in the shard
-// count, by the same wake-event + canonical batch-order discipline as the
-// sharded single-instance path. Chaos draws (loss/dup/reorder/replay) come
-// from shared network streams, so under chaos only each instance's solved
-// optimum — not its event trajectory — is isolation-invariant.
+// count, by the mesh's wake-event + canonical batch-order discipline. Chaos
+// draws (loss/dup/reorder/replay) come from shared network streams, so under
+// chaos only each instance's solved optimum — not its event trajectory — is
+// isolation-invariant.
 
 // InstanceResult is one instance's slice of a multi-instance run.
 type InstanceResult struct {
@@ -73,7 +70,7 @@ type MultiResult struct {
 	Time      float64
 	Instances []InstanceResult
 	// Events is the total simulator events fired; Shards how many event
-	// shards ran (0 = the serial single-kernel path).
+	// shards ran (at least 1: multi-instance runs always use the mesh).
 	Events uint64
 	Shards int
 	// Met is the instance-labeled metrics registry: Met.At(i) is instance
@@ -83,387 +80,35 @@ type MultiResult struct {
 	Net sim.NetStats
 }
 
-// mspec is one instance's static description inside the harness.
-type mspec struct {
-	id       protocol.InstanceID
-	idx      int // 0-based slot: Instances index, metrics index
-	start    float64
-	seed     int64
-	seedNode int // the process whose core is seeded with the root
-	w        workload
-	ref      bnb.Result
-}
-
-// actorSeed derives the RNG stream of one instance's context on one process.
-// It depends only on (run seed, instance seed, instance slot, process id) —
-// not on the shard layout or on what other instances do — which is what
-// makes an instance's stochastic choices isolation- and shard-invariant.
-func (s *mspec) actorSeed(cfgSeed int64, id int) int64 {
-	return sim.DeriveSeed(sim.DeriveSeed(cfgSeed^s.seed, 1_000_003+s.idx), id)
-}
-
-// mrec is one shard's detection/expansion record for one instance.
-type mrec struct {
-	detected    int
-	firstDet    float64
-	lastDet     float64
-	completions int
-	expanded    map[string]bool
-}
-
-// mshard is one shard's slice of the multi-instance harness.
-type mshard struct {
-	h      *mharness
-	idx    int
-	k      *sim.Kernel
-	nw     *sim.Network
-	recs   []mrec // per instance slot
-	keyBuf []byte
-}
-
-// mharness owns one multi-instance run.
-type mharness struct {
-	cfg    Config
-	specs  []*mspec
-	mesh   *sim.Mesh // nil in serial mode
-	shards []*mshard
-	k      *sim.Kernel // serial mode alias of shards[0]
-	// ring is the doubled process-id ring backing every actor's static peer
-	// view (every process but its own), shared across instances.
-	ring   []protocol.NodeID
-	muxes  []*instance.Mux // per process: routes inbound traffic by instance
-	actors [][]*mactor     // [process][instance slot]
-	met    *metrics.Multi
-}
-
-func (h *mharness) shardOf(i int) *mshard {
-	if h.mesh == nil {
-		return h.shards[0]
-	}
-	return h.shards[h.mesh.ShardOf(sim.NodeID(i))]
-}
-
-// noteExpansion tracks an instance's redundant work, per shard (merged after
-// the run, so Unique is exact).
-func (sh *mshard) noteExpansion(a *mactor, c code.Code) {
-	rec := &sh.recs[a.spec.idx]
-	sh.keyBuf = c.EncodeInto(sh.keyBuf)
-	if rec.expanded[string(sh.keyBuf)] {
-		a.met.Redundant++
-		return
-	}
-	rec.expanded[string(sh.keyBuf)] = true
-}
-
-func (sh *mshard) noteTermination(a *mactor) {
-	rec := &sh.recs[a.spec.idx]
-	rec.detected++
-	now := sh.k.Now()
-	if rec.detected == 1 || now < rec.firstDet {
-		rec.firstDet = now
-	}
-	if now > rec.lastDet {
-		rec.lastDet = now
-	}
-}
-
 // RunInstances simulates the cluster solving every cfg.Instances problem
 // concurrently and returns the per-instance measurements. Each instance's
 // optimum is cross-checked against its own sequential solve. Runs are
 // deterministic in (cfg, seed); failure-free runs are invariant in the shard
-// count. Features whose state is inherently single-instance — §5.2
-// membership, tracing, elastic joins, per-link latency — are rejected.
+// count, and they always run on the sharded mesh (Shards < 1 means one
+// shard). Features whose state is inherently single-instance — §5.2
+// membership, tracing, elastic joins, per-link latency — are rejected, and so
+// is a latency model without the positive floor the mesh needs.
 func RunInstances(cfg Config) MultiResult {
 	if len(cfg.Instances) == 0 {
 		panic("dbnb: RunInstances requires at least one Instance")
 	}
-	if cfg.UseMembership || cfg.Trace != nil || len(cfg.Joins) > 0 ||
-		cfg.LinkLatency != nil || cfg.fireHook != nil {
-		panic("dbnb: RunInstances does not support UseMembership, Trace, Joins, or LinkLatency")
-	}
 	cfg = cfg.withDefaults()
-	h := &mharness{cfg: cfg}
-	h.met = metrics.NewMulti(len(cfg.Instances), cfg.Procs)
-
+	if cfg.UseMembership || cfg.Trace != nil || len(cfg.Joins) > 0 ||
+		cfg.LinkLatency != nil || cfg.fireHook != nil || shardLookahead(cfg) <= 0 {
+		panic("dbnb: RunInstances does not support UseMembership, Trace, Joins, LinkLatency, or a latency model without a positive floor")
+	}
 	// Sequential references first: they are both the OptimumOK cross-check
 	// and the throughput baseline the experiments compare against.
-	h.specs = make([]*mspec, len(cfg.Instances))
-	base := cfg.NodeCost
+	specs := make([]*spec, len(cfg.Instances))
 	for i, in := range cfg.Instances {
-		p := in.Problem
-		ref := bnb.SolveProblem(p)
-		start := in.StartTime
-		if start < 0 {
-			start = 0
-		}
-		h.specs[i] = &mspec{
+		specs[i] = &spec{
 			id:       protocol.InstanceID(i + 1),
 			idx:      i,
-			start:    start,
+			start:    max(in.StartTime, 0),
 			seed:     in.Seed,
 			seedNode: i % cfg.Procs, // spread the roots across processes
-			ref:      ref,
-			w: workload{
-				newExpander: func() protocol.Expander { return bnb.NewExpander(p) },
-				costOf:      func(it protocol.Item) float64 { return base * costJitter(it.Code) },
-				trueOpt:     ref.Value,
-				sizeHint:    ref.Expanded,
-			},
+			w:        problemWorkload(in.Problem, bnb.SolveProblem(in.Problem), cfg.NodeCost),
 		}
 	}
-
-	// Substrate: the same sharded mesh (or serial kernel) as single-instance
-	// runs, with per-instance records on every shard.
-	S := cfg.Shards
-	if S < 0 {
-		S = 0
-	}
-	if S > cfg.Procs {
-		S = cfg.Procs
-	}
-	if S >= 1 && shardLookahead(cfg) <= 0 {
-		S = 0
-	}
-	if S >= 1 {
-		h.mesh = sim.NewMesh(cfg.Seed, S, cfg.Latency, shardLookahead(cfg))
-		h.mesh.PlaceBlocks(cfg.Procs)
-		h.shards = make([]*mshard, S)
-		for s := 0; s < S; s++ {
-			h.shards[s] = &mshard{h: h, idx: s, k: h.mesh.Kernel(s), nw: h.mesh.Net(s)}
-		}
-	} else {
-		h.k = sim.New(cfg.Seed)
-		h.shards = []*mshard{{h: h, idx: 0, k: h.k, nw: sim.NewNetwork(h.k, cfg.Latency)}}
-	}
-	for _, sh := range h.shards {
-		sh.recs = make([]mrec, len(h.specs))
-		for i, spec := range h.specs {
-			sh.recs[i].expanded = make(map[string]bool, spec.w.sizeHint/len(h.shards)+1)
-		}
-		sh.nw.SetLoss(cfg.Loss)
-		sh.nw.SetDuplicate(cfg.Duplicate)
-		sh.nw.SetReorder(cfg.Reorder, cfg.ReorderWindow)
-		sh.nw.SetReplay(cfg.Replay, cfg.ReplayDelay)
-		for _, p := range cfg.Partitions {
-			ids := make([]sim.NodeID, len(p.Group))
-			for i, g := range p.Group {
-				ids[i] = sim.NodeID(g)
-			}
-			sh.nw.AddPartition(p.Start, p.End, ids)
-		}
-	}
-
-	h.ring = make([]protocol.NodeID, 2*cfg.Procs)
-	for i := 0; i < cfg.Procs; i++ {
-		h.ring[i] = protocol.NodeID(i)
-		h.ring[i+cfg.Procs] = protocol.NodeID(i)
-	}
-
-	// One mux and one actor per (process, instance); every actor activates at
-	// its instance's submission time on its owner shard's clock.
-	h.muxes = make([]*instance.Mux, cfg.Procs)
-	h.actors = make([][]*mactor, cfg.Procs)
-	for i := 0; i < cfg.Procs; i++ {
-		id := sim.NodeID(i)
-		sh := h.shardOf(i)
-		h.muxes[i] = instance.NewMux()
-		h.actors[i] = make([]*mactor, len(h.specs))
-		for _, spec := range h.specs {
-			a := newActor(id, h, sh, spec)
-			h.actors[i][spec.idx] = a
-			e, ok := h.muxes[i].Open(spec.id, a.core, a.exp)
-			if !ok {
-				panic("dbnb: duplicate instance id")
-			}
-			e.Data = a
-			a.entry = e
-			spec := spec
-			sh.k.At(spec.start, func() { h.activate(a) })
-		}
-		h.registerMultiNode(id)
-	}
-
-	// Failure schedule: Instance 0 fails the whole process (network endpoint
-	// included, like the single-instance path); Instance k > 0 fails only
-	// that instance's context, leaving the process's other instances — and
-	// its endpoint — untouched.
-	for _, c := range cfg.Crashes {
-		c := c
-		if c.Node < 0 || c.Node >= cfg.Procs || c.Instance < 0 || c.Instance > len(h.specs) {
-			continue
-		}
-		sh := h.shardOf(c.Node)
-		if c.Instance == 0 {
-			sh.k.At(c.Time, func() {
-				sh.nw.Crash(sim.NodeID(c.Node))
-				for _, a := range h.actors[c.Node] {
-					a.crash()
-				}
-			})
-			if c.Restart > c.Time {
-				sh.k.At(c.Restart, func() {
-					sh.nw.Restore(sim.NodeID(c.Node))
-					for _, a := range h.actors[c.Node] {
-						a.restart()
-					}
-				})
-			}
-			continue
-		}
-		a := h.actors[c.Node][c.Instance-1]
-		sh.k.At(c.Time, func() { a.crash() })
-		if c.Restart > c.Time {
-			sh.k.At(c.Restart, func() { a.restart() })
-		}
-	}
-
-	if h.mesh != nil {
-		h.mesh.Run(cfg.MaxTime)
-	} else {
-		h.k.Run(cfg.MaxTime)
-	}
-
-	res := MultiResult{
-		Terminated: true,
-		Instances:  make([]InstanceResult, len(h.specs)),
-		Met:        h.met,
-		Shards:     len(h.shards),
-	}
-	if h.mesh != nil {
-		res.Net = h.mesh.Stats()
-		res.Events = h.mesh.Events()
-	} else {
-		res.Net = h.shards[0].nw.Stats()
-		res.Events = h.k.Events()
-		res.Shards = 0
-	}
-	for _, spec := range h.specs {
-		ir := h.foldInstance(spec)
-		res.Instances[spec.idx] = ir
-		res.Terminated = res.Terminated && ir.Terminated
-		if ir.Time > res.Time {
-			res.Time = ir.Time
-		}
-	}
-	return res
-}
-
-// foldInstance assembles one instance's result from its actors and the
-// per-shard records.
-func (h *mharness) foldInstance(spec *mspec) InstanceResult {
-	ir := InstanceResult{
-		ID:          spec.id,
-		Start:       spec.start,
-		Optimum:     math.Inf(1),
-		SeqOptimum:  spec.ref.Value,
-		SeqExpanded: spec.ref.Expanded,
-		DetectTimes: make([]float64, h.cfg.Procs),
-		Terminated:  true,
-	}
-	detected := 0
-	for _, sh := range h.shards {
-		rec := &sh.recs[spec.idx]
-		if rec.detected > 0 {
-			if detected == 0 || rec.firstDet < ir.FirstDetect {
-				ir.FirstDetect = rec.firstDet
-			}
-			if rec.lastDet > ir.Time {
-				ir.Time = rec.lastDet
-			}
-			detected += rec.detected
-		}
-		ir.Completions += rec.completions
-	}
-	if len(h.shards) == 1 {
-		ir.Unique = len(h.shards[0].recs[spec.idx].expanded)
-	} else {
-		seen := make(map[string]bool)
-		for _, sh := range h.shards {
-			for k := range sh.recs[spec.idx].expanded {
-				seen[k] = true
-			}
-		}
-		ir.Unique = len(seen)
-	}
-	sys := h.met.At(spec.idx)
-	for i := 0; i < h.cfg.Procs; i++ {
-		a := h.actors[i][spec.idx]
-		cnt := a.cntPrior.Merge(a.core.Counters())
-		a.met.ReportsSent = cnt.ReportsSent
-		a.met.ReportCodes = cnt.ReportCodes
-		a.met.ReportedComps = cnt.ReportedComps
-		a.met.TablesSent = cnt.TablesSent
-		a.met.WorkRequests = cnt.WorkRequests
-		a.met.WorkSent = cnt.WorkSent
-		a.met.Recoveries = cnt.Recoveries
-		a.met.PeakPool = cnt.PeakPool
-		switch {
-		case a.crashed:
-			ir.DetectTimes[i] = math.NaN()
-		case a.done:
-			ir.DetectTimes[i] = a.detectedAt
-			if opt := a.core.Incumbent(); opt < ir.Optimum {
-				ir.Optimum = opt
-			}
-		default:
-			ir.DetectTimes[i] = math.Inf(1)
-			ir.Terminated = false
-		}
-		ir.Expanded += a.met.Expanded
-	}
-	ir.Terminated = ir.Terminated && detected > 0
-	ir.Redundant = ir.Expanded - ir.Unique
-	ir.OptimumOK = ir.Terminated && ir.Optimum == spec.ref.Value
-	agg := sys.AggregateBreakdown()
-	ir.Work = agg.Work()
-	ir.Overhead = agg.Overhead()
-	return ir
-}
-
-// registerMultiNode wires one process's network handler: demultiplex by
-// instance, deliver to the owning actor, and answer straggler work requests
-// for reaped instances from the tombstone — a root report carrying the final
-// incumbent, which terminates the requester's instance too.
-func (h *mharness) registerMultiNode(id sim.NodeID) {
-	mux := h.muxes[id]
-	sh := h.shardOf(int(id))
-	sh.nw.Register(id, func(from sim.NodeID, msg sim.Message) {
-		im, ok := msg.(protocol.InstMsg)
-		if !ok {
-			return
-		}
-		pm, ok := im.Msg.(protocol.Msg)
-		if !ok {
-			return
-		}
-		e, v := mux.Route(im.Instance)
-		switch v {
-		case instance.RouteOpen:
-			e.Data.(*mactor).deliver(from, pm)
-		case instance.RouteReaped:
-			if _, isReq := pm.(protocol.WorkRequest); isReq {
-				inc, _ := mux.Reaped(im.Instance)
-				sh.nw.Send(id, from, protocol.InstMsg{Instance: im.Instance,
-					Msg: protocol.Report{Codes: []code.Code{code.Root()}, Incumbent: inc}})
-			}
-		}
-	})
-}
-
-// activate brings one actor up at its instance's submission time: fresh
-// activity evidence (a process joining a just-submitted instance must not
-// read its empty table as global quiescence), the root seeded at the
-// designated process, staggered periodic chains, and the main loop.
-func (h *mharness) activate(a *mactor) {
-	a.started = true
-	a.core.NoteRemoteActivity(0)
-	if a.spec.seedNode == int(a.nid) {
-		a.core.Seed(a.exp.Root())
-	}
-	jitter := a.rng.Float64()
-	a.reportTimer = a.k.After(jitter*h.cfg.ReportTimeout, a.reportTickFn)
-	if h.cfg.TableInterval > 0 {
-		a.tableTimer = a.k.After(jitter*h.cfg.TableInterval, a.tableTickFn)
-	}
-	a.loop()
+	return newHarness(cfg, specs, true).run()
 }

@@ -204,6 +204,47 @@ func TestMultiInstanceLateSubmission(t *testing.T) {
 	}
 }
 
+// TestMultiInstanceTerminationBroadcastIsGrouped: every context that detects
+// its instance's termination broadcasts the root report to all 63 peers
+// (§5.4). A tagged instance used to send those one by one — 63 pending
+// delivery events per context, the procs² storm the mesh's ring-range group
+// path was built to avoid — where the single-instance path sent one group
+// per destination shard. Both now broadcast the same way. The constants were
+// captured on the commit before: messages, bytes and every instance's
+// trajectory must not move; only the event count drops, by exactly the
+// deliveries the groups replace.
+func TestMultiInstanceTerminationBroadcastIsGrouped(t *testing.T) {
+	const (
+		procs        = 64
+		parentEvents = 18307
+		sent         = 10887
+		bytes        = 348289
+	)
+	want := []struct {
+		time             float64
+		expanded, unique int
+	}{{5.020989999999999, 371, 371}, {13.047205000000003, 874, 874}}
+
+	res := RunInstances(Config{Procs: procs, Seed: 29, Prune: true, Select: DepthFirst, Shards: 1, Instances: fourInstances()[:2]})
+	if !res.Terminated {
+		t.Fatal("run did not terminate")
+	}
+	if res.Net.Sent != sent || res.Net.Bytes != bytes {
+		t.Errorf("network moved: %d msgs / %d bytes, want %d / %d", res.Net.Sent, res.Net.Bytes, sent, bytes)
+	}
+	for i, ir := range res.Instances {
+		if w := want[i]; ir.Time != w.time || ir.Expanded != w.expanded || ir.Unique != w.unique {
+			t.Errorf("instance %d moved: time %v expanded %d unique %d, want %+v", ir.ID, ir.Time, ir.Expanded, ir.Unique, w)
+		}
+	}
+	// All 2×64 contexts detected, so 128 broadcasts of 63 deliveries each
+	// became 128 single-shard group events.
+	broadcasts := uint64(len(res.Instances) * procs)
+	if wantEvents := parentEvents - broadcasts*(procs-1) + broadcasts; res.Events != wantEvents {
+		t.Errorf("Events = %d, want %d (%d before, less the per-recipient broadcast deliveries)", res.Events, wantEvents, parentEvents)
+	}
+}
+
 func TestRunInstancesRejectsUnsupported(t *testing.T) {
 	defer func() {
 		if recover() == nil {

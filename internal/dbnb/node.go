@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"gossipbnb/internal/code"
+	"gossipbnb/internal/instance"
 	"gossipbnb/internal/metrics"
 	"gossipbnb/internal/protocol"
 	"gossipbnb/internal/sim"
@@ -22,7 +23,7 @@ type inMsg struct {
 }
 
 // arrivalOrder is the canonical order of a delivery batch: (arrival time,
-// sender). Both drivers sort with slices.SortStableFunc, which is a zero-
+// sender). The driver sorts with slices.SortStableFunc, which is a zero-
 // allocation insertion sort on the usual handful of messages and stays
 // O(n log n) when a same-time broadcast lands thousands deep on a busy
 // process — where a plain insertion sort went quadratic. Any stable sort on
@@ -35,8 +36,12 @@ func arrivalOrder(a, b inMsg) int {
 	return cmp.Compare(a.from, b.from)
 }
 
-// node drives one protocol.Core under the virtual-time simulator. The split
-// of responsibilities is strict: every protocol decision — what to expand,
+// node drives one protocol.Core under the virtual-time simulator: the
+// execution context of one (process, instance) pair. A single-problem run has
+// one context per process; a multi-instance run gives every instance its own
+// context on every process (own busy periods, own timers, own randomness
+// stream), sharing only the process's network endpoint. The split of
+// responsibilities is strict: every protocol decision — what to expand,
 // when to report, whom to probe, when to presume work lost — lives in the
 // shared core; the node owns only what the simulated substrate defines:
 // busy periods charged via the kernel, timers, modeled CPU costs, metrics
@@ -44,19 +49,27 @@ func arrivalOrder(a, b inMsg) int {
 type node struct {
 	id   sim.NodeID
 	h    *harness
-	sh   *shardCtx   // owner shard: the kernel/network/accounting this node lives on
+	spec *spec       // the instance this context solves
+	sh   *shardCtx   // owner shard: the kernel/network this node lives on
+	rec  *rec        // == &sh.recs[spec.idx], the shard's record of this instance
 	k    *sim.Kernel // == sh.k, the node's scheduling clock
 	core *protocol.Core
-	exp  protocol.Expander // this process's own code resolver
+	exp  protocol.Expander // this context's own code resolver
+	// mux is the process's instance demultiplexer in multi-instance runs, nil
+	// in single-problem ones. It is the one mark of a tagged context: messages
+	// go out wrapped in an InstMsg, the randomness stream derives from the
+	// instance too, and termination reaps the instance from the mux.
+	mux *instance.Mux
 
-	// rng drives every stochastic choice this process makes (timer stagger,
+	// rng drives every stochastic choice this context makes (timer stagger,
 	// report fanout targets, recovery jitter). Legacy mode aliases the
 	// single kernel's global stream — the pre-sharding draw order, byte for
-	// byte. Sharded mode derives an independent stream from (seed, id), so
-	// a process's decisions do not depend on how processes are sharded —
-	// the root of the shard-count invariance property.
+	// byte. Sharded mode derives an independent stream (see newNode), so a
+	// context's decisions do not depend on how processes are sharded — the
+	// root of the shard-count invariance property.
 	rng *rand.Rand
 
+	started    bool // the instance's submission time was reached
 	busy       bool
 	crashed    bool
 	done       bool // observed the core's termination detection
@@ -137,9 +150,18 @@ type node struct {
 // and Run folds them into the metrics.
 type nodeSender struct{ n *node }
 
+// wire is m as it travels: bare for the single untagged instance (instance
+// 0 adds no header bytes anyway), tagged with the instance id otherwise.
+func (s nodeSender) wire(m protocol.Msg) sim.Message {
+	if s.n.mux == nil {
+		return m
+	}
+	return protocol.InstMsg{Instance: s.n.spec.id, Msg: m}
+}
+
 func (s nodeSender) Send(to protocol.NodeID, m protocol.Msg) {
 	n := s.n
-	n.sh.nw.Send(n.id, sim.NodeID(to), m)
+	n.sh.nw.Send(n.id, sim.NodeID(to), s.wire(m))
 	over := n.h.cfg.CommOverhead
 	switch m.(type) {
 	case protocol.Report, protocol.TableMsg,
@@ -167,7 +189,7 @@ func (s nodeSender) Broadcast(peers []protocol.NodeID, m protocol.Msg) {
 		}
 		return
 	}
-	n.sh.nw.BroadcastRange(n.id, int(n.id)+1, len(peers), m)
+	n.sh.nw.BroadcastRange(n.id, int(n.id)+1, len(peers), s.wire(m))
 	over := n.h.cfg.CommOverhead * float64(len(peers))
 	switch m.(type) {
 	case protocol.Report, protocol.TableMsg:
@@ -177,12 +199,27 @@ func (s nodeSender) Broadcast(peers []protocol.NodeID, m protocol.Msg) {
 	}
 }
 
-func newNode(id sim.NodeID, h *harness, sh *shardCtx) *node {
-	n := &node{id: id, h: h, sh: sh, k: sh.k, exp: h.w.newExpander(), idleStart: -1, met: &h.met.Nodes[id]}
+func newNode(id sim.NodeID, h *harness, sp *spec) *node {
+	sh := h.shardOf(int(id))
+	n := &node{
+		id: id, h: h, spec: sp, sh: sh, rec: &sh.recs[sp.idx], k: sh.k,
+		exp: sp.w.newExpander(), idleStart: -1, met: &sp.met.Nodes[id],
+	}
+	if h.muxes != nil {
+		n.mux = h.muxes[id]
+	}
 	if sh.legacy {
 		n.rng = sh.k.Rand()
 	} else {
-		n.rng = rand.New(rand.NewSource(sim.DeriveSeed(h.cfg.Seed, int(id))))
+		// The stream depends only on (run seed, process id) — and, for a
+		// tagged context, on (instance seed, instance slot) — never on the
+		// shard layout or on what other instances do: a context's stochastic
+		// choices are shard- and isolation-invariant.
+		seed := h.cfg.Seed
+		if n.mux != nil {
+			seed = sim.DeriveSeed(seed^sp.seed, 1_000_003+sp.idx)
+		}
+		n.rng = rand.New(rand.NewSource(sim.DeriveSeed(seed, int(id))))
 		if !h.elastic {
 			// The static peer view is a window into the shared doubled ring:
 			// every process but this one, O(1) extra memory per node where
@@ -202,6 +239,13 @@ func newNode(id sim.NodeID, h *harness, sh *shardCtx) *node {
 	n.paceDoneFn = n.paceDone
 	n.reqTimeoutFn = n.reqTimeout
 	n.initCore()
+	if n.mux != nil {
+		e, ok := n.mux.Open(sp.id, n.core, n.exp)
+		if !ok {
+			panic("dbnb: duplicate instance id")
+		}
+		e.Data = n
+	}
 	return n
 }
 
@@ -231,7 +275,7 @@ func (n *node) initCore() {
 		Peers:         n.peerView,
 		Rand:          func(m int) int { return n.rng.Intn(m) },
 		RandFloat:     func() float64 { return n.rng.Float64() },
-		OnComplete:    n.sh.noteCompletion,
+		OnComplete:    n.noteCompletion,
 		OnTableChange: n.observeTable,
 	})
 }
@@ -260,8 +304,8 @@ func (n *node) peerView() []protocol.NodeID {
 			return n.peersCache
 		}
 		if n.peersCache == nil {
-			n.peersCache = make([]protocol.NodeID, 0, len(n.h.nodes)-1)
-			for i := range n.h.nodes {
+			n.peersCache = make([]protocol.NodeID, 0, n.h.total-1)
+			for i := 0; i < n.h.total; i++ {
 				if sim.NodeID(i) != n.id {
 					n.peersCache = append(n.peersCache, protocol.NodeID(i))
 				}
@@ -286,7 +330,7 @@ func (n *node) dead() bool { return n.crashed || n.done }
 // processing messages, after a timer. The core decides the next activity;
 // the loop charges its cost.
 func (n *node) loop() {
-	if n.busy || n.crashed {
+	if !n.started || n.busy || n.crashed {
 		return
 	}
 	if len(n.inbox) > 0 {
@@ -317,7 +361,7 @@ func (n *node) loop() {
 // only one expansion per incarnation, and expandDone discards stale fires
 // from dead incarnations before reading them.
 func (n *node) expand(it protocol.Item) {
-	cost := n.h.w.costOf(it) * n.h.cfg.CostFactor
+	cost := n.spec.w.costOf(it) * n.h.cfg.CostFactor
 	n.busy = true
 	n.pendItem = it
 	n.pendStart = n.k.Now()
@@ -337,12 +381,39 @@ func (n *node) expandDone(gen int) {
 	n.met.Add(metrics.BB, now-start)
 	n.h.cfg.Trace.Add(int(n.id), trace.Compute, start, now)
 	n.met.Expanded++
-	n.sh.noteExpansion(n, it.Code)
+	n.noteExpansion(it.Code)
 	n.core.OnExpanded(it, n.exp.Outcome(it), now-start)
 	n.loop()
 }
 
-// --- reporting timers ---------------------------------------------------------
+// --- activation and reporting timers -----------------------------------------
+
+// startTimers staggers the periodic chains from virtual time at, so they do
+// not synchronize system-wide: at boot (the instance's submission time), at a
+// join and at every restart. The handles are kept so a crash before the first
+// tick can cancel the chain — a restart starts a fresh one.
+func (n *node) startTimers(at float64) {
+	cfg := &n.h.cfg
+	jitter := n.rng.Float64()
+	n.reportTimer = n.k.At(at+jitter*cfg.ReportTimeout, n.reportTickFn)
+	if cfg.TableInterval > 0 {
+		n.tableTimer = n.k.At(at+jitter*cfg.TableInterval, n.tableTickFn)
+	}
+}
+
+// activate brings the context up at its instance's submission time: the root
+// seeded at the designated process (everyone else pulls work through the
+// load-balancing mechanism), fresh activity evidence — a context joining an
+// instance submitted into a running cluster must not read its empty table as
+// global quiescence; at time 0 this is a no-op — and the main loop.
+func (n *node) activate() {
+	n.started = true
+	n.core.NoteRemoteActivity(0)
+	if n.spec.seedNode == int(n.id) {
+		n.core.Seed(n.exp.Root())
+	}
+	n.loop()
+}
 
 // reportTick flushes a stale outbox on the core's (possibly adaptive)
 // schedule. The pending event handle is kept so crash can cancel the chain;
@@ -484,6 +555,10 @@ func (n *node) recoverDone(gen int) {
 // --- message handling ---------------------------------------------------------
 
 // deliver is the network handler: queue while busy, otherwise process now.
+// A single-instance process registers it directly; a multi-instance process
+// routes through its mux first (harness.handler), so a tagged context only
+// ever sees its own instance's messages — and none once it terminated, when
+// the reaped instance's tombstone answers instead.
 func (n *node) deliver(from sim.NodeID, msg sim.Message) {
 	if n.crashed {
 		return
@@ -624,6 +699,38 @@ func (n *node) observeTable() {
 	}
 }
 
+// noteExpansion tracks redundant work: expansions of subproblems some
+// context of this instance already expanded. The key is encoded into a reused
+// scratch buffer; the compiler elides the string conversion on lookup, so
+// only first-time expansions allocate (their map key). Sharded runs dedup
+// within each shard and merge the key sets after the run, so Unique is exact;
+// only the per-node Redundant tallies become shard-local approximations.
+func (n *node) noteExpansion(c code.Code) {
+	sh := n.sh
+	sh.keyBuf = c.EncodeInto(sh.keyBuf)
+	if n.rec.expanded[string(sh.keyBuf)] {
+		n.met.Redundant++
+		return
+	}
+	n.rec.expanded[string(sh.keyBuf)] = true
+}
+
+// noteCompletion maintains the union of the instance's completion
+// information; its peak wire size is the "one shared copy" baseline against
+// which replicated storage is called redundant. Sampled for the same reason
+// as observeTable. Sharded runs keep per-shard unions (the metrics sink is
+// shared, so mid-run sampling is legacy-only) merged for the final
+// observation.
+func (n *node) noteCompletion(c code.Code) {
+	r := n.rec
+	r.completions++
+	r.union.Insert(c)
+	r.unionOps++
+	if n.sh.legacy && r.unionOps%32 == 0 {
+		n.spec.met.ObserveUnique(r.union.WireSize())
+	}
+}
+
 // --- termination ---------------------------------------------------------------
 
 // onTerminated records the core's termination detection (§5.4): the core
@@ -634,7 +741,20 @@ func (n *node) onTerminated() {
 	n.endIdle()
 	n.met.ObserveTable(n.core.Table().WireSize())
 	n.reqTimer.Cancel()
-	n.sh.noteTermination(n)
+	n.rec.noteTermination(n.detectedAt)
+	if n.h.cfg.UseMembership {
+		// Leave the group so membership heartbeats quiesce; peers time the
+		// process out exactly as they would a failed one (§5.2).
+		n.h.members[n.id].Leave()
+	}
+	if n.mux != nil {
+		// A finished instance leaves the process's routing table: the
+		// tombstone answers straggler work requests, and the core's table
+		// arenas return to the pool for the next staggered instance. The
+		// untagged instance has no successor to hand them to and keeps
+		// answering through its core.
+		n.mux.Reap(n.spec.id)
+	}
 }
 
 // --- idle accounting -----------------------------------------------------------
@@ -654,10 +774,17 @@ func (n *node) endIdle() {
 	}
 }
 
-// crash halts the node (crash-stop; a scheduled Restart turns it into
-// crash-restart). Every pending timer chain is cancelled so a later rebirth
-// can start fresh ones without doubling them.
+// crash halts the context (crash-stop; a scheduled Restart turns it into
+// crash-restart), as part of a whole-process failure or scoped to its
+// instance. Every pending timer chain is cancelled so a later rebirth can
+// start fresh ones without doubling them.
 func (n *node) crash() {
+	if n.crashed || n.done {
+		// Already down, or already played its part in §5.4: a context that
+		// detected termination has nothing left to fail, and marking it
+		// crashed would erase its detection from the result.
+		return
+	}
 	n.endIdle()
 	n.crashed = true
 	n.crashedAt = n.k.Now()
@@ -674,11 +801,10 @@ func (n *node) crash() {
 // grants it receives. The incarnation counter orphans every callback the
 // dead incarnation left behind.
 func (n *node) restart() {
-	if !n.crashed || n.done {
-		// Never crashed: nothing to do. Crashed after terminating: the
-		// process already played its part in §5.4 — rebooting it would
-		// re-enter a finished computation; it stays down and is counted
-		// crashed like any post-termination failure.
+	if !n.crashed {
+		// Never crashed, or the crash found the context already terminated
+		// and left it alone: it played its part in §5.4, and rebooting it
+		// would re-enter a finished computation. It stays down.
 		return
 	}
 	n.h.cfg.Trace.Add(int(n.id), trace.Dead, n.crashedAt, n.k.Now())
@@ -690,8 +816,15 @@ func (n *node) restart() {
 	n.inbox = nil
 	n.idleStart = -1
 	n.tableOps = 0
-	n.exp = n.h.w.newExpander()
+	n.exp = n.spec.w.newExpander()
 	n.initCore()
+	if n.mux != nil {
+		// The mux entry follows the live core, so the eventual reap reads
+		// its incumbent and releases its tables, not the dead incarnation's.
+		if e, ok := n.mux.Get(n.spec.id); ok {
+			e.Core, e.Exp = n.core, n.exp
+		}
+	}
 	if n.h.cfg.UseMembership {
 		// Rejoin the group through the §5.2 membership path: a brand-new
 		// member announces itself to the gossip servers and rebuilds its
@@ -699,10 +832,6 @@ func (n *node) restart() {
 		n.h.rejoinMember(n.id)
 	}
 	// Restagger the periodic chains like at boot and resume the main loop.
-	jitter := n.rng.Float64()
-	n.reportTimer = n.k.After(jitter*n.h.cfg.ReportTimeout, n.reportTickFn)
-	if n.h.cfg.TableInterval > 0 {
-		n.tableTimer = n.k.After(jitter*n.h.cfg.TableInterval, n.tableTickFn)
-	}
+	n.startTimers(n.k.Now())
 	n.loop()
 }

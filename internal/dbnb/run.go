@@ -9,6 +9,7 @@ import (
 	"gossipbnb/internal/btree"
 	"gossipbnb/internal/code"
 	"gossipbnb/internal/ctree"
+	"gossipbnb/internal/instance"
 	"gossipbnb/internal/member"
 	"gossipbnb/internal/metrics"
 	"gossipbnb/internal/protocol"
@@ -58,20 +59,58 @@ type Result struct {
 }
 
 // workload is what a simulated run solves: either a recorded basic tree
-// (Run) or a code-driven problem expanded from initial data (RunProblem).
-// The harness never looks past this struct, so the two modes share every
-// line of driver code.
+// (Run) or a code-driven problem expanded from initial data (RunProblem,
+// RunInstances). The harness never looks past this struct, so the modes share
+// every line of driver code.
 type workload struct {
-	// newExpander builds one expander per process — processes re-derive
+	// newExpander builds one expander per context — processes re-derive
 	// subproblems independently, exactly as the paper's model prescribes.
 	newExpander func() protocol.Expander
 	// costOf is the modeled CPU seconds charged for expanding it, before
 	// the CostFactor granularity knob.
 	costOf func(it protocol.Item) float64
-	// trueOpt is the single-processor reference optimum.
-	trueOpt float64
-	// sizeHint estimates distinct subproblems, for map sizing only.
-	sizeHint int
+	// trueOpt is the single-processor reference optimum, found in
+	// seqExpanded expansions (a recorded tree's size) — which also sizes the
+	// expansion-dedup maps.
+	trueOpt     float64
+	seqExpanded int
+}
+
+// spec is one problem instance's static description inside the harness. A
+// single-problem run is the one-instance case: the untagged instance 0,
+// submitted at time 0 with its root at process 0.
+type spec struct {
+	id       protocol.InstanceID // wire id: 0 untagged, 1..k in Instances order
+	idx      int                 // 0-based slot: Instances index, metrics index
+	start    float64             // submission time
+	seed     int64               // Instance.Seed, folded into tagged contexts' streams
+	seedNode int                 // the process whose core is seeded with the root
+	w        workload
+	met      *metrics.System // per-process breakdowns and counters of this instance
+}
+
+// rec is one shard's detection/expansion record of one instance.
+type rec struct {
+	expanded map[string]bool // subproblems expanded at least once (shard-local)
+	union    *ctree.Table    // completions observed by this shard's contexts
+	unionOps int
+	// completions counts complete() events across contexts (a subproblem
+	// completed by k processes counts k times).
+	completions int
+	detected    int
+	firstDet    float64
+	lastDet     float64
+}
+
+// noteTermination records one context's detection.
+func (r *rec) noteTermination(now float64) {
+	r.detected++
+	if r.detected == 1 || now < r.firstDet {
+		r.firstDet = now
+	}
+	if now > r.lastDet {
+		r.lastDet = now
+	}
 }
 
 // shardCtx is one shard's slice of the harness: the kernel and network the
@@ -81,28 +120,18 @@ type workload struct {
 // is what keeps the parallel run free of driver-level races. The legacy
 // single-kernel mode is exactly one shardCtx with legacy set.
 type shardCtx struct {
-	h      *harness
-	idx    int
 	legacy bool // the bit-identical pre-sharding path (Config.Shards == 0)
 	k      *sim.Kernel
 	nw     *sim.Network
-
-	expanded map[string]bool // tree nodes expanded at least once (shard-local)
-	keyBuf   []byte          // scratch for expansion-map keys
-	union    *ctree.Table    // completions observed by this shard's processes
-	unionOps int
-	// completions counts complete() events across processes (a subproblem
-	// completed by k processes counts k times).
-	completions int
-	detected    int
-	lastDet     float64
-	firstDet    float64
+	recs   []rec  // per instance slot
+	keyBuf []byte // scratch for expansion-map keys
 }
 
-// harness owns one simulated run.
+// harness owns one simulated run: the substrate, every execution context,
+// and the per-instance books.
 type harness struct {
 	cfg    Config
-	w      workload
+	specs  []*spec
 	mesh   *sim.Mesh // nil in legacy single-kernel mode
 	shards []*shardCtx
 	// joins is the validated, time-sorted elastic-membership schedule;
@@ -119,13 +148,19 @@ type harness struct {
 	nw *sim.Network
 	// ring is the doubled process-id ring: node i's static peer view is
 	// ring[i+1 : i+procs] — every process but i, one shared backing array
-	// for all nodes instead of O(procs²) per-node cached views.
+	// for all contexts instead of O(procs²) per-node cached views.
 	// Sharded mode only; the legacy path keeps its original per-node cache
 	// (same elements, different order) for bit-identical runs.
-	ring    []protocol.NodeID
-	nodes   []*node
+	ring []protocol.NodeID
+	// nodes holds every execution context, process-major: process i's are
+	// nodes[i·k : (i+1)·k] for k instances, in slot order. A scheduled
+	// joiner's entry stays nil until it enters.
+	nodes []*node
+	// muxes routes each process's inbound traffic by instance in
+	// multi-instance runs; nil in single-problem ones, whose processes
+	// register their one context's deliver directly.
+	muxes   []*instance.Mux
 	members []*member.Member
-	met     *metrics.System
 }
 
 // shardOf returns the context owning process i.
@@ -134,6 +169,12 @@ func (h *harness) shardOf(i int) *shardCtx {
 		return h.shards[0]
 	}
 	return h.shards[h.mesh.ShardOf(sim.NodeID(i))]
+}
+
+// contexts returns process i's execution contexts, one per instance slot.
+func (h *harness) contexts(i int) []*node {
+	k := len(h.specs)
+	return h.nodes[i*k : (i+1)*k]
 }
 
 // view returns the members a process may contact under the membership
@@ -159,23 +200,59 @@ func (h *harness) memberCountAt(t float64) int {
 	return m
 }
 
-// registerNode wires a node's network handler, routing §5.2 membership
-// traffic to its membership agent when the protocol is on. The member is
+// handler returns process id's network handler. A single-instance process
+// gets its context's own deliver — the 10 000-process tier pushes ~10⁸
+// deliveries per solve through it, almost all into terminated processes, so
+// nothing may stand between the network and that method's first branch.
+// Under §5.2 membership its traffic is peeled off first; the member is
 // looked up per delivery, not captured: a restart replaces it with a
-// brand-new one rejoining the group.
-func (h *harness) registerNode(n *node) {
-	if !h.cfg.UseMembership {
-		n.sh.nw.Register(n.id, n.deliver)
-		return
+// brand-new one rejoining the group. Only a multi-instance process pays for
+// the demultiplexer.
+func (h *harness) handler(id sim.NodeID) sim.Handler {
+	if h.muxes != nil {
+		return h.demux(id)
 	}
-	id := n.id
-	h.nw.Register(id, func(from sim.NodeID, msg sim.Message) {
+	n := h.nodes[id]
+	if !h.cfg.UseMembership {
+		return n.deliver
+	}
+	return func(from sim.NodeID, msg sim.Message) {
 		if member.IsProtocolMessage(msg) {
 			h.members[id].Deliver(from, msg)
 			return
 		}
 		n.deliver(from, msg)
-	})
+	}
+}
+
+// demux is a multi-instance process's handler: route by instance, deliver to
+// the owning context, and answer straggler work requests for reaped
+// instances from the tombstone — a root report carrying the final incumbent,
+// which terminates the requester's instance too.
+func (h *harness) demux(id sim.NodeID) sim.Handler {
+	mux, nw := h.muxes[id], h.shardOf(int(id)).nw
+	return func(from sim.NodeID, msg sim.Message) {
+		im, ok := msg.(protocol.InstMsg)
+		if !ok {
+			return
+		}
+		switch e, v := mux.Route(im.Instance); v {
+		case instance.RouteOpen:
+			e.Data.(*node).deliver(from, im.Msg)
+		case instance.RouteReaped:
+			if _, isReq := im.Msg.(protocol.WorkRequest); isReq {
+				inc, _ := mux.Reaped(im.Instance)
+				nw.Send(id, from, protocol.InstMsg{Instance: im.Instance,
+					Msg: protocol.Report{Codes: []code.Code{code.Root()}, Incumbent: inc}})
+			}
+		}
+	}
+}
+
+// addMember starts process id's §5.2 membership agent; the caller joins it
+// once the process's handler is registered.
+func (h *harness) addMember(id sim.NodeID) {
+	h.members[id] = member.New(h.k, h.nw, id, []sim.NodeID{0}, member.DefaultConfig())
 }
 
 // spawnJoiner brings one scheduled joiner up mid-run: a brand-new process
@@ -184,25 +261,24 @@ func (h *harness) registerNode(n *node) {
 // like a boot, and its bootstrap pull chain started. The fresh core is
 // seeded with zero-age activity evidence — a process launched into a
 // running system must not read its own empty table and view as global
-// quiescence and recover the root before the handshake completes.
+// quiescence and recover the root before the handshake completes (and before
+// the bootstrap pull, which reports the core's activity age — hence not
+// node.activate after it). Joins are single-instance only, so the joiner's
+// one context is nodes[id].
 func (h *harness) spawnJoiner(id int) {
 	nid := sim.NodeID(id)
-	sh := h.shardOf(id)
-	n := newNode(nid, h, sh)
+	n := newNode(nid, h, h.specs[0])
 	h.nodes[id] = n
 	if h.cfg.UseMembership {
-		h.members[id] = member.New(h.k, h.nw, nid, []sim.NodeID{0}, member.DefaultConfig())
+		h.addMember(nid)
 	}
-	h.registerNode(n)
+	n.sh.nw.Register(nid, h.handler(nid))
 	if h.cfg.UseMembership {
 		h.members[id].Join()
 	}
+	n.started = true
 	n.core.NoteRemoteActivity(0)
-	jitter := n.rng.Float64()
-	n.reportTimer = n.k.After(jitter*h.cfg.ReportTimeout, n.reportTickFn)
-	if h.cfg.TableInterval > 0 {
-		n.tableTimer = n.k.After(jitter*h.cfg.TableInterval, n.tableTickFn)
-	}
+	n.startTimers(n.k.Now())
 	n.bootstrapTick()
 	n.loop()
 }
@@ -216,65 +292,19 @@ func (h *harness) rejoinMember(id sim.NodeID) {
 	// not have ticked inside the crash window, and an undead agent would
 	// keep gossiping its stale view under the same identity.
 	h.members[id].Leave()
-	h.members[id] = member.New(h.k, h.nw, id, []sim.NodeID{0}, member.DefaultConfig())
+	h.addMember(id)
 	h.members[id].Join()
-}
-
-// noteExpansion tracks redundant work: expansions of tree nodes some process
-// already expanded. The key is encoded into a reused scratch buffer; the
-// compiler elides the string conversion on lookup, so only first-time
-// expansions allocate (their map key). Sharded runs dedup within each shard
-// and merge the key sets after the run, so Result.Unique is exact; only the
-// per-node Redundant tallies become shard-local approximations there.
-func (sh *shardCtx) noteExpansion(n *node, c code.Code) {
-	sh.keyBuf = c.EncodeInto(sh.keyBuf)
-	if sh.expanded[string(sh.keyBuf)] {
-		n.met.Redundant++
-		return
-	}
-	sh.expanded[string(sh.keyBuf)] = true
-}
-
-// noteCompletion maintains the union of completion information; its peak
-// wire size is the "one shared copy" baseline against which replicated
-// storage is called redundant. Sampled for the same reason as observeTable.
-// Sharded runs keep per-shard unions (the metrics sink is shared, so
-// mid-run sampling is legacy-only) merged for the final observation.
-func (sh *shardCtx) noteCompletion(c code.Code) {
-	sh.completions++
-	sh.union.Insert(c)
-	sh.unionOps++
-	if sh.legacy && sh.unionOps%32 == 0 {
-		sh.h.met.ObserveUnique(sh.union.WireSize())
-	}
-}
-
-// noteTermination records a process's detection.
-func (sh *shardCtx) noteTermination(n *node) {
-	sh.detected++
-	now := sh.k.Now()
-	if sh.detected == 1 || now < sh.firstDet {
-		sh.firstDet = now
-	}
-	if now > sh.lastDet {
-		sh.lastDet = now
-	}
-	if sh.h.cfg.UseMembership {
-		// Leave the group so membership heartbeats quiesce; peers time the
-		// process out exactly as they would a failed one (§5.2).
-		sh.h.members[n.id].Leave()
-	}
 }
 
 // Run simulates the algorithm of §5 replaying the given basic tree and
 // returns the measured result. Runs are deterministic in (tree, cfg).
 func Run(tree *btree.Tree, cfg Config) Result {
 	exp := btree.Expander{Tree: tree}
-	return run(cfg, workload{
+	return runOne(cfg, workload{
 		newExpander: func() protocol.Expander { return exp },
 		costOf:      func(it protocol.Item) float64 { return tree.Nodes[it.Ref].Cost },
 		trueOpt:     tree.Stats().Optimum,
-		sizeHint:    tree.Size(),
+		seqExpanded: tree.Size(),
 	})
 }
 
@@ -292,13 +322,44 @@ func RunProblem(p bnb.Problem, cfg Config) Result {
 // RunProblemRef is RunProblem with a precomputed sequential reference,
 // sparing callers that already solved the instance a second solve.
 func RunProblemRef(p bnb.Problem, ref bnb.Result, cfg Config) Result {
-	base := cfg.withDefaults().NodeCost
-	return run(cfg, workload{
+	return runOne(cfg, problemWorkload(p, ref, cfg.withDefaults().NodeCost))
+}
+
+// problemWorkload is the code-driven workload of RunProblem and RunInstances:
+// a fresh bnb expander per context, nodeCost jittered per code.
+func problemWorkload(p bnb.Problem, ref bnb.Result, nodeCost float64) workload {
+	return workload{
 		newExpander: func() protocol.Expander { return bnb.NewExpander(p) },
-		costOf:      func(it protocol.Item) float64 { return base * costJitter(it.Code) },
+		costOf:      func(it protocol.Item) float64 { return nodeCost * costJitter(it.Code) },
 		trueOpt:     ref.Value,
-		sizeHint:    ref.Expanded,
-	})
+		seqExpanded: ref.Expanded,
+	}
+}
+
+// runOne runs the single-problem case: one untagged instance (wire id 0,
+// submitted at time 0, root at process 0), its InstanceResult flattened into
+// a Result.
+func runOne(cfg Config, w workload) Result {
+	h := newHarness(cfg, []*spec{{w: w}}, false)
+	mr := h.run()
+	ir := mr.Instances[0]
+	return Result{
+		Terminated:  ir.Terminated,
+		Time:        ir.Time,
+		FirstDetect: ir.FirstDetect,
+		Optimum:     ir.Optimum,
+		OptimumOK:   ir.OptimumOK,
+		Expanded:    ir.Expanded,
+		Unique:      ir.Unique,
+		Redundant:   ir.Redundant,
+		DetectTimes: ir.DetectTimes,
+		Joined:      h.joined(),
+		Completions: ir.Completions,
+		Events:      mr.Events,
+		Shards:      mr.Shards,
+		Met:         mr.Met.At(0),
+		Net:         mr.Net,
+	}
 }
 
 // costJitter maps a code to a deterministic factor in [0.5, 1.5), giving
@@ -349,14 +410,12 @@ func shardLookahead(cfg Config) float64 {
 // shardCount resolves how many shards a run actually uses: 0 is the legacy
 // single-kernel path, and features whose state cannot be partitioned —
 // membership, tracing, fire hooks, a latency model with no positive floor —
-// force it.
-func shardCount(cfg Config) int {
-	s := cfg.Shards
-	if s < 0 {
-		s = 0
-	}
-	if s > cfg.Procs {
-		s = cfg.Procs
+// force it. Multi-instance runs accept none of those and always run on the
+// mesh, one shard at least.
+func shardCount(cfg Config, tagged bool) int {
+	s := min(max(cfg.Shards, 0), cfg.Procs)
+	if tagged {
+		return max(s, 1)
 	}
 	if s >= 1 && (cfg.UseMembership || cfg.Trace != nil || cfg.fireHook != nil ||
 		cfg.LinkLatency != nil || shardLookahead(cfg) <= 0) {
@@ -383,27 +442,29 @@ func normalizeJoins(joins []Join) []Join {
 	return out
 }
 
-func run(cfg Config, w workload) Result {
+// newHarness builds one run: the substrate, every execution context, and the
+// whole schedule of boots, joins and failures. tagged selects the
+// multi-instance wiring — InstMsg-wrapped traffic demultiplexed per process,
+// instance-derived randomness streams, instance-scoped crashes.
+func newHarness(cfg Config, specs []*spec, tagged bool) *harness {
 	cfg = cfg.withDefaults()
-	h := &harness{cfg: cfg, w: w}
+	h := &harness{cfg: cfg, specs: specs}
 	h.joins = normalizeJoins(cfg.Joins)
 	h.elastic = len(h.joins) > 0
 	h.total = cfg.Procs
 	for _, j := range h.joins {
 		h.total += j.Count
 	}
-	h.met = metrics.NewSystem(h.total)
+	for _, sp := range specs {
+		sp.met = metrics.NewSystem(h.total)
+	}
 
-	if S := shardCount(cfg); S >= 1 {
+	if S := shardCount(cfg, tagged); S >= 1 {
 		h.mesh = sim.NewMesh(cfg.Seed, S, cfg.Latency, shardLookahead(cfg))
 		h.mesh.PlaceBlocks(h.total)
 		h.shards = make([]*shardCtx, S)
-		for s := 0; s < S; s++ {
-			h.shards[s] = &shardCtx{
-				h: h, idx: s, k: h.mesh.Kernel(s), nw: h.mesh.Net(s),
-				union:    ctree.New(),
-				expanded: make(map[string]bool, w.sizeHint/S+1),
-			}
+		for s := range h.shards {
+			h.shards[s] = &shardCtx{k: h.mesh.Kernel(s), nw: h.mesh.Net(s)}
 		}
 		if !h.elastic {
 			// The shared doubled ring backs the static sharded views and the
@@ -420,14 +481,17 @@ func run(cfg Config, w workload) Result {
 			h.k.SetFireHook(cfg.fireHook)
 		}
 		h.nw = sim.NewNetwork(h.k, cfg.Latency)
-		h.shards = []*shardCtx{{
-			h: h, legacy: true, k: h.k, nw: h.nw,
-			union:    ctree.New(),
-			expanded: make(map[string]bool, w.sizeHint),
-		}}
+		h.shards = []*shardCtx{{legacy: true, k: h.k, nw: h.nw}}
 	}
 
 	for _, sh := range h.shards {
+		sh.recs = make([]rec, len(specs))
+		for i, sp := range specs {
+			sh.recs[i] = rec{
+				union:    ctree.New(),
+				expanded: make(map[string]bool, sp.w.seqExpanded/len(h.shards)+1),
+			}
+		}
 		if cfg.LinkLatency != nil {
 			// Legacy serial kernel only (shardCount forces it), so no
 			// lookahead bound constrains the per-link delays.
@@ -451,17 +515,26 @@ func run(cfg Config, w workload) Result {
 		}
 	}
 
-	h.nodes = make([]*node, h.total)
+	h.nodes = make([]*node, h.total*len(specs))
 	if cfg.UseMembership {
 		h.members = make([]*member.Member, h.total)
 	}
+	if tagged {
+		h.muxes = make([]*instance.Mux, cfg.Procs)
+	}
 	for i := 0; i < cfg.Procs; i++ {
 		id := sim.NodeID(i)
-		h.nodes[i] = newNode(id, h, h.shardOf(i))
-		if cfg.UseMembership {
-			h.members[i] = member.New(h.k, h.nw, id, []sim.NodeID{0}, member.DefaultConfig())
+		if tagged {
+			h.muxes[i] = instance.NewMux()
 		}
-		h.registerNode(h.nodes[i])
+		ctxs := h.contexts(i)
+		for _, sp := range specs {
+			ctxs[sp.idx] = newNode(id, h, sp)
+		}
+		if cfg.UseMembership {
+			h.addMember(id)
+		}
+		h.shardOf(i).nw.Register(id, h.handler(id))
 		if cfg.UseMembership {
 			h.members[i].Join()
 		}
@@ -474,45 +547,47 @@ func run(cfg Config, w workload) Result {
 		for c := 0; c < j.Count; c++ {
 			id := nextID
 			nextID++
-			sh := h.shardOf(id)
-			at := j.Time
-			sh.k.At(at, func() { h.spawnJoiner(id) })
+			h.shardOf(id).k.At(j.Time, func() { h.spawnJoiner(id) })
 		}
 	}
 
-	// Process 0 starts with the original problem; everyone else pulls work
-	// through the load-balancing mechanism.
-	h.nodes[0].core.Seed(h.nodes[0].exp.Root())
-
-	for i := 0; i < cfg.Procs; i++ {
-		n := h.nodes[i]
-		// Stagger periodic timers so they do not synchronize system-wide.
-		// The handles are kept so a crash before the first tick can cancel
-		// the boot chain — a restart starts a fresh one. (Joiners get the
-		// same treatment in spawnJoiner, at join time.)
-		jitter := n.rng.Float64()
-		n.reportTimer = n.k.At(jitter*cfg.ReportTimeout, n.reportTickFn)
-		if cfg.TableInterval > 0 {
-			n.tableTimer = n.k.At(jitter*cfg.TableInterval, n.tableTickFn)
-		}
-		n.k.At(0, n.loop)
+	// Every context comes up at its instance's submission time, on its owner
+	// shard's clock. (Joiners get the same treatment in spawnJoiner, at join
+	// time.)
+	for _, n := range h.nodes[:cfg.Procs*len(specs)] {
+		n.startTimers(n.spec.start)
+		n.k.At(n.spec.start, n.activate)
 	}
 
+	// Failure schedule. Instance 0 — and every Crash of a single-problem run
+	// — fails the whole process, network endpoint included; Instance k > 0
+	// fails only that instance's context, leaving the process's other
+	// instances and its endpoint untouched.
 	for _, c := range cfg.Crashes {
-		c := c
-		if c.Node < 0 || c.Node >= h.total {
+		inst := c.Instance
+		if !tagged {
+			inst = 0
+		}
+		if c.Node < 0 || c.Node >= h.total || inst < 0 || inst > len(specs) {
 			continue
 		}
 		// Failure events live on the failing process's own shard: crash
 		// state is owned by the shard's network, like every delivery check.
-		// A scheduled joiner's node may not exist yet when its crash fires
+		// A scheduled joiner's context may not exist yet when its crash fires
 		// (the join is later, or never came); the crash then only marks the
 		// network, exactly like crashing a process that never booted.
-		sh := h.shardOf(c.Node)
+		sh, id, ctxs := h.shardOf(c.Node), sim.NodeID(c.Node), h.contexts(c.Node)
+		if inst > 0 {
+			ctxs = ctxs[inst-1 : inst]
+		}
 		sh.k.At(c.Time, func() {
-			sh.nw.Crash(sim.NodeID(c.Node))
-			if n := h.nodes[c.Node]; n != nil {
-				n.crash()
+			if inst == 0 {
+				sh.nw.Crash(id)
+			}
+			for _, n := range ctxs {
+				if n != nil {
+					n.crash()
+				}
 			}
 		})
 		if c.Restart > c.Time {
@@ -520,90 +595,112 @@ func run(cfg Config, w workload) Result {
 			// rebuilds from gossip. Restore first so the rejoin traffic the
 			// restart triggers is not swallowed by its own crashed mark.
 			sh.k.At(c.Restart, func() {
-				sh.nw.Restore(sim.NodeID(c.Node))
-				if n := h.nodes[c.Node]; n != nil {
-					n.restart()
+				if inst == 0 {
+					sh.nw.Restore(id)
+				}
+				for _, n := range ctxs {
+					if n != nil {
+						n.restart()
+					}
 				}
 			})
 		}
 	}
+	return h
+}
 
+// joined counts the scheduled joiners that actually entered.
+func (h *harness) joined() int {
+	j := 0
+	for _, n := range h.nodes[h.cfg.Procs*len(h.specs):] {
+		if n != nil {
+			j++
+		}
+	}
+	return j
+}
+
+// run executes the schedule to completion (or MaxTime) and folds every
+// instance's books.
+func (h *harness) run() MultiResult {
+	res := MultiResult{
+		Terminated: true,
+		Instances:  make([]InstanceResult, len(h.specs)),
+		Met:        &metrics.Multi{Systems: make([]*metrics.System, len(h.specs))},
+	}
 	var end float64
 	if h.mesh != nil {
-		end = h.mesh.Run(cfg.MaxTime)
+		end = h.mesh.Run(h.cfg.MaxTime)
+		res.Net = h.mesh.Stats()
+		res.Events = h.mesh.Events()
+		res.Shards = len(h.shards)
 	} else {
-		end = h.k.Run(cfg.MaxTime)
+		end = h.k.Run(h.cfg.MaxTime)
+		res.Net = h.nw.Stats()
+		res.Events = h.k.Events()
 	}
+	for i, sp := range h.specs {
+		ir := h.fold(sp, end)
+		res.Instances[i] = ir
+		res.Met.Systems[i] = sp.met
+		res.Terminated = res.Terminated && ir.Terminated
+		res.Time = max(res.Time, ir.Time)
+	}
+	return res
+}
 
-	// Fold the per-shard detection records together.
-	detected, completions := 0, 0
-	firstDet, lastDet := 0.0, 0.0
-	for _, sh := range h.shards {
-		if sh.detected > 0 {
-			if detected == 0 || sh.firstDet < firstDet {
-				firstDet = sh.firstDet
-			}
-			if sh.lastDet > lastDet {
-				lastDet = sh.lastDet
-			}
-			detected += sh.detected
-		}
-		completions += sh.completions
+// fold assembles one instance's result from its contexts and the per-shard
+// records.
+func (h *harness) fold(sp *spec, end float64) InstanceResult {
+	ir := InstanceResult{
+		ID:          sp.id,
+		Terminated:  true,
+		Start:       sp.start,
+		Optimum:     math.Inf(1),
+		SeqOptimum:  sp.w.trueOpt,
+		SeqExpanded: sp.w.seqExpanded,
+		DetectTimes: make([]float64, h.total),
 	}
+	// Detection times, completions, the union of completion information and
+	// the distinct expansions — exact in every mode: shard-local dedup sets
+	// are merged here, after the run.
+	first := &h.shards[0].recs[sp.idx]
+	detected := 0
+	for _, sh := range h.shards {
+		r := &sh.recs[sp.idx]
+		if r.detected > 0 {
+			if detected == 0 || r.firstDet < ir.FirstDetect {
+				ir.FirstDetect = r.firstDet
+			}
+			ir.Time = max(ir.Time, r.lastDet)
+			detected += r.detected
+		}
+		ir.Completions += r.completions
+		if r != first {
+			first.union.Merge(r.union)
+			for k := range r.expanded {
+				first.expanded[k] = true
+			}
+		}
+	}
+	ir.Unique = len(first.expanded)
+	// Final storage observation (the peak may have been missed by sampling).
+	sp.met.ObserveUnique(first.union.WireSize())
 	// Leftover staggered timer events can outlive the computation; clamp the
 	// trace window to when the run actually finished.
 	traceEnd := end
-	if detected > 0 && lastDet < traceEnd {
-		traceEnd = lastDet
+	if detected > 0 && ir.Time < traceEnd {
+		traceEnd = ir.Time
 	}
 
-	res := Result{
-		Time:        lastDet,
-		FirstDetect: firstDet,
-		Optimum:     math.Inf(1),
-		DetectTimes: make([]float64, h.total),
-		Met:         h.met,
-		Completions: completions,
-		Shards:      len(h.shards),
-	}
-	if h.mesh != nil {
-		res.Net = h.mesh.Stats()
-		res.Events = h.mesh.Events()
-	} else {
-		res.Net = h.nw.Stats()
-		res.Events = h.k.Events()
-		res.Shards = 0
-	}
-	// Distinct expansions: exact in both modes — shard-local dedup sets are
-	// merged here, after the run.
-	if len(h.shards) == 1 {
-		res.Unique = len(h.shards[0].expanded)
-	} else {
-		total := 0
-		for _, sh := range h.shards {
-			total += len(sh.expanded)
-		}
-		seen := make(map[string]bool, total)
-		for _, sh := range h.shards {
-			for k := range sh.expanded {
-				seen[k] = true
-			}
-		}
-		res.Unique = len(seen)
-	}
-	trueOpt := h.w.trueOpt
-	res.Terminated = true
-	anyDetected := false
-	for i, n := range h.nodes {
+	for i := range ir.DetectTimes {
+		n := h.contexts(i)[sp.idx]
 		if n == nil {
 			// A scheduled joiner that never entered (its join time lay beyond
 			// the run): it never participated, so like a crashed process it
 			// neither counts toward nor blocks termination.
-			res.DetectTimes[i] = math.NaN()
+			ir.DetectTimes[i] = math.NaN()
 			continue
-		}
-		if i >= cfg.Procs {
-			res.Joined++
 		}
 		// Fold the core's protocol-event tallies into the metrics. The
 		// driver accounts only what the substrate defines (time splits,
@@ -622,28 +719,22 @@ func run(cfg Config, w workload) Result {
 		n.met.PeakPool = cnt.PeakPool
 		switch {
 		case n.crashed:
-			res.DetectTimes[i] = math.NaN()
-			cfg.Trace.Add(i, trace.Dead, n.crashedAt, traceEnd)
+			ir.DetectTimes[i] = math.NaN()
+			h.cfg.Trace.Add(i, trace.Dead, n.crashedAt, traceEnd)
 		case n.done:
-			res.DetectTimes[i] = n.detectedAt
-			anyDetected = true
-			if opt := n.core.Incumbent(); opt < res.Optimum {
-				res.Optimum = opt
-			}
+			ir.DetectTimes[i] = n.detectedAt
+			ir.Optimum = min(ir.Optimum, n.core.Incumbent())
 		default:
-			res.DetectTimes[i] = math.Inf(1)
-			res.Terminated = false
+			ir.DetectTimes[i] = math.Inf(1)
+			ir.Terminated = false
 		}
-		res.Expanded += n.met.Expanded
+		ir.Expanded += n.met.Expanded
 	}
-	res.Terminated = res.Terminated && anyDetected
-	res.Redundant = res.Expanded - res.Unique
-	res.OptimumOK = res.Terminated && res.Optimum == trueOpt
-	// Final storage observations (peaks may have been missed by sampling).
-	union := h.shards[0].union
-	for _, sh := range h.shards[1:] {
-		union.Merge(sh.union)
-	}
-	h.met.ObserveUnique(union.WireSize())
-	return res
+	ir.Terminated = ir.Terminated && detected > 0
+	ir.Redundant = ir.Expanded - ir.Unique
+	ir.OptimumOK = ir.Terminated && ir.Optimum == sp.w.trueOpt
+	agg := sp.met.AggregateBreakdown()
+	ir.Work = agg.Work()
+	ir.Overhead = agg.Overhead()
+	return ir
 }
