@@ -20,62 +20,89 @@
 // to be O(depth) per insert and allocation-lean (DESIGN.md "Completion-table
 // hot path"): Insert keeps an explicit path stack so contraction walks
 // bottom-up without re-walking from the root per level; the walks share one
-// prefix scratch buffer; the contracted frontier and its wire size are cached
-// and invalidated on mutation; pruned trie vertices feed a free list that
-// later inserts pop instead of allocating. The reference implementation the
+// prefix scratch buffer; the frontier's size, wire size and decision count are
+// sums kept along the mutation path, so Len and WireSize are field reads; a
+// changed frontier is materialised into a few pointer-free chunks rather than
+// one allocation per code; pruned trie vertices feed a free list that later
+// inserts pop instead of allocating. The reference implementation the
 // optimizations are property-tested against lives in reference_test.go.
 package ctree
 
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"gossipbnb/internal/code"
 )
 
 // node is one vertex of the completion trie. Its position in the trie is the
 // code of the corresponding B&B tree node. Free-listed nodes are threaded
-// through children[0].
+// through children[0]. The fields are ordered widest first: 40 bytes, inside
+// the 48-byte size class the vertex occupied before it carried depth and
+// pathBytes.
 type node struct {
-	branchVar uint32 // condition variable the children branch on
-	children  [2]*node
-	hasChild  [2]bool
-	complete  bool
+	children [2]*node
 
 	// digest caches the content digest of the subtree rooted here (see
 	// digest.go); digestOK is its validity bit, cleared along the mutation
-	// path exactly like the table-level frontier cache.
-	digest   uint64
+	// path.
+	digest uint64
+
+	branchVar uint32 // condition variable the children branch on
+
+	// depth and pathBytes describe the vertex's own code — its length and the
+	// wire bytes of its decisions (code.WireSize less the depth header) —
+	// fixed when the vertex is created, so completing or pruning it adjusts
+	// the table's sums without knowing the path that led here.
+	depth     uint32
+	pathBytes uint32
+
+	hasChild [2]bool
+	complete bool
 	digestOK bool
 }
 
 // Table is a contracted set of completed-problem codes. The zero value is not
-// usable; call New. Table is not safe for concurrent use: in the simulator
-// each process owns its table, and in the live runtime each node guards its
-// table with the node's own mutex.
+// usable; call New. Table is not safe for concurrent use: each table belongs
+// to one protocol core, and a core is confined to one goroutine (a simulator
+// process or a live node's loop).
 type Table struct {
 	root      *node
 	nodeCount int // trie vertices, for storage accounting
 
 	// free is the head of the trie-node free list, threaded through
-	// children[0]. prune feeds it; newNode pops it.
+	// children[0]. prune feeds it; newChild pops it.
 	free *node
 
-	// frontier caches Codes() output and wireSize caches WireSize(); both are
-	// invalidated (frontier dropped, never mutated in place — callers may
-	// still hold the old slice) by any mutation that changes the frontier.
-	frontier   []code.Code
-	frontierOK bool
-	wireSize   int
-	wireOK     bool
+	// Sums over the complete vertices — the frontier — adjusted by tally
+	// wherever a vertex becomes complete or a complete vertex is recycled:
+	// the number of codes, the wire bytes of those codes, and the decisions
+	// they hold. Len and WireSize read them; Codes sizes its chunks by them.
+	codes    int
+	wireSum  int
+	depthSum int
+
+	// frontier caches Codes() output; nil means not materialised (an empty
+	// frontier materialises to nil again, at no cost). Any mutation that
+	// changes the frontier drops it, never mutating it in place — callers may
+	// still hold the old slice.
+	frontier []code.Code
+
+	// digested records that some vertex may hold a valid digest, so inserts
+	// must clear the bits along their path. It stays false on tables nobody
+	// ever asks for a digest (outboxes, frontier-gossip runs).
+	digested bool
 
 	// Reused scratch space. path holds the root-to-leaf node stack of the
 	// last insert (path[i] = vertex at depth i); scratch is the shared walk
-	// prefix; frames and nstack are the iterative-walk stacks; sortBuf holds
-	// InsertAll's sorted view of its input.
+	// prefix; frames, fstack and nstack are the iterative-walk stacks of
+	// Complement, the frontier walk and the pruning and counting walks;
+	// sortBuf holds InsertAll's sorted view of its input.
 	path    []*node
 	scratch code.Code
 	frames  []walkFrame
+	fstack  []frontierFrame
 	nstack  []*node
 	sortBuf []code.Code
 }
@@ -85,6 +112,13 @@ type Table struct {
 type walkFrame struct {
 	n *node
 	b int8
+}
+
+// frontierFrame is one vertex the frontier walk has yet to visit, with the
+// decision that leads to it from its parent.
+type frontierFrame struct {
+	n   *node
+	via code.Decision
 }
 
 // New returns an empty table: nothing is known to be completed.
@@ -98,27 +132,38 @@ func New() *Table {
 func (t *Table) Reset() {
 	t.prune(t.root)
 	*t.root = node{}
+	t.codes, t.wireSum, t.depthSum = 0, 0, 0
+	t.digested = false // every vertex was just zeroed
 	t.invalidate()
 }
 
-// invalidate drops the cached frontier and wire size after a mutation. The
-// old frontier slice is abandoned, not reused: callers of Codes may still
-// hold it (e.g. a report in flight).
-func (t *Table) invalidate() {
-	t.frontier = nil
-	t.frontierOK = false
-	t.wireOK = false
-}
+// invalidate drops the cached frontier after a mutation. The old slice is
+// abandoned, not reused: callers of Codes may still hold it (e.g. a report in
+// flight).
+func (t *Table) invalidate() { t.frontier = nil }
 
-// newNode pops a recycled vertex off the free list, or allocates one.
-func (t *Table) newNode() *node {
+// newChild pops a recycled vertex off the free list, or allocates one, and
+// places it below p on branch b of variable v.
+func (t *Table) newChild(p *node, v uint32, b uint8) *node {
 	n := t.free
 	if n == nil {
-		return &node{}
+		n = &node{}
+	} else {
+		t.free = n.children[0]
+		*n = node{}
 	}
-	t.free = n.children[0]
-	*n = node{}
+	n.depth = p.depth + 1
+	n.pathBytes = p.pathBytes + uint32(uvarintLen(uint64(v)<<1|uint64(b)))
+	t.nodeCount++
 	return n
+}
+
+// tally adds (sign +1) or removes (sign -1) a complete vertex's code from the
+// frontier sums.
+func (t *Table) tally(n *node, sign int) {
+	t.codes += sign
+	t.depthSum += sign * int(n.depth)
+	t.wireSum += sign * (uvarintLen(uint64(n.depth)) + int(n.pathBytes))
 }
 
 // VarMismatchError reports an Insert whose code branches a subproblem on a
@@ -174,9 +219,8 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 		}
 		b := d.Branch & 1
 		if !n.hasChild[b] {
-			n.children[b] = t.newNode()
+			n.children[b] = t.newChild(n, d.Var, b)
 			n.hasChild[b] = true
-			t.nodeCount++
 		}
 		n = n.children[b]
 		t.path = append(t.path, n)
@@ -185,6 +229,7 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 		return false, len(c), nil
 	}
 	n.complete = true
+	t.tally(n, +1)
 	t.prune(n)
 	// Contract bottom-up along the recorded path, replacing complete sibling
 	// pairs with their parent. Vertices below the shallowest completed depth
@@ -197,6 +242,7 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 			break // cannot contract further
 		}
 		p.complete = true
+		t.tally(p, +1)
 		t.prune(p)
 		valid = i
 	}
@@ -205,17 +251,19 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 	// were zeroed by prune; re-clearing them is harmless. Nothing off the
 	// path changed, so nothing else needs touching — this is the same
 	// invalidation discipline as the frontier cache, pushed down to vertices.
-	for _, v := range t.path {
-		v.digestOK = false
+	if t.digested {
+		for _, v := range t.path {
+			v.digestOK = false
+		}
 	}
 	t.invalidate()
 	return true, valid, nil
 }
 
 // prune recycles the subtrees below a node that just became complete; its
-// descendants carry no extra information. The walk is iterative and feeds the
-// free list, so a prune is allocation-free and later inserts reuse the
-// vertices.
+// descendants carry no extra information, and the codes of the complete ones
+// leave the frontier sums. The walk is iterative and feeds the free list, so
+// a prune is allocation-free and later inserts reuse the vertices.
 func (t *Table) prune(n *node) {
 	t.nstack = t.nstack[:0]
 	for b := 0; b < 2; b++ {
@@ -232,6 +280,9 @@ func (t *Table) prune(n *node) {
 			if v.hasChild[b] {
 				t.nstack = append(t.nstack, v.children[b])
 			}
+		}
+		if v.complete {
+			t.tally(v, -1)
 		}
 		t.nodeCount--
 		*v = node{children: [2]*node{t.free, nil}}
@@ -291,59 +342,90 @@ func (t *Table) Covering(c code.Code) (code.Code, bool) {
 // reusing it, so a previously returned slice (say, a report in flight) is
 // never scribbled over.
 func (t *Table) Codes() []code.Code {
-	if !t.frontierOK {
-		t.frontier = t.appendFrontier(nil)
-		t.frontierOK = true
+	if t.frontier == nil {
+		t.frontier = t.materialise(t.root, t.codes, t.depthSum)
 	}
 	return t.frontier
 }
 
-// appendFrontier appends the frontier codes to out with one iterative
-// depth-first walk over a shared prefix scratch: the only allocations are the
-// returned codes themselves, one per frontier entry, instead of one clone per
-// trie edge as the recursive prefix.Child walk paid.
-func (t *Table) appendFrontier(out []code.Code) []code.Code {
-	out, _ = t.appendFrontierFrom(t.root, out, 0)
-	return out
-}
+// chunkLen caps one frontier chunk at 4 KB. The cap keeps chunks inside the
+// allocator's small-object size classes: sized to the whole frontier instead,
+// the large-object spans of a 100-process run raised its peak RSS by a third
+// (DESIGN.md "Completion-table hot path").
+const chunkLen = 4096 / int(unsafe.Sizeof(code.Decision{}))
 
-// appendFrontierFrom is appendFrontier generalized to the subtree rooted at
-// start: codes are emitted relative to start's position. If max > 0 the walk
-// aborts once more than max codes would be emitted and reports ok = false —
-// the anti-entropy responder uses this to decide between inlining a small
-// subtree's codes and descending another level of the digest walk.
-func (t *Table) appendFrontierFrom(start *node, out []code.Code, max int) (_ []code.Code, ok bool) {
+// materialise returns the frontier of the subtree rooted at start, as n codes
+// relative to start holding decs decisions in all (frontierSize counts them;
+// for the root they are the table's sums). One iterative depth-first walk,
+// branch 0 first, keeps the current vertex's code in the shared prefix scratch
+// — each vertex knows its depth, so a popped frame truncates the scratch to
+// its parent and appends its own decision — and copies each complete vertex's
+// code into a pointer-free chunk, emitting a capacity-clipped slice of it so
+// an append to one code cannot reach its neighbour. The allocations are the
+// exact-capacity result and about one chunk per chunkLen decisions, not one
+// per code.
+func (t *Table) materialise(start *node, n, decs int) []code.Code {
+	if n == 0 {
+		return nil
+	}
+	out := make([]code.Code, 0, n)
+	chunk := code.Root() // empty, not nil: a complete start yields Root(), as Clone did
 	t.scratch = t.scratch[:0]
-	t.frames = append(t.frames[:0], walkFrame{n: start})
-	emitted := 0
-	for len(t.frames) > 0 {
-		f := &t.frames[len(t.frames)-1]
-		if f.b == 0 && f.n.complete {
-			if emitted++; max > 0 && emitted > max {
-				return out, false
-			}
-			out = append(out, t.scratch.Clone())
-			f.b = 2
+	t.fstack = append(t.fstack[:0], frontierFrame{n: start})
+	for len(t.fstack) > 0 {
+		f := t.fstack[len(t.fstack)-1]
+		t.fstack = t.fstack[:len(t.fstack)-1]
+		v := f.n
+		d := int(v.depth - start.depth)
+		if d > 0 {
+			t.scratch = append(t.scratch[:d-1], f.via)
 		}
-		descended := false
-		for f.b < 2 {
-			b := f.b
-			f.b++ // advance before the push below: append may move the frame
-			if f.n.hasChild[b] {
-				t.scratch = t.scratch.AppendChild(f.n.branchVar, uint8(b))
-				t.frames = append(t.frames, walkFrame{n: f.n.children[b]})
-				descended = true
-				break
+		if v.complete {
+			if d > cap(chunk)-len(chunk) {
+				chunk = make(code.Code, 0, max(d, min(decs, chunkLen)))
 			}
+			at := len(chunk)
+			chunk = append(chunk, t.scratch...)
+			out = append(out, chunk[at:len(chunk):len(chunk)])
+			decs -= d
+			continue
 		}
-		if !descended {
-			t.frames = t.frames[:len(t.frames)-1]
-			if len(t.scratch) > 0 {
-				t.scratch = t.scratch[:len(t.scratch)-1]
+		for b := 1; b >= 0; b-- { // pushed in reverse: branch 0 pops first
+			if v.hasChild[b] {
+				t.fstack = append(t.fstack, frontierFrame{v.children[b], code.Decision{Var: v.branchVar, Branch: uint8(b)}})
 			}
 		}
 	}
-	return out, true
+	return out
+}
+
+// frontierSize counts the frontier of the subtree rooted at start: its codes
+// and the decisions they hold relative to start. If max > 0 it stops once
+// more than max codes are found and reports ok = false — the anti-entropy
+// responder uses this to decide between inlining a small subtree's codes and
+// descending another level of the digest walk.
+func (t *Table) frontierSize(start *node, max int) (n, decs int, ok bool) {
+	if start == t.root {
+		return t.codes, t.depthSum, max <= 0 || t.codes <= max
+	}
+	t.nstack = append(t.nstack[:0], start)
+	for len(t.nstack) > 0 {
+		v := t.nstack[len(t.nstack)-1]
+		t.nstack = t.nstack[:len(t.nstack)-1]
+		if v.complete {
+			if n++; max > 0 && n > max {
+				return n, decs, false
+			}
+			decs += int(v.depth - start.depth)
+			continue
+		}
+		for b := 0; b < 2; b++ {
+			if v.hasChild[b] {
+				t.nstack = append(t.nstack, v.children[b])
+			}
+		}
+	}
+	return n, decs, true
 }
 
 // Complement returns a minimal set of codes covering every tree node not
@@ -491,45 +573,15 @@ func commonPrefixLen(a, b code.Code) int {
 }
 
 // Len returns the number of frontier codes (complete trie vertices).
-func (t *Table) Len() int {
-	if t.frontierOK {
-		return len(t.frontier)
-	}
-	n := 0
-	t.nstack = append(t.nstack[:0], t.root)
-	for len(t.nstack) > 0 {
-		v := t.nstack[len(t.nstack)-1]
-		t.nstack = t.nstack[:len(t.nstack)-1]
-		if v.complete {
-			n++
-			continue
-		}
-		for b := 0; b < 2; b++ {
-			if v.hasChild[b] {
-				t.nstack = append(t.nstack, v.children[b])
-			}
-		}
-	}
-	return n
-}
+func (t *Table) Len() int { return t.codes }
 
 // NodeCount returns the number of trie vertices, a proxy for in-memory size.
 func (t *Table) NodeCount() int { return t.nodeCount }
 
 // WireSize returns the number of bytes Encode produces: the simulator charges
-// this against the communication model when a table is gossiped. Like the
-// frontier it derives from, the size is cached until the next mutation.
-func (t *Table) WireSize() int {
-	if !t.wireOK {
-		cs := t.Codes()
-		sz := uvarintLen(uint64(len(cs)))
-		for _, c := range cs {
-			sz += c.WireSize()
-		}
-		t.wireSize, t.wireOK = sz, true
-	}
-	return t.wireSize
-}
+// this against the communication model when a table is gossiped, and reads it
+// after every mutation for the storage figures.
+func (t *Table) WireSize() int { return uvarintLen(uint64(t.codes)) + t.wireSum }
 
 // Encode appends the wire encoding of the table (its contracted frontier) to
 // dst.
@@ -561,11 +613,13 @@ func (t *Table) Clone() *Table {
 	c := New()
 	c.root = cloneNode(t.root)
 	c.nodeCount = t.nodeCount
+	c.codes, c.wireSum, c.depthSum = t.codes, t.wireSum, t.depthSum
 	return c
 }
 
 func cloneNode(n *node) *node {
-	m := &node{branchVar: n.branchVar, hasChild: n.hasChild, complete: n.complete}
+	m := &node{branchVar: n.branchVar, depth: n.depth, pathBytes: n.pathBytes,
+		hasChild: n.hasChild, complete: n.complete}
 	for b := 0; b < 2; b++ {
 		if n.hasChild[b] {
 			m.children[b] = cloneNode(n.children[b])

@@ -500,6 +500,48 @@ func BenchmarkTrieInsertContract(b *testing.B) {
 	}
 }
 
+// The two benches below replay the 2048 leaves of a depth-11 tree in shuffled
+// order — so the frontier grows to hundreds of codes before it contracts —
+// and ask for a derived view straight after every mutation, the way SendTable
+// and the simulator's storage accounting do.
+func shuffledBenchLeaves() []code.Code {
+	leaves := counterLeaves(11)
+	rand.New(rand.NewSource(2)).Shuffle(len(leaves), func(i, j int) {
+		leaves[i], leaves[j] = leaves[j], leaves[i]
+	})
+	return leaves
+}
+
+var benchSink int
+
+func BenchmarkCodesAfterMutation(b *testing.B) {
+	leaves := shuffledBenchLeaves()
+	tb := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(leaves) == 0 {
+			tb.Reset()
+		}
+		tb.Insert(leaves[i%len(leaves)])
+		benchSink += len(tb.Codes())
+	}
+}
+
+func BenchmarkWireSizeAfterMutation(b *testing.B) {
+	leaves := shuffledBenchLeaves()
+	tb := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(leaves) == 0 {
+			tb.Reset()
+		}
+		tb.Insert(leaves[i%len(leaves)])
+		benchSink += tb.WireSize()
+	}
+}
+
 func BenchmarkListInsertContract(b *testing.B) {
 	leaves := repBenchLeaves()
 	b.ReportAllocs()

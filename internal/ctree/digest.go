@@ -22,11 +22,12 @@ import (
 //     branch, a presence marker and the child's digest;
 //   - a distinct constant for the bare root of an empty table.
 //
-// Digests are maintained incrementally: insertFrom clears the validity bit
-// of every vertex on its mutation path (the same path the contraction loop
-// walks), and Digest recomputes only invalidated subtrees. The property
-// tests in digest_test.go pin incremental == recompute-from-scratch and
-// digest equality ⇔ frontier equality over arbitrary mutation sequences.
+// Digests are maintained incrementally: once a table has been asked for a
+// digest, insertFrom clears the validity bit of every vertex on its mutation
+// path (the same path the contraction loop walks), and Digest recomputes only
+// invalidated subtrees. The property tests in digest_test.go pin incremental
+// == recompute-from-scratch and digest equality ⇔ frontier equality over
+// arbitrary mutation sequences.
 
 const (
 	// digestComplete is the digest of every complete vertex.
@@ -75,6 +76,7 @@ func (t *Table) digestOf(n *node) uint64 {
 	}
 	n.digest = h
 	n.digestOK = true
+	t.digested = true
 	return h
 }
 
@@ -158,7 +160,11 @@ func (t *Table) SubtreeCodes(prefix code.Code, max int) (rel []code.Code, ok boo
 		}
 		n = n.children[b]
 	}
-	return t.appendFrontierFrom(n, nil, max)
+	cnt, decs, ok := t.frontierSize(n, max)
+	if !ok {
+		return nil, false
+	}
+	return t.materialise(n, cnt, decs), true
 }
 
 // InsertSubtree merges an exported subtree back in: each relative code is

@@ -123,7 +123,6 @@ type node struct {
 	pendContract float64       // drain: modeled contraction cost
 	pendPlan     []code.Code   // recovery plan awaiting adoption
 
-	tableOps  int     // sampling counter for storage observation
 	idleStart float64 // <0 when not idle
 	met       *metrics.Node
 
@@ -689,14 +688,10 @@ func (n *node) drainDone(gen int) {
 	n.loop()
 }
 
-// observeTable samples the table's wire size for storage accounting.
-// Computing the exact size on every mutation would cost O(table) each time,
-// so it is sampled every 32 mutations (and at termination).
+// observeTable records the table's wire size after every mutation, so the
+// storage peak is exact.
 func (n *node) observeTable() {
-	n.tableOps++
-	if n.tableOps%32 == 0 {
-		n.met.ObserveTable(n.core.Table().WireSize())
-	}
+	n.met.ObserveTable(n.core.Table().WireSize())
 }
 
 // noteExpansion tracks redundant work: expansions of subproblems some
@@ -717,16 +712,14 @@ func (n *node) noteExpansion(c code.Code) {
 
 // noteCompletion maintains the union of the instance's completion
 // information; its peak wire size is the "one shared copy" baseline against
-// which replicated storage is called redundant. Sampled for the same reason
-// as observeTable. Sharded runs keep per-shard unions (the metrics sink is
-// shared, so mid-run sampling is legacy-only) merged for the final
-// observation.
+// which replicated storage is called redundant. Sharded runs keep per-shard
+// unions (the metrics sink is shared, so mid-run observation is legacy-only)
+// merged for the final observation.
 func (n *node) noteCompletion(c code.Code) {
 	r := n.rec
 	r.completions++
 	r.union.Insert(c)
-	r.unionOps++
-	if n.sh.legacy && r.unionOps%32 == 0 {
+	if n.sh.legacy {
 		n.spec.met.ObserveUnique(r.union.WireSize())
 	}
 }
@@ -739,7 +732,6 @@ func (n *node) onTerminated() {
 	n.done = true
 	n.detectedAt = n.k.Now()
 	n.endIdle()
-	n.met.ObserveTable(n.core.Table().WireSize())
 	n.reqTimer.Cancel()
 	n.rec.noteTermination(n.detectedAt)
 	if n.h.cfg.UseMembership {
@@ -815,7 +807,6 @@ func (n *node) restart() {
 	n.reqWaiting = false
 	n.inbox = nil
 	n.idleStart = -1
-	n.tableOps = 0
 	n.exp = n.spec.w.newExpander()
 	n.initCore()
 	if n.mux != nil {

@@ -93,7 +93,6 @@ type spec struct {
 type rec struct {
 	expanded map[string]bool // subproblems expanded at least once (shard-local)
 	union    *ctree.Table    // completions observed by this shard's contexts
-	unionOps int
 	// completions counts complete() events across contexts (a subproblem
 	// completed by k processes counts k times).
 	completions int
@@ -684,7 +683,8 @@ func (h *harness) fold(sp *spec, end float64) InstanceResult {
 		}
 	}
 	ir.Unique = len(first.expanded)
-	// Final storage observation (the peak may have been missed by sampling).
+	// Final storage observation: the only one of a sharded run, whose
+	// per-shard unions were merged just above.
 	sp.met.ObserveUnique(first.union.WireSize())
 	// Leftover staggered timer events can outlive the computation; clamp the
 	// trace window to when the run actually finished.

@@ -2,7 +2,7 @@ package protocol
 
 // Allocation regression guard for the report hot path: one full cycle —
 // a batch of leaf completions entering table and outbox, then FlushReport
-// deriving the frontier once from the outbox cache and recycling the outbox —
+// materialising the outbox's frontier once and recycling the outbox —
 // stays within a small constant allocation budget. Before the hot-path work
 // (ISSUE 3) the same cycle allocated a fresh outbox table plus one clone per
 // trie edge per flush.
@@ -54,9 +54,10 @@ func TestFlushReportCycleAllocs(t *testing.T) {
 	}
 	cycle() // warm the outbox free list and the core's scratch
 	avg := testing.AllocsPerRun(100, cycle)
-	// The irreducible allocations per cycle: the cached-frontier slice and
-	// its code clones (they leave the core inside the report), the Report's
-	// interface boxing, and amortized trie growth in the long-lived table.
+	// The irreducible allocations per cycle: the frontier slice and the
+	// chunk its codes share (they leave the core inside the report), the
+	// Report's interface boxing, and amortized trie growth in the long-lived
+	// table.
 	// Before the hot-path work this cycle averaged 53 allocs.
 	if avg > 20 {
 		t.Errorf("flush-report cycle allocates %.1f allocs per 8 completions + flush, want ≤ 20", avg)

@@ -203,7 +203,7 @@ type Deps struct {
 	// table (not for completions learned from peers).
 	OnComplete func(c code.Code)
 	// OnTableChange fires after any table mutation — completion or merge —
-	// for storage sampling.
+	// for storage accounting.
 	OnTableChange func()
 }
 
@@ -509,9 +509,10 @@ func (c *Core) complete(cd code.Code) {
 
 // FlushReport flushes the outbox as a work report to ReportFanout random
 // members. Compression already happened: the outbox is a contracted table,
-// and the codes slice is its cached frontier — Reset drops the cache without
-// touching the slice, so the report rides the same allocation while the
-// outbox recycles its trie vertices for the next batch.
+// and the codes slice is its materialised frontier — Reset drops the table's
+// reference without touching the slice or the chunks its codes share, so the
+// report rides those allocations while the outbox recycles its trie vertices
+// for the next batch.
 func (c *Core) FlushReport() {
 	codes := c.outbox.Codes()
 	if len(codes) == 0 {
