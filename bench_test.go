@@ -254,9 +254,13 @@ func BenchmarkSelfHealing(b *testing.B) {
 
 // stressRun is one scale-tier iteration: a deep (30-item) knapsack solved
 // from initial data on procs simulated processes. Most processes starve,
-// probe, gossip tables, and chase the final termination broadcast, so the
-// run leans on report flushes, table merges, wire-size queries, peer-view
-// fan-out — and, sharded, on the mesh barrier and the ring-range broadcast.
+// probe and gossip tables until the detector's broadcast ends the run, so it
+// leans on report flushes, table pushes and merges among starving processes,
+// wire-size queries, peer-view fan-out — and, sharded, on the mesh barrier.
+// Termination itself is O(procs) messages and no longer shows. Whether
+// process 0 grants work in the first probe round is a coin flip per seed and
+// per randomness stream (ROADMAP item 1), and the two outcomes differ several
+// times over in wall-clock: compare these tiers only within one commit.
 func stressRun(b *testing.B, k *Knapsack, seq SolveResult, procs, shards int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
@@ -282,9 +286,10 @@ func BenchmarkStress1000(b *testing.B) {
 }
 
 // BenchmarkStress10000 is the 10,000-process tier the sharded substrate
-// unlocks: the legacy kernel's procs² termination storm (~100M pending
-// events at this size) made it unrunnable; the ring-range broadcast plus
-// done-node fast drop bring one full solve to seconds.
+// unlocks: per-process randomness streams, the shared peer ring and the
+// canonical batch order keep one full solve to seconds. (Before termination
+// became epidemic the tier was dominated by 10⁸ root-report deliveries, which
+// the legacy kernel could not even queue.)
 func BenchmarkStress10000(b *testing.B) {
 	k := RandomKnapsack(rand.New(rand.NewSource(7)), 30)
 	seq := SolveProblem(k)

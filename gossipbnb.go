@@ -92,8 +92,9 @@ func DecodeTable(buf []byte) (*Table, error) { return ctree.Decode(buf) }
 type Msg = protocol.Msg
 
 // Report is a work report: a contracted batch of completed-problem codes
-// (§5.3.2). A report whose only code is the root is the termination
-// broadcast of §5.4.
+// (§5.3.2). A report whose only code is the root is the termination report
+// of §5.4: broadcast by a process that detects termination, forwarded by the
+// ones it tells, and a finished process's answer to a work request.
 type Report = protocol.Report
 
 // TableMsg is the occasional full-table consistency push.

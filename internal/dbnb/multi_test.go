@@ -204,28 +204,31 @@ func TestMultiInstanceLateSubmission(t *testing.T) {
 	}
 }
 
-// TestMultiInstanceTerminationBroadcastIsGrouped: every context that detects
+// TestMultiInstanceTerminationBroadcastIsGrouped: the context that detects
 // its instance's termination broadcasts the root report to all 63 peers
-// (§5.4). A tagged instance used to send those one by one — 63 pending
-// delivery events per context, the procs² storm the mesh's ring-range group
-// path was built to avoid — where the single-instance path sent one group
-// per destination shard. Both now broadcast the same way. The constants were
-// captured on the commit before: messages, bytes and every instance's
-// trajectory must not move; only the event count drops, by exactly the
-// deliveries the groups replace.
+// (§5.4) as one ring-range group event, tagged or not, and each of the 63
+// contexts it tells forwards the report to ReportFanout members — where every
+// one of them used to broadcast again, 64·63 root reports per instance. So
+// per instance and detector at most (1 + ReportFanout)·(procs − 1) root
+// reports travel; each instance here has exactly one detector and nobody
+// probes a finished instance, so the bound is met with equality. What
+// happened up to the first detection — when it came, what had been expanded —
+// was captured on the commit before the echo went and must not move.
 func TestMultiInstanceTerminationBroadcastIsGrouped(t *testing.T) {
 	const (
-		procs        = 64
-		parentEvents = 18307
-		sent         = 10887
-		bytes        = 348289
+		procs = 64
+		sent  = 2415
+		bytes = 130161
+		// 7586 with the two broadcasts as 63 deliveries each.
+		events = 7462
 	)
 	want := []struct {
-		time             float64
+		firstDetect      float64
 		expanded, unique int
-	}{{5.020989999999999, 371, 371}, {13.047205000000003, 874, 874}}
+	}{{1.7117170312499987, 173, 173}, {13.028160000000003, 681, 681}}
 
-	res := RunInstances(Config{Procs: procs, Seed: 29, Prune: true, Select: DepthFirst, Shards: 1, Instances: fourInstances()[:2]})
+	cfg := Config{Procs: procs, Seed: 29, Prune: true, Select: DepthFirst, Shards: 1, Instances: fourInstances()[:2]}
+	res := RunInstances(cfg)
 	if !res.Terminated {
 		t.Fatal("run did not terminate")
 	}
@@ -233,15 +236,16 @@ func TestMultiInstanceTerminationBroadcastIsGrouped(t *testing.T) {
 		t.Errorf("network moved: %d msgs / %d bytes, want %d / %d", res.Net.Sent, res.Net.Bytes, sent, bytes)
 	}
 	for i, ir := range res.Instances {
-		if w := want[i]; ir.Time != w.time || ir.Expanded != w.expanded || ir.Unique != w.unique {
-			t.Errorf("instance %d moved: time %v expanded %d unique %d, want %+v", ir.ID, ir.Time, ir.Expanded, ir.Unique, w)
+		if w := want[i]; ir.FirstDetect != w.firstDetect || ir.Expanded != w.expanded || ir.Unique != w.unique {
+			t.Errorf("instance %d moved: first detection %v expanded %d unique %d, want %+v", ir.ID, ir.FirstDetect, ir.Expanded, ir.Unique, w)
 		}
 	}
-	// All 2×64 contexts detected, so 128 broadcasts of 63 deliveries each
-	// became 128 single-shard group events.
-	broadcasts := uint64(len(res.Instances) * procs)
-	if wantEvents := parentEvents - broadcasts*(procs-1) + broadcasts; res.Events != wantEvents {
-		t.Errorf("Events = %d, want %d (%d before, less the per-recipient broadcast deliveries)", res.Events, wantEvents, parentEvents)
+	fanout := cfg.withDefaults().ReportFanout
+	if got, bound := rootReports(res.Net, res.Met.Systems...), int64(len(res.Instances)*(1+fanout)*(procs-1)); got != bound {
+		t.Errorf("root reports sent = %d, want %d: one detector per instance, (1 + %d)·(%d − 1) each", got, bound, fanout, procs)
+	}
+	if res.Events != events {
+		t.Errorf("Events = %d, want %d (one group event per broadcast)", res.Events, events)
 	}
 }
 

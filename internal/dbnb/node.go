@@ -3,6 +3,7 @@ package dbnb
 import (
 	"cmp"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"slices"
 
 	"gossipbnb/internal/code"
@@ -25,8 +26,9 @@ type inMsg struct {
 // arrivalOrder is the canonical order of a delivery batch: (arrival time,
 // sender). The driver sorts with slices.SortStableFunc, which is a zero-
 // allocation insertion sort on the usual handful of messages and stays
-// O(n log n) when a same-time broadcast lands thousands deep on a busy
-// process — where a plain insertion sort went quadratic. Any stable sort on
+// O(n log n) when same-time traffic lands thousands deep on a busy process
+// (every learner's re-broadcast once did) — where a plain insertion sort
+// went quadratic. Any stable sort on
 // this key yields the same sequence, so event-order hashes do not depend on
 // the algorithm.
 func arrivalOrder(a, b inMsg) int {
@@ -172,11 +174,12 @@ func (s nodeSender) Send(to protocol.NodeID, m protocol.Msg) {
 }
 
 // Broadcast implements protocol.BroadcastSender for the termination
-// broadcast of §5.4. The legacy path loops Send — exactly what the core
-// would do with a plain Sender. Sharded runs route the fan-out through the
-// mesh's ring-range group path: the static peer view IS the ring minus the
-// sender, so the procs² broadcast collapses to one group delivery per
-// destination shard instead of procs² pending events.
+// broadcast of §5.4, which a context sends only if it detected termination
+// itself. The legacy path loops Send — exactly what the core would do with a
+// plain Sender. Sharded runs route the fan-out through the mesh's ring-range
+// group path: the static peer view IS the ring minus the sender, so a
+// detector's procs − 1 deliveries are one group event per destination shard
+// instead of procs − 1 pending events.
 func (s nodeSender) Broadcast(peers []protocol.NodeID, m protocol.Msg) {
 	n := s.n
 	if n.sh.legacy || n.h.elastic {
@@ -198,6 +201,25 @@ func (s nodeSender) Broadcast(peers []protocol.NodeID, m protocol.Msg) {
 	}
 }
 
+// pcgSource is a mesh context's randomness stream: math/rand/v2's PCG — 16
+// bytes of state, seeded in a few multiplies — behind the math/rand.Source64
+// the *rand.Rand call sites use. rand.NewSource would give every context a
+// 4.9 KB lagged-Fibonacci state that takes ~13 µs to seed: at 10 000
+// processes that is 49 MB and 0.13 s per run for streams most contexts draw
+// from a handful of times.
+type pcgSource struct{ randv2.PCG }
+
+func newPCGSource(seed int64, stream int) *pcgSource {
+	s := new(pcgSource)
+	s.PCG.Seed(uint64(seed), uint64(stream))
+	return s
+}
+
+func (s *pcgSource) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+// Seed completes rand.Source; nothing reseeds a context's stream.
+func (s *pcgSource) Seed(seed int64) { s.PCG.Seed(uint64(seed), 0) }
+
 func newNode(id sim.NodeID, h *harness, sp *spec) *node {
 	sh := h.shardOf(int(id))
 	n := &node{
@@ -218,7 +240,7 @@ func newNode(id sim.NodeID, h *harness, sp *spec) *node {
 		if n.mux != nil {
 			seed = sim.DeriveSeed(seed^sp.seed, 1_000_003+sp.idx)
 		}
-		n.rng = rand.New(rand.NewSource(sim.DeriveSeed(seed, int(id))))
+		n.rng = rand.New(newPCGSource(sim.DeriveSeed(seed, int(id)), int(id)))
 		if !h.elastic {
 			// The static peer view is a window into the shared doubled ring:
 			// every process but this one, O(1) extra memory per node where
@@ -572,11 +594,13 @@ func (n *node) deliver(from sim.NodeID, msg sim.Message) {
 		// — their merges would all be no-ops — and denials answer requests
 		// it no longer has outstanding. Only a WorkRequest still matters: a
 		// straggler probing for work needs the root-report answer that tells
-		// it the computation is over. This turns the tail of the procs²
-		// termination storm from procs² full message handlings into procs²
-		// type switches. The legacy path keeps the original handling (the
-		// busy-period accounting differs, and legacy runs are pinned
-		// bit-identical by the golden tests).
+		// it the computation is over. What lands here is the forwarded root
+		// reports of the learners — ReportFanout per process, most of them
+		// addressed to a process that already knows — plus gossip still in
+		// flight; each costs a type switch instead of a queued batch, a
+		// sort and a busy period. The legacy path keeps the original
+		// handling (the busy-period accounting differs, and legacy runs are
+		// pinned bit-identical by the golden tests).
 		if _, isReq := pm.(protocol.WorkRequest); !isReq {
 			return
 		}
@@ -726,13 +750,15 @@ func (n *node) noteCompletion(c code.Code) {
 
 // --- termination ---------------------------------------------------------------
 
-// onTerminated records the core's termination detection (§5.4): the core
-// already broadcast the final root report; the driver settles the books.
+// onTerminated records the core's termination (§5.4): the core already
+// broadcast or forwarded the final root report; the driver settles the books
+// and, as at a crash, cancels the periodic chains — their next tick would
+// only find the context dead.
 func (n *node) onTerminated() {
 	n.done = true
 	n.detectedAt = n.k.Now()
 	n.endIdle()
-	n.reqTimer.Cancel()
+	n.cancelTimers()
 	n.rec.noteTermination(n.detectedAt)
 	if n.h.cfg.UseMembership {
 		// Leave the group so membership heartbeats quiesce; peers time the
@@ -781,6 +807,12 @@ func (n *node) crash() {
 	n.crashed = true
 	n.crashedAt = n.k.Now()
 	n.inbox = nil
+	n.cancelTimers()
+}
+
+// cancelTimers stops the request timeout and the report, table and bootstrap
+// chains of a context that crashed or terminated.
+func (n *node) cancelTimers() {
 	n.reqTimer.Cancel()
 	n.reportTimer.Cancel()
 	n.tableTimer.Cancel()

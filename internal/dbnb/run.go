@@ -200,9 +200,8 @@ func (h *harness) memberCountAt(t float64) int {
 }
 
 // handler returns process id's network handler. A single-instance process
-// gets its context's own deliver — the 10 000-process tier pushes ~10⁸
-// deliveries per solve through it, almost all into terminated processes, so
-// nothing may stand between the network and that method's first branch.
+// gets its context's own deliver, with nothing between the network and that
+// method's first branch: every delivery of a run goes through it.
 // Under §5.2 membership its traffic is peeled off first; the member is
 // looked up per delivery, not captured: a restart replaces it with a
 // brand-new one rejoining the group. Only a multi-instance process pays for

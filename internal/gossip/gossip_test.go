@@ -122,6 +122,19 @@ func TestSpreadToleratesLoss(t *testing.T) {
 	}
 }
 
+// TestSpreadRelayOnlyCoverage: a rumor every site forwards once, to two
+// members, and then forgets — how a learned termination spreads (§5.4) —
+// reaches the share s of a large system that solves s = 1 − e^(−2s), about
+// 0.797. Rumors that cool after one round cool in the round that closes a
+// measurement window, which is where Spread used to stop with their last
+// pushes still in flight (0.49 at this size, 0.20 at 4096).
+func TestSpreadRelayOnlyCoverage(t *testing.T) {
+	res := Spread(SpreadConfig{Nodes: 1024, Gossip: Config{Fanout: 2, Interval: 1, MaxSends: 1}, Seed: 4})
+	if res.Saturation < 0.75 || res.Saturation > 0.85 {
+		t.Errorf("relay-only coverage at fan-out 2 = %g, want about 0.797", res.Saturation)
+	}
+}
+
 func TestSpreadSingleNode(t *testing.T) {
 	res := Spread(SpreadConfig{Nodes: 1, Gossip: DefaultConfig(), Seed: 1})
 	if res.Reached != 1 {

@@ -54,10 +54,15 @@ func Spread(cfg SpreadConfig) SpreadResult {
 	agents[0].Add(Rumor{ID: "r", Data: []byte("x")})
 	// Run until every rumor everywhere has cooled; the queue never fully
 	// drains (rounds reschedule forever), so bound by quiescence: once no
-	// agent holds a hot rumor, nothing further can change.
+	// agent holds a hot rumor and none caught one in the last window,
+	// nothing further can change. The second half matters when rumors cool
+	// in the round that closes a window (always, with MaxSends 1): their
+	// last pushes are still in flight then, and whoever those infect is hot
+	// only in the next window.
 	for {
-		k.Run(k.Now() + 10*cfg.Gossip.Interval)
-		hot := false
+		start := k.Now()
+		k.Run(start + 10*cfg.Gossip.Interval)
+		hot := lastInfection > start
 		for _, a := range agents {
 			if len(a.rumors) > 0 {
 				hot = true

@@ -18,6 +18,7 @@ package protocol
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"gossipbnb/internal/code"
@@ -45,9 +46,10 @@ type Sender interface {
 
 // BroadcastSender is an optional Sender capability: deliver one message to
 // a whole peer set. The termination broadcast of §5.4 — the only procs-wide
-// fan-out in the protocol — dispatches through it when available, letting a
-// transport collapse the procs² message storm into per-destination group
-// deliveries. A plain Sender gets the equivalent per-peer Send loop.
+// fan-out in the protocol, sent once by each process that detects
+// termination — dispatches through it when available, letting a transport
+// turn the fan-out into one group delivery per destination batch. A plain
+// Sender gets the equivalent per-peer Send loop.
 type BroadcastSender interface {
 	Broadcast(peers []NodeID, m Msg)
 }
@@ -256,6 +258,10 @@ type Core struct {
 	outboxAdds int     // completions inserted into the outbox since last flush
 	ewmaCost   float64 // smoothed per-subproblem execution time (adaptive reports)
 	terminated bool
+	// learned marks a table that was completed by a message which itself
+	// carried the root code: this core did not detect termination, it was
+	// told, and forwards the news instead of broadcasting it (terminate).
+	learned bool
 
 	reqPending bool
 	failedReqs int
@@ -407,8 +413,10 @@ const (
 	Expand
 	// Starved: the pool is empty; call Starve to run load balancing.
 	Starved
-	// Terminated: termination was detected just now (the final root-report
-	// broadcast of §5.4 has been sent). Returned exactly once.
+	// Terminated: the table reached the root code just now and the core has
+	// said so — the root-report broadcast of §5.4 if it detected termination
+	// itself, the ReportFanout-wide forward if a peer's root code told it.
+	// Returned exactly once.
 	Terminated
 )
 
@@ -421,7 +429,7 @@ func (c *Core) Next() (Item, Status) {
 		return Item{}, Idle
 	}
 	if c.table.Complete() {
-		c.detectTermination()
+		c.terminate()
 		return Item{}, Terminated
 	}
 	for c.pool.Len() > 0 {
@@ -434,7 +442,7 @@ func (c *Core) Next() (Item, Status) {
 			// completes it (nothing below it can matter).
 			c.complete(it.Code)
 			if c.table.Complete() {
-				c.detectTermination()
+				c.terminate()
 				return Item{}, Terminated
 			}
 			continue
@@ -940,7 +948,9 @@ func (c *Core) absorbSubtree(from NodeID, rep SubtreeReply) {
 		return
 	}
 	if rep.Leaf {
+		open := !c.table.Complete()
 		changed, _ := c.table.InsertSubtree(rep.Prefix, rep.Rel)
+		c.noteMerged(open, rep.Prefix, rep.Rel)
 		if changed > 0 {
 			c.lastProgress = c.d.Clock.Now()
 		}
@@ -980,12 +990,26 @@ func (c *Core) merge(cs []code.Code) {
 		c.relayMerge(cs)
 		return
 	}
+	open := !c.table.Complete()
 	changed, _ := c.table.InsertAll(cs)
+	c.noteMerged(open, code.Root(), cs)
 	if changed > 0 {
 		c.lastProgress = c.d.Clock.Now()
 	}
 	if c.d.OnTableChange != nil {
 		c.d.OnTableChange()
+	}
+}
+
+// noteMerged runs after the codes of one received message — rel, anchored
+// under prefix — were merged into a table that was open before. If the merge
+// closed it, the message decides what this core is in §5.4's terms: one that
+// carried the root code merely told it the computation is over (learned);
+// one that carried the last missing piece let it contract to the root from
+// partial information, which is detection.
+func (c *Core) noteMerged(open bool, prefix code.Code, rel []code.Code) {
+	if open && c.table.Complete() {
+		c.learned = prefix.IsRoot() && slices.ContainsFunc(rel, code.Code.IsRoot)
 	}
 }
 
@@ -1002,6 +1026,7 @@ func (c *Core) merge(cs []code.Code) {
 // threshold complete() uses; relayed codes do not count as reported
 // completions (outboxAdds), they are transit traffic.
 func (c *Core) relayMerge(cs []code.Code) {
+	open := !c.table.Complete()
 	changed := 0
 	for _, cd := range cs {
 		if ins, err := c.table.Insert(cd); err != nil || !ins {
@@ -1012,6 +1037,7 @@ func (c *Core) relayMerge(cs []code.Code) {
 			c.outbox.Insert(cov)
 		}
 	}
+	c.noteMerged(open, code.Root(), cs)
 	if changed > 0 {
 		now := c.d.Clock.Now()
 		c.lastProgress = now
@@ -1129,17 +1155,34 @@ func (c *Core) handleGrant(g WorkGrant) Effect {
 
 // --- termination ---------------------------------------------------------------
 
-// detectTermination fires when contraction reached the root code (§5.4):
-// the process broadcasts one final root report to every member it knows of,
-// then stops.
-func (c *Core) detectTermination() {
+// terminate fires when contraction reached the root code (§5.4). A core that
+// got there from partial information detected termination: it broadcasts one
+// final root report to every member it knows of, then stops. A core that was
+// told — the completing message carried the root code — forwards the root
+// report like any other report, to ReportFanout random members, and stops:
+// were every learner to broadcast as well, n processes would send n² messages
+// to end a run. The detector's broadcast alone reaches everyone in one
+// latency; the forwards make the news epidemic when that broadcast is cut
+// short (loss, a detector that dies mid-send); and a process neither reaches
+// is starving, so it probes on the driver's retry cadence and the first
+// terminated process it asks answers with the root report
+// (handleWorkRequest). If every informed process dies, the survivors finish
+// by complement recovery and one of them detects afresh.
+func (c *Core) terminate() {
 	c.terminated = true
-	// Box the report into the Msg interface once, outside the loop: the
-	// broadcast goes to every member, and re-boxing per peer is one heap
-	// allocation × peers × processes at the end of every run — the single
-	// largest allocator in the 1000-process stress tier.
-	var m Msg = Report{Codes: []code.Code{code.Root()}, Incumbent: c.incumbent, ActAge: c.ActivityAge()}
 	peers := c.d.Peers()
+	if len(peers) == 0 {
+		return
+	}
+	// Box the report into the Msg interface once: re-boxing per peer is one
+	// heap allocation per recipient of the broadcast.
+	var m Msg = Report{Codes: []code.Code{code.Root()}, Incumbent: c.incumbent, ActAge: c.ActivityAge()}
+	if c.learned {
+		for i := 0; i < c.cfg.ReportFanout; i++ {
+			c.d.Sender.Send(peers[c.d.Rand(len(peers))], m)
+		}
+		return
+	}
 	if bs, ok := c.d.Sender.(BroadcastSender); ok {
 		bs.Broadcast(peers, m)
 		return

@@ -397,11 +397,11 @@ func (n *Network) deliverNow(from, to NodeID, msg Message) {
 
 // BroadcastRange sends msg from -> every node in the mesh ring range
 // [lo, lo+cnt) (positions mod ring size), the one-event-per-shard fast path
-// for the protocol's termination broadcast. A procs² broadcast materialized
-// as individual deliveries is what caps the simulator's scale: at 10k
-// processes it is 10⁸ pending events (gigabytes of arena). This path
-// instead enqueues ONE group entry per destination shard; the group fires
-// as one kernel event that walks only the shard's own slice of the ring.
+// for the protocol's termination broadcast: a detector tells every other
+// process at once. Materialized as individual deliveries that is cnt
+// pending events per detector; this path instead enqueues ONE group entry
+// per destination shard, and the group fires as one kernel event that walks
+// only the shard's own slice of the ring.
 // Legal only under a failure-free network (no loss/dup/reorder/replay —
 // those need independent per-recipient draws) and only on a Mesh; the
 // caller falls back to per-recipient Send otherwise.
