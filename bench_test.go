@@ -271,16 +271,13 @@ func stressRun(b *testing.B, k *Knapsack, seq SolveResult, procs, shards int) {
 	}
 }
 
-// BenchmarkStress1000 is the 1000-process scale tier, measured on the
-// legacy serial kernel (the pre-sharding code path, shards=0), the sharded
-// substrate's serial baseline (shards=1), and the parallel mesh at one
-// shard per CPU. Sub-benchmark names avoid runtime.NumCPU so baselines
+// BenchmarkStress1000 is the 1000-process scale tier, measured on one shard
+// (the default) and on one shard per CPU. Sub-benchmark names avoid runtime.NumCPU so baselines
 // compare across machines (the -N GOMAXPROCS suffix is stripped by
 // cmd/benchsnap).
 func BenchmarkStress1000(b *testing.B) {
 	k := RandomKnapsack(rand.New(rand.NewSource(7)), 30)
 	seq := SolveProblem(k)
-	b.Run("shards=0", func(b *testing.B) { stressRun(b, k, seq, 1000, 0) })
 	b.Run("shards=1", func(b *testing.B) { stressRun(b, k, seq, 1000, 1) })
 	b.Run("shards=cpu", func(b *testing.B) { stressRun(b, k, seq, 1000, runtime.GOMAXPROCS(0)) })
 }
@@ -288,8 +285,7 @@ func BenchmarkStress1000(b *testing.B) {
 // BenchmarkStress10000 is the 10,000-process tier the sharded substrate
 // unlocks: per-process randomness streams, the shared peer ring and the
 // canonical batch order keep one full solve to seconds. (Before termination
-// became epidemic the tier was dominated by 10⁸ root-report deliveries, which
-// the legacy kernel could not even queue.)
+// became epidemic the tier was dominated by 10⁸ root-report deliveries.)
 func BenchmarkStress10000(b *testing.B) {
 	k := RandomKnapsack(rand.New(rand.NewSource(7)), 30)
 	seq := SolveProblem(k)

@@ -157,9 +157,8 @@ func faultPartitions(f nemesis.Fault) ([]dbnb.Partition, error) {
 }
 
 // validateFlags rejects mutually inconsistent flag combinations up front,
-// with an error naming both sides — previously some combinations silently
-// ignored one flag (an explicit -shards with -membership or -gantt fell back
-// to the serial kernel without a word).
+// with an error naming both sides. -shards with -membership or -gantt is not
+// one of them: those runs clamp to one shard and the engine line says so.
 func validateFlags(insts int, problem, treePath string, member, gantt bool, shards int, joins joinList) error {
 	if insts < 0 {
 		return fmt.Errorf("-instances must be >= 0, got %d", insts)
@@ -181,13 +180,8 @@ func validateFlags(insts int, problem, treePath string, member, gantt bool, shar
 			return fmt.Errorf("-instances does not support -join")
 		}
 	}
-	if shards >= 0 { // an explicit request for the sharded kernel
-		if member {
-			return fmt.Errorf("-shards and -membership are mutually exclusive: membership state cannot be partitioned (drop -shards for the serial kernel)")
-		}
-		if gantt {
-			return fmt.Errorf("-shards and -gantt are mutually exclusive: tracing runs on the serial kernel (drop -shards)")
-		}
+	if shards < 0 {
+		return fmt.Errorf("-shards must be >= 0, got %d: the separate serial kernel -1 used to select is gone, use -shards 1 (the default)", shards)
 	}
 	return nil
 }
@@ -204,7 +198,7 @@ func run() int {
 	var nemeses nemesisList
 	var (
 		procs    = flag.Int("procs", 8, "number of processes")
-		shards   = flag.Int("shards", -1, "parallel event shards: N >= 1 exact, 0 = one per CPU, -1 = legacy serial kernel")
+		shards   = flag.Int("shards", 1, "parallel event shards: N >= 1 exact, 0 = one per CPU")
 		seed     = flag.Int64("seed", 1, "deterministic seed")
 		treePath = flag.String("tree", "", "basic-tree file (else a tree is generated)")
 		problem  = flag.String("problem", "", "solve a real problem from initial data, no recorded tree: knapsack:<n>:<seed> or qap:<n>:<seed>")
@@ -284,13 +278,10 @@ func run() int {
 	if *gantt {
 		lg = &trace.Log{}
 	}
-	// CLI shard semantics: -1 (default) is the legacy serial kernel
-	// (Config.Shards == 0); 0 asks for one shard per CPU; N >= 1 is exact.
+	// CLI shard semantics: 0 asks for one shard per CPU; N >= 1 is exact.
 	nshards := *shards
 	if nshards == 0 {
 		nshards = runtime.GOMAXPROCS(0)
-	} else if nshards < 0 {
-		nshards = 0
 	}
 	cfg := dbnb.Config{
 		Procs:         *procs,
@@ -353,12 +344,7 @@ func run() int {
 	elapsed := time.Since(wall)
 	fmt.Printf("terminated=%v  time=%.2fs  optimum=%.6g (correct=%v)\n",
 		res.Terminated, res.Time, res.Optimum, res.OptimumOK)
-	kernel := "serial kernel"
-	if res.Shards > 0 {
-		kernel = fmt.Sprintf("%d shards", res.Shards)
-	}
-	fmt.Printf("engine: %s, %d events in %.2fs wall (%.3g events/sec)\n",
-		kernel, res.Events, elapsed.Seconds(), float64(res.Events)/elapsed.Seconds())
+	printEngine(res.Shards, cfg.Shards, res.Events, elapsed)
 	fmt.Printf("expanded=%d  unique=%d  redundant=%d\n", res.Expanded, res.Unique, res.Redundant)
 	if len(joins) > 0 || len(crashes) > 0 {
 		restarts := 0
@@ -403,6 +389,18 @@ func run() int {
 	return 0
 }
 
+// printEngine reports the shard count that ran — and the requested one where
+// the run clamped it (to the process count, or to one shard under -membership
+// and -gantt) — with the simulator's event throughput.
+func printEngine(ran, requested int, events uint64, elapsed time.Duration) {
+	kernel := fmt.Sprintf("%d shards", ran)
+	if ran != requested {
+		kernel += fmt.Sprintf(" (%d requested)", requested)
+	}
+	fmt.Printf("engine: %s, %d events in %.2fs wall (%.3g events/sec)\n",
+		kernel, events, elapsed.Seconds(), float64(events)/elapsed.Seconds())
+}
+
 // runMulti is the -instances mode: k staggered random knapsacks multiplexed
 // over one simulated cluster, each instance's optimum cross-checked against
 // its own sequential solve, with a per-instance work/overhead table.
@@ -424,12 +422,7 @@ func runMulti(cfg dbnb.Config, k, size int, stagger float64, seed int64) int {
 	elapsed := time.Since(wall)
 
 	fmt.Printf("terminated=%v  time=%.2fs (last instance)\n", res.Terminated, res.Time)
-	kernel := "serial kernel"
-	if res.Shards > 0 {
-		kernel = fmt.Sprintf("%d shards", res.Shards)
-	}
-	fmt.Printf("engine: %s, %d events in %.2fs wall (%.3g events/sec)\n",
-		kernel, res.Events, elapsed.Seconds(), float64(res.Events)/elapsed.Seconds())
+	printEngine(res.Shards, cfg.Shards, res.Events, elapsed)
 
 	fmt.Printf("%-5s %-6s %-8s %-12s %-8s %-9s %-8s %-9s %-10s %-10s\n",
 		"inst", "start", "done", "optimum", "correct", "expanded", "unique", "redundant", "work", "overhead")

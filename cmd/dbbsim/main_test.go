@@ -2,6 +2,9 @@ package main
 
 import (
 	"math"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 )
 
@@ -113,25 +116,68 @@ func TestValidateFlagInstanceCombos(t *testing.T) {
 		joins   joinList
 		want    bool // valid?
 	}{
-		{name: "defaults", shards: -1, want: true},
-		{name: "instances alone", insts: 4, shards: -1, want: true},
+		{name: "defaults", shards: 1, want: true},
+		{name: "instances alone", insts: 4, shards: 1, want: true},
 		{name: "instances sharded", insts: 4, shards: 4, want: true},
-		{name: "negative instances", insts: -1, shards: -1, want: false},
-		{name: "instances+problem", insts: 2, problem: "knapsack:12:1", shards: -1, want: false},
-		{name: "instances+tree", insts: 2, tree: "t.gbbt", shards: -1, want: false},
-		{name: "instances+membership", insts: 2, member: true, shards: -1, want: false},
-		{name: "instances+gantt", insts: 2, gantt: true, shards: -1, want: false},
-		{name: "instances+join", insts: 2, joins: joinList{{Time: 5, Count: 2}}, shards: -1, want: false},
-		{name: "problem+tree", problem: "qap:6:1", tree: "t.gbbt", shards: -1, want: false},
-		{name: "shards+membership", member: true, shards: 4, want: false},
-		{name: "shards+gantt", gantt: true, shards: 0, want: false},
-		{name: "membership serial", member: true, shards: -1, want: true},
-		{name: "join without membership", joins: joinList{{Time: 5, Count: 2}}, shards: -1, want: true},
+		{name: "negative instances", insts: -1, shards: 1, want: false},
+		{name: "instances+problem", insts: 2, problem: "knapsack:12:1", shards: 1, want: false},
+		{name: "instances+tree", insts: 2, tree: "t.gbbt", shards: 1, want: false},
+		{name: "instances+membership", insts: 2, member: true, shards: 1, want: false},
+		{name: "instances+gantt", insts: 2, gantt: true, shards: 1, want: false},
+		{name: "instances+join", insts: 2, joins: joinList{{Time: 5, Count: 2}}, shards: 1, want: false},
+		{name: "problem+tree", problem: "qap:6:1", tree: "t.gbbt", shards: 1, want: false},
+		{name: "shards+membership clamps", member: true, shards: 4, want: true},
+		{name: "shards+gantt clamps", gantt: true, shards: 0, want: true},
+		{name: "negative shards", shards: -1, want: false},
+		{name: "join without membership", joins: joinList{{Time: 5, Count: 2}}, shards: 1, want: true},
 	}
 	for _, c := range cases {
 		err := validateFlags(c.insts, c.problem, c.tree, c.member, c.gantt, c.shards, c.joins)
 		if ok(err) != c.want {
 			t.Errorf("%s: err = %v, want valid=%v", c.name, err, c.want)
+		}
+	}
+}
+
+// TestMain lets the tests below run the command itself: re-executed with
+// DBBSIM_RUN_MAIN set, the test binary is dbbsim.
+func TestMain(m *testing.M) {
+	if os.Getenv("DBBSIM_RUN_MAIN") != "" {
+		os.Exit(run())
+	}
+	os.Exit(m.Run())
+}
+
+func dbbsim(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "DBBSIM_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	return string(out), err
+}
+
+// TestShardsMinusOneRejected: -1 selected the serial kernel that no longer
+// exists; the error has to say what to use instead.
+func TestShardsMinusOneRejected(t *testing.T) {
+	out, err := dbbsim(t, "-procs", "3", "-size", "301", "-shards", "-1")
+	if err == nil {
+		t.Fatalf("-shards -1 exited zero:\n%s", out)
+	}
+	if !strings.Contains(out, "-shards 1") {
+		t.Errorf("rejection does not name the replacement:\n%s", out)
+	}
+}
+
+// TestShardsClampReported: -membership cannot be partitioned, so -shards 4
+// runs it on one shard and the engine line says both numbers.
+func TestShardsClampReported(t *testing.T) {
+	out, err := dbbsim(t, "-procs", "8", "-size", "801", "-shards", "4", "-membership")
+	if err != nil {
+		t.Fatalf("-shards 4 -membership failed: %v\n%s", err, out)
+	}
+	for _, want := range []string{"terminated=true", "correct=true", "engine: 1 shards (4 requested)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
 		}
 	}
 }

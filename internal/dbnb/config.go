@@ -88,21 +88,20 @@ type Config struct {
 
 	// Shards partitions the simulated processes across that many parallel
 	// event shards, each with its own kernel, synchronized by a conservative
-	// lookahead barrier at the latency model's static minimum delay.
-	//
-	// 0 (the default) is the legacy serial path: one kernel, one global RNG
-	// stream — bit-identical to every pre-sharding release, as pinned by the
-	// golden event-order tests. Shards >= 1 selects the sharded substrate
-	// (1 is its serial baseline): every process draws its randomness from
-	// its own (Seed, id)-derived stream, so failure-free results are
+	// lookahead barrier at the latency model's static minimum delay. There is
+	// one event discipline at every count: each process draws its randomness
+	// from its own (Seed, id)-derived stream, so failure-free results are
 	// invariant in the shard count, and a fixed (Seed, Shards) pair is
 	// exactly reproducible. Chaos-model draws (loss/dup/reorder/replay)
 	// come from per-shard streams, so under chaos only the solved optimum —
 	// not the event trajectory — is shard-count invariant.
 	//
-	// Values above Procs are clamped. Features whose state cannot be
-	// partitioned fall back to the legacy path: UseMembership, a non-nil
-	// Trace, and latency models without a positive zero-byte floor.
+	// Values below 1 (the zero value included) mean one shard — not one per
+	// CPU, which would make a seeded chaos run depend on the machine — and
+	// values above Procs are clamped. Features whose state cannot be
+	// partitioned run on one shard whatever is asked: UseMembership, a
+	// non-nil Trace, LinkLatency, and latency models without a positive
+	// zero-byte floor. Result.Shards reports the count that ran.
 	Shards int
 
 	// Network model. Latency nil means the paper's 1.5 + 0.005·L ms model.
@@ -111,9 +110,9 @@ type Config struct {
 
 	// LinkLatency, if non-nil, refines the latency model per (from, to) pair
 	// — non-uniform topologies like two clusters joined by a slow WAN link.
-	// It must never return less than Latency(0). Scenarios with a link model
-	// run on the legacy serial kernel (the sharded mesh's lookahead is
-	// derived from the uniform model's floor).
+	// Scenarios with a link model run on one shard (the barrier's lookahead
+	// is derived from the uniform model's floor, which per-link delays need
+	// not respect) and send the termination broadcast link by link.
 	LinkLatency func(from, to int, bytes int) float64
 
 	// DiffGossip switches the report path to anti-entropy diff gossip:
@@ -121,7 +120,7 @@ type Config struct {
 	// delta; a receiver whose digest differs walks the sender's per-subtree
 	// digests and pulls only the missing regions, instead of everyone
 	// periodically pushing full-table frontiers. Default off — the legacy
-	// full-frontier path, pinned bit-identical by the golden tests.
+	// full-frontier path, the one the golden event-order tests pin.
 	DiffGossip bool
 
 	// Adversarial delivery — the full asynchronous model of §4, beyond the
@@ -227,8 +226,7 @@ type Config struct {
 
 	// Instances is the multi-instance workload of RunInstances: every listed
 	// problem is solved concurrently over the same process pool, each scoped
-	// to its own wire InstanceID. Run/RunProblem ignore it. Multi-instance
-	// runs always use the sharded substrate: Shards < 1 means one shard.
+	// to its own wire InstanceID. Run/RunProblem ignore it.
 	Instances []Instance
 
 	// MaxTime aborts a run that fails to terminate (0 = 1e9 seconds).

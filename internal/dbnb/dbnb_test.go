@@ -7,6 +7,8 @@ import (
 
 	"gossipbnb/internal/bnb"
 	"gossipbnb/internal/btree"
+	"gossipbnb/internal/code"
+	"gossipbnb/internal/ctree"
 	"gossipbnb/internal/metrics"
 	"gossipbnb/internal/trace"
 )
@@ -289,6 +291,17 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 	if res.Met.TotalStorage() <= 0 {
 		t.Error("no storage observed")
+	}
+	// The union's peak is tracked while the run is in progress: observed only
+	// after it, the union is the one root code it contracted to and all but
+	// two stored bytes read as redundant.
+	root := ctree.New()
+	root.Insert(code.Root())
+	if res.Met.UniquePeak <= root.WireSize() {
+		t.Errorf("union peak %d B is no more than a completed table's %d B", res.Met.UniquePeak, root.WireSize())
+	}
+	if red, tot := res.Met.RedundantStorage(), res.Met.TotalStorage(); red <= 0 || red >= tot {
+		t.Errorf("redundant storage %d B of %d B total, want strictly between", red, tot)
 	}
 	if res.Net.Bytes <= 0 {
 		t.Error("no bytes sent")

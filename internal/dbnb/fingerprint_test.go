@@ -10,24 +10,20 @@ import (
 )
 
 // Absolute fingerprints for the paths the two golden event-order hashes do
-// not reach. The goldens pin legacy-kernel tree replays; every mesh and
-// multi-instance test beside them compares a run only with itself
+// not reach. The goldens pin one-shard tree replays; every other shard-count
+// and multi-instance test beside them compares a run only with itself
 // (determinism, shard invariance), so a change that moved all shard counts
 // together would pass. A fingerprint that moves means the driver or the
 // protocol changed observable behaviour: find out why before refreshing it.
 //
 // The constants were first captured on the commit before the two simulator
 // drivers were folded into one, and the fold left every one of them alone.
-// They were re-pinned once since, in two steps recorded value by value in
-// EXPERIMENTS.md ("Termination without the storm"). First the mesh contexts'
-// randomness streams became 16-byte PCGs: every mesh trajectory was re-drawn,
-// while the two Shards == 0 fingerprints (fpDiffLegacy, fpMembershipRestart)
-// and both golden hashes stayed put — that kernel's one global stream was not
-// touched. Then termination stopped echoing (only a detector broadcasts the
-// root report, a learner forwards it to ReportFanout members): in every
-// fingerprint only sent, bytes and the report count of kinds moved, down by
-// the echo — except that a last detection can come earlier where a busy
-// process used to drain the storm before noticing the root report.
+// They were re-pinned in "Termination without the storm" (PCG context
+// streams, then no termination echo), and once more when the separate
+// Shards == 0 kernel was deleted: that moved only the two constants that had
+// been captured on it — fpDiffLegacy is gone, Shards 0 now being held to
+// fpDiffMesh, and fpMembershipRestart was re-drawn — and not one bit of the
+// rest. EXPERIMENTS.md records both, value by value.
 
 // printFingerprint renders what a run did in counts and virtual times only —
 // nothing that depends on wall-clock or on how the simulator batches events.
@@ -128,17 +124,43 @@ func TestFingerprintMeshChaos(t *testing.T) {
 	}
 }
 
-// TestFingerprintDiffGossip: the digest-walk report path on both kernels.
+// TestFingerprintDiffGossip: the digest-walk report path, at the default
+// shard count and the explicit one.
 func TestFingerprintDiffGossip(t *testing.T) {
-	for S, want := range []string{fpDiffLegacy, fpDiffMesh} {
+	for _, S := range []int{0, 1} {
 		res := Run(fpTree(), Config{Procs: 8, Seed: 5, Shards: S, DiffGossip: true})
 		mustTerminate(t, res)
-		checkFingerprint(t, fmt.Sprintf("diff gossip Shards=%d", S), fingerprint(res), want)
+		checkFingerprint(t, fmt.Sprintf("diff gossip Shards=%d", S), fingerprint(res), fpDiffMesh)
 	}
 }
 
-// TestFingerprintMembershipRestart: the §5.2 membership path (legacy kernel
-// only) with a crash-restart and a crash-stop.
+// TestFingerprintDefaultIsOneShard: Config.Shards 0 is one shard, not a
+// second kernel — the zero value and an explicit 1 are the same run, chaos
+// draws included.
+func TestFingerprintDefaultIsOneShard(t *testing.T) {
+	k, ref := shardKnapsack()
+	cfg := Config{Procs: 8, Seed: 11, Prune: true, RecoveryQuiet: 3, Loss: 0.05, Duplicate: 0.05,
+		Crashes: []Crash{{Time: 1, Node: 2, Restart: 3}}, MaxTime: 1e6}
+	var tree, problem [2]Result
+	for S := range tree {
+		cfg.Shards = S
+		tree[S], problem[S] = Run(fpTree(), cfg), RunProblemRef(k, ref, cfg)
+		mustTerminate(t, tree[S])
+		mustTerminate(t, problem[S])
+		if tree[S].Shards != 1 || problem[S].Shards != 1 {
+			t.Errorf("Shards=%d ran on %d and %d shards, want 1", S, tree[S].Shards, problem[S].Shards)
+		}
+	}
+	checkFingerprint(t, "Run at Shards=0 vs 1", fingerprint(tree[0]), fingerprint(tree[1]))
+	checkFingerprint(t, "RunProblemRef at Shards=0 vs 1", fingerprint(problem[0]), fingerprint(problem[1]))
+	if tree[0].Events != tree[1].Events || problem[0].Events != problem[1].Events {
+		t.Errorf("event counts differ: Run %d vs %d, RunProblemRef %d vs %d",
+			tree[0].Events, tree[1].Events, problem[0].Events, problem[1].Events)
+	}
+}
+
+// TestFingerprintMembershipRestart: the §5.2 membership path (one shard
+// always) with a crash-restart and a crash-stop.
 func TestFingerprintMembershipRestart(t *testing.T) {
 	res := Run(btree.Tiny(14), Config{Procs: 5, Seed: 3, RecoveryQuiet: 5, UseMembership: true,
 		Crashes: []Crash{{Time: 2, Node: 3, Restart: 8}, {Time: 3, Node: 4}}})
@@ -147,9 +169,7 @@ func TestFingerprintMembershipRestart(t *testing.T) {
 }
 
 // TestFingerprintMultiStaggered: four staggered instances. Shards 0 is in
-// the list because it used to select a serial kernel for RunInstances and
-// now means one mesh shard; the trajectories were the same before, and the
-// fingerprint holds them to it.
+// the list because it means one shard here as everywhere.
 func TestFingerprintMultiStaggered(t *testing.T) {
 	for _, S := range []int{0, 1, 4} {
 		res := RunInstances(Config{Procs: 8, Seed: 13, Prune: true, Select: DepthFirst, Shards: S, Instances: fourInstances()})
@@ -183,9 +203,8 @@ const (
 	fpMeshJoins         = "t=6.52233 first=6.5205150000000005 exp=301 uniq=301 comp=151 sent=267 bytes=17055 kinds=[0 69 50 70 8 62 0 4 4] per=[100 93 38 0 13 0 0 10 0 0 1 46]"
 	fpMeshChaosS1       = "t=10.774642859525128 first=10.772827859525128 exp=659 uniq=301 comp=295 sent=189 bytes=11912 kinds=[0 87 24 41 13 24] per=[140 81 26 118 108 0 69 117]"
 	fpMeshChaosS4       = "t=9.302886335722173 first=9.301071335722172 exp=662 uniq=301 comp=298 sent=181 bytes=10622 kinds=[0 87 20 37 10 27] per=[140 80 26 126 108 0 69 113]"
-	fpDiffLegacy        = "t=10.900455261410523 first=10.898640261410522 exp=301 uniq=301 comp=151 sent=340 bytes=12078 kinds=[0 21 0 89 14 75 127 7 7] per=[80 83 36 0 39 17 14 32]"
 	fpDiffMesh          = "t=10.99746835632244 first=10.995653356322439 exp=301 uniq=301 comp=151 sent=334 bytes=12362 kinds=[0 21 0 86 10 76 129 6 6] per=[76 0 98 18 19 16 36 38]"
-	fpMembershipRestart = "t=14.459500371353752 first=6.459480371353765 exp=242 uniq=121 comp=122 sent=52 bytes=1657 kinds=[32 16 2 2] per=[121 0 0 121 0]"
+	fpMembershipRestart = "t=9.419247320286548 first=9.387198112907454 exp=149 uniq=121 comp=67 sent=82 bytes=3186 kinds=[36 24 7 9 1 5] per=[101 20 0 28 0]"
 )
 
 var (

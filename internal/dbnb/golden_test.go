@@ -9,31 +9,29 @@ import (
 )
 
 // Golden event-order hashes. Each constant is the FNV-1a hash of the exact
-// (time, seq) stream of kernel events fired during a seeded run on the
-// Shards == 0 kernel: the paper's reproducibility claim (§6.2) rests on
-// seeded runs being exactly repeatable, so a change that moves even one
-// tie-break silently invalidates every recorded experiment.
+// (time, seq) stream of kernel events fired during a seeded run: the paper's
+// reproducibility claim (§6.2) rests on seeded runs being exactly repeatable,
+// so a change that moves even one tie-break silently invalidates every
+// recorded experiment. The fire hook sits on shard 0's kernel and, like
+// Trace, clamps the run to one shard — so what is pinned is the event order of
+// the one-shard mesh, which is the kernel every default run uses.
 //
-// The full hashes were first captured against the container/heap kernel that
-// ISSUE 5 replaced (0x7840152e70264cce, 0xc9678d4fd42684a6) and held through
-// every kernel and driver rewrite after it. One change moved them, on
-// purpose: termination stopped echoing. Only a process that detects
-// termination broadcasts the root report, one that is told forwards it to
-// ReportFanout members, and a terminated context cancels its timer chains —
-// so the tail of each run has fewer deliveries and fewer dead timer ticks
-// (Table 1: 75 052 events became 65 187; chaos: 670 became 638). That change
-// cannot reach an event before the first detection, which is what the prefix
-// hashes prove: they cover the events with t < FirstDetect, were captured on
-// the commit before it, and did not move.
+// The constants were captured when the separate Shards == 0 kernel was
+// deleted; the values they replaced pinned that kernel (EXPERIMENTS.md, "One
+// kernel path", has old → new). The chaos scenario's failures moved at the same
+// time (they were node 1 down 5–25 and node 2 down at 9): re-drawn, its pruned
+// solve finishes at t ≈ 2.3, before the first of them, and the hash would have
+// pinned a run without a single failure in it.
 //
-// If a prefix hash moves, the kernel or the protocol changed behaviour while
-// work was still in progress; if only a full hash moves, termination or the
-// drain after it did. Either way find out what moved it before refreshing.
+// The prefix hashes cover the events with t < FirstDetect. If a prefix hash
+// moves, the kernel or the protocol changed behaviour while work was still in
+// progress; if only a full hash moves, termination or the drain after it did.
+// Either way find out what moved it before refreshing.
 const (
-	goldenTable1Prefix uint64 = 0x1ac69549e0ffe6f8 // 64 553 events, first detection at t = 381.74060887809895
-	goldenChaosPrefix  uint64 = 0xae46219f2c4351bb // 571 events, first detection at t = 14.345967461457334
-	goldenTable1Hash   uint64 = 0xe942895349a4af6c
-	goldenChaosHash    uint64 = 0x7c0f9f44858296c2
+	goldenTable1Prefix uint64 = 0xfc29b6a66010b2ff // 70 342 of 70 844 events, first detection at t = 375.85797381049264
+	goldenChaosPrefix  uint64 = 0xea0cf48a646a849a // 789 of 820 events, first detection at t = 14.299697841017444
+	goldenTable1Hash   uint64 = 0xa08999d9035ca277
+	goldenChaosHash    uint64 = 0xedfb4110996f14c3
 )
 
 // fired is one kernel event as the fire hook saw it.
@@ -76,8 +74,9 @@ func goldenTable1() (*btree.Tree, Config) {
 // goldenChaos is a chaos-soak scenario: loss, duplication, reordering,
 // replay, a crash-stop, and a crash-restart in one seeded run. The restart
 // matters specifically: it exercises the orphaned-callback path where a dead
-// incarnation's busy-period event still fires as a no-op, which the kernel
-// swap must preserve event-for-event.
+// incarnation's busy-period event still fires as a no-op, which a kernel
+// rewrite must preserve event-for-event — hence the seed process, which is
+// expanding from t = 0, as the one that restarts.
 func goldenChaos() (*btree.Tree, Config) {
 	r := rand.New(rand.NewSource(13))
 	tree := btree.Random(r, btree.RandomConfig{
@@ -97,8 +96,8 @@ func goldenChaos() (*btree.Tree, Config) {
 		Replay:        0.05,
 		RecoveryQuiet: 8,
 		Crashes: []Crash{
-			{Time: 5, Node: 1, Restart: 25},
-			{Time: 9, Node: 2},
+			{Time: 0.5, Node: 0, Restart: 1.5},
+			{Time: 0.9, Node: 2},
 		},
 	}
 }

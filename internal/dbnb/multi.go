@@ -70,7 +70,7 @@ type MultiResult struct {
 	Time      float64
 	Instances []InstanceResult
 	// Events is the total simulator events fired; Shards how many event
-	// shards ran (at least 1: multi-instance runs always use the mesh).
+	// shards ran.
 	Events uint64
 	Shards int
 	// Met is the instance-labeled metrics registry: Met.At(i) is instance
@@ -84,10 +84,9 @@ type MultiResult struct {
 // concurrently and returns the per-instance measurements. Each instance's
 // optimum is cross-checked against its own sequential solve. Runs are
 // deterministic in (cfg, seed); failure-free runs are invariant in the shard
-// count, and they always run on the sharded mesh (Shards < 1 means one
-// shard). Features whose state is inherently single-instance — §5.2
+// count. Features whose state is inherently single-instance — §5.2
 // membership, tracing, elastic joins, per-link latency — are rejected, and so
-// is a latency model without the positive floor the mesh needs.
+// is a latency model without a positive floor.
 func RunInstances(cfg Config) MultiResult {
 	if len(cfg.Instances) == 0 {
 		panic("dbnb: RunInstances requires at least one Instance")

@@ -16,7 +16,7 @@ import (
 
 // inMsg is a queued incoming message (the paper's processes check pending
 // messages only after finishing the current subproblem). at is the virtual
-// arrival time — the sort key that makes sharded batch handling canonical.
+// arrival time — the sort key that makes batch handling canonical.
 type inMsg struct {
 	from sim.NodeID
 	at   float64
@@ -64,11 +64,9 @@ type node struct {
 	mux *instance.Mux
 
 	// rng drives every stochastic choice this context makes (timer stagger,
-	// report fanout targets, recovery jitter). Legacy mode aliases the
-	// single kernel's global stream — the pre-sharding draw order, byte for
-	// byte. Sharded mode derives an independent stream (see newNode), so a
-	// context's decisions do not depend on how processes are sharded — the
-	// root of the shard-count invariance property.
+	// report fanout targets, recovery jitter): an independent stream (see
+	// newNode), so a context's decisions do not depend on how processes are
+	// sharded — the root of the shard-count invariance property.
 	rng *rand.Rand
 
 	started    bool // the instance's submission time was reached
@@ -77,9 +75,9 @@ type node struct {
 	done       bool // observed the core's termination detection
 	detectedAt float64
 	inbox      []inMsg
-	// wake marks a pending same-time wake event (sharded mode). Deliveries
-	// there never process the inbox directly: the first arrival at a virtual
-	// instant schedules a wake at that same instant, which — because every
+	// wake marks a pending same-time wake event. Deliveries never process the
+	// inbox directly: the first arrival at a virtual instant schedules a
+	// wake at that same instant, which — because every
 	// simultaneous delivery is already in the kernel queue by then (the
 	// latency floor is at least the mesh lookahead) — fires after the WHOLE
 	// same-time batch has landed, so the batch can be handled in canonical
@@ -128,10 +126,10 @@ type node struct {
 	idleStart float64 // <0 when not idle
 	met       *metrics.Node
 
-	// peersCache is the cached membership view (every process but this one).
-	// Without joins the view never changes and this is built once —
-	// rebuilding it on every core decision is O(procs), ruinous at the
-	// 1000-process stress tier. Elastic runs rebuild it only when the
+	// peersCache is the cached predetermined-pool view (every process but
+	// this one): this context's window of the harness ring where there is
+	// one — rebuilding the view on every core decision is O(procs), ruinous
+	// at the 1000-process stress tier. Otherwise it is rebuilt only when the
 	// scheduled member count moves past a join epoch; viewSize is the epoch
 	// (member count) the cache was built for, 0 = unbuilt.
 	peersCache []protocol.NodeID
@@ -175,17 +173,15 @@ func (s nodeSender) Send(to protocol.NodeID, m protocol.Msg) {
 
 // Broadcast implements protocol.BroadcastSender for the termination
 // broadcast of §5.4, which a context sends only if it detected termination
-// itself. The legacy path loops Send — exactly what the core would do with a
-// plain Sender. Sharded runs route the fan-out through the mesh's ring-range
-// group path: the static peer view IS the ring minus the sender, so a
+// itself. Where the harness has a ring the fan-out goes through the mesh's
+// ring-range group path: the peer view IS the ring minus the sender, so a
 // detector's procs − 1 deliveries are one group event per destination shard
-// instead of procs − 1 pending events.
+// instead of procs − 1 pending events. Where it has none (harness.ring says
+// when) the view is not that window, so loop Send — exactly what the core
+// would do with a plain Sender.
 func (s nodeSender) Broadcast(peers []protocol.NodeID, m protocol.Msg) {
 	n := s.n
-	if n.sh.legacy || n.h.elastic {
-		// Legacy path, and elastic views on any kernel: the ring-range fast
-		// path below walks a window of the full static ring, which is wrong
-		// the moment the live member set is a prefix of the identity space.
+	if n.h.ring == nil {
 		for _, p := range peers {
 			s.Send(p, m)
 		}
@@ -229,26 +225,19 @@ func newNode(id sim.NodeID, h *harness, sp *spec) *node {
 	if h.muxes != nil {
 		n.mux = h.muxes[id]
 	}
-	if sh.legacy {
-		n.rng = sh.k.Rand()
-	} else {
-		// The stream depends only on (run seed, process id) — and, for a
-		// tagged context, on (instance seed, instance slot) — never on the
-		// shard layout or on what other instances do: a context's stochastic
-		// choices are shard- and isolation-invariant.
-		seed := h.cfg.Seed
-		if n.mux != nil {
-			seed = sim.DeriveSeed(seed^sp.seed, 1_000_003+sp.idx)
-		}
-		n.rng = rand.New(newPCGSource(sim.DeriveSeed(seed, int(id)), int(id)))
-		if !h.elastic {
-			// The static peer view is a window into the shared doubled ring:
-			// every process but this one, O(1) extra memory per node where
-			// the legacy per-node cache is O(procs). Elastic views are
-			// epoch-built lazily instead — the window arithmetic assumes
-			// full membership.
-			n.peersCache = h.ring[int(id)+1 : int(id)+h.cfg.Procs]
-		}
+	// The stream depends only on (run seed, process id) — and, for a tagged
+	// context, on (instance seed, instance slot) — never on the shard layout
+	// or on what other instances do: a context's stochastic choices are
+	// shard- and isolation-invariant.
+	seed := h.cfg.Seed
+	if n.mux != nil {
+		seed = sim.DeriveSeed(seed^sp.seed, 1_000_003+sp.idx)
+	}
+	n.rng = rand.New(newPCGSource(sim.DeriveSeed(seed, int(id)), int(id)))
+	if h.ring != nil {
+		// The static peer view is a window into the shared doubled ring:
+		// every process but this one, O(1) extra memory per node.
+		n.peersCache = h.ring[int(id)+1 : int(id)+h.cfg.Procs]
 	}
 	n.reportTickFn = n.reportTick
 	n.tableTickFn = n.tableTick
@@ -303,16 +292,15 @@ func (n *node) initCore() {
 
 // peerView adapts the harness's membership view to protocol identifiers. The
 // core reads the returned slice without retaining or mutating it, so the
-// static (no-membership) view is cached: legacy mode builds the original
-// ascending-order per-node cache lazily (bit-identical runs); sharded mode
-// pre-assigned a window of the shared ring at construction.
+// predetermined-pool view is cached: a window of the shared ring assigned at
+// construction, or an epoch-built list where there is no ring.
 func (n *node) peerView() []protocol.NodeID {
 	if !n.h.cfg.UseMembership {
-		if n.h.elastic {
-			// Predetermined elastic pool: the view is every process scheduled
-			// to exist at this node's current clock. The cache is rebuilt
-			// only when the clock crosses a join epoch, so between epochs the
-			// view read stays O(1) and allocation-free.
+		if n.h.ring == nil {
+			// The view is every process scheduled to exist at this node's
+			// current clock. The cache is rebuilt only when the clock crosses
+			// a join epoch (never, without joins), so between epochs the view
+			// read stays O(1) and allocation-free.
 			if m := n.h.memberCountAt(n.k.Now()); m != n.viewSize {
 				n.peersCache = n.peersCache[:0]
 				for i := 0; i < m; i++ {
@@ -321,15 +309,6 @@ func (n *node) peerView() []protocol.NodeID {
 					}
 				}
 				n.viewSize = m
-			}
-			return n.peersCache
-		}
-		if n.peersCache == nil {
-			n.peersCache = make([]protocol.NodeID, 0, n.h.total-1)
-			for i := 0; i < n.h.total; i++ {
-				if sim.NodeID(i) != n.id {
-					n.peersCache = append(n.peersCache, protocol.NodeID(i))
-				}
 			}
 		}
 		return n.peersCache
@@ -588,9 +567,9 @@ func (n *node) deliver(from sim.NodeID, msg sim.Message) {
 	if !ok {
 		return
 	}
-	if n.done && !n.sh.legacy {
-		// Fast drop at terminated processes (sharded mode): a done node's
-		// table is complete, so reports, tables and grants teach it nothing
+	if n.done {
+		// Fast drop at terminated processes: a done node's table is
+		// complete, so reports, tables and grants teach it nothing
 		// — their merges would all be no-ops — and denials answer requests
 		// it no longer has outstanding. Only a WorkRequest still matters: a
 		// straggler probing for work needs the root-report answer that tells
@@ -598,28 +577,19 @@ func (n *node) deliver(from sim.NodeID, msg sim.Message) {
 		// reports of the learners — ReportFanout per process, most of them
 		// addressed to a process that already knows — plus gossip still in
 		// flight; each costs a type switch instead of a queued batch, a
-		// sort and a busy period. The legacy path keeps the original
-		// handling (the busy-period accounting differs, and legacy runs are
-		// pinned bit-identical by the golden tests).
+		// sort and a busy period.
 		if _, isReq := pm.(protocol.WorkRequest); !isReq {
 			return
 		}
 	}
 	n.inbox = append(n.inbox, inMsg{from: from, at: n.k.Now(), msg: pm})
-	if n.sh.legacy {
-		if !n.busy {
-			n.loop()
-		}
-		return
-	}
-	// Sharded mode: defer processing to a wake event at this same virtual
-	// instant. Every other delivery at this time is already in the kernel
-	// queue (anything a shard fires now can only produce arrivals at least
-	// one lookahead in the future, and earlier cross-shard mail was drained
-	// at the last barrier), so the wake fires after the full same-time
-	// batch — which drainInbox then orders canonically. Processing on the
-	// first arrival instead would replay the kernel's tie order, which
-	// depends on the shard count.
+	// Defer processing to a wake event at this same virtual instant. Every
+	// other delivery at this time is already in the kernel queue (anything a
+	// shard fires now can only produce arrivals at least one lookahead in the
+	// future, and earlier cross-shard mail was drained at the last barrier),
+	// so the wake fires after the full same-time batch — which drainInbox
+	// then orders canonically. Processing on the first arrival instead would
+	// replay the kernel's tie order, which depends on the shard count.
 	if !n.busy && !n.wake {
 		n.wake = true
 		n.k.After(0, n.wakeFn)
@@ -639,13 +609,11 @@ func (n *node) wakeup() {
 // CPU cost as one busy period, then resumes the loop.
 func (n *node) drainInbox() {
 	cfg := &n.h.cfg
-	if !n.sh.legacy {
-		// Canonical batch order: arrival times and per-sender send order are
-		// invariant in the shard count; the raw append order is not — it
-		// follows kernel tie-breaking, which differs once simultaneous
-		// senders live on different shards.
-		slices.SortStableFunc(n.inbox, arrivalOrder)
-	}
+	// Canonical batch order: arrival times and per-sender send order are
+	// invariant in the shard count; the raw append order is not — it follows
+	// kernel tie-breaking, which differs once simultaneous senders live on
+	// different shards.
+	slices.SortStableFunc(n.inbox, arrivalOrder)
 	commCost, contractCost, lbCost := 0.0, 0.0, 0.0
 	// Handling a message never delivers another one synchronously (sends go
 	// through the kernel), so the batch is fixed at entry: walk it by index
@@ -721,7 +689,7 @@ func (n *node) observeTable() {
 // noteExpansion tracks redundant work: expansions of subproblems some
 // context of this instance already expanded. The key is encoded into a reused
 // scratch buffer; the compiler elides the string conversion on lookup, so
-// only first-time expansions allocate (their map key). Sharded runs dedup
+// only first-time expansions allocate (their map key). Runs dedup
 // within each shard and merge the key sets after the run, so Unique is exact;
 // only the per-node Redundant tallies become shard-local approximations.
 func (n *node) noteExpansion(c code.Code) {
@@ -736,16 +704,13 @@ func (n *node) noteExpansion(c code.Code) {
 
 // noteCompletion maintains the union of the instance's completion
 // information; its peak wire size is the "one shared copy" baseline against
-// which replicated storage is called redundant. Sharded runs keep per-shard
-// unions (the metrics sink is shared, so mid-run observation is legacy-only)
-// merged for the final observation.
+// which replicated storage is called redundant. The union and its peak are
+// per shard (rec.uniquePeak); fold reports the largest.
 func (n *node) noteCompletion(c code.Code) {
 	r := n.rec
 	r.completions++
 	r.union.Insert(c)
-	if n.sh.legacy {
-		n.spec.met.ObserveUnique(r.union.WireSize())
-	}
+	r.uniquePeak = max(r.uniquePeak, r.union.WireSize())
 }
 
 // --- termination ---------------------------------------------------------------

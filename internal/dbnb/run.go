@@ -49,8 +49,8 @@ type Result struct {
 	// Events is the total simulator events fired — the denominator of the
 	// events/sec throughput the CLI reports.
 	Events uint64
-	// Shards is how many event shards actually ran (0 = the serial
-	// single-kernel path).
+	// Shards is how many event shards actually ran: at least 1, and exactly 1
+	// for the features that clamp (see Config.Shards).
 	Shards int
 	// Met carries the per-process breakdowns, counters and storage peaks.
 	Met *metrics.System
@@ -93,6 +93,11 @@ type spec struct {
 type rec struct {
 	expanded map[string]bool // subproblems expanded at least once (shard-local)
 	union    *ctree.Table    // completions observed by this shard's contexts
+	// uniquePeak is the union's peak wire size — the "one shared copy" storage
+	// baseline. Kept here, not in the shared metrics sink, so a shard touches
+	// only its own record mid-run; fold reports the largest (see
+	// metrics.System.UniquePeak for what that is on several shards).
+	uniquePeak int
 	// completions counts complete() events across contexts (a subproblem
 	// completed by k processes counts k times).
 	completions int
@@ -116,10 +121,8 @@ func (r *rec) noteTermination(now float64) {
 // shard's processes live on, plus every piece of bookkeeping the driver
 // mutates during the run. Nothing here is shared — a node only ever touches
 // its owner shard's context, from its owner shard's worker goroutine, which
-// is what keeps the parallel run free of driver-level races. The legacy
-// single-kernel mode is exactly one shardCtx with legacy set.
+// is what keeps the parallel run free of driver-level races.
 type shardCtx struct {
-	legacy bool // the bit-identical pre-sharding path (Config.Shards == 0)
 	k      *sim.Kernel
 	nw     *sim.Network
 	recs   []rec  // per instance slot
@@ -131,25 +134,20 @@ type shardCtx struct {
 type harness struct {
 	cfg    Config
 	specs  []*spec
-	mesh   *sim.Mesh // nil in legacy single-kernel mode
+	mesh   *sim.Mesh
 	shards []*shardCtx
 	// joins is the validated, time-sorted elastic-membership schedule;
-	// total is Procs plus every scheduled joiner. elastic marks runs with a
-	// non-empty schedule: their peer views are epoch-dependent, so the
-	// static-view caches (and the ring broadcast fast path, whose window
-	// arithmetic assumes full membership) are off.
-	joins   []Join
-	total   int
-	elastic bool
-	// k/nw alias shards[0] in legacy mode, for the membership machinery
-	// that only runs there.
-	k  *sim.Kernel
-	nw *sim.Network
+	// total is Procs plus every scheduled joiner.
+	joins []Join
+	total int
 	// ring is the doubled process-id ring: node i's static peer view is
 	// ring[i+1 : i+procs] — every process but i, one shared backing array
-	// for all contexts instead of O(procs²) per-node cached views.
-	// Sharded mode only; the legacy path keeps its original per-node cache
-	// (same elements, different order) for bit-identical runs.
+	// for all contexts instead of O(procs²) per-node cached views. It exists
+	// only when a context's view IS the static ring and every link has the
+	// base latency — no join schedule, no §5.2 membership, no LinkLatency —
+	// because the ring-range broadcast it enables delivers to the whole
+	// window on the base model. Without it views are epoch-built per node
+	// (or gossiped) and a broadcast is a loop of sends.
 	ring []protocol.NodeID
 	// nodes holds every execution context, process-major: process i's are
 	// nodes[i·k : (i+1)·k] for k instances, in slot order. A scheduled
@@ -164,9 +162,6 @@ type harness struct {
 
 // shardOf returns the context owning process i.
 func (h *harness) shardOf(i int) *shardCtx {
-	if h.mesh == nil {
-		return h.shards[0]
-	}
 	return h.shards[h.mesh.ShardOf(sim.NodeID(i))]
 }
 
@@ -177,7 +172,7 @@ func (h *harness) contexts(i int) []*node {
 }
 
 // view returns the members a process may contact under the membership
-// protocol (§5.2). Only the legacy path runs membership.
+// protocol (§5.2).
 func (h *harness) view(self sim.NodeID) []sim.NodeID {
 	return h.members[self].Peers()
 }
@@ -247,10 +242,12 @@ func (h *harness) demux(id sim.NodeID) sim.Handler {
 	}
 }
 
-// addMember starts process id's §5.2 membership agent; the caller joins it
-// once the process's handler is registered.
+// addMember starts process id's §5.2 membership agent on the one shard a
+// membership run has; the caller joins it once the process's handler is
+// registered.
 func (h *harness) addMember(id sim.NodeID) {
-	h.members[id] = member.New(h.k, h.nw, id, []sim.NodeID{0}, member.DefaultConfig())
+	sh := h.shards[0]
+	h.members[id] = member.New(sh.k, sh.nw, id, []sim.NodeID{0}, member.DefaultConfig())
 }
 
 // spawnJoiner brings one scheduled joiner up mid-run: a brand-new process
@@ -297,13 +294,19 @@ func (h *harness) rejoinMember(id sim.NodeID) {
 // Run simulates the algorithm of §5 replaying the given basic tree and
 // returns the measured result. Runs are deterministic in (tree, cfg).
 func Run(tree *btree.Tree, cfg Config) Result {
+	return runOne(cfg, treeWorkload(tree))
+}
+
+// treeWorkload is the replay workload of Run: one read-only expander over the
+// recorded tree, every node charged its recorded cost.
+func treeWorkload(tree *btree.Tree) workload {
 	exp := btree.Expander{Tree: tree}
-	return runOne(cfg, workload{
+	return workload{
 		newExpander: func() protocol.Expander { return exp },
 		costOf:      func(it protocol.Item) float64 { return tree.Nodes[it.Ref].Cost },
 		trueOpt:     tree.Stats().Optimum,
 		seqExpanded: tree.Size(),
-	})
+	}
 }
 
 // RunProblem simulates the algorithm of §5 solving a code-driven problem
@@ -405,21 +408,16 @@ func shardLookahead(cfg Config) float64 {
 	return la
 }
 
-// shardCount resolves how many shards a run actually uses: 0 is the legacy
-// single-kernel path, and features whose state cannot be partitioned —
-// membership, tracing, fire hooks, a latency model with no positive floor —
-// force it. Multi-instance runs accept none of those and always run on the
-// mesh, one shard at least.
-func shardCount(cfg Config, tagged bool) int {
-	s := min(max(cfg.Shards, 0), cfg.Procs)
-	if tagged {
-		return max(s, 1)
+// shardCount resolves how many shards a run actually uses: Shards clamped to
+// [1, Procs], and one for the features whose state cannot be partitioned —
+// membership, tracing, fire hooks, per-link latency, a latency model with no
+// positive floor.
+func shardCount(cfg Config) int {
+	if cfg.UseMembership || cfg.Trace != nil || cfg.fireHook != nil ||
+		cfg.LinkLatency != nil || shardLookahead(cfg) <= 0 {
+		return 1
 	}
-	if s >= 1 && (cfg.UseMembership || cfg.Trace != nil || cfg.fireHook != nil ||
-		cfg.LinkLatency != nil || shardLookahead(cfg) <= 0) {
-		s = 0
-	}
-	return s
+	return min(max(cfg.Shards, 1), cfg.Procs)
 }
 
 // normalizeJoins validates and time-sorts the join schedule: joiner
@@ -448,7 +446,6 @@ func newHarness(cfg Config, specs []*spec, tagged bool) *harness {
 	cfg = cfg.withDefaults()
 	h := &harness{cfg: cfg, specs: specs}
 	h.joins = normalizeJoins(cfg.Joins)
-	h.elastic = len(h.joins) > 0
 	h.total = cfg.Procs
 	for _, j := range h.joins {
 		h.total += j.Count
@@ -457,29 +454,21 @@ func newHarness(cfg Config, specs []*spec, tagged bool) *harness {
 		sp.met = metrics.NewSystem(h.total)
 	}
 
-	if S := shardCount(cfg, tagged); S >= 1 {
-		h.mesh = sim.NewMesh(cfg.Seed, S, cfg.Latency, shardLookahead(cfg))
-		h.mesh.PlaceBlocks(h.total)
-		h.shards = make([]*shardCtx, S)
-		for s := range h.shards {
-			h.shards[s] = &shardCtx{k: h.mesh.Kernel(s), nw: h.mesh.Net(s)}
+	h.mesh = sim.NewMesh(cfg.Seed, shardCount(cfg), cfg.Latency, shardLookahead(cfg))
+	h.mesh.PlaceBlocks(h.total)
+	h.shards = make([]*shardCtx, h.mesh.Shards())
+	for s := range h.shards {
+		h.shards[s] = &shardCtx{k: h.mesh.Kernel(s), nw: h.mesh.Net(s)}
+	}
+	if cfg.fireHook != nil {
+		h.shards[0].k.SetFireHook(cfg.fireHook)
+	}
+	if len(h.joins) == 0 && !cfg.UseMembership && cfg.LinkLatency == nil {
+		h.ring = make([]protocol.NodeID, 2*cfg.Procs)
+		for i := 0; i < cfg.Procs; i++ {
+			h.ring[i] = protocol.NodeID(i)
+			h.ring[i+cfg.Procs] = protocol.NodeID(i)
 		}
-		if !h.elastic {
-			// The shared doubled ring backs the static sharded views and the
-			// ring-range broadcast; elastic views are epoch-built per node.
-			h.ring = make([]protocol.NodeID, 2*cfg.Procs)
-			for i := 0; i < cfg.Procs; i++ {
-				h.ring[i] = protocol.NodeID(i)
-				h.ring[i+cfg.Procs] = protocol.NodeID(i)
-			}
-		}
-	} else {
-		h.k = sim.New(cfg.Seed)
-		if cfg.fireHook != nil {
-			h.k.SetFireHook(cfg.fireHook)
-		}
-		h.nw = sim.NewNetwork(h.k, cfg.Latency)
-		h.shards = []*shardCtx{{legacy: true, k: h.k, nw: h.nw}}
 	}
 
 	for _, sh := range h.shards {
@@ -491,8 +480,8 @@ func newHarness(cfg Config, specs []*spec, tagged bool) *harness {
 			}
 		}
 		if cfg.LinkLatency != nil {
-			// Legacy serial kernel only (shardCount forces it), so no
-			// lookahead bound constrains the per-link delays.
+			// One shard only (shardCount clamps), so no lookahead bound
+			// constrains the per-link delays.
 			sh.nw.SetLinkLatency(func(from, to sim.NodeID, bytes int) float64 {
 				return cfg.LinkLatency(int(from), int(to), bytes)
 			})
@@ -626,17 +615,10 @@ func (h *harness) run() MultiResult {
 		Instances:  make([]InstanceResult, len(h.specs)),
 		Met:        &metrics.Multi{Systems: make([]*metrics.System, len(h.specs))},
 	}
-	var end float64
-	if h.mesh != nil {
-		end = h.mesh.Run(h.cfg.MaxTime)
-		res.Net = h.mesh.Stats()
-		res.Events = h.mesh.Events()
-		res.Shards = len(h.shards)
-	} else {
-		end = h.k.Run(h.cfg.MaxTime)
-		res.Net = h.nw.Stats()
-		res.Events = h.k.Events()
-	}
+	end := h.mesh.Run(h.cfg.MaxTime)
+	res.Net = h.mesh.Stats()
+	res.Events = h.mesh.Events()
+	res.Shards = len(h.shards)
 	for i, sp := range h.specs {
 		ir := h.fold(sp, end)
 		res.Instances[i] = ir
@@ -659,9 +641,9 @@ func (h *harness) fold(sp *spec, end float64) InstanceResult {
 		SeqExpanded: sp.w.seqExpanded,
 		DetectTimes: make([]float64, h.total),
 	}
-	// Detection times, completions, the union of completion information and
-	// the distinct expansions — exact in every mode: shard-local dedup sets
-	// are merged here, after the run.
+	// Detection times, completions, the storage peak and the distinct
+	// expansions. Unique is exact at every shard count: the shard-local dedup
+	// sets are merged here, after the run.
 	first := &h.shards[0].recs[sp.idx]
 	detected := 0
 	for _, sh := range h.shards {
@@ -674,17 +656,14 @@ func (h *harness) fold(sp *spec, end float64) InstanceResult {
 			detected += r.detected
 		}
 		ir.Completions += r.completions
+		sp.met.ObserveUnique(r.uniquePeak)
 		if r != first {
-			first.union.Merge(r.union)
 			for k := range r.expanded {
 				first.expanded[k] = true
 			}
 		}
 	}
 	ir.Unique = len(first.expanded)
-	// Final storage observation: the only one of a sharded run, whose
-	// per-shard unions were merged just above.
-	sp.met.ObserveUnique(first.union.WireSize())
 	// Leftover staggered timer events can outlive the computation; clamp the
 	// trace window to when the run actually finished.
 	traceEnd := end

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"gossipbnb/internal/bnb"
+	"gossipbnb/internal/sim"
+	"gossipbnb/internal/trace"
 )
 
 // shardKnapsack is the shared workload for the shard-count tests: big
@@ -142,30 +144,33 @@ func TestShardDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardFallbacks pins the documented clamping and legacy fallbacks.
-func TestShardFallbacks(t *testing.T) {
+// TestShardClamp pins Config.Shards' documented resolution: clamped to
+// [1, Procs], and to one shard for each feature whose state cannot be
+// partitioned. Those features run under the same event discipline as every
+// other run, so each must still terminate at the optimum.
+func TestShardClamp(t *testing.T) {
 	k, ref := shardKnapsack()
-
-	// Shards above Procs clamp to Procs.
-	res := RunProblemRef(k, ref, Config{Procs: 4, Seed: 1, Prune: true, Shards: 64})
-	mustTerminate(t, res)
-	if res.Shards != 4 {
-		t.Errorf("Shards=64 with 4 procs ran on %d shards, want clamp to 4", res.Shards)
-	}
-
-	// Membership state cannot be partitioned: falls back to the serial path.
-	res = RunProblemRef(k, ref, Config{
-		Procs: 8, Seed: 1, Prune: true, Shards: 4, UseMembership: true,
-	})
-	mustTerminate(t, res)
-	if res.Shards != 0 {
-		t.Errorf("UseMembership+Shards ran on %d shards, want serial fallback (0)", res.Shards)
-	}
-
-	// Shards=0 stays the legacy path regardless of GOMAXPROCS.
-	res = RunProblemRef(k, ref, Config{Procs: 8, Seed: 1, Prune: true})
-	mustTerminate(t, res)
-	if res.Shards != 0 {
-		t.Errorf("default config ran on %d shards, want 0 (legacy)", res.Shards)
+	base := sim.PaperLatency()
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want int
+	}{
+		{"above Procs", Config{Procs: 4, Shards: 64}, 4},
+		{"default", Config{Procs: 8}, 1},
+		{"negative", Config{Procs: 8, Shards: -3}, 1},
+		{"UseMembership", Config{Procs: 8, Shards: 4, UseMembership: true}, 1},
+		{"Trace", Config{Procs: 8, Shards: 4, Trace: &trace.Log{}}, 1},
+		{"LinkLatency", Config{Procs: 8, Shards: 4, LinkLatency: func(from, to, bytes int) float64 {
+			return base(bytes) + 0.001*float64((from+to)%3)
+		}}, 1},
+		{"zero-floor Latency", Config{Procs: 8, Shards: 4, Latency: func(int) float64 { return 0 }}, 1},
+	} {
+		c.cfg.Seed, c.cfg.Prune = 1, true
+		res := RunProblemRef(k, ref, c.cfg)
+		mustTerminate(t, res)
+		if res.Shards != c.want {
+			t.Errorf("%s: ran on %d shards, want %d", c.name, res.Shards, c.want)
+		}
 	}
 }

@@ -103,3 +103,53 @@ func TestTerminationSurvivesLossAndCrashes(t *testing.T) {
 		}
 	}
 }
+
+// TestTerminationBroadcastFollowsMembershipView: under §5.2 membership a
+// context's view is what gossip made it, not the static ring. Two processes
+// crash early and every survivor times them out; from then on no message —
+// the detector's root-report broadcast included — may be addressed to them.
+// The ring-range fast path would write to the Procs − 3 ring positions after
+// the detector, whoever lives there, and at most one window of that length
+// misses both dead processes: not the first detector's, or the seed would
+// have to change.
+func TestTerminationBroadcastFollowsMembershipView(t *testing.T) {
+	const procs, settled = 8, 25.0
+	tree := btree.Random(rand.New(rand.NewSource(3)), btree.RandomConfig{
+		Size:         1201,
+		Cost:         btree.CostModel{Mean: 0.2, Sigma: 0.4},
+		BoundSpread:  1,
+		FeasibleProb: 0.1,
+	})
+	h := newHarness(Config{
+		Procs: procs, Seed: 3, Shards: 4, UseMembership: true, RecoveryQuiet: 5,
+		Crashes: []Crash{{Time: 1, Node: 2}, {Time: 1, Node: 5}},
+	}, []*spec{{w: treeWorkload(tree)}}, false)
+
+	// FailTimeout is 10 s from the last heartbeat progress a member hears of,
+	// and the victims' last heartbeats are themselves still spreading when
+	// they die: by now every live view is the six survivors.
+	h.mesh.Run(settled)
+	for _, n := range h.nodes {
+		if n.crashed {
+			continue
+		}
+		if n.done {
+			t.Fatalf("process %d terminated before the views settled; the scenario pins nothing", n.id)
+		}
+		if v := h.view(n.id); len(v) != procs-3 {
+			t.Fatalf("process %d's view at t = %v is %v, want the %d other survivors", n.id, settled, v, procs-3)
+		}
+	}
+	toDead := h.mesh.Stats().ToDead
+
+	res := h.run()
+	if !res.Terminated || !res.Instances[0].OptimumOK {
+		t.Fatalf("terminated=%v optimumOK=%v", res.Terminated, res.Instances[0].OptimumOK)
+	}
+	if res.Shards != 1 {
+		t.Errorf("membership run used %d shards, want 1", res.Shards)
+	}
+	if got := res.Net.ToDead - toDead; got != 0 {
+		t.Errorf("%d messages addressed to processes no view contains", got)
+	}
+}

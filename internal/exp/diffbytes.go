@@ -88,8 +88,7 @@ func DiffBytes(seed int64) []DiffRow {
 	})
 
 	// Two 50-process clusters: 1 ms + 1 Gb/s within a cluster, 80 ms +
-	// 10 Mb/s across. LinkLatency forces the serial kernel, so the run
-	// stays deterministic.
+	// 10 Mb/s across. LinkLatency clamps the run to one shard.
 	run("wan-2x50", func(diff bool) dbnb.Result {
 		cfg := baseConfig(w, 100, seed)
 		cfg.DiffGossip = diff

@@ -113,6 +113,10 @@ type System struct {
 	// UniquePeak is the peak wire size of the union of all completed-code
 	// information, i.e. the storage a single perfectly shared copy would
 	// need. TotalStorage − UniquePeak is the paper's "redundant" storage.
+	// The simulator keeps the union per event shard: exact on one shard; on
+	// S > 1 this is the largest shard-local peak, an estimate that can err
+	// either way — a shard's union holds fewer completions than the global
+	// one, and fewer completions can also contract less.
 	UniquePeak int
 }
 

@@ -155,11 +155,10 @@ func NewNetwork(k *Kernel, latency LatencyModel) *Network {
 // SetLinkLatency installs a per-link latency model: f(from, to, bytes)
 // replaces the size-only model for unicast delays, enabling non-uniform
 // topologies (e.g. two clusters separated by a high-latency WAN link). f must
-// never return less than the base model's latency(0) — the sharded mesh's
-// lookahead is derived from it — so keep per-link delays additive on top of
-// the base. Broadcast fast paths keep the base model; scenarios with a link
-// model should run on the serial kernel (a single-shard mesh or a standalone
-// Network), where no lookahead bound applies.
+// never return less than the base model's latency(0) on a mesh of several
+// shards — their lookahead is derived from it. A one-shard mesh and a
+// standalone Network have no lookahead bound. BroadcastRange keeps the base
+// model, so a caller with a link model installed must Send per recipient.
 func (n *Network) SetLinkLatency(f func(from, to NodeID, bytes int) float64) {
 	n.linkLatency = f
 }

@@ -67,14 +67,15 @@ func DeriveSeed(seed int64, i int) int64 {
 // NewMesh creates a mesh of shards Kernel+Network pairs. lookahead is the
 // static minimum cross-shard message delay in virtual seconds — for a
 // LatencyModel this is the zero-byte latency (monotonicity makes it a lower
-// bound), min'd with any replay floor. It must be positive: a zero
-// lookahead admits no safe window and the conservative barrier degenerates.
+// bound), min'd with any replay floor. Between shards it must be positive: a
+// zero lookahead admits no safe window and the conservative barrier
+// degenerates. A one-shard mesh has no barrier and never consults it.
 func NewMesh(seed int64, shards int, latency LatencyModel, lookahead float64) *Mesh {
 	if shards < 1 {
 		panic(fmt.Sprintf("sim: mesh needs >= 1 shard, got %d", shards))
 	}
-	if lookahead <= 0 {
-		panic(fmt.Sprintf("sim: mesh needs positive lookahead, got %g", lookahead))
+	if shards > 1 && lookahead <= 0 {
+		panic(fmt.Sprintf("sim: mesh of %d shards needs positive lookahead, got %g", shards, lookahead))
 	}
 	m := &Mesh{
 		lookahead: lookahead,
