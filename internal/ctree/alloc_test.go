@@ -9,6 +9,7 @@ package ctree
 // allocate here, it has to argue with this file first.
 
 import (
+	"slices"
 	"testing"
 
 	"gossipbnb/internal/code"
@@ -141,9 +142,8 @@ func TestCachedViewAllocs(t *testing.T) {
 }
 
 // TestInsertAllSteadyStateAllocs: the prefix-sharing batch insert reuses the
-// sort scratch and path stack across batches and sorts with slices.SortFunc,
-// which — unlike the sort.Slice it replaced — allocates nothing, so with a
-// warm free list a batch is as allocation-free as a single insert.
+// path stack across batches, so with a warm free list a batch is as
+// allocation-free as a single insert.
 func TestInsertAllSteadyStateAllocs(t *testing.T) {
 	leaves := counterLeaves(10)
 	tb := New()
@@ -158,5 +158,53 @@ func TestInsertAllSteadyStateAllocs(t *testing.T) {
 	if avg > 0 {
 		t.Errorf("steady-state InsertAll cycle allocates: %.1f allocs per %d 8-code batches, want 0",
 			avg, len(leaves)/8)
+	}
+}
+
+// TestInsertAllOrderedAllocs: a batch in prefix order — a whole 512-code
+// frontier, as a table push delivers it — is merged where it lies: no copy
+// into the sort scratch (which a table that only ever sees ordered batches
+// never even allocates) and nothing else allocated either. The same batch
+// reversed takes the fallback, which with a grown scratch is allocation-free
+// too (slices.SortFunc, unlike the sort.Slice it replaced, allocates nothing)
+// and leaves the scratch empty of codes.
+func TestInsertAllOrderedAllocs(t *testing.T) {
+	leaves := counterLeaves(9)
+	tb := New()
+	tb.InsertAll(leaves) // warm: grows the arena and the path stack
+	tb.Reset()
+	avg := testing.AllocsPerRun(20, func() {
+		if changed, errs := tb.InsertAll(leaves); changed != len(leaves) || errs != 0 {
+			t.Fatalf("InsertAll = %d, %d", changed, errs)
+		}
+		tb.Reset()
+	})
+	if avg > 0 {
+		t.Errorf("ordered %d-code InsertAll allocates %.1f times, want 0", len(leaves), avg)
+	}
+	if tb.sortBuf != nil {
+		t.Errorf("ordered batches touched the sort scratch (cap %d)", cap(tb.sortBuf))
+	}
+
+	reversed := slices.Clone(leaves)
+	slices.Reverse(reversed)
+	tb.InsertAll(reversed) // grows the scratch once
+	tb.Reset()
+	avg = testing.AllocsPerRun(20, func() {
+		if changed, errs := tb.InsertAll(reversed); changed != len(leaves) || errs != 0 {
+			t.Fatalf("InsertAll(reversed) = %d, %d", changed, errs)
+		}
+		tb.Reset()
+	})
+	if avg > 0 {
+		t.Errorf("out-of-order %d-code InsertAll with a warm scratch allocates %.1f times, want 0", len(leaves), avg)
+	}
+	if cap(tb.sortBuf) < len(leaves)-1 {
+		t.Fatalf("the reversed batch did not go through the sort scratch (cap %d)", cap(tb.sortBuf))
+	}
+	for _, c := range tb.sortBuf[:cap(tb.sortBuf)] {
+		if c != nil {
+			t.Fatal("the sort scratch keeps a merged batch's codes alive")
+		}
 	}
 }

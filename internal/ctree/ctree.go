@@ -18,17 +18,23 @@
 // The implementation is the protocol's hot path — every completion, report
 // flush, table gossip, and wire-size query goes through it — so it is tuned
 // to be O(depth) per insert and allocation-lean (DESIGN.md "Completion-table
-// hot path"): Insert keeps an explicit path stack so contraction walks
-// bottom-up without re-walking from the root per level; the walks share one
-// prefix scratch buffer; the frontier's size, wire size and decision count are
-// sums kept along the mutation path, so Len and WireSize are field reads; a
-// changed frontier is materialised into a few pointer-free chunks rather than
-// one allocation per code; pruned trie vertices feed a free list that later
-// inserts pop instead of allocating. The reference implementation the
-// optimizations are property-tested against lives in reference_test.go.
+// hot path"): the trie's vertices are 32 pointer-free bytes each in one arena
+// slice per table and name each other by index, so the collector never scans
+// a trie, Clone is one slice copy, and pruned vertices go onto a free list
+// (indices again) that later inserts pop instead of growing the arena; Insert
+// keeps an explicit path stack so contraction walks bottom-up without
+// re-walking from the root per level; the walks share one prefix scratch
+// buffer; the frontier's size, wire size and decision count are sums kept
+// along the mutation path, so Len and WireSize are field reads; a changed
+// frontier is materialised into a few pointer-free chunks rather than one
+// allocation per code, in the same prefix order InsertAll checks for — so a
+// pushed table is merged as it arrives, with no copy and no sort. The
+// reference implementation the optimizations are property-tested against
+// lives in reference_test.go.
 package ctree
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"unsafe"
@@ -37,17 +43,18 @@ import (
 )
 
 // node is one vertex of the completion trie. Its position in the trie is the
-// code of the corresponding B&B tree node. Free-listed nodes are threaded
-// through children[0]. The fields are ordered widest first: 40 bytes, inside
-// the 48-byte size class the vertex occupied before it carried depth and
-// pathBytes.
+// code of the corresponding B&B tree node. Vertices live in the table's arena
+// and name each other by index, so a vertex holds no pointer and the collector
+// never scans a trie. The root is index 0 and is nobody's child, so a child
+// index of 0 means "no child on this branch"; free-listed vertices are
+// threaded through children[0] the same way (0 ends the list). 32 bytes.
 type node struct {
-	children [2]*node
-
 	// digest caches the content digest of the subtree rooted here (see
 	// digest.go); digestOK is its validity bit, cleared along the mutation
 	// path.
 	digest uint64
+
+	children [2]uint32
 
 	branchVar uint32 // condition variable the children branch on
 
@@ -58,22 +65,29 @@ type node struct {
 	depth     uint32
 	pathBytes uint32
 
-	hasChild [2]bool
 	complete bool
 	digestOK bool
 }
+
+// leaf reports that nothing was ever recorded below n.
+func (n *node) leaf() bool { return n.children[0]|n.children[1] == 0 }
 
 // Table is a contracted set of completed-problem codes. The zero value is not
 // usable; call New. Table is not safe for concurrent use: each table belongs
 // to one protocol core, and a core is confined to one goroutine (a simulator
 // process or a live node's loop).
 type Table struct {
-	root      *node
-	nodeCount int // trie vertices, for storage accounting
+	// nodes is the vertex arena: nodes[0] is the root, every other live
+	// vertex is reachable from it through children, and the rest are on the
+	// free list. It starts at one vertex and grows by append, so a pointer
+	// into it (&t.nodes[i]) dies at the next newChild; code that creates
+	// vertices holds indices and re-takes the pointer.
+	nodes     []node
+	nodeCount int // live trie vertices, for storage accounting
 
-	// free is the head of the trie-node free list, threaded through
-	// children[0]. prune feeds it; newChild pops it.
-	free *node
+	// free is the head of the vertex free list, threaded through
+	// children[0]; 0 means empty. prune feeds it; newChild pops it.
+	free uint32
 
 	// Sums over the complete vertices — the frontier — adjusted by tally
 	// wherever a vertex becomes complete or a complete vertex is recycled:
@@ -94,44 +108,49 @@ type Table struct {
 	// ever asks for a digest (outboxes, frontier-gossip runs).
 	digested bool
 
-	// Reused scratch space. path holds the root-to-leaf node stack of the
-	// last insert (path[i] = vertex at depth i); scratch is the shared walk
-	// prefix; frames, fstack and nstack are the iterative-walk stacks of
-	// Complement, the frontier walk and the pruning and counting walks;
-	// sortBuf holds InsertAll's sorted view of its input.
-	path    []*node
+	// Reused scratch space. path holds the root-to-leaf vertex stack of the
+	// last insert (path[i] = index of the vertex at depth i); scratch is the
+	// shared walk prefix; frames, fstack and nstack are the iterative-walk
+	// stacks of Complement, the frontier walk and the pruning and counting
+	// walks. sortBuf is InsertAll's out-of-order fallback only: the sorted
+	// copy of the part of a batch that broke prefix order. It is cleared when
+	// the fallback returns, so it never keeps a received batch's chunks alive.
+	path    []uint32
 	scratch code.Code
 	frames  []walkFrame
 	fstack  []frontierFrame
-	nstack  []*node
+	nstack  []uint32
 	sortBuf []code.Code
 }
 
 // walkFrame is one level of an iterative depth-first walk: the vertex and the
 // next branch to visit (0, 1, or 2 = exhausted).
 type walkFrame struct {
-	n *node
+	n uint32
 	b int8
 }
 
 // frontierFrame is one vertex the frontier walk has yet to visit, with the
 // decision that leads to it from its parent.
 type frontierFrame struct {
-	n   *node
+	n   uint32
 	via code.Decision
 }
 
-// New returns an empty table: nothing is known to be completed.
+// New returns an empty table: nothing is known to be completed. The arena
+// holds the root alone — most tables of a big run (10 000 idle processes, two
+// tables each) never grow past a handful of vertices, and reserving more up
+// front is paid by every one of them.
 func New() *Table {
-	return &Table{root: &node{}, nodeCount: 1}
+	return &Table{nodes: make([]node, 1), nodeCount: 1}
 }
 
 // Reset empties the table in place, recycling every trie vertex through the
 // free list so the next inserts allocate nothing. The protocol core resets
 // its report outbox on every flush instead of allocating a fresh table.
 func (t *Table) Reset() {
-	t.prune(t.root)
-	*t.root = node{}
+	t.prune(0)
+	t.nodes[0] = node{}
 	t.codes, t.wireSum, t.depthSum = 0, 0, 0
 	t.digested = false // every vertex was just zeroed
 	t.invalidate()
@@ -142,20 +161,24 @@ func (t *Table) Reset() {
 // flight).
 func (t *Table) invalidate() { t.frontier = nil }
 
-// newChild pops a recycled vertex off the free list, or allocates one, and
-// places it below p on branch b of variable v.
-func (t *Table) newChild(p *node, v uint32, b uint8) *node {
-	n := t.free
-	if n == nil {
-		n = &node{}
+// newChild pops a recycled vertex off the free list, or grows the arena by
+// one, and returns its index as the child of vertex p on branch b of variable
+// v. Growing may move the arena: every *node taken before the call is stale.
+func (t *Table) newChild(p uint32, v uint32, b uint8) uint32 {
+	i := t.free
+	if i == 0 {
+		i = uint32(len(t.nodes))
+		t.nodes = append(t.nodes, node{})
 	} else {
-		t.free = n.children[0]
-		*n = node{}
+		t.free = t.nodes[i].children[0]
 	}
-	n.depth = p.depth + 1
-	n.pathBytes = p.pathBytes + uint32(uvarintLen(uint64(v)<<1|uint64(b)))
+	parent := &t.nodes[p]
+	t.nodes[i] = node{
+		depth:     parent.depth + 1,
+		pathBytes: parent.pathBytes + uint32(uvarintLen(uint64(v)<<1|uint64(b))),
+	}
 	t.nodeCount++
-	return n
+	return i
 }
 
 // tally adds (sign +1) or removes (sign -1) a complete vertex's code from the
@@ -202,48 +225,51 @@ func (t *Table) Insert(c code.Code) (bool, error) {
 // paying O(depth²) per insert.
 func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err error) {
 	if from == 0 {
-		t.path = append(t.path[:0], t.root)
+		t.path = append(t.path[:0], 0)
 	} else {
 		t.path = t.path[:from+1]
 	}
-	n := t.path[from]
+	at := t.path[from]
 	for depth := from; depth < len(c); depth++ {
 		d := c[depth]
+		n := &t.nodes[at]
 		if n.complete {
 			return false, depth, nil // an ancestor is complete: c is subsumed
 		}
-		if !n.hasChild[0] && !n.hasChild[1] {
+		if n.leaf() {
 			n.branchVar = d.Var
 		} else if n.branchVar != d.Var {
 			return false, depth, &VarMismatchError{Code: c, Depth: depth, Want: n.branchVar, Got: d.Var}
 		}
 		b := d.Branch & 1
-		if !n.hasChild[b] {
-			n.children[b] = t.newChild(n, d.Var, b)
-			n.hasChild[b] = true
+		next := n.children[b]
+		if next == 0 {
+			next = t.newChild(at, d.Var, b)
+			t.nodes[at].children[b] = next // n may be stale: the arena may have moved
 		}
-		n = n.children[b]
-		t.path = append(t.path, n)
+		at = next
+		t.path = append(t.path, at)
 	}
+	n := &t.nodes[at] // no vertex is created from here on
 	if n.complete {
 		return false, len(c), nil
 	}
 	n.complete = true
 	t.tally(n, +1)
-	t.prune(n)
+	t.prune(at)
 	// Contract bottom-up along the recorded path, replacing complete sibling
 	// pairs with their parent. Vertices below the shallowest completed depth
 	// are recycled, so only path[:valid+1] survives for prefix reuse.
 	valid = len(c)
 	for i := len(c) - 1; i >= 0; i-- {
-		p := t.path[i]
-		if !p.hasChild[0] || !p.hasChild[1] ||
-			!p.children[0].complete || !p.children[1].complete {
+		p := &t.nodes[t.path[i]]
+		if p.children[0] == 0 || p.children[1] == 0 ||
+			!t.nodes[p.children[0]].complete || !t.nodes[p.children[1]].complete {
 			break // cannot contract further
 		}
 		p.complete = true
 		t.tally(p, +1)
-		t.prune(p)
+		t.prune(t.path[i])
 		valid = i
 	}
 	// Every vertex on the walked path now roots a changed subtree, so their
@@ -253,31 +279,32 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 	// invalidation discipline as the frontier cache, pushed down to vertices.
 	if t.digested {
 		for _, v := range t.path {
-			v.digestOK = false
+			t.nodes[v].digestOK = false
 		}
 	}
 	t.invalidate()
 	return true, valid, nil
 }
 
-// prune recycles the subtrees below a node that just became complete; its
+// prune recycles the subtrees below a vertex that just became complete; its
 // descendants carry no extra information, and the codes of the complete ones
 // leave the frontier sums. The walk is iterative and feeds the free list, so
 // a prune is allocation-free and later inserts reuse the vertices.
-func (t *Table) prune(n *node) {
+func (t *Table) prune(at uint32) {
+	n := &t.nodes[at]
 	t.nstack = t.nstack[:0]
 	for b := 0; b < 2; b++ {
-		if n.hasChild[b] {
+		if n.children[b] != 0 {
 			t.nstack = append(t.nstack, n.children[b])
-			n.children[b] = nil
-			n.hasChild[b] = false
+			n.children[b] = 0
 		}
 	}
 	for len(t.nstack) > 0 {
-		v := t.nstack[len(t.nstack)-1]
+		i := t.nstack[len(t.nstack)-1]
 		t.nstack = t.nstack[:len(t.nstack)-1]
+		v := &t.nodes[i]
 		for b := 0; b < 2; b++ {
-			if v.hasChild[b] {
+			if v.children[b] != 0 {
 				t.nstack = append(t.nstack, v.children[b])
 			}
 		}
@@ -285,27 +312,28 @@ func (t *Table) prune(n *node) {
 			t.tally(v, -1)
 		}
 		t.nodeCount--
-		*v = node{children: [2]*node{t.free, nil}}
-		t.free = v
+		*v = node{children: [2]uint32{t.free, 0}}
+		t.free = i
 	}
 }
 
 // Complete reports whether the root problem is known completed — the paper's
 // termination condition.
-func (t *Table) Complete() bool { return t.root.complete }
+func (t *Table) Complete() bool { return t.nodes[0].complete }
 
 // Contains reports whether the subproblem encoded by c is known completed,
 // either directly or through a completed ancestor.
 func (t *Table) Contains(c code.Code) bool {
-	n := t.root
+	n := &t.nodes[0]
 	for _, d := range c {
 		if n.complete {
 			return true
 		}
-		if !n.hasChild[d.Branch&1] || n.branchVar != d.Var {
+		next := n.children[d.Branch&1]
+		if next == 0 || n.branchVar != d.Var {
 			return false
 		}
-		n = n.children[d.Branch&1]
+		n = &t.nodes[next]
 	}
 	return n.complete
 }
@@ -316,15 +344,16 @@ func (t *Table) Contains(c code.Code) bool {
 // contained. The result is a prefix of c and aliases its storage; callers
 // must treat it as immutable.
 func (t *Table) Covering(c code.Code) (code.Code, bool) {
-	n := t.root
+	n := &t.nodes[0]
 	for i, d := range c {
 		if n.complete {
 			return c[:i:i], true
 		}
-		if !n.hasChild[d.Branch&1] || n.branchVar != d.Var {
+		next := n.children[d.Branch&1]
+		if next == 0 || n.branchVar != d.Var {
 			return nil, false
 		}
-		n = n.children[d.Branch&1]
+		n = &t.nodes[next]
 	}
 	if n.complete {
 		return c, true
@@ -343,7 +372,7 @@ func (t *Table) Covering(c code.Code) (code.Code, bool) {
 // never scribbled over.
 func (t *Table) Codes() []code.Code {
 	if t.frontier == nil {
-		t.frontier = t.materialise(t.root, t.codes, t.depthSum)
+		t.frontier = t.materialise(0, t.codes, t.depthSum)
 	}
 	return t.frontier
 }
@@ -364,19 +393,25 @@ const chunkLen = 4096 / int(unsafe.Sizeof(code.Decision{}))
 // an append to one code cannot reach its neighbour. The allocations are the
 // exact-capacity result and about one chunk per chunkLen decisions, not one
 // per code.
-func (t *Table) materialise(start *node, n, decs int) []code.Code {
+//
+// The emission order is exactly prefixCmp order: the children of one vertex
+// share its branching variable, so branch 0 before branch 1 is decision order,
+// and no frontier code is a prefix of another. InsertAll relies on it — a
+// materialised frontier merges with no sort.
+func (t *Table) materialise(start uint32, n, decs int) []code.Code {
 	if n == 0 {
 		return nil
 	}
 	out := make([]code.Code, 0, n)
 	chunk := code.Root() // empty, not nil: a complete start yields Root(), as Clone did
 	t.scratch = t.scratch[:0]
+	base := t.nodes[start].depth
 	t.fstack = append(t.fstack[:0], frontierFrame{n: start})
 	for len(t.fstack) > 0 {
 		f := t.fstack[len(t.fstack)-1]
 		t.fstack = t.fstack[:len(t.fstack)-1]
-		v := f.n
-		d := int(v.depth - start.depth)
+		v := &t.nodes[f.n]
+		d := int(v.depth - base)
 		if d > 0 {
 			t.scratch = append(t.scratch[:d-1], f.via)
 		}
@@ -391,7 +426,7 @@ func (t *Table) materialise(start *node, n, decs int) []code.Code {
 			continue
 		}
 		for b := 1; b >= 0; b-- { // pushed in reverse: branch 0 pops first
-			if v.hasChild[b] {
+			if v.children[b] != 0 {
 				t.fstack = append(t.fstack, frontierFrame{v.children[b], code.Decision{Var: v.branchVar, Branch: uint8(b)}})
 			}
 		}
@@ -404,23 +439,24 @@ func (t *Table) materialise(start *node, n, decs int) []code.Code {
 // more than max codes are found and reports ok = false — the anti-entropy
 // responder uses this to decide between inlining a small subtree's codes and
 // descending another level of the digest walk.
-func (t *Table) frontierSize(start *node, max int) (n, decs int, ok bool) {
-	if start == t.root {
+func (t *Table) frontierSize(start uint32, max int) (n, decs int, ok bool) {
+	if start == 0 {
 		return t.codes, t.depthSum, max <= 0 || t.codes <= max
 	}
+	base := t.nodes[start].depth
 	t.nstack = append(t.nstack[:0], start)
 	for len(t.nstack) > 0 {
-		v := t.nstack[len(t.nstack)-1]
+		v := &t.nodes[t.nstack[len(t.nstack)-1]]
 		t.nstack = t.nstack[:len(t.nstack)-1]
 		if v.complete {
 			if n++; max > 0 && n > max {
 				return n, decs, false
 			}
-			decs += int(v.depth - start.depth)
+			decs += int(v.depth - base)
 			continue
 		}
 		for b := 0; b < 2; b++ {
-			if v.hasChild[b] {
+			if v.children[b] != 0 {
 				t.nstack = append(t.nstack, v.children[b])
 			}
 		}
@@ -437,13 +473,14 @@ func (t *Table) frontierSize(start *node, max int) (n, decs int, ok bool) {
 func (t *Table) Complement(max int) []code.Code {
 	var out []code.Code
 	t.scratch = t.scratch[:0]
-	t.frames = append(t.frames[:0], walkFrame{n: t.root})
+	t.frames = append(t.frames[:0], walkFrame{})
 	for len(t.frames) > 0 {
 		f := &t.frames[len(t.frames)-1]
+		n := &t.nodes[f.n]
 		if f.b == 0 {
-			if f.n.complete {
+			if n.complete {
 				f.b = 2
-			} else if !f.n.hasChild[0] && !f.n.hasChild[1] {
+			} else if n.leaf() {
 				// Nothing below this node has been reported: the whole
 				// subproblem is (as far as we know) outstanding.
 				out = append(out, t.scratch.Clone())
@@ -456,9 +493,9 @@ func (t *Table) Complement(max int) []code.Code {
 		if f.b < 2 {
 			b := uint8(f.b)
 			f.b++
-			t.scratch = t.scratch.AppendChild(f.n.branchVar, b)
-			if f.n.hasChild[b] {
-				t.frames = append(t.frames, walkFrame{n: f.n.children[b]})
+			t.scratch = t.scratch.AppendChild(n.branchVar, b)
+			if n.children[b] != 0 {
+				t.frames = append(t.frames, walkFrame{n: n.children[b]})
 				continue
 			}
 			// The sibling branch was reported but this branch never was:
@@ -486,34 +523,33 @@ func (t *Table) Merge(other *Table) (changed int, errs int) {
 }
 
 // InsertAll inserts each code, returning how many changed the table and how
-// many failed validation. Batches are sorted into prefix order (into a
-// scratch copy — cs itself, often a cached frontier or an in-flight message
-// payload, is never reordered) so consecutive codes reuse the common-ancestor
-// portion of the path walk, and so ancestors land before the descendants they
-// subsume. The changed count of a batch with internal subsumption can
-// therefore differ from inserting in the caller's order, but whether it is
-// zero — the only protocol-visible property — cannot: changed == 0 exactly
-// when every code was already subsumed by the initial table.
+// many failed validation. Consecutive codes in prefix order (prefixCmp) reuse
+// the common-ancestor portion of the path walk, and ancestors land before the
+// descendants they subsume. A batch that arrives in that order — every
+// Codes/SubtreeCodes output, hence every table push, report and decoded table
+// — is walked as it stands: the common-prefix length each step computes anyway
+// also says, with one more decision compare, whether the code follows its
+// predecessor. The first code that does not sends itself and the rest of the
+// batch through a sorted scratch copy (cs itself, often a cached frontier or
+// an in-flight message payload, is never reordered). The changed count of a
+// batch with internal subsumption can therefore differ from inserting in the
+// caller's order, but whether it is zero — the only protocol-visible property
+// — cannot: changed == 0 exactly when every code was already subsumed by the
+// initial table.
 func (t *Table) InsertAll(cs []code.Code) (changed int, errs int) {
-	if len(cs) == 1 { // overwhelmingly the common case for work reports
-		ok, err := t.Insert(cs[0])
-		if err != nil {
-			return 0, 1
-		}
-		if ok {
-			return 1, 0
-		}
-		return 0, 0
-	}
-	t.sortBuf = append(t.sortBuf[:0], cs...)
-	// slices.SortFunc, not sort.Slice: the reflection-based sorter allocates
-	// a Swapper closure per call, and InsertAll runs once per received
-	// report/table/grant — tens of thousands of times in a big run.
-	slices.SortFunc(t.sortBuf, prefixCmp)
 	var prev code.Code
 	valid := 0
-	for _, c := range t.sortBuf {
+	for i, c := range cs {
 		from := commonPrefixLen(prev, c)
+		if prefixCmpAt(prev, c, from) > 0 {
+			// slices.SortFunc, not sort.Slice: the reflection-based sorter
+			// allocates a Swapper closure per call.
+			t.sortBuf = append(t.sortBuf[:0], cs[i:]...)
+			slices.SortFunc(t.sortBuf, prefixCmp)
+			ch, er := t.InsertAll(t.sortBuf) // sorted: cannot come back here
+			clear(t.sortBuf)                 // do not pin the batch's chunks
+			return changed + ch, errs + er
+		}
 		if from > valid {
 			from = valid
 		}
@@ -530,32 +566,21 @@ func (t *Table) InsertAll(cs []code.Code) (changed int, errs int) {
 	return changed, errs
 }
 
-// prefixLess orders codes so that codes sharing a prefix are adjacent and
-// every ancestor precedes its descendants: decision-wise, ties to the
-// shorter code.
-func prefixLess(a, b code.Code) bool { return prefixCmp(a, b) < 0 }
+// prefixCmp is the decision-prefix order: codes sharing a prefix are adjacent
+// and every ancestor precedes its descendants — decision-wise (variable, then
+// branch), ties to the shorter code.
+func prefixCmp(a, b code.Code) int { return prefixCmpAt(a, b, commonPrefixLen(a, b)) }
 
-// prefixCmp is the three-way form of the decision-prefix order.
-func prefixCmp(a, b code.Code) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+// prefixCmpAt is prefixCmp for a caller that already holds k, the length of
+// the codes' common prefix: the order is decided by the first decision past it.
+func prefixCmpAt(a, b code.Code, k int) int {
+	if k == len(a) || k == len(b) {
+		return len(a) - len(b)
 	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i].Var != b[i].Var {
-				if a[i].Var < b[i].Var {
-					return -1
-				}
-				return 1
-			}
-			if a[i].Branch < b[i].Branch {
-				return -1
-			}
-			return 1
-		}
+	if c := cmp.Compare(a[k].Var, b[k].Var); c != 0 {
+		return c
 	}
-	return len(a) - len(b)
+	return cmp.Compare(a[k].Branch, b[k].Branch)
 }
 
 // commonPrefixLen returns the length of the longest common decision prefix.
@@ -607,25 +632,19 @@ func Decode(buf []byte) (*Table, error) {
 	return t, nil
 }
 
-// Clone returns a deep copy of the table. Caches and scratch space are not
-// copied; the clone derives its own on demand.
+// Clone returns a deep copy of the table: one copy of the arena, free list
+// included (it is indices into the arena, so it carries over as is). Caches
+// and scratch space are not copied; the clone derives its own on demand.
 func (t *Table) Clone() *Table {
-	c := New()
-	c.root = cloneNode(t.root)
-	c.nodeCount = t.nodeCount
-	c.codes, c.wireSum, c.depthSum = t.codes, t.wireSum, t.depthSum
-	return c
-}
-
-func cloneNode(n *node) *node {
-	m := &node{branchVar: n.branchVar, depth: n.depth, pathBytes: n.pathBytes,
-		hasChild: n.hasChild, complete: n.complete}
-	for b := 0; b < 2; b++ {
-		if n.hasChild[b] {
-			m.children[b] = cloneNode(n.children[b])
-		}
+	return &Table{
+		nodes:     slices.Clone(t.nodes),
+		nodeCount: t.nodeCount,
+		free:      t.free,
+		codes:     t.codes,
+		wireSum:   t.wireSum,
+		depthSum:  t.depthSum,
+		digested:  t.digested,
 	}
-	return m
 }
 
 func uvarintLen(v uint64) int {

@@ -54,7 +54,8 @@ func mixDigest(h, v uint64) uint64 {
 // digestOf returns n's subtree digest, recomputing and re-caching it if a
 // mutation invalidated it. Recursion depth is the trie depth — the length of
 // the longest inserted code.
-func (t *Table) digestOf(n *node) uint64 {
+func (t *Table) digestOf(at uint32) uint64 {
+	n := &t.nodes[at] // digests create no vertex: the arena stays put
 	if n.digestOK {
 		return n.digest
 	}
@@ -62,12 +63,12 @@ func (t *Table) digestOf(n *node) uint64 {
 	switch {
 	case n.complete:
 		h = digestComplete
-	case !n.hasChild[0] && !n.hasChild[1]:
+	case n.leaf():
 		h = digestEmpty // the bare root of an empty table
 	default:
 		h = mixDigest(digestEmpty, uint64(n.branchVar))
 		for b := 0; b < 2; b++ {
-			if n.hasChild[b] {
+			if n.children[b] != 0 {
 				h = mixDigest(h, t.digestOf(n.children[b]))
 			} else {
 				h = mixDigest(h, digestAbsent)
@@ -83,7 +84,7 @@ func (t *Table) digestOf(n *node) uint64 {
 // Digest returns the content digest of the whole table. Tables with equal
 // frontiers have equal digests; unequal frontiers collide with probability
 // ~2^-64. Like Codes, the result is cached until the next mutation.
-func (t *Table) Digest() uint64 { return t.digestOf(t.root) }
+func (t *Table) Digest() uint64 { return t.digestOf(0) }
 
 // DigestAt returns the digest of the subtree at prefix. known is false when
 // the table records no completion under prefix — no vertex on the path, a
@@ -91,21 +92,23 @@ func (t *Table) Digest() uint64 { return t.digestOf(t.root) }
 // reports that the whole subtree is covered by a complete vertex at or above
 // prefix's end.
 func (t *Table) DigestAt(prefix code.Code) (digest uint64, known, complete bool) {
-	n := t.root
+	at := uint32(0)
 	for _, d := range prefix {
+		n := &t.nodes[at]
 		if n.complete {
 			return digestComplete, true, true
 		}
-		b := d.Branch & 1
-		if !n.hasChild[b] || n.branchVar != d.Var {
+		next := n.children[d.Branch&1]
+		if next == 0 || n.branchVar != d.Var {
 			return 0, false, false
 		}
-		n = n.children[b]
+		at = next
 	}
-	if !n.complete && !n.hasChild[0] && !n.hasChild[1] {
+	n := &t.nodes[at]
+	if !n.complete && n.leaf() {
 		return 0, false, false
 	}
-	return t.digestOf(n), true, n.complete
+	return t.digestOf(at), true, n.complete
 }
 
 // ChildDigest describes one branch of a trie vertex to an anti-entropy
@@ -121,22 +124,22 @@ type ChildDigest struct {
 // inline. ok is false when no vertex exists at prefix or the subtree there
 // is already complete (nothing to walk into).
 func (t *Table) Children(prefix code.Code) (branchVar uint32, kids [2]ChildDigest, ok bool) {
-	n := t.root
+	n := &t.nodes[0]
 	for _, d := range prefix {
 		if n.complete {
 			return 0, kids, false
 		}
-		b := d.Branch & 1
-		if !n.hasChild[b] || n.branchVar != d.Var {
+		next := n.children[d.Branch&1]
+		if next == 0 || n.branchVar != d.Var {
 			return 0, kids, false
 		}
-		n = n.children[b]
+		n = &t.nodes[next]
 	}
-	if n.complete || (!n.hasChild[0] && !n.hasChild[1]) {
+	if n.complete || n.leaf() {
 		return 0, kids, false
 	}
 	for b := 0; b < 2; b++ {
-		if n.hasChild[b] {
+		if n.children[b] != 0 {
 			kids[b] = ChildDigest{Present: true, Digest: t.digestOf(n.children[b])}
 		}
 	}
@@ -149,34 +152,44 @@ func (t *Table) Children(prefix code.Code) (branchVar uint32, kids [2]ChildDiges
 // subtree frontier exceeds max codes, ok is false and nothing is exported —
 // the responder should describe children digests instead.
 func (t *Table) SubtreeCodes(prefix code.Code, max int) (rel []code.Code, ok bool) {
-	n := t.root
+	at := uint32(0)
 	for _, d := range prefix {
+		n := &t.nodes[at]
 		if n.complete {
 			return []code.Code{code.Root()}, true
 		}
-		b := d.Branch & 1
-		if !n.hasChild[b] || n.branchVar != d.Var {
+		next := n.children[d.Branch&1]
+		if next == 0 || n.branchVar != d.Var {
 			return nil, true // nothing known under prefix
 		}
-		n = n.children[b]
+		at = next
 	}
-	cnt, decs, ok := t.frontierSize(n, max)
+	cnt, decs, ok := t.frontierSize(at, max)
 	if !ok {
 		return nil, false
 	}
-	return t.materialise(n, cnt, decs), true
+	return t.materialise(at, cnt, decs), true
 }
 
 // InsertSubtree merges an exported subtree back in: each relative code is
 // re-anchored under prefix and inserted. It returns how many codes changed
-// the table and how many failed validation, like InsertAll.
+// the table and how many failed validation, like InsertAll. The joined codes
+// are carved, capacity-clipped, from one allocation; a constant prefix keeps
+// rel's order, so a SubtreeCodes export takes InsertAll's ordered path.
 func (t *Table) InsertSubtree(prefix code.Code, rel []code.Code) (changed, errs int) {
 	if len(rel) == 0 {
 		return 0, 0
 	}
+	decs := len(rel) * len(prefix)
+	for _, r := range rel {
+		decs += len(r)
+	}
+	buf := make(code.Code, 0, decs)
 	abs := make([]code.Code, len(rel))
 	for i, r := range rel {
-		abs[i] = code.Join(prefix, r)
+		at := len(buf)
+		buf = append(append(buf, prefix...), r...)
+		abs[i] = buf[at:len(buf):len(buf)]
 	}
 	return t.InsertAll(abs)
 }

@@ -13,19 +13,21 @@ import (
 	"gossipbnb/internal/code"
 )
 
-// scratchDigest recomputes a vertex digest bottom-up, neither reading nor
-// writing any cache — the oracle the incremental maintenance is pinned to.
-func scratchDigest(n *node) uint64 {
+// scratchDigest recomputes the digest of the vertex at index at bottom-up,
+// neither reading nor writing any cache — the oracle the incremental
+// maintenance is pinned to.
+func scratchDigest(t *Table, at uint32) uint64 {
+	n := &t.nodes[at]
 	switch {
 	case n.complete:
 		return digestComplete
-	case !n.hasChild[0] && !n.hasChild[1]:
+	case n.children[0] == 0 && n.children[1] == 0:
 		return digestEmpty
 	}
 	h := mixDigest(digestEmpty, uint64(n.branchVar))
 	for b := 0; b < 2; b++ {
-		if n.hasChild[b] {
-			h = mixDigest(h, scratchDigest(n.children[b]))
+		if n.children[b] != 0 {
+			h = mixDigest(h, scratchDigest(t, n.children[b]))
 		} else {
 			h = mixDigest(h, digestAbsent)
 		}
@@ -39,7 +41,7 @@ func scratchDigest(n *node) uint64 {
 func checkDigest(t *testing.T, tbl *Table, byFrontier map[string]uint64, byDigest map[uint64]string) {
 	t.Helper()
 	d := tbl.Digest()
-	if s := scratchDigest(tbl.root); d != s {
+	if s := scratchDigest(tbl, 0); d != s {
 		t.Fatalf("incremental digest %#x != from-scratch %#x (frontier %v)", d, s, tbl.Codes())
 	}
 	f := string(tbl.Encode(nil))

@@ -10,6 +10,7 @@ package ctree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gossipbnb/internal/code"
@@ -378,5 +379,143 @@ func TestPropInsertAllMatchesSequential(t *testing.T) {
 					seed, round, batchT.Codes(), seqT.Codes())
 			}
 		}
+	}
+}
+
+// TestPropInsertAllAnyOrder pins the order-checked merge to the reference
+// (which inserts in the caller's order, knowing nothing of prefix order):
+// whatever shape a batch arrives in — ordered, reversed, shuffled, with
+// duplicates, an ancestor after its descendants, corrupt codes in the middle,
+// nothing new at all — the final table, the changed == 0 verdict and errs are
+// the reference's, the input is left as it was, and the sort scratch is used
+// only when the batch breaks order and holds nothing afterwards.
+//
+// One leaf H of each tree is never inserted, so no ancestor of H ever
+// completes; the corrupt codes are H with the variable changed at a depth
+// where the pre-state already branches, so they fail with a var mismatch in
+// every insertion order and the comparison with the reference is well defined.
+func TestPropInsertAllAnyOrder(t *testing.T) {
+	ran, fellBack, nothingNew := 0, 0, 0
+	for seed := int64(0); seed < 120; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		leaves := randTree(r, 9)
+		if len(leaves) < 6 {
+			continue
+		}
+		ran++
+		h := r.Intn(len(leaves))
+		held := leaves[h]
+		rest := append(append([]code.Code(nil), leaves[:h]...), leaves[h+1:]...)
+
+		// Pre-state: a random non-empty part of the tree. pool: what a batch
+		// draws from — every leaf but H and every interior vertex off H's path.
+		var pre []code.Code
+		for _, c := range rest {
+			if r.Intn(3) == 0 {
+				pre = append(pre, c)
+			}
+		}
+		if len(pre) == 0 {
+			pre = append(pre, rest[r.Intn(len(rest))])
+		}
+		pool := append([]code.Code(nil), rest...)
+		for _, c := range rest {
+			for d := 1; d < len(c); d++ {
+				if p := c[:d:d]; !p.IsAncestorOf(held) {
+					pool = append(pool, p)
+				}
+			}
+		}
+		deepest := 0 // the pre-state branches at every depth ≤ deepest of H's path
+		for _, c := range pre {
+			deepest = max(deepest, commonPrefixLen(c, held))
+		}
+		corrupt := func() code.Code {
+			c := held.Clone()
+			c[r.Intn(deepest+1)].Var += 1000
+			return c
+		}
+		draw := func(from []code.Code, k int) []code.Code {
+			out := make([]code.Code, k)
+			for i := range out {
+				out[i] = from[r.Intn(len(from))]
+			}
+			return out
+		}
+		sorted := func(cs []code.Code) []code.Code {
+			slices.SortFunc(cs, prefixCmp)
+			return cs
+		}
+
+		base := sorted(draw(pool, 2+r.Intn(10)))
+		reversed := slices.Clone(base)
+		slices.Reverse(reversed)
+		shuffled := slices.Clone(base)
+		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		var doubled []code.Code
+		for _, c := range base {
+			doubled = append(doubled, c, c)
+		}
+		deep := base[len(base)-1]
+		for _, c := range base {
+			if len(c) > len(deep) {
+				deep = c
+			}
+		}
+		mid := len(base) / 2
+		poisoned := slices.Concat(base[:mid], []code.Code{corrupt(), corrupt()}, base[mid:])
+
+		shapes := []struct {
+			name    string
+			batch   []code.Code
+			ordered bool
+		}{
+			{"ordered", base, true},
+			{"reversed", reversed, false},
+			{"shuffled", shuffled, false},
+			{"doubled", doubled, true},
+			{"doubled then repeated", append(slices.Clone(doubled), base[0]), false},
+			{"ancestor after descendant", append(slices.Clone(base), deep[:len(deep)-1]), false},
+			{"var mismatch in the middle", poisoned, false},
+			{"var mismatch in order", sorted(slices.Clone(poisoned)), true},
+			{"nothing new", draw(pre, 1+r.Intn(6)), false},
+			{"nothing new in order", sorted(draw(pre, 1+r.Intn(6))), true},
+		}
+		for _, sh := range shapes {
+			opt, ref := New(), newRef()
+			for _, c := range pre {
+				opt.Insert(c)
+				ref.Insert(c)
+			}
+			in := slices.Clone(sh.batch)
+			ch1, errs1 := opt.InsertAll(in)
+			ch2, errs2 := ref.InsertAll(sh.batch)
+			if (ch1 == 0) != (ch2 == 0) || errs1 != errs2 {
+				t.Fatalf("seed %d %s: InsertAll(%v): opt (%d,%d), ref (%d,%d)",
+					seed, sh.name, sh.batch, ch1, errs1, ch2, errs2)
+			}
+			if !codesExactlyEqual(in, sh.batch) {
+				t.Fatalf("seed %d %s: InsertAll reordered its input: %v, was %v", seed, sh.name, in, sh.batch)
+			}
+			checkAgainstRef(t, opt, ref, leaves)
+			if sh.ordered && opt.sortBuf != nil {
+				t.Fatalf("seed %d %s: an ordered batch went through the sort scratch", seed, sh.name)
+			}
+			if opt.sortBuf != nil {
+				fellBack++
+			}
+			if ch1 == 0 {
+				nothingNew++
+			}
+			for _, c := range opt.sortBuf[:cap(opt.sortBuf)] {
+				if c != nil {
+					t.Fatalf("seed %d %s: the sort scratch still holds %v", seed, sh.name, c)
+				}
+			}
+		}
+	}
+	if ran < 40 || fellBack < 4*ran || nothingNew < 2*ran {
+		t.Fatalf("%d usable trees, %d batches took the out-of-order path, %d changed nothing: the generator no longer covers the cases",
+			ran, fellBack, nothingNew)
 	}
 }

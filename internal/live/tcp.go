@@ -352,14 +352,15 @@ func (t *TCPNetwork) readLoop(to NodeID, conn net.Conn) {
 // nemesis schedule may additionally cut the link, hold the frame back, or
 // flip bytes in it (which the receiver's frame CRC then catches).
 func (t *TCPNetwork) Send(from, to NodeID, msg Message) {
+	size := msg.Size() // once per send and outside the lock: a Report's is a walk over every decision
 	t.mu.Lock()
 	if t.closed || t.crashed[from] || t.crashed[to] {
 		t.mu.Unlock()
 		return
 	}
 	t.stats.Sent++
-	t.stats.Bytes += int64(msg.Size())
-	t.kinds.note(msgKind(msg), msg.Size())
+	t.stats.Bytes += int64(size)
+	t.kinds.note(msgKind(msg), size)
 	if t.excl[[2]NodeID{from, to}] && !joinExempt(msg) {
 		// The local failure detector excluded this destination; only the
 		// Hello/Welcome re-announcement path stays open.

@@ -307,14 +307,15 @@ func (t *Transport) Crashed(id NodeID) bool {
 // Under a Chaos model a message may additionally be delivered twice, held
 // back so later sends overtake it, or replayed stale much later.
 func (t *Transport) Send(from, to NodeID, msg Message) {
+	size := msg.Size() // once per send and outside the lock: a Report's is a walk over every decision
 	t.mu.Lock()
 	if t.closed || t.crashed[from] || t.crashed[to] {
 		t.mu.Unlock()
 		return
 	}
 	t.stats.Sent++
-	t.stats.Bytes += int64(msg.Size())
-	t.kinds.note(msgKind(msg), msg.Size())
+	t.stats.Bytes += int64(size)
+	t.kinds.note(msgKind(msg), size)
 	if t.excl[[2]NodeID{from, to}] && !joinExempt(msg) {
 		// The local failure detector excluded this destination; only the
 		// Hello/Welcome re-announcement path stays open.
@@ -350,7 +351,7 @@ func (t *Transport) Send(from, to NodeID, msg Message) {
 	}
 	d := verdict.Delay
 	if t.delay != nil {
-		d += t.delay(msg.Size())
+		d += t.delay(size)
 	}
 	var scratch [3]time.Duration
 	copies := scratch[:0]

@@ -578,7 +578,8 @@ func (c *Core) SendTable(to NodeID) {
 		c.cnt.TablesSent++
 		return
 	}
-	c.d.Sender.Send(to, TableMsg{Codes: c.table.Codes(), Incumbent: c.incumbent, ActAge: c.ActivityAge()})
+	c.d.Sender.Send(to, TableMsg{Codes: c.table.Codes(), codesSize: c.table.WireSize(),
+		Incumbent: c.incumbent, ActAge: c.ActivityAge()})
 	c.cnt.TablesSent++
 }
 

@@ -135,10 +135,21 @@ type TableMsg struct {
 	Codes     []code.Code
 	Incumbent float64
 	ActAge    float64
+
+	// codesSize is codesWireSize(Codes) when the sender already holds it —
+	// Core.SendTable stamps the table's own WireSize — and 0 on a decoded or
+	// hand-built message, whose Size walks the codes. A real size is never 0:
+	// the code count alone takes a byte.
+	codesSize int
 }
 
 // Size implements Msg.
-func (m TableMsg) Size() int { return scalarSize + codesWireSize(m.Codes) }
+func (m TableMsg) Size() int {
+	if m.codesSize > 0 {
+		return scalarSize + m.codesSize
+	}
+	return scalarSize + codesWireSize(m.Codes)
+}
 
 // Kind implements Msg.
 func (m TableMsg) Kind() byte { return KindTable }
