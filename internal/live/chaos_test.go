@@ -43,8 +43,7 @@ func TestTransportRestartDropsInFlight(t *testing.T) {
 		t.Error("in-flight pre-crash message delivered to the restarted inbox")
 	case <-time.After(150 * time.Millisecond):
 	}
-	_, dropped, _ := tr.Stats()
-	if dropped != 1 {
+	if dropped := tr.NetStats().Dropped; dropped != 1 {
 		t.Errorf("dropped = %d, want 1 (the in-flight message)", dropped)
 	}
 }

@@ -252,61 +252,3 @@ func TestNemesisCorruptTCPStream(t *testing.T) {
 			got, ns.Corrupt, n)
 	}
 }
-
-// TestSuspectExclusionSuppression unit-tests the transport half of the
-// detector: an excluded link drops protocol traffic under the Suspect cause
-// but keeps the Hello/Welcome re-announcement door open.
-func TestSuspectExclusionSuppression(t *testing.T) {
-	tr := NewTransport(1, nil, 0)
-	ch := tr.Register(1)
-	tr.Exclude(0, 1, true)
-	tr.Send(0, 1, protocol.WorkDeny{})
-	tr.Send(0, 1, protocol.Hello{ID: 0})
-	tr.Send(0, 1, protocol.Welcome{})
-	for i := 0; i < 2; i++ {
-		select {
-		case env := <-ch:
-			switch env.Msg.(type) {
-			case protocol.Hello, protocol.Welcome:
-			default:
-				t.Errorf("suppressed link delivered %T", env.Msg)
-			}
-		case <-time.After(time.Second):
-			t.Fatal("join handshake did not pass the suppressed link")
-		}
-	}
-	ns := tr.NetStats()
-	if ns.Sent != 3 || ns.Dropped != 1 || ns.Suspect != 1 {
-		t.Errorf("stats = %+v, want 3 sent, 1 suspect-dropped", ns)
-	}
-	// Lifting the exclusion restores the link.
-	tr.Exclude(0, 1, false)
-	tr.Send(0, 1, protocol.WorkDeny{})
-	select {
-	case env := <-ch:
-		if _, ok := env.Msg.(protocol.WorkDeny); !ok {
-			t.Errorf("restored link delivered %T", env.Msg)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("restored link delivered nothing")
-	}
-}
-
-// TestNemesisCutCounter unit-tests the nemesis hook in the in-memory
-// transport: a judged cut drops the message under the Cut cause.
-func TestNemesisCutCounter(t *testing.T) {
-	tr := NewTransport(1, nil, 0)
-	ch := tr.Register(1)
-	tr.SetNemesis(nemesis.New(nemesis.Fault{
-		Kind: nemesis.Partition, End: time.Hour, A: []int{0},
-	}))
-	tr.Send(0, 1, protocol.WorkDeny{})
-	select {
-	case <-ch:
-		t.Error("partitioned link delivered")
-	case <-time.After(20 * time.Millisecond):
-	}
-	if ns := tr.NetStats(); ns.Cut != 1 || ns.Dropped != 1 {
-		t.Errorf("stats = %+v, want 1 cut", ns)
-	}
-}

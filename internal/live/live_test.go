@@ -102,24 +102,9 @@ func TestTransportStats(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("message not delivered")
 	}
-	sent, dropped, bytes := tr.Stats()
-	if want := int64(protocol.WorkDeny{}.Size()); sent != 1 || dropped != 0 || bytes != want {
-		t.Errorf("stats = %d %d %d, want 1 0 %d", sent, dropped, bytes, want)
-	}
-}
-
-func TestTransportCrashDrops(t *testing.T) {
-	tr := NewTransport(1, nil, 0)
-	ch := tr.Register(1)
-	tr.Crash(1)
-	tr.Send(0, 1, protocol.WorkDeny{})
-	select {
-	case <-ch:
-		t.Error("delivered to crashed node")
-	case <-time.After(20 * time.Millisecond):
-	}
-	if !tr.Crashed(1) || tr.Crashed(0) {
-		t.Error("crash flags wrong")
+	ns := tr.NetStats()
+	if want := int64(protocol.WorkDeny{}.Size()); ns.Sent != 1 || ns.Dropped != 0 || ns.Bytes != want {
+		t.Errorf("stats = %d %d %d, want 1 0 %d", ns.Sent, ns.Dropped, ns.Bytes, want)
 	}
 }
 
@@ -129,8 +114,7 @@ func TestTransportLoss(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tr.Send(0, 1, protocol.WorkDeny{})
 	}
-	_, dropped, _ := tr.Stats()
-	if dropped != 100 {
-		t.Errorf("dropped = %d, want 100", dropped)
+	if ns := tr.NetStats(); ns.Dropped != 100 || ns.Lost != 100 {
+		t.Errorf("stats = %+v, want 100 lost", ns)
 	}
 }

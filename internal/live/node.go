@@ -658,10 +658,9 @@ loop:
 	}
 	res.Terminated = terminatedAll && crashedCount < len(cl.nodes) && !timedOut
 	res.OptimumOK = res.Terminated && res.Optimum == cl.trueOpt
-	sent, _, bytes := cl.tr.Stats()
-	res.MsgsSent, res.BytesSent = sent, bytes
 	res.Kinds = cl.tr.ByKind()
 	res.Net = cl.tr.NetStats()
+	res.MsgsSent, res.BytesSent = res.Net.Sent, res.Net.Bytes
 	res.Health = metrics.NetHealth{
 		CorruptFrames: res.Net.Corrupt,
 		CutMessages:   res.Net.Cut,

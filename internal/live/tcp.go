@@ -1,6 +1,7 @@
 package live
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,29 +12,23 @@ import (
 	"sync"
 	"time"
 
-	"gossipbnb/internal/nemesis"
 	"gossipbnb/internal/protocol"
 )
 
+var _ Net = (*TCPNetwork)(nil)
+
 // TCPNetwork runs the live protocol over real TCP sockets on the loopback
-// interface: one listener per node, lazily dialed connections, and a
-// length-prefixed binary wire format. It is the closest in-process stand-in
-// for the paper's "collection of Internet-connected computers".
+// interface: the link policy over one listener per node, lazily dialed
+// connections, and a length-prefixed binary wire format. It is the closest
+// in-process stand-in for the paper's "collection of Internet-connected
+// computers". The maps below are guarded by the link's mutex.
 type TCPNetwork struct {
-	mu      sync.Mutex
+	link
 	addrs   map[NodeID]string
 	lns     map[NodeID]net.Listener
-	inboxes map[NodeID]chan Envelope
-	conns   map[[2]NodeID]*tcpConn // (from, to) -> outbound connection
-	crashed map[NodeID]bool
-	excl    map[[2]NodeID]bool       // failure-detector link suppression
-	backoff map[NodeID]*dialBackoff  // per destination: failed-dial suppression
-	timers  map[*time.Timer]struct{} // nemesis-delayed sends in flight
-	nem     *nemesis.Schedule
-	closed  bool
-	stats   NetStats
+	conns   map[[2]NodeID]*tcpConn  // (from, to) -> outbound connection
+	backoff map[NodeID]*dialBackoff // per destination: failed-dial suppression
 	dials   int64
-	kinds   KindStats
 	wg      sync.WaitGroup
 }
 
@@ -65,27 +60,48 @@ func NewTCPNetwork(n int) (*TCPNetwork, error) {
 	t := &TCPNetwork{
 		addrs:   map[NodeID]string{},
 		lns:     map[NodeID]net.Listener{},
-		inboxes: map[NodeID]chan Envelope{},
 		conns:   map[[2]NodeID]*tcpConn{},
-		crashed: map[NodeID]bool{},
-		excl:    map[[2]NodeID]bool{},
 		backoff: map[NodeID]*dialBackoff{},
-		timers:  map[*time.Timer]struct{}{},
 	}
+	t.init(rand.Int63(), nil, 0, t.sendFrame) // unseeded draws, no delay function, no loss: the sockets bring their own
 	for i := 0; i < n; i++ {
-		id := NodeID(i)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
+		if _, err := t.listen(NodeID(i), ""); err != nil {
 			t.Close()
 			return nil, fmt.Errorf("live: listen for node %d: %w", i, err)
 		}
-		t.lns[id] = ln
-		t.addrs[id] = ln.Addr().String()
-		t.inboxes[id] = make(chan Envelope, inboxCap)
-		t.wg.Add(1)
-		go t.acceptLoop(id, ln)
 	}
 	return t, nil
+}
+
+// listen boots id: a fresh endpoint from the link, a listener on addr — or on
+// a fresh loopback port when addr is empty or was claimed meanwhile — and the
+// accept loop that feeds that endpoint and no later one. It returns a nil
+// inbox once the network is closed; with an error the inbox is live but has
+// no listener, so the node can send but never receive.
+func (t *TCPNetwork) listen(id NodeID, addr string) (chan Envelope, error) {
+	ep := t.open(id)
+	if ep == nil {
+		return nil, net.ErrClosed
+	}
+	ln, err := net.Listen("tcp", cmp.Or(addr, "127.0.0.1:0"))
+	if err != nil && addr != "" {
+		ln, err = net.Listen("tcp", "127.0.0.1:0")
+	}
+	if err != nil {
+		return ep, err
+	}
+	t.mu.Lock()
+	if t.closed || t.crashed[id] {
+		t.mu.Unlock()
+		ln.Close()
+		return ep, nil
+	}
+	t.lns[id] = ln
+	t.addrs[id] = ln.Addr().String()
+	t.wg.Add(1)
+	t.mu.Unlock()
+	go t.acceptLoop(id, ep, ln)
+	return ep, nil
 }
 
 // Addr returns the listen address of a node, for tests and tooling.
@@ -95,42 +111,26 @@ func (t *TCPNetwork) Addr(id NodeID) string {
 	return t.addrs[id]
 }
 
-// Register implements Net. The inboxes were created at construction; it
-// just hands out the channel.
+// Register implements Net. Boot-set endpoints were brought up at
+// construction and it just hands out their inbox; an id beyond them is
+// brought up now, like Add, so a cluster wider than its network still gets
+// nodes that can be reached.
 func (t *TCPNetwork) Register(id NodeID) <-chan Envelope {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.inboxes[id]
+	ep := t.inboxes[id]
+	t.mu.Unlock()
+	if ep != nil {
+		return ep
+	}
+	return t.Add(id)
 }
 
 // Add implements Net: a brand-new node joins mid-run — a fresh listener on a
 // fresh loopback port, a fresh inbox. Its address spreads to the rest of the
 // cluster via the Hello/Welcome gossip, after which peers dial it on demand.
 func (t *TCPNetwork) Add(id NodeID) <-chan Envelope {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	ch := make(chan Envelope, inboxCap)
-	t.inboxes[id] = ch
-	t.mu.Unlock()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return ch // no listener: the node can send but never receive
-	}
-	t.mu.Lock()
-	if t.closed || t.crashed[id] {
-		t.mu.Unlock()
-		ln.Close()
-		return ch
-	}
-	t.lns[id] = ln
-	t.addrs[id] = ln.Addr().String()
-	t.wg.Add(1)
-	t.mu.Unlock()
-	go t.acceptLoop(id, ln)
-	return ch
+	ep, _ := t.listen(id, "")
+	return ep
 }
 
 // Learn implements Net: record a gossiped dialable address for id. A node's
@@ -156,44 +156,16 @@ func (t *TCPNetwork) AddrOf(id NodeID) string { return t.Addr(id) }
 // exactly like clients reconnecting to a rebooted machine. If the old port
 // was claimed meanwhile, the node comes back on a new one.
 func (t *TCPNetwork) Restart(id NodeID) <-chan Envelope {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	delete(t.crashed, id)
-	addr := t.addrs[id]
-	ch := make(chan Envelope, inboxCap)
-	t.inboxes[id] = ch
-	t.mu.Unlock()
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		ln, err = net.Listen("tcp", "127.0.0.1:0")
-	}
-	if err != nil {
-		return ch // no listener: the node can send but never receive
-	}
-	t.mu.Lock()
-	if t.closed || t.crashed[id] {
-		t.mu.Unlock()
-		ln.Close()
-		return ch
-	}
-	t.lns[id] = ln
-	t.addrs[id] = ln.Addr().String()
-	t.wg.Add(1)
-	t.mu.Unlock()
-	go t.acceptLoop(id, ln)
-	return ch
+	ep, _ := t.listen(id, t.Addr(id))
+	return ep
 }
 
 // Crash implements Net: the node's listener and connections close, so
 // in-flight and future traffic to it is dropped by the kernel, exactly like
 // a machine halting.
 func (t *TCPNetwork) Crash(id NodeID) {
+	t.link.Crash(id) // first: from here on sendFrame publishes no connection to id
 	t.mu.Lock()
-	t.crashed[id] = true
 	ln := t.lns[id]
 	var victims []*tcpConn
 	for key, c := range t.conns {
@@ -211,83 +183,15 @@ func (t *TCPNetwork) Crash(id NodeID) {
 	}
 }
 
-// Crashed implements Net.
-func (t *TCPNetwork) Crashed(id NodeID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.crashed[id]
-}
-
-// Stats implements Net.
-func (t *TCPNetwork) Stats() (sent, dropped, bytes int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats.Sent, t.stats.Dropped, t.stats.Bytes
-}
-
-// NetStats implements Net.
-func (t *TCPNetwork) NetStats() NetStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats
-}
-
-// SetNemesis attaches a fault-injection schedule: every send is judged
-// against it, and cut, delayed, or byte-corrupted accordingly. Call it
-// before the cluster starts sending.
-func (t *TCPNetwork) SetNemesis(s *nemesis.Schedule) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.nem = s
-}
-
-// Exclude implements Net: failure-detector suppression of one directed link.
-func (t *TCPNetwork) Exclude(from, to NodeID, down bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if down {
-		t.excl[[2]NodeID{from, to}] = true
-	} else {
-		delete(t.excl, [2]NodeID{from, to})
-	}
-}
-
-// ByKind implements Net.
-func (t *TCPNetwork) ByKind() KindStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.kinds
-}
-
-// Close implements Net: shuts every listener and connection down and waits
-// for reader goroutines to drain.
+// Close implements Net: closes the link, shuts every listener and connection
+// down and waits for reader goroutines to drain.
 func (t *TCPNetwork) Close() {
+	t.link.Close() // first: from here on listen and sendFrame publish nothing
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return
-	}
-	t.closed = true
-	lns := make([]net.Listener, 0, len(t.lns))
-	for _, ln := range t.lns {
-		lns = append(lns, ln)
-	}
-	conns := make([]*tcpConn, 0, len(t.conns))
-	for _, c := range t.conns {
-		conns = append(conns, c)
-	}
-	t.conns = map[[2]NodeID]*tcpConn{}
-	pending := make([]*time.Timer, 0, len(t.timers))
-	for tm := range t.timers {
-		pending = append(pending, tm)
-	}
-	t.timers = map[*time.Timer]struct{}{}
+	lns := t.lns
+	conns := t.conns
+	t.lns, t.conns = map[NodeID]net.Listener{}, map[[2]NodeID]*tcpConn{}
 	t.mu.Unlock()
-	for _, tm := range pending {
-		if tm.Stop() {
-			t.drop(&t.stats.Closed)
-		}
-	}
 	for _, ln := range lns {
 		ln.Close()
 	}
@@ -297,9 +201,9 @@ func (t *TCPNetwork) Close() {
 	t.wg.Wait()
 }
 
-// acceptLoop serves one node's listener: each accepted connection feeds the
-// node's inbox until it drops.
-func (t *TCPNetwork) acceptLoop(id NodeID, ln net.Listener) {
+// acceptLoop serves one boot of a node: each connection its listener accepts
+// feeds that boot's endpoint until it drops.
+func (t *TCPNetwork) acceptLoop(id NodeID, ep chan Envelope, ln net.Listener) {
 	defer t.wg.Done()
 	for {
 		conn, err := ln.Accept()
@@ -307,16 +211,18 @@ func (t *TCPNetwork) acceptLoop(id NodeID, ln net.Listener) {
 			return // listener closed (crash or shutdown)
 		}
 		t.wg.Add(1)
-		go t.readLoop(id, conn)
+		go t.readLoop(id, ep, conn)
 	}
 }
 
-// readLoop decodes frames from one inbound connection into the inbox. A
-// frame that fails its CRC (or decodes to garbage despite passing it) is
-// counted and skipped — the stream stays synchronized via the length prefix,
-// so one bad frame must not kill the connection. Only stream-level failures
-// (EOF, a corrupt length prefix) end the loop.
-func (t *TCPNetwork) readLoop(to NodeID, conn net.Conn) {
+// readLoop decodes frames from one inbound connection into the endpoint its
+// listener was serving. A frame that fails its CRC (or decodes to garbage
+// despite passing it) is counted and skipped — the stream stays synchronized
+// via the length prefix, so one bad frame must not kill the connection. Only
+// stream-level failures (EOF, a corrupt length prefix) and the death of the
+// endpoint — a connection accepted before a crash must not feed the rebooted
+// node — end the loop.
+func (t *TCPNetwork) readLoop(to NodeID, ep chan Envelope, conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
 	var scratch []byte
@@ -331,80 +237,22 @@ func (t *TCPNetwork) readLoop(to NodeID, conn net.Conn) {
 			}
 			return
 		}
-		t.mu.Lock()
-		dead := t.crashed[to] || t.closed
-		ch := t.inboxes[to]
-		t.mu.Unlock()
-		if dead {
-			t.drop(&t.stats.ToDead) // decoded but the receiver died
-			return
-		}
-		select {
-		case ch <- env:
-		default: // inbox overflow: drop, like a congested receiver
-			t.drop(&t.stats.Congested)
+		if !t.deliver(to, ep, env) {
+			return // decoded but the receiver died
 		}
 	}
 }
 
-// Send implements Net: marshal and write one frame, dialing on demand. Any
-// error drops the message silently — the asynchronous model allows loss. A
-// nemesis schedule may additionally cut the link, hold the frame back, or
-// flip bytes in it (which the receiver's frame CRC then catches).
-func (t *TCPNetwork) Send(from, to NodeID, msg Message) {
-	size := msg.Size() // once per send and outside the lock: a Report's is a walk over every decision
-	t.mu.Lock()
-	if t.closed || t.crashed[from] || t.crashed[to] {
-		t.mu.Unlock()
-		return
-	}
-	t.stats.Sent++
-	t.stats.Bytes += int64(size)
-	t.kinds.note(msgKind(msg), size)
-	if t.excl[[2]NodeID{from, to}] && !joinExempt(msg) {
-		// The local failure detector excluded this destination; only the
-		// Hello/Welcome re-announcement path stays open.
-		t.dropLocked(&t.stats.Suspect)
-		t.mu.Unlock()
-		return
-	}
-	verdict := t.nem.JudgeNow(int(from), int(to))
-	if verdict.Cut {
-		t.dropLocked(&t.stats.Cut)
-		t.mu.Unlock()
-		return
-	}
-	corrupt := verdict.Corrupt > 0 && rand.Float64() < verdict.Corrupt
-	if verdict.Delay > 0 {
-		// Hold the frame back: the write happens when the timer fires. The
-		// verdict is not re-judged then — this message already took its
-		// sentence — but crash/close state is.
-		var tm *time.Timer
-		tm = time.AfterFunc(verdict.Delay, func() {
-			t.mu.Lock()
-			delete(t.timers, tm)
-			if t.closed {
-				t.dropLocked(&t.stats.Closed)
-				t.mu.Unlock()
-				return
-			}
-			t.mu.Unlock()
-			t.sendFrame(from, to, msg, corrupt)
-		})
-		t.timers[tm] = struct{}{}
-		t.mu.Unlock()
-		return
-	}
-	t.mu.Unlock()
-	t.sendFrame(from, to, msg, corrupt)
-}
-
-// sendFrame performs the dial-on-demand connection lookup and frame write.
-// corrupt flips one byte of the encoded frame past the length prefix, so the
+// sendFrame is the TCP delivery mechanism: marshal and write one frame,
+// dialing on demand. Any error drops the message silently — the asynchronous
+// model allows loss. A held-back parcel whose sender or receiver crashed, or
+// whose receiver rebooted, meanwhile is not written at all. A corrupt parcel
+// gets one byte of the encoded frame flipped past the length prefix, so the
 // receiver stays stream-synchronized but its CRC check must reject the frame.
-func (t *TCPNetwork) sendFrame(from, to NodeID, msg Message, corrupt bool) {
+func (t *TCPNetwork) sendFrame(p parcel) {
+	from, to := p.env.From, p.to
 	t.mu.Lock()
-	if t.closed || t.crashed[from] || t.crashed[to] {
+	if t.closed || t.crashed[from] || t.crashed[to] || t.inboxes[to] != p.ep {
 		t.dropLocked(&t.stats.ToDead)
 		t.mu.Unlock()
 		return
@@ -444,11 +292,11 @@ func (t *TCPNetwork) sendFrame(from, to NodeID, msg Message, corrupt bool) {
 	}
 
 	c.mu.Lock()
-	frame, err := appendFrame(c.buf[:0], from, msg)
+	frame, err := appendFrame(c.buf[:0], from, p.env.Msg)
 	c.buf = frame
 	var werr error
 	if err == nil {
-		if corrupt && len(frame) > 4 {
+		if p.corrupt && len(frame) > 4 {
 			// Damage the body or trailer, never the length prefix: a wrong
 			// length would desynchronize the stream, which is a connection
 			// failure, not a frame failure.
@@ -516,19 +364,6 @@ func (t *TCPNetwork) DialStats() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dials
-}
-
-// drop counts one vanished message under the given cause; dropLocked is the
-// same with t.mu already held.
-func (t *TCPNetwork) drop(cause *int64) {
-	t.mu.Lock()
-	t.dropLocked(cause)
-	t.mu.Unlock()
-}
-
-func (t *TCPNetwork) dropLocked(cause *int64) {
-	t.stats.Dropped++
-	*cause++
 }
 
 // --- wire format ---------------------------------------------------------------

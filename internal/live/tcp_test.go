@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 
@@ -148,8 +149,7 @@ func TestTCPDelivery(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("no delivery over TCP")
 	}
-	sent, _, _ := nw.Stats()
-	if sent != 1 {
+	if sent := nw.NetStats().Sent; sent != 1 {
 		t.Errorf("sent = %d", sent)
 	}
 	if nw.Addr(0) == "" || nw.Addr(1) == "" {
@@ -252,7 +252,68 @@ func TestTCPCloseIdempotent(t *testing.T) {
 	}
 	nw.Close()
 	nw.Close() // must not panic or deadlock
+	// Sends after close are silently refused.
 	nw.Send(0, 0, protocol.WorkDeny{})
-	_, dropped, _ := nw.Stats()
-	_ = dropped // sends after close are silently refused
+}
+
+// TestTCPRestartDropsStaleConnection: a connection the node accepted before
+// it crashed belongs to the old boot. A frame arriving on it afterwards must
+// not reach the rebooted node's fresh inbox — the rule
+// TestTransportRestartDropsInFlight pins for the in-memory transport.
+func TestTCPRestartDropsStaleConnection(t *testing.T) {
+	nw, err := NewTCPNetwork(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	conn, err := net.Dial("tcp", nw.Addr(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	time.Sleep(20 * time.Millisecond) // let the old boot's listener accept it
+	nw.Crash(1)
+	fresh := nw.Restart(1)
+	frame, err := appendFrame(nil, 0, protocol.WorkDeny{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case env := <-fresh:
+		t.Fatalf("pre-crash connection fed the rebooted node: %+v", env)
+	case <-time.After(200 * time.Millisecond):
+	}
+	if ns := nw.NetStats(); ns.ToDead != 1 {
+		t.Errorf("stats = %+v, want the stale frame counted to-dead", ns)
+	}
+}
+
+// TestTCPRegisterBeyondBootSet: registering an id the constructor did not
+// bring up must yield a reachable endpoint, not a nil inbox — a cluster wider
+// than its network would otherwise run deaf nodes in silence.
+func TestTCPRegisterBeyondBootSet(t *testing.T) {
+	nw, err := NewTCPNetwork(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	inbox := nw.Register(3)
+	if inbox == nil {
+		t.Fatal("Register(3) returned a nil inbox")
+	}
+	if nw.Addr(3) == "" {
+		t.Fatal("node 3 has no address")
+	}
+	nw.Send(0, 3, protocol.WorkDeny{Incumbent: 5})
+	select {
+	case env := <-inbox:
+		if env.From != 0 || env.Msg.(protocol.WorkDeny).Incumbent != 5 {
+			t.Errorf("wrong delivery: %+v", env)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no delivery to the late-registered node")
+	}
 }
