@@ -82,7 +82,8 @@ func NewTable() *Table { return ctree.New() }
 // NewListTable returns an empty flat-list completion table.
 func NewListTable() *ListTable { return ctree.NewList() }
 
-// DecodeTable reconstructs a table from Table.Encode output.
+// DecodeTable reconstructs a table from Table.Encode output, of any depth:
+// the codes are walked into the table as they are read, none is kept.
 func DecodeTable(buf []byte) (*Table, error) { return ctree.Decode(buf) }
 
 // --- canonical protocol messages and codec (§5) ---------------------------------
@@ -110,7 +111,12 @@ type WorkGrant = protocol.WorkGrant
 type WorkDeny = protocol.WorkDeny
 
 // EncodeMsg appends the canonical binary encoding of m to dst — the codec
-// used verbatim by the TCP transport's frames.
+// used verbatim by the TCP transport's frames. A message's codes are
+// front-coded, each against the one before, and a receiver keeps them all: a
+// batch of more than 64 decisions per encoded byte is refused on both ends,
+// here with an error. The densest honest batch, the frontier of a single
+// depth-first descent, reaches that about 950 levels down: the supported
+// depth of a search whose messages travel encoded (DecodeTable has no limit).
 func EncodeMsg(dst []byte, m Msg) ([]byte, error) { return protocol.Encode(dst, m) }
 
 // DecodeMsg reads one canonical message from the front of buf, returning

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"unsafe"
 )
 
 // Decision is a single branching decision: condition variable Var was fixed
@@ -225,13 +226,7 @@ func (c Code) Key() string { return string(c.Append(nil)) }
 
 // WireSize returns the number of bytes Append will produce for c. It is the
 // size used by the simulator's communication-cost model.
-func (c Code) WireSize() int {
-	n := uvarintLen(uint64(len(c)))
-	for _, d := range c {
-		n += uvarintLen(uint64(d.Var)<<1 | uint64(d.Branch))
-	}
-	return n
-}
+func (c Code) WireSize() int { return suffixSize(c, 0) }
 
 // Append appends the binary encoding of c to dst and returns the extended
 // slice. The format is: uvarint(depth), then per decision
@@ -275,39 +270,194 @@ func Decode(buf []byte) (Code, int, error) {
 	return c, off, nil
 }
 
-// AppendAll encodes a batch of codes: uvarint(count) followed by each code.
+// ChunkLen caps the backing array a decoded batch or a materialised frontier
+// is carved from at 4 KB: a few pointer-free chunks, not one allocation per
+// code, each a small-object size class (DESIGN.md "Completion-table hot path").
+const ChunkLen = 4096 / int(unsafe.Sizeof(Decision{}))
+
+// MaxExpand caps what a batch may cost whoever keeps its codes: MaxExpand
+// decisions per encoded byte. Front coding lets n codes repeat a depth-D prefix
+// for about 2n+D bytes, so without a cap a frame could claim n·D decisions of
+// memory. The densest honest frontier, a lone depth-first descent, holds about
+// depth/15 decisions per byte and passes up to some 950 levels. DecodeAll
+// refuses a denser batch with ErrExpand; a sender asks CheckExpand first.
+const MaxExpand = 64
+
+var ErrExpand = fmt.Errorf("code: batch holds more than %d decisions per byte", MaxExpand)
+
+// CheckExpand holds cs, whose AppendAll encoding takes size bytes, to MaxExpand.
+func CheckExpand(cs []Code, size int) error {
+	decs := 0
+	for _, c := range cs {
+		decs += len(c)
+	}
+	if decs > MaxExpand*size {
+		return ErrExpand
+	}
+	return nil
+}
+
+// CommonPrefixLen returns the length of the longest common decision prefix.
+func CommonPrefixLen(a, b Code) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
+// AppendAll encodes a batch of codes, front-coded: uvarint(count), the first
+// code as Append writes it, and every later code as uvarint(shared)
+// uvarint(depth) and its decisions past shared, the length of the prefix it has
+// in common with its predecessor. Frontiers are emitted in prefix order, so a
+// code costs about its last few decisions; a batch in any other order encodes
+// the same way and merely shares less.
 func AppendAll(dst []byte, cs []Code) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(cs)))
-	for _, c := range cs {
-		dst = c.Append(dst)
+	for i, c := range cs {
+		shared := 0
+		if i > 0 {
+			shared = CommonPrefixLen(cs[i-1], c)
+			dst = binary.AppendUvarint(dst, uint64(shared))
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(c)))
+		for _, d := range c[shared:] {
+			dst = binary.AppendUvarint(dst, uint64(d.Var)<<1|uint64(d.Branch))
+		}
 	}
 	return dst
 }
 
-// DecodeAll is the inverse of AppendAll. It returns the codes and the number
-// of bytes consumed.
-func DecodeAll(buf []byte) ([]Code, int, error) {
-	count, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, 0, errors.New("code: decode: truncated count")
-	}
-	if count > uint64(len(buf)) {
-		return nil, 0, fmt.Errorf("code: decode: implausible count %d", count)
-	}
-	off := n
-	cs := make([]Code, 0, count)
-	for i := uint64(0); i < count; i++ {
-		c, n, err := Decode(buf[off:])
-		if err != nil {
-			return nil, 0, err
+// WireSizeAll returns the number of bytes AppendAll produces for cs, by walking
+// them; a completion table keeps the same figure as a sum (Table.WireSize).
+func WireSizeAll(cs []Code) int {
+	n := UvarintLen(uint64(len(cs)))
+	for i, c := range cs {
+		shared := 0
+		if i > 0 {
+			shared = CommonPrefixLen(cs[i-1], c)
+			n += UvarintLen(uint64(shared))
 		}
-		off += n
-		cs = append(cs, c)
+		n += suffixSize(c, shared)
 	}
-	return cs, off, nil
+	return n
 }
 
-func uvarintLen(v uint64) int {
+// suffixSize is the depth header and the decisions past shared, as encoded.
+func suffixSize(c Code, shared int) int {
+	n := UvarintLen(uint64(len(c)))
+	for _, d := range c[shared:] {
+		n += UvarintLen(uint64(d.Var)<<1 | uint64(d.Branch))
+	}
+	return n
+}
+
+// DecodeEach reads an AppendAll encoding code by code and returns the bytes
+// consumed. fn gets each code, in scratch the next one overwrites, the length
+// of the prefix it shares with the one before — the true length, whatever the
+// encoding declared — and the number of codes still to come; its error ends the
+// read. A code claiming more of its predecessor than there is, a depth below
+// its shared length or more decisions than there are bytes left is refused. A
+// caller that keeps no codes (ctree.Decode walks them into its trie) is bounded
+// by its input and needs no MaxExpand; one that keeps them is DecodeAll.
+func DecodeEach(buf []byte, fn func(c Code, shared, left int) error) (int, error) {
+	off := 0
+	uvarint := func(what string) (uint64, error) {
+		v, n := binary.Uvarint(buf[off:])
+		if n <= 0 {
+			return 0, errors.New("code: decode: truncated " + what)
+		}
+		off += n
+		return v, nil
+	}
+	count, err := uvarint("count")
+	if err != nil {
+		return 0, err
+	}
+	if count > uint64(len(buf)) { // each code takes ≥1 byte
+		return 0, fmt.Errorf("code: decode: implausible count %d", count)
+	}
+	var cur Code // the last code read; the next is rebuilt on its first shared decisions
+	for left := int(count); left > 0; left-- {
+		var sh uint64
+		if left < int(count) {
+			if sh, err = uvarint("shared length"); err != nil {
+				return 0, err
+			}
+			if sh > uint64(len(cur)) {
+				return 0, fmt.Errorf("code: decode: shared length %d exceeds the previous depth %d", sh, len(cur))
+			}
+		}
+		depth, err := uvarint("depth")
+		if err != nil {
+			return 0, err
+		}
+		if depth < sh || depth-sh > uint64(len(buf)-off) { // each decision takes ≥1 byte
+			return 0, fmt.Errorf("code: decode: implausible depth %d (shared %d)", depth, sh)
+		}
+		prev, lcp := cur, sh
+		cur = cur[:sh]
+		for i := sh; i < depth; i++ {
+			w, err := uvarint("decision")
+			if err != nil {
+				return 0, err
+			}
+			d := Decision{Var: uint32(w >> 1), Branch: uint8(w & 1)}
+			if lcp == i && i < uint64(len(prev)) && prev[i] == d { // read before the append lands on it
+				lcp++
+			}
+			cur = append(cur, d)
+		}
+		if err := fn(cur, int(lcp), left-1); err != nil {
+			return 0, err
+		}
+	}
+	return off, nil
+}
+
+// DecodeAll is the inverse of AppendAll. It returns the codes — carved,
+// capacity-clipped, from chunks of at most ChunkLen decisions, like a
+// materialised frontier — and the number of bytes consumed. MaxExpand is
+// charged against what AppendAll would write for the codes read, never more
+// than was read: what DecodeAll accepts re-encodes to a batch it accepts.
+// Reading stops once even all of buf could not pay.
+func DecodeAll(buf []byte) ([]Code, int, error) {
+	cs := []Code{}
+	chunk := Root() // empty, not nil: a decoded root code is Root(), as Decode's is
+	decs, size := 0, 0
+	n, err := DecodeEach(buf, func(c Code, shared, left int) error {
+		if len(cs) == 0 {
+			cs = make([]Code, 0, left+1)
+			size = UvarintLen(uint64(left + 1))
+		} else {
+			size += UvarintLen(uint64(shared))
+		}
+		size += suffixSize(c, shared)
+		if decs += len(c); decs > MaxExpand*len(buf) {
+			return ErrExpand
+		}
+		if len(c) > cap(chunk)-len(chunk) {
+			// Sized as if the codes to come were as deep as this one.
+			chunk = make(Code, 0, max(len(c), min(ChunkLen, (left+1)*len(c))))
+		}
+		at := len(chunk)
+		chunk = append(chunk, c...)
+		cs = append(cs, chunk[at:len(chunk):len(chunk)])
+		return nil
+	})
+	if err == nil && decs > MaxExpand*size {
+		err = ErrExpand
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	return cs, n, nil
+}
+
+// UvarintLen returns the number of bytes binary.AppendUvarint writes for v.
+func UvarintLen(v uint64) int {
 	n := 1
 	for v >= 0x80 {
 		v >>= 7

@@ -37,7 +37,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"unsafe"
 
 	"gossipbnb/internal/code"
 )
@@ -58,12 +57,12 @@ type node struct {
 
 	branchVar uint32 // condition variable the children branch on
 
-	// depth and pathBytes describe the vertex's own code — its length and the
-	// wire bytes of its decisions (code.WireSize less the depth header) —
-	// fixed when the vertex is created, so completing or pruning it adjusts
-	// the table's sums without knowing the path that led here.
+	// depth is the length of the vertex's own code and edgeBytes the wire
+	// bytes of its last decision, the edge from its parent — fixed when the
+	// vertex is created, so completing or pruning it adjusts the table's sums
+	// without knowing the path that led here.
 	depth     uint32
-	pathBytes uint32
+	edgeBytes uint32
 
 	complete bool
 	digestOK bool
@@ -71,6 +70,17 @@ type node struct {
 
 // leaf reports that nothing was ever recorded below n.
 func (n *node) leaf() bool { return n.children[0]|n.children[1] == 0 }
+
+// forkBytes is what a vertex with two children adds to the front-coded
+// frontier: it is the deepest common ancestor of exactly one pair of adjacent
+// codes — the last under its branch 0 and the first under its branch 1 — and
+// that pair's shared length is its depth.
+func (n *node) forkBytes() int {
+	if n.children[0] == 0 || n.children[1] == 0 {
+		return 0
+	}
+	return code.UvarintLen(uint64(n.depth))
+}
 
 // Table is a contracted set of completed-problem codes. The zero value is not
 // usable; call New. Table is not safe for concurrent use: each table belongs
@@ -89,10 +99,15 @@ type Table struct {
 	// children[0]; 0 means empty. prune feeds it; newChild pops it.
 	free uint32
 
-	// Sums over the complete vertices — the frontier — adjusted by tally
-	// wherever a vertex becomes complete or a complete vertex is recycled:
-	// the number of codes, the wire bytes of those codes, and the decisions
-	// they hold. Len and WireSize read them; Codes sizes its chunks by them.
+	// Sums over the frontier, kept where the trie changes. codes and depthSum
+	// count the complete vertices and the decisions of their codes (tally).
+	// wireSum is the front-coded size of the frontier less its count header:
+	// every live edge's decision bytes once — in prefix order a decision is
+	// written by the first code below it and shared by the rest, and every
+	// leaf is complete — plus a depth header per complete vertex (tally) and a
+	// shared-length header per two-child vertex (forkBytes). newChild adds an
+	// edge and perhaps a fork, prune takes them back. Len and WireSize read
+	// the sums; Codes sizes its chunks by them.
 	codes    int
 	wireSum  int
 	depthSum int
@@ -162,8 +177,9 @@ func (t *Table) Reset() {
 func (t *Table) invalidate() { t.frontier = nil }
 
 // newChild pops a recycled vertex off the free list, or grows the arena by
-// one, and returns its index as the child of vertex p on branch b of variable
-// v. Growing may move the arena: every *node taken before the call is stale.
+// one, links it as the child of vertex p on branch b of variable v, and
+// returns its index. Growing may move the arena: every *node taken before the
+// call is stale.
 func (t *Table) newChild(p uint32, v uint32, b uint8) uint32 {
 	i := t.free
 	if i == 0 {
@@ -173,11 +189,11 @@ func (t *Table) newChild(p uint32, v uint32, b uint8) uint32 {
 		t.free = t.nodes[i].children[0]
 	}
 	parent := &t.nodes[p]
-	t.nodes[i] = node{
-		depth:     parent.depth + 1,
-		pathBytes: parent.pathBytes + uint32(uvarintLen(uint64(v)<<1|uint64(b))),
-	}
+	edge := code.UvarintLen(uint64(v)<<1 | uint64(b))
+	t.nodes[i] = node{depth: parent.depth + 1, edgeBytes: uint32(edge)}
 	t.nodeCount++
+	parent.children[b] = i
+	t.wireSum += edge + parent.forkBytes()
 	return i
 }
 
@@ -186,7 +202,7 @@ func (t *Table) newChild(p uint32, v uint32, b uint8) uint32 {
 func (t *Table) tally(n *node, sign int) {
 	t.codes += sign
 	t.depthSum += sign * int(n.depth)
-	t.wireSum += sign * (uvarintLen(uint64(n.depth)) + int(n.pathBytes))
+	t.wireSum += sign * code.UvarintLen(uint64(n.depth))
 }
 
 // VarMismatchError reports an Insert whose code branches a subproblem on a
@@ -244,8 +260,7 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 		b := d.Branch & 1
 		next := n.children[b]
 		if next == 0 {
-			next = t.newChild(at, d.Var, b)
-			t.nodes[at].children[b] = next // n may be stale: the arena may have moved
+			next = t.newChild(at, d.Var, b) // n may be stale now: the arena may have moved
 		}
 		at = next
 		t.path = append(t.path, at)
@@ -287,11 +302,13 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 }
 
 // prune recycles the subtrees below a vertex that just became complete; its
-// descendants carry no extra information, and the codes of the complete ones
-// leave the frontier sums. The walk is iterative and feeds the free list, so
-// a prune is allocation-free and later inserts reuse the vertices.
+// descendants carry no extra information, and their edges, their forks and the
+// codes of the complete ones leave the frontier sums. The walk is iterative and
+// feeds the free list, so a prune is allocation-free and later inserts reuse
+// the vertices.
 func (t *Table) prune(at uint32) {
 	n := &t.nodes[at]
+	t.wireSum -= n.forkBytes()
 	t.nstack = t.nstack[:0]
 	for b := 0; b < 2; b++ {
 		if n.children[b] != 0 {
@@ -311,6 +328,7 @@ func (t *Table) prune(at uint32) {
 		if v.complete {
 			t.tally(v, -1)
 		}
+		t.wireSum -= int(v.edgeBytes) + v.forkBytes()
 		t.nodeCount--
 		*v = node{children: [2]uint32{t.free, 0}}
 		t.free = i
@@ -377,12 +395,6 @@ func (t *Table) Codes() []code.Code {
 	return t.frontier
 }
 
-// chunkLen caps one frontier chunk at 4 KB. The cap keeps chunks inside the
-// allocator's small-object size classes: sized to the whole frontier instead,
-// the large-object spans of a 100-process run raised its peak RSS by a third
-// (DESIGN.md "Completion-table hot path").
-const chunkLen = 4096 / int(unsafe.Sizeof(code.Decision{}))
-
 // materialise returns the frontier of the subtree rooted at start, as n codes
 // relative to start holding decs decisions in all (frontierSize counts them;
 // for the root they are the table's sums). One iterative depth-first walk,
@@ -391,8 +403,10 @@ const chunkLen = 4096 / int(unsafe.Sizeof(code.Decision{}))
 // its parent and appends its own decision — and copies each complete vertex's
 // code into a pointer-free chunk, emitting a capacity-clipped slice of it so
 // an append to one code cannot reach its neighbour. The allocations are the
-// exact-capacity result and about one chunk per chunkLen decisions, not one
-// per code.
+// exact-capacity result and about one chunk per code.ChunkLen decisions, not
+// one per code: sized to the whole frontier instead, the large-object spans of
+// a 100-process run raised its peak RSS by a third (DESIGN.md "Completion-table
+// hot path").
 //
 // The emission order is exactly prefixCmp order: the children of one vertex
 // share its branching variable, so branch 0 before branch 1 is decision order,
@@ -417,7 +431,7 @@ func (t *Table) materialise(start uint32, n, decs int) []code.Code {
 		}
 		if v.complete {
 			if d > cap(chunk)-len(chunk) {
-				chunk = make(code.Code, 0, max(d, min(decs, chunkLen)))
+				chunk = make(code.Code, 0, max(d, min(decs, code.ChunkLen)))
 			}
 			at := len(chunk)
 			chunk = append(chunk, t.scratch...)
@@ -540,7 +554,7 @@ func (t *Table) InsertAll(cs []code.Code) (changed int, errs int) {
 	var prev code.Code
 	valid := 0
 	for i, c := range cs {
-		from := commonPrefixLen(prev, c)
+		from := code.CommonPrefixLen(prev, c)
 		if prefixCmpAt(prev, c, from) > 0 {
 			// slices.SortFunc, not sort.Slice: the reflection-based sorter
 			// allocates a Swapper closure per call.
@@ -569,7 +583,7 @@ func (t *Table) InsertAll(cs []code.Code) (changed int, errs int) {
 // prefixCmp is the decision-prefix order: codes sharing a prefix are adjacent
 // and every ancestor precedes its descendants — decision-wise (variable, then
 // branch), ties to the shorter code.
-func prefixCmp(a, b code.Code) int { return prefixCmpAt(a, b, commonPrefixLen(a, b)) }
+func prefixCmp(a, b code.Code) int { return prefixCmpAt(a, b, code.CommonPrefixLen(a, b)) }
 
 // prefixCmpAt is prefixCmp for a caller that already holds k, the length of
 // the codes' common prefix: the order is decided by the first decision past it.
@@ -583,30 +597,17 @@ func prefixCmpAt(a, b code.Code, k int) int {
 	return cmp.Compare(a[k].Branch, b[k].Branch)
 }
 
-// commonPrefixLen returns the length of the longest common decision prefix.
-func commonPrefixLen(a, b code.Code) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return n
-}
-
 // Len returns the number of frontier codes (complete trie vertices).
 func (t *Table) Len() int { return t.codes }
 
 // NodeCount returns the number of trie vertices, a proxy for in-memory size.
 func (t *Table) NodeCount() int { return t.nodeCount }
 
-// WireSize returns the number of bytes Encode produces: the simulator charges
-// this against the communication model when a table is gossiped, and reads it
-// after every mutation for the storage figures.
-func (t *Table) WireSize() int { return uvarintLen(uint64(t.codes)) + t.wireSum }
+// WireSize returns the number of bytes Encode produces (code.WireSizeAll of
+// Codes, read off the running sum): the simulator charges this against the
+// communication model when a table is gossiped, and reads it after every
+// mutation for the storage figures.
+func (t *Table) WireSize() int { return code.UvarintLen(uint64(t.codes)) + t.wireSum }
 
 // Encode appends the wire encoding of the table (its contracted frontier) to
 // dst.
@@ -618,15 +619,25 @@ func (t *Table) Encode(dst []byte) []byte {
 // one encoded table: trailing bytes after the declared code count are
 // rejected, so a corrupt or truncated-then-padded frame cannot half-decode.
 func Decode(buf []byte) (*Table, error) {
-	cs, n, err := code.DecodeAll(buf)
-	if err != nil {
-		return nil, err
-	}
-	if n != len(buf) {
-		return nil, fmt.Errorf("ctree: decode: %d trailing bytes", len(buf)-n)
-	}
+	// Each code is walked into the trie as it is read, resuming at the depth
+	// it shares with the one before — what InsertAll finds by comparing — so no
+	// []code.Code is built and code.MaxExpand has nothing to guard: any
+	// Encode output decodes, whatever its depth. Any order is safe.
 	t := New()
-	if _, errs := t.InsertAll(cs); errs > 0 {
+	valid, errs := 0, 0
+	n, err := code.DecodeEach(buf, func(c code.Code, shared, _ int) error {
+		var err error
+		if _, valid, err = t.insertFrom(c, min(shared, valid)); err != nil {
+			errs++
+		}
+		return nil // read on: the count of invalid codes is the error
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case n != len(buf):
+		return nil, fmt.Errorf("ctree: decode: %d trailing bytes", len(buf)-n)
+	case errs > 0:
 		return nil, fmt.Errorf("ctree: decode: %d invalid codes", errs)
 	}
 	return t, nil
@@ -645,13 +656,4 @@ func (t *Table) Clone() *Table {
 		depthSum:  t.depthSum,
 		digested:  t.digested,
 	}
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }

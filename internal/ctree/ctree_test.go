@@ -402,6 +402,11 @@ func TestPropListTableAgreesWithTrie(t *testing.T) {
 		if trie.Complete() != list.Complete() {
 			return false
 		}
+		// The list's size is its own batch, in its own order: never below the
+		// prefix-ordered trie frontier's, which shares the most there is.
+		if w := list.WireSize(); w != len(code.AppendAll(nil, list.Codes())) || w < trie.WireSize() {
+			return false
+		}
 		return sameCodes(trie.Codes(), list.Codes())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

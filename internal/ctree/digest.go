@@ -203,11 +203,7 @@ func EncodeSubtree(dst []byte, prefix code.Code, rel []code.Code) []byte {
 
 // SubtreeWireSize returns the number of bytes EncodeSubtree produces.
 func SubtreeWireSize(prefix code.Code, rel []code.Code) int {
-	sz := prefix.WireSize() + uvarintLen(uint64(len(rel)))
-	for _, c := range rel {
-		sz += c.WireSize()
-	}
-	return sz
+	return prefix.WireSize() + code.WireSizeAll(rel)
 }
 
 // DecodeSubtree parses EncodeSubtree output. Like Decode, the whole buffer

@@ -33,6 +33,53 @@ func checkSums(t *testing.T, tb *Table, when string) {
 	if tb.depthSum != decs {
 		t.Fatalf("%s: depthSum %d, frontier holds %d decisions", when, tb.depthSum, decs)
 	}
+	// Decode walks the encoding straight into a trie; the table it builds
+	// must be this one, sums included.
+	back, err := Decode(tb.Encode(nil))
+	if err != nil {
+		t.Fatalf("%s: Decode(Encode): %v", when, err)
+	}
+	if !codesExactlyEqual(back.Codes(), cs) || back.WireSize() != w || back.NodeCount() != tb.NodeCount() {
+		t.Fatalf("%s: Decode(Encode) = %v (%d B, %d vertices), want %v (%d B, %d vertices)",
+			when, back.Codes(), back.WireSize(), back.NodeCount(), cs, w, tb.NodeCount())
+	}
+}
+
+// TestDecodeAnyOrder: Decode resumes each code's walk at the shared length the
+// encoding gives it, which is safe in any order — a hand-built batch with
+// duplicates, a code after its own descendant or ancestor, siblings that
+// contract mid-batch — and builds what InsertAll builds from the same codes.
+func TestDecodeAnyOrder(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		leaves := randTree(r, 7)
+		batch := make([]code.Code, 1+r.Intn(12))
+		for i := range batch {
+			c := leaves[r.Intn(len(leaves))]
+			switch {
+			case i > 0 && r.Intn(4) == 0:
+				c = batch[i-1][:r.Intn(len(batch[i-1])+1)] // an ancestor of, or equal to, the last
+			case len(c) > 0 && r.Intn(3) == 0:
+				c = c[:1+r.Intn(len(c))]
+			}
+			batch[i] = c
+		}
+		want := New()
+		want.InsertAll(batch)
+		got, err := Decode(code.AppendAll(nil, batch))
+		if err != nil {
+			t.Fatalf("seed %d: Decode(%v): %v", seed, batch, err)
+		}
+		if !codesExactlyEqual(got.Codes(), want.Codes()) {
+			t.Fatalf("seed %d: Decode(%v) = %v, InsertAll gives %v", seed, batch, got.Codes(), want.Codes())
+		}
+		checkSums(t, got, "decoded")
+	}
+	// A code that branches where an earlier one did on another variable is a
+	// corrupt table, wherever the batch puts it.
+	if _, err := Decode(code.AppendAll(nil, []code.Code{mk(1, 0, 2, 1), mk(1, 0, 3, 0)})); err == nil {
+		t.Error("Decode accepted a table branching on two variables at one vertex")
+	}
 }
 
 // TestPropSumsMatchFrontier drives every mutating operation — the ones

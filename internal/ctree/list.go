@@ -143,11 +143,7 @@ func (l *ListTable) Complement(max int) []code.Code {
 // Len returns the number of codes in the contracted list.
 func (l *ListTable) Len() int { return len(l.codes) }
 
-// WireSize returns the encoded size of the list.
-func (l *ListTable) WireSize() int {
-	sz := uvarintLen(uint64(len(l.codes)))
-	for _, c := range l.codes {
-		sz += c.WireSize()
-	}
-	return sz
-}
+// WireSize returns the encoded size of the list: its codes as one batch in the
+// list's own order (by depth, then decisions — not prefix order), where
+// neighbours share less than a trie frontier's do.
+func (l *ListTable) WireSize() int { return code.WireSizeAll(l.codes) }

@@ -195,11 +195,25 @@ func (t *refTable) Len() int {
 	return n
 }
 
+// WireSize is the front-coded batch size spelled out pair by pair, sharing no
+// code with code.WireSizeAll or the arena's running sum: a count, then per code
+// its depth header and the decisions its predecessor does not already hold,
+// and for every code but the first the shared length itself.
 func (t *refTable) WireSize() int {
 	cs := t.Codes()
-	sz := uvarintLen(uint64(len(cs)))
-	for _, c := range cs {
-		sz += c.WireSize()
+	sz := code.UvarintLen(uint64(len(cs)))
+	for i, c := range cs {
+		shared := 0
+		if i > 0 {
+			for shared < len(c) && shared < len(cs[i-1]) && c[shared] == cs[i-1][shared] {
+				shared++
+			}
+			sz += code.UvarintLen(uint64(shared))
+		}
+		sz += code.UvarintLen(uint64(len(c)))
+		for _, d := range c[shared:] {
+			sz += code.UvarintLen(uint64(d.Var)<<1 | uint64(d.Branch))
+		}
 	}
 	return sz
 }
@@ -428,7 +442,7 @@ func TestPropInsertAllAnyOrder(t *testing.T) {
 		}
 		deepest := 0 // the pre-state branches at every depth ≤ deepest of H's path
 		for _, c := range pre {
-			deepest = max(deepest, commonPrefixLen(c, held))
+			deepest = max(deepest, code.CommonPrefixLen(c, held))
 		}
 		corrupt := func() code.Code {
 			c := held.Clone()

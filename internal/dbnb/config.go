@@ -239,6 +239,12 @@ type Config struct {
 	// fires. Test-only: the golden event-order tests hash this stream to
 	// prove a kernel rewrite preserves the exact firing order of seeded runs.
 	fireHook func(t float64, seq uint64)
+
+	// sendHook, if non-nil, observes every message a context hands the
+	// network (a ring broadcast once, not per destination). Test-only, and like
+	// fireHook it clamps the run to one shard: the shared-prefix test tallies
+	// what travels.
+	sendHook func(m protocol.Msg)
 }
 
 // withDefaults fills unset fields with the defaults used throughout the

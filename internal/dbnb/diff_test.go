@@ -32,7 +32,10 @@ func reportPathBytes(res Result) int64 {
 // workload (8001 nodes, 100 processes) in both modes. Diff gossip must
 // preserve the computation — termination, exact optimum, identical expansion
 // count — while cutting steady-state completion-propagation bytes at least
-// 5× (measured ~7.5×; the slack absorbs tuning drift, not regressions).
+// 2× (measured 2.9×; the slack absorbs tuning drift, not regressions). The
+// gap was ≥ 5× while a frontier push spelled every code out from the root;
+// front coding cut the frontier side by two thirds and the digest side, whose
+// deltas are a few codes each, by far less.
 func TestDiffGossipParityTable1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full Table-1 runs")
@@ -69,8 +72,8 @@ func TestDiffGossipParityTable1(t *testing.T) {
 	t.Logf("report-path bytes: legacy=%d diff=%d ratio=%.2f (total %d vs %d, time %.1f vs %.1f)",
 		repLeg, repDif, float64(repLeg)/float64(repDif),
 		leg.Net.Bytes, dif.Net.Bytes, leg.Time, dif.Time)
-	if ratio := float64(repLeg) / float64(repDif); ratio < 5.0 {
-		t.Errorf("report-path bytes ratio = %.2f (legacy %d / diff %d), want >= 5.0",
+	if ratio := float64(repLeg) / float64(repDif); ratio < 2.0 {
+		t.Errorf("report-path bytes ratio = %.2f (legacy %d / diff %d), want >= 2.0",
 			ratio, repLeg, repDif)
 	}
 	// Diff mode trades a modest serial-time slowdown (extra round trips on

@@ -23,7 +23,10 @@ import (
 // Shards == 0 kernel was deleted: that moved only the two constants that had
 // been captured on it — fpDiffLegacy is gone, Shards 0 now being held to
 // fpDiffMesh, and fpMembershipRestart was re-drawn — and not one bit of the
-// rest. EXPERIMENTS.md records both, value by value.
+// rest. Front-coded code batches (ISSUE 22) changed what every multi-code
+// message weighs, and a message's latency is a function of its size, so all
+// twelve strings were re-drawn once more. EXPERIMENTS.md records each re-pin,
+// value by value.
 
 // printFingerprint renders what a run did in counts and virtual times only —
 // nothing that depends on wall-clock or on how the simulator batches events.
@@ -199,23 +202,23 @@ func TestFingerprintMultiCrashes(t *testing.T) {
 }
 
 const (
-	fpMeshProblem       = "t=10.770234453125003 first=10.768419453125002 exp=1347 uniq=1347 comp=1327 sent=447 bytes=65594 kinds=[0 205 68 87 11 76] per=[313 0 163 198 0 102 501 70]"
-	fpMeshJoins         = "t=6.52233 first=6.5205150000000005 exp=301 uniq=301 comp=151 sent=267 bytes=17055 kinds=[0 69 50 70 8 62 0 4 4] per=[100 93 38 0 13 0 0 10 0 0 1 46]"
-	fpMeshChaosS1       = "t=10.774642859525128 first=10.772827859525128 exp=659 uniq=301 comp=295 sent=189 bytes=11912 kinds=[0 87 24 41 13 24] per=[140 81 26 118 108 0 69 117]"
-	fpMeshChaosS4       = "t=9.302886335722173 first=9.301071335722172 exp=662 uniq=301 comp=298 sent=181 bytes=10622 kinds=[0 87 20 37 10 27] per=[140 80 26 126 108 0 69 113]"
-	fpDiffMesh          = "t=10.99746835632244 first=10.995653356322439 exp=301 uniq=301 comp=151 sent=334 bytes=12362 kinds=[0 21 0 86 10 76 129 6 6] per=[76 0 98 18 19 16 36 38]"
-	fpMembershipRestart = "t=9.419247320286548 first=9.387198112907454 exp=149 uniq=121 comp=67 sent=82 bytes=3186 kinds=[36 24 7 9 1 5] per=[101 20 0 28 0]"
+	fpMeshProblem       = "t=10.472147343750004 first=10.470332343750004 exp=1489 uniq=1489 comp=1467 sent=491 bytes=31176 kinds=[0 239 66 93 19 74] per=[462 96 137 43 91 224 402 34]"
+	fpMeshJoins         = "t=6.52141 first=6.519595000000001 exp=301 uniq=301 comp=151 sent=267 bytes=12138 kinds=[0 69 50 70 8 62 0 4 4] per=[100 93 38 0 13 0 0 10 0 0 1 46]"
+	fpMeshChaosS1       = "t=10.774397859525129 first=10.772582859525128 exp=659 uniq=301 comp=295 sent=189 bytes=8919 kinds=[0 87 24 41 13 24] per=[140 81 26 118 108 0 69 117]"
+	fpMeshChaosS4       = "t=9.302091335722173 first=9.300276335722172 exp=662 uniq=301 comp=298 sent=181 bytes=8195 kinds=[0 87 20 37 10 27] per=[140 80 26 126 108 0 69 113]"
+	fpDiffMesh          = "t=10.99708335632244 first=10.99526835632244 exp=301 uniq=301 comp=151 sent=334 bytes=10474 kinds=[0 21 0 86 10 76 129 6 6] per=[76 0 98 18 19 16 36 38]"
+	fpMembershipRestart = "t=9.419247320286548 first=9.387113112907453 exp=149 uniq=121 comp=67 sent=82 bytes=2848 kinds=[36 24 7 9 1 5] per=[101 20 0 28 0]"
 )
 
 var (
 	fpMultiStaggered = [4]string{
-		"t=2.4611066406249993 first=2.4592866406249994 exp=345 uniq=345 comp=329 sent=558 bytes=32792 kinds=[0 235 79 122 13 109] per=[142 117 44 0 0 42 0 0]",
-		"t=10.671871171875008 first=10.670051171875008 exp=781 uniq=781 comp=759 sent=0 bytes=0 kinds=[] per=[0 266 191 64 74 0 186 0]",
-		"t=12.380709140625004 first=12.378889140625004 exp=235 uniq=235 comp=228 sent=0 bytes=0 kinds=[] per=[0 0 235 0 0 0 0 0]",
-		"t=18.01399 first=18.01217 exp=323 uniq=323 comp=310 sent=0 bytes=0 kinds=[] per=[0 101 99 116 0 7 0 0]",
+		"t=2.4604216406249995 first=2.4586016406249995 exp=345 uniq=345 comp=329 sent=558 bytes=21878 kinds=[0 235 79 122 13 109] per=[142 117 44 0 0 42 0 0]",
+		"t=10.671246171875008 first=10.669426171875008 exp=781 uniq=781 comp=759 sent=0 bytes=0 kinds=[] per=[0 266 191 64 74 0 186 0]",
+		"t=12.381069140625005 first=12.378889140625004 exp=235 uniq=235 comp=228 sent=0 bytes=0 kinds=[] per=[0 0 235 0 0 0 0 0]",
+		"t=18.014509999999998 first=18.01247 exp=323 uniq=323 comp=310 sent=0 bytes=0 kinds=[] per=[0 101 99 116 0 7 0 0]",
 	}
 	fpMultiCrashes = [2]string{
-		"t=4.5022621874999995 first=4.5004421875 exp=338 uniq=338 comp=323 sent=354 bytes=21777 kinds=[0 123 71 86 6 68] per=[146 0 0 44 148 0]",
-		"t=22.19722125000001 first=22.19540125000001 exp=726 uniq=726 comp=707 sent=0 bytes=0 kinds=[] per=[407 197 0 114 3 5]",
+		"t=4.5020871875 first=4.5002671875 exp=337 uniq=337 comp=323 sent=354 bytes=14186 kinds=[0 123 71 86 6 68] per=[145 0 0 44 148 0]",
+		"t=22.19742125000001 first=22.19538125000001 exp=726 uniq=726 comp=707 sent=0 bytes=0 kinds=[] per=[407 197 0 114 3 5]",
 	}
 )

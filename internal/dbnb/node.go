@@ -152,6 +152,9 @@ type nodeSender struct{ n *node }
 // wire is m as it travels: bare for the single untagged instance (instance
 // 0 adds no header bytes anyway), tagged with the instance id otherwise.
 func (s nodeSender) wire(m protocol.Msg) sim.Message {
+	if hook := s.n.h.cfg.sendHook; hook != nil {
+		hook(m)
+	}
 	if s.n.mux == nil {
 		return m
 	}

@@ -410,10 +410,10 @@ func shardLookahead(cfg Config) float64 {
 
 // shardCount resolves how many shards a run actually uses: Shards clamped to
 // [1, Procs], and one for the features whose state cannot be partitioned —
-// membership, tracing, fire hooks, per-link latency, a latency model with no
-// positive floor.
+// membership, tracing, the test hooks, per-link latency, a latency model with
+// no positive floor.
 func shardCount(cfg Config) int {
-	if cfg.UseMembership || cfg.Trace != nil || cfg.fireHook != nil ||
+	if cfg.UseMembership || cfg.Trace != nil || cfg.fireHook != nil || cfg.sendHook != nil ||
 		cfg.LinkLatency != nil || shardLookahead(cfg) <= 0 {
 		return 1
 	}

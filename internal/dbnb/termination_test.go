@@ -35,7 +35,11 @@ func rootReports(net sim.NetStats, systems ...*metrics.System) int64 {
 // per learner is (1 + ReportFanout)·(procs − 1) root reports — O(procs), where
 // every learner broadcasting again made it procs·(procs − 1). Every starving
 // process hears the detector directly, so the last detection trails the first
-// by one root report's latency and handling cost, as it did with the echo.
+// by one root report's latency and handling cost, as it did with the echo. The
+// ReportFanout processes the detector's last work report went to in the same
+// instant may take that one's handling longer: front-coded it is 44 bytes
+// longer than the root report, which at 0.005 ms/B is to the microsecond what
+// handling the root report takes, so it is in the inbox when that ends.
 func TestTerminationTrafficIsLinear(t *testing.T) {
 	k := bnb.RandomKnapsack(rand.New(rand.NewSource(1)), 24)
 	ref := bnb.SolveProblem(k)
@@ -52,8 +56,19 @@ func TestTerminationTrafficIsLinear(t *testing.T) {
 			t.Errorf("procs=%d: %d root reports sent, want at most (1 + %d)·(procs − 1) = %d", procs, got, cfg.ReportFanout, bound)
 		}
 		lag := cfg.Latency(root.Size()) + cfg.CommOverhead + cfg.ContractPerCode
+		late := 0
+		for _, d := range res.DetectTimes {
+			if d-res.FirstDetect > lag+1e-12 {
+				late++
+			}
+		}
+		if late > cfg.ReportFanout {
+			t.Errorf("procs=%d: %d detections trail the first by more than one delivered broadcast, %v; only the last work report's %d recipients may",
+				procs, late, lag, cfg.ReportFanout)
+		}
+		lag += cfg.CommOverhead + float64(cfg.ReportBatch)*cfg.ContractPerCode
 		if got := res.Time - res.FirstDetect; got > lag+1e-12 {
-			t.Errorf("procs=%d: last detection trails the first by %v, want one delivered broadcast, %v", procs, got, lag)
+			t.Errorf("procs=%d: last detection trails the first by %v, want one delivered broadcast and one work report's handling, %v", procs, got, lag)
 		}
 	}
 }

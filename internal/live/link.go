@@ -246,7 +246,7 @@ func (l *link) Crashed(id NodeID) bool {
 // message may additionally be delivered twice, held back so later sends
 // overtake it, or replayed stale much later.
 func (l *link) Send(from, to NodeID, msg Message) {
-	size := msg.Size() // once per send and outside the lock: a Report's is a walk over every decision
+	size := msg.Size() // once per send and outside the lock: an unstamped batch's is a walk over every decision
 	l.mu.Lock()
 	if l.closed || l.crashed[from] || l.crashed[to] {
 		l.mu.Unlock()

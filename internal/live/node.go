@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -194,6 +195,8 @@ type incarnation struct {
 	instEpoch int64
 
 	lastProbe time.Time // paces starvation probes RetryDelay apart
+
+	sinceYield int // expansions since run last yielded its processor
 
 	// contacts is non-nil on a joiner's first incarnation: the members it
 	// announces itself to. Until one of them answers with a Welcome
@@ -733,6 +736,11 @@ func (n *liveNode) dropPeer(id protocol.NodeID) {
 	}
 }
 
+// yieldEvery is how many expansions a busy incarnation runs between yields of
+// its processor: a few hundred microseconds of a code-driven problem, and a
+// call that returns at once when nothing else is runnable.
+const yieldEvery = 64
+
 // run is the incarnation goroutine: alternate work and message handling,
 // exactly the process model of §5, round-robin across every instance the
 // process hosts. It exits when the cluster stops, the node crashes, or a
@@ -771,6 +779,17 @@ func (inc *incarnation) run() {
 		switch st {
 		case protocol.Expand:
 			inc.expand(e, it)
+			// A node with work never blocks. Hosted on fewer processors than
+			// there are busy nodes it would keep one for the scheduler's whole
+			// 10 ms slice while the transport's readers, its peers and the
+			// collector's mark workers wait behind it: requests sit unread,
+			// and the heap runs past its goal by whatever the busy nodes
+			// allocate meanwhile (a 4 MB heap read 7–10 MB at the end of such a
+			// cycle, which is where a process's peak memory came from).
+			if inc.sinceYield++; inc.sinceYield == yieldEvery {
+				inc.sinceYield = 0
+				runtime.Gosched()
+			}
 		case protocol.Terminated:
 			inc.noteTerminated(e)
 		case protocol.Starved:

@@ -21,8 +21,11 @@ import (
 //	         | u8(full) prefix                        (subtree request)
 //	         | u8(1) uvarint(len) subtree             (subtree reply, leaf)
 //	         | u8(0) prefix uvarint(var) u8(mask) digests   (…, branch)
-//	codes   := code.AppendAll encoding
-//	prefix  := code.Code.Append encoding
+//	codes   := uvarint(count) [code {uvarint(shared) code'}]   (code.AppendAll)
+//	code    := uvarint(depth) {uvarint(var<<1|branch)}         (code.Code.Append)
+//	code'   := code with its first shared decisions left out: they are those
+//	           of the code before (front coding; frontiers go in prefix order)
+//	prefix  := code
 //	subtree := ctree.EncodeSubtree encoding (length-prefixed so the hardened
 //	           whole-buffer ctree.DecodeSubtree validates it in place)
 //
@@ -32,7 +35,9 @@ import (
 // Encode appends the wire encoding of m to dst and returns the extended
 // slice. An InstMsg encodes the instance-scoped header (instance 0 unwraps to
 // the legacy bytes); anything else encodes exactly as before instances
-// existed. It fails only on a message type outside the canonical set.
+// existed. It fails on a message type outside the canonical set, and with
+// code.ErrExpand on a code batch so deep and so shared that the receiver's
+// decoder would refuse it.
 func Encode(dst []byte, m Msg) ([]byte, error) {
 	var inst InstanceID
 	if im, ok := m.(InstMsg); ok {
@@ -51,24 +56,30 @@ func Encode(dst []byte, m Msg) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(incumbent))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(actAge))
 	}
+	var err error // a message has one code batch at most
+	putCodes := func(cs []code.Code) {
+		at := len(dst)
+		dst = code.AppendAll(dst, cs)
+		err = code.CheckExpand(cs, len(dst)-at)
+	}
 	switch t := m.(type) {
 	case Report:
 		put(KindReport, t.Incumbent, t.ActAge)
-		dst = code.AppendAll(dst, t.Codes)
+		putCodes(t.Codes)
 	case TableMsg:
 		put(KindTable, t.Incumbent, t.ActAge)
-		dst = code.AppendAll(dst, t.Codes)
+		putCodes(t.Codes)
 	case WorkRequest:
 		put(KindRequest, t.Incumbent, t.ActAge)
 	case WorkGrant:
 		put(KindGrant, t.Incumbent, t.ActAge)
-		dst = code.AppendAll(dst, t.Codes)
+		putCodes(t.Codes)
 	case WorkDeny:
 		put(KindDeny, t.Incumbent, t.ActAge)
 	case DigestReport:
 		put(KindDigestReport, t.Incumbent, t.ActAge)
 		dst = binary.LittleEndian.AppendUint64(dst, t.Digest)
-		dst = code.AppendAll(dst, t.Codes)
+		putCodes(t.Codes)
 	case SubtreeRequest:
 		put(KindSubtreeRequest, t.Incumbent, t.ActAge)
 		var full byte
@@ -81,8 +92,10 @@ func Encode(dst []byte, m Msg) ([]byte, error) {
 		put(KindSubtreeReply, t.Incumbent, t.ActAge)
 		if t.Leaf {
 			dst = append(dst, 1)
-			dst = binary.AppendUvarint(dst, uint64(ctree.SubtreeWireSize(t.Prefix, t.Rel)))
+			sec := ctree.SubtreeWireSize(t.Prefix, t.Rel)
+			dst = binary.AppendUvarint(dst, uint64(sec))
 			dst = ctree.EncodeSubtree(dst, t.Prefix, t.Rel)
+			err = code.CheckExpand(t.Rel, sec-t.Prefix.WireSize())
 		} else {
 			dst = append(dst, 0)
 			dst = t.Prefix.Append(dst)
@@ -118,7 +131,7 @@ func Encode(dst []byte, m Msg) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("protocol: cannot encode %T", m)
 	}
-	return dst, nil
+	return dst, err
 }
 
 // maxAddrLen bounds address strings in Hello/Welcome payloads; real

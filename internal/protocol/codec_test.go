@@ -1,8 +1,11 @@
 package protocol
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gossipbnb/internal/code"
@@ -320,6 +323,30 @@ func FuzzDecode(f *testing.F) {
 			f.Add(buf)
 		}
 	}
+	// Front-coded batches that lie: a shared length past the predecessor, a
+	// depth below the shared length, a count the frame cannot hold, a suffix
+	// cut short, many codes each claiming all of a deep first one — and one
+	// that shares less than it could, which is no lie.
+	report, _ := Encode(nil, Report{Incumbent: 1})
+	report = slices.Clip(report[:len(report)-1]) // the scalars; the batch follows
+	deep := code.Root()
+	for i := 0; i < 1000; i++ {
+		deep = deep.AppendChild(uint32(i), 1)
+	}
+	dense := deep.Append(binary.AppendUvarint(report, 400))
+	for i := 1; i < 400; i++ {
+		dense = append(dense, 0xe8, 7, 0xe8, 7) // shared 1000, depth 1000
+	}
+	for _, batch := range [][]byte{
+		{2, 1, 2, 3, 1},
+		{2, 2, 2, 4, 2, 1},
+		{0xff, 0xff, 0xff, 0x7f, 0},
+		{2, 1, 2, 1, 3, 6},
+		dense[len(report):],
+		{3, 2, 2, 4, 0, 2, 2, 4, 0x80, 0, 2, 2, 4}, // copies written out in full, a padded varint
+	} {
+		f.Add(append(report, batch...))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 	f.Add([]byte{KindDeny | 0x80})          // flagged kind, truncated varint
@@ -333,6 +360,11 @@ func FuzzDecode(f *testing.F) {
 		}
 		if n <= 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		}
+		// The memory bound of front coding: whatever decoded cost at most
+		// MaxExpand decisions per byte of input.
+		if d := batchDecisions(m); d > code.MaxExpand*n {
+			t.Fatalf("%d bytes decoded to %d decisions, the cap is %d per byte", n, d, code.MaxExpand)
 		}
 		re, err := Encode(nil, m)
 		if err != nil {
@@ -355,6 +387,78 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("round trip changed the message:\n was %+v\n now %+v", m, m2)
 		}
 	})
+}
+
+// TestDeepFrontierRefusedAtTheSender: what is left behind by a depth-first
+// descent D levels deep — D sibling codes, in prefix order — is an honest
+// frontier of D²/2 decisions in some 8·D bytes, past code.MaxExpand from about
+// 1 000 levels. The limit is the same on both ends: Encode refuses exactly the
+// batches DecodeAll would, so the sender hears of it (a TCP send counts the
+// drop as Unrouted) instead of the receiver discarding frames as corrupt.
+// Whatever Encode lets through round-trips. A whole table is decoded without
+// keeping its codes and has no limit.
+func TestDeepFrontierRefusedAtTheSender(t *testing.T) {
+	for _, depth := range []int{100, 800, 1200, 3000} {
+		tb := ctree.New()
+		spine := code.Root()
+		for i := 0; i < depth; i++ {
+			spine = spine.AppendChild(uint32(7*i), uint8(i&1))
+			if _, err := tb.Insert(spine.Sibling()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cs := tb.Codes()
+		_, _, derr := code.DecodeAll(code.AppendAll(nil, cs))
+		refused := errors.Is(derr, code.ErrExpand)
+		if !refused && derr != nil || refused != (depth > 1000) {
+			t.Fatalf("depth %d: DecodeAll of the encoded frontier: %v", depth, derr)
+		}
+		for _, m := range []Msg{
+			Report{Codes: cs}, TableMsg{Codes: cs}, WorkGrant{Codes: cs}, DigestReport{Codes: cs},
+			SubtreeReply{Leaf: true, Prefix: spine[:3], Rel: cs},
+			InstMsg{Instance: 9, Msg: TableMsg{Codes: cs}},
+		} {
+			buf, err := Encode(nil, m)
+			if refused {
+				if !errors.Is(err, code.ErrExpand) {
+					t.Errorf("depth %d: Encode(%T) = %v, want ErrExpand as the decoder says", depth, m, err)
+				}
+				continue
+			}
+			if err != nil || len(buf) != m.Size() {
+				t.Fatalf("depth %d: Encode(%T): %d bytes, Size %d, %v", depth, m, len(buf), m.Size(), err)
+			}
+			inst, got, n, err := DecodeInstance(buf)
+			if re, _ := Encode(nil, InstMsg{Instance: inst, Msg: got}); err != nil || n != len(buf) || string(re) != string(buf) {
+				t.Errorf("depth %d: %T does not round-trip: %v", depth, m, err)
+			}
+		}
+		back, err := ctree.Decode(tb.Encode(nil))
+		if err != nil || back.Len() != depth || back.WireSize() != tb.WireSize() {
+			t.Errorf("depth %d: the table does not round-trip: %v", depth, err)
+		}
+	}
+}
+
+// batchDecisions counts the decisions of a message's code batch.
+func batchDecisions(m Msg) (n int) {
+	var cs []code.Code
+	switch t := m.(type) {
+	case Report:
+		cs = t.Codes
+	case TableMsg:
+		cs = t.Codes
+	case WorkGrant:
+		cs = t.Codes
+	case DigestReport:
+		cs = t.Codes
+	case SubtreeReply:
+		cs = t.Rel
+	}
+	for _, c := range cs {
+		n += len(c)
+	}
+	return n
 }
 
 // fuzzInstanceDecode holds the instance-aware half of the fuzz property: what

@@ -522,7 +522,7 @@ func (c *Core) complete(cd code.Code) {
 // report rides those allocations while the outbox recycles its trie vertices
 // for the next batch.
 func (c *Core) FlushReport() {
-	codes := c.outbox.Codes()
+	codes, size := c.outbox.Codes(), c.outbox.WireSize()
 	if len(codes) == 0 {
 		return
 	}
@@ -534,12 +534,12 @@ func (c *Core) FlushReport() {
 	if len(peers) == 0 {
 		return // lone process: nothing to gossip, its own table suffices
 	}
-	var m Msg = Report{Codes: codes, Incumbent: c.incumbent, ActAge: c.ActivityAge()}
+	var m Msg = Report{Codes: codes, codesSize: size, Incumbent: c.incumbent, ActAge: c.ActivityAge()}
 	if c.cfg.DiffGossip {
 		// Diff mode: the same delta codes, plus the table digest so the
 		// receiver can detect divergence beyond the delta and pull what it
 		// is missing (maybeSync on the receiving side).
-		m = DigestReport{Digest: c.table.Digest(), Codes: codes, Incumbent: c.incumbent, ActAge: c.ActivityAge()}
+		m = DigestReport{Digest: c.table.Digest(), Codes: codes, codesSize: size, Incumbent: c.incumbent, ActAge: c.ActivityAge()}
 	}
 	for i := 0; i < c.cfg.ReportFanout; i++ {
 		c.d.Sender.Send(peers[c.d.Rand(len(peers))], m)

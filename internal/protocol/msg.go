@@ -37,7 +37,7 @@ func (m InstMsg) Size() int {
 	if m.Instance == 0 {
 		return m.Msg.Size()
 	}
-	return m.Msg.Size() + uvarintLen(uint64(m.Instance))
+	return m.Msg.Size() + code.UvarintLen(uint64(m.Instance))
 }
 
 // instanceFlag is the kind-byte bit that marks an instance-scoped header: the
@@ -120,10 +120,12 @@ type Report struct {
 	Codes     []code.Code
 	Incumbent float64
 	ActAge    float64
+
+	codesSize int // see stampedSize
 }
 
 // Size implements Msg.
-func (m Report) Size() int { return scalarSize + codesWireSize(m.Codes) }
+func (m Report) Size() int { return scalarSize + stampedSize(m.codesSize, m.Codes) }
 
 // Kind implements Msg.
 func (m Report) Kind() byte { return KindReport }
@@ -136,20 +138,11 @@ type TableMsg struct {
 	Incumbent float64
 	ActAge    float64
 
-	// codesSize is codesWireSize(Codes) when the sender already holds it —
-	// Core.SendTable stamps the table's own WireSize — and 0 on a decoded or
-	// hand-built message, whose Size walks the codes. A real size is never 0:
-	// the code count alone takes a byte.
-	codesSize int
+	codesSize int // see stampedSize
 }
 
 // Size implements Msg.
-func (m TableMsg) Size() int {
-	if m.codesSize > 0 {
-		return scalarSize + m.codesSize
-	}
-	return scalarSize + codesWireSize(m.Codes)
-}
+func (m TableMsg) Size() int { return scalarSize + stampedSize(m.codesSize, m.Codes) }
 
 // Kind implements Msg.
 func (m TableMsg) Kind() byte { return KindTable }
@@ -176,7 +169,7 @@ type WorkGrant struct {
 }
 
 // Size implements Msg.
-func (m WorkGrant) Size() int { return scalarSize + codesWireSize(m.Codes) }
+func (m WorkGrant) Size() int { return scalarSize + code.WireSizeAll(m.Codes) }
 
 // Kind implements Msg.
 func (m WorkGrant) Kind() byte { return KindGrant }
@@ -206,10 +199,12 @@ type DigestReport struct {
 	Codes     []code.Code
 	Incumbent float64
 	ActAge    float64
+
+	codesSize int // see stampedSize
 }
 
 // Size implements Msg.
-func (m DigestReport) Size() int { return scalarSize + 8 + codesWireSize(m.Codes) }
+func (m DigestReport) Size() int { return scalarSize + 8 + stampedSize(m.codesSize, m.Codes) }
 
 // Kind implements Msg.
 func (m DigestReport) Kind() byte { return KindDigestReport }
@@ -252,9 +247,9 @@ func (m SubtreeReply) Size() int {
 	sz := scalarSize + 1
 	if m.Leaf {
 		sec := ctree.SubtreeWireSize(m.Prefix, m.Rel)
-		return sz + uvarintLen(uint64(sec)) + sec
+		return sz + code.UvarintLen(uint64(sec)) + sec
 	}
-	sz += m.Prefix.WireSize() + uvarintLen(uint64(m.BranchVar)) + 1
+	sz += m.Prefix.WireSize() + code.UvarintLen(uint64(m.BranchVar)) + 1
 	for _, k := range m.Kids {
 		if k.Present {
 			sz += 8
@@ -282,7 +277,7 @@ type Hello struct {
 
 // Size implements Msg.
 func (m Hello) Size() int {
-	return scalarSize + uvarintLen(uint64(m.ID)) + uvarintLen(uint64(len(m.Addr))) + len(m.Addr)
+	return scalarSize + code.UvarintLen(uint64(m.ID)) + code.UvarintLen(uint64(len(m.Addr))) + len(m.Addr)
 }
 
 // Kind implements Msg.
@@ -326,9 +321,9 @@ func (m Ping) Kind() byte { return KindPing }
 
 // Size implements Msg.
 func (m Welcome) Size() int {
-	sz := scalarSize + uvarintLen(uint64(len(m.Peers)))
+	sz := scalarSize + code.UvarintLen(uint64(len(m.Peers)))
 	for _, p := range m.Peers {
-		sz += uvarintLen(uint64(p.ID)) + uvarintLen(uint64(len(p.Addr))) + len(p.Addr)
+		sz += code.UvarintLen(uint64(p.ID)) + code.UvarintLen(uint64(len(p.Addr))) + len(p.Addr)
 	}
 	return sz
 }
@@ -340,19 +335,15 @@ func (m Welcome) Kind() byte { return KindWelcome }
 // 8-byte piggybacked scalars.
 const scalarSize = 17
 
-func codesWireSize(cs []code.Code) int {
-	n := uvarintLen(uint64(len(cs)))
-	for _, c := range cs {
-		n += c.WireSize()
+// stampedSize returns the encoded size of a message's code batch. The messages
+// whose codes are a table's frontier — Report, DigestReport, TableMsg — carry
+// it as a stamp: the sending core holds the figure as the table's WireSize
+// (FlushReport, SendTable), so the transports' Size call on every send is a
+// field read. A decoded or hand-built message has no stamp and walks its codes.
+// A real size is never 0: the code count alone takes a byte.
+func stampedSize(stamp int, cs []code.Code) int {
+	if stamp > 0 {
+		return stamp
 	}
-	return n
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	return code.WireSizeAll(cs)
 }

@@ -1,69 +1,90 @@
 package protocol
 
-import "testing"
+import (
+	"testing"
 
-// TestTablePushSizeStamp: Core.SendTable stamps a TableMsg with the size its
-// table already holds, so Size() is a field read on the sending side. Real
-// cores are driven over the loopback net — core 0 works in short bursts, the
-// rest starve, steal, report and push their tables between them — and every
-// table push any core makes must be charged exactly what the codec writes and
-// what the walk over its codes adds up to; the same message rebuilt by Decode
-// carries no stamp, takes the walk, and must report the same size.
+	"gossipbnb/internal/code"
+)
+
+// stampOf returns the code batch of a message that may carry a size stamp,
+// and the stamp.
+func stampOf(m Msg) (cs []code.Code, stamp int, ok bool) {
+	switch t := m.(type) {
+	case TableMsg:
+		return t.Codes, t.codesSize, true
+	case Report:
+		return t.Codes, t.codesSize, true
+	case DigestReport:
+		return t.Codes, t.codesSize, true
+	}
+	return nil, 0, false
+}
+
+// TestTablePushSizeStamp: Core.SendTable and Core.FlushReport stamp what they
+// send with the size the table (or the outbox) already holds, so Size() is a
+// field read on the sending side however many members the message goes to.
+// Real cores are driven over the loopback net, with frontier reports and with
+// diff gossip — core 0 works in short bursts, the rest starve, steal, report
+// and push their tables between them — and every frontier any core sends must
+// be charged exactly what the codec writes and what the walk over its codes
+// adds up to; the same message rebuilt by Decode carries no stamp, takes the
+// walk, and must report the same size.
 func TestTablePushSizeStamp(t *testing.T) {
 	const n = 8
-	l := newLoopNet(n, 8, Config{})
-	l.cores[0].Seed(l.tree.Root())
-	for round := 0; round < 200 && !l.allDone(); round++ {
-		for k := 0; k < 6 && !l.done[0]; k++ { // a short burst, not l.run: the others must find work left
-			it, st := l.cores[0].Next()
-			switch st {
-			case Expand:
-				l.clk.t += 0.001
-				l.cores[0].OnExpanded(it, l.tree.Outcome(it), 0.001)
-			case Terminated:
-				l.done[0] = true
+	var multi [KindCount]int // per kind: stamped messages of more than one code
+	for _, cfg := range []Config{{}, {DiffGossip: true}} {
+		l := newLoopNet(n, 8, cfg)
+		l.cores[0].Seed(l.tree.Root())
+		for round := 0; round < 200 && !l.allDone(); round++ {
+			for k := 0; k < 6 && !l.done[0]; k++ { // a short burst, not l.run: the others must find work left
+				it, st := l.cores[0].Next()
+				switch st {
+				case Expand:
+					l.clk.t += 0.001
+					l.cores[0].OnExpanded(it, l.tree.Outcome(it), 0.001)
+				case Terminated:
+					l.done[0] = true
+				}
+			}
+			l.starveRound()
+		}
+		if !l.allDone() {
+			t.Fatal("not every core terminated")
+		}
+		for _, f := range l.log {
+			cs, stamp, ok := stampOf(f.m)
+			if !ok || len(cs) == 0 || isRootReport(f.m) {
+				continue // a bare digest push and the termination report are built by hand
+			}
+			if len(cs) > 1 {
+				multi[f.m.Kind()]++
+			}
+			if stamp == 0 {
+				t.Fatalf("%T %d→%d of %d codes carries no size stamp", f.m, f.from, f.to, len(cs))
+			}
+			buf, err := Encode(nil, f.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if walked := code.WireSizeAll(cs); stamp != walked || f.m.Size() != len(buf) {
+				t.Fatalf("%T of %d codes: stamp %d, codes walk to %d; Size() %d, encodes to %d bytes",
+					f.m, len(cs), stamp, walked, f.m.Size(), len(buf))
+			}
+			back, used, err := Decode(buf)
+			if err != nil || used != len(buf) {
+				t.Fatalf("Decode: %v, consumed %d of %d bytes", err, used, len(buf))
+			}
+			if _, stamp, _ := stampOf(back); stamp != 0 {
+				t.Fatalf("a decoded %T carries a size stamp (%d)", back, stamp)
+			}
+			if back.Size() != f.m.Size() {
+				t.Fatalf("decoded %T reports %d bytes, the stamped original %d", back, back.Size(), f.m.Size())
 			}
 		}
-		l.starveRound()
 	}
-	if !l.allDone() {
-		t.Fatal("not every core terminated")
-	}
-	pushes, multi := 0, 0
-	for _, f := range l.log {
-		m, ok := f.m.(TableMsg)
-		if !ok {
-			continue
+	for _, k := range []byte{KindTable, KindReport, KindDigestReport} {
+		if multi[k] == 0 {
+			t.Errorf("no stamped %s message of more than one code: the scenario no longer sends real frontiers", KindName(k))
 		}
-		pushes++
-		if len(m.Codes) > 1 {
-			multi++
-		}
-		if m.codesSize == 0 {
-			t.Fatalf("table push %d→%d of %d codes carries no size stamp", f.from, f.to, len(m.Codes))
-		}
-		buf, err := Encode(nil, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		walked := scalarSize + codesWireSize(m.Codes)
-		if m.Size() != len(buf) || m.Size() != walked {
-			t.Fatalf("table push of %d codes: Size() %d, encodes to %d bytes, codes walk to %d",
-				len(m.Codes), m.Size(), len(buf), walked)
-		}
-		back, used, err := Decode(buf)
-		if err != nil || used != len(buf) {
-			t.Fatalf("Decode: %v, consumed %d of %d bytes", err, used, len(buf))
-		}
-		d := back.(TableMsg)
-		if d.codesSize != 0 {
-			t.Fatalf("a decoded TableMsg carries a size stamp (%d)", d.codesSize)
-		}
-		if d.Size() != m.Size() {
-			t.Fatalf("decoded TableMsg reports %d bytes, the stamped original %d", d.Size(), m.Size())
-		}
-	}
-	if pushes < n || multi == 0 {
-		t.Fatalf("%d table pushes, %d with more than one code: the scenario no longer pushes real tables", pushes, multi)
 	}
 }
