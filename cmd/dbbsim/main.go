@@ -346,6 +346,8 @@ func run() int {
 		res.Terminated, res.Time, res.Optimum, res.OptimumOK)
 	printEngine(res.Shards, cfg.Shards, res.Events, elapsed)
 	fmt.Printf("expanded=%d  unique=%d  redundant=%d\n", res.Expanded, res.Unique, res.Redundant)
+	plans, regions := res.Met.TotalRecoveries()
+	fmt.Printf("recovery: %d plans, %d regions re-created\n", plans, regions)
 	if len(joins) > 0 || len(crashes) > 0 {
 		restarts := 0
 		for _, c := range crashes {

@@ -61,12 +61,9 @@ func main() {
 		res.Terminated, res.Time, res.Time/base.Time)
 	fmt.Printf("             optimum correct=%v, %d redundant expansions (%.1f%% of the tree)\n",
 		res.OptimumOK, res.Redundant, 100*float64(res.Redundant)/float64(st.Size))
-	recoveries := 0
-	for i := range res.Met.Nodes {
-		recoveries += res.Met.Nodes[i].Recoveries
-	}
-	fmt.Printf("             %d complement-based recoveries, %d messages cut by the partition\n",
-		recoveries, res.Net.Cut)
+	plans, regions := res.Met.TotalRecoveries()
+	fmt.Printf("             %d recovery plans re-created %d regions, %d messages cut by the partition\n",
+		plans, regions, res.Net.Cut)
 
 	if !res.Terminated || !res.OptimumOK {
 		log.SetFlags(0)

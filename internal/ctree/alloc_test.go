@@ -9,6 +9,7 @@ package ctree
 // allocate here, it has to argue with this file first.
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -117,6 +118,34 @@ func TestCodesAfterMutationAllocs(t *testing.T) {
 	if avg > bound {
 		t.Errorf("Codes after a mutation on a %d-code, %d-decision frontier: %.1f allocs, want ≤ %.0f",
 			n, decs, avg, bound)
+	}
+}
+
+// TestSampleComplementAllocs: a recovery plan allocates the codes it returns
+// and the slice that holds them — nothing per region walked past, nothing for
+// the count (a running sum) and nothing for the visitor.
+func TestSampleComplementAllocs(t *testing.T) {
+	tb := New()
+	for i, c := range counterLeaves(10) {
+		if i%3 != 0 {
+			tb.Insert(c)
+		}
+	}
+	n := tb.Gaps()
+	if n < 300 {
+		t.Fatalf("complement of %d regions is too small to tell a sample from a copy", n)
+	}
+	r := rand.New(rand.NewSource(1))
+	tb.SampleComplement(1, r.Intn) // warm the walk stacks
+	for _, k := range []int{1, 4, n / 8} {
+		avg := testing.AllocsPerRun(50, func() {
+			if got := tb.SampleComplement(k, r.Intn); len(got) != k {
+				t.Fatalf("drew %d regions, want %d", len(got), k)
+			}
+		})
+		if avg > float64(k+1) {
+			t.Errorf("SampleComplement(%d) of %d regions: %.1f allocs, want ≤ %d", k, n, avg, k+1)
+		}
 	}
 }
 

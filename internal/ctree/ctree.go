@@ -71,6 +71,16 @@ type node struct {
 // leaf reports that nothing was ever recorded below n.
 func (n *node) leaf() bool { return n.children[0]|n.children[1] == 0 }
 
+// gaps is the number of complement regions an incomplete n stands for: the
+// branch nothing was recorded on, or — a leaf, which in a settled table is
+// only the root of an empty one — the vertex's whole subproblem.
+func (n *node) gaps() int32 {
+	if n.children[0] != 0 && n.children[1] != 0 {
+		return 0
+	}
+	return 1
+}
+
 // forkBytes is what a vertex with two children adds to the front-coded
 // frontier: it is the deepest common ancestor of exactly one pair of adjacent
 // codes — the last under its branch 0 and the first under its branch 1 — and
@@ -98,6 +108,12 @@ type Table struct {
 	// free is the head of the vertex free list, threaded through
 	// children[0]; 0 means empty. prune feeds it; newChild pops it.
 	free uint32
+
+	// gaps counts the regions of the complement — the incomplete vertices that
+	// lack a child (node.gaps) — kept where the trie changes, like the frontier
+	// sums below, so a recovery plan knows how much is missing before it walks.
+	// (32 bits beside free: a wider Table leaves its allocation size class.)
+	gaps int32
 
 	// Sums over the frontier, kept where the trie changes. codes and depthSum
 	// count the complete vertices and the decisions of their codes (tally).
@@ -157,7 +173,7 @@ type frontierFrame struct {
 // tables each) never grow past a handful of vertices, and reserving more up
 // front is paid by every one of them.
 func New() *Table {
-	return &Table{nodes: make([]node, 1), nodeCount: 1}
+	return &Table{nodes: make([]node, 1), nodeCount: 1, gaps: 1}
 }
 
 // Reset empties the table in place, recycling every trie vertex through the
@@ -166,7 +182,7 @@ func New() *Table {
 func (t *Table) Reset() {
 	t.prune(0)
 	t.nodes[0] = node{}
-	t.codes, t.wireSum, t.depthSum = 0, 0, 0
+	t.codes, t.wireSum, t.depthSum, t.gaps = 0, 0, 0, 1
 	t.digested = false // every vertex was just zeroed
 	t.invalidate()
 }
@@ -189,6 +205,9 @@ func (t *Table) newChild(p uint32, v uint32, b uint8) uint32 {
 		t.free = t.nodes[i].children[0]
 	}
 	parent := &t.nodes[p]
+	if parent.leaf() {
+		t.gaps++ // the new leaf's; under a one-child parent it takes over the parent's
+	}
 	edge := code.UvarintLen(uint64(v)<<1 | uint64(b))
 	t.nodes[i] = node{depth: parent.depth + 1, edgeBytes: uint32(edge)}
 	t.nodeCount++
@@ -303,12 +322,14 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 
 // prune recycles the subtrees below a vertex that just became complete; its
 // descendants carry no extra information, and their edges, their forks and the
-// codes of the complete ones leave the frontier sums. The walk is iterative and
-// feeds the free list, so a prune is allocation-free and later inserts reuse
-// the vertices.
+// codes of the complete ones leave the frontier sums, and whatever the vertex
+// and its incomplete descendants lacked leaves the complement. The walk is
+// iterative and feeds the free list, so a prune is allocation-free and later
+// inserts reuse the vertices.
 func (t *Table) prune(at uint32) {
 	n := &t.nodes[at]
 	t.wireSum -= n.forkBytes()
+	t.gaps -= n.gaps()
 	t.nstack = t.nstack[:0]
 	for b := 0; b < 2; b++ {
 		if n.children[b] != 0 {
@@ -327,6 +348,8 @@ func (t *Table) prune(at uint32) {
 		}
 		if v.complete {
 			t.tally(v, -1)
+		} else {
+			t.gaps -= v.gaps()
 		}
 		t.wireSum -= int(v.edgeBytes) + v.forkBytes()
 		t.nodeCount--
@@ -479,13 +502,49 @@ func (t *Table) frontierSize(start uint32, max int) (n, decs int, ok bool) {
 }
 
 // Complement returns a minimal set of codes covering every tree node not
-// known completed. A process that suspects work has been lost picks an entry
-// of the complement and re-solves it (§5.3.2 failure recovery). If max > 0,
-// at most max codes are returned. An empty result means the table is
-// complete. An empty *table* yields the root code: nothing is known, so
-// everything must be (re)done.
+// known completed. A process that suspects work has been lost picks entries
+// of the complement and re-solves them (§5.3.2 failure recovery). If max > 0,
+// at most max codes are returned, the first in walk order. An empty result
+// means the table is complete. An empty *table* yields the root code: nothing
+// is known, so everything must be (re)done.
 func (t *Table) Complement(max int) []code.Code {
 	var out []code.Code
+	t.eachGap(func(c code.Code) bool {
+		out = append(out, c.Clone())
+		return max <= 0 || len(out) < max
+	})
+	return out
+}
+
+// Gaps returns the number of regions in the complement, len(Complement(0)),
+// read off the running sum. It is 0 exactly when the table is complete.
+func (t *Table) Gaps() int { return int(t.gaps) }
+
+// SampleComplement returns k regions of the complement (all of them when
+// k >= Gaps), every k-subset equally likely, in walk order. rnd(n) must be
+// uniform on [0, n). One walk, which stops at the last region chosen, and
+// only the chosen codes are copied: selection sampling (Knuth 3.4.2 S) takes
+// each region with probability (still wanted)/(still to come).
+func (t *Table) SampleComplement(k int, rnd func(n int) int) []code.Code {
+	left := int(t.gaps)
+	if k = min(k, left); k <= 0 {
+		return nil
+	}
+	out := make([]code.Code, 0, k)
+	t.eachGap(func(c code.Code) bool {
+		if rnd(left) < k-len(out) {
+			out = append(out, c.Clone())
+		}
+		left--
+		return len(out) < k
+	})
+	return out
+}
+
+// eachGap walks the complement depth-first, branch 0 before branch 1, calling
+// visit with each region's code until it returns false. The code is the shared
+// walk prefix: visit must copy what it keeps.
+func (t *Table) eachGap(visit func(c code.Code) bool) {
 	t.scratch = t.scratch[:0]
 	t.frames = append(t.frames[:0], walkFrame{})
 	for len(t.frames) > 0 {
@@ -497,9 +556,8 @@ func (t *Table) Complement(max int) []code.Code {
 			} else if n.leaf() {
 				// Nothing below this node has been reported: the whole
 				// subproblem is (as far as we know) outstanding.
-				out = append(out, t.scratch.Clone())
-				if max > 0 && len(out) >= max {
-					return out
+				if !visit(t.scratch) {
+					return
 				}
 				f.b = 2
 			}
@@ -515,11 +573,10 @@ func (t *Table) Complement(max int) []code.Code {
 			// The sibling branch was reported but this branch never was:
 			// complement it (the paper's "complementing the code of a solved
 			// problem whose sibling is not solved").
-			out = append(out, t.scratch.Clone())
-			t.scratch = t.scratch[:len(t.scratch)-1]
-			if max > 0 && len(out) >= max {
-				return out
+			if !visit(t.scratch) {
+				return
 			}
+			t.scratch = t.scratch[:len(t.scratch)-1]
 			continue
 		}
 		t.frames = t.frames[:len(t.frames)-1]
@@ -527,7 +584,6 @@ func (t *Table) Complement(max int) []code.Code {
 			t.scratch = t.scratch[:len(t.scratch)-1]
 		}
 	}
-	return out
 }
 
 // Merge inserts every frontier code of other into t. It returns the number
@@ -654,6 +710,7 @@ func (t *Table) Clone() *Table {
 		codes:     t.codes,
 		wireSum:   t.wireSum,
 		depthSum:  t.depthSum,
+		gaps:      t.gaps,
 		digested:  t.digested,
 	}
 }

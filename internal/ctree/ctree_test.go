@@ -561,3 +561,73 @@ func BenchmarkListInsertContract(b *testing.B) {
 		}
 	}
 }
+
+// TestSampleComplementEnds: an empty table's complement is the root alone, a
+// complete table's is empty — and nothing is drawn from an empty complement,
+// not even a random number.
+func TestSampleComplementEnds(t *testing.T) {
+	tb := New()
+	if got := tb.SampleComplement(4, rand.New(rand.NewSource(1)).Intn); len(got) != 1 || !got[0].Equal(code.Root()) {
+		t.Errorf("SampleComplement of an empty table = %v, want [()]", got)
+	}
+	if tb.Gaps() != 1 {
+		t.Errorf("Gaps of an empty table = %d, want 1", tb.Gaps())
+	}
+	tb.Insert(code.Root())
+	if got := tb.SampleComplement(4, func(int) int { t.Error("drew from a complete table"); return 0 }); got != nil {
+		t.Errorf("SampleComplement of a complete table = %v, want nil", got)
+	}
+	if tb.Gaps() != 0 {
+		t.Errorf("Gaps of a complete table = %d, want 0", tb.Gaps())
+	}
+	tb.Reset()
+	if tb.Gaps() != 1 {
+		t.Errorf("Gaps after Reset = %d, want 1", tb.Gaps())
+	}
+}
+
+// TestSampleComplementUniform: over 4 000 plans of the recovery size (an
+// eighth: 4 of 32) from one fixed random stream, every one of 32 regions is
+// drawn within a quarter of its share — a prefix window, a shallow-biased
+// descent or an off-by-one in the selection probability all fail this by far
+// more (σ of a region's count is ≈ 21 of 500).
+func TestSampleComplementUniform(t *testing.T) {
+	// Complete every second leaf of a 64-leaf tree: the 32 others are the
+	// complement, all at the same depth.
+	tb := New()
+	leaves := counterLeaves(6)
+	idx := map[string]int{}
+	for i, c := range leaves {
+		if i%2 == 0 {
+			tb.Insert(c)
+		} else {
+			idx[c.Key()] = len(idx)
+		}
+	}
+	const regions, k, plans = 32, 4, 4000
+	if tb.Gaps() != regions {
+		t.Fatalf("Gaps = %d, want %d", tb.Gaps(), regions)
+	}
+	r := rand.New(rand.NewSource(7))
+	var hits [regions]int
+	for p := 0; p < plans; p++ {
+		got := tb.SampleComplement(k, r.Intn)
+		if len(got) != k {
+			t.Fatalf("plan %d drew %d regions, want %d", p, len(got), k)
+		}
+		for _, c := range got {
+			i, ok := idx[c.Key()]
+			if !ok {
+				t.Fatalf("plan %d drew %v, not in the complement", p, c)
+			}
+			hits[i]++
+		}
+	}
+	const share = plans * k / regions
+	for i, h := range hits {
+		if h < share*3/4 || h > share*5/4 {
+			t.Errorf("region %d drawn %d times in %d plans, want %d ± 25 %%: %v", i, h, plans, share, hits)
+			break
+		}
+	}
+}

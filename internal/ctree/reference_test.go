@@ -101,6 +101,23 @@ func (t *refTable) contract(c code.Code) {
 
 func (t *refTable) Complete() bool { return t.root.complete }
 
+// SampleComplement is the sampled walk done the plain way: build the whole
+// complement, then run the same selection sampling over the list, so the same
+// rnd sequence must choose the same regions.
+func (t *refTable) SampleComplement(k int, rnd func(n int) int) []code.Code {
+	comp := t.Complement(0)
+	var out []code.Code
+	for i, c := range comp {
+		if len(out) >= k {
+			break
+		}
+		if rnd(len(comp)-i) < k-len(out) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 func (t *refTable) Contains(c code.Code) bool {
 	n := t.root
 	for _, d := range c {
@@ -264,9 +281,63 @@ func checkAgainstRef(t *testing.T, opt *Table, ref *refTable, probes []code.Code
 			t.Fatalf("Complement(%d): opt %v, ref %v", max, oc, rc)
 		}
 	}
+	checkSampleAgainstRef(t, opt, ref)
 	for _, p := range probes {
 		if opt.Contains(p) != ref.Contains(p) {
 			t.Fatalf("Contains(%v): opt %v, ref %v", p, opt.Contains(p), ref.Contains(p))
+		}
+	}
+}
+
+// cheapRand is a repeatable rnd(n) for the per-step checks, where seeding a
+// math/rand source a dozen times per step would dominate the suite.
+func cheapRand(state uint64) func(n int) int {
+	return func(n int) int {
+		state = state*6364136223846793005 + 1442695040888963407
+		return int((state >> 33) % uint64(n))
+	}
+}
+
+// checkSampleAgainstRef holds the sampled complement walk to its contract on
+// whatever state the sequence reached: Gaps is the size of the complement (so
+// 0 exactly when the table is complete); a draw of k is min(k, N) distinct
+// regions of Complement(0), none of them Contains-ed, in walk order, and the
+// very ones the reference picks from the same random sequence; asking for N or
+// more returns the complement itself.
+func checkSampleAgainstRef(t *testing.T, opt *Table, ref *refTable) {
+	t.Helper()
+	comp := ref.Complement(0)
+	n := len(comp)
+	if opt.Gaps() != n {
+		t.Fatalf("Gaps = %d, complement holds %d: %v", opt.Gaps(), n, comp)
+	}
+	if (n == 0) != opt.Complete() {
+		t.Fatalf("Gaps = %d on a table with Complete() = %v", n, opt.Complete())
+	}
+	for _, k := range []int{-1, 0, 1, 3, n / 2, n, n + 5} {
+		got := opt.SampleComplement(k, cheapRand(uint64(k)))
+		want := ref.SampleComplement(k, cheapRand(uint64(k)))
+		if !codesExactlyEqual(got, want) {
+			t.Fatalf("SampleComplement(%d) of %v: opt %v, ref %v", k, comp, got, want)
+		}
+		if len(got) != max(0, min(k, n)) {
+			t.Fatalf("SampleComplement(%d) of %d regions returned %d", k, n, len(got))
+		}
+		if k >= n && !codesExactlyEqual(got, comp) {
+			t.Fatalf("SampleComplement(%d) = %v, want the whole complement %v", k, got, comp)
+		}
+		at := 0 // walk order and membership at once: got is a subsequence of comp
+		for _, c := range got {
+			for at < n && !comp[at].Equal(c) {
+				at++
+			}
+			if at == n {
+				t.Fatalf("SampleComplement(%d) = %v is not a subsequence of %v", k, got, comp)
+			}
+			at++ // past the match: a duplicate cannot match again
+			if opt.Contains(c) {
+				t.Fatalf("SampleComplement(%d) drew %v, which the table contains", k, c)
+			}
 		}
 	}
 }

@@ -696,6 +696,9 @@ func (n *node) observeTable() {
 // within each shard and merge the key sets after the run, so Unique is exact;
 // only the per-node Redundant tallies become shard-local approximations.
 func (n *node) noteExpansion(c code.Code) {
+	if n.h.ghost != nil {
+		n.h.ghost(n, c)
+	}
 	sh := n.sh
 	sh.keyBuf = c.EncodeInto(sh.keyBuf)
 	if n.rec.expanded[string(sh.keyBuf)] {

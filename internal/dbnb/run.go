@@ -158,6 +158,11 @@ type harness struct {
 	// register their one context's deliver directly.
 	muxes   []*instance.Mux
 	members []*member.Member
+	// ghost, if non-nil, is shown every expansion noteExpansion books, before
+	// it is booked. Test-only (redundancy_test.go sets it on a harness it
+	// builds itself, one shard): the ledger that says why an expansion was
+	// redundant needs the moment it happened, not the end-of-run totals.
+	ghost func(n *node, c code.Code)
 }
 
 // shardOf returns the context owning process i.
@@ -693,6 +698,7 @@ func (h *harness) fold(sp *spec, end float64) InstanceResult {
 		n.met.TablesSent = cnt.TablesSent
 		n.met.WorkRequests = cnt.WorkRequests
 		n.met.WorkSent = cnt.WorkSent
+		n.met.RecoveryPlans = cnt.RecoveryPlans
 		n.met.Recoveries = cnt.Recoveries
 		n.met.PeakPool = cnt.PeakPool
 		switch {

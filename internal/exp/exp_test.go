@@ -243,12 +243,21 @@ func TestAblationReportPolicyShape(t *testing.T) {
 
 func TestAblationRecoveryShape(t *testing.T) {
 	rows := AblationRecoveryPatience(1)
-	if len(rows) != 9 {
+	if len(rows) != 18 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	for _, r := range rows {
+	for i, r := range rows {
 		if !r.OptimumOK {
-			t.Errorf("patience=%d quiet=%.0f failed", r.Patience, r.Quiet)
+			t.Errorf("procs=%d patience=%d quiet=%.0f failed", r.Procs, r.Patience, r.Quiet)
+		}
+		if want := []int{4, 32}[i/9]; r.Procs != want {
+			t.Errorf("row %d runs %d processes, want %d", i, r.Procs, want)
+		}
+		if r.WorkRatio < 1 || r.Effort < r.WorkRatio {
+			t.Errorf("row %d: work_ratio %.3f, effort %.3f", i, r.WorkRatio, r.Effort)
+		}
+		if r.Plans == 0 && r.Recoveries > 0 {
+			t.Errorf("row %d: %d regions re-created by %d plans", i, r.Recoveries, r.Plans)
 		}
 	}
 	var buf bytes.Buffer

@@ -92,7 +92,8 @@ type Node struct {
 	TablesSent    int   // full-table gossip messages sent
 	WorkSent      int   // subproblems shipped to requesters
 	WorkRequests  int   // work-request messages sent
-	Recoveries    int   // complement-based recoveries triggered
+	RecoveryPlans int   // non-empty complement recovery plans drawn
+	Recoveries    int   // subproblems those plans re-created
 	PeakTableSize int   // bytes, max over time of the local table encoding
 	PeakPool      int   // max active problems held at once
 	BytesSent     int64 // payload bytes (mirror of the network's per-sender count)
@@ -165,6 +166,16 @@ func (s *System) TotalRedundant() int {
 		t += s.Nodes[i].Redundant
 	}
 	return t
+}
+
+// TotalRecoveries sums the recovery plans drawn and the regions they
+// re-created.
+func (s *System) TotalRecoveries() (plans, regions int) {
+	for i := range s.Nodes {
+		plans += s.Nodes[i].RecoveryPlans
+		regions += s.Nodes[i].Recoveries
+	}
+	return plans, regions
 }
 
 // AggregateBreakdown sums the per-node breakdowns.

@@ -218,7 +218,8 @@ type Counters struct {
 	TablesSent    int // full-table gossip messages sent
 	WorkRequests  int // work-request messages sent
 	WorkSent      int // subproblems shipped to requesters
-	Recoveries    int // subproblems re-created by complement recovery
+	RecoveryPlans int // non-empty complement recovery plans drawn
+	Recoveries    int // subproblems those plans re-created (adopted into the pool)
 	PeakPool      int // max active problems held at once
 }
 
@@ -233,6 +234,7 @@ func (c Counters) Merge(o Counters) Counters {
 	c.TablesSent += o.TablesSent
 	c.WorkRequests += o.WorkRequests
 	c.WorkSent += o.WorkSent
+	c.RecoveryPlans += o.RecoveryPlans
 	c.Recoveries += o.Recoveries
 	if o.PeakPool > c.PeakPool {
 		c.PeakPool = o.PeakPool
@@ -673,6 +675,18 @@ func (c *Core) RequestPending() bool { return c.reqPending }
 // driver charges the complement scan as contraction time, then calls Adopt —
 // the split lets the simulator make the scan a busy period during which
 // messages may still complete some of the planned codes.
+//
+// The plan is a uniform draw without replacement over the whole complement,
+// an eighth of it and at least min(4, 1+N/4) regions: recoverers whose tables
+// agree see the same N regions, and nothing coordinates them (the paper's
+// "lack of coordination" redundancy), so what keeps them apart is that each
+// draws its own small share of everything missing — a share of the first few
+// regions in walk order is the same corner for all of them. The size follows
+// N so that a lone survivor's complement shrinks by a fixed fraction per quiet
+// window, not by a fixed count. Every outstanding region has positive
+// probability in every plan, and a plan holds only codes the local table lacks,
+// so the policy is as safe and as live as adopting all of them (DESIGN.md
+// "Failure recovery").
 func (c *Core) PlanRecovery() []code.Code {
 	if c.cfg.DisableRecovery || c.terminated {
 		return nil
@@ -683,29 +697,12 @@ func (c *Core) PlanRecovery() []code.Code {
 	// back into the probing path. Only an actual work grant resets the
 	// counter — this is the paper's "how soon failure is suspected" knob.
 	c.failedReqs = c.cfg.RecoveryPatience
-	comp := c.table.Complement(8)
-	if len(comp) == 0 {
-		return nil
+	n := c.table.Gaps()
+	plan := c.table.SampleComplement(max(min(4, 1+n/4), n/8), c.d.Rand)
+	if len(plan) > 0 {
+		c.cnt.RecoveryPlans++
 	}
-	// Adopt a few uncompleted regions, starting from a random one so
-	// concurrent recoverers tend to pick different regions (the paper's
-	// "lack of coordination" redundancy, reduced but not eliminated).
-	// Adopt more when much is missing (a lone survivor rebuilding) and
-	// less when little is (the end-game tail, where regions picked here
-	// are probably in progress elsewhere).
-	adopt := 1 + len(comp)/4
-	if adopt > 4 {
-		adopt = 4
-	}
-	if adopt > len(comp) {
-		adopt = len(comp)
-	}
-	off := c.d.Rand(len(comp))
-	out := make([]code.Code, 0, adopt)
-	for i := 0; i < adopt; i++ {
-		out = append(out, comp[(off+i)%len(comp)])
-	}
-	return out
+	return plan
 }
 
 // Adopt pushes the planned recovery codes that are still uncompleted and

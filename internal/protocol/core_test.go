@@ -274,6 +274,60 @@ func TestCoreRecoveryAfterQuietWindow(t *testing.T) {
 	}
 }
 
+// TestCorePlanRecoverySize pins the one recovery rule: with N regions
+// outstanding a plan holds max(min(4, 1+N/4), N/8) of them, all of them from
+// the complement, and RecoveryPlans counts the plans that held anything.
+func TestCorePlanRecoverySize(t *testing.T) {
+	const depth = 8 // 256 leaves
+	var leaves []code.Code
+	for i := 0; i < 1<<depth; i++ {
+		c := code.Root()
+		for d := 0; d < depth; d++ {
+			c = c.Child(uint32(d+1), uint8(i>>(depth-1-d))&1)
+		}
+		leaves = append(leaves, c)
+	}
+	for _, tc := range []struct{ n, want int }{
+		{1, 1}, {3, 1}, {4, 2}, {11, 3}, {12, 4}, {39, 4}, {40, 5}, {128, 16},
+	} {
+		e := newEnv(t, depth, Config{}, []NodeID{1})
+		state := uint64(tc.n)
+		e.core.d.Rand = func(n int) int {
+			state = state*6364136223846793005 + 1442695040888963407
+			return int((state >> 33) % uint64(n))
+		}
+		// Complete every leaf but each second one of the first 2·n: n regions.
+		for i, c := range leaves {
+			if i >= 2*tc.n || i%2 == 0 {
+				e.core.Table().Insert(c)
+			}
+		}
+		if got := e.core.Table().Gaps(); got != tc.n {
+			t.Fatalf("built %d regions, want %d", got, tc.n)
+		}
+		plan := e.core.PlanRecovery()
+		if len(plan) != tc.want {
+			t.Errorf("N = %d: plan of %d regions, want %d", tc.n, len(plan), tc.want)
+		}
+		for _, c := range plan {
+			if len(c) != depth || c[depth-1].Branch != 1 || e.core.Table().Contains(c) {
+				t.Errorf("N = %d: planned %v, not an outstanding region", tc.n, c)
+			}
+		}
+		if got := e.core.Counters().RecoveryPlans; got != 1 {
+			t.Errorf("N = %d: RecoveryPlans = %d after one plan", tc.n, got)
+		}
+	}
+	e := newEnv(t, depth, Config{}, []NodeID{1})
+	e.core.Table().Insert(code.Root())
+	if plan := e.core.PlanRecovery(); plan != nil {
+		t.Errorf("plan on a complete table = %v", plan)
+	}
+	if got := e.core.Counters().RecoveryPlans; got != 0 {
+		t.Errorf("RecoveryPlans = %d after an empty plan", got)
+	}
+}
+
 func TestCoreRecoveryGatedByRemoteActivity(t *testing.T) {
 	e := newEnv(t, 4, Config{RecoveryPatience: 1, RecoveryQuiet: 10}, []NodeID{1})
 	e.core.Starve()
