@@ -2,6 +2,7 @@ package dbnb
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
 	randv2 "math/rand/v2"
 	"slices"
@@ -84,18 +85,21 @@ type node struct {
 	// order no matter which shards the senders ran on.
 	wake bool
 
-	// incarn is the crash-restart incarnation: every busy-period and pacing
-	// callback captures it at schedule time and aborts if the node has been
-	// reborn since — a pre-crash expansion finishing after the restart must
-	// not leak the dead incarnation's state into the fresh core.
+	// incarn is the crash-restart incarnation: every busy-period callback
+	// captures it at schedule time and aborts if the node has been reborn
+	// since — a pre-crash expansion finishing after the restart must not leak
+	// the dead incarnation's state into the fresh core.
 	incarn    int
 	crashedAt float64
 	// cntPrior accumulates dead incarnations' protocol counters, so the
 	// experiment tables count messages a crashed process really sent.
 	cntPrior protocol.Counters
 
-	reqWaiting bool // pacing delay between failed load-balancing attempts
-	reqTimer   sim.Event
+	// idleTimer calls a starving core back at its WakeAt — a work request's
+	// deadline or the end of a retry pace — and idleAt is when it fires
+	// (+Inf when nothing is armed).
+	idleTimer sim.Event
+	idleAt    float64
 	// reportTimer and tableTimer are the pending periodic ticks, cancelled at
 	// crash so a restart can restagger fresh chains without doubling them.
 	reportTimer sim.Event
@@ -111,11 +115,10 @@ type node struct {
 	reportTickFn  func()
 	tableTickFn   func()
 	wakeFn        func()
+	idleFn        func()
 	expandDoneFn  func(int)
 	drainDoneFn   func(int)
 	recoverDoneFn func(int)
-	paceDoneFn    func(int)
-	reqTimeoutFn  func(int)
 
 	pendItem     protocol.Item // expansion in flight
 	pendStart    float64       // busy-period start (expand/drain/recover)
@@ -223,7 +226,7 @@ func newNode(id sim.NodeID, h *harness, sp *spec) *node {
 	sh := h.shardOf(int(id))
 	n := &node{
 		id: id, h: h, spec: sp, sh: sh, rec: &sh.recs[sp.idx], k: sh.k,
-		exp: sp.w.newExpander(), idleStart: -1, met: &sp.met.Nodes[id],
+		exp: sp.w.newExpander(), idleStart: -1, idleAt: math.Inf(1), met: &sp.met.Nodes[id],
 	}
 	if h.muxes != nil {
 		n.mux = h.muxes[id]
@@ -246,11 +249,10 @@ func newNode(id sim.NodeID, h *harness, sp *spec) *node {
 	n.tableTickFn = n.tableTick
 	n.bootTickFn = n.bootstrapTick
 	n.wakeFn = n.wakeup
+	n.idleFn = n.idleFire
 	n.expandDoneFn = n.expandDone
 	n.drainDoneFn = n.drainDone
 	n.recoverDoneFn = n.recoverDone
-	n.paceDoneFn = n.paceDone
-	n.reqTimeoutFn = n.reqTimeout
 	n.initCore()
 	if n.mux != nil {
 		e, ok := n.mux.Open(sp.id, n.core, n.exp)
@@ -277,6 +279,8 @@ func (n *node) initCore() {
 		AdaptiveReports:  cfg.AdaptiveReports,
 		MinPoolToShare:   cfg.MinPoolToShare,
 		MaxShare:         cfg.MaxShare,
+		RequestTimeout:   cfg.RequestTimeout,
+		RetryDelay:       cfg.RetryDelay,
 		RecoveryPatience: cfg.RecoveryPatience,
 		RecoveryQuiet:    cfg.RecoveryQuiet,
 		DisableRecovery:  cfg.DisableRecovery,
@@ -470,51 +474,35 @@ func (n *node) bootstrapTick() {
 // --- load balancing and recovery ---------------------------------------------
 
 // requestWork lets the core run its starvation decision, then arranges the
-// substrate side: a timeout for the probe, a pacing delay, or the recovery
-// busy period.
+// substrate side: the recovery busy period, or the idle timer for whenever
+// the core next wants to be called.
 func (n *node) requestWork() {
-	if n.dead() || n.reqWaiting || n.busy {
-		return
-	}
-	switch n.core.Starve() {
-	case protocol.StarveRequested:
-		n.reqTimer = n.k.AfterArg(n.h.cfg.RequestTimeout, n.reqTimeoutFn, n.incarn)
-	case protocol.StarveRecover:
+	if n.core.Starve() == protocol.StarveRecover {
 		n.recover()
-	case protocol.StarveWait:
-		if !n.core.RequestPending() {
-			// Alone inside the quiet window: try again later. (With a
-			// request outstanding its timer revives us instead.)
-			n.paceRetry()
-		}
+		return
+	}
+	n.armIdle()
+}
+
+// armIdle points the idle timer at the core's WakeAt, after every call that
+// can move it, and leaves a timer that is already right alone.
+func (n *node) armIdle() {
+	at := n.core.WakeAt()
+	if at == n.idleAt {
+		return
+	}
+	n.idleTimer.Cancel()
+	n.idleAt = at
+	if !math.IsInf(at, 1) {
+		n.idleTimer = n.k.At(at, n.idleFn)
 	}
 }
 
-// reqTimeout fires when a work-request answer is overdue; gen is the
-// incarnation that issued the request.
-func (n *node) reqTimeout(gen int) {
-	if n.incarn != gen || n.dead() {
-		return
-	}
-	n.core.RequestFailed()
-	n.paceRetry()
-}
-
-// paceRetry spaces failed load-balancing attempts RetryDelay apart.
-func (n *node) paceRetry() {
-	if n.reqWaiting {
-		return
-	}
-	n.reqWaiting = true
-	n.k.AfterArg(n.h.cfg.RetryDelay, n.paceDoneFn, n.incarn)
-}
-
-func (n *node) paceDone(gen int) {
-	if n.incarn != gen {
-		return
-	}
-	n.reqWaiting = false
-	if !n.dead() && !n.busy {
+// idleFire is the idle timer. A request deadline that passed becomes a retry
+// pace and re-arms the timer; a pace that ran out resumes the loop.
+func (n *node) idleFire() {
+	n.idleAt = math.Inf(1)
+	if n.armIdle(); math.IsInf(n.idleAt, 1) && !n.busy {
 		n.loop()
 	}
 }
@@ -644,13 +632,8 @@ func (n *node) drainInbox() {
 		case protocol.WorkGrant:
 			lbCost += cfg.CommOverhead * float64(1+len(t.Codes)/8)
 		}
-		eff := n.core.HandleMessage(protocol.NodeID(m.from), m.msg)
-		if eff.Answered {
-			n.reqTimer.Cancel()
-		}
-		if eff.Failed {
-			n.paceRetry()
-		}
+		n.core.HandleMessage(protocol.NodeID(m.from), m.msg)
+		n.armIdle() // an answer moves the deadline to a pace, or clears it
 	}
 	n.inbox = n.inbox[:0]
 	n.met.Add(metrics.LB, lbCost)
@@ -781,10 +764,11 @@ func (n *node) crash() {
 	n.cancelTimers()
 }
 
-// cancelTimers stops the request timeout and the report, table and bootstrap
+// cancelTimers stops the idle timer and the report, table and bootstrap
 // chains of a context that crashed or terminated.
 func (n *node) cancelTimers() {
-	n.reqTimer.Cancel()
+	n.idleTimer.Cancel()
+	n.idleAt = math.Inf(1)
 	n.reportTimer.Cancel()
 	n.tableTimer.Cancel()
 	n.bootTimer.Cancel()
@@ -807,7 +791,6 @@ func (n *node) restart() {
 	n.incarn++
 	n.crashed = false
 	n.busy = false
-	n.reqWaiting = false
 	n.inbox = nil
 	n.idleStart = -1
 	n.exp = n.spec.w.newExpander()

@@ -194,8 +194,6 @@ type incarnation struct {
 	// syncInstances poll.
 	instEpoch int64
 
-	lastProbe time.Time // paces starvation probes RetryDelay apart
-
 	sinceYield int // expansions since run last yielded its processor
 
 	// contacts is non-nil on a joiner's first incarnation: the members it
@@ -413,6 +411,8 @@ func (cl *Cluster) newCore(inc *incarnation, exp protocol.Expander, id protocol.
 		ReportFanout:     cfg.ReportFanout,
 		MinPoolToShare:   cfg.MinPoolToShare,
 		MaxShare:         cfg.MaxShare,
+		RequestTimeout:   cfg.RetryDelay.Seconds(), // one wait for a probe's answer, one pace after a failure
+		RetryDelay:       cfg.RetryDelay.Seconds(),
 		RecoveryPatience: cfg.RecoveryPatience,
 		RecoveryQuiet:    cfg.RecoveryQuiet.Seconds(),
 		DiffGossip:       cfg.DiffGossip,
@@ -809,15 +809,15 @@ func (inc *incarnation) run() {
 	}
 }
 
-// handle demultiplexes one delivered message to its instance's core and
-// reports which instance it addressed. The membership handshake
-// (Hello/Welcome) is driver business — views live in the driver, exactly as
-// in the simulator — so those two kinds are intercepted before any core.
+// handle demultiplexes one delivered message to its instance's core. The
+// membership handshake (Hello/Welcome) is driver business — views live in
+// the driver, exactly as in the simulator — so those two kinds are
+// intercepted before any core.
 // Untagged messages are the boot problem's (instance 0); tagged ones route
 // through the mux, with reaped instances answered from their tombstone and
 // unknown ones triggering a registry poll — a submitted instance's traffic
 // can outrun the submission epoch's propagation to this node.
-func (inc *incarnation) handle(env Envelope) (protocol.InstanceID, protocol.Effect) {
+func (inc *incarnation) handle(env Envelope) {
 	// Every delivered envelope is evidence its sender is alive — the
 	// piggybacked heartbeat. This must precede routing: a suspect's work
 	// request clears the suspicion before the core decides how to answer.
@@ -825,14 +825,14 @@ func (inc *incarnation) handle(env Envelope) (protocol.InstanceID, protocol.Effe
 	switch m := env.Msg.(type) {
 	case protocol.Hello:
 		inc.onHello(env.From, m)
-		return 0, protocol.Effect{}
+		return
 	case protocol.Welcome:
 		inc.onWelcome(env.From, m)
-		return 0, protocol.Effect{}
+		return
 	}
 	pm, ok := env.Msg.(protocol.Msg)
 	if !ok {
-		return 0, protocol.Effect{}
+		return
 	}
 	var id protocol.InstanceID
 	if im, ok := pm.(protocol.InstMsg); ok {
@@ -845,7 +845,7 @@ func (inc *incarnation) handle(env Envelope) (protocol.InstanceID, protocol.Effe
 	}
 	switch v {
 	case instance.RouteOpen:
-		return id, e.Core.HandleMessage(protocol.NodeID(env.From), pm)
+		e.Core.HandleMessage(protocol.NodeID(env.From), pm)
 	case instance.RouteReaped:
 		// The instance finished here. A straggler's work request is answered
 		// with the §5.4 root report carrying the final incumbent — the same
@@ -858,7 +858,6 @@ func (inc *incarnation) handle(env Envelope) (protocol.InstanceID, protocol.Effe
 			}
 		}
 	}
-	return id, protocol.Effect{}
 }
 
 // noteTerminated finishes one instance on this node: the boot problem flips
@@ -981,56 +980,28 @@ func (inc *incarnation) expand(e *instance.Entry, it protocol.Item) {
 	}
 }
 
-// starve runs one starving instance's out-of-work decision, then supplies
-// the substrate side: a bounded wait standing in for the simulator's request
-// timer, or the complement recovery the core planned. The mux only reaches
-// here when no hosted instance can expand, so the bounded blocking never
-// withholds the processor from runnable work.
+// starve runs one starving instance's out-of-work decision: a recovery at
+// once, else block until a message arrives or the earliest WakeAt of any
+// hosted core. The mux only reaches here when no hosted instance can expand,
+// so the blocking never withholds the processor from runnable work.
 func (inc *incarnation) starve(e *instance.Entry) {
-	n := inc.n
-	// Pace probes RetryDelay apart no matter how full the inbox is — the
-	// wall-clock analogue of the simulator's retry pacing. Without it a
-	// cluster of starving processes answers every incoming message with a
-	// fresh probe and storms itself at network speed. The pace is shared
-	// across the node's instances: it bounds the process's probe rate.
-	if wait := n.cl.cfg.RetryDelay - time.Since(inc.lastProbe); wait > 0 {
-		select {
-		case env := <-inc.inbox:
-			inc.handle(env)
-			return
-		case <-time.After(wait):
-		case <-n.cl.stopAll:
-			return
-		}
-	}
-	switch e.Core.Starve() {
-	case protocol.StarveRecover:
+	if e.Core.Starve() == protocol.StarveRecover {
 		if plan := e.Core.PlanRecovery(); len(plan) > 0 {
 			e.Core.Adopt(plan)
 		}
-	case protocol.StarveRequested:
-		inc.lastProbe = time.Now()
-		// Wait for the answer — or anything else worth reacting to.
-		select {
-		case env := <-inc.inbox:
-			if id, eff := inc.handle(env); id != e.ID || !eff.Answered {
-				// Not this instance's answer; don't count a failed attempt,
-				// just re-enter the loop (the next starve probes again).
-				e.Core.AbandonRequest()
-			}
-		case <-time.After(n.cl.cfg.RetryDelay):
-			e.Core.RequestFailed()
-		case <-n.cl.stopAll:
-		}
-	case protocol.StarveWait:
-		// Nothing to send (e.g. a lone process inside the quiet window):
-		// pace the retry.
-		select {
-		case env := <-inc.inbox:
-			inc.handle(env)
-		case <-time.After(n.cl.cfg.RetryDelay):
-		case <-n.cl.stopAll:
-		}
+		return
+	}
+	wake := math.Inf(1)
+	inc.mux.Each(func(o *instance.Entry) { wake = min(wake, o.Core.WakeAt()) })
+	if math.IsInf(wake, 1) {
+		return // the pace ran out since Starve: starve again
+	}
+	wait := time.Duration((wake - inc.n.cl.clock.Now()) * float64(time.Second))
+	select {
+	case env := <-inc.inbox:
+		inc.handle(env)
+	case <-time.After(wait):
+	case <-inc.n.cl.stopAll:
 	}
 }
 

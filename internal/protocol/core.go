@@ -13,7 +13,7 @@
 // runs under the deterministic virtual-time simulator (internal/dbnb) and
 // the wall-clock goroutine runtime (internal/live). Drivers own everything
 // the substrate defines: timers, busy periods, cost accounting, crash
-// delivery. The Core owns every protocol decision.
+// delivery. The Core owns every protocol decision, idle deadlines included.
 package protocol
 
 import (
@@ -105,6 +105,10 @@ type Config struct {
 	// it grants work away. MaxShare caps problems per grant.
 	MinPoolToShare int
 	MaxShare       int
+	// RequestTimeout bounds the wait for a work request's answer. RetryDelay
+	// paces the next request after a failed attempt (WakeAt).
+	RequestTimeout float64
+	RetryDelay     float64
 	// RecoveryPatience is how many consecutive failed work requests a
 	// process tolerates before it presumes work was lost and recovers an
 	// uncompleted problem from the complement of its table (§5.3.2).
@@ -146,6 +150,12 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxShare <= 0 {
 		c.MaxShare = 16
+	}
+	if c.RequestTimeout <= 0 {
+		c.RequestTimeout = 3
+	}
+	if c.RetryDelay <= 0 {
+		c.RetryDelay = 1
 	}
 	if c.RecoveryPatience <= 0 {
 		c.RecoveryPatience = 3
@@ -265,8 +275,12 @@ type Core struct {
 	// told, and forwards the news instead of broadcasting it (terminate).
 	learned bool
 
-	reqPending bool
-	failedReqs int
+	// The idle discipline (WakeAt): the outstanding request and its deadline,
+	// the retry pace, and the consecutive failed attempts.
+	reqPending  bool
+	reqDeadline float64
+	paceUntil   float64
+	failedReqs  int
 	// poolKeys and keyBuf are scratch for the pooled-code guard: the key set
 	// of every code currently in the pool, rebuilt on demand when a grant or
 	// recovery adoption arrives. At-least-once delivery means the same code
@@ -592,25 +606,27 @@ type StarveDecision int
 
 // Starve decisions.
 const (
-	// StarveWait: nothing was sent (terminated, a request is already
-	// outstanding, or a lone process is inside the recovery quiet window);
-	// the driver should retry after its pacing delay.
+	// StarveWait: nothing was sent — a request is outstanding, the retry
+	// pace runs, or a lone process is inside the recovery quiet window. The
+	// driver calls again at WakeAt or when a message arrives.
 	StarveWait StarveDecision = iota
-	// StarveRequested: a work request went out; the driver must bound the
-	// wait and call RequestFailed if no grant or deny answers in time.
+	// StarveRequested: a work request went out. The core bounds the wait
+	// itself; the driver calls again at WakeAt or when a message arrives.
 	StarveRequested
 	// StarveRecover: enough failed attempts and a quiet window with no
 	// remote progress — presume work lost and run PlanRecovery/Adopt.
 	StarveRecover
 )
 
-// Starve runs the out-of-work decision of §5: flush any pending report
+// Starve runs the out-of-work decision of §5: wait while a request is
+// outstanding or the retry pace runs; otherwise flush any pending report
 // (lightly loaded processes send more work reports, §6.3.1), then either
 // probe a random member for work or — when requests keep failing and the
-// whole system has looked inactive for a quiet window — fall back to
-// failure recovery.
+// whole system has looked inactive for a quiet window — recover.
 func (c *Core) Starve() StarveDecision {
-	if c.terminated || c.reqPending || c.pool.Len() > 0 {
+	c.expire()
+	now := c.d.Clock.Now()
+	if c.terminated || c.reqPending || now < c.paceUntil || c.pool.Len() > 0 {
 		return StarveWait
 	}
 	c.FlushReport()
@@ -629,12 +645,12 @@ func (c *Core) Starve() StarveDecision {
 		if c.remoteAct > fresh {
 			fresh = c.remoteAct
 		}
-		if c.d.Clock.Now()-fresh >= quiet {
+		if now-fresh >= quiet {
 			return StarveRecover
 		}
 		if len(peers) == 0 {
 			// Alone and inside the quiet window: try again later.
-			c.failedReqs++
+			c.fail(now)
 			return StarveWait
 		}
 		// Keep probing; the counter stays at the threshold.
@@ -647,10 +663,43 @@ func (c *Core) Starve() StarveDecision {
 	c.d.Sender.Send(peers[c.d.Rand(len(peers))], WorkRequest{Incumbent: c.incumbent, ActAge: c.ActivityAge()})
 	c.cnt.WorkRequests++
 	c.reqPending = true
+	c.reqDeadline = now + c.cfg.RequestTimeout
 	return StarveRequested
 }
 
-// RequestFailed records that the outstanding work request went unanswered.
+// WakeAt settles an overdue request, then returns when a starving process's
+// driver should next call Starve unprompted: the request's deadline, else the
+// retry pace's end, else +Inf (Starve would act now, or the core terminated).
+// A message arriving first is handled as usual, and the driver asks again.
+func (c *Core) WakeAt() float64 {
+	if c.expire(); c.reqPending {
+		return c.reqDeadline
+	}
+	if c.d.Clock.Now() < c.paceUntil {
+		return c.paceUntil
+	}
+	return math.Inf(1)
+}
+
+// expire settles an overdue request as one failed attempt at its deadline,
+// which also anchors the retry pace; an answer arriving later is
+// unsolicited.
+func (c *Core) expire() {
+	if c.reqPending && c.d.Clock.Now() >= c.reqDeadline {
+		c.fail(c.reqDeadline)
+	}
+}
+
+// fail ends the request, if any, as a failed attempt at time at, and paces.
+func (c *Core) fail(at float64) {
+	c.reqPending = false
+	c.failedReqs++
+	c.paceUntil = at + c.cfg.RetryDelay
+}
+
+// RequestFailed counts the outstanding request, if any, as failed, without a
+// retry pace: for a driver keeping its own request timer and pace instead of
+// calling at WakeAt.
 func (c *Core) RequestFailed() {
 	if c.reqPending {
 		c.reqPending = false
@@ -658,14 +707,8 @@ func (c *Core) RequestFailed() {
 	}
 }
 
-// AbandonRequest clears the outstanding request without counting a failure —
-// for drivers that resolve each probe synchronously and received something
-// other than the answer.
-func (c *Core) AbandonRequest() { c.reqPending = false }
-
-// RequestPending reports whether a work request is outstanding, so drivers
-// with a request timer know the timer — not a pacing retry — will revive a
-// waiting process.
+// RequestPending reports whether a request is outstanding and unsettled, for
+// the same kind of driver; it leaves an overdue one to RequestFailed.
 func (c *Core) RequestPending() bool { return c.reqPending }
 
 // PlanRecovery presumes some reported-nowhere work was lost and selects
@@ -739,14 +782,13 @@ func (c *Core) Adopt(cands []code.Code) int {
 
 // --- message handling ---------------------------------------------------------
 
-// Effect summarizes what a delivered message changed, so drivers can cancel
-// request timers and pace retries without owning protocol state.
+// Effect summarizes what a delivered message did to the outstanding work
+// request, for a driver keeping its own request timer and pace (WakeAt).
 type Effect struct {
-	// Answered: an outstanding work request was resolved (grant or deny);
-	// the driver should cancel its request timeout.
+	// Answered: an outstanding work request was resolved (grant or deny).
 	Answered bool
 	// Failed: the resolution counts as a failed attempt (a deny, or a grant
-	// carrying nothing usable); the driver should pace the next attempt.
+	// carrying nothing usable).
 	Failed bool
 }
 
@@ -776,9 +818,8 @@ func (c *Core) HandleMessage(from NodeID, m Msg) Effect {
 	case WorkDeny:
 		c.observeIncumbent(t.Incumbent)
 		c.noteActivity(t.ActAge)
-		if c.reqPending {
-			c.reqPending = false
-			c.failedReqs++
+		if c.expire(); c.reqPending {
+			c.fail(c.d.Clock.Now())
 			eff = Effect{Answered: true, Failed: true}
 		}
 	case DigestReport:
@@ -1111,7 +1152,7 @@ func (c *Core) handleWorkRequest(from NodeID) {
 // produced will gossip.
 func (c *Core) handleGrant(g WorkGrant) Effect {
 	var eff Effect
-	if c.reqPending {
+	if c.expire(); c.reqPending {
 		c.reqPending = false
 		eff.Answered = true
 	}
@@ -1142,10 +1183,9 @@ func (c *Core) handleGrant(g WorkGrant) Effect {
 	} else if eff.Answered {
 		// Only an answer to this process's own outstanding request counts as
 		// a failed attempt. An unsolicited all-useless grant — stale, or a
-		// replayed duplicate of one already absorbed — must not make the
-		// driver pace a retry it never issued, nor push the process toward
-		// presuming failure.
-		c.failedReqs++
+		// replayed duplicate of one already absorbed — must not pace a retry
+		// the process never issued, nor push it toward presuming failure.
+		c.fail(c.d.Clock.Now())
 		eff.Failed = true
 	}
 	return eff
@@ -1162,12 +1202,13 @@ func (c *Core) handleGrant(g WorkGrant) Effect {
 // to end a run. The detector's broadcast alone reaches everyone in one
 // latency; the forwards make the news epidemic when that broadcast is cut
 // short (loss, a detector that dies mid-send); and a process neither reaches
-// is starving, so it probes on the driver's retry cadence and the first
+// is starving, so it probes on the retry pace and the first
 // terminated process it asks answers with the root report
 // (handleWorkRequest). If every informed process dies, the survivors finish
 // by complement recovery and one of them detects afresh.
 func (c *Core) terminate() {
 	c.terminated = true
+	c.reqPending, c.paceUntil = false, 0 // a finished core wants no wake-up
 	peers := c.d.Peers()
 	if len(peers) == 0 {
 		return

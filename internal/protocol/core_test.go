@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math"
 	"testing"
 
 	"gossipbnb/internal/code"
@@ -236,14 +237,156 @@ func TestCoreRequestLifecycle(t *testing.T) {
 	}
 }
 
+// --- the idle discipline, on the fake clock ---------------------------------
+
+// probes counts the work requests among what the core sent since the last
+// take.
+func (e *env) probes() int {
+	n := 0
+	for _, s := range e.snd.take() {
+		if _, ok := s.m.(WorkRequest); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// starveAt runs Starve at clock time at and returns its decision and the
+// probes it sent.
+func (e *env) starveAt(at float64) (StarveDecision, int) {
+	e.clk.t = at
+	dec := e.core.Starve()
+	return dec, e.probes()
+}
+
+// TestIdleDenyPacesNextProbe: after a deny the next probe waits RetryDelay
+// from the deny — and a paced Starve neither flushes the outbox nor draws a
+// random number.
+func TestIdleDenyPacesNextProbe(t *testing.T) {
+	e := newEnv(t, 4, Config{RetryDelay: 1, RequestTimeout: 3}, []NodeID{1})
+	draws := 0
+	e.core.d.Rand = func(int) int { draws++; return 0 }
+	if dec, p := e.starveAt(0); dec != StarveRequested || p != 1 {
+		t.Fatalf("first starve = %v with %d probes, want one request", dec, p)
+	}
+	e.clk.t = 0.5
+	e.core.HandleMessage(1, WorkDeny{})
+	e.core.outbox.Insert(e.tree.Root().Code.Child(1, 0))
+	before := draws
+	if dec, p := e.starveAt(1.49); dec != StarveWait || p != 0 {
+		t.Fatalf("starve inside the pace = %v with %d probes, want a wait", dec, p)
+	}
+	if draws != before || e.core.outbox.Len() == 0 {
+		t.Errorf("a paced starve drew %d numbers and left %d codes in the outbox, want none drawn and the outbox kept", draws-before, e.core.outbox.Len())
+	}
+	if dec, p := e.starveAt(1.5); dec != StarveRequested || p != 1 {
+		t.Fatalf("starve at the pace's end = %v with %d probes, want one request", dec, p)
+	}
+}
+
+// TestIdleUnrelatedTrafficKeepsRequest: a message that does not answer the
+// outstanding request changes nothing about it — no new probe until the
+// answer, or until RequestTimeout and then the pace have passed.
+func TestIdleUnrelatedTrafficKeepsRequest(t *testing.T) {
+	e := newEnv(t, 4, Config{RetryDelay: 1, RequestTimeout: 3}, []NodeID{1, 2})
+	e.starveAt(0)
+	for _, at := range []float64{0.5, 1, 2.9} {
+		e.clk.t = at
+		e.core.HandleMessage(2, Report{Codes: []code.Code{code.Root().Child(1, 0)}})
+		if dec, p := e.starveAt(at); dec != StarveWait || p != 0 {
+			t.Fatalf("starve at %g after an unrelated report = %v with %d probes, want a wait", at, dec, p)
+		}
+	}
+	if dec, p := e.starveAt(3.5); dec != StarveWait || p != 0 {
+		t.Fatalf("starve after the timeout = %v with %d probes, want the pace", dec, p)
+	}
+	if dec, p := e.starveAt(4); dec != StarveRequested || p != 1 {
+		t.Fatalf("starve after timeout and pace = %v with %d probes, want one request", dec, p)
+	}
+	// A grant answers at once: no timeout, no pace.
+	e.clk.t = 4.2
+	it, _ := e.tree.Locate(code.Root().Child(1, 1))
+	e.core.HandleMessage(1, WorkGrant{Codes: []code.Code{it.Code}})
+	if got := e.core.WakeAt(); !math.IsInf(got, 1) {
+		t.Errorf("WakeAt after a useful grant = %g, want +Inf", got)
+	}
+}
+
+// TestIdleTimeoutThenLateDeny: a request that timed out counts as one failed
+// attempt, at its deadline; the deny that straggles in later is unsolicited
+// and counts for nothing, and the pace runs from the deadline, not from the
+// straggler.
+func TestIdleTimeoutThenLateDeny(t *testing.T) {
+	e := newEnv(t, 4, Config{RetryDelay: 1, RequestTimeout: 3}, []NodeID{1})
+	e.starveAt(0)
+	e.clk.t = 3.5
+	if eff := e.core.HandleMessage(1, WorkDeny{}); eff.Answered || eff.Failed {
+		t.Errorf("late deny effect = %+v, want unsolicited", eff)
+	}
+	if e.core.failedReqs != 1 {
+		t.Errorf("failedReqs = %d after a timeout and its late deny, want 1", e.core.failedReqs)
+	}
+	if got := e.core.WakeAt(); got != 4 {
+		t.Errorf("WakeAt = %g, want the deadline 3 plus RetryDelay", got)
+	}
+	if dec, p := e.starveAt(3.99); dec != StarveWait || p != 0 {
+		t.Fatalf("starve inside the pace = %v with %d probes, want a wait", dec, p)
+	}
+	if dec, p := e.starveAt(4); dec != StarveRequested || p != 1 {
+		t.Fatalf("starve at the deadline's pace end = %v with %d probes, want one request", dec, p)
+	}
+}
+
+// TestIdleWakeAt: the core wants to be called at the request's deadline,
+// then at the end of the pace that the timeout started, then not at all.
+func TestIdleWakeAt(t *testing.T) {
+	e := newEnv(t, 4, Config{RetryDelay: 1, RequestTimeout: 3}, []NodeID{1})
+	if got := e.core.WakeAt(); !math.IsInf(got, 1) {
+		t.Fatalf("WakeAt of a fresh core = %g, want +Inf", got)
+	}
+	e.clk.t = 2
+	e.core.Starve()
+	for _, c := range []struct{ now, want float64 }{
+		{2, 5}, {4.9, 5}, // the request is outstanding until its deadline
+		{5, 6}, {5.5, 6}, // then it failed, and the pace runs
+		{6, math.Inf(1)}, // and then nothing is pending
+	} {
+		e.clk.t = c.now
+		if got := e.core.WakeAt(); got != c.want {
+			t.Errorf("WakeAt at %g = %g, want %g", c.now, got, c.want)
+		}
+	}
+}
+
+// TestIdlePatienceAfterDenies: RecoveryPatience denies, and not one fewer,
+// let a starving process past its quiet window recover.
+func TestIdlePatienceAfterDenies(t *testing.T) {
+	const patience = 3
+	e := newEnv(t, 4, Config{RetryDelay: 1, RecoveryPatience: patience, RecoveryQuiet: 0.5}, []NodeID{1})
+	for i := 0; i < patience; i++ {
+		// The quiet window has long passed from the second probe on; only
+		// patience holds recovery back.
+		if dec, p := e.starveAt(float64(i)); dec != StarveRequested || p != 1 {
+			t.Fatalf("starve after %d denies = %v with %d probes, want one request", i, dec, p)
+		}
+		e.core.HandleMessage(1, WorkDeny{ActAge: 100}) // no fresh remote activity
+	}
+	if dec, _ := e.starveAt(patience - 0.5); dec != StarveWait {
+		t.Fatalf("starve inside the last pace = %v, want a wait", dec)
+	}
+	if dec, _ := e.starveAt(patience); dec != StarveRecover {
+		t.Fatalf("starve after %d denies = %v, want StarveRecover", patience, dec)
+	}
+}
+
 func TestCoreRecoveryAfterQuietWindow(t *testing.T) {
-	e := newEnv(t, 4, Config{RecoveryPatience: 3, RecoveryQuiet: 10}, []NodeID{1})
-	// Three unanswered probes.
+	e := newEnv(t, 4, Config{RecoveryPatience: 3, RecoveryQuiet: 10, RequestTimeout: 0.5, RetryDelay: 0.5}, []NodeID{1})
+	// Three unanswered probes, one a second: each times out after half a
+	// second and paces the next one half a second more.
 	for i := 0; i < 3; i++ {
 		if dec := e.core.Starve(); dec != StarveRequested {
 			t.Fatalf("probe %d: %v", i, dec)
 		}
-		e.core.RequestFailed()
 		e.clk.t += 1
 	}
 	e.snd.take()
@@ -252,7 +395,6 @@ func TestCoreRecoveryAfterQuietWindow(t *testing.T) {
 	if dec := e.core.Starve(); dec != StarveRequested {
 		t.Fatalf("inside quiet window: %v, want StarveRequested", dec)
 	}
-	e.core.RequestFailed()
 	e.snd.take()
 	// After the quiet window with no remote progress: recover.
 	e.clk.t = 30
@@ -331,10 +473,9 @@ func TestCorePlanRecoverySize(t *testing.T) {
 func TestCoreRecoveryGatedByRemoteActivity(t *testing.T) {
 	e := newEnv(t, 4, Config{RecoveryPatience: 1, RecoveryQuiet: 10}, []NodeID{1})
 	e.core.Starve()
-	e.core.RequestFailed()
-	e.clk.t = 30
-	// Evidence that some process computed 2 seconds ago arrives: the quiet
-	// gate must hold recovery back.
+	e.clk.t = 30 // the probe timed out long ago
+	// Evidence that some process computed 2 seconds ago arrives, on a deny
+	// that answers nothing any more: the quiet gate must hold recovery back.
 	e.core.HandleMessage(1, WorkDeny{ActAge: 2})
 	if dec := e.core.Starve(); dec == StarveRecover {
 		t.Fatal("recovered despite fresh remote activity evidence")

@@ -33,7 +33,7 @@ func TestTablePushSizeStamp(t *testing.T) {
 	const n = 8
 	var multi [KindCount]int // per kind: stamped messages of more than one code
 	for _, cfg := range []Config{{}, {DiffGossip: true}} {
-		l := newLoopNet(n, 8, cfg)
+		l := newLoopNet(n, 8, n, cfg)
 		l.cores[0].Seed(l.tree.Root())
 		for round := 0; round < 200 && !l.allDone(); round++ {
 			for k := 0; k < 6 && !l.done[0]; k++ { // a short burst, not l.run: the others must find work left

@@ -3,6 +3,7 @@ package protocol
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gossipbnb/internal/code"
@@ -46,9 +47,16 @@ func (s loopSender) Send(to NodeID, m Msg) {
 	s.net.queue = append(s.net.queue, f)
 }
 
-func newLoopNet(n, depth int, cfg Config) *loopNet {
+// newLoopNet builds n cores of a depth-deep fake tree drawing from one
+// stream seeded with seed. Unless cfg says otherwise a probe times out after
+// one clock tick, so a starve round (one RetryDelay) settles every probe it
+// sent.
+func newLoopNet(n, depth int, seed int64, cfg Config) *loopNet {
+	if cfg.RequestTimeout == 0 {
+		cfg.RequestTimeout = 1
+	}
 	l := &loopNet{tree: fakeTree{depth: depth}, dead: make([]bool, n), done: make([]bool, n)}
-	r := rand.New(rand.NewSource(int64(n)))
+	r := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
 		peers := make([]NodeID, 0, n-1)
 		for p := 0; p < n; p++ {
@@ -106,7 +114,8 @@ func (l *loopNet) solveAt(i int) {
 
 // starveRound is one RetryDelay of every core that is still waiting: run the
 // starvation decision (recovering if the core says so), deliver what that
-// caused, and count every probe still unanswered as failed.
+// caused, and advance the clock one RetryDelay — to the deadline of every
+// probe still unanswered.
 func (l *loopNet) starveRound() {
 	for i, c := range l.cores {
 		if l.dead[i] || l.done[i] {
@@ -118,11 +127,6 @@ func (l *loopNet) starveRound() {
 		}
 	}
 	l.pump()
-	for i, c := range l.cores {
-		if !l.dead[i] && !l.done[i] {
-			c.RequestFailed()
-		}
-	}
 	l.clk.t++
 }
 
@@ -175,7 +179,7 @@ func halves() (code.Code, code.Code) {
 func TestTerminationDetectorBroadcastsLearnersForward(t *testing.T) {
 	bothModes(t, func(t *testing.T, cfg Config) {
 		const n = 12
-		l := newLoopNet(n, 5, cfg)
+		l := newLoopNet(n, 5, n, cfg)
 		fanout := cfg.withDefaults().ReportFanout
 		l.solveAt(0)
 		l.pump()
@@ -229,7 +233,7 @@ func TestTerminationDetectorBroadcastsLearnersForward(t *testing.T) {
 func TestTerminationSimultaneousDetectors(t *testing.T) {
 	bothModes(t, func(t *testing.T, cfg Config) {
 		const n = 10
-		l := newLoopNet(n, 5, cfg)
+		l := newLoopNet(n, 5, n, cfg)
 		fanout := cfg.withDefaults().ReportFanout
 		a, b := halves()
 		for _, i := range []int{0, 1} {
@@ -278,7 +282,7 @@ func TestTerminationLearnedFromTableOrSubtree(t *testing.T) {
 			{"missing half by digest report", DigestReport{Digest: 1, Codes: []code.Code{b}}, n - 1},
 			{"missing half by subtree reply", SubtreeReply{Prefix: b, Leaf: true, Rel: root}, n - 1},
 		} {
-			l := newLoopNet(n, 5, cfg)
+			l := newLoopNet(n, 5, n, cfg)
 			l.cores[0].HandleMessage(1, Report{Codes: []code.Code{a}})
 			l.cores[0].HandleMessage(1, c.last)
 			l.run(0)
@@ -302,18 +306,8 @@ func TestTerminationSurvivesLostBroadcast(t *testing.T) {
 	bothModes(t, func(t *testing.T, cfg Config) {
 		const n, maxRounds = 32, 10
 		cfg.RecoveryQuiet = 1e6
-		l := newLoopNet(n, 5, cfg)
-		kept := false
-		l.drop = func(f flight) bool {
-			if f.from != 0 || !isRootReport(f.m) {
-				return false
-			}
-			if !kept {
-				kept = true
-				return false
-			}
-			return true
-		}
+		l := newLoopNet(n, 5, n, cfg)
+		l.drop = oneBroadcastCopy()
 		l.solveAt(0)
 		l.pump()
 		rounds := 0
@@ -347,6 +341,53 @@ func TestTerminationSurvivesLostBroadcast(t *testing.T) {
 	})
 }
 
+// oneBroadcastCopy is a drop rule that loses every root report core 0 sends
+// but the first.
+func oneBroadcastCopy() func(f flight) bool {
+	kept := false
+	return func(f flight) bool {
+		if f.from != 0 || !isRootReport(f.m) {
+			return false
+		}
+		if !kept {
+			kept = true
+			return false
+		}
+		return true
+	}
+}
+
+// TestTerminationRelayOnlyCoverage: with the detector's broadcast cut to a
+// single copy, the news travels only by the learners' forwards — each core
+// told pushes the root report to ReportFanout = 2 members once — and reaches
+// the share s of a large system that solves s = 1 − e^(−2s), about 0.797.
+// The rest are left to their next probe (TestTerminationSurvivesLostBroadcast).
+// Over 20 seeds at 1 024 cores the median sits on the fixed point and the
+// spread is a few hundredths either way.
+func TestTerminationRelayOnlyCoverage(t *testing.T) {
+	const n, seeds = 1024, 20
+	var shares []float64
+	for seed := int64(1); seed <= seeds; seed++ {
+		l := newLoopNet(n, 5, seed, Config{})
+		l.drop = oneBroadcastCopy()
+		l.solveAt(0)
+		l.pump()
+		told := 0
+		for _, d := range l.done {
+			if d {
+				told++
+			}
+		}
+		shares = append(shares, float64(told)/n)
+	}
+	slices.Sort(shares)
+	median := (shares[seeds/2-1] + shares[seeds/2]) / 2
+	t.Logf("relay-only coverage over %d seeds: median %.3f [%.3f, %.3f]", seeds, median, shares[0], shares[seeds-1])
+	if median < 0.78 || median > 0.815 || shares[0] < 0.72 || shares[seeds-1] > 0.88 {
+		t.Errorf("relay-only coverage at fan-out 2: median %.3f [%.3f, %.3f], want about 0.797", median, shares[0], shares[seeds-1])
+	}
+}
+
 // TestTerminationRedetectedWhenInformedCoresDie: the detector and every core
 // it told die before the news spreads. What they knew dies with them; the
 // rest starve, presume the work lost, rebuild it from the complement of their
@@ -356,7 +397,7 @@ func TestTerminationRedetectedWhenInformedCoresDie(t *testing.T) {
 	bothModes(t, func(t *testing.T, cfg Config) {
 		const n, maxRounds = 8, 64
 		cfg.RecoveryQuiet = 3
-		l := newLoopNet(n, 5, cfg)
+		l := newLoopNet(n, 5, n, cfg)
 		kept := 0
 		l.drop = func(f flight) bool {
 			if !isRootReport(f.m) {
