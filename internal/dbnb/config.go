@@ -174,9 +174,6 @@ type Config struct {
 	// "communication increases unnecessarily because work reports are sent
 	// at fixed time intervals" (§6.3.1, §7).
 	AdaptiveReports bool
-	// TableInterval is how often a member pushes its whole table to one
-	// random member (0 disables).
-	TableInterval float64
 
 	// MinPoolToShare is how many active problems a process must hold before
 	// it grants work away. MaxShare caps problems per grant.
@@ -270,11 +267,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReportTimeout <= 0 {
 		c.ReportTimeout = 30
-	}
-	if c.TableInterval < 0 {
-		c.TableInterval = 0
-	} else if c.TableInterval == 0 {
-		c.TableInterval = 120
 	}
 	if c.MinPoolToShare <= 0 {
 		c.MinPoolToShare = 2

@@ -396,11 +396,6 @@ func TestConfigValidationDefaults(t *testing.T) {
 	if cfg.Procs != 1 || cfg.ReportBatch <= 0 || cfg.RetryDelay <= 0 || cfg.RecoveryQuiet <= 0 {
 		t.Errorf("defaults incomplete: %+v", cfg)
 	}
-	// Negative TableInterval disables table gossip.
-	cfg = Config{TableInterval: -1}.withDefaults()
-	if cfg.TableInterval != 0 {
-		t.Errorf("TableInterval = %g, want 0 (disabled)", cfg.TableInterval)
-	}
 }
 
 func TestCrashOutOfRangeIgnored(t *testing.T) {

@@ -95,15 +95,13 @@ type node struct {
 	// experiment tables count messages a crashed process really sent.
 	cntPrior protocol.Counters
 
-	// idleTimer calls a starving core back at its WakeAt — a work request's
-	// deadline or the end of a retry pace — and idleAt is when it fires
-	// (+Inf when nothing is armed).
-	idleTimer sim.Event
-	idleAt    float64
-	// reportTimer and tableTimer are the pending periodic ticks, cancelled at
-	// crash so a restart can restagger fresh chains without doubling them.
-	reportTimer sim.Event
-	tableTimer  sim.Event
+	// timer is the context's one kernel timer: it calls the core's Tick at
+	// its WakeAt, and is cancelled at crash and at termination. It fires
+	// under tie, a kernel sequence number reserved whenever the core's
+	// StarveAt (last seen: starveAt) moves; arm says why.
+	timer    sim.Event
+	starveAt float64
+	tie      uint64
 
 	// Pre-bound callbacks, created once per node: scheduling through them
 	// (plus AfterArg's incarnation argument) costs zero allocations per
@@ -112,10 +110,8 @@ type node struct {
 	// below — safe because the busy flag admits at most one outstanding
 	// busy period per incarnation, and a stale fire from a dead incarnation
 	// bails on the incarnation check before touching them.
-	reportTickFn  func()
-	tableTickFn   func()
 	wakeFn        func()
-	idleFn        func()
+	tickFn        func()
 	expandDoneFn  func(int)
 	drainDoneFn   func(int)
 	recoverDoneFn func(int)
@@ -137,11 +133,6 @@ type node struct {
 	// (member count) the cache was built for, 0 = unbuilt.
 	peersCache []protocol.NodeID
 	viewSize   int
-
-	// bootTimer is a late joiner's pending bootstrap pull (cancelled at
-	// crash like the periodic chains).
-	bootTimer  sim.Event
-	bootTickFn func()
 }
 
 // nodeSender transmits the core's canonical messages over the simulated
@@ -226,7 +217,7 @@ func newNode(id sim.NodeID, h *harness, sp *spec) *node {
 	sh := h.shardOf(int(id))
 	n := &node{
 		id: id, h: h, spec: sp, sh: sh, rec: &sh.recs[sp.idx], k: sh.k,
-		exp: sp.w.newExpander(), idleStart: -1, idleAt: math.Inf(1), met: &sp.met.Nodes[id],
+		exp: sp.w.newExpander(), idleStart: -1, met: &sp.met.Nodes[id], tie: sh.k.Reserve(),
 	}
 	if h.muxes != nil {
 		n.mux = h.muxes[id]
@@ -245,11 +236,8 @@ func newNode(id sim.NodeID, h *harness, sp *spec) *node {
 		// every process but this one, O(1) extra memory per node.
 		n.peersCache = h.ring[int(id)+1 : int(id)+h.cfg.Procs]
 	}
-	n.reportTickFn = n.reportTick
-	n.tableTickFn = n.tableTick
-	n.bootTickFn = n.bootstrapTick
 	n.wakeFn = n.wakeup
-	n.idleFn = n.idleFire
+	n.tickFn = n.tick
 	n.expandDoneFn = n.expandDone
 	n.drainDoneFn = n.drainDone
 	n.recoverDoneFn = n.recoverDone
@@ -328,9 +316,6 @@ func (n *node) peerView() []protocol.NodeID {
 	return out
 }
 
-// dead reports whether the node should do nothing further.
-func (n *node) dead() bool { return n.crashed || n.done }
-
 // --- the main loop ----------------------------------------------------------
 
 // loop is invoked whenever the node becomes free: after a work unit, after
@@ -393,20 +378,7 @@ func (n *node) expandDone(gen int) {
 	n.loop()
 }
 
-// --- activation and reporting timers -----------------------------------------
-
-// startTimers staggers the periodic chains from virtual time at, so they do
-// not synchronize system-wide: at boot (the instance's submission time), at a
-// join and at every restart. The handles are kept so a crash before the first
-// tick can cancel the chain — a restart starts a fresh one.
-func (n *node) startTimers(at float64) {
-	cfg := &n.h.cfg
-	jitter := n.rng.Float64()
-	n.reportTimer = n.k.At(at+jitter*cfg.ReportTimeout, n.reportTickFn)
-	if cfg.TableInterval > 0 {
-		n.tableTimer = n.k.At(at+jitter*cfg.TableInterval, n.tableTickFn)
-	}
-}
+// --- activation -------------------------------------------------------------
 
 // activate brings the context up at its instance's submission time: the root
 // seeded at the designated process (everyone else pulls work through the
@@ -422,87 +394,47 @@ func (n *node) activate() {
 	n.loop()
 }
 
-// reportTick flushes a stale outbox on the core's (possibly adaptive)
-// schedule. The pending event handle is kept so crash can cancel the chain;
-// a restart starts a freshly staggered one.
-func (n *node) reportTick() {
-	if n.dead() {
-		return
-	}
-	if n.core.ReportOverdue() {
-		n.core.FlushReport()
-	}
-	n.reportTimer = n.k.After(n.h.cfg.ReportTimeout, n.reportTickFn)
-}
-
-// tableTick occasionally pushes the full table to one random member.
-func (n *node) tableTick() {
-	if n.dead() {
-		return
-	}
-	peers := n.peerView()
-	if len(peers) > 0 {
-		n.core.SendTable(peers[n.rng.Intn(len(peers))])
-	}
-	n.tableTimer = n.k.After(n.h.cfg.TableInterval, n.tableTickFn)
-}
-
-// bootstrapTick is a late joiner's table-bootstrap chain: while the joiner
-// still knows nothing, pull a neighbor's whole completion table through the
-// Full-root subtree transfer (the crash-restart rejoin payload), retrying on
-// the request-timeout cadence until a reply lands — replies can be lost, and
-// under §5.2 membership the first ticks may find the view still empty. The
-// chain stops at the first completion learned (after that, ordinary gossip
-// converges the table) and never runs for initial processes, so scheduled
-// runs without joins are untouched.
-func (n *node) bootstrapTick() {
-	if n.dead() || n.core.Table().Len() > 0 {
-		return
-	}
-	if peers := n.peerView(); len(peers) > 0 {
-		n.core.Bootstrap(peers[n.rng.Intn(len(peers))])
-	} else if n.h.cfg.UseMembership && n.id != 0 {
-		// View not absorbed yet: pull from the gossip server, the one
-		// address a joiner knows before the group knows it. The reply also
-		// carries fresh activity evidence, keeping the empty-view joiner
-		// from misreading gossip lag as global quiescence.
-		n.core.Bootstrap(0)
-	}
-	n.bootTimer = n.k.After(n.h.cfg.RequestTimeout, n.bootTickFn)
-}
-
 // --- load balancing and recovery ---------------------------------------------
 
 // requestWork lets the core run its starvation decision, then arranges the
-// substrate side: the recovery busy period, or the idle timer for whenever
-// the core next wants to be called.
+// substrate side: the recovery busy period, or the timer for whenever the
+// core next wants to be called.
 func (n *node) requestWork() {
 	if n.core.Starve() == protocol.StarveRecover {
 		n.recover()
 		return
 	}
-	n.armIdle()
+	n.arm()
 }
 
-// armIdle points the idle timer at the core's WakeAt, after every call that
-// can move it, and leaves a timer that is already right alone.
-func (n *node) armIdle() {
+// arm points the timer at the core's WakeAt, after every call that can move
+// it, and leaves a timer that is already right alone. A new StarveAt draws
+// the tie at once, even while a report check or push holds the timer, so
+// that probes of different contexts due at one instant go out in the order
+// their deadlines were set — the order the network's chaos stream is drawn
+// in, whatever periodic duty fired in between.
+func (n *node) arm() {
 	at := n.core.WakeAt()
-	if at == n.idleAt {
+	if s := n.core.StarveAt(); s != n.starveAt {
+		if n.starveAt = s; !math.IsInf(s, 1) {
+			n.tie = n.k.Reserve()
+		}
+	}
+	if t, ok := n.timer.When(); ok && t == at {
 		return
 	}
-	n.idleTimer.Cancel()
-	n.idleAt = at
+	n.timer.Cancel()
 	if !math.IsInf(at, 1) {
-		n.idleTimer = n.k.At(at, n.idleFn)
+		n.timer = n.k.AtSeq(at, n.tie, n.tickFn)
 	}
 }
 
-// idleFire is the idle timer. A request deadline that passed becomes a retry
-// pace and re-arms the timer; a pace that ran out resumes the loop.
-func (n *node) idleFire() {
-	n.idleAt = math.Inf(1)
-	if n.armIdle(); math.IsInf(n.idleAt, 1) && !n.busy {
+// tick is the timer: the core performs whatever is due, busy or not, the
+// timer moves on to its next WakeAt, and an idle (starving) context resumes
+// the loop — the next probe if a pace ran out, else Starve waits on.
+func (n *node) tick() {
+	n.core.Tick()
+	if n.arm(); n.idleStart >= 0 {
 		n.loop()
 	}
 }
@@ -510,7 +442,7 @@ func (n *node) idleFire() {
 // recover charges the table-complement scan as contraction time, then lets
 // the core adopt the planned regions (§5.3.2 failure recovery).
 func (n *node) recover() {
-	if n.h.cfg.DisableRecovery || n.dead() {
+	if n.h.cfg.DisableRecovery || n.crashed || n.done {
 		return
 	}
 	plan := n.core.PlanRecovery()
@@ -633,7 +565,7 @@ func (n *node) drainInbox() {
 			lbCost += cfg.CommOverhead * float64(1+len(t.Codes)/8)
 		}
 		n.core.HandleMessage(protocol.NodeID(m.from), m.msg)
-		n.armIdle() // an answer moves the deadline to a pace, or clears it
+		n.arm() // an answer moves the deadline to a pace, or clears it
 	}
 	n.inbox = n.inbox[:0]
 	n.met.Add(metrics.LB, lbCost)
@@ -706,13 +638,12 @@ func (n *node) noteCompletion(c code.Code) {
 
 // onTerminated records the core's termination (§5.4): the core already
 // broadcast or forwarded the final root report; the driver settles the books
-// and, as at a crash, cancels the periodic chains — their next tick would
-// only find the context dead.
+// and, as at a crash, cancels the timer — a terminated core wants no call.
 func (n *node) onTerminated() {
 	n.done = true
 	n.detectedAt = n.k.Now()
 	n.endIdle()
-	n.cancelTimers()
+	n.timer.Cancel()
 	n.rec.noteTermination(n.detectedAt)
 	if n.h.cfg.UseMembership {
 		// Leave the group so membership heartbeats quiesce; peers time the
@@ -748,8 +679,8 @@ func (n *node) endIdle() {
 
 // crash halts the context (crash-stop; a scheduled Restart turns it into
 // crash-restart), as part of a whole-process failure or scoped to its
-// instance. Every pending timer chain is cancelled so a later rebirth can
-// start fresh ones without doubling them.
+// instance. The timer is cancelled so a later rebirth can arm a fresh one
+// for its fresh core.
 func (n *node) crash() {
 	if n.crashed || n.done {
 		// Already down, or already played its part in §5.4: a context that
@@ -761,17 +692,7 @@ func (n *node) crash() {
 	n.crashed = true
 	n.crashedAt = n.k.Now()
 	n.inbox = nil
-	n.cancelTimers()
-}
-
-// cancelTimers stops the idle timer and the report, table and bootstrap
-// chains of a context that crashed or terminated.
-func (n *node) cancelTimers() {
-	n.idleTimer.Cancel()
-	n.idleAt = math.Inf(1)
-	n.reportTimer.Cancel()
-	n.tableTimer.Cancel()
-	n.bootTimer.Cancel()
+	n.timer.Cancel()
 }
 
 // restart reboots a crashed node under its old identity (§5.2 rejoin): an
@@ -808,7 +729,9 @@ func (n *node) restart() {
 		// view from their gossip, exactly like a first join.
 		n.h.rejoinMember(n.id)
 	}
-	// Restagger the periodic chains like at boot and resume the main loop.
-	n.startTimers(n.k.Now())
+	// Stagger the fresh core's periodic chains like at boot and resume the
+	// main loop.
+	n.core.Stagger(n.k.Now())
+	n.arm()
 	n.loop()
 }

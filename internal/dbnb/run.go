@@ -258,13 +258,13 @@ func (h *harness) addMember(id sim.NodeID) {
 // spawnJoiner brings one scheduled joiner up mid-run: a brand-new process
 // under a fresh identity, registered on its owner shard's network, announced
 // to the group (§5.2 when membership runs), its periodic chains staggered
-// like a boot, and its bootstrap pull chain started. The fresh core is
-// seeded with zero-age activity evidence — a process launched into a
-// running system must not read its own empty table and view as global
-// quiescence and recover the root before the handshake completes (and before
-// the bootstrap pull, which reports the core's activity age — hence not
-// node.activate after it). Joins are single-instance only, so the joiner's
-// one context is nodes[id].
+// like a boot, and its first bootstrap pull sent — the core retries it until
+// the table holds a code. The fresh core is seeded with zero-age activity
+// evidence — a process launched into a running system must not read its own
+// empty table and view as global quiescence and recover the root before the
+// handshake completes (and before the bootstrap pull, which reports the
+// core's activity age — hence not node.activate after it). Joins are
+// single-instance only, so the joiner's one context is nodes[id].
 func (h *harness) spawnJoiner(id int) {
 	nid := sim.NodeID(id)
 	n := newNode(nid, h, h.specs[0])
@@ -278,8 +278,16 @@ func (h *harness) spawnJoiner(id int) {
 	}
 	n.started = true
 	n.core.NoteRemoteActivity(0)
-	n.startTimers(n.k.Now())
-	n.bootstrapTick()
+	n.core.Stagger(n.k.Now())
+	// Pull from a random member, or — a §5.2 view not absorbed yet — from the
+	// gossip server, the one address a joiner knows; its reply also carries
+	// activity evidence against misreading gossip lag as quiescence.
+	boot := protocol.NodeID(0)
+	if peers := n.peerView(); len(peers) > 0 {
+		boot = peers[n.rng.Intn(len(peers))]
+	}
+	n.core.Bootstrap(boot)
+	n.arm()
 	n.loop()
 }
 
@@ -547,7 +555,8 @@ func newHarness(cfg Config, specs []*spec, tagged bool) *harness {
 	// shard's clock. (Joiners get the same treatment in spawnJoiner, at join
 	// time.)
 	for _, n := range h.nodes[:cfg.Procs*len(specs)] {
-		n.startTimers(n.spec.start)
+		n.core.Stagger(n.spec.start)
+		n.arm()
 		n.k.At(n.spec.start, n.activate)
 	}
 

@@ -400,11 +400,11 @@ func (cl *Cluster) newIncarnation(n *liveNode, gen int64, inbox <-chan Envelope)
 }
 
 // newCore builds one instance's protocol core for an incarnation, its sends
-// tagged with the instance ID.
+// tagged with the instance ID, and staggers its periodic chains from now.
 func (cl *Cluster) newCore(inc *incarnation, exp protocol.Expander, id protocol.InstanceID) *protocol.Core {
 	cfg := &cl.cfg
 	n := inc.n
-	return protocol.New(protocol.NodeID(n.id), protocol.Config{
+	c := protocol.New(protocol.NodeID(n.id), protocol.Config{
 		Select:           cfg.Select,
 		Prune:            cfg.Prune,
 		ReportBatch:      cfg.ReportBatch,
@@ -424,6 +424,8 @@ func (cl *Cluster) newCore(inc *incarnation, exp protocol.Expander, id protocol.
 		Rand:      cl.rand,
 		RandFloat: cl.randFloat,
 	})
+	c.Stagger(cl.clock.Now())
+	return c
 }
 
 // Crash halts a node mid-run. It serializes with Restart under stopMu so a
@@ -785,9 +787,11 @@ func (inc *incarnation) run() {
 			// collector's mark workers wait behind it: requests sit unread,
 			// and the heap runs past its goal by whatever the busy nodes
 			// allocate meanwhile (a 4 MB heap read 7–10 MB at the end of such a
-			// cycle, which is where a process's peak memory came from).
+			// cycle, which is where a process's peak memory came from). The
+			// same turn runs the cores' due duties (Tick).
 			if inc.sinceYield++; inc.sinceYield == yieldEvery {
 				inc.sinceYield = 0
+				inc.mux.Each(func(o *instance.Entry) { o.Core.Tick() })
 				runtime.Gosched()
 			}
 		case protocol.Terminated:
@@ -980,11 +984,13 @@ func (inc *incarnation) expand(e *instance.Entry, it protocol.Item) {
 	}
 }
 
-// starve runs one starving instance's out-of-work decision: a recovery at
-// once, else block until a message arrives or the earliest WakeAt of any
-// hosted core. The mux only reaches here when no hosted instance can expand,
-// so the blocking never withholds the processor from runnable work.
+// starve runs every hosted core's due duties (Tick), then one starving
+// instance's out-of-work decision: a recovery at once, else block until a
+// message arrives or the earliest WakeAt of any hosted core. The mux only
+// reaches here when no hosted instance can expand, so the blocking never
+// withholds the processor from runnable work.
 func (inc *incarnation) starve(e *instance.Entry) {
+	inc.mux.Each(func(o *instance.Entry) { o.Core.Tick() })
 	if e.Core.Starve() == protocol.StarveRecover {
 		if plan := e.Core.PlanRecovery(); len(plan) > 0 {
 			e.Core.Adopt(plan)
@@ -993,9 +999,6 @@ func (inc *incarnation) starve(e *instance.Entry) {
 	}
 	wake := math.Inf(1)
 	inc.mux.Each(func(o *instance.Entry) { wake = min(wake, o.Core.WakeAt()) })
-	if math.IsInf(wake, 1) {
-		return // the pace ran out since Starve: starve again
-	}
 	wait := time.Duration((wake - inc.n.cl.clock.Now()) * float64(time.Second))
 	select {
 	case env := <-inc.inbox:

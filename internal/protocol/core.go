@@ -12,8 +12,9 @@
 // problem) — plus a handful of function hooks, so the same state machine
 // runs under the deterministic virtual-time simulator (internal/dbnb) and
 // the wall-clock goroutine runtime (internal/live). Drivers own everything
-// the substrate defines: timers, busy periods, cost accounting, crash
-// delivery. The Core owns every protocol decision, idle deadlines included.
+// the substrate defines: one timer, busy periods, cost accounting, crash
+// delivery. The Core owns every protocol decision, every deadline included:
+// a driver calls Tick when WakeAt arrives, and that is all of its timing.
 package protocol
 
 import (
@@ -96,7 +97,8 @@ type Config struct {
 	// sent. ReportFanout is m: how many random members receive each report.
 	ReportBatch  int
 	ReportFanout int
-	// ReportTimeout flushes a non-empty outbox that has waited this long.
+	// ReportTimeout flushes a non-empty outbox that has waited this long,
+	// checked once per ReportTimeout (Tick).
 	ReportTimeout float64
 	// AdaptiveReports scales the outbox flush timeout with the observed
 	// per-subproblem execution time (§6.3.1, §7).
@@ -169,6 +171,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// pushInterval is the period of the whole-table push to one random member
+// (§5.2, Tick), beside ReportTimeout's default of 30 clock units.
+const pushInterval = 120
+
 // Anti-entropy walk tuning.
 const (
 	// syncLeafMax is the subtree-frontier size at or below which a sync
@@ -209,7 +215,8 @@ type Deps struct {
 	// draw from it, so a deterministic source makes the Core deterministic.
 	Rand func(n int) int
 	// RandFloat returns a uniform float64 in [0, 1), used to jitter the
-	// recovery quiet window. nil means no jitter.
+	// recovery quiet window and to stagger the periodic chains (Stagger). nil
+	// means no jitter.
 	RandFloat func() float64
 	// OnComplete fires for every locally completed subproblem entering the
 	// table (not for completions learned from peers).
@@ -276,11 +283,17 @@ type Core struct {
 	learned bool
 
 	// The idle discipline (WakeAt): the outstanding request and its deadline,
-	// the retry pace, and the consecutive failed attempts.
+	// the retry pace (0 = none), and the consecutive failed attempts.
 	reqPending  bool
 	reqDeadline float64
 	paceUntil   float64
 	failedReqs  int
+	// The periodic duties (Tick): report check, table push, and bootstrap
+	// retry with the peer last asked. +Inf until Stagger or Bootstrap.
+	reportAt float64
+	pushAt   float64
+	bootAt   float64
+	bootPeer NodeID
 	// poolKeys and keyBuf are scratch for the pooled-code guard: the key set
 	// of every code currently in the pool, rebuilt on demand when a grant or
 	// recovery adoption arrives. At-least-once delivery means the same code
@@ -331,6 +344,9 @@ func New(id NodeID, cfg Config, d Deps) *Core {
 		outbox:    newPooledTable(),
 		incumbent: math.Inf(1),
 		lastSync:  math.Inf(-1),
+		reportAt:  math.Inf(1),
+		pushAt:    math.Inf(1),
+		bootAt:    math.Inf(1),
 	}
 }
 
@@ -629,6 +645,7 @@ func (c *Core) Starve() StarveDecision {
 	if c.terminated || c.reqPending || now < c.paceUntil || c.pool.Len() > 0 {
 		return StarveWait
 	}
+	c.paceUntil = 0
 	c.FlushReport()
 	peers := c.d.Peers()
 	if c.failedReqs >= c.cfg.RecoveryPatience || len(peers) == 0 {
@@ -667,18 +684,72 @@ func (c *Core) Starve() StarveDecision {
 	return StarveRequested
 }
 
-// WakeAt settles an overdue request, then returns when a starving process's
-// driver should next call Starve unprompted: the request's deadline, else the
-// retry pace's end, else +Inf (Starve would act now, or the core terminated).
-// A message arriving first is handled as usual, and the driver asks again.
+// WakeAt returns when the driver should next call Tick: the earliest of
+// StarveAt and the three periodic deadlines; +Inf once terminated.
 func (c *Core) WakeAt() float64 {
+	if c.terminated {
+		return math.Inf(1)
+	}
+	return min(c.StarveAt(), c.reportAt, c.pushAt, c.bootAt)
+}
+
+// StarveAt is WakeAt's load-balancing part. It settles an overdue request,
+// then returns the request's deadline, else the pace's end — still due once
+// it ran out, so a driver asking late wakes at once — else +Inf.
+func (c *Core) StarveAt() float64 {
 	if c.expire(); c.reqPending {
 		return c.reqDeadline
-	}
-	if c.d.Clock.Now() < c.paceUntil {
+	} else if c.paceUntil > 0 {
 		return c.paceUntil
 	}
 	return math.Inf(1)
+}
+
+// Stagger starts the report check and the table push from time at, each
+// offset by one jitter draw times its period so that processes do not
+// synchronize. A driver calls it once, when the core comes up.
+func (c *Core) Stagger(at float64) {
+	jitter := 0.0
+	if c.d.RandFloat != nil {
+		jitter = c.d.RandFloat()
+	}
+	c.reportAt = at + jitter*c.cfg.ReportTimeout
+	c.pushAt = at + jitter*pushInterval
+}
+
+// Tick performs every duty due by now, busy or not: an overdue request fails
+// and an ended pace clears (Starve would act again); the report check
+// flushes an overdue outbox; the push sends the table to a random member
+// (§5.2); and an empty table asks for a bootstrap again, from a random member
+// or the peer last asked. Each periodic deadline moves on by its period.
+func (c *Core) Tick() {
+	if c.terminated {
+		return
+	}
+	now := c.d.Clock.Now()
+	if c.expire(); c.paceUntil > 0 && now >= c.paceUntil {
+		c.paceUntil = 0
+	}
+	if now >= c.reportAt {
+		if c.ReportOverdue() {
+			c.FlushReport()
+		}
+		c.reportAt = now + c.cfg.ReportTimeout
+	}
+	if now >= c.pushAt {
+		if peers := c.d.Peers(); len(peers) > 0 {
+			c.SendTable(peers[c.d.Rand(len(peers))])
+		}
+		c.pushAt = now + pushInterval
+	}
+	if now >= c.bootAt {
+		if c.bootAt = math.Inf(1); c.table.Len() == 0 {
+			if peers := c.d.Peers(); len(peers) > 0 {
+				c.bootPeer = peers[c.d.Rand(len(peers))]
+			}
+			c.Bootstrap(c.bootPeer)
+		}
+	}
 }
 
 // expire settles an overdue request as one failed attempt at its deadline,
@@ -699,7 +770,7 @@ func (c *Core) fail(at float64) {
 
 // RequestFailed counts the outstanding request, if any, as failed, without a
 // retry pace: for a driver keeping its own request timer and pace instead of
-// calling at WakeAt.
+// calling Tick at WakeAt.
 func (c *Core) RequestFailed() {
 	if c.reqPending {
 		c.reqPending = false
@@ -912,16 +983,16 @@ func (c *Core) maybeSync(peer NodeID, digest uint64) {
 // root. A brand-new joiner has an empty table, so the walk degenerates to the
 // single Full-root SubtreeRequest/SubtreeReply transfer of the crash-restart
 // rejoin path — the whole contracted frontier in one reply. Drivers call it
-// when a process joins mid-run (and may call it again if the reply is lost:
-// the walk is idempotent, and a non-empty table turns retries into cheap
-// digest-guided diffs). It works in legacy gossip mode too — subtree
-// request/reply handling is unconditional on DiffGossip.
+// when a process joins mid-run; the core itself asks again every
+// RequestTimeout (Tick) until the table holds its first code, since the
+// request or its reply can be lost. It works in legacy gossip mode too —
+// subtree request/reply handling is unconditional on DiffGossip.
 func (c *Core) Bootstrap(peer NodeID) {
 	if c.terminated {
 		return
 	}
-	c.lastSync = c.d.Clock.Now()
-	c.syncOut = 0
+	c.lastSync, c.syncOut = c.d.Clock.Now(), 0
+	c.bootPeer, c.bootAt = peer, c.lastSync+c.cfg.RequestTimeout
 	c.requestSubtree(peer, code.Root())
 }
 

@@ -338,7 +338,9 @@ func TestIdleTimeoutThenLateDeny(t *testing.T) {
 }
 
 // TestIdleWakeAt: the core wants to be called at the request's deadline,
-// then at the end of the pace that the timeout started, then not at all.
+// then at the end of the pace that the timeout started — still due once it
+// ran out, so that a driver asking late wakes at once — and, after the Tick
+// that ends the pace, not at all.
 func TestIdleWakeAt(t *testing.T) {
 	e := newEnv(t, 4, Config{RetryDelay: 1, RequestTimeout: 3}, []NodeID{1})
 	if got := e.core.WakeAt(); !math.IsInf(got, 1) {
@@ -349,12 +351,15 @@ func TestIdleWakeAt(t *testing.T) {
 	for _, c := range []struct{ now, want float64 }{
 		{2, 5}, {4.9, 5}, // the request is outstanding until its deadline
 		{5, 6}, {5.5, 6}, // then it failed, and the pace runs
-		{6, math.Inf(1)}, // and then nothing is pending
+		{6, 6}, {6.5, 6}, // the pace ran out, and is due until a Tick ends it
 	} {
 		e.clk.t = c.now
 		if got := e.core.WakeAt(); got != c.want {
 			t.Errorf("WakeAt at %g = %g, want %g", c.now, got, c.want)
 		}
+	}
+	if e.core.Tick(); !math.IsInf(e.core.WakeAt(), 1) {
+		t.Errorf("WakeAt after the Tick that ended the pace = %g, want +Inf", e.core.WakeAt())
 	}
 }
 

@@ -161,9 +161,45 @@ func (e Event) Cancel() {
 	k.release(e.idx)
 }
 
+// When returns the virtual time the event is due at, and whether it is still
+// pending — false once it fired or was cancelled.
+func (e Event) When() (float64, bool) {
+	if e.k == nil {
+		return 0, false
+	}
+	s := e.k.key(e.idx)
+	if s.gen != e.gen {
+		return 0, false
+	}
+	return s.time, true
+}
+
+// Reserve draws the next sequence number without scheduling anything. An
+// event later scheduled under it with AtSeq fires, among the events due at
+// its time, where one scheduled at the moment of the draw would have.
+func (k *Kernel) Reserve() uint64 {
+	k.seq++
+	return k.seq - 1
+}
+
+// AtSeq is At under a sequence number drawn by Reserve. The caller keeps the
+// number unique among pending events: one reservation, one pending event.
+func (k *Kernel) AtSeq(t float64, seq uint64, fn func()) Event {
+	idx := k.allocSeq(t, seq)
+	p := k.payload(idx)
+	p.kind = kindFunc
+	p.fn = fn
+	return Event{k: k, idx: idx, gen: k.key(idx).gen}
+}
+
 // alloc pops a free slot (or grows the arena) and stamps it with the next
 // sequence number at time t. It returns the slot's index.
 func (k *Kernel) alloc(t float64) int32 {
+	return k.allocSeq(t, k.Reserve())
+}
+
+// allocSeq is alloc under a given sequence number.
+func (k *Kernel) allocSeq(t float64, seq uint64) int32 {
 	if t < k.now {
 		panic("sim: scheduling into the past")
 	}
@@ -181,8 +217,7 @@ func (k *Kernel) alloc(t float64) int32 {
 	}
 	s := k.key(idx)
 	s.time = t
-	s.seq = k.seq
-	k.seq++
+	s.seq = seq
 	k.push(idx)
 	return idx
 }

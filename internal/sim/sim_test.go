@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -40,6 +41,32 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 		if v != i {
 			t.Fatalf("simultaneous events fired out of schedule order: %v", order)
 		}
+	}
+}
+
+// TestReservedSequenceKeepsItsPlace: an event scheduled under a reserved
+// sequence number fires, among same-time events, where one scheduled at the
+// reservation would have — however late it is scheduled, and after being
+// re-armed under the same number — and When reports it while pending only.
+func TestReservedSequenceKeepsItsPlace(t *testing.T) {
+	k := New(1)
+	var order []string
+	mark := func(s string) func() { return func() { order = append(order, s) } }
+	k.At(5, mark("before"))
+	seq := k.Reserve()
+	k.At(5, mark("after"))
+	e := k.AtSeq(4, seq, mark("moved away"))
+	if at, ok := e.When(); !ok || at != 4 {
+		t.Fatalf("When = %g, %v; want 4, true", at, ok)
+	}
+	e.Cancel()
+	if _, ok := e.When(); ok {
+		t.Fatal("When reports a cancelled event as pending")
+	}
+	k.At(1, func() { k.AtSeq(5, seq, mark("reserved")) })
+	k.Run(math.Inf(1))
+	if want := []string{"before", "reserved", "after"}; !slices.Equal(order, want) {
+		t.Errorf("order = %v, want %v", order, want)
 	}
 }
 
