@@ -1,10 +1,11 @@
 package bnb
 
 // Allocation guards for the warm expansion path. The solver state rides on
-// the pool item, so expanding it costs what the sequential engine pays —
-// Branch's two child states — plus the two child codes and the slice that
-// carries the children out. Before the state handle the same call built four
-// code.Key strings and inserted into a map: 26 allocations on QAP.
+// the pool item, so expanding it costs two allocations: Branch's one object
+// holding both child states, and the one array holding both child codes. The
+// children ride out in the expander's scratch. Before the state handle the
+// same call built four code.Key strings and inserted into a map: 26
+// allocations on QAP.
 
 import (
 	"math/rand"
@@ -24,24 +25,23 @@ func warmProblems() map[string]Problem {
 
 const warmDepth = 8
 
-// outcomeBudget is what one warm Outcome may allocate on p: whatever the
-// problem's own Branch allocates for the two child states, two child codes,
-// and the Children slice.
-func outcomeBudget(p Problem) float64 {
-	root := p.Root()
-	return testing.AllocsPerRun(100, func() { root.Branch() }) + 3
-}
+// outcomeAllocs is what one warm Outcome allocates: one object for both
+// child states, one array for both child codes.
+const outcomeAllocs = 2
 
 func TestWarmOutcomeAllocs(t *testing.T) {
 	for name, p := range warmProblems() {
+		root := p.Root()
+		if got := testing.AllocsPerRun(100, func() { root.Branch() }); got != 1 {
+			t.Errorf("%s: Branch allocates %.0f, want 1 (both child states in one object)", name, got)
+		}
 		e := NewExpander(p)
 		it := e.Root()
 		for d := 0; d < warmDepth/2; d++ {
 			it = e.Outcome(it).Children[1]
 		}
-		budget := outcomeBudget(p)
-		if got := testing.AllocsPerRun(100, func() { e.Outcome(it) }); got > budget {
-			t.Errorf("%s: warm Outcome allocates %.0f, want ≤ %.0f (child states + 2 codes + children slice)", name, got, budget)
+		if got := testing.AllocsPerRun(100, func() { e.Outcome(it) }); got > outcomeAllocs {
+			t.Errorf("%s: warm Outcome allocates %.0f, want ≤ %d (child states + child codes)", name, got, outcomeAllocs)
 		}
 	}
 }
@@ -80,7 +80,7 @@ func TestExpandCycleAllocs(t *testing.T) {
 			}
 		}
 		descend() // size the pool slice
-		budget := warmDepth * outcomeBudget(p)
+		budget := float64(warmDepth * outcomeAllocs)
 		if got := testing.AllocsPerRun(50, descend); got > budget {
 			t.Errorf("%s: %d Next→Outcome→OnExpanded cycles allocate %.0f, want ≤ %.0f", name, warmDepth, got, budget)
 		}

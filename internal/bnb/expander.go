@@ -39,6 +39,11 @@ type Problem interface {
 // depth of states. Because branching is deterministic, every process derives
 // identical state for the same code.
 //
+// A warm expansion costs two allocations: Branch makes both child states in
+// one object, code.Children makes both child codes in one array, and the
+// children ride out in the expander's own two-item scratch, which the next
+// Outcome overwrites (the protocol.Expander contract).
+//
 // An Expander is not safe for concurrent use: create one per process, which
 // also matches the model — each process re-derives subproblems from its own
 // copy of the initial data.
@@ -47,6 +52,7 @@ type Expander struct {
 	// The previous cold replay: path[d] is the state behind prev[:d+1].
 	prev code.Code
 	path []Subproblem
+	kids [2]protocol.Item // the last Outcome's Children
 }
 
 var _ protocol.Expander = (*Expander)(nil)
@@ -120,13 +126,12 @@ func (e *Expander) Outcome(it protocol.Item) protocol.Outcome {
 	if !ok {
 		return protocol.Outcome{} // infeasible leaf
 	}
-	out := protocol.Outcome{Children: make([]protocol.Item, 0, 2)}
-	for b, child := range []Subproblem{zero, one} {
-		out.Children = append(out.Children, protocol.Item{
-			Code: it.Code.Child(v, uint8(b)), Bound: child.Bound(), State: child,
-		})
+	zc, oc := it.Code.Children(v)
+	e.kids = [2]protocol.Item{
+		{Code: zc, Bound: zero.Bound(), State: zero},
+		{Code: oc, Bound: one.Bound(), State: one},
 	}
-	return out
+	return protocol.Outcome{Children: e.kids[:]}
 }
 
 // SolveProblem runs the sequential engine of §2 over p's root with

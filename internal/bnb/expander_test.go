@@ -131,6 +131,32 @@ func sameOutcome(a, b protocol.Outcome) bool {
 	return true
 }
 
+// TestOutcomeChildrenRideInScratch pins the protocol.Expander contract the
+// warm path relies on: Children is the expander's scratch, which the next
+// Outcome overwrites, while the items copied out of it — the codes and the
+// paired states — are fresh per call and outlive it unchanged.
+func TestOutcomeChildrenRideInScratch(t *testing.T) {
+	for name, p := range warmProblems() {
+		e := NewExpander(p)
+		first := e.Outcome(e.Root())
+		kept := append([]protocol.Item(nil), first.Children...)
+		second := e.Outcome(kept[1])
+		if len(second.Children) == 0 || &first.Children[0] != &second.Children[0] {
+			t.Fatalf("%s: consecutive Outcomes returned distinct Children storage", name)
+		}
+		want := NewExpander(p).Outcome(e.Root())
+		for i, it := range kept {
+			if !sameItem(it, want.Children[i]) {
+				t.Errorf("%s: child %d changed under the next Outcome: %+v, want %+v", name, i, it, want.Children[i])
+			}
+			bare := protocol.Item{Code: it.Code, Bound: it.Bound}
+			if got, ref := e.Outcome(it), NewExpander(p).Outcome(bare); !sameOutcome(got, ref) {
+				t.Errorf("%s: kept child %d branches to %+v, a cold replay to %+v", name, i, got, ref)
+			}
+		}
+	}
+}
+
 // TestPropColdReplayMatchesRootReplay: whatever sequence of cold codes one
 // expander has resolved before — unrelated subtrees, an ancestor of the
 // previous code, the root, a code no honest process could send — each Locate

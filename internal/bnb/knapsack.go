@@ -115,13 +115,16 @@ func (s *knapState) Feasible() (float64, bool) {
 	return 0, false
 }
 
-// Branch fixes item s.next: branch 0 skips it, branch 1 takes it.
+// Branch fixes item s.next: branch 0 skips it, branch 1 takes it. Both
+// children come from one allocation.
 func (s *knapState) Branch() (uint32, Subproblem, Subproblem, bool) {
 	if s.room < 0 || s.next >= len(s.k.Values) {
 		return 0, nil, nil, false
 	}
 	i := s.next
-	skip := &knapState{k: s.k, next: i + 1, room: s.room, value: s.value}
-	take := &knapState{k: s.k, next: i + 1, room: s.room - s.k.Weights[i], value: s.value + s.k.Values[i]}
-	return uint32(i + 1), skip, take, true
+	kids := &[2]knapState{
+		{k: s.k, next: i + 1, room: s.room, value: s.value},
+		{k: s.k, next: i + 1, room: s.room - s.k.Weights[i], value: s.value + s.k.Values[i]},
+	}
+	return uint32(i + 1), &kids[0], &kids[1], true
 }

@@ -39,8 +39,8 @@ func NewQAP(flow, dist [][]float64) (*QAP, error) {
 			}
 		}
 	}
-	if n > 30 {
-		return nil, fmt.Errorf("bnb: QAP order %d exceeds the 30-facility encoding limit", n)
+	if n > maxQAPOrder {
+		return nil, fmt.Errorf("bnb: QAP order %d exceeds the %d-facility encoding limit", n, maxQAPOrder)
 	}
 	return &QAP{Flow: flow, Dist: dist, n: n}, nil
 }
@@ -74,36 +74,31 @@ func (q *QAP) Order() int { return q.n }
 
 // Root returns the root subproblem (nothing assigned or forbidden).
 func (q *QAP) Root() Subproblem {
-	s := &qapState{q: q, loc: make([]int8, q.n), forbidden: make([]uint32, q.n)}
+	s := &qapState{q: q}
 	for i := range s.loc {
 		s.loc[i] = -1
 	}
 	return s
 }
 
+// maxQAPOrder is the encoding limit: a location set is a uint32 bitmask.
+const maxQAPOrder = 30
+
 // qapState is a partial assignment with per-facility forbidden-location sets.
+// Its arrays are fixed at the encoding limit, so a state is one flat object
+// and Branch carves both children from a single allocation; only the first
+// q.n entries of each array are meaningful.
 type qapState struct {
 	q         *QAP
-	loc       []int8   // loc[i] = location of facility i, -1 if unassigned
-	taken     uint32   // bitmask of occupied locations
-	forbidden []uint32 // forbidden[i] = locations facility i may not use
-	cost      float64  // interaction cost among assigned facilities
-}
-
-func (s *qapState) clone() *qapState {
-	c := &qapState{
-		q:     s.q,
-		loc:   append([]int8(nil), s.loc...),
-		taken: s.taken,
-		cost:  s.cost,
-	}
-	c.forbidden = append([]uint32(nil), s.forbidden...)
-	return c
+	loc       [maxQAPOrder]int8   // loc[i] = location of facility i, -1 if unassigned
+	forbidden [maxQAPOrder]uint32 // forbidden[i] = locations facility i may not use
+	taken     uint32              // bitmask of occupied locations
+	cost      float64             // interaction cost among assigned facilities
 }
 
 // nextFacility returns the lowest-index unassigned facility, or -1.
 func (s *qapState) nextFacility() int {
-	for i, l := range s.loc {
+	for i, l := range s.loc[:s.q.n] {
 		if l < 0 {
 			return i
 		}
@@ -121,7 +116,7 @@ func (s *qapState) available(i int) uint32 {
 // against the already-assigned facilities.
 func (s *qapState) attach(i, l int) float64 {
 	c := 0.0
-	for k, lk := range s.loc {
+	for k, lk := range s.loc[:s.q.n] {
 		if lk < 0 {
 			continue
 		}
@@ -136,7 +131,7 @@ func (s *qapState) attach(i, l int) float64 {
 // non-negative).
 func (s *qapState) Bound() float64 {
 	lb := s.cost
-	for i, l := range s.loc {
+	for i, l := range s.loc[:s.q.n] {
 		if l >= 0 {
 			continue
 		}
@@ -185,14 +180,14 @@ func (s *qapState) Branch() (uint32, Subproblem, Subproblem, bool) {
 			}
 		}
 	}
-	// Branch 1: assign facility i to location bestJ.
-	take := s.clone()
+	// Both children in one object: branch 0 forbids the pair, branch 1
+	// assigns facility i to location bestJ.
+	kids := &[2]qapState{*s, *s}
+	forbid, take := &kids[0], &kids[1]
+	forbid.forbidden[i] |= 1 << bestJ
 	take.loc[i] = int8(bestJ)
 	take.taken |= 1 << bestJ
 	take.cost += bestC
-	// Branch 0: forbid the pair.
-	forbid := s.clone()
-	forbid.forbidden[i] |= 1 << bestJ
 	v := uint32(i*s.q.n + bestJ + 1)
 	return v, forbid, take, true
 }

@@ -9,6 +9,7 @@ import (
 
 	"gossipbnb/internal/bnb"
 	"gossipbnb/internal/code"
+	"gossipbnb/internal/protocol"
 )
 
 func testRandom(seed int64, size int) *Tree {
@@ -64,6 +65,35 @@ func TestLocate(t *testing.T) {
 		if !ok || got != idx {
 			t.Fatalf("Locate(CodeOf(%d)) = %d, %v", idx, got, ok)
 		}
+	}
+}
+
+// TestExpanderOutcome: every interior node's Outcome names the two recorded
+// children under their own codes, for two allocations — the paired child
+// codes and the Children slice.
+func TestExpanderOutcome(t *testing.T) {
+	tr := testRandom(3, 201)
+	e := Expander{Tree: tr}
+	var interior protocol.Item
+	for idx := int32(0); idx < int32(tr.Size()); idx++ {
+		c, _ := tr.CodeOf(idx)
+		it, ok := e.Locate(c)
+		if !ok || it.Ref != idx {
+			t.Fatalf("Locate(CodeOf(%d)) = %+v, %v", idx, it, ok)
+		}
+		out := e.Outcome(it)
+		if n := tr.Nodes[idx]; n.Leaf() != (len(out.Children) == 0) || out.Feasible != n.Feasible {
+			t.Fatalf("node %d: Outcome %+v disagrees with the record %+v", idx, out, n)
+		}
+		for b, ch := range out.Children {
+			if want := c.Child(tr.Nodes[idx].BranchVar, uint8(b)); !ch.Code.Equal(want) || ch.Ref != tr.Nodes[idx].Children[b] {
+				t.Fatalf("node %d child %d = %v@%d, want %v@%d", idx, b, ch.Code, ch.Ref, want, tr.Nodes[idx].Children[b])
+			}
+			interior = it
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { e.Outcome(interior) }); got != 2 {
+		t.Errorf("Outcome allocates %.0f, want 2 (paired child codes + Children)", got)
 	}
 }
 

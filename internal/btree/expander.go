@@ -38,14 +38,10 @@ func (e Expander) Outcome(it protocol.Item) protocol.Outcome {
 	if tn.Leaf() {
 		return out
 	}
-	out.Children = make([]protocol.Item, 0, 2)
-	for b := uint8(0); b < 2; b++ {
-		idx := tn.Children[b]
-		out.Children = append(out.Children, protocol.Item{
-			Code:  it.Code.Child(tn.BranchVar, b),
-			Ref:   idx,
-			Bound: e.Tree.Nodes[idx].Bound,
-		})
+	zero, one := it.Code.Children(tn.BranchVar)
+	out.Children = []protocol.Item{
+		{Code: zero, Ref: tn.Children[0], Bound: e.Tree.Nodes[tn.Children[0]].Bound},
+		{Code: one, Ref: tn.Children[1], Bound: e.Tree.Nodes[tn.Children[1]].Bound},
 	}
 	return out
 }

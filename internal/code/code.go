@@ -78,6 +78,20 @@ func (c Code) Child(v uint32, b uint8) Code {
 	return ch
 }
 
+// Children returns the codes of both children of a branch on variable v,
+// carved from one backing array: one allocation where two Child calls make two.
+// Each is capacity-clipped, so neither an append to one nor a write past its
+// end can reach the other, and neither shares storage with c.
+func (c Code) Children(v uint32) (zero, one Code) {
+	n := len(c) + 1
+	both := make(Code, 2*n)
+	copy(both, c)
+	copy(both[n:], c)
+	both[n-1] = Decision{Var: v, Branch: 0}
+	both[2*n-1] = Decision{Var: v, Branch: 1}
+	return both[:n:n], both[n:]
+}
+
 // AppendChild appends the decision ⟨v,b⟩ to c in place, like append: the
 // result shares c's storage when capacity allows. It is the
 // append-into-scratch counterpart of Child for callers that own a reusable
@@ -363,6 +377,7 @@ func suffixSize(c Code, shared int) int {
 // caller that keeps no codes (ctree.Decode walks them into its trie) is bounded
 // by its input and needs no MaxExpand; one that keeps them is DecodeAll.
 func DecodeEach(buf []byte, fn func(c Code, shared, left int) error) (int, error) {
+	const scratchDepth = 64 // one 512-byte scratch covers any frontier this shallow
 	off := 0
 	uvarint := func(what string) (uint64, error) {
 		v, n := binary.Uvarint(buf[off:])
@@ -398,6 +413,11 @@ func DecodeEach(buf []byte, fn func(c Code, shared, left int) error) (int, error
 			return 0, fmt.Errorf("code: decode: implausible depth %d (shared %d)", depth, sh)
 		}
 		prev, lcp := cur, sh
+		if depth > uint64(cap(cur)) {
+			// A frontier deepens a level a code, so start at scratchDepth
+			// rather than double through every small size on the way.
+			cur = append(make(Code, 0, max(depth, 2*uint64(cap(cur)), scratchDepth)), cur[:sh]...)
+		}
 		cur = cur[:sh]
 		for i := sh; i < depth; i++ {
 			w, err := uvarint("decision")

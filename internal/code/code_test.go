@@ -361,6 +361,33 @@ func TestChildDoesNotAliasParentStorage(t *testing.T) {
 	}
 }
 
+// TestPropChildrenMatchesChild: Children equals the two Child calls, in one
+// allocation, and the pair shares no writable storage — an append to either
+// child or a write into it leaves the sibling and the parent as they were.
+func TestPropChildrenMatchesChild(t *testing.T) {
+	f := func(seed int64, v uint32) bool {
+		c := randomCode(rand.New(rand.NewSource(seed)))
+		zero, one := c.Children(v)
+		if !zero.Equal(c.Child(v, 0)) || !one.Equal(c.Child(v, 1)) {
+			return false
+		}
+		keep, keepOne := c.Clone(), one.Clone()
+		_ = append(zero, Decision{Var: 9, Branch: 1})
+		for i := range zero {
+			zero[i].Var++
+		}
+		_ = append(one, Decision{Var: 9, Branch: 0})
+		return one.Equal(keepOne) && c.Equal(keep)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	c := mk(1, 0, 2, 1)
+	if got := testing.AllocsPerRun(100, func() { c.Children(3) }); got != 1 {
+		t.Errorf("Children allocates %.0f, want 1", got)
+	}
+}
+
 func TestAppendChild(t *testing.T) {
 	// AppendChild is the scratch-buffer variant: same result as Child, but it
 	// extends the receiver in place when capacity allows.
@@ -490,6 +517,23 @@ func TestBatchShapes(t *testing.T) {
 		if got, want := AppendAll(nil, []Code{c}), c.Append([]byte{1}); string(got) != string(want) {
 			t.Errorf("singleton %v encodes as %x, want %x", c, got, want)
 		}
+	}
+}
+
+// TestDecodeEachScratchGrowsOnce: the scratch code DecodeEach rebuilds each
+// code in starts at 64 decisions, so walking a frontier that deepens a level
+// a code down to depth 40 costs one allocation, not one per doubling (seven).
+func TestDecodeEachScratchGrowsOnce(t *testing.T) {
+	var frontier []Code
+	c := Root()
+	for d := uint32(1); d <= 40; d++ {
+		frontier = append(frontier, c.Child(d, 0))
+		c = c.Child(d, 1)
+	}
+	buf := AppendAll(nil, frontier)
+	skip := func(Code, int, int) error { return nil }
+	if got := testing.AllocsPerRun(100, func() { DecodeEach(buf, skip) }); got != 1 {
+		t.Errorf("DecodeEach over a depth-40 frontier allocates %.0f, want 1", got)
 	}
 }
 

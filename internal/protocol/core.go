@@ -73,7 +73,9 @@ type Expander interface {
 	// Outcome branches it, revealing feasibility, value, and children. The
 	// children carry their handles, so expanding one later resolves nothing.
 	// An item whose handle is unset (built from a bare code) must still
-	// work, at Locate's price.
+	// work, at Locate's price. The Children slice may be the expander's
+	// scratch: it is valid until the next call on the same expander, so a
+	// driver hands it to OnExpanded (which copies the items) before then.
 	Outcome(it Item) Outcome
 }
 
