@@ -1,15 +1,16 @@
 // Command figures regenerates every table and figure of the paper's
 // evaluation, plus the comparison and ablation experiments listed in
-// DESIGN.md.
+// DESIGN.md. Every run is deterministic in the seed; what it prints at seed 1
+// with -quick is pinned byte for byte under internal/exp/testdata/figures.
 //
 // Usage:
 //
-//	figures -all                  # everything (the Table 1 sweep takes minutes)
+//	figures -all                  # everything (the Table 1 / Figure 4 sweep takes minutes)
 //	figures -fig 3                # one figure (1..6)
 //	figures -table 1              # Table 1
 //	figures -gran -ft -dib        # selected extra experiments
 //	figures -seed 7               # change the deterministic seed
-//	figures -quick                # smaller processor counts for Table 1 / Figure 4
+//	figures -quick                # Figure 4 at Table 1's processor counts only
 package main
 
 import (
@@ -33,100 +34,30 @@ func main() {
 		diffb   = flag.Bool("diffbytes", false, "anti-entropy diff gossip vs full-frontier wire bytes")
 		all     = flag.Bool("all", false, "run everything")
 		seed    = flag.Int64("seed", 1, "deterministic seed")
-		quick   = flag.Bool("quick", false, "smaller sweeps for Table 1 / Figure 4")
+		quick   = flag.Bool("quick", false, "Figure 4 at Table 1's processor counts only")
 	)
 	flag.Parse()
 
-	out := os.Stdout
+	want := map[string]bool{
+		fmt.Sprintf("fig%d", *fig):     true,
+		fmt.Sprintf("table%d", *table): true,
+		"gran":                         *gran,
+		"ft":                           *ft,
+		"dib":                          *dib,
+		"central":                      *central,
+		"member":                       *membr,
+		"diffbytes":                    *diffb,
+		"ablation-" + *ablate:          true,
+	}
+	r := &exp.Runner{Seed: *seed, Quick: *quick}
 	ran := false
-	section := func(name string) {
-		fmt.Fprintf(out, "\n=== %s ===\n\n", name)
-		ran = true
-	}
-
-	if *all || *fig == 1 {
-		section("Figure 1")
-		exp.Figure1(out)
-	}
-	if *all || *fig == 2 {
-		section("Figure 2")
-		exp.Figure2(out)
-	}
-	if *all || *fig == 3 {
-		section("Figure 3")
-		exp.RenderFigure3(out, exp.Figure3(*seed))
-	}
-	if *all || *table == 1 {
-		section("Table 1")
-		procs := exp.Table1Procs
-		if *quick {
-			procs = []int{10, 30, 50}
-		}
-		exp.RenderTable1(out, exp.Table1(*seed, procs))
-	}
-	if *all || *fig == 4 {
-		section("Figure 4")
-		if *quick {
-			exp.RenderFigure4(out, exp.Table1(*seed, []int{10, 20, 40, 70, 100}))
-		} else {
-			exp.RenderFigure4(out, exp.Figure4(*seed))
+	for _, s := range exp.Sections() {
+		if *all || want[s.Key] {
+			fmt.Printf("\n=== %s ===\n\n", s.Title)
+			s.Render(os.Stdout, r)
+			ran = true
 		}
 	}
-	if *all || *fig == 5 {
-		section("Figure 5")
-		exp.RenderGantt(out, "Figure 5: very small problem, 3 processors, no failures", exp.Figure5(*seed))
-	}
-	if *all || *fig == 6 {
-		section("Figure 6")
-		exp.RenderGantt(out,
-			"Figure 6: same problem, two processors crash at ~85%; the survivor recovers",
-			exp.Figure6(*seed))
-	}
-	if *all || *gran {
-		section("Granularity sweep")
-		exp.RenderGranularity(out, exp.Granularity(*seed))
-	}
-	if *all || *ft {
-		section("Fault tolerance")
-		exp.RenderFaultTolerance(out, exp.FaultTolerance(*seed))
-	}
-	if *all || *dib {
-		section("DIB comparison")
-		exp.RenderDIBComparison(out, exp.DIBComparison(*seed))
-	}
-	if *all || *central {
-		section("Centralized baseline")
-		exp.RenderCentralized(out, exp.Centralized(*seed))
-	}
-	if *all || *membr {
-		section("Membership protocol")
-		exp.RenderMembership(out, exp.Membership(*seed))
-	}
-	if *all || *diffb {
-		section("Diff gossip: wire bytes")
-		exp.RenderDiffBytes(out, exp.DiffBytes(*seed))
-	}
-	if *all || *ablate == "report" {
-		section("Ablation: report policy")
-		exp.RenderAblationReportPolicy(out, exp.AblationReportPolicy(*seed))
-	}
-	if *all || *ablate == "recovery" {
-		section("Ablation: recovery trigger")
-		exp.RenderAblationRecoveryPatience(out, exp.AblationRecoveryPatience(*seed))
-	}
-	if *all || *ablate == "compress" {
-		section("Ablation: report compression")
-		exp.RenderAblationCompression(out, exp.AblationCompression(*seed))
-	}
-	if *all || *ablate == "select" {
-		section("Ablation: selection rule")
-		exp.RenderAblationSelectRule(out, exp.AblationSelectRule(*seed))
-	}
-	if *all || *ablate == "adaptive" {
-		section("Ablation: adaptive reports")
-		exp.RenderAblationAdaptiveReports(out, exp.AblationAdaptiveReports(*seed))
-	}
-
 	if !ran {
 		flag.Usage()
 		os.Exit(2)

@@ -72,8 +72,9 @@ func (f *fnvStream) observe(t float64, seq uint64) {
 	}
 }
 
-// goldenTable1 is the BenchmarkTable1/procs=100 scenario: the size-scaled
-// Table 1 workload (8001 nodes, 3.47 s mean cost) on 100 processes.
+// goldenTable1 is the size-scaled Table 1 workload (8001 nodes, 3.47 s mean
+// cost) on 100 processes: the frontier table1-100 row of the diff-bytes
+// figure, whose report-path bytes internal/exp's golden pins.
 func goldenTable1() (*btree.Tree, Config) {
 	r := rand.New(rand.NewSource(1))
 	tree := btree.Random(r, btree.RandomConfig{

@@ -149,7 +149,9 @@ func (n *node) redoExpired() bool {
 	var oldestID int64
 	for id, d := range n.delegations {
 		if !d.expired && now-d.since >= n.h.cfg.RedoTimeout {
-			if oldest == nil || d.since < oldest.since {
+			// A grant delegates several problems at one instant: the lowest
+			// id goes first, so the choice does not follow map order.
+			if oldest == nil || d.since < oldest.since || d.since == oldest.since && id < oldestID {
 				oldest, oldestID = d, id
 			}
 		}

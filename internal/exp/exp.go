@@ -84,17 +84,30 @@ type Row struct {
 	StorageTotal     int
 	StorageRedundant int
 	CommMBPerHrProc  float64
-	// Work accounting.
+	// Work accounting: Speedup is uniprocessor time over execution time,
+	// Msgs every message sent.
+	Speedup   float64
 	Expanded  int
 	Redundant int
 	Reports   int
+	Msgs      int64
 	OptimumOK bool
+}
+
+// effort is Dwork/Halpern/Waarts's price of a run: expansions plus messages,
+// per expansion the sequential algorithm makes.
+func effort(expanded, redundant int, msgs int64) float64 {
+	return (float64(expanded) + float64(msgs)) / float64(expanded-redundant)
 }
 
 // measure runs one configuration and extracts a Row.
 func measure(w Workload, procs int, seed int64) Row {
 	res := dbnb.Run(w.Tree, baseConfig(w, procs, seed))
-	return rowFrom(res, procs)
+	row := rowFrom(res, procs)
+	if res.Time > 0 {
+		row.Speedup = w.Tree.Stats().TotalCost / res.Time
+	}
+	return row
 }
 
 func rowFrom(res dbnb.Result, procs int) Row {
@@ -111,6 +124,7 @@ func rowFrom(res dbnb.Result, procs int) Row {
 		StorageRedundant: res.Met.RedundantStorage(),
 		Expanded:         res.Expanded,
 		Redundant:        res.Redundant,
+		Msgs:             res.Net.Sent,
 		OptimumOK:        res.OptimumOK,
 	}
 	for i := range res.Met.Nodes {
@@ -134,6 +148,7 @@ type Fig3Row struct {
 	ExecSeconds              float64
 	OptimumOK                bool
 	ExpandedNodes, Redundant int
+	Msgs                     int64
 	OverheadPctOfTotal       float64 // everything but BB, as % of total
 }
 
@@ -156,6 +171,7 @@ func Figure3(seed int64) []Fig3Row {
 			OptimumOK:     res.OptimumOK,
 			ExpandedNodes: res.Expanded,
 			Redundant:     res.Redundant,
+			Msgs:          res.Net.Sent,
 		}
 		if tot := agg.Total(); tot > 0 {
 			r.OverheadPctOfTotal = 100 * (tot - agg.Get(metrics.BB)) / tot
@@ -168,11 +184,11 @@ func Figure3(seed int64) []Fig3Row {
 // RenderFigure3 prints the rows as a text table plus ASCII stacked bars.
 func RenderFigure3(w io.Writer, rows []Fig3Row) {
 	fmt.Fprintln(w, "Figure 3: execution-time breakdown, small problem (~3,500 nodes, 0.01 s/node)")
-	fmt.Fprintln(w, "procs  exec(s)   BB(s)  comm(s)  contr(s)  LB(s)  idle(s)  overhead%  optimum")
+	fmt.Fprintln(w, "procs  exec(s)   BB(s)  comm(s)  contr(s)  LB(s)  idle(s)  overhead%  effort  optimum")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%5d  %7.2f  %6.2f  %7.3f  %8.3f  %5.2f  %7.2f  %8.1f%%  %v\n",
+		fmt.Fprintf(w, "%5d  %7.2f  %6.2f  %7.3f  %8.3f  %5.2f  %7.2f  %8.1f%%  %6.3f  %v\n",
 			r.Procs, r.ExecSeconds, r.BB, r.Comm, r.Contract, r.LB, r.Idle,
-			r.OverheadPctOfTotal, r.OptimumOK)
+			r.OverheadPctOfTotal, effort(r.ExpandedNodes, r.Redundant, r.Msgs), r.OptimumOK)
 	}
 	fmt.Fprintln(w, "\nstacked bars (each char ≈ total/60):")
 	max := 0.0
@@ -195,44 +211,23 @@ func RenderFigure3(w io.Writer, rows []Fig3Row) {
 
 // --- Table 1 -------------------------------------------------------------------
 
-// Table1Procs are the processor counts of the paper's Table 1.
-var Table1Procs = []int{10, 30, 50, 70, 100}
-
-// Table1 measures the large problem at the paper's processor counts.
-func Table1(seed int64, procs []int) []Row {
-	if procs == nil {
-		procs = Table1Procs
-	}
-	w := LargeWorkload(seed)
-	out := make([]Row, 0, len(procs))
-	for _, p := range procs {
-		out = append(out, measure(w, p, seed))
-	}
-	return out
-}
-
 // RenderTable1 prints rows with the paper's Table 1 columns.
 func RenderTable1(w io.Writer, rows []Row) {
 	fmt.Fprintln(w, "Table 1: simulated execution of the large problem (~79,600 nodes, 3.47 s/node)")
-	fmt.Fprintln(w, "procs  exec(h)    BB%   contr%  storage(MB)  redund(MB)  comm(MB/h/proc)  optimum")
+	fmt.Fprintln(w, "procs  exec(h)  speedup    BB%   contr%  storage(MB)  redund(MB)  comm(MB/h/proc)  effort  optimum")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%5d  %7.2f  %5.2f%%  %5.2f%%  %11.2f  %10.2f  %15.2f  %v\n",
-			r.Procs, r.ExecSeconds/3600, r.BBPct, r.ContractPct,
+		fmt.Fprintf(w, "%5d  %7.2f  %7.2f  %5.2f%%  %5.2f%%  %11.2f  %10.2f  %15.2f  %6.3f  %v\n",
+			r.Procs, r.ExecSeconds/3600, r.Speedup, r.BBPct, r.ContractPct,
 			metrics.MB(int64(r.StorageTotal)), metrics.MB(int64(r.StorageRedundant)),
-			r.CommMBPerHrProc, r.OptimumOK)
+			r.CommMBPerHrProc, effort(r.Expanded, r.Redundant, r.Msgs), r.OptimumOK)
 	}
+	fmt.Fprintln(w, "(effort = (expansions + messages) / sequential expansions, Dwork/Halpern/Waarts)")
 }
 
 // --- Figure 4 -------------------------------------------------------------------
 
-// Figure4 sweeps 10..100 processors in steps of 10 on the large problem:
-// the execution-time and communication curves.
-func Figure4(seed int64) []Row {
-	procs := []int{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	return Table1(seed, procs)
-}
-
-// RenderFigure4 prints the two series of Figure 4.
+// RenderFigure4 prints the two series of Figure 4: execution time and
+// communication against processors.
 func RenderFigure4(w io.Writer, rows []Row) {
 	fmt.Fprintln(w, "Figure 4 (left): execution time vs processors")
 	plotSeries(w, rows, func(r Row) float64 { return r.ExecSeconds / 3600 }, "h")

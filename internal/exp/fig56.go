@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"gossipbnb/internal/dbnb"
@@ -78,10 +79,7 @@ func FaultTolerance(seed int64) []FTRow {
 	for _, procs := range []int{3, 6} {
 		base := dbnb.Run(w.Tree, baseConfig(w, procs, seed))
 		for _, frac := range []float64{0.25, 0.5, 0.85} {
-			for _, kill := range []int{1, procs / 2, procs - 1} {
-				if kill < 1 {
-					continue
-				}
+			for _, kill := range slices.Compact([]int{1, procs / 2, procs - 1}) {
 				cfg := baseConfig(w, procs, seed)
 				for i := 0; i < kill; i++ {
 					cfg.Crashes = append(cfg.Crashes, dbnb.Crash{
