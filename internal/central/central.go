@@ -11,6 +11,7 @@ package central
 import (
 	"container/heap"
 	"math"
+	"slices"
 
 	"gossipbnb/internal/btree"
 	"gossipbnb/internal/sim"
@@ -268,13 +269,20 @@ func (m *manager) reassignTick() {
 		return
 	}
 	now := m.k.Now()
+	var expired []sim.NodeID
 	for w, a := range m.assigned {
 		if now-a.since >= m.cfg.AssignTimeout {
-			for _, idx := range a.idxs {
-				heap.Push(&m.pool, item{idx: idx, bound: m.tree.Nodes[idx].Bound})
-			}
-			delete(m.assigned, w)
+			expired = append(expired, w)
 		}
+	}
+	// Requeue in worker-id order, not map order: items of equal bound leave
+	// the heap in the order they were pushed.
+	slices.Sort(expired)
+	for _, w := range expired {
+		for _, idx := range m.assigned[w].idxs {
+			heap.Push(&m.pool, item{idx: idx, bound: m.tree.Nodes[idx].Bound})
+		}
+		delete(m.assigned, w)
 	}
 	for len(m.waiting) > 0 && len(m.pool) > 0 {
 		w := m.waiting[0]

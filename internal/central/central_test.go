@@ -134,3 +134,28 @@ func BenchmarkCentral8Workers(b *testing.B) {
 		}
 	}
 }
+
+// TestReassignDeterministic: when several silent workers' assignments expire
+// in one tick, their problems go back to the pool in worker-id order. With
+// every bound equal the pool hands problems out in push order, so requeueing
+// in map order made repeated runs of one crash scenario disagree.
+func TestReassignDeterministic(t *testing.T) {
+	tr := smallTree(8)
+	for i := range tr.Nodes {
+		tr.Nodes[i].Bound = 0
+	}
+	cfg := Config{
+		Workers: 6, Seed: 13, AssignTimeout: 6,
+		Crashes: []Crash{{Time: 2, Worker: 1}, {Time: 2, Worker: 3}, {Time: 2, Worker: 4}, {Time: 2, Worker: 5}},
+	}
+	first := Run(tr, cfg)
+	if !first.Terminated || !first.OptimumOK {
+		t.Fatalf("%+v", first)
+	}
+	for i := 0; i < 20; i++ {
+		if res := Run(tr, cfg); res.Time != first.Time || res.Expanded != first.Expanded || res.Redundant != first.Redundant {
+			t.Fatalf("run %d: time %g expanded %d redundant %d; first run %g %d %d",
+				i, res.Time, res.Expanded, res.Redundant, first.Time, first.Expanded, first.Redundant)
+		}
+	}
+}

@@ -149,9 +149,10 @@ func TestSampleComplementAllocs(t *testing.T) {
 	}
 }
 
-// TestCachedViewAllocs: Codes, WireSize, and Len on an unchanged table
+// TestCachedViewAllocs: Snapshot, WireSize, and Len on an unchanged table
 // allocate nothing — this is what lets SendTable push the same frontier to
-// several peers without re-deriving it.
+// several peers without re-deriving it. An empty table's snapshot allocates
+// nothing even the first time.
 func TestCachedViewAllocs(t *testing.T) {
 	tb := New()
 	for i, c := range counterLeaves(8) {
@@ -159,14 +160,18 @@ func TestCachedViewAllocs(t *testing.T) {
 			tb.Insert(c)
 		}
 	}
-	tb.Codes() // derive once
+	tb.Snapshot() // derive once
 	avg := testing.AllocsPerRun(100, func() {
-		if len(tb.Codes()) == 0 || tb.WireSize() == 0 || tb.Len() == 0 {
+		if tb.Snapshot().Len() == 0 || tb.WireSize() == 0 || tb.Len() == 0 {
 			t.Fatal("table unexpectedly empty")
 		}
 	})
 	if avg > 0 {
-		t.Errorf("cached Codes/WireSize/Len allocate: %.1f allocs/op, want 0", avg)
+		t.Errorf("cached Snapshot/WireSize/Len allocate: %.1f allocs/op, want 0", avg)
+	}
+	empty := New()
+	if avg := testing.AllocsPerRun(100, func() { New().Snapshot(); empty.Snapshot() }); avg > 2 {
+		t.Errorf("snapshots of empty tables allocate: %.1f allocs/op beyond New's 2, want 0", avg-2)
 	}
 }
 

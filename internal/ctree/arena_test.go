@@ -130,8 +130,7 @@ func TestArenaCloneIndependent(t *testing.T) {
 
 // TestArenaSizes pins the two sizes DESIGN.md argues from: a vertex is 32
 // pointer-free bytes, and an empty table — 20 000 of them in a 10 000-process
-// run — costs two allocations and no more bytes than the pointer-linked one
-// did (a 224-byte Table and a vertex in the 48-byte class).
+// run — costs two allocations: a 192-byte Table and a 32-byte vertex.
 func TestArenaSizes(t *testing.T) {
 	if sz := unsafe.Sizeof(node{}); sz != 32 {
 		t.Errorf("unsafe.Sizeof(node{}) = %d, want 32", sz)
@@ -144,8 +143,8 @@ func TestArenaSizes(t *testing.T) {
 		keep[i] = New()
 	}
 	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 224+48 {
-		t.Errorf("New() allocates %d bytes, want ≤ %d", per, 224+48)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 192+32 {
+		t.Errorf("New() allocates %d bytes, want ≤ %d", per, 192+32)
 	}
 	if per := (after.Mallocs - before.Mallocs) / n; per > 2 {
 		t.Errorf("New() makes %d allocations, want ≤ 2", per)

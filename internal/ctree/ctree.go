@@ -23,18 +23,26 @@
 // a trie, Clone is one slice copy, and pruned vertices go onto a free list
 // (indices again) that later inserts pop instead of growing the arena; Insert
 // keeps an explicit path stack so contraction walks bottom-up without
-// re-walking from the root per level; the walks share one prefix scratch
-// buffer; the frontier's size, wire size and decision count are sums kept
-// along the mutation path, so Len and WireSize are field reads; a changed
-// frontier is materialised into a few pointer-free chunks rather than one
-// allocation per code, in the same prefix order InsertAll checks for — so a
-// pushed table is merged as it arrives, with no copy and no sort. The
-// reference implementation the optimizations are property-tested against
-// lives in reference_test.go.
+// re-walking from the root per level; the frontier's size, wire size and
+// decision count are sums kept along the mutation path, so Len and WireSize
+// are field reads.
+//
+// A whole-table push travels as a trie, not as a code list. Snapshot freezes
+// the table into a compact depth-first copy of its live vertices, cached until
+// the next mutation; Merge folds one table into another by a lockstep walk of
+// the two tries that skips every subtree the receiver already holds complete,
+// marks complete wherever the other is, grafts wherever the receiver has no
+// vertex and contracts on the way back up; Encode writes the front-coded
+// frontier straight from the trie. Merge only reads its argument, and Encode,
+// Codes, Len and WireSize write nothing into their table, so one snapshot
+// serves every peer it is sent to, from any goroutine. The reference
+// implementation the optimizations are property-tested against lives in
+// reference_test.go.
 package ctree
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -95,15 +103,15 @@ func (n *node) forkBytes() int {
 // Table is a contracted set of completed-problem codes. The zero value is not
 // usable; call New. Table is not safe for concurrent use: each table belongs
 // to one protocol core, and a core is confined to one goroutine (a simulator
-// process or a live node's loop).
+// process or a live node's loop). A snapshot is the exception: it is never
+// mutated, and the methods Snapshot lists may read it from any goroutine.
 type Table struct {
 	// nodes is the vertex arena: nodes[0] is the root, every other live
 	// vertex is reachable from it through children, and the rest are on the
 	// free list. It starts at one vertex and grows by append, so a pointer
 	// into it (&t.nodes[i]) dies at the next newChild; code that creates
 	// vertices holds indices and re-takes the pointer.
-	nodes     []node
-	nodeCount int // live trie vertices, for storage accounting
+	nodes []node
 
 	// free is the head of the vertex free list, threaded through
 	// children[0]; 0 means empty. prune feeds it; newChild pops it.
@@ -128,28 +136,32 @@ type Table struct {
 	wireSum  int
 	depthSum int
 
-	// frontier caches Codes() output; nil means not materialised (an empty
-	// frontier materialises to nil again, at no cost). Any mutation that
-	// changes the frontier drops it, never mutating it in place — callers may
-	// still hold the old slice.
-	frontier []code.Code
+	// snap caches Snapshot() output; nil means not taken. Any mutation that
+	// changes the frontier drops it, never touching the snapshot itself —
+	// messages in flight still hold it. A snapshot's snap is itself.
+	snap *Table
 
 	// digested records that some vertex may hold a valid digest, so inserts
 	// must clear the bits along their path. It stays false on tables nobody
 	// ever asks for a digest (outboxes, frontier-gossip runs).
 	digested bool
 
+	// nodeCount is the live trie vertices, for storage accounting. (32 bits
+	// beside digested: a wider Table leaves its allocation size class.)
+	nodeCount int32
+
 	// Reused scratch space. path holds the root-to-leaf vertex stack of the
 	// last insert (path[i] = index of the vertex at depth i); scratch is the
-	// shared walk prefix; frames, fstack and nstack are the iterative-walk
-	// stacks of Complement, the frontier walk and the pruning and counting
-	// walks. sortBuf is InsertAll's out-of-order fallback only: the sorted
-	// copy of the part of a batch that broke prefix order. It is cleared when
-	// the fallback returns, so it never keeps a received batch's chunks alive.
+	// complement walk's prefix; frames and nstack are the iterative-walk
+	// stacks of Complement and of the pruning, counting and snapshot walks.
+	// sortBuf is InsertAll's out-of-order fallback only: the sorted copy of
+	// the part of a batch that broke prefix order. It is cleared when the
+	// fallback returns, so it never keeps a received batch's chunks alive.
+	// The frontier walks (Codes, Encode) keep their stacks on the goroutine
+	// stack instead, so they write nothing here.
 	path    []uint32
 	scratch code.Code
 	frames  []walkFrame
-	fstack  []frontierFrame
 	nstack  []uint32
 	sortBuf []code.Code
 }
@@ -187,10 +199,9 @@ func (t *Table) Reset() {
 	t.invalidate()
 }
 
-// invalidate drops the cached frontier after a mutation. The old slice is
-// abandoned, not reused: callers of Codes may still hold it (e.g. a report in
-// flight).
-func (t *Table) invalidate() { t.frontier = nil }
+// invalidate drops the cached snapshot after a mutation. The snapshot is
+// abandoned, not reused: messages in flight may still hold it.
+func (t *Table) invalidate() { t.snap = nil }
 
 // newChild pops a recycled vertex off the free list, or grows the arena by
 // one, links it as the child of vertex p on branch b of variable v, and
@@ -310,7 +321,7 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 	// cached digests are stale. Vertices recycled by the contraction above
 	// were zeroed by prune; re-clearing them is harmless. Nothing off the
 	// path changed, so nothing else needs touching — this is the same
-	// invalidation discipline as the frontier cache, pushed down to vertices.
+	// invalidation discipline as the snapshot cache, pushed down to vertices.
 	if t.digested {
 		for _, v := range t.path {
 			t.nodes[v].digestOK = false
@@ -403,33 +414,28 @@ func (t *Table) Covering(c code.Code) (code.Code, bool) {
 }
 
 // Codes returns the contracted frontier: the minimal set of codes whose
-// completion implies everything the table knows. This is exactly what a
-// process sends when it gossips its whole table. Order is deterministic
-// (depth-first, branch 0 before branch 1).
-//
-// The result is cached until the next mutation; callers must treat both the
-// slice and its codes as immutable. A mutation abandons the cache rather than
-// reusing it, so a previously returned slice (say, a report in flight) is
-// never scribbled over.
-func (t *Table) Codes() []code.Code {
-	if t.frontier == nil {
-		t.frontier = t.materialise(0, t.codes, t.depthSum)
-	}
-	return t.frontier
-}
+// completion implies everything the table knows. Order is deterministic
+// (depth-first, branch 0 before branch 1). Each call materialises a fresh
+// slice the caller owns; a work report is the one hot caller, once per flush.
+// Codes writes nothing into the table, so a snapshot's may run concurrently.
+func (t *Table) Codes() []code.Code { return t.materialise(0, t.codes, t.depthSum) }
+
+// walkDepth is how deep a frontier walk's stacks go before they spill from the
+// goroutine stack to the heap: deeper than any tree the experiments build.
+const walkDepth = 64
 
 // materialise returns the frontier of the subtree rooted at start, as n codes
 // relative to start holding decs decisions in all (frontierSize counts them;
 // for the root they are the table's sums). One iterative depth-first walk,
-// branch 0 first, keeps the current vertex's code in the shared prefix scratch
-// — each vertex knows its depth, so a popped frame truncates the scratch to
-// its parent and appends its own decision — and copies each complete vertex's
-// code into a pointer-free chunk, emitting a capacity-clipped slice of it so
-// an append to one code cannot reach its neighbour. The allocations are the
-// exact-capacity result and about one chunk per code.ChunkLen decisions, not
-// one per code: sized to the whole frontier instead, the large-object spans of
-// a 100-process run raised its peak RSS by a third (DESIGN.md "Completion-table
-// hot path").
+// branch 0 first, keeps the current vertex's code in a prefix buffer — each
+// vertex knows its depth, so a popped frame truncates the prefix to its parent
+// and appends its own decision — and copies each complete vertex's code into a
+// pointer-free chunk, emitting a capacity-clipped slice of it so an append to
+// one code cannot reach its neighbour. The allocations are the exact-capacity
+// result and about one chunk per code.ChunkLen decisions, not one per code:
+// sized to the whole frontier instead, the large-object spans of a 100-process
+// run raised its peak RSS by a third (DESIGN.md "Completion-table hot path").
+// The walk's stack and prefix live on the goroutine stack (walkDepth).
 //
 // The emission order is exactly prefixCmp order: the children of one vertex
 // share its branching variable, so branch 0 before branch 1 is decision order,
@@ -441,30 +447,31 @@ func (t *Table) materialise(start uint32, n, decs int) []code.Code {
 	}
 	out := make([]code.Code, 0, n)
 	chunk := code.Root() // empty, not nil: a complete start yields Root(), as Clone did
-	t.scratch = t.scratch[:0]
+	var stk [walkDepth]frontierFrame
+	var pfx [walkDepth]code.Decision
+	stack, prefix := append(stk[:0], frontierFrame{n: start}), pfx[:0]
 	base := t.nodes[start].depth
-	t.fstack = append(t.fstack[:0], frontierFrame{n: start})
-	for len(t.fstack) > 0 {
-		f := t.fstack[len(t.fstack)-1]
-		t.fstack = t.fstack[:len(t.fstack)-1]
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		v := &t.nodes[f.n]
 		d := int(v.depth - base)
 		if d > 0 {
-			t.scratch = append(t.scratch[:d-1], f.via)
+			prefix = append(prefix[:d-1], f.via)
 		}
 		if v.complete {
 			if d > cap(chunk)-len(chunk) {
 				chunk = make(code.Code, 0, max(d, min(decs, code.ChunkLen)))
 			}
 			at := len(chunk)
-			chunk = append(chunk, t.scratch...)
+			chunk = append(chunk, prefix...)
 			out = append(out, chunk[at:len(chunk):len(chunk)])
 			decs -= d
 			continue
 		}
 		for b := 1; b >= 0; b-- { // pushed in reverse: branch 0 pops first
 			if v.children[b] != 0 {
-				t.fstack = append(t.fstack, frontierFrame{v.children[b], code.Decision{Var: v.branchVar, Branch: uint8(b)}})
+				stack = append(stack, frontierFrame{v.children[b], code.Decision{Var: v.branchVar, Branch: uint8(b)}})
 			}
 		}
 	}
@@ -586,22 +593,124 @@ func (t *Table) eachGap(visit func(c code.Code) bool) {
 	}
 }
 
-// Merge inserts every frontier code of other into t. It returns the number
-// of codes that changed t. Var-mismatch entries are counted in errs.
+// Merge folds every completion other knows into t and leaves t exactly as
+// t.InsertAll(other.Codes()) would: changed counts the frontier codes of other
+// that t did not already cover, errs those that branch a vertex of t on
+// another variable. It walks the two tries in lockstep instead of the code
+// list — a subtree t holds complete is skipped whole, a complete vertex of
+// other completes t's, a branch t lacks is grafted vertex by vertex, and a
+// vertex whose children both end up complete contracts on the way back — so
+// a push of mostly known completions costs the walk down to where t is
+// complete, not a path walk per code. other is only read: the snapshot a push
+// carries is merged by each receiver as it stands.
 func (t *Table) Merge(other *Table) (changed int, errs int) {
-	return t.InsertAll(other.Codes())
+	if other.codes == 0 {
+		return 0, 0
+	}
+	if changed, errs = t.mergeAt(0, other, 0); changed > 0 {
+		t.invalidate()
+	}
+	return changed, errs
+}
+
+// mergeAt merges the subtree of o at oi into the subtree of t at ti, the same
+// position in the tree; Merge documents the counts. Recursion depth is the
+// depth of o's trie.
+func (t *Table) mergeAt(ti uint32, o *Table, oi uint32) (changed, errs int) {
+	n, on := &t.nodes[ti], &o.nodes[oi]
+	switch {
+	case n.complete:
+		return 0, 0
+	case on.complete:
+		t.markComplete(ti)
+		return 1, 0
+	case n.leaf():
+		n.branchVar = on.branchVar // the bare root of an empty table
+	case n.branchVar != on.branchVar:
+		return 0, o.countFrontier(oi)
+	}
+	for b := uint8(0); b < 2; b++ {
+		oc := on.children[b] // o is never mutated: on stays valid
+		if oc == 0 {
+			continue
+		}
+		if tc := t.nodes[ti].children[b]; tc != 0 {
+			ch, er := t.mergeAt(tc, o, oc)
+			changed, errs = changed+ch, errs+er
+		} else {
+			changed += t.graft(ti, b, o, oc)
+		}
+	}
+	if changed == 0 {
+		return 0, errs
+	}
+	n = &t.nodes[ti] // the grafts may have moved the arena
+	if t.digested {
+		n.digestOK = false
+	}
+	if n.children[0] != 0 && n.children[1] != 0 &&
+		t.nodes[n.children[0]].complete && t.nodes[n.children[1]].complete {
+		t.markComplete(ti)
+	}
+	return changed, errs
+}
+
+// graft copies the subtree of o at oi under vertex p of t, on branch b, and
+// returns the number of complete vertices it copied. o is contracted, so the
+// copy needs no contraction of its own.
+func (t *Table) graft(p uint32, b uint8, o *Table, oi uint32) (codes int) {
+	on := &o.nodes[oi]
+	i := t.newChild(p, t.nodes[p].branchVar, b)
+	if on.complete {
+		t.markComplete(i)
+		return 1
+	}
+	t.nodes[i].branchVar = on.branchVar
+	for c := uint8(0); c < 2; c++ {
+		if oc := on.children[c]; oc != 0 {
+			codes += t.graft(i, c, o, oc)
+		}
+	}
+	return codes
+}
+
+// markComplete completes vertex i: its code joins the frontier sums and its
+// subtree is recycled. A cached digest of i is stale; the caller clears the
+// ones above it.
+func (t *Table) markComplete(i uint32) {
+	n := &t.nodes[i]
+	n.complete = true
+	n.digestOK = false
+	t.tally(n, +1)
+	t.prune(i)
+}
+
+// countFrontier counts the complete vertices of the subtree at i, reading
+// nothing but the arena.
+func (t *Table) countFrontier(i uint32) int {
+	n := &t.nodes[i]
+	if n.complete {
+		return 1
+	}
+	k := 0
+	for _, c := range n.children {
+		if c != 0 {
+			k += t.countFrontier(c)
+		}
+	}
+	return k
 }
 
 // InsertAll inserts each code, returning how many changed the table and how
 // many failed validation. Consecutive codes in prefix order (prefixCmp) reuse
 // the common-ancestor portion of the path walk, and ancestors land before the
 // descendants they subsume. A batch that arrives in that order — every
-// Codes/SubtreeCodes output, hence every table push, report and decoded table
-// — is walked as it stands: the common-prefix length each step computes anyway
+// Codes/SubtreeCodes output, hence every report and decoded table push — is
+// walked as it stands: the common-prefix length each step computes anyway
 // also says, with one more decision compare, whether the code follows its
 // predecessor. The first code that does not sends itself and the rest of the
-// batch through a sorted scratch copy (cs itself, often a cached frontier or
-// an in-flight message payload, is never reordered). The changed count of a
+// batch through a sorted scratch copy (cs itself, often an in-flight message
+// payload, is never reordered). The changed count of a
 // batch with internal subsumption can therefore differ from inserting in the
 // caller's order, but whether it is zero — the only protocol-visible property
 // — cannot: changed == 0 exactly when every code was already subsumed by the
@@ -657,7 +766,7 @@ func prefixCmpAt(a, b code.Code, k int) int {
 func (t *Table) Len() int { return t.codes }
 
 // NodeCount returns the number of trie vertices, a proxy for in-memory size.
-func (t *Table) NodeCount() int { return t.nodeCount }
+func (t *Table) NodeCount() int { return int(t.nodeCount) }
 
 // WireSize returns the number of bytes Encode produces (code.WireSizeAll of
 // Codes, read off the running sum): the simulator charges this against the
@@ -665,10 +774,52 @@ func (t *Table) NodeCount() int { return t.nodeCount }
 // mutation for the storage figures.
 func (t *Table) WireSize() int { return code.UvarintLen(uint64(t.codes)) + t.wireSum }
 
-// Encode appends the wire encoding of the table (its contracted frontier) to
-// dst.
+// Decisions returns the number of decisions the frontier's codes hold in all,
+// read off the running sum: what code.MaxExpand weighs against WireSize.
+func (t *Table) Decisions() int { return t.depthSum }
+
+// Encode appends the wire encoding of the table — code.AppendAll of Codes,
+// byte for byte — to dst. It walks the trie depth-first as materialise does
+// and front-codes as it goes: a code shares with its predecessor exactly the
+// depth of the fork between them, the shallowest depth the walk has popped
+// back to since. Its stacks live on the goroutine stack, so Encode writes
+// nothing into the table and a snapshot may be encoded concurrently.
 func (t *Table) Encode(dst []byte) []byte {
-	return code.AppendAll(dst, t.Codes())
+	dst = binary.AppendUvarint(dst, uint64(t.codes))
+	if t.codes == 0 {
+		return dst
+	}
+	var stk [walkDepth]frontierFrame
+	var pfx [walkDepth]code.Decision
+	stack, prefix := append(stk[:0], frontierFrame{}), pfx[:0]
+	first, shared := true, 0
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		v := &t.nodes[f.n]
+		d := int(v.depth)
+		if d > 0 {
+			prefix = append(prefix[:d-1], f.via)
+			shared = min(shared, d-1)
+		}
+		if v.complete {
+			if !first {
+				dst = binary.AppendUvarint(dst, uint64(shared))
+			}
+			dst = binary.AppendUvarint(dst, uint64(d))
+			for _, x := range prefix[shared:] {
+				dst = binary.AppendUvarint(dst, uint64(x.Var)<<1|uint64(x.Branch))
+			}
+			first, shared = false, d
+			continue
+		}
+		for b := 1; b >= 0; b-- { // pushed in reverse: branch 0 pops first
+			if v.children[b] != 0 {
+				stack = append(stack, frontierFrame{v.children[b], code.Decision{Var: v.branchVar, Branch: uint8(b)}})
+			}
+		}
+	}
+	return dst
 }
 
 // Decode reconstructs a table from Encode output. The whole buffer must be
@@ -698,6 +849,69 @@ func Decode(buf []byte) (*Table, error) {
 	}
 	return t, nil
 }
+
+// Snapshot returns a frozen copy of the table: its live vertices, copied in
+// depth-first order (branch 0 first) into a fresh arena of exactly that many,
+// with the frontier sums. The copy is cached until the next mutation, so a
+// table pushed to several peers between two completions is copied once. A
+// snapshot must never be mutated. Read as a Merge argument, and through
+// Encode, Codes, Len, WireSize, Decisions, Complete and Snapshot, it is never
+// written, so those may run from any goroutine. An empty table's snapshot is
+// one shared empty table, so taking it allocates nothing.
+//
+// The compact copy then goes back over the table's own arena with one
+// sequential copy, free list dropped: the table's later merges and snapshots
+// walk a defragmented, depth-first arena (DESIGN.md "Completion-table hot
+// path" has the measurement).
+func (t *Table) Snapshot() *Table {
+	if t.snap != nil {
+		return t.snap
+	}
+	if t.codes == 0 && t.nodeCount == 1 {
+		t.snap = emptySnapshot
+		return t.snap
+	}
+	s := &Table{
+		nodes:     make([]node, t.nodeCount),
+		nodeCount: t.nodeCount,
+		gaps:      t.gaps,
+		codes:     t.codes,
+		wireSum:   t.wireSum,
+		depthSum:  t.depthSum,
+		digested:  t.digested,
+	}
+	s.snap = s
+	// nstack holds pairs: a vertex of t to copy, and where to link its copy —
+	// parent<<1|branch in s.nodes.
+	next := uint32(0)
+	t.nstack = append(t.nstack[:0], 0, 0)
+	for len(t.nstack) > 0 {
+		link, src := t.nstack[len(t.nstack)-2], t.nstack[len(t.nstack)-1]
+		t.nstack = t.nstack[:len(t.nstack)-2]
+		v := &t.nodes[src]
+		s.nodes[next] = *v
+		if next > 0 {
+			s.nodes[link>>1].children[link&1] = next
+		}
+		for b := 1; b >= 0; b-- { // pushed in reverse: branch 0 is copied first
+			if v.children[b] != 0 {
+				t.nstack = append(t.nstack, next<<1|uint32(b), v.children[b])
+			}
+		}
+		next++
+	}
+	t.nodes = append(t.nodes[:0], s.nodes...) // within capacity: no allocation
+	t.free = 0
+	t.snap = s
+	return s
+}
+
+// emptySnapshot is the snapshot of every empty table.
+var emptySnapshot = func() *Table {
+	t := New()
+	t.snap = t
+	return t
+}()
 
 // Clone returns a deep copy of the table: one copy of the arena, free list
 // included (it is indices into the arena, so it carries over as is). Caches

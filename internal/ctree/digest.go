@@ -83,7 +83,7 @@ func (t *Table) digestOf(at uint32) uint64 {
 
 // Digest returns the content digest of the whole table. Tables with equal
 // frontiers have equal digests; unequal frontiers collide with probability
-// ~2^-64. Like Codes, the result is cached until the next mutation.
+// ~2^-64. The result is cached until the next mutation.
 func (t *Table) Digest() uint64 { return t.digestOf(0) }
 
 // DigestAt returns the digest of the subtree at prefix. known is false when

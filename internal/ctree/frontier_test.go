@@ -187,7 +187,7 @@ func scribble(cs []code.Code) {
 
 // TestFrontierAliasing: the codes of one frontier share chunks, so each must
 // be clipped to its own length — an append to one may not reach its
-// neighbour or the cached frontier — and a frontier a caller still holds (a
+// neighbour or a later Codes — and a frontier a caller still holds (a
 // report in flight) must survive later mutations, Reset and reuse untouched.
 func TestFrontierAliasing(t *testing.T) {
 	leaves := counterLeaves(10) // 1024 codes of depth 10: several 4 KB chunks
@@ -211,7 +211,7 @@ func TestFrontierAliasing(t *testing.T) {
 		t.Fatal("append to a frontier code reached a neighbour")
 	}
 	if !codesExactlyEqual(tb.Codes(), want) {
-		t.Fatal("append to a frontier code reached the cached frontier")
+		t.Fatal("append to a frontier code reached a later Codes")
 	}
 
 	// The "report in flight" contract: mutate, flush, recycle, refill.

@@ -361,7 +361,7 @@ func TestPropTableMatchesReference(t *testing.T) {
 		opt, ref := New(), newRef()
 		opt2, ref2 := New(), newRef() // merge source pair
 		for step := 0; step < 40; step++ {
-			switch r.Intn(6) {
+			switch r.Intn(7) {
 			case 0: // single insert
 				c := leaves[r.Intn(len(leaves))]
 				ok1, err1 := opt.Insert(c)
@@ -424,6 +424,8 @@ func TestPropTableMatchesReference(t *testing.T) {
 			case 5: // recycle the optimized table; rebuild the reference to match
 				opt.Reset()
 				ref = newRef()
+			case 6: // snapshot: copies the arena back defragmented, free list dropped
+				opt.Snapshot()
 			}
 			checkAgainstRef(t, opt, ref, probes)
 		}

@@ -550,7 +550,7 @@ func (n *node) drainInbox() {
 		case protocol.Report:
 			contractCost += cfg.ContractPerCode * float64(len(t.Codes))
 		case protocol.TableMsg:
-			contractCost += cfg.ContractPerCode * float64(len(t.Codes))
+			contractCost += cfg.ContractPerCode * float64(t.Len())
 		case protocol.DigestReport:
 			// Merging the delta plus one digest comparison.
 			contractCost += cfg.ContractPerCode * float64(len(t.Codes)+1)

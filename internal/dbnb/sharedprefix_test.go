@@ -24,7 +24,7 @@ func (s *sharedTally) observe(m protocol.Msg) {
 	case protocol.Report:
 		cs = t.Codes
 	case protocol.TableMsg:
-		cs = t.Codes
+		cs = t.Frontier()
 	case protocol.DigestReport:
 		cs = t.Codes
 	case protocol.WorkGrant:

@@ -68,7 +68,15 @@ func Encode(dst []byte, m Msg) ([]byte, error) {
 		putCodes(t.Codes)
 	case TableMsg:
 		put(KindTable, t.Incumbent, t.ActAge)
-		putCodes(t.Codes)
+		if t.snap == nil {
+			putCodes(t.Codes)
+			break
+		}
+		at := len(dst)
+		dst = t.snap.Encode(dst)
+		if t.snap.Decisions() > code.MaxExpand*(len(dst)-at) {
+			err = code.ErrExpand
+		}
 	case WorkRequest:
 		put(KindRequest, t.Incumbent, t.ActAge)
 	case WorkGrant:

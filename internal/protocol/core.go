@@ -602,17 +602,19 @@ func (c *Core) ReportOverdue() bool {
 }
 
 // SendTable pushes the full table to one member (§5.2's consistency gossip).
-// In diff mode the push is a bare digest: the receiver pulls only the
-// subtrees it is actually missing instead of absorbing the whole frontier —
-// the size-with-progress term this refactor removes from steady-state
-// traffic.
+// The push carries the table's snapshot, copied once per table state however
+// many pushes go out before the next completion; the receiver merges it trie
+// to trie. In diff mode the push is a bare digest: the receiver pulls only
+// the subtrees it is actually missing instead of absorbing the whole
+// frontier — the size-with-progress term this refactor removes from
+// steady-state traffic.
 func (c *Core) SendTable(to NodeID) {
 	if c.cfg.DiffGossip {
 		c.d.Sender.Send(to, DigestReport{Digest: c.table.Digest(), Incumbent: c.incumbent, ActAge: c.ActivityAge()})
 		c.cnt.TablesSent++
 		return
 	}
-	c.d.Sender.Send(to, TableMsg{Codes: c.table.Codes(), codesSize: c.table.WireSize(),
+	c.d.Sender.Send(to, TableMsg{snap: c.table.Snapshot(), codesSize: c.table.WireSize(),
 		Incumbent: c.incumbent, ActAge: c.ActivityAge()})
 	c.cnt.TablesSent++
 }
@@ -879,7 +881,11 @@ func (c *Core) HandleMessage(from NodeID, m Msg) Effect {
 	case TableMsg:
 		c.observeIncumbent(t.Incumbent)
 		c.noteActivity(t.ActAge)
-		c.merge(t.Codes)
+		if t.snap != nil {
+			c.mergeTable(t.snap)
+		} else {
+			c.merge(t.Codes)
+		}
 	case WorkRequest:
 		c.observeIncumbent(t.Incumbent)
 		c.noteActivity(t.ActAge)
@@ -1105,6 +1111,24 @@ func (c *Core) merge(cs []code.Code) {
 	open := !c.table.Complete()
 	changed, _ := c.table.InsertAll(cs)
 	c.noteMerged(open, code.Root(), cs)
+	c.noteChanged(changed)
+}
+
+// mergeTable is merge for a pushed snapshot: the same rules, with the trie
+// merge in place of the code walk. A snapshot carries the root code exactly
+// when it is complete.
+func (c *Core) mergeTable(s *ctree.Table) {
+	open := !c.table.Complete()
+	changed, _ := c.table.Merge(s)
+	if open && c.table.Complete() {
+		c.learned = s.Complete()
+	}
+	c.noteChanged(changed)
+}
+
+// noteChanged ends a merge: novel codes are remote progress, and the driver
+// hears that the table may have changed.
+func (c *Core) noteChanged(changed int) {
 	if changed > 0 {
 		c.lastProgress = c.d.Clock.Now()
 	}

@@ -132,17 +132,39 @@ func (m Report) Kind() byte { return KindReport }
 
 // TableMsg is the occasional full-table push "to inform new members of the
 // current state of the execution and to increase the degree of consistency".
-// Its payload is the sender's contracted table frontier.
+// Its payload is the sender's contracted table frontier. Core.SendTable ships
+// it as the table's frozen snapshot (ctree.Table.Snapshot), which the
+// receiving core merges trie to trie and the codec encodes straight from the
+// trie; Codes is then nil. A decoded or hand-built push carries Codes. Len
+// and Frontier read either form.
 type TableMsg struct {
 	Codes     []code.Code
 	Incumbent float64
 	ActAge    float64
 
-	codesSize int // see stampedSize
+	codesSize int          // see stampedSize
+	snap      *ctree.Table // the sender's snapshot, or nil
 }
 
 // Size implements Msg.
 func (m TableMsg) Size() int { return scalarSize + stampedSize(m.codesSize, m.Codes) }
+
+// Len returns the number of frontier codes the push carries.
+func (m TableMsg) Len() int {
+	if m.snap != nil {
+		return m.snap.Len()
+	}
+	return len(m.Codes)
+}
+
+// Frontier returns the codes the push carries: Codes, or a snapshot's
+// frontier materialised afresh — what a Sender that inspects pushes reads.
+func (m TableMsg) Frontier() []code.Code {
+	if m.snap != nil {
+		return m.snap.Codes()
+	}
+	return m.Codes
+}
 
 // Kind implements Msg.
 func (m TableMsg) Kind() byte { return KindTable }

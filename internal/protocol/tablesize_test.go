@@ -11,7 +11,7 @@ import (
 func stampOf(m Msg) (cs []code.Code, stamp int, ok bool) {
 	switch t := m.(type) {
 	case TableMsg:
-		return t.Codes, t.codesSize, true
+		return t.Frontier(), t.codesSize, true
 	case Report:
 		return t.Codes, t.codesSize, true
 	case DigestReport:
