@@ -6,6 +6,7 @@ package ctree
 // is indices too; and the sizes the design argues from are pinned.
 
 import (
+	"errors"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -128,12 +129,14 @@ func TestArenaCloneIndependent(t *testing.T) {
 	}
 }
 
-// TestArenaSizes pins the two sizes DESIGN.md argues from: a vertex is 32
+// TestArenaSizes pins the two sizes DESIGN.md argues from: a vertex is 16
 // pointer-free bytes, and an empty table — 20 000 of them in a 10 000-process
-// run — costs two allocations: a 192-byte Table and a 32-byte vertex.
+// run — costs two allocations: a 208-byte Table (the digest side array's
+// header included) and a 16-byte vertex, within the 224 bytes an empty table
+// took with 32-byte vertices.
 func TestArenaSizes(t *testing.T) {
-	if sz := unsafe.Sizeof(node{}); sz != 32 {
-		t.Errorf("unsafe.Sizeof(node{}) = %d, want 32", sz)
+	if sz := unsafe.Sizeof(node{}); sz != 16 {
+		t.Errorf("unsafe.Sizeof(node{}) = %d, want 16", sz)
 	}
 	const n = 1000
 	keep := make([]*Table, n)
@@ -143,11 +146,42 @@ func TestArenaSizes(t *testing.T) {
 		keep[i] = New()
 	}
 	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 192+32 {
-		t.Errorf("New() allocates %d bytes, want ≤ %d", per, 192+32)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 208+16 {
+		t.Errorf("New() allocates %d bytes, want ≤ %d", per, 208+16)
 	}
 	if per := (after.Mallocs - before.Mallocs) / n; per > 2 {
 		t.Errorf("New() makes %d allocations, want ≤ 2", per)
 	}
 	runtime.KeepAlive(keep)
+}
+
+// TestDepthLimit: a vertex packs its depth beside two flag bits, and the
+// table holds codes up to maxDepth decisions. Insert, InsertAll and Decode
+// refuse a deeper code with ErrDepth and leave the table as it was; a code at
+// the limit goes in. Merge cannot meet one: its argument is a table too.
+func TestDepthLimit(t *testing.T) {
+	if maxDepth >= 1<<(32-metaDepthShift) {
+		t.Fatalf("maxDepth %d does not fit the %d-bit depth field", maxDepth, 32-metaDepthShift)
+	}
+	deep := make(code.Code, maxDepth+1) // all on variable 0, branch 0
+	tb := New()
+	if ok, err := tb.Insert(deep); ok || !errors.Is(err, ErrDepth) {
+		t.Fatalf("Insert of a depth-%d code = %v, %v; want ErrDepth", len(deep), ok, err)
+	}
+	if ch, er := tb.InsertAll([]code.Code{deep[:3], deep}); ch != 1 || er != 1 {
+		t.Fatalf("InsertAll with one code past the limit = (%d, %d), want (1, 1)", ch, er)
+	}
+	if tb.Len() != 1 || tb.NodeCount() != 4 || !tb.Contains(deep[:3]) {
+		t.Fatalf("a refused code changed the table: Len %d, NodeCount %d", tb.Len(), tb.NodeCount())
+	}
+	if _, err := Decode(code.AppendAll(nil, []code.Code{deep})); err == nil {
+		t.Fatal("Decode accepted a code past the depth limit")
+	}
+	at := New()
+	if ok, err := at.Insert(deep[:maxDepth]); !ok || err != nil {
+		t.Fatalf("Insert of a depth-%d code = %v, %v; want it accepted", maxDepth, ok, err)
+	}
+	if at.NodeCount() != maxDepth+1 || at.Decisions() != maxDepth || !at.Contains(deep[:maxDepth]) {
+		t.Fatalf("a code at the limit: NodeCount %d, Decisions %d", at.NodeCount(), at.Decisions())
+	}
 }

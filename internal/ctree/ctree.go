@@ -18,26 +18,27 @@
 // The implementation is the protocol's hot path — every completion, report
 // flush, table gossip, and wire-size query goes through it — so it is tuned
 // to be O(depth) per insert and allocation-lean (DESIGN.md "Completion-table
-// hot path"): the trie's vertices are 32 pointer-free bytes each in one arena
+// hot path"): the trie's vertices are 16 pointer-free bytes each in one arena
 // slice per table and name each other by index, so the collector never scans
 // a trie, Clone is one slice copy, and pruned vertices go onto a free list
-// (indices again) that later inserts pop instead of growing the arena; Insert
-// keeps an explicit path stack so contraction walks bottom-up without
-// re-walking from the root per level; the frontier's size, wire size and
-// decision count are sums kept along the mutation path, so Len and WireSize
-// are field reads.
+// (indices again) that later inserts pop instead of growing the arena; the
+// subtree digests only diff gossip reads live in a side array the table
+// allocates on the first digest request; Insert keeps an explicit path stack
+// so contraction walks bottom-up without re-walking from the root per level;
+// the frontier's size, wire size and decision count are sums kept along the
+// mutation path, so Len and WireSize are field reads.
 //
 // A whole-table push travels as a trie, not as a code list. Snapshot freezes
-// the table into a compact depth-first copy of its live vertices, cached until
-// the next mutation; Merge folds one table into another by a lockstep walk of
-// the two tries that skips every subtree the receiver already holds complete,
-// marks complete wherever the other is, grafts wherever the receiver has no
-// vertex and contracts on the way back up; Encode writes the front-coded
-// frontier straight from the trie. Merge only reads its argument, and Encode,
-// Codes, Len and WireSize write nothing into their table, so one snapshot
-// serves every peer it is sent to, from any goroutine. The reference
-// implementation the optimizations are property-tested against lives in
-// reference_test.go.
+// the table with one copy of its arena, cached until the next mutation (a
+// table with more free vertices than live ones compacts first); Merge folds
+// one table into another by a lockstep walk of the two tries that skips every
+// subtree the receiver already holds complete, marks complete wherever the
+// other is, grafts wherever the receiver has no vertex and contracts on the
+// way back up; Encode writes the front-coded frontier straight from the trie.
+// Merge only reads its argument, and Encode, Codes, Len and WireSize write
+// nothing into their table, so one snapshot serves every peer it is sent to,
+// from any goroutine. The reference implementation the optimizations are
+// property-tested against lives in reference_test.go.
 package ctree
 
 import (
@@ -54,27 +55,42 @@ import (
 // and name each other by index, so a vertex holds no pointer and the collector
 // never scans a trie. The root is index 0 and is nobody's child, so a child
 // index of 0 means "no child on this branch"; free-listed vertices are
-// threaded through children[0] the same way (0 ends the list). 32 bytes.
+// threaded through children[0] the same way (0 ends the list). 16 bytes: the
+// subtree digest lives in the table's side array (digest.go), and the wire
+// bytes of the edge from the parent are recomputed from the parent's
+// branchVar where they are needed (newChild, prune).
 type node struct {
-	// digest caches the content digest of the subtree rooted here (see
-	// digest.go); digestOK is its validity bit, cleared along the mutation
-	// path.
-	digest uint64
-
 	children [2]uint32
 
 	branchVar uint32 // condition variable the children branch on
 
-	// depth is the length of the vertex's own code and edgeBytes the wire
-	// bytes of its last decision, the edge from its parent — fixed when the
-	// vertex is created, so completing or pruning it adjusts the table's sums
-	// without knowing the path that led here.
-	depth     uint32
-	edgeBytes uint32
-
-	complete bool
-	digestOK bool
+	// meta packs the length of the vertex's own code — fixed when the vertex
+	// is created, so completing or pruning it adjusts the table's sums without
+	// knowing the path that led here — above two bits: metaComplete, and
+	// metaDigestOK, the validity bit of the vertex's cached digest, cleared
+	// along the mutation path.
+	meta uint32
 }
+
+const (
+	metaComplete = 1 << iota
+	metaDigestOK
+	metaDepthShift = iota
+
+	// maxDepth is the deepest code a table accepts: Insert and Decode refuse
+	// a longer one with ErrDepth, and Merge cannot meet one, since its
+	// argument is a table too. The depth field has room for 2^30-1 levels;
+	// the limit sits lower, where the recursive walks (Merge, its grafts,
+	// digests) stay far inside the goroutine stack cap, and still a thousand
+	// times deeper than the ≈ 950 levels a push may carry (code.MaxExpand).
+	maxDepth = 1 << 20
+)
+
+// ErrDepth reports a code deeper than a table holds (maxDepth).
+var ErrDepth = fmt.Errorf("ctree: code deeper than %d decisions", maxDepth)
+
+func (n *node) complete() bool { return n.meta&metaComplete != 0 }
+func (n *node) depth() uint32  { return n.meta >> metaDepthShift }
 
 // leaf reports that nothing was ever recorded below n.
 func (n *node) leaf() bool { return n.children[0]|n.children[1] == 0 }
@@ -97,7 +113,7 @@ func (n *node) forkBytes() int {
 	if n.children[0] == 0 || n.children[1] == 0 {
 		return 0
 	}
-	return code.UvarintLen(uint64(n.depth))
+	return code.UvarintLen(uint64(n.depth()))
 }
 
 // Table is a contracted set of completed-problem codes. The zero value is not
@@ -113,6 +129,15 @@ type Table struct {
 	// vertices holds indices and re-takes the pointer.
 	nodes []node
 
+	// digests is the side array of cached subtree digests, digests[i] for
+	// nodes[i], valid where the vertex's metaDigestOK bit is set. It stays
+	// empty until something asks the table for a digest — outboxes and
+	// frontier-gossip tables never do — and while it is empty no vertex
+	// holds a valid digest, so inserts need not clear the bits along their
+	// path. The digest entry points grow it to the arena's length before
+	// they walk (growDigests).
+	digests []uint64
+
 	// free is the head of the vertex free list, threaded through
 	// children[0]; 0 means empty. prune feeds it; newChild pops it.
 	free uint32
@@ -123,6 +148,10 @@ type Table struct {
 	// (32 bits beside free: a wider Table leaves its allocation size class.)
 	gaps int32
 
+	// nodeCount is the live trie vertices, for storage accounting and the
+	// snapshot's compaction rule.
+	nodeCount int32
+
 	// Sums over the frontier, kept where the trie changes. codes and depthSum
 	// count the complete vertices and the decisions of their codes (tally).
 	// wireSum is the front-coded size of the frontier less its count header:
@@ -131,8 +160,9 @@ type Table struct {
 	// leaf is complete — plus a depth header per complete vertex (tally) and a
 	// shared-length header per two-child vertex (forkBytes). newChild adds an
 	// edge and perhaps a fork, prune takes them back. Len and WireSize read
-	// the sums; Codes sizes its chunks by them.
-	codes    int
+	// the sums; Codes sizes its chunks by them. (codes is 32 bits beside
+	// nodeCount: a wider Table leaves its allocation size class.)
+	codes    int32
 	wireSum  int
 	depthSum int
 
@@ -140,15 +170,6 @@ type Table struct {
 	// changes the frontier drops it, never touching the snapshot itself —
 	// messages in flight still hold it. A snapshot's snap is itself.
 	snap *Table
-
-	// digested records that some vertex may hold a valid digest, so inserts
-	// must clear the bits along their path. It stays false on tables nobody
-	// ever asks for a digest (outboxes, frontier-gossip runs).
-	digested bool
-
-	// nodeCount is the live trie vertices, for storage accounting. (32 bits
-	// beside digested: a wider Table leaves its allocation size class.)
-	nodeCount int32
 
 	// Reused scratch space. path holds the root-to-leaf vertex stack of the
 	// last insert (path[i] = index of the vertex at depth i); scratch is the
@@ -195,7 +216,7 @@ func (t *Table) Reset() {
 	t.prune(0)
 	t.nodes[0] = node{}
 	t.codes, t.wireSum, t.depthSum, t.gaps = 0, 0, 0, 1
-	t.digested = false // every vertex was just zeroed
+	t.digests = t.digests[:0] // every vertex was just zeroed; keep the capacity
 	t.invalidate()
 }
 
@@ -204,10 +225,10 @@ func (t *Table) Reset() {
 func (t *Table) invalidate() { t.snap = nil }
 
 // newChild pops a recycled vertex off the free list, or grows the arena by
-// one, links it as the child of vertex p on branch b of variable v, and
+// one, links it as the child of vertex p on branch b of p's branchVar, and
 // returns its index. Growing may move the arena: every *node taken before the
 // call is stale.
-func (t *Table) newChild(p uint32, v uint32, b uint8) uint32 {
+func (t *Table) newChild(p uint32, b uint8) uint32 {
 	i := t.free
 	if i == 0 {
 		i = uint32(len(t.nodes))
@@ -219,20 +240,23 @@ func (t *Table) newChild(p uint32, v uint32, b uint8) uint32 {
 	if parent.leaf() {
 		t.gaps++ // the new leaf's; under a one-child parent it takes over the parent's
 	}
-	edge := code.UvarintLen(uint64(v)<<1 | uint64(b))
-	t.nodes[i] = node{depth: parent.depth + 1, edgeBytes: uint32(edge)}
+	t.nodes[i] = node{meta: (parent.depth() + 1) << metaDepthShift}
 	t.nodeCount++
 	parent.children[b] = i
-	t.wireSum += edge + parent.forkBytes()
+	t.wireSum += edgeBytes(parent.branchVar) + parent.forkBytes()
 	return i
 }
+
+// edgeBytes is the wire size of a decision on variable v: either branch, as
+// v<<1|b takes the same number of uvarint bytes for b = 0 and 1.
+func edgeBytes(v uint32) int { return code.UvarintLen(uint64(v)<<1 | 1) }
 
 // tally adds (sign +1) or removes (sign -1) a complete vertex's code from the
 // frontier sums.
 func (t *Table) tally(n *node, sign int) {
-	t.codes += sign
-	t.depthSum += sign * int(n.depth)
-	t.wireSum += sign * code.UvarintLen(uint64(n.depth))
+	t.codes += int32(sign)
+	t.depthSum += sign * int(n.depth())
+	t.wireSum += sign * code.UvarintLen(uint64(n.depth()))
 }
 
 // VarMismatchError reports an Insert whose code branches a subproblem on a
@@ -270,6 +294,9 @@ func (t *Table) Insert(c code.Code) (bool, error) {
 // implementation re-walked from the root for every level it contracted,
 // paying O(depth²) per insert.
 func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err error) {
+	if len(c) > maxDepth {
+		return false, from, ErrDepth
+	}
 	if from == 0 {
 		t.path = append(t.path[:0], 0)
 	} else {
@@ -279,7 +306,7 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 	for depth := from; depth < len(c); depth++ {
 		d := c[depth]
 		n := &t.nodes[at]
-		if n.complete {
+		if n.complete() {
 			return false, depth, nil // an ancestor is complete: c is subsumed
 		}
 		if n.leaf() {
@@ -290,16 +317,16 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 		b := d.Branch & 1
 		next := n.children[b]
 		if next == 0 {
-			next = t.newChild(at, d.Var, b) // n may be stale now: the arena may have moved
+			next = t.newChild(at, b) // n may be stale now: the arena may have moved
 		}
 		at = next
 		t.path = append(t.path, at)
 	}
 	n := &t.nodes[at] // no vertex is created from here on
-	if n.complete {
+	if n.complete() {
 		return false, len(c), nil
 	}
-	n.complete = true
+	n.meta |= metaComplete
 	t.tally(n, +1)
 	t.prune(at)
 	// Contract bottom-up along the recorded path, replacing complete sibling
@@ -309,10 +336,10 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 	for i := len(c) - 1; i >= 0; i-- {
 		p := &t.nodes[t.path[i]]
 		if p.children[0] == 0 || p.children[1] == 0 ||
-			!t.nodes[p.children[0]].complete || !t.nodes[p.children[1]].complete {
+			!t.nodes[p.children[0]].complete() || !t.nodes[p.children[1]].complete() {
 			break // cannot contract further
 		}
-		p.complete = true
+		p.meta |= metaComplete
 		t.tally(p, +1)
 		t.prune(t.path[i])
 		valid = i
@@ -322,9 +349,9 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 	// were zeroed by prune; re-clearing them is harmless. Nothing off the
 	// path changed, so nothing else needs touching — this is the same
 	// invalidation discipline as the snapshot cache, pushed down to vertices.
-	if t.digested {
+	if len(t.digests) > 0 {
 		for _, v := range t.path {
-			t.nodes[v].digestOK = false
+			t.nodes[v].meta &^= metaDigestOK
 		}
 	}
 	t.invalidate()
@@ -342,43 +369,46 @@ func (t *Table) prune(at uint32) {
 	t.wireSum -= n.forkBytes()
 	t.gaps -= n.gaps()
 	t.nstack = t.nstack[:0]
-	for b := 0; b < 2; b++ {
-		if n.children[b] != 0 {
-			t.nstack = append(t.nstack, n.children[b])
-			n.children[b] = 0
-		}
-	}
+	t.pushChildren(n)
+	n.children = [2]uint32{}
 	for len(t.nstack) > 0 {
 		i := t.nstack[len(t.nstack)-1]
 		t.nstack = t.nstack[:len(t.nstack)-1]
 		v := &t.nodes[i]
-		for b := 0; b < 2; b++ {
-			if v.children[b] != 0 {
-				t.nstack = append(t.nstack, v.children[b])
-			}
-		}
-		if v.complete {
+		t.pushChildren(v)
+		if v.complete() {
 			t.tally(v, -1)
 		} else {
 			t.gaps -= v.gaps()
 		}
-		t.wireSum -= int(v.edgeBytes) + v.forkBytes()
+		t.wireSum -= v.forkBytes()
 		t.nodeCount--
 		*v = node{children: [2]uint32{t.free, 0}}
 		t.free = i
 	}
 }
 
+// pushChildren queues v's children on nstack for prune and takes their edges
+// — decisions on v's branchVar — out of the wire sum.
+func (t *Table) pushChildren(v *node) {
+	for _, c := range v.children {
+		if c != 0 {
+			t.nstack = append(t.nstack, c)
+			t.wireSum -= edgeBytes(v.branchVar)
+		}
+	}
+}
+
 // Complete reports whether the root problem is known completed — the paper's
 // termination condition.
-func (t *Table) Complete() bool { return t.nodes[0].complete }
+func (t *Table) Complete() bool { return t.nodes[0].complete() }
 
 // Contains reports whether the subproblem encoded by c is known completed,
 // either directly or through a completed ancestor.
 func (t *Table) Contains(c code.Code) bool {
 	n := &t.nodes[0]
 	for _, d := range c {
-		if n.complete {
+		if n.complete() {
 			return true
 		}
 		next := n.children[d.Branch&1]
@@ -387,7 +417,29 @@ func (t *Table) Contains(c code.Code) bool {
 		}
 		n = &t.nodes[next]
 	}
-	return n.complete
+	return n.complete()
+}
+
+// Overlaps reports whether the table knows of any completion at, above or
+// below c: c or an ancestor is complete, or the trie holds a vertex below c's
+// — every leaf of a non-empty trie is complete, so that vertex leads to one.
+// A region that does not overlap is one the table knows nothing about, the
+// only kind recovery may re-create whole (Core.Adopt). Like Contains, a code
+// that branches a vertex on another variable than the table does overlaps
+// nothing.
+func (t *Table) Overlaps(c code.Code) bool {
+	n := &t.nodes[0]
+	for _, d := range c {
+		if n.complete() {
+			return true
+		}
+		next := n.children[d.Branch&1]
+		if next == 0 || n.branchVar != d.Var {
+			return false
+		}
+		n = &t.nodes[next]
+	}
+	return n.complete() || !n.leaf()
 }
 
 // Covering returns the contraction of c in the table: the code of the
@@ -398,7 +450,7 @@ func (t *Table) Contains(c code.Code) bool {
 func (t *Table) Covering(c code.Code) (code.Code, bool) {
 	n := &t.nodes[0]
 	for i, d := range c {
-		if n.complete {
+		if n.complete() {
 			return c[:i:i], true
 		}
 		next := n.children[d.Branch&1]
@@ -407,7 +459,7 @@ func (t *Table) Covering(c code.Code) (code.Code, bool) {
 		}
 		n = &t.nodes[next]
 	}
-	if n.complete {
+	if n.complete() {
 		return c, true
 	}
 	return nil, false
@@ -418,7 +470,7 @@ func (t *Table) Covering(c code.Code) (code.Code, bool) {
 // (depth-first, branch 0 before branch 1). Each call materialises a fresh
 // slice the caller owns; a work report is the one hot caller, once per flush.
 // Codes writes nothing into the table, so a snapshot's may run concurrently.
-func (t *Table) Codes() []code.Code { return t.materialise(0, t.codes, t.depthSum) }
+func (t *Table) Codes() []code.Code { return t.materialise(0, int(t.codes), t.depthSum) }
 
 // walkDepth is how deep a frontier walk's stacks go before they spill from the
 // goroutine stack to the heap: deeper than any tree the experiments build.
@@ -450,16 +502,16 @@ func (t *Table) materialise(start uint32, n, decs int) []code.Code {
 	var stk [walkDepth]frontierFrame
 	var pfx [walkDepth]code.Decision
 	stack, prefix := append(stk[:0], frontierFrame{n: start}), pfx[:0]
-	base := t.nodes[start].depth
+	base := t.nodes[start].depth()
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		v := &t.nodes[f.n]
-		d := int(v.depth - base)
+		d := int(v.depth() - base)
 		if d > 0 {
 			prefix = append(prefix[:d-1], f.via)
 		}
-		if v.complete {
+		if v.complete() {
 			if d > cap(chunk)-len(chunk) {
 				chunk = make(code.Code, 0, max(d, min(decs, code.ChunkLen)))
 			}
@@ -485,18 +537,18 @@ func (t *Table) materialise(start uint32, n, decs int) []code.Code {
 // descending another level of the digest walk.
 func (t *Table) frontierSize(start uint32, max int) (n, decs int, ok bool) {
 	if start == 0 {
-		return t.codes, t.depthSum, max <= 0 || t.codes <= max
+		return int(t.codes), t.depthSum, max <= 0 || int(t.codes) <= max
 	}
-	base := t.nodes[start].depth
+	base := t.nodes[start].depth()
 	t.nstack = append(t.nstack[:0], start)
 	for len(t.nstack) > 0 {
 		v := &t.nodes[t.nstack[len(t.nstack)-1]]
 		t.nstack = t.nstack[:len(t.nstack)-1]
-		if v.complete {
+		if v.complete() {
 			if n++; max > 0 && n > max {
 				return n, decs, false
 			}
-			decs += int(v.depth - base)
+			decs += int(v.depth() - base)
 			continue
 		}
 		for b := 0; b < 2; b++ {
@@ -558,7 +610,7 @@ func (t *Table) eachGap(visit func(c code.Code) bool) {
 		f := &t.frames[len(t.frames)-1]
 		n := &t.nodes[f.n]
 		if f.b == 0 {
-			if n.complete {
+			if n.complete() {
 				f.b = 2
 			} else if n.leaf() {
 				// Nothing below this node has been reported: the whole
@@ -619,9 +671,9 @@ func (t *Table) Merge(other *Table) (changed int, errs int) {
 func (t *Table) mergeAt(ti uint32, o *Table, oi uint32) (changed, errs int) {
 	n, on := &t.nodes[ti], &o.nodes[oi]
 	switch {
-	case n.complete:
+	case n.complete():
 		return 0, 0
-	case on.complete:
+	case on.complete():
 		t.markComplete(ti)
 		return 1, 0
 	case n.leaf():
@@ -645,11 +697,9 @@ func (t *Table) mergeAt(ti uint32, o *Table, oi uint32) (changed, errs int) {
 		return 0, errs
 	}
 	n = &t.nodes[ti] // the grafts may have moved the arena
-	if t.digested {
-		n.digestOK = false
-	}
+	n.meta &^= metaDigestOK
 	if n.children[0] != 0 && n.children[1] != 0 &&
-		t.nodes[n.children[0]].complete && t.nodes[n.children[1]].complete {
+		t.nodes[n.children[0]].complete() && t.nodes[n.children[1]].complete() {
 		t.markComplete(ti)
 	}
 	return changed, errs
@@ -660,8 +710,8 @@ func (t *Table) mergeAt(ti uint32, o *Table, oi uint32) (changed, errs int) {
 // copy needs no contraction of its own.
 func (t *Table) graft(p uint32, b uint8, o *Table, oi uint32) (codes int) {
 	on := &o.nodes[oi]
-	i := t.newChild(p, t.nodes[p].branchVar, b)
-	if on.complete {
+	i := t.newChild(p, b)
+	if on.complete() {
 		t.markComplete(i)
 		return 1
 	}
@@ -679,8 +729,7 @@ func (t *Table) graft(p uint32, b uint8, o *Table, oi uint32) (codes int) {
 // ones above it.
 func (t *Table) markComplete(i uint32) {
 	n := &t.nodes[i]
-	n.complete = true
-	n.digestOK = false
+	n.meta = n.meta&^metaDigestOK | metaComplete
 	t.tally(n, +1)
 	t.prune(i)
 }
@@ -689,7 +738,7 @@ func (t *Table) markComplete(i uint32) {
 // nothing but the arena.
 func (t *Table) countFrontier(i uint32) int {
 	n := &t.nodes[i]
-	if n.complete {
+	if n.complete() {
 		return 1
 	}
 	k := 0
@@ -763,7 +812,7 @@ func prefixCmpAt(a, b code.Code, k int) int {
 }
 
 // Len returns the number of frontier codes (complete trie vertices).
-func (t *Table) Len() int { return t.codes }
+func (t *Table) Len() int { return int(t.codes) }
 
 // NodeCount returns the number of trie vertices, a proxy for in-memory size.
 func (t *Table) NodeCount() int { return int(t.nodeCount) }
@@ -797,12 +846,12 @@ func (t *Table) Encode(dst []byte) []byte {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		v := &t.nodes[f.n]
-		d := int(v.depth)
+		d := int(v.depth())
 		if d > 0 {
 			prefix = append(prefix[:d-1], f.via)
 			shared = min(shared, d-1)
 		}
-		if v.complete {
+		if v.complete() {
 			if !first {
 				dst = binary.AppendUvarint(dst, uint64(shared))
 			}
@@ -850,19 +899,16 @@ func Decode(buf []byte) (*Table, error) {
 	return t, nil
 }
 
-// Snapshot returns a frozen copy of the table: its live vertices, copied in
-// depth-first order (branch 0 first) into a fresh arena of exactly that many,
-// with the frontier sums. The copy is cached until the next mutation, so a
-// table pushed to several peers between two completions is copied once. A
-// snapshot must never be mutated. Read as a Merge argument, and through
-// Encode, Codes, Len, WireSize, Decisions, Complete and Snapshot, it is never
-// written, so those may run from any goroutine. An empty table's snapshot is
-// one shared empty table, so taking it allocates nothing.
-//
-// The compact copy then goes back over the table's own arena with one
-// sequential copy, free list dropped: the table's later merges and snapshots
-// walk a defragmented, depth-first arena (DESIGN.md "Completion-table hot
-// path" has the measurement).
+// Snapshot returns a frozen copy of the table, cached until the next
+// mutation, so a table pushed to several peers between two completions is
+// copied once. The copy is Clone: one copy of the arena, free-listed vertices
+// included — nothing reachable from the root points at them, and every reader
+// walks from the root. A table whose free vertices outnumber its live ones
+// first compacts (compact), so neither arena ever holds more free vertices
+// than live ones. A snapshot must never be mutated. Read as a Merge argument,
+// and through Encode, Codes, Len, WireSize, Decisions, Complete and Snapshot,
+// it is never written, so those may run from any goroutine. An empty table's
+// snapshot is one shared empty table, so taking it allocates nothing.
 func (t *Table) Snapshot() *Table {
 	if t.snap != nil {
 		return t.snap
@@ -871,27 +917,31 @@ func (t *Table) Snapshot() *Table {
 		t.snap = emptySnapshot
 		return t.snap
 	}
-	s := &Table{
-		nodes:     make([]node, t.nodeCount),
-		nodeCount: t.nodeCount,
-		gaps:      t.gaps,
-		codes:     t.codes,
-		wireSum:   t.wireSum,
-		depthSum:  t.depthSum,
-		digested:  t.digested,
+	if len(t.nodes)-int(t.nodeCount) > int(t.nodeCount) {
+		t.compact()
 	}
+	s := t.Clone()
 	s.snap = s
+	t.snap = s
+	return s
+}
+
+// compact lays the live vertices depth-first (branch 0 first) at the front of
+// the arena and drops the free list, so later walks read a defragmented arena.
+// The cached digests are dropped with it; the next Digest recomputes them.
+func (t *Table) compact() {
+	live := make([]node, t.nodeCount)
 	// nstack holds pairs: a vertex of t to copy, and where to link its copy —
-	// parent<<1|branch in s.nodes.
+	// parent<<1|branch in live.
 	next := uint32(0)
 	t.nstack = append(t.nstack[:0], 0, 0)
 	for len(t.nstack) > 0 {
 		link, src := t.nstack[len(t.nstack)-2], t.nstack[len(t.nstack)-1]
 		t.nstack = t.nstack[:len(t.nstack)-2]
 		v := &t.nodes[src]
-		s.nodes[next] = *v
+		live[next] = node{branchVar: v.branchVar, meta: v.meta &^ metaDigestOK}
 		if next > 0 {
-			s.nodes[link>>1].children[link&1] = next
+			live[link>>1].children[link&1] = next
 		}
 		for b := 1; b >= 0; b-- { // pushed in reverse: branch 0 is copied first
 			if v.children[b] != 0 {
@@ -900,10 +950,9 @@ func (t *Table) Snapshot() *Table {
 		}
 		next++
 	}
-	t.nodes = append(t.nodes[:0], s.nodes...) // within capacity: no allocation
+	t.nodes = append(t.nodes[:0], live...) // within capacity: no allocation
 	t.free = 0
-	t.snap = s
-	return s
+	t.digests = t.digests[:0]
 }
 
 // emptySnapshot is the snapshot of every empty table.
@@ -914,17 +963,18 @@ var emptySnapshot = func() *Table {
 }()
 
 // Clone returns a deep copy of the table: one copy of the arena, free list
-// included (it is indices into the arena, so it carries over as is). Caches
-// and scratch space are not copied; the clone derives its own on demand.
+// included (it is indices into the arena, so it carries over as is), and one
+// of the digest side array if the table has one. The snapshot cache and
+// scratch space are not copied; the clone derives its own on demand.
 func (t *Table) Clone() *Table {
 	return &Table{
 		nodes:     slices.Clone(t.nodes),
+		digests:   slices.Clone(t.digests),
 		nodeCount: t.nodeCount,
 		free:      t.free,
 		codes:     t.codes,
 		wireSum:   t.wireSum,
 		depthSum:  t.depthSum,
 		gaps:      t.gaps,
-		digested:  t.digested,
 	}
 }

@@ -2,6 +2,7 @@ package ctree
 
 import (
 	"fmt"
+	"slices"
 
 	"gossipbnb/internal/code"
 )
@@ -22,12 +23,14 @@ import (
 //     branch, a presence marker and the child's digest;
 //   - a distinct constant for the bare root of an empty table.
 //
-// Digests are maintained incrementally: once a table has been asked for a
-// digest, insertFrom clears the validity bit of every vertex on its mutation
-// path (the same path the contraction loop walks), and Digest recomputes only
-// invalidated subtrees. The property tests in digest_test.go pin incremental
-// == recompute-from-scratch and digest equality ⇔ frontier equality over
-// arbitrary mutation sequences.
+// Digests are cached in a side array beside the arena, digests[i] for vertex
+// i, which a table allocates the first time it is asked for a digest; the
+// vertex keeps only the validity bit (metaDigestOK). From then on insertFrom
+// clears the bit of every vertex on its mutation path (the same path the
+// contraction loop walks), and Digest recomputes only invalidated subtrees.
+// The property tests in digest_test.go pin incremental == recompute-from-
+// scratch and digest equality ⇔ frontier equality over arbitrary mutation
+// sequences.
 
 const (
 	// digestComplete is the digest of every complete vertex.
@@ -52,16 +55,16 @@ func mixDigest(h, v uint64) uint64 {
 }
 
 // digestOf returns n's subtree digest, recomputing and re-caching it if a
-// mutation invalidated it. Recursion depth is the trie depth — the length of
-// the longest inserted code.
+// mutation invalidated it. The side array must cover the arena (growDigests).
+// Recursion depth is the trie depth — the length of the longest inserted code.
 func (t *Table) digestOf(at uint32) uint64 {
 	n := &t.nodes[at] // digests create no vertex: the arena stays put
-	if n.digestOK {
-		return n.digest
+	if n.meta&metaDigestOK != 0 {
+		return t.digests[at]
 	}
 	var h uint64
 	switch {
-	case n.complete:
+	case n.complete():
 		h = digestComplete
 	case n.leaf():
 		h = digestEmpty // the bare root of an empty table
@@ -75,16 +78,26 @@ func (t *Table) digestOf(at uint32) uint64 {
 			}
 		}
 	}
-	n.digest = h
-	n.digestOK = true
-	t.digested = true
+	t.digests[at] = h
+	n.meta |= metaDigestOK
 	return h
+}
+
+// growDigests extends the digest side array to the arena's length before a
+// digest walk: vertices created since the last one have no slot yet.
+func (t *Table) growDigests() {
+	if n := len(t.nodes); len(t.digests) < n {
+		t.digests = slices.Grow(t.digests, n-len(t.digests))[:n]
+	}
 }
 
 // Digest returns the content digest of the whole table. Tables with equal
 // frontiers have equal digests; unequal frontiers collide with probability
 // ~2^-64. The result is cached until the next mutation.
-func (t *Table) Digest() uint64 { return t.digestOf(0) }
+func (t *Table) Digest() uint64 {
+	t.growDigests()
+	return t.digestOf(0)
+}
 
 // DigestAt returns the digest of the subtree at prefix. known is false when
 // the table records no completion under prefix — no vertex on the path, a
@@ -95,7 +108,7 @@ func (t *Table) DigestAt(prefix code.Code) (digest uint64, known, complete bool)
 	at := uint32(0)
 	for _, d := range prefix {
 		n := &t.nodes[at]
-		if n.complete {
+		if n.complete() {
 			return digestComplete, true, true
 		}
 		next := n.children[d.Branch&1]
@@ -105,10 +118,11 @@ func (t *Table) DigestAt(prefix code.Code) (digest uint64, known, complete bool)
 		at = next
 	}
 	n := &t.nodes[at]
-	if !n.complete && n.leaf() {
+	if !n.complete() && n.leaf() {
 		return 0, false, false
 	}
-	return t.digestOf(at), true, n.complete
+	t.growDigests()
+	return t.digestOf(at), true, n.complete()
 }
 
 // ChildDigest describes one branch of a trie vertex to an anti-entropy
@@ -126,7 +140,7 @@ type ChildDigest struct {
 func (t *Table) Children(prefix code.Code) (branchVar uint32, kids [2]ChildDigest, ok bool) {
 	n := &t.nodes[0]
 	for _, d := range prefix {
-		if n.complete {
+		if n.complete() {
 			return 0, kids, false
 		}
 		next := n.children[d.Branch&1]
@@ -135,9 +149,10 @@ func (t *Table) Children(prefix code.Code) (branchVar uint32, kids [2]ChildDiges
 		}
 		n = &t.nodes[next]
 	}
-	if n.complete || n.leaf() {
+	if n.complete() || n.leaf() {
 		return 0, kids, false
 	}
+	t.growDigests()
 	for b := 0; b < 2; b++ {
 		if n.children[b] != 0 {
 			kids[b] = ChildDigest{Present: true, Digest: t.digestOf(n.children[b])}
@@ -155,7 +170,7 @@ func (t *Table) SubtreeCodes(prefix code.Code, max int) (rel []code.Code, ok boo
 	at := uint32(0)
 	for _, d := range prefix {
 		n := &t.nodes[at]
-		if n.complete {
+		if n.complete() {
 			return []code.Code{code.Root()}, true
 		}
 		next := n.children[d.Branch&1]

@@ -19,7 +19,7 @@ import (
 func scratchDigest(t *Table, at uint32) uint64 {
 	n := &t.nodes[at]
 	switch {
-	case n.complete:
+	case n.complete():
 		return digestComplete
 	case n.children[0] == 0 && n.children[1] == 0:
 		return digestEmpty

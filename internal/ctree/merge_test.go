@@ -155,25 +155,73 @@ func TestPropMergeAlgebra(t *testing.T) {
 	}
 }
 
-// TestPropSnapshot: a snapshot holds its table's frontier and keeps it when
-// the table mutates or resets; merging from it writes nothing into it; its
-// Encode is code.AppendAll of its frontier byte for byte and decodes back to
-// it; and it is cached until the table changes.
+// reachable lists the vertices reachable from t's root, depth-first, branch 0
+// first: each with its branching variable, depth and completion, and its
+// children as presence bits — the trie as a reader sees it, wherever in the
+// arena its vertices lie.
+func reachable(t *Table) []node {
+	var out []node
+	var walk func(i uint32)
+	walk = func(i uint32) {
+		n := t.nodes[i]
+		v := node{branchVar: n.branchVar, meta: n.meta &^ metaDigestOK}
+		for b, c := range n.children {
+			if c != 0 {
+				v.children[b] = 1
+			}
+		}
+		out = append(out, v)
+		for _, c := range n.children {
+			if c != 0 {
+				walk(c)
+			}
+		}
+	}
+	walk(0)
+	return out
+}
+
+// TestPropSnapshot: a snapshot holds its table's reachable trie, sums and
+// frontier, and keeps them when the table mutates or resets; after it is
+// taken, neither arena holds more free vertices than live ones, whichever way
+// it was taken (a plain arena copy, or a compaction first); merging from it
+// writes nothing into it; its Encode is code.AppendAll of its frontier byte
+// for byte and decodes back to it; and it is cached until the table changes.
 func TestPropSnapshot(t *testing.T) {
+	var compacted, copied int
 	for seed := int64(0); seed < 200; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		leaves := randTree(r, 8)
 		src := randTable(r, leaves)
+		if r.Intn(2) == 0 { // complete a shallow region: its vertices go free
+			l := leaves[r.Intn(len(leaves))]
+			src.Insert(l[:min(len(l), 1+r.Intn(2))])
+		}
+		if r.Intn(2) == 0 {
+			src.Digest() // the copy carries the side array, the compaction drops it
+		}
+		if free := len(src.nodes) - src.NodeCount(); free > src.NodeCount() {
+			compacted++
+		} else {
+			copied++
+		}
 		want := src.Codes()
 		s := src.Snapshot()
 		if src.Snapshot() != s {
 			t.Fatalf("seed %d: an unchanged table took a second snapshot", seed)
 		}
-		if !sameTable(s, src) || s.Complete() != src.Complete() || s.Digest() != src.Digest() {
+		trie := reachable(src)
+		if !slices.Equal(reachable(s), trie) || len(trie) != src.NodeCount() {
+			t.Fatalf("seed %d: snapshot trie %v, table trie %v (%d vertices)", seed, reachable(s), trie, src.NodeCount())
+		}
+		if !sameTable(s, src) || s.Complete() != src.Complete() || s.Digest() != src.Digest() ||
+			src.Digest() != scratchDigest(src, 0) {
 			t.Fatalf("seed %d: snapshot %v, table %v", seed, s.Codes(), want)
 		}
-		if s.NodeCount() != len(s.nodes) {
-			t.Fatalf("seed %d: snapshot arena of %d for %d vertices", seed, len(s.nodes), s.NodeCount())
+		for _, a := range []*Table{src, s} {
+			if free := len(a.nodes) - a.NodeCount(); free > a.NodeCount() {
+				t.Fatalf("seed %d: an arena of %d holds %d free vertices for %d live", seed, len(a.nodes), free, a.NodeCount())
+			}
 		}
 		enc := s.Encode(nil)
 		if !bytes.Equal(enc, code.AppendAll(nil, want)) || len(enc) != s.WireSize() {
@@ -199,6 +247,9 @@ func TestPropSnapshot(t *testing.T) {
 		if !codesExactlyEqual(s.Codes(), want) {
 			t.Fatalf("seed %d: snapshot after Reset holds %v, want %v", seed, s.Codes(), want)
 		}
+	}
+	if compacted < 10 || copied < 10 {
+		t.Fatalf("%d snapshots compacted first, %d copied the arena as it was: the generator no longer covers both", compacted, copied)
 	}
 }
 
@@ -266,5 +317,68 @@ func TestSnapshotSharedConcurrently(t *testing.T) {
 				t.Fatalf("reader %d: %v missing after the merge", i, c)
 			}
 		}
+	}
+}
+
+// pushPair returns a receiver and the snapshot a peer pushes to it, shaped
+// like a sim-table1 table push: 24 workers each part way through a
+// depth-first sweep of their own slice of a depth-14 tree, so each side holds
+// a few hundred live vertices and a frontier of a couple of hundred codes.
+// The sender is ahead of the receiver on a third of the slices and level with
+// it on the rest, so most of the push is already known. Deterministic.
+func pushPair() (recv, push *Table) {
+	leaves := counterLeaves(14)
+	r := rand.New(rand.NewSource(7))
+	recv, send := New(), New()
+	const workers = 24
+	span := len(leaves) / workers
+	for w := 0; w < workers; w++ {
+		at := w * span
+		done := span/4 + r.Intn(span/2)
+		ahead := 0
+		if w%3 == 0 {
+			ahead = 1 + r.Intn(span/8)
+		}
+		for i, c := range leaves[at : at+done+ahead] {
+			send.Insert(c)
+			if i < done {
+				recv.Insert(c)
+			}
+		}
+	}
+	return recv, send.Snapshot()
+}
+
+// BenchmarkSnapshot times taking the snapshot a table push carries, from a
+// table whose contractions left free vertices in its arena. The cache is
+// dropped before each call, as a completion between two pushes drops it.
+func BenchmarkSnapshot(b *testing.B) {
+	recv, _ := pushPair()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recv.invalidate()
+		benchSink += recv.Snapshot().Len()
+	}
+}
+
+// BenchmarkMergePush times a receiver merging a pushed snapshot it mostly
+// holds already. Each merge goes into a fresh clone of the receiver, cloned
+// in batches with the timer stopped.
+func BenchmarkMergePush(b *testing.B) {
+	recv, push := pushPair()
+	batch := make([]*Table, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(batch) == 0 {
+			b.StopTimer()
+			for j := range batch {
+				batch[j] = recv.Clone()
+			}
+			b.StartTimer()
+		}
+		ch, _ := batch[i%len(batch)].Merge(push)
+		benchSink += ch
 	}
 }

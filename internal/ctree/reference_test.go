@@ -282,9 +282,16 @@ func checkAgainstRef(t *testing.T, opt *Table, ref *refTable, probes []code.Code
 		}
 	}
 	checkSampleAgainstRef(t, opt, ref)
+	frontier := ref.Codes()
 	for _, p := range probes {
 		if opt.Contains(p) != ref.Contains(p) {
 			t.Fatalf("Contains(%v): opt %v, ref %v", p, opt.Contains(p), ref.Contains(p))
+		}
+		// Overlaps: a completion at or above p (Contains), or a frontier
+		// code below it.
+		below := slices.ContainsFunc(frontier, p.IsAncestorOf)
+		if want := ref.Contains(p) || below; opt.Overlaps(p) != want {
+			t.Fatalf("Overlaps(%v): opt %v, want %v", p, opt.Overlaps(p), want)
 		}
 	}
 }

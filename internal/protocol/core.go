@@ -823,19 +823,24 @@ func (c *Core) PlanRecovery() []code.Code {
 	return plan
 }
 
-// Adopt pushes the planned recovery codes that are still uncompleted and
-// resolvable, returning how many were re-created. Codes dominated by the
-// incumbent are eliminated at adoption — completed, not pooled — exactly as
-// OnExpanded eliminates dominated children at generation; re-created work
-// that cannot matter must not sit in the pool delaying termination. Codes
-// already pooled — a grant that arrived between PlanRecovery and Adopt can
-// hold the very region the plan complements — are skipped, never doubled.
+// Adopt pushes the planned recovery codes that are still unknown to the table
+// and resolvable, returning how many were re-created. A code is refused when
+// the table knows any completion at, above or below it (Table.Overlaps): a
+// table push merged between PlanRecovery and Adopt can complete part of a
+// planned region, and pooling the region whole would redo the path down to
+// that part; the next plan draws the finer gaps that remain. Codes dominated
+// by the incumbent are eliminated at adoption — completed, not pooled —
+// exactly as OnExpanded eliminates dominated children at generation;
+// re-created work that cannot matter must not sit in the pool delaying
+// termination. Codes already pooled — a grant that arrived between
+// PlanRecovery and Adopt can hold the very region the plan complements — are
+// skipped, never doubled.
 func (c *Core) Adopt(cands []code.Code) int {
 	got := 0
 	pooled := c.poolSet()
 	for _, cd := range cands {
 		it, ok := c.d.Expander.Locate(cd)
-		if !ok || c.table.Contains(cd) {
+		if !ok || c.table.Overlaps(cd) {
 			continue
 		}
 		c.keyBuf = cd.EncodeInto(c.keyBuf)
