@@ -82,8 +82,9 @@ func NewTable() *Table { return ctree.New() }
 // NewListTable returns an empty flat-list completion table.
 func NewListTable() *ListTable { return ctree.NewList() }
 
-// DecodeTable reconstructs a table from Table.Encode output, of any depth:
-// the codes are walked into the table as they are read, none is kept.
+// DecodeTable reconstructs a table from Table.Encode output — the trie in
+// pre-order, two bits of shape per vertex and one variable per inner vertex —
+// at any depth a table holds; its memory is bounded by its input.
 func DecodeTable(buf []byte) (*Table, error) { return ctree.Decode(buf) }
 
 // --- canonical protocol messages and codec (§5) ---------------------------------
@@ -111,12 +112,15 @@ type WorkGrant = protocol.WorkGrant
 type WorkDeny = protocol.WorkDeny
 
 // EncodeMsg appends the canonical binary encoding of m to dst — the codec
-// used verbatim by the TCP transport's frames. A message's codes are
-// front-coded, each against the one before, and a receiver keeps them all: a
-// batch of more than 64 decisions per encoded byte is refused on both ends,
-// here with an error. The densest honest batch, the frontier of a single
-// depth-first descent, reaches that about 950 levels down: the supported
-// depth of a search whose messages travel encoded (DecodeTable has no limit).
+// used verbatim by the TCP transport's frames. A table push travels as its
+// trie, whose decoder's memory is bounded by its input, so it goes at any
+// depth a table holds: 2^20 levels, where Table.Insert stops. The codes of
+// every other message are front-coded, each against the one before, and a
+// receiver keeps them all: a batch of more than 64 decisions per encoded byte
+// is refused on both ends, here with an error. The densest honest batch, the
+// frontier of a single depth-first descent, reaches that about 950 levels
+// down: the supported depth of a search whose reports and grants travel
+// encoded.
 func EncodeMsg(dst []byte, m Msg) ([]byte, error) { return protocol.Encode(dst, m) }
 
 // DecodeMsg reads one canonical message from the front of buf, returning

@@ -374,8 +374,8 @@ func suffixSize(c Code, shared int) int {
 // encoding declared — and the number of codes still to come; its error ends the
 // read. A code claiming more of its predecessor than there is, a depth below
 // its shared length or more decisions than there are bytes left is refused. A
-// caller that keeps no codes (ctree.Decode walks them into its trie) is bounded
-// by its input and needs no MaxExpand; one that keeps them is DecodeAll.
+// caller that keeps no codes is bounded by its input and needs no MaxExpand;
+// one that keeps them is DecodeAll.
 func DecodeEach(buf []byte, fn func(c Code, shared, left int) error) (int, error) {
 	const scratchDepth = 64 // one 512-byte scratch covers any frontier this shallow
 	off := 0

@@ -6,6 +6,8 @@ package ctree
 // is indices too; and the sizes the design argues from are pinned.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -156,9 +158,10 @@ func TestArenaSizes(t *testing.T) {
 }
 
 // TestDepthLimit: a vertex packs its depth beside two flag bits, and the
-// table holds codes up to maxDepth decisions. Insert, InsertAll and Decode
-// refuse a deeper code with ErrDepth and leave the table as it was; a code at
-// the limit goes in. Merge cannot meet one: its argument is a table too.
+// table holds codes up to maxDepth decisions. Insert and InsertAll refuse a
+// deeper code with ErrDepth and leave the table as it was, and Decode refuses
+// a trie with a vertex deeper than that; a code at the limit goes in and
+// round-trips. Merge cannot meet one: its argument is a table too.
 func TestDepthLimit(t *testing.T) {
 	if maxDepth >= 1<<(32-metaDepthShift) {
 		t.Fatalf("maxDepth %d does not fit the %d-bit depth field", maxDepth, 32-metaDepthShift)
@@ -174,8 +177,8 @@ func TestDepthLimit(t *testing.T) {
 	if tb.Len() != 1 || tb.NodeCount() != 4 || !tb.Contains(deep[:3]) {
 		t.Fatalf("a refused code changed the table: Len %d, NodeCount %d", tb.Len(), tb.NodeCount())
 	}
-	if _, err := Decode(code.AppendAll(nil, []code.Code{deep})); err == nil {
-		t.Fatal("Decode accepted a code past the depth limit")
+	if _, err := Decode(chainEncoding(maxDepth + 1)); !errors.Is(err, ErrDepth) {
+		t.Fatalf("Decode of a trie one level past the limit = %v, want ErrDepth", err)
 	}
 	at := New()
 	if ok, err := at.Insert(deep[:maxDepth]); !ok || err != nil {
@@ -184,4 +187,25 @@ func TestDepthLimit(t *testing.T) {
 	if at.NodeCount() != maxDepth+1 || at.Decisions() != maxDepth || !at.Contains(deep[:maxDepth]) {
 		t.Fatalf("a code at the limit: NodeCount %d, Decisions %d", at.NodeCount(), at.Decisions())
 	}
+	enc := at.Encode(nil)
+	if !bytes.Equal(enc, chainEncoding(maxDepth)) {
+		t.Fatal("the table of one code on variable 0, branch 0 throughout does not encode as a chain")
+	}
+	if back, err := Decode(enc); err != nil || back.Decisions() != maxDepth {
+		t.Fatalf("Decode of a trie at the limit = %v", err)
+	}
+}
+
+// chainEncoding is the encoding of a table whose one code is depth decisions
+// on variable 0, branch 0: depth inner vertices with only child 0 (tag 01),
+// then the complete leaf (tag 00), then depth variables of one zero byte each.
+func chainEncoding(depth int) []byte {
+	n := depth + 1
+	buf := binary.AppendUvarint(nil, uint64(n))
+	at := len(buf)
+	buf = append(buf, make([]byte, (n+3)/4+depth)...)
+	for k := 0; k < depth; k++ {
+		buf[at+k/4] |= 1 << (2 * (k % 4))
+	}
+	return buf
 }

@@ -25,8 +25,9 @@
 // subtree digests only diff gossip reads live in a side array the table
 // allocates on the first digest request; Insert keeps an explicit path stack
 // so contraction walks bottom-up without re-walking from the root per level;
-// the frontier's size, wire size and decision count are sums kept along the
-// mutation path, so Len and WireSize are field reads.
+// the frontier's size, wire size and decision count, and the encoded trie's
+// size, are sums kept along the mutation path, so Len, WireSize and
+// EncodedSize are field reads.
 //
 // A whole-table push travels as a trie, not as a code list. Snapshot freezes
 // the table with one copy of its arena, cached until the next mutation (a
@@ -34,17 +35,22 @@
 // one table into another by a lockstep walk of the two tries that skips every
 // subtree the receiver already holds complete, marks complete wherever the
 // other is, grafts wherever the receiver has no vertex and contracts on the
-// way back up; Encode writes the front-coded frontier straight from the trie.
-// Merge only reads its argument, and Encode, Codes, Len and WireSize write
-// nothing into their table, so one snapshot serves every peer it is sent to,
-// from any goroutine. The reference implementation the optimizations are
-// property-tested against lives in reference_test.go.
+// way back up. On the wire it is the trie again: Encode writes the vertices in
+// pre-order, two bits of shape each and the branching variable of each inner
+// one, and Decode lays them out as a compact depth-first arena, sums included,
+// so a receiver rebuilds the sender's exact trie and merges it as it would
+// the snapshot itself. Merge only reads its argument, and Encode, Codes, Len
+// and WireSize write nothing into their table, so one snapshot serves every
+// peer it is sent to, from any goroutine. The reference implementation the
+// optimizations are property-tested against lives in reference_test.go.
 package ctree
 
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"gossipbnb/internal/code"
@@ -81,8 +87,8 @@ const (
 	// a longer one with ErrDepth, and Merge cannot meet one, since its
 	// argument is a table too. The depth field has room for 2^30-1 levels;
 	// the limit sits lower, where the recursive walks (Merge, its grafts,
-	// digests) stay far inside the goroutine stack cap, and still a thousand
-	// times deeper than the ≈ 950 levels a push may carry (code.MaxExpand).
+	// digests) stay far inside the goroutine stack cap, and far deeper than
+	// the ≈ 950 levels a code batch may carry (code.MaxExpand).
 	maxDepth = 1 << 20
 )
 
@@ -109,11 +115,11 @@ func (n *node) gaps() int32 {
 // frontier: it is the deepest common ancestor of exactly one pair of adjacent
 // codes — the last under its branch 0 and the first under its branch 1 — and
 // that pair's shared length is its depth.
-func (n *node) forkBytes() int {
+func (n *node) forkBytes() int32 {
 	if n.children[0] == 0 || n.children[1] == 0 {
 		return 0
 	}
-	return code.UvarintLen(uint64(n.depth()))
+	return int32(code.UvarintLen(uint64(n.depth())))
 }
 
 // Table is a contracted set of completed-problem codes. The zero value is not
@@ -148,8 +154,8 @@ type Table struct {
 	// (32 bits beside free: a wider Table leaves its allocation size class.)
 	gaps int32
 
-	// nodeCount is the live trie vertices, for storage accounting and the
-	// snapshot's compaction rule.
+	// nodeCount is the live trie vertices, for storage accounting, the
+	// snapshot's compaction rule and the encoding's vertex count.
 	nodeCount int32
 
 	// Sums over the frontier, kept where the trie changes. codes and depthSum
@@ -160,10 +166,20 @@ type Table struct {
 	// leaf is complete — plus a depth header per complete vertex (tally) and a
 	// shared-length header per two-child vertex (forkBytes). newChild adds an
 	// edge and perhaps a fork, prune takes them back. Len and WireSize read
-	// the sums; Codes sizes its chunks by them. (codes is 32 bits beside
-	// nodeCount: a wider Table leaves its allocation size class.)
+	// the sums; Codes sizes its chunks by them.
+	//
+	// varSum is the encoding's variable bytes: the uvarint length of the
+	// branching variable of every inner vertex (one with a child). newChild
+	// adds it when a leaf gets its first child, prune takes it back when a
+	// vertex loses them. EncodedSize reads it.
+	//
+	// (codes, wireSum and varSum are 32 bits beside nodeCount: a wider Table
+	// leaves its allocation size class. A vertex adds at most a dozen bytes to
+	// either byte sum, so they overflow only past 150 M vertices, a 2.4 GB
+	// arena.)
 	codes    int32
-	wireSum  int
+	wireSum  int32
+	varSum   int32
 	depthSum int
 
 	// snap caches Snapshot() output; nil means not taken. Any mutation that
@@ -215,7 +231,7 @@ func New() *Table {
 func (t *Table) Reset() {
 	t.prune(0)
 	t.nodes[0] = node{}
-	t.codes, t.wireSum, t.depthSum, t.gaps = 0, 0, 0, 1
+	t.codes, t.wireSum, t.varSum, t.depthSum, t.gaps = 0, 0, 0, 0, 1
 	t.digests = t.digests[:0] // every vertex was just zeroed; keep the capacity
 	t.invalidate()
 }
@@ -239,6 +255,7 @@ func (t *Table) newChild(p uint32, b uint8) uint32 {
 	parent := &t.nodes[p]
 	if parent.leaf() {
 		t.gaps++ // the new leaf's; under a one-child parent it takes over the parent's
+		t.varSum += varBytes(parent.branchVar)
 	}
 	t.nodes[i] = node{meta: (parent.depth() + 1) << metaDepthShift}
 	t.nodeCount++
@@ -249,14 +266,17 @@ func (t *Table) newChild(p uint32, b uint8) uint32 {
 
 // edgeBytes is the wire size of a decision on variable v: either branch, as
 // v<<1|b takes the same number of uvarint bytes for b = 0 and 1.
-func edgeBytes(v uint32) int { return code.UvarintLen(uint64(v)<<1 | 1) }
+func edgeBytes(v uint32) int32 { return int32(code.UvarintLen(uint64(v)<<1 | 1)) }
+
+// varBytes is the encoded size of an inner vertex branching on variable v.
+func varBytes(v uint32) int32 { return int32(code.UvarintLen(uint64(v))) }
 
 // tally adds (sign +1) or removes (sign -1) a complete vertex's code from the
 // frontier sums.
 func (t *Table) tally(n *node, sign int) {
 	t.codes += int32(sign)
 	t.depthSum += sign * int(n.depth())
-	t.wireSum += sign * code.UvarintLen(uint64(n.depth()))
+	t.wireSum += int32(sign * code.UvarintLen(uint64(n.depth())))
 }
 
 // VarMismatchError reports an Insert whose code branches a subproblem on a
@@ -360,10 +380,11 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 
 // prune recycles the subtrees below a vertex that just became complete; its
 // descendants carry no extra information, and their edges, their forks and the
-// codes of the complete ones leave the frontier sums, and whatever the vertex
-// and its incomplete descendants lacked leaves the complement. The walk is
-// iterative and feeds the free list, so a prune is allocation-free and later
-// inserts reuse the vertices.
+// codes of the complete ones leave the frontier sums, the variables of the
+// vertex and its inner descendants leave the encoding's, and whatever the
+// vertex and its incomplete descendants lacked leaves the complement. The walk
+// is iterative and feeds the free list, so a prune is allocation-free and
+// later inserts reuse the vertices.
 func (t *Table) prune(at uint32) {
 	n := &t.nodes[at]
 	t.wireSum -= n.forkBytes()
@@ -389,8 +410,12 @@ func (t *Table) prune(at uint32) {
 }
 
 // pushChildren queues v's children on nstack for prune and takes their edges
-// — decisions on v's branchVar — out of the wire sum.
+// — decisions on v's branchVar — out of the wire sum, and v's variable out of
+// the encoding's if it has a child.
 func (t *Table) pushChildren(v *node) {
+	if !v.leaf() {
+		t.varSum -= varBytes(v.branchVar)
+	}
 	for _, c := range v.children {
 		if c != 0 {
 			t.nstack = append(t.nstack, c)
@@ -817,86 +842,177 @@ func (t *Table) Len() int { return int(t.codes) }
 // NodeCount returns the number of trie vertices, a proxy for in-memory size.
 func (t *Table) NodeCount() int { return int(t.nodeCount) }
 
-// WireSize returns the number of bytes Encode produces (code.WireSizeAll of
-// Codes, read off the running sum): the simulator charges this against the
-// communication model when a table is gossiped, and reads it after every
-// mutation for the storage figures.
-func (t *Table) WireSize() int { return code.UvarintLen(uint64(t.codes)) + t.wireSum }
+// WireSize returns the front-coded size of the frontier (code.WireSizeAll of
+// Codes, read off the running sum): what a work report of these codes weighs,
+// and what the simulator reads after every mutation for the storage figures.
+func (t *Table) WireSize() int { return code.UvarintLen(uint64(t.codes)) + int(t.wireSum) }
+
+// EncodedSize returns the number of bytes Encode produces, read off the
+// running sums: what a table push weighs.
+func (t *Table) EncodedSize() int {
+	if t.codes == 0 {
+		return 1
+	}
+	v := uint64(t.nodeCount)
+	return code.UvarintLen(v) + int(v+3)/4 + int(t.varSum)
+}
 
 // Decisions returns the number of decisions the frontier's codes hold in all,
 // read off the running sum: what code.MaxExpand weighs against WireSize.
 func (t *Table) Decisions() int { return t.depthSum }
 
-// Encode appends the wire encoding of the table — code.AppendAll of Codes,
-// byte for byte — to dst. It walks the trie depth-first as materialise does
-// and front-codes as it goes: a code shares with its predecessor exactly the
-// depth of the fork between them, the shallowest depth the walk has popped
-// back to since. Its stacks live on the goroutine stack, so Encode writes
-// nothing into the table and a snapshot may be encoded concurrently.
+// Encode appends the wire encoding of the table to dst: the trie in
+// pre-order, branch 0 first, as
+//
+//	uvarint(V) tags {uvarint(branchVar)}
+//
+// that is, the vertex count V; ⌈V/4⌉ bytes holding a 2-bit tag per vertex,
+// four to a byte from the low bits up, unused high bits zero; and the
+// branching variable of every inner vertex, in the same order. A tag is the vertex's
+// child mask: 00 a complete leaf, 01 / 10 an inner vertex with only child 0 /
+// only child 1, 11 one with both. An empty table is V = 0 and nothing else
+// (its root is the one leaf that is not complete). Every leaf of a contracted
+// trie is complete and no vertex has two complete children, which is what
+// Decode holds an input to. The walk's stack lives on the goroutine stack, so
+// Encode writes nothing into the table and a snapshot may be encoded
+// concurrently.
 func (t *Table) Encode(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(t.codes))
 	if t.codes == 0 {
-		return dst
+		return append(dst, 0)
 	}
-	var stk [walkDepth]frontierFrame
-	var pfx [walkDepth]code.Decision
-	stack, prefix := append(stk[:0], frontierFrame{}), pfx[:0]
-	first, shared := true, 0
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
+	nv := int(t.nodeCount)
+	dst = binary.AppendUvarint(dst, uint64(nv))
+	at := len(dst)
+	dst = append(dst, make([]byte, (nv+3)/4)...)
+	var stk [walkDepth]uint32
+	stack := append(stk[:0], 0)
+	for k := 0; len(stack) > 0; k++ {
+		v := &t.nodes[stack[len(stack)-1]]
 		stack = stack[:len(stack)-1]
-		v := &t.nodes[f.n]
-		d := int(v.depth())
-		if d > 0 {
-			prefix = append(prefix[:d-1], f.via)
-			shared = min(shared, d-1)
-		}
 		if v.complete() {
-			if !first {
-				dst = binary.AppendUvarint(dst, uint64(shared))
-			}
-			dst = binary.AppendUvarint(dst, uint64(d))
-			for _, x := range prefix[shared:] {
-				dst = binary.AppendUvarint(dst, uint64(x.Var)<<1|uint64(x.Branch))
-			}
-			first, shared = false, d
-			continue
+			continue // tag 00
 		}
+		var tag byte
 		for b := 1; b >= 0; b-- { // pushed in reverse: branch 0 pops first
 			if v.children[b] != 0 {
-				stack = append(stack, frontierFrame{v.children[b], code.Decision{Var: v.branchVar, Branch: uint8(b)}})
+				tag |= 1 << b
+				stack = append(stack, v.children[b])
 			}
 		}
+		dst[at+k/4] |= tag << (2 * (k % 4))
+		dst = binary.AppendUvarint(dst, uint64(v.branchVar))
 	}
 	return dst
 }
 
 // Decode reconstructs a table from Encode output. The whole buffer must be
-// one encoded table: trailing bytes after the declared code count are
-// rejected, so a corrupt or truncated-then-padded frame cannot half-decode.
+// one encoded table (DecodeOne): trailing bytes are rejected, so a corrupt or
+// truncated-then-padded frame cannot half-decode.
 func Decode(buf []byte) (*Table, error) {
-	// Each code is walked into the trie as it is read, resuming at the depth
-	// it shares with the one before — what InsertAll finds by comparing — so no
-	// []code.Code is built and code.MaxExpand has nothing to guard: any
-	// Encode output decodes, whatever its depth. Any order is safe.
-	t := New()
-	valid, errs := 0, 0
-	n, err := code.DecodeEach(buf, func(c code.Code, shared, _ int) error {
-		var err error
-		if _, valid, err = t.insertFrom(c, min(shared, valid)); err != nil {
-			errs++
-		}
-		return nil // read on: the count of invalid codes is the error
-	})
+	t, n, err := DecodeOne(buf)
 	switch {
 	case err != nil:
 		return nil, err
 	case n != len(buf):
 		return nil, fmt.Errorf("ctree: decode: %d trailing bytes", len(buf)-n)
-	case errs > 0:
-		return nil, fmt.Errorf("ctree: decode: %d invalid codes", errs)
 	}
 	return t, nil
+}
+
+// DecodeOne reads one encoded table from the front of buf and returns it with
+// the number of bytes it took. It lays the vertices out in the order they
+// arrive — a compact depth-first arena — and computes every sum as it goes.
+// The table must be in its one canonical spelling: DecodeOne rejects a tag
+// stream that is not one tree of exactly V vertices, a vertex with two
+// complete children (the input is not contracted), a vertex deeper than the
+// table holds (ErrDepth), a variable that is cut short, padded or wider than
+// 32 bits, and nonzero padding bits. The arena it builds is 16 bytes a
+// vertex, and a vertex takes at least two bits of input: memory is bounded by
+// the input, whatever depth the trie claims.
+func DecodeOne(buf []byte) (*Table, int, error) {
+	nv, off, err := canonicalUvarint(buf)
+	switch {
+	case err != nil:
+		return nil, 0, fmt.Errorf("ctree: decode: vertex count: %w", err)
+	case nv == 0:
+		return New(), off, nil
+	case nv > uint64(len(buf)-off)*4 || nv > math.MaxInt32:
+		return nil, 0, fmt.Errorf("ctree: decode: %d vertices, %d bytes left", nv, len(buf)-off)
+	}
+	n := int(nv)
+	tags := buf[off : off+(n+3)/4]
+	if pad := tags[len(tags)-1] >> (2 * (1 + (n-1)%4)); pad != 0 {
+		return nil, 0, errors.New("ctree: decode: nonzero padding bits")
+	}
+	off += len(tags)
+	t := &Table{nodes: make([]node, n), nodeCount: int32(n)}
+	// stack holds the links still to fill — parent<<1|branch — branch 0 on
+	// top, as compact lays a trie out.
+	var stk [walkDepth]uint32
+	stack := stk[:0]
+	for k := 0; k < n; k++ {
+		v := &t.nodes[k]
+		var p *node
+		if k > 0 {
+			if len(stack) == 0 {
+				return nil, 0, fmt.Errorf("ctree: decode: the tree closes after %d of %d vertices", k, n)
+			}
+			link := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			p = &t.nodes[link>>1]
+			p.children[link&1] = uint32(k)
+			if v.meta = (p.depth() + 1) << metaDepthShift; v.depth() > maxDepth {
+				return nil, 0, ErrDepth
+			}
+			t.wireSum += edgeBytes(p.branchVar)
+		}
+		tag := tags[k/4] >> (2 * (k % 4)) & 3
+		if tag == 0 {
+			// A complete leaf. Under a parent whose branch 0 is complete too,
+			// it is the second of a pair that should have contracted.
+			if p != nil && p.children[1] == uint32(k) && p.children[0] != 0 && t.nodes[p.children[0]].complete() {
+				return nil, 0, fmt.Errorf("ctree: decode: vertex %d and its sibling are both complete", k)
+			}
+			v.meta |= metaComplete
+			t.tally(v, +1)
+			continue
+		}
+		x, m, err := canonicalUvarint(buf[off:])
+		if err != nil || x > math.MaxUint32 {
+			return nil, 0, fmt.Errorf("ctree: decode: variable of vertex %d: bad varint", k)
+		}
+		off += m
+		v.branchVar = uint32(x)
+		t.varSum += int32(m)
+		if tag == 3 {
+			t.wireSum += int32(code.UvarintLen(uint64(v.depth()))) // forkBytes
+		} else {
+			t.gaps++
+		}
+		if tag&2 != 0 { // pushed in reverse: branch 0 pops first
+			stack = append(stack, uint32(k)<<1|1)
+		}
+		if tag&1 != 0 {
+			stack = append(stack, uint32(k)<<1)
+		}
+	}
+	if len(stack) > 0 {
+		return nil, 0, fmt.Errorf("ctree: decode: %d vertices do not close the tree", n)
+	}
+	return t, off, nil
+}
+
+// canonicalUvarint reads a uvarint from the front of buf that takes the fewest
+// bytes its value can, so an input that decodes has one spelling.
+func canonicalUvarint(buf []byte) (uint64, int, error) {
+	x, n := binary.Uvarint(buf)
+	switch {
+	case n <= 0:
+		return 0, 0, errors.New("truncated or overflowing varint")
+	case n != code.UvarintLen(x):
+		return 0, 0, errors.New("padded varint")
+	}
+	return x, n, nil
 }
 
 // Snapshot returns a frozen copy of the table, cached until the next
@@ -974,6 +1090,7 @@ func (t *Table) Clone() *Table {
 		free:      t.free,
 		codes:     t.codes,
 		wireSum:   t.wireSum,
+		varSum:    t.varSum,
 		depthSum:  t.depthSum,
 		gaps:      t.gaps,
 	}

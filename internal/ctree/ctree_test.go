@@ -1,6 +1,7 @@
 package ctree
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -185,8 +186,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tb.Insert(mk(1, 0, 2, 1, 5, 0))
 	tb.Insert(mk(1, 1, 3, 0))
 	buf := tb.Encode(nil)
-	if len(buf) != tb.WireSize() {
-		t.Errorf("len(Encode) = %d, WireSize = %d", len(buf), tb.WireSize())
+	if len(buf) != tb.EncodedSize() {
+		t.Errorf("len(Encode) = %d, EncodedSize = %d", len(buf), tb.EncodedSize())
 	}
 	got, err := Decode(buf)
 	if err != nil {
@@ -206,8 +207,8 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	if _, err := Decode(buf); err != nil {
 		t.Fatalf("clean round trip failed: %v", err)
 	}
-	// …but any suffix after the declared code count is rejected, whatever it
-	// holds — a second table, zeros, or garbage.
+	// …but any suffix after the last vertex's variable is rejected, whatever
+	// it holds — a second table, zeros, or garbage.
 	for _, tail := range [][]byte{{0}, {0xff}, tb.Encode(nil), {1, 2, 3, 4}} {
 		if _, err := Decode(append(append([]byte(nil), buf...), tail...)); err == nil {
 			t.Errorf("Decode accepted %d trailing bytes % x", len(tail), tail)
@@ -217,6 +218,46 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	empty := New().Encode(nil)
 	if got, err := Decode(empty); err != nil || got.Len() != 0 {
 		t.Errorf("empty round trip: %v, %v", got, err)
+	}
+}
+
+// TestDecodeHardening: Decode accepts exactly the canonical encoding of a
+// contracted trie. Each input below is a near miss of a valid one.
+func TestDecodeHardening(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		buf  []byte
+	}{
+		{"empty input", nil},
+		{"padded vertex count", []byte{0x80, 0}},
+		{"more vertices than the tag bytes hold", []byte{9, 0, 0}},
+		{"the empty table with a trailing byte", []byte{0, 0}},
+		{"a second tree after a complete root", []byte{2, 0x00}},
+		{"a tree that closes before the count", []byte{3, 0x01, 5}},
+		{"a tree the count leaves open", []byte{2, 0x03, 5}},
+		{"an inner vertex with two complete children", []byte{3, 0x03, 5}},
+		{"a deeper pair of complete children", []byte{4, 0x0d, 5, 6}},
+		{"nonzero padding bits", []byte{1, 0x04}},
+		{"a missing variable", []byte{2, 0x01}},
+		{"a variable cut short", []byte{2, 0x01, 0x85}},
+		{"a padded variable", []byte{2, 0x01, 0x85, 0x00}},
+		{"a variable past 32 bits", []byte{2, 0x01, 0x80, 0x80, 0x80, 0x80, 0x10}},
+		{"a trailing byte", []byte{2, 0x01, 5, 0}},
+	} {
+		if _, err := Decode(c.buf); err == nil {
+			t.Errorf("%s: Decode(% x) accepted it", c.name, c.buf)
+		}
+	}
+	// The valid inputs the near misses were made from.
+	for _, buf := range [][]byte{{0}, {1, 0}, {2, 0x01, 5}, {3, 0x09, 5, 6}, {4, 0x13, 5, 7}, {2, 0x02, 0x80, 0x80, 0x80, 0x80, 0x0f}} {
+		tb, err := Decode(buf)
+		if err != nil {
+			t.Errorf("Decode(% x): %v", buf, err)
+			continue
+		}
+		if re := tb.Encode(nil); !bytes.Equal(re, buf) {
+			t.Errorf("Decode(% x) re-encodes as % x", buf, re)
+		}
 	}
 }
 

@@ -1,30 +1,36 @@
 package ctree
 
 // Property tests for the derived quantities the table carries instead of
-// recomputing (Len, WireSize, the decision count that sizes the frontier
-// chunks) and for the storage a materialised frontier shares: codes carved
-// from common chunks must behave, to every caller, like the independent
+// recomputing (Len, WireSize, EncodedSize, the decision count that sizes the
+// frontier chunks) and for the storage a materialised frontier shares: codes
+// carved from common chunks must behave, to every caller, like the independent
 // clones they replaced.
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
 	"gossipbnb/internal/code"
 )
 
-// checkSums reads Len and WireSize first — straight after the mutation,
-// before anything materialises the frontier — and requires them to agree
-// with what the frontier and the encoding then say.
+// checkSums reads Len, WireSize and EncodedSize first — straight after the
+// mutation, before anything materialises the frontier — and requires them to
+// agree with what the frontier and the encoding then say, and the table Decode
+// rebuilds from the encoding to be this one (checkDecoded).
 func checkSums(t *testing.T, tb *Table, when string) {
 	t.Helper()
-	n, w := tb.Len(), tb.WireSize()
+	n, w, e := tb.Len(), tb.WireSize(), tb.EncodedSize()
 	cs := tb.Codes()
 	if n != len(cs) {
 		t.Fatalf("%s: Len %d, len(Codes()) %d", when, n, len(cs))
 	}
-	if enc := tb.Encode(nil); w != len(enc) {
-		t.Fatalf("%s: WireSize %d, len(Encode(nil)) %d", when, w, len(enc))
+	if fc := code.WireSizeAll(cs); w != fc {
+		t.Fatalf("%s: WireSize %d, the front-coded frontier takes %d", when, w, fc)
+	}
+	enc := tb.Encode(nil)
+	if e != len(enc) {
+		t.Fatalf("%s: EncodedSize %d, len(Encode(nil)) %d", when, e, len(enc))
 	}
 	decs := 0
 	for _, c := range cs {
@@ -33,52 +39,31 @@ func checkSums(t *testing.T, tb *Table, when string) {
 	if tb.depthSum != decs {
 		t.Fatalf("%s: depthSum %d, frontier holds %d decisions", when, tb.depthSum, decs)
 	}
-	// Decode walks the encoding straight into a trie; the table it builds
-	// must be this one, sums included.
-	back, err := Decode(tb.Encode(nil))
+	checkDecoded(t, tb, enc, when)
+}
+
+// checkDecoded requires Decode(enc), enc being tb's encoding, to rebuild tb:
+// the same frontier, sums, gaps, complement and digest, and the encoding
+// again, laid out as a compact arena with no free vertex. tb is only read —
+// its digest and complement are taken from a clone — so a caller's table keeps
+// the state that the paths under test depend on.
+func checkDecoded(t *testing.T, tb *Table, enc []byte, when string) {
+	t.Helper()
+	back, err := Decode(enc)
 	if err != nil {
 		t.Fatalf("%s: Decode(Encode): %v", when, err)
 	}
-	if !codesExactlyEqual(back.Codes(), cs) || back.WireSize() != w || back.NodeCount() != tb.NodeCount() {
-		t.Fatalf("%s: Decode(Encode) = %v (%d B, %d vertices), want %v (%d B, %d vertices)",
-			when, back.Codes(), back.WireSize(), back.NodeCount(), cs, w, tb.NodeCount())
+	c := tb.Clone()
+	if !sameTable(back, tb) || back.EncodedSize() != tb.EncodedSize() || back.Complete() != tb.Complete() {
+		t.Fatalf("%s: Decode(Encode) = %v (%d B, %d gaps, %d vertices), want %v (%d B, %d gaps, %d vertices)",
+			when, back.Codes(), back.WireSize(), back.Gaps(), back.NodeCount(), tb.Codes(), tb.WireSize(), tb.Gaps(), tb.NodeCount())
 	}
-}
-
-// TestDecodeAnyOrder: Decode resumes each code's walk at the shared length the
-// encoding gives it, which is safe in any order — a hand-built batch with
-// duplicates, a code after its own descendant or ancestor, siblings that
-// contract mid-batch — and builds what InsertAll builds from the same codes.
-func TestDecodeAnyOrder(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		leaves := randTree(r, 7)
-		batch := make([]code.Code, 1+r.Intn(12))
-		for i := range batch {
-			c := leaves[r.Intn(len(leaves))]
-			switch {
-			case i > 0 && r.Intn(4) == 0:
-				c = batch[i-1][:r.Intn(len(batch[i-1])+1)] // an ancestor of, or equal to, the last
-			case len(c) > 0 && r.Intn(3) == 0:
-				c = c[:1+r.Intn(len(c))]
-			}
-			batch[i] = c
-		}
-		want := New()
-		want.InsertAll(batch)
-		got, err := Decode(code.AppendAll(nil, batch))
-		if err != nil {
-			t.Fatalf("seed %d: Decode(%v): %v", seed, batch, err)
-		}
-		if !codesExactlyEqual(got.Codes(), want.Codes()) {
-			t.Fatalf("seed %d: Decode(%v) = %v, InsertAll gives %v", seed, batch, got.Codes(), want.Codes())
-		}
-		checkSums(t, got, "decoded")
+	if !codesExactlyEqual(back.Complement(0), c.Complement(0)) || back.Digest() != c.Digest() {
+		t.Fatalf("%s: decoded complement %v digest %#x, want %v %#x", when, back.Complement(0), back.Digest(), c.Complement(0), c.Digest())
 	}
-	// A code that branches where an earlier one did on another variable is a
-	// corrupt table, wherever the batch puts it.
-	if _, err := Decode(code.AppendAll(nil, []code.Code{mk(1, 0, 2, 1), mk(1, 0, 3, 0)})); err == nil {
-		t.Error("Decode accepted a table branching on two variables at one vertex")
+	if len(back.nodes) != back.NodeCount() || back.free != 0 || !bytes.Equal(back.Encode(nil), enc) {
+		t.Fatalf("%s: decoded arena of %d for %d vertices, free list %d; re-encodes to %x, want %x",
+			when, len(back.nodes), back.NodeCount(), back.free, back.Encode(nil), enc)
 	}
 }
 

@@ -7,6 +7,7 @@ package ctree
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -185,8 +186,9 @@ func reachable(t *Table) []node {
 // frontier, and keeps them when the table mutates or resets; after it is
 // taken, neither arena holds more free vertices than live ones, whichever way
 // it was taken (a plain arena copy, or a compaction first); merging from it
-// writes nothing into it; its Encode is code.AppendAll of its frontier byte
-// for byte and decodes back to it; and it is cached until the table changes.
+// writes nothing into it; its Encode is EncodedSize bytes and decodes back to
+// a table equal to it in frontier, sums, gaps, complement and digest; and it
+// is cached until the table changes.
 func TestPropSnapshot(t *testing.T) {
 	var compacted, copied int
 	for seed := int64(0); seed < 200; seed++ {
@@ -224,12 +226,10 @@ func TestPropSnapshot(t *testing.T) {
 			}
 		}
 		enc := s.Encode(nil)
-		if !bytes.Equal(enc, code.AppendAll(nil, want)) || len(enc) != s.WireSize() {
-			t.Fatalf("seed %d: Encode %x, AppendAll of the frontier %x", seed, enc, code.AppendAll(nil, want))
+		if len(enc) != s.EncodedSize() || !bytes.Equal(src.Encode(nil), enc) {
+			t.Fatalf("seed %d: snapshot encodes to %x (EncodedSize %d), its table to %x", seed, enc, s.EncodedSize(), src.Encode(nil))
 		}
-		if back, err := Decode(enc); err != nil || !codesExactlyEqual(back.Codes(), want) {
-			t.Fatalf("seed %d: Decode(Encode) = %v, %v; want %v", seed, back, err, want)
-		}
+		checkDecoded(t, s, enc, fmt.Sprintf("seed %d snapshot", seed))
 
 		arena := slices.Clone(s.nodes)
 		dst := randTable(r, leaves)
@@ -286,7 +286,7 @@ func TestSnapshotSharedConcurrently(t *testing.T) {
 		}
 	}
 	s := src.Snapshot()
-	want := code.AppendAll(nil, s.Codes())
+	want := s.Encode(nil)
 	var wg sync.WaitGroup
 	results := make([]*Table, 4)
 	for i := range results {
@@ -381,4 +381,34 @@ func BenchmarkMergePush(b *testing.B) {
 		ch, _ := batch[i%len(batch)].Merge(push)
 		benchSink += ch
 	}
+}
+
+// BenchmarkTableEncode times encoding the table a push carries (pushPair's
+// snapshot) into a reused buffer; wire-B/op is the encoding's length.
+func BenchmarkTableEncode(b *testing.B) {
+	_, push := pushPair()
+	buf := push.Encode(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = push.Encode(buf[:0])
+	}
+	b.ReportMetric(float64(len(buf)), "wire-B/op")
+}
+
+// BenchmarkTableDecode times rebuilding that table from its encoding, as a
+// receiver of the push does.
+func BenchmarkTableDecode(b *testing.B) {
+	_, push := pushPair()
+	buf := push.Encode(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t, err := Decode(buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += t.Len()
+	}
+	b.ReportMetric(float64(len(buf)), "wire-B/op")
 }

@@ -9,6 +9,7 @@ package ctree
 // mechanism the paper specifies.
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"slices"
 	"testing"
@@ -235,8 +236,39 @@ func (t *refTable) WireSize() int {
 	return sz
 }
 
+// Encode is the trie encoding spelled out from the pointer trie: a recursive
+// pre-order walk collects each vertex's child mask as its tag and each inner
+// vertex's variable, then the tags are packed four to a byte.
 func (t *refTable) Encode(dst []byte) []byte {
-	return code.AppendAll(dst, t.Codes())
+	if t.Len() == 0 {
+		return append(dst, 0)
+	}
+	var tags, vars []byte
+	var walk func(n *refNode)
+	walk = func(n *refNode) {
+		var tag byte
+		for b := 0; b < 2; b++ {
+			if n.hasChild[b] {
+				tag |= 1 << b
+			}
+		}
+		tags = append(tags, tag)
+		if tag != 0 {
+			vars = binary.AppendUvarint(vars, uint64(n.branchVar))
+		}
+		for b := 0; b < 2; b++ {
+			if n.hasChild[b] {
+				walk(n.children[b])
+			}
+		}
+	}
+	walk(t.root)
+	packed := make([]byte, (len(tags)+3)/4)
+	for i, tag := range tags {
+		packed[i/4] |= tag << (2 * (i % 4))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(tags)))
+	return append(append(dst, packed...), vars...)
 }
 
 // --- equivalence property -----------------------------------------------------
@@ -273,8 +305,8 @@ func checkAgainstRef(t *testing.T, opt *Table, ref *refTable, probes []code.Code
 	if oc, rc := opt.Codes(), ref.Codes(); !codesExactlyEqual(oc, rc) {
 		t.Fatalf("Codes: opt %v, ref %v", oc, rc)
 	}
-	if ob, rb := opt.Encode(nil), ref.Encode(nil); string(ob) != string(rb) {
-		t.Fatalf("Encode: opt %x, ref %x", ob, rb)
+	if ob, rb := opt.Encode(nil), ref.Encode(nil); string(ob) != string(rb) || opt.EncodedSize() != len(rb) {
+		t.Fatalf("Encode: opt %x (EncodedSize %d), ref %x", ob, opt.EncodedSize(), rb)
 	}
 	for _, max := range []int{0, 1, 3, 8} {
 		if oc, rc := opt.Complement(max), ref.Complement(max); !codesExactlyEqual(oc, rc) {

@@ -3,9 +3,11 @@ package dbnb
 import (
 	"math"
 	"math/rand"
+	"regexp"
 	"testing"
 
 	"gossipbnb/internal/btree"
+	"gossipbnb/internal/sim"
 )
 
 // Golden event-order hashes. Each constant is the FNV-1a hash of the exact
@@ -36,15 +38,23 @@ import (
 // core"): the three chains no longer draw sequence numbers, so the numbers
 // move, while a dump of every fired event's time, every send (sender,
 // receiver, kind, size) and every expansion is identical line for line.
+// The Table-1 pair was re-pinned once more (0xe71e4a59ba937baa /
+// 0xab14a9bf4268e204 → 0xb1112ad0bd42019c / 0x2193aa5f5cbe50e2, 78 805 →
+// 78 798 events) when a table push began to travel as its trie (EXPERIMENTS.md,
+// "A table push on the wire as its trie"): pushes are smaller, so they land
+// sooner. The chaos pair stayed: that run's 48 pushes weigh 871 bytes under
+// either body, as all but one carry an empty table, one byte in both. And
+// TestFingerprintSizeFreeLatency, which takes latency's size term away, did
+// not move at all.
 //
 // The prefix hashes cover the events with t < FirstDetect. If a prefix hash
 // moves, the kernel or the protocol changed behaviour while work was still in
 // progress; if only a full hash moves, termination or the drain after it did.
 // Either way find out what moved it before refreshing.
 const (
-	goldenTable1Prefix uint64 = 0xe71e4a59ba937baa // 78 403 of 78 805 events, first detection at t = 385.15488494651896
+	goldenTable1Prefix uint64 = 0xb1112ad0bd42019c // 78 396 of 78 798 events, first detection at t = 385.15488494651896
 	goldenChaosPrefix  uint64 = 0x5a25b1de518749cd // 789 of 820 events, first detection at t = 14.299697841017444
-	goldenTable1Hash   uint64 = 0xab14a9bf4268e204
+	goldenTable1Hash   uint64 = 0x2193aa5f5cbe50e2
 	goldenChaosHash    uint64 = 0xff7f24b14f03a255
 )
 
@@ -117,13 +127,14 @@ func goldenChaos() (*btree.Tree, Config) {
 	}
 }
 
-// hashRun replays a golden scenario and returns the hash of its whole event
-// stream and of the prefix before the first termination detection.
-func hashRun(t *testing.T, tree *btree.Tree, cfg Config) (full, prefix uint64) {
+// hashRun replays a golden scenario and returns its result, the hash of its
+// whole event stream and that of the prefix before the first termination
+// detection.
+func hashRun(t *testing.T, tree *btree.Tree, cfg Config) (res Result, full, prefix uint64) {
 	t.Helper()
 	var events []fired
 	cfg.fireHook = func(t float64, seq uint64) { events = append(events, fired{t, seq}) }
-	res := Run(tree, cfg)
+	res = Run(tree, cfg)
 	if !res.Terminated || !res.OptimumOK {
 		t.Fatalf("golden run failed: terminated=%v optimumOK=%v", res.Terminated, res.OptimumOK)
 	}
@@ -136,12 +147,12 @@ func hashRun(t *testing.T, tree *btree.Tree, cfg Config) (full, prefix uint64) {
 		}
 	}
 	t.Logf("%d events, %d before the first detection at t = %v", len(events), n, res.FirstDetect)
-	return all.h, pre.h
+	return res, all.h, pre.h
 }
 
 func checkGolden(t *testing.T, tree *btree.Tree, cfg Config, wantFull, wantPrefix uint64) {
 	t.Helper()
-	full, prefix := hashRun(t, tree, cfg)
+	_, full, prefix := hashRun(t, tree, cfg)
 	if prefix != wantPrefix {
 		t.Errorf("event-order hash before the first detection = %#x, want %#x — the run changed while work was in progress", prefix, wantPrefix)
 	}
@@ -162,3 +173,45 @@ func TestGoldenEventOrderChaos(t *testing.T) {
 	tree, cfg := goldenChaos()
 	checkGolden(t, tree, cfg, goldenChaosHash, goldenChaosPrefix)
 }
+
+var bytesField = regexp.MustCompile(` bytes=\d+`)
+
+// TestFingerprintSizeFreeLatency: what a change to the wire size of a message
+// may move, and what it may not. On a network whose latency is the paper's
+// 1.5 ms floor alone, no delivery time depends on a message's size, so the
+// two golden scenarios are pinned by everything but their byte counts — the
+// fingerprint less its bytes= field, and both event-order hashes. A change to
+// how a message is encoded that moves any of it changed behaviour, not just
+// bytes and the latency they cost.
+func TestFingerprintSizeFreeLatency(t *testing.T) {
+	for _, g := range []struct {
+		name         string
+		scenario     func() (*btree.Tree, Config)
+		fp           string
+		full, prefix uint64
+	}{
+		{"table1", goldenTable1, sizeFreeTable1FP, sizeFreeTable1Hash, sizeFreeTable1Prefix},
+		{"chaos", goldenChaos, sizeFreeChaosFP, sizeFreeChaosHash, sizeFreeChaosPrefix},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			tree, cfg := g.scenario()
+			cfg.Latency = sim.LinearLatency(1.5e-3, 0)
+			res, full, prefix := hashRun(t, tree, cfg)
+			checkFingerprint(t, g.name+" size-free", bytesField.ReplaceAllString(fingerprint(res), ""), g.fp)
+			if full != g.full || prefix != g.prefix {
+				t.Errorf("%s size-free event-order hashes = %#x / %#x, want %#x / %#x", g.name, full, prefix, g.full, g.prefix)
+			}
+		})
+	}
+}
+
+// The size-free pins, captured when they were added and unchanged since by
+// design: every change after that moved only what a message weighs.
+const (
+	sizeFreeTable1FP            = "t=385.1531549465192 first=385.15143494651915 exp=8001 uniq=8001 comp=4001 sent=24779 kinds=[0 3261 6592 7463 1212 6251] per=[84 84 92 81 76 80 83 85 73 65 79 80 80 83 74 84 84 74 79 82 74 78 74 78 77 79 77 73 94 84 71 76 87 90 81 75 84 79 80 75 73 66 78 97 68 80 78 77 83 85 100 70 80 75 87 89 76 69 92 71 78 87 70 76 80 76 78 71 73 83 86 69 97 84 72 80 89 89 87 77 91 84 74 86 82 89 86 82 77 84 74 84 83 79 85 81 74 77 77 68]"
+	sizeFreeChaosFP             = "t=14.388910744840878 first=14.298762841017442 exp=289 uniq=107 comp=134 sent=171 kinds=[0 19 48 54 2 48] per=[11 7 16 51 51 30 93 30]"
+	sizeFreeTable1Hash   uint64 = 0x2631a06bd19b88e8 // 78 202 events
+	sizeFreeTable1Prefix uint64 = 0xabb7289ae89838e9 // 77 800 before the first detection
+	sizeFreeChaosHash    uint64 = 0x00370b1b28eda6ce // 817 events
+	sizeFreeChaosPrefix  uint64 = 0x83494fd0e74af8de // 786 before the first detection
+)

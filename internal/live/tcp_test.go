@@ -21,7 +21,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	cases := []Message{
 		protocol.Report{Codes: codes, Incumbent: 3.5, ActAge: 1},
-		protocol.TableMsg{Codes: codes, Incumbent: 9},
+		protocol.TableMsg{Codes: codes[1:], Incumbent: 9}, // a table: the root would subsume the rest
 		protocol.WorkRequest{Incumbent: math.Inf(1)},
 		protocol.WorkGrant{Codes: codes[1:], Incumbent: -2},
 		protocol.WorkDeny{Incumbent: 0, ActAge: 4},

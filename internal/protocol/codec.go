@@ -16,7 +16,8 @@ import (
 //	msg     := header f64le(incumbent) f64le(actAge) [payload]
 //	header  := u8(kind)                               (instance 0, legacy)
 //	         | u8(kind|0x80) uvarint(instance)        (instance-scoped)
-//	payload := codes                                  (report, table, grant)
+//	payload := codes                                  (report, grant)
+//	         | trie                                   (table)
 //	         | u64le(digest) codes                    (digest report)
 //	         | u8(full) prefix                        (subtree request)
 //	         | u8(1) uvarint(len) subtree             (subtree reply, leaf)
@@ -28,6 +29,11 @@ import (
 //	prefix  := code
 //	subtree := ctree.EncodeSubtree encoding (length-prefixed so the hardened
 //	           whole-buffer ctree.DecodeSubtree validates it in place)
+//	trie    := uvarint(V) tags {uvarint(var)}            (ctree.Table.Encode)
+//	tags    := ⌈V/4⌉ bytes, a 2-bit tag per vertex in pre-order, branch 0
+//	           first, low bits first: 00 complete leaf, 01 / 10 only child
+//	           0 / 1, 11 both children; one var per inner (nonzero) tag.
+//	           V = 0 is the empty table
 //
 // The encoding is self-delimiting, so messages can be concatenated; Decode
 // returns the number of bytes consumed. Encode produces exactly Size() bytes.
@@ -35,9 +41,10 @@ import (
 // Encode appends the wire encoding of m to dst and returns the extended
 // slice. An InstMsg encodes the instance-scoped header (instance 0 unwraps to
 // the legacy bytes); anything else encodes exactly as before instances
-// existed. It fails on a message type outside the canonical set, and with
+// existed. It fails on a message type outside the canonical set, with
 // code.ErrExpand on a code batch so deep and so shared that the receiver's
-// decoder would refuse it.
+// decoder would refuse it, and on a hand-built table push whose codes branch
+// one subproblem on two variables, which no table holds.
 func Encode(dst []byte, m Msg) ([]byte, error) {
 	var inst InstanceID
 	if im, ok := m.(InstMsg); ok {
@@ -68,15 +75,11 @@ func Encode(dst []byte, m Msg) ([]byte, error) {
 		putCodes(t.Codes)
 	case TableMsg:
 		put(KindTable, t.Incumbent, t.ActAge)
-		if t.snap == nil {
-			putCodes(t.Codes)
-			break
+		tb, errs := t.trie()
+		if errs > 0 {
+			return nil, fmt.Errorf("protocol: %d table push codes branch a subproblem on another variable", errs)
 		}
-		at := len(dst)
-		dst = t.snap.Encode(dst)
-		if t.snap.Decisions() > code.MaxExpand*(len(dst)-at) {
-			err = code.ErrExpand
-		}
+		dst = tb.Encode(dst)
 	case WorkRequest:
 		put(KindRequest, t.Incumbent, t.ActAge)
 	case WorkGrant:
@@ -214,11 +217,16 @@ func decodeMsg(kind byte, buf []byte, off int) (Msg, int, error) {
 		}
 		return Report{Codes: cs, Incumbent: incumbent, ActAge: actAge}, off, nil
 	case KindTable:
-		cs, err := readCodes()
+		tb, n, err := ctree.DecodeOne(buf[off:])
 		if err != nil {
-			return nil, 0, fmt.Errorf("protocol: table codes: %w", err)
+			return nil, 0, fmt.Errorf("protocol: table: %w", err)
 		}
-		return TableMsg{Codes: cs, Incumbent: incumbent, ActAge: actAge}, off, nil
+		off += n
+		m := TableMsg{table: tb, Incumbent: incumbent, ActAge: actAge}
+		if tb.Decisions() <= code.MaxExpand*n {
+			m.Codes = tb.Codes()
+		}
+		return m, off, nil
 	case KindRequest:
 		return WorkRequest{Incumbent: incumbent, ActAge: actAge}, off, nil
 	case KindGrant:

@@ -20,11 +20,32 @@ func sampleCodes() []code.Code {
 	}
 }
 
+// tableCodes is a contracted frontier in prefix order: a table push of these
+// codes decodes to the same codes. (sampleCodes branches the root on two
+// variables, which no table holds.)
+func tableCodes() []code.Code {
+	return []code.Code{
+		code.Root().Child(1, 0).Child(2, 1),
+		code.Root().Child(1, 1).Child(300, 0), // multi-byte varint variable
+	}
+}
+
+// sameMsg is reflect.DeepEqual, except that table pushes are compared by what
+// they carry — scalars and frontier — since a decoded one also holds its trie.
+func sameMsg(got, want Msg) bool {
+	g, ok := got.(TableMsg)
+	w, ok2 := want.(TableMsg)
+	if !ok || !ok2 {
+		return reflect.DeepEqual(got, want)
+	}
+	return g.Incumbent == w.Incumbent && g.ActAge == w.ActAge && reflect.DeepEqual(g.Frontier(), w.Frontier())
+}
+
 func TestCodecRoundTrip(t *testing.T) {
 	codes := sampleCodes()
 	cases := []Msg{
 		Report{Codes: codes, Incumbent: 3.5, ActAge: 0.25},
-		TableMsg{Codes: codes[1:], Incumbent: -1, ActAge: 12},
+		TableMsg{Codes: tableCodes(), Incumbent: -1, ActAge: 12},
 		WorkRequest{Incumbent: math.Inf(1), ActAge: 0},
 		WorkGrant{Codes: codes[1:], Incumbent: -2, ActAge: 7},
 		WorkDeny{Incumbent: 0, ActAge: 3},
@@ -59,7 +80,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		if n != len(buf) {
 			t.Errorf("%T: decode consumed %d of %d bytes", m, n, len(buf))
 		}
-		if !reflect.DeepEqual(got, m) {
+		if !sameMsg(got, m) {
 			t.Errorf("%T round trip mismatch:\n got %+v\nwant %+v", m, got, m)
 		}
 	}
@@ -174,7 +195,7 @@ func TestCodecInstanceRoundTrip(t *testing.T) {
 	codes := sampleCodes()
 	inner := []Msg{
 		Report{Codes: codes, Incumbent: 3.5, ActAge: 0.25},
-		TableMsg{Codes: codes[1:], Incumbent: -1, ActAge: 12},
+		TableMsg{Codes: tableCodes(), Incumbent: -1, ActAge: 12},
 		WorkRequest{Incumbent: math.Inf(1)},
 		WorkGrant{Codes: codes[1:], Incumbent: -2, ActAge: 7},
 		WorkDeny{ActAge: 3},
@@ -202,7 +223,7 @@ func TestCodecInstanceRoundTrip(t *testing.T) {
 			if gotInst != inst || n != len(buf) {
 				t.Errorf("inst %d %T: DecodeInstance = inst %d, %d of %d bytes", inst, m, gotInst, n, len(buf))
 			}
-			if !reflect.DeepEqual(got, m) {
+			if !sameMsg(got, m) {
 				t.Errorf("inst %d %T round trip mismatch:\n got %+v\nwant %+v", inst, m, got, m)
 			}
 			if inst == 0 {
@@ -289,7 +310,7 @@ func TestDecodeInstanceRejectsGarbage(t *testing.T) {
 func FuzzDecode(f *testing.F) {
 	for _, m := range []Msg{
 		Report{Codes: sampleCodes(), Incumbent: 1, ActAge: 2},
-		TableMsg{Codes: sampleCodes()[1:], Incumbent: 3},
+		TableMsg{Codes: tableCodes(), Incumbent: 3},
 		WorkRequest{Incumbent: 4},
 		WorkGrant{Codes: sampleCodes()[1:2], ActAge: 5},
 		WorkDeny{},
@@ -352,6 +373,30 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{KindDeny | 0x80})          // flagged kind, truncated varint
 	f.Add([]byte{KindDeny | 0x80, 0})       // flagged instance 0 (non-canonical)
 	f.Add([]byte{KindDeny | 0x80, 0xac, 2}) // flagged header, truncated scalars
+	// Table pushes, whose body is a trie: a real one of a few hundred
+	// vertices, a deep descent's frontier whose decoded codes would pass the
+	// cap, and near misses — a pair of complete children, a count the tags
+	// leave open, nonzero padding bits, a padded variable, a count the frame
+	// cannot hold.
+	table, _ := Encode(nil, TableMsg{Incumbent: 1})
+	table = slices.Clip(table[:len(table)-1]) // the scalars; the trie follows
+	push := ctree.New()
+	for i, c := range fakeLeaves(9) {
+		if i%3 != 0 && i%7 != 0 {
+			push.Insert(c)
+		}
+	}
+	for _, body := range [][]byte{
+		push.Encode(nil),
+		spineEncoding(2000),
+		{3, 0x03, 5},
+		{2, 0x03, 5},
+		{1, 0x04},
+		{2, 0x01, 0x85, 0x00},
+		{0xff, 0xff, 0x03, 0, 0},
+	} {
+		f.Add(append(table, body...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzInstanceDecode(t, data)
 		m, n, err := Decode(data)
@@ -365,6 +410,11 @@ func FuzzDecode(f *testing.F) {
 		// MaxExpand decisions per byte of input.
 		if d := batchDecisions(m); d > code.MaxExpand*n {
 			t.Fatalf("%d bytes decoded to %d decisions, the cap is %d per byte", n, d, code.MaxExpand)
+		}
+		// A trie takes two bits of input per vertex, so a table push holds
+		// at most four frontier codes per byte.
+		if tm, ok := m.(TableMsg); ok && tm.Len() > 4*n {
+			t.Fatalf("%d bytes decoded to a table of %d codes", n, tm.Len())
 		}
 		re, err := Encode(nil, m)
 		if err != nil {
@@ -391,12 +441,16 @@ func FuzzDecode(f *testing.F) {
 
 // TestDeepFrontierRefusedAtTheSender: what is left behind by a depth-first
 // descent D levels deep — D sibling codes, in prefix order — is an honest
-// frontier of D²/2 decisions in some 8·D bytes, past code.MaxExpand from about
-// 1 000 levels. The limit is the same on both ends: Encode refuses exactly the
-// batches DecodeAll would, so the sender hears of it (a TCP send counts the
-// drop as Unrouted) instead of the receiver discarding frames as corrupt.
-// Whatever Encode lets through round-trips. A whole table is decoded without
-// keeping its codes and has no limit.
+// frontier of D²/2 decisions in some 8·D bytes front-coded, past
+// code.MaxExpand from about 1 000 levels. For a code batch the limit is the
+// same on both ends: Encode refuses exactly the batches DecodeAll would, so
+// the sender hears of it (a TCP send counts the drop as Unrouted) instead of
+// the receiver discarding frames as corrupt. Whatever Encode lets through
+// round-trips. A table push is no code batch: it travels as its trie, about
+// 2.5 bytes a level here, and its decoder's memory is bounded by its input,
+// so it goes at any depth a table holds — down to ctree's 2^20 levels, here
+// 2^17 — and round-trips; the decoded push keeps its frontier as Codes only
+// while that is within the cap.
 func TestDeepFrontierRefusedAtTheSender(t *testing.T) {
 	for _, depth := range []int{100, 800, 1200, 3000} {
 		tb := ctree.New()
@@ -414,9 +468,9 @@ func TestDeepFrontierRefusedAtTheSender(t *testing.T) {
 			t.Fatalf("depth %d: DecodeAll of the encoded frontier: %v", depth, derr)
 		}
 		for _, m := range []Msg{
-			Report{Codes: cs}, TableMsg{Codes: cs}, WorkGrant{Codes: cs}, DigestReport{Codes: cs},
+			Report{Codes: cs}, WorkGrant{Codes: cs}, DigestReport{Codes: cs},
 			SubtreeReply{Leaf: true, Prefix: spine[:3], Rel: cs},
-			InstMsg{Instance: 9, Msg: TableMsg{Codes: cs}},
+			InstMsg{Instance: 9, Msg: Report{Codes: cs}},
 		} {
 			buf, err := Encode(nil, m)
 			if refused {
@@ -433,11 +487,59 @@ func TestDeepFrontierRefusedAtTheSender(t *testing.T) {
 				t.Errorf("depth %d: %T does not round-trip: %v", depth, m, err)
 			}
 		}
-		back, err := ctree.Decode(tb.Encode(nil))
-		if err != nil || back.Len() != depth || back.WireSize() != tb.WireSize() {
-			t.Errorf("depth %d: the table does not round-trip: %v", depth, err)
+		for _, m := range []Msg{
+			TableMsg{table: tb.Snapshot()}, TableMsg{Codes: cs},
+			InstMsg{Instance: 9, Msg: TableMsg{table: tb.Snapshot()}},
+		} {
+			checkDeepPush(t, m, depth, tb.Decisions() <= code.MaxExpand*tb.EncodedSize())
 		}
 	}
+	deep := 1 << 17
+	tb, err := ctree.Decode(spineEncoding(deep))
+	if err != nil || tb.Len() != deep {
+		t.Fatalf("a %d-level spine: %v", deep, err)
+	}
+	checkDeepPush(t, TableMsg{table: tb}, deep, false)
+}
+
+// checkDeepPush requires a table push of a depth-level descent's frontier to
+// encode to Size() bytes and decode to the same frontier size, re-encoding
+// byte for byte, with its codes materialised exactly when listed is set.
+func checkDeepPush(t *testing.T, m Msg, depth int, listed bool) {
+	t.Helper()
+	buf, err := Encode(nil, m)
+	if err != nil || len(buf) != m.Size() {
+		t.Fatalf("depth %d: Encode(%T): %d bytes, Size %d, %v", depth, m, len(buf), m.Size(), err)
+	}
+	inst, got, n, err := DecodeInstance(buf)
+	if err != nil || n != len(buf) {
+		t.Fatalf("depth %d: DecodeInstance(%T): %v", depth, m, err)
+	}
+	if re, _ := Encode(nil, InstMsg{Instance: inst, Msg: got}); string(re) != string(buf) {
+		t.Errorf("depth %d: %T does not round-trip", depth, m)
+	}
+	if tm := got.(TableMsg); tm.Len() != depth || (tm.Codes != nil) != listed {
+		t.Errorf("depth %d: decoded push of %d codes, codes listed %v, want %v", depth, tm.Len(), tm.Codes != nil, listed)
+	}
+}
+
+// spineEncoding is the trie encoding of a depth-first descent's frontier:
+// depth spine vertices on variable 0 going down branch 1, each with its
+// complete sibling on branch 0, the deepest spine vertex with that sibling
+// alone — in pre-order, tags 11 00 repeated, then 01 00.
+func spineEncoding(depth int) []byte {
+	n := 2 * depth
+	buf := binary.AppendUvarint(nil, uint64(n))
+	at := len(buf)
+	buf = append(buf, make([]byte, (n+3)/4+depth)...) // variables: depth zeros
+	for k := 0; k < n; k += 2 {
+		tag := byte(3)
+		if k == n-2 {
+			tag = 1
+		}
+		buf[at+k/4] |= tag << (2 * (k % 4))
+	}
+	return buf
 }
 
 // batchDecisions counts the decisions of a message's code batch.

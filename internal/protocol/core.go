@@ -614,8 +614,7 @@ func (c *Core) SendTable(to NodeID) {
 		c.cnt.TablesSent++
 		return
 	}
-	c.d.Sender.Send(to, TableMsg{snap: c.table.Snapshot(), codesSize: c.table.WireSize(),
-		Incumbent: c.incumbent, ActAge: c.ActivityAge()})
+	c.d.Sender.Send(to, TableMsg{table: c.table.Snapshot(), Incumbent: c.incumbent, ActAge: c.ActivityAge()})
 	c.cnt.TablesSent++
 }
 
@@ -886,8 +885,8 @@ func (c *Core) HandleMessage(from NodeID, m Msg) Effect {
 	case TableMsg:
 		c.observeIncumbent(t.Incumbent)
 		c.noteActivity(t.ActAge)
-		if t.snap != nil {
-			c.mergeTable(t.snap)
+		if t.table != nil {
+			c.mergeTable(t.table)
 		} else {
 			c.merge(t.Codes)
 		}
@@ -1119,9 +1118,9 @@ func (c *Core) merge(cs []code.Code) {
 	c.noteChanged(changed)
 }
 
-// mergeTable is merge for a pushed snapshot: the same rules, with the trie
-// merge in place of the code walk. A snapshot carries the root code exactly
-// when it is complete.
+// mergeTable is merge for a pushed table, a snapshot or its decoded copy: the
+// same rules, with the trie merge in place of the code walk. A table carries
+// the root code exactly when it is complete.
 func (c *Core) mergeTable(s *ctree.Table) {
 	open := !c.table.Complete()
 	changed, _ := c.table.Merge(s)

@@ -132,36 +132,54 @@ func (m Report) Kind() byte { return KindReport }
 
 // TableMsg is the occasional full-table push "to inform new members of the
 // current state of the execution and to increase the degree of consistency".
-// Its payload is the sender's contracted table frontier. Core.SendTable ships
-// it as the table's frozen snapshot (ctree.Table.Snapshot), which the
-// receiving core merges trie to trie and the codec encodes straight from the
-// trie; Codes is then nil. A decoded or hand-built push carries Codes. Len
-// and Frontier read either form.
+// Its payload is the sender's contracted table, and it travels as one: the
+// codec writes the trie (ctree.Table.Encode) and the receiving core merges it
+// trie to trie. Core.SendTable ships the table's frozen snapshot
+// (ctree.Table.Snapshot), with Codes nil; Decode rebuilds the sender's trie
+// and also fills Codes with its frontier, unless that frontier holds more
+// than code.MaxExpand decisions per byte of the body. A hand-built push
+// carries Codes alone, and is encoded and sized as the table they build. Len
+// and Frontier read any form.
 type TableMsg struct {
 	Codes     []code.Code
 	Incumbent float64
 	ActAge    float64
 
-	codesSize int          // see stampedSize
-	snap      *ctree.Table // the sender's snapshot, or nil
+	table *ctree.Table // the sender's snapshot or the decoded trie, or nil
 }
 
-// Size implements Msg.
-func (m TableMsg) Size() int { return scalarSize + stampedSize(m.codesSize, m.Codes) }
+// Size implements Msg: the encoded table's size, which a table keeps as a
+// running sum, so sizing a pushed or decoded message walks nothing.
+func (m TableMsg) Size() int {
+	t, _ := m.trie()
+	return scalarSize + t.EncodedSize()
+}
+
+// trie returns the table the push carries: its snapshot or decoded trie, or
+// for a hand-built push the table its Codes build, with the number of codes
+// that branched a vertex on another variable than an earlier one.
+func (m TableMsg) trie() (*ctree.Table, int) {
+	if m.table != nil {
+		return m.table, 0
+	}
+	t := ctree.New()
+	_, errs := t.InsertAll(m.Codes)
+	return t, errs
+}
 
 // Len returns the number of frontier codes the push carries.
 func (m TableMsg) Len() int {
-	if m.snap != nil {
-		return m.snap.Len()
+	if m.table != nil {
+		return m.table.Len()
 	}
 	return len(m.Codes)
 }
 
-// Frontier returns the codes the push carries: Codes, or a snapshot's
+// Frontier returns the codes the push carries: Codes, or the table's
 // frontier materialised afresh — what a Sender that inspects pushes reads.
 func (m TableMsg) Frontier() []code.Code {
-	if m.snap != nil {
-		return m.snap.Codes()
+	if m.table != nil && m.Codes == nil {
+		return m.table.Codes()
 	}
 	return m.Codes
 }
@@ -358,10 +376,10 @@ func (m Welcome) Kind() byte { return KindWelcome }
 const scalarSize = 17
 
 // stampedSize returns the encoded size of a message's code batch. The messages
-// whose codes are a table's frontier — Report, DigestReport, TableMsg — carry
-// it as a stamp: the sending core holds the figure as the table's WireSize
-// (FlushReport, SendTable), so the transports' Size call on every send is a
-// field read. A decoded or hand-built message has no stamp and walks its codes.
+// whose codes are an outbox's frontier — Report, DigestReport — carry it as a
+// stamp: the sending core holds the figure as the outbox's WireSize
+// (FlushReport), so the transports' Size call on every send is a field read.
+// A decoded or hand-built message has no stamp and walks its codes.
 // A real size is never 0: the code count alone takes a byte.
 func stampedSize(stamp int, cs []code.Code) int {
 	if stamp > 0 {
