@@ -70,17 +70,8 @@ func DecodeCode(buf []byte) (Code, int, error) { return code.Decode(buf) }
 // detection.
 type Table = ctree.Table
 
-// TableSet abstracts Table and ListTable for the representation ablation.
-type TableSet = ctree.Set
-
-// ListTable is the flat-list table representation (ablation baseline).
-type ListTable = ctree.ListTable
-
 // NewTable returns an empty completion table.
 func NewTable() *Table { return ctree.New() }
-
-// NewListTable returns an empty flat-list completion table.
-func NewListTable() *ListTable { return ctree.NewList() }
 
 // DecodeTable reconstructs a table from Table.Encode output — the trie in
 // pre-order, two bits of shape per vertex and one variable per inner vertex —

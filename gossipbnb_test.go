@@ -67,12 +67,6 @@ func TestTableThroughPublicAPI(t *testing.T) {
 	if err != nil || !back.Complete() {
 		t.Fatalf("table decode failed: %v", err)
 	}
-	// ListTable satisfies the shared TableSet interface.
-	var set gossipbnb.TableSet = gossipbnb.NewListTable()
-	set.Insert(gossipbnb.RootCode().Child(1, 0))
-	if set.Complete() {
-		t.Error("half pair complete")
-	}
 }
 
 func TestBaselinesThroughPublicAPI(t *testing.T) {

@@ -17,13 +17,12 @@ import (
 	"gossipbnb/internal/sim"
 )
 
-// Config parameterizes a centralized run.
+// Config parameterizes a centralized run over a lossless network with the
+// paper's latency model.
 type Config struct {
 	// Workers is the number of worker processes (the manager is separate).
 	Workers int
 	Seed    int64
-	Latency sim.LatencyModel
-	Loss    float64
 	Prune   bool
 	// ServiceTime is the manager CPU cost to process one message
 	// (bookkeeping + checkpoint write). Default 1 ms.
@@ -36,7 +35,6 @@ type Config struct {
 	// Crashes schedules worker crashes (worker indices 1..Workers; the
 	// manager, node 0, is assumed reliable).
 	Crashes []Crash
-	MaxTime float64
 }
 
 // Crash schedules a worker crash.
@@ -49,9 +47,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
-	if c.Latency == nil {
-		c.Latency = sim.PaperLatency()
-	}
 	if c.ServiceTime <= 0 {
 		c.ServiceTime = 1e-3
 	}
@@ -60,9 +55,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AssignTimeout <= 0 {
 		c.AssignTimeout = 30
-	}
-	if c.MaxTime <= 0 {
-		c.MaxTime = 1e9
 	}
 	return c
 }
@@ -358,8 +350,7 @@ func (w *worker) deliver(_ sim.NodeID, msg sim.Message) {
 func Run(tree *btree.Tree, cfg Config) Result {
 	cfg = cfg.withDefaults()
 	k := sim.New(cfg.Seed)
-	nw := sim.NewNetwork(k, cfg.Latency)
-	nw.SetLoss(cfg.Loss)
+	nw := sim.NewNetwork(k, sim.PaperLatency())
 	mgr := &manager{
 		cfg: cfg, k: k, nw: nw, tree: tree,
 		assigned:  map[sim.NodeID]*assignment{},
@@ -386,7 +377,7 @@ func Run(tree *btree.Tree, cfg Config) Result {
 			workers[c.Worker-1].crashed = true
 		})
 	}
-	k.Run(cfg.MaxTime)
+	k.Run(1e9) // virtual seconds: a run that fails to terminate stops here
 
 	res := Result{
 		Terminated: mgr.finished,

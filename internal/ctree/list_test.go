@@ -6,30 +6,10 @@ import (
 	"gossipbnb/internal/code"
 )
 
-// Set is the interface shared by the trie-backed Table and the flat ListTable.
-// The distributed algorithm is written against Set so that the two
-// representations can be swapped for the table-representation ablation
-// (DESIGN.md §5.4).
-type Set interface {
-	Insert(c code.Code) (bool, error)
-	InsertAll(cs []code.Code) (changed, errs int)
-	Contains(c code.Code) bool
-	Complete() bool
-	Codes() []code.Code
-	Complement(max int) []code.Code
-	Len() int
-	WireSize() int
-}
-
-var (
-	_ Set = (*Table)(nil)
-	_ Set = (*ListTable)(nil)
-)
-
 // ListTable is the naive representation the paper's description literally
 // suggests: a flat list of codes, contracted by repeatedly scanning for
 // sibling pairs and subsumed entries. It is correct but asymptotically worse
-// than the trie; it exists for the ablation benchmark.
+// than the trie; the tests keep it as the reference the trie must agree with.
 type ListTable struct {
 	codes []code.Code // invariant: contracted, sorted by Compare
 }
@@ -38,11 +18,9 @@ type ListTable struct {
 func NewList() *ListTable { return &ListTable{} }
 
 // Insert records completion of c and re-contracts the list.
-func (l *ListTable) Insert(c code.Code) (bool, error) {
-	for _, e := range l.codes {
-		if e.Equal(c) || e.IsAncestorOf(c) {
-			return false, nil
-		}
+func (l *ListTable) Insert(c code.Code) {
+	if l.Contains(c) {
+		return
 	}
 	// Remove entries subsumed by c.
 	kept := l.codes[:0]
@@ -54,7 +32,6 @@ func (l *ListTable) Insert(c code.Code) (bool, error) {
 	l.codes = append(kept, c.Clone())
 	l.contract()
 	sort.Slice(l.codes, func(i, j int) bool { return l.codes[i].Compare(l.codes[j]) < 0 })
-	return true, nil
 }
 
 // contract repeatedly merges sibling pairs into their parent until no pair
@@ -95,19 +72,6 @@ func (l *ListTable) contract() {
 	}
 }
 
-// InsertAll inserts each code in turn.
-func (l *ListTable) InsertAll(cs []code.Code) (changed, errs int) {
-	for _, c := range cs {
-		ok, err := l.Insert(c)
-		if err != nil {
-			errs++
-		} else if ok {
-			changed++
-		}
-	}
-	return changed, errs
-}
-
 // Contains reports whether c is subsumed by the list.
 func (l *ListTable) Contains(c code.Code) bool {
 	for _, e := range l.codes {
@@ -130,14 +94,6 @@ func (l *ListTable) Codes() []code.Code {
 		out[i] = c.Clone()
 	}
 	return out
-}
-
-// Complement delegates to a trie built from the list. The flat representation
-// has no cheap complement, which is itself an ablation finding.
-func (l *ListTable) Complement(max int) []code.Code {
-	t := New()
-	t.InsertAll(l.codes)
-	return t.Complement(max)
 }
 
 // Len returns the number of codes in the contracted list.

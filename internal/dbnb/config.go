@@ -127,15 +127,13 @@ type Config struct {
 	// loss-only network of the paper's own experiments. Duplicate is the
 	// independent probability a message is delivered twice (the copy draws
 	// its own latency, so the pair races). Reorder is the probability a
-	// message is held back by up to ReorderWindow extra seconds, letting
-	// later sends overtake it; ReorderWindow 0 means 10× the base latency.
-	// Replay re-delivers a stale copy between ReplayDelay and 2·ReplayDelay
-	// seconds after the send; ReplayDelay 0 means 1 second.
-	Duplicate     float64
-	Reorder       float64
-	ReorderWindow float64
-	Replay        float64
-	ReplayDelay   float64
+	// message is held back by up to 10× the base latency, letting later
+	// sends overtake it. Replay re-delivers a stale copy between ReplayDelay
+	// and 2·ReplayDelay seconds after the send; ReplayDelay 0 means 1 second.
+	Duplicate   float64
+	Reorder     float64
+	Replay      float64
+	ReplayDelay float64
 
 	// CostFactor scales every node cost, the paper's granularity knob
 	// ("we tuned this granularity by multiplying all time values by a
@@ -176,12 +174,8 @@ type Config struct {
 	AdaptiveReports bool
 
 	// MinPoolToShare is how many active problems a process must hold before
-	// it grants work away. MaxShare caps problems per grant.
+	// it grants work away.
 	MinPoolToShare int
-	MaxShare       int
-	// RequestTimeout bounds the wait for a work-request answer before the
-	// attempt counts as failed.
-	RequestTimeout float64
 	// RetryDelay paces retries after a failed work request. While retrying,
 	// a starving process also pushes its table to random members — the
 	// paper's observation that lightly loaded processes "suspect termination
@@ -203,13 +197,6 @@ type Config struct {
 	// DisableRecovery turns the failure-recovery mechanism off (ablation;
 	// with failures the run will then hang until MaxTime).
 	DisableRecovery bool
-
-	// CommOverhead is the modeled CPU seconds to handle one received
-	// message; ContractPerCode the CPU seconds per code merged into the
-	// table. Together they produce the paper's "communication time" and
-	// "list contraction time" columns.
-	CommOverhead    float64
-	ContractPerCode float64
 
 	// UseMembership runs the gossip membership protocol (§5.2) instead of a
 	// predetermined resource pool; the paper's own simulations use the
@@ -244,6 +231,15 @@ type Config struct {
 	sendHook func(m protocol.Msg)
 }
 
+// commOverhead is the modeled CPU seconds to handle one received message;
+// contractPerCode the CPU seconds per code merged into the table. Together
+// they produce the paper's "communication time" and "list contraction time"
+// columns.
+const (
+	commOverhead    = 200e-6
+	contractPerCode = 20e-6
+)
+
 // withDefaults fills unset fields with the defaults used throughout the
 // experiments.
 func (c Config) withDefaults() Config {
@@ -271,12 +267,6 @@ func (c Config) withDefaults() Config {
 	if c.MinPoolToShare <= 0 {
 		c.MinPoolToShare = 2
 	}
-	if c.MaxShare <= 0 {
-		c.MaxShare = 16
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 3
-	}
 	if c.RetryDelay <= 0 {
 		c.RetryDelay = 1
 	}
@@ -285,12 +275,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RecoveryQuiet <= 0 {
 		c.RecoveryQuiet = 10 * c.RetryDelay
-	}
-	if c.CommOverhead <= 0 {
-		c.CommOverhead = 200e-6
-	}
-	if c.ContractPerCode <= 0 {
-		c.ContractPerCode = 20e-6
 	}
 	if c.MaxTime <= 0 {
 		c.MaxTime = 1e9

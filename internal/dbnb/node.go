@@ -158,7 +158,7 @@ func (s nodeSender) wire(m protocol.Msg) sim.Message {
 func (s nodeSender) Send(to protocol.NodeID, m protocol.Msg) {
 	n := s.n
 	n.sh.nw.Send(n.id, sim.NodeID(to), s.wire(m))
-	over := n.h.cfg.CommOverhead
+	over := commOverhead
 	switch m.(type) {
 	case protocol.Report, protocol.TableMsg,
 		protocol.DigestReport, protocol.SubtreeRequest, protocol.SubtreeReply:
@@ -185,7 +185,7 @@ func (s nodeSender) Broadcast(peers []protocol.NodeID, m protocol.Msg) {
 		return
 	}
 	n.sh.nw.BroadcastRange(n.id, int(n.id)+1, len(peers), s.wire(m))
-	over := n.h.cfg.CommOverhead * float64(len(peers))
+	over := commOverhead * float64(len(peers))
 	switch m.(type) {
 	case protocol.Report, protocol.TableMsg:
 		n.met.Add(metrics.Comm, over)
@@ -266,8 +266,6 @@ func (n *node) initCore() {
 		ReportTimeout:    cfg.ReportTimeout,
 		AdaptiveReports:  cfg.AdaptiveReports,
 		MinPoolToShare:   cfg.MinPoolToShare,
-		MaxShare:         cfg.MaxShare,
-		RequestTimeout:   cfg.RequestTimeout,
 		RetryDelay:       cfg.RetryDelay,
 		RecoveryPatience: cfg.RecoveryPatience,
 		RecoveryQuiet:    cfg.RecoveryQuiet,
@@ -450,7 +448,7 @@ func (n *node) recover() {
 		n.loop() // table is complete; loop will detect termination
 		return
 	}
-	scanCost := n.h.cfg.ContractPerCode * float64(n.core.Table().Len()+1)
+	scanCost := contractPerCode * float64(n.core.Table().Len()+1)
 	n.busy = true
 	n.pendPlan = plan
 	n.pendStart = n.k.Now()
@@ -531,7 +529,6 @@ func (n *node) wakeup() {
 // drainInbox feeds all queued messages to the core, charging their modeled
 // CPU cost as one busy period, then resumes the loop.
 func (n *node) drainInbox() {
-	cfg := &n.h.cfg
 	// Canonical batch order: arrival times and per-sender send order are
 	// invariant in the shard count; the raw append order is not — it follows
 	// kernel tie-breaking, which differs once simultaneous senders live on
@@ -545,24 +542,24 @@ func (n *node) drainInbox() {
 	// the single largest CPU sink in the 1000-process stress profile.
 	for i := 0; i < len(n.inbox); i++ {
 		m := n.inbox[i]
-		commCost += cfg.CommOverhead
+		commCost += commOverhead
 		switch t := m.msg.(type) {
 		case protocol.Report:
-			contractCost += cfg.ContractPerCode * float64(len(t.Codes))
+			contractCost += contractPerCode * float64(len(t.Codes))
 		case protocol.TableMsg:
-			contractCost += cfg.ContractPerCode * float64(t.Len())
+			contractCost += contractPerCode * float64(t.Len())
 		case protocol.DigestReport:
 			// Merging the delta plus one digest comparison.
-			contractCost += cfg.ContractPerCode * float64(len(t.Codes)+1)
+			contractCost += contractPerCode * float64(len(t.Codes)+1)
 		case protocol.SubtreeRequest:
 			// One trie descent to the requested prefix.
-			contractCost += cfg.ContractPerCode
+			contractCost += contractPerCode
 		case protocol.SubtreeReply:
 			// Merging the pulled subtree frontier (branch replies have no
 			// codes and cost the single digest comparison).
-			contractCost += cfg.ContractPerCode * float64(len(t.Rel)+1)
+			contractCost += contractPerCode * float64(len(t.Rel)+1)
 		case protocol.WorkGrant:
-			lbCost += cfg.CommOverhead * float64(1+len(t.Codes)/8)
+			lbCost += commOverhead * float64(1+len(t.Codes)/8)
 		}
 		n.core.HandleMessage(protocol.NodeID(m.from), m.msg)
 		n.arm() // an answer moves the deadline to a pace, or clears it

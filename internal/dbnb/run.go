@@ -504,7 +504,7 @@ func newHarness(cfg Config, specs []*spec, tagged bool) *harness {
 		// for a knob the user believes is on) must panic, not silently run a
 		// well-behaved network.
 		sh.nw.SetDuplicate(cfg.Duplicate)
-		sh.nw.SetReorder(cfg.Reorder, cfg.ReorderWindow)
+		sh.nw.SetReorder(cfg.Reorder, 0) // the network's window, 10× the base latency
 		sh.nw.SetReplay(cfg.Replay, cfg.ReplayDelay)
 		for _, p := range cfg.Partitions {
 			ids := make([]sim.NodeID, len(p.Group))

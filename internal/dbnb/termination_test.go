@@ -55,7 +55,7 @@ func TestTerminationTrafficIsLinear(t *testing.T) {
 		if got, bound := rootReports(res.Net, res.Met), int64((1+cfg.ReportFanout)*(procs-1)); got > bound {
 			t.Errorf("procs=%d: %d root reports sent, want at most (1 + %d)·(procs − 1) = %d", procs, got, cfg.ReportFanout, bound)
 		}
-		lag := cfg.Latency(root.Size()) + cfg.CommOverhead + cfg.ContractPerCode
+		lag := cfg.Latency(root.Size()) + commOverhead + contractPerCode
 		late := 0
 		for _, d := range res.DetectTimes {
 			if d-res.FirstDetect > lag+1e-12 {
@@ -66,7 +66,7 @@ func TestTerminationTrafficIsLinear(t *testing.T) {
 			t.Errorf("procs=%d: %d detections trail the first by more than one delivered broadcast, %v; only the last work report's %d recipients may",
 				procs, late, lag, cfg.ReportFanout)
 		}
-		lag += cfg.CommOverhead + float64(cfg.ReportBatch)*cfg.ContractPerCode
+		lag += commOverhead + float64(cfg.ReportBatch)*contractPerCode
 		if got := res.Time - res.FirstDetect; got > lag+1e-12 {
 			t.Errorf("procs=%d: last detection trails the first by %v, want one delivered broadcast and one work report's handling, %v", procs, got, lag)
 		}

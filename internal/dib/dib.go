@@ -24,20 +24,14 @@ import (
 	"gossipbnb/internal/sim"
 )
 
-// Config parameterizes a DIB run. Zero fields default like dbnb's.
+// Config parameterizes a DIB run over the paper's latency model. Zero fields
+// default like dbnb's.
 type Config struct {
-	Procs   int
-	Seed    int64
-	Latency sim.LatencyModel
-	Loss    float64
+	Procs int
+	Seed  int64
+	Loss  float64
 	// Prune enables incumbent-based elimination.
 	Prune bool
-	// MinPoolToShare / MaxShare mirror dbnb's work-sharing thresholds.
-	MinPoolToShare int
-	MaxShare       int
-	// RequestTimeout / RetryDelay pace the work-request loop.
-	RequestTimeout float64
-	RetryDelay     float64
 	// RedoTimeout is how long a donor waits for a delegation's completion
 	// report before redoing the delegated subtree itself.
 	RedoTimeout float64
@@ -54,24 +48,20 @@ type Crash struct {
 	Node int
 }
 
+// The work-sharing thresholds and the request pacing are dbnb's defaults: a
+// process grants work only from a pool of minPoolToShare problems, at most
+// maxShare per grant, waits requestTimeout for an answer and retryDelay
+// before it asks again.
+const (
+	minPoolToShare = 2
+	maxShare       = 16
+	requestTimeout = 3
+	retryDelay     = 1
+)
+
 func (c Config) withDefaults() Config {
 	if c.Procs <= 0 {
 		c.Procs = 1
-	}
-	if c.Latency == nil {
-		c.Latency = sim.PaperLatency()
-	}
-	if c.MinPoolToShare <= 0 {
-		c.MinPoolToShare = 2
-	}
-	if c.MaxShare <= 0 {
-		c.MaxShare = 16
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 3
-	}
-	if c.RetryDelay <= 0 {
-		c.RetryDelay = 1
 	}
 	if c.RedoTimeout <= 0 {
 		c.RedoTimeout = 30

@@ -188,7 +188,7 @@ func (n *node) requestWork() {
 	}
 	n.h.nw.Send(n.id, sim.NodeID(target), msgRequest{incumbent: n.incumbent})
 	n.reqPending = true
-	n.reqTimer = n.h.k.After(n.h.cfg.RequestTimeout, func() {
+	n.reqTimer = n.h.k.After(requestTimeout, func() {
 		if n.dead() {
 			return
 		}
@@ -202,7 +202,7 @@ func (n *node) reqFailed() {
 		return
 	}
 	n.reqWaiting = true
-	n.h.k.After(n.h.cfg.RetryDelay, func() {
+	n.h.k.After(retryDelay, func() {
 		n.reqWaiting = false
 		if !n.dead() && !n.busy {
 			n.loop()
@@ -255,19 +255,15 @@ func (n *node) observe(v float64) {
 // handleRequest grants half the pool, recording each granted problem as a
 // delegation whose completion must be reported back.
 func (n *node) handleRequest(from sim.NodeID) {
-	cfg := &n.h.cfg
 	if n.finished {
 		n.h.nw.Send(n.id, from, msgFinished{incumbent: n.incumbent})
 		return
 	}
-	if len(n.pool) < cfg.MinPoolToShare {
+	if len(n.pool) < minPoolToShare {
 		n.h.nw.Send(n.id, from, msgDeny{incumbent: n.incumbent})
 		return
 	}
-	k := len(n.pool) / 2
-	if k > cfg.MaxShare {
-		k = cfg.MaxShare
-	}
+	k := min(len(n.pool)/2, maxShare)
 	var probs []grantProblem
 	for i := 0; i < k; i++ {
 		it := heap.Pop(&n.pool).(poolItem)
@@ -335,7 +331,7 @@ func Run(tree *btree.Tree, cfg Config) Result {
 		expanded: make(map[string]bool, tree.Size()),
 		optimum:  math.Inf(1),
 	}
-	h.nw = sim.NewNetwork(h.k, cfg.Latency)
+	h.nw = sim.NewNetwork(h.k, sim.PaperLatency())
 	h.nw.SetLoss(cfg.Loss)
 	h.nodes = make([]*node, cfg.Procs)
 	for i := range h.nodes {

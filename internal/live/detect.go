@@ -20,7 +20,7 @@ import (
 //
 // Evidence is piggybacked: every received envelope refreshes the sender's
 // lastHeard, so a busy link never needs explicit traffic. Only idle links
-// get Ping heartbeats, paced at HeartbeatEvery.
+// get Ping heartbeats, paced at a third of SuspectAfter.
 
 // DetectKind labels one failure-detector transition.
 type DetectKind int
@@ -91,7 +91,8 @@ type detector struct {
 	// subtree pull is how the healed side catches up.
 	rejoin map[NodeID]bool
 
-	nextTick time.Time // internal pacing; tick is called every loop turn
+	heartbeat time.Duration // Ping an idle link after this long: SuspectAfter/3
+	nextTick  time.Time     // internal pacing; tick is called every loop turn
 }
 
 // newDetector builds the detector for a fresh incarnation, seeding every
@@ -99,9 +100,13 @@ type detector struct {
 // previous incarnation of this node left in the transport.
 func newDetector(inc *incarnation) *detector {
 	d := &detector{
-		inc:    inc,
-		peers:  map[NodeID]*peerHealth{},
-		rejoin: map[NodeID]bool{},
+		inc:       inc,
+		peers:     map[NodeID]*peerHealth{},
+		rejoin:    map[NodeID]bool{},
+		heartbeat: inc.n.cl.cfg.SuspectAfter / 3,
+	}
+	if d.heartbeat <= 0 {
+		d.heartbeat = time.Millisecond
 	}
 	now := time.Now()
 	n := inc.n
@@ -174,8 +179,8 @@ func (d *detector) rejoining(from NodeID) bool {
 }
 
 // tick advances every peer's state machine and fills idle links. It is
-// called every run-loop turn but paces itself at a fraction of
-// HeartbeatEvery, so the failure-free cost is one time read and one
+// called every run-loop turn but paces itself at a fraction of the
+// heartbeat period, so the failure-free cost is one time read and one
 // comparison per turn.
 func (d *detector) tick() {
 	if d == nil {
@@ -187,7 +192,7 @@ func (d *detector) tick() {
 	}
 	n := d.inc.n
 	cl := n.cl
-	pace := cl.cfg.HeartbeatEvery / 4
+	pace := d.heartbeat / 4
 	if pace <= 0 {
 		pace = time.Millisecond
 	}
@@ -239,7 +244,7 @@ func (d *detector) tick() {
 			}
 			continue
 		}
-		if now.Sub(p.lastSent) > cl.cfg.HeartbeatEvery {
+		if now.Sub(p.lastSent) > d.heartbeat {
 			// Idle link: no protocol traffic flowed for a full heartbeat
 			// period, so send the explicit Ping that keeps the peer's
 			// detector fed. Busy links never pay this — every envelope is

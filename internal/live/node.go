@@ -37,16 +37,12 @@ type Config struct {
 	// built from Seed/Delay/Loss/Chaos. Pass a TCPNetwork to run over real
 	// sockets. The cluster closes the network when Run returns.
 	Network Net
-	// Protocol parameters, as in the simulator.
-	Select           protocol.SelectRule
-	Prune            bool
-	ReportBatch      int
-	ReportFanout     int
-	MinPoolToShare   int
-	MaxShare         int
-	RecoveryPatience int
-	RetryDelay       time.Duration
-	RecoveryQuiet    time.Duration
+	// Protocol parameters, as in the simulator; the rest are
+	// protocol.Config's defaults.
+	Select        protocol.SelectRule
+	Prune         bool
+	RetryDelay    time.Duration
+	RecoveryQuiet time.Duration
 	// DiffGossip switches the report path to anti-entropy diff gossip, as in
 	// the simulator's knob: digests plus deltas instead of full frontiers.
 	DiffGossip bool
@@ -58,7 +54,9 @@ type Config struct {
 	// resolving. A submission during the window resets it.
 	Linger time.Duration
 	// SuspectAfter enables the failure detector: a peer silent this long is
-	// suspected. Zero disables detection entirely — no per-peer tracking, no
+	// suspected, and a link idle for a third of it gets a Ping heartbeat
+	// (busy links never ping — every received envelope is already evidence
+	// of life). Zero disables detection entirely — no per-peer tracking, no
 	// heartbeats, no pings — keeping the failure-free path unchanged.
 	SuspectAfter time.Duration
 	// ExcludeAfter is the silence after which a suspect is excluded from the
@@ -66,10 +64,6 @@ type Config struct {
 	// Exclusion is the same §5.2 view shrink a crash notification produces,
 	// and is always revocable: any message from the peer re-absorbs it.
 	ExcludeAfter time.Duration
-	// HeartbeatEvery paces explicit Ping heartbeats on otherwise idle links
-	// (defaults to SuspectAfter/3). Busy links never ping — every received
-	// envelope is already evidence of life.
-	HeartbeatEvery time.Duration
 	// Nemesis injects scheduled faults (partitions, flaps, stalls, slow
 	// links, corruption) into the transport; nil means none. The schedule is
 	// armed when Run starts.
@@ -87,9 +81,8 @@ func (c Config) withDefaults() Config {
 	if c.TimeScale <= 0 {
 		c.TimeScale = 0.001
 	}
-	// Protocol parameters (ReportBatch, MaxShare, …) are left at zero here:
-	// protocol.Config applies the shared defaults, so the two runtimes
-	// cannot drift apart. Only driver-read fields get defaults.
+	// Only driver-read fields get defaults here: protocol.Config applies the
+	// shared protocol defaults, so the two runtimes cannot drift apart.
 	if c.RetryDelay <= 0 {
 		c.RetryDelay = 5 * time.Millisecond
 	}
@@ -104,12 +97,6 @@ func (c Config) withDefaults() Config {
 			c.ExcludeAfter = 4 * c.SuspectAfter
 		} else if c.ExcludeAfter < c.SuspectAfter {
 			c.ExcludeAfter = c.SuspectAfter
-		}
-		if c.HeartbeatEvery <= 0 {
-			c.HeartbeatEvery = c.SuspectAfter / 3
-		}
-		if c.HeartbeatEvery <= 0 {
-			c.HeartbeatEvery = time.Millisecond
 		}
 	}
 	return c
@@ -405,17 +392,12 @@ func (cl *Cluster) newCore(inc *incarnation, exp protocol.Expander, id protocol.
 	cfg := &cl.cfg
 	n := inc.n
 	c := protocol.New(protocol.NodeID(n.id), protocol.Config{
-		Select:           cfg.Select,
-		Prune:            cfg.Prune,
-		ReportBatch:      cfg.ReportBatch,
-		ReportFanout:     cfg.ReportFanout,
-		MinPoolToShare:   cfg.MinPoolToShare,
-		MaxShare:         cfg.MaxShare,
-		RequestTimeout:   cfg.RetryDelay.Seconds(), // one wait for a probe's answer, one pace after a failure
-		RetryDelay:       cfg.RetryDelay.Seconds(),
-		RecoveryPatience: cfg.RecoveryPatience,
-		RecoveryQuiet:    cfg.RecoveryQuiet.Seconds(),
-		DiffGossip:       cfg.DiffGossip,
+		Select:         cfg.Select,
+		Prune:          cfg.Prune,
+		RequestTimeout: cfg.RetryDelay.Seconds(), // one wait for a probe's answer, one pace after a failure
+		RetryDelay:     cfg.RetryDelay.Seconds(),
+		RecoveryQuiet:  cfg.RecoveryQuiet.Seconds(),
+		DiffGossip:     cfg.DiffGossip,
 	}, protocol.Deps{
 		Clock:     cl.clock,
 		Sender:    &instSender{inc: inc, id: id},

@@ -71,7 +71,7 @@ func (w *rootWatch) Send(from, to NodeID, msg Message) {
 // was one.
 func checkRootTraffic(t *testing.T, w *rootWatch, nodes int) {
 	t.Helper()
-	const fanout = 2 // protocol.Config's default ReportFanout; live.Config leaves it unset here
+	const fanout = 2 // protocol.Config's default ReportFanout, which a live cluster always uses
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	broadcasters, total := 0, 0

@@ -106,9 +106,8 @@ type Config struct {
 	// per-subproblem execution time (§6.3.1, §7).
 	AdaptiveReports bool
 	// MinPoolToShare is how many active problems a process must hold before
-	// it grants work away. MaxShare caps problems per grant.
+	// it grants work away.
 	MinPoolToShare int
-	MaxShare       int
 	// RequestTimeout bounds the wait for a work request's answer. RetryDelay
 	// paces the next request after a failed attempt (WakeAt).
 	RequestTimeout float64
@@ -152,9 +151,6 @@ func (c Config) withDefaults() Config {
 	if c.MinPoolToShare <= 0 {
 		c.MinPoolToShare = 2
 	}
-	if c.MaxShare <= 0 {
-		c.MaxShare = 16
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 3
 	}
@@ -176,6 +172,9 @@ func (c Config) withDefaults() Config {
 // pushInterval is the period of the whole-table push to one random member
 // (§5.2, Tick), beside ReportTimeout's default of 30 clock units.
 const pushInterval = 120
+
+// maxShare caps the problems one work grant carries.
+const maxShare = 16
 
 // Anti-entropy walk tuning.
 const (
@@ -1214,7 +1213,7 @@ func (c *Core) poolSet() map[string]struct{} {
 	return c.poolKeys
 }
 
-// handleWorkRequest grants half the pool (up to MaxShare) if the process has
+// handleWorkRequest grants half the pool (up to maxShare) if the process has
 // enough problems, else denies. A terminated process answers with the root
 // report so the requester can terminate too.
 func (c *Core) handleWorkRequest(from NodeID) {
@@ -1222,10 +1221,7 @@ func (c *Core) handleWorkRequest(from NodeID) {
 		c.d.Sender.Send(from, Report{Codes: []code.Code{code.Root()}, Incumbent: c.incumbent, ActAge: c.ActivityAge()})
 		return
 	}
-	k := c.pool.Len() / 2
-	if k > c.cfg.MaxShare {
-		k = c.cfg.MaxShare
-	}
+	k := min(c.pool.Len()/2, maxShare)
 	if c.pool.Len() < c.cfg.MinPoolToShare || k == 0 {
 		// k == 0 covers MinPoolToShare == 1 with a single pooled problem:
 		// halving a singleton pool grants nothing, and an empty WorkGrant

@@ -152,7 +152,7 @@ func TestCorePruneEliminates(t *testing.T) {
 }
 
 func TestCoreGrantAndDeny(t *testing.T) {
-	e := newEnv(t, 4, Config{MinPoolToShare: 2, MaxShare: 16}, []NodeID{1})
+	e := newEnv(t, 4, Config{MinPoolToShare: 2}, []NodeID{1})
 	// One item only: a request is denied.
 	it, _ := e.tree.Locate(code.Root().Child(1, 0))
 	e.core.Seed(it)
