@@ -103,15 +103,11 @@ type WorkGrant = protocol.WorkGrant
 type WorkDeny = protocol.WorkDeny
 
 // EncodeMsg appends the canonical binary encoding of m to dst — the codec
-// used verbatim by the TCP transport's frames. A table push travels as its
-// trie, whose decoder's memory is bounded by its input, so it goes at any
-// depth a table holds: 2^20 levels, where Table.Insert stops. The codes of
-// every other message are front-coded, each against the one before, and a
-// receiver keeps them all: a batch of more than 64 decisions per encoded byte
-// is refused on both ends, here with an error. The densest honest batch, the
-// frontier of a single depth-first descent, reaches that about 950 levels
-// down: the supported depth of a search whose reports and grants travel
-// encoded.
+// used verbatim by the TCP transport's frames. A set of codes — a report, a
+// table push, a leaf subtree reply — travels as its trie and a grant as the
+// list of its codes; the decoder's memory is bounded by its input for both,
+// so every message goes at any depth a table holds: 2^20 levels, where
+// Table.Insert stops. It fails only on a type outside the canonical set.
 func EncodeMsg(dst []byte, m Msg) ([]byte, error) { return protocol.Encode(dst, m) }
 
 // DecodeMsg reads one canonical message from the front of buf, returning

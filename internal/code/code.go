@@ -8,6 +8,11 @@
 // initial problem data, a code suffices to reconstruct and solve the
 // subproblem on any processor — which is what makes loss recovery possible
 // without checkpointing process state.
+//
+// On the wire a code is its depth and then one varint per decision (Append),
+// and a list of codes, the form of a work grant, is those back to back behind
+// a count (AppendList). A set of codes, such as a work report, is not a list:
+// it travels as the trie of its contracted table (package ctree).
 package code
 
 import (
@@ -99,15 +104,6 @@ func (c Code) Children(v uint32) (zero, one Code) {
 // which never aliases.
 func (c Code) AppendChild(v uint32, b uint8) Code {
 	return append(c, Decision{Var: v, Branch: b & 1})
-}
-
-// Join returns the concatenation prefix·suffix as a fresh code: the node
-// reached by replaying suffix's decisions below the node prefix encodes. It
-// re-anchors subtree-relative codes (ctree.SubtreeCodes output) under their
-// prefix. The result shares no storage with either input.
-func Join(prefix, suffix Code) Code {
-	j := make(Code, 0, len(prefix)+len(suffix))
-	return append(append(j, prefix...), suffix...)
 }
 
 // Clone returns a copy of c that shares no storage with it.
@@ -240,12 +236,18 @@ func (c Code) Key() string { return string(c.Append(nil)) }
 
 // WireSize returns the number of bytes Append will produce for c. It is the
 // size used by the simulator's communication-cost model.
-func (c Code) WireSize() int { return suffixSize(c, 0) }
+func (c Code) WireSize() int {
+	n := UvarintLen(uint64(len(c)))
+	for _, d := range c {
+		n += UvarintLen(uint64(d.Var)<<1 | uint64(d.Branch))
+	}
+	return n
+}
 
 // Append appends the binary encoding of c to dst and returns the extended
 // slice. The format is: uvarint(depth), then per decision
 // uvarint(var<<1 | branch). The format is self-delimiting so codes can be
-// concatenated in report messages.
+// concatenated in a list (AppendList).
 func (c Code) Append(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(c)))
 	for _, d := range c {
@@ -284,32 +286,10 @@ func Decode(buf []byte) (Code, int, error) {
 	return c, off, nil
 }
 
-// ChunkLen caps the backing array a decoded batch or a materialised frontier
+// ChunkLen caps the backing array a materialised frontier or a decoded list
 // is carved from at 4 KB: a few pointer-free chunks, not one allocation per
 // code, each a small-object size class (DESIGN.md "Completion-table hot path").
 const ChunkLen = 4096 / int(unsafe.Sizeof(Decision{}))
-
-// MaxExpand caps what a batch may cost whoever keeps its codes: MaxExpand
-// decisions per encoded byte. Front coding lets n codes repeat a depth-D prefix
-// for about 2n+D bytes, so without a cap a frame could claim n·D decisions of
-// memory. The densest honest frontier, a lone depth-first descent, holds about
-// depth/15 decisions per byte and passes up to some 950 levels. DecodeAll
-// refuses a denser batch with ErrExpand; a sender asks CheckExpand first.
-const MaxExpand = 64
-
-var ErrExpand = fmt.Errorf("code: batch holds more than %d decisions per byte", MaxExpand)
-
-// CheckExpand holds cs, whose AppendAll encoding takes size bytes, to MaxExpand.
-func CheckExpand(cs []Code, size int) error {
-	decs := 0
-	for _, c := range cs {
-		decs += len(c)
-	}
-	if decs > MaxExpand*size {
-		return ErrExpand
-	}
-	return nil
-}
 
 // CommonPrefixLen returns the length of the longest common decision prefix.
 func CommonPrefixLen(a, b Code) int {
@@ -322,158 +302,66 @@ func CommonPrefixLen(a, b Code) int {
 	return n
 }
 
-// AppendAll encodes a batch of codes, front-coded: uvarint(count), the first
-// code as Append writes it, and every later code as uvarint(shared)
-// uvarint(depth) and its decisions past shared, the length of the prefix it has
-// in common with its predecessor. Frontiers are emitted in prefix order, so a
-// code costs about its last few decisions; a batch in any other order encodes
-// the same way and merely shares less.
-func AppendAll(dst []byte, cs []Code) []byte {
+// AppendList encodes a list of codes as it stands: uvarint(count), then each
+// code as Append writes it. It is the wire form of a work grant, whose codes
+// are pool entries and not a contracted set; a set of codes travels as its
+// trie (ctree.Table.Encode).
+func AppendList(dst []byte, cs []Code) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(cs)))
-	for i, c := range cs {
-		shared := 0
-		if i > 0 {
-			shared = CommonPrefixLen(cs[i-1], c)
-			dst = binary.AppendUvarint(dst, uint64(shared))
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(c)))
-		for _, d := range c[shared:] {
-			dst = binary.AppendUvarint(dst, uint64(d.Var)<<1|uint64(d.Branch))
-		}
+	for _, c := range cs {
+		dst = c.Append(dst)
 	}
 	return dst
 }
 
-// WireSizeAll returns the number of bytes AppendAll produces for cs, by walking
-// them; a completion table keeps the same figure as a sum (Table.WireSize).
-func WireSizeAll(cs []Code) int {
+// ListSize returns the number of bytes AppendList produces for cs.
+func ListSize(cs []Code) int {
 	n := UvarintLen(uint64(len(cs)))
-	for i, c := range cs {
-		shared := 0
-		if i > 0 {
-			shared = CommonPrefixLen(cs[i-1], c)
-			n += UvarintLen(uint64(shared))
-		}
-		n += suffixSize(c, shared)
+	for _, c := range cs {
+		n += c.WireSize()
 	}
 	return n
 }
 
-// suffixSize is the depth header and the decisions past shared, as encoded.
-func suffixSize(c Code, shared int) int {
-	n := UvarintLen(uint64(len(c)))
-	for _, d := range c[shared:] {
-		n += UvarintLen(uint64(d.Var)<<1 | uint64(d.Branch))
+// DecodeList is the inverse of AppendList. It returns the codes, carved,
+// capacity-clipped, from chunks of at most ChunkLen decisions, and the number
+// of bytes consumed. Every decision and every code header takes a byte, so
+// what it returns is bounded by its input: a count or a depth that the bytes
+// left cannot hold is refused before anything is allocated for it.
+func DecodeList(buf []byte) ([]Code, int, error) {
+	count, off := binary.Uvarint(buf)
+	switch {
+	case off <= 0:
+		return nil, 0, errors.New("code: decode: truncated count")
+	case count > uint64(len(buf)-off):
+		return nil, 0, fmt.Errorf("code: decode: implausible count %d", count)
 	}
-	return n
-}
-
-// DecodeEach reads an AppendAll encoding code by code and returns the bytes
-// consumed. fn gets each code, in scratch the next one overwrites, the length
-// of the prefix it shares with the one before — the true length, whatever the
-// encoding declared — and the number of codes still to come; its error ends the
-// read. A code claiming more of its predecessor than there is, a depth below
-// its shared length or more decisions than there are bytes left is refused. A
-// caller that keeps no codes is bounded by its input and needs no MaxExpand;
-// one that keeps them is DecodeAll.
-func DecodeEach(buf []byte, fn func(c Code, shared, left int) error) (int, error) {
-	const scratchDepth = 64 // one 512-byte scratch covers any frontier this shallow
-	off := 0
-	uvarint := func(what string) (uint64, error) {
-		v, n := binary.Uvarint(buf[off:])
+	cs := make([]Code, 0, count)
+	chunk := Root() // empty, not nil: a decoded root code is Root(), as Decode's is
+	for i := uint64(0); i < count; i++ {
+		depth, n := binary.Uvarint(buf[off:])
 		if n <= 0 {
-			return 0, errors.New("code: decode: truncated " + what)
+			return nil, 0, errors.New("code: decode: truncated depth")
 		}
 		off += n
-		return v, nil
-	}
-	count, err := uvarint("count")
-	if err != nil {
-		return 0, err
-	}
-	if count > uint64(len(buf)) { // each code takes ≥1 byte
-		return 0, fmt.Errorf("code: decode: implausible count %d", count)
-	}
-	var cur Code // the last code read; the next is rebuilt on its first shared decisions
-	for left := int(count); left > 0; left-- {
-		var sh uint64
-		if left < int(count) {
-			if sh, err = uvarint("shared length"); err != nil {
-				return 0, err
-			}
-			if sh > uint64(len(cur)) {
-				return 0, fmt.Errorf("code: decode: shared length %d exceeds the previous depth %d", sh, len(cur))
-			}
+		if depth > uint64(len(buf)-off) {
+			return nil, 0, fmt.Errorf("code: decode: implausible depth %d", depth)
 		}
-		depth, err := uvarint("depth")
-		if err != nil {
-			return 0, err
-		}
-		if depth < sh || depth-sh > uint64(len(buf)-off) { // each decision takes ≥1 byte
-			return 0, fmt.Errorf("code: decode: implausible depth %d (shared %d)", depth, sh)
-		}
-		prev, lcp := cur, sh
-		if depth > uint64(cap(cur)) {
-			// A frontier deepens a level a code, so start at scratchDepth
-			// rather than double through every small size on the way.
-			cur = append(make(Code, 0, max(depth, 2*uint64(cap(cur)), scratchDepth)), cur[:sh]...)
-		}
-		cur = cur[:sh]
-		for i := sh; i < depth; i++ {
-			w, err := uvarint("decision")
-			if err != nil {
-				return 0, err
-			}
-			d := Decision{Var: uint32(w >> 1), Branch: uint8(w & 1)}
-			if lcp == i && i < uint64(len(prev)) && prev[i] == d { // read before the append lands on it
-				lcp++
-			}
-			cur = append(cur, d)
-		}
-		if err := fn(cur, int(lcp), left-1); err != nil {
-			return 0, err
-		}
-	}
-	return off, nil
-}
-
-// DecodeAll is the inverse of AppendAll. It returns the codes — carved,
-// capacity-clipped, from chunks of at most ChunkLen decisions, like a
-// materialised frontier — and the number of bytes consumed. MaxExpand is
-// charged against what AppendAll would write for the codes read, never more
-// than was read: what DecodeAll accepts re-encodes to a batch it accepts.
-// Reading stops once even all of buf could not pay.
-func DecodeAll(buf []byte) ([]Code, int, error) {
-	cs := []Code{}
-	chunk := Root() // empty, not nil: a decoded root code is Root(), as Decode's is
-	decs, size := 0, 0
-	n, err := DecodeEach(buf, func(c Code, shared, left int) error {
-		if len(cs) == 0 {
-			cs = make([]Code, 0, left+1)
-			size = UvarintLen(uint64(left + 1))
-		} else {
-			size += UvarintLen(uint64(shared))
-		}
-		size += suffixSize(c, shared)
-		if decs += len(c); decs > MaxExpand*len(buf) {
-			return ErrExpand
-		}
-		if len(c) > cap(chunk)-len(chunk) {
-			// Sized as if the codes to come were as deep as this one.
-			chunk = make(Code, 0, max(len(c), min(ChunkLen, (left+1)*len(c))))
+		if int(depth) > cap(chunk)-len(chunk) {
+			chunk = make(Code, 0, max(int(depth), min(ChunkLen, len(buf)-off)))
 		}
 		at := len(chunk)
-		chunk = append(chunk, c...)
+		for j := uint64(0); j < depth; j++ {
+			w, n := binary.Uvarint(buf[off:])
+			if n <= 0 {
+				return nil, 0, errors.New("code: decode: truncated decision")
+			}
+			off += n
+			chunk = append(chunk, Decision{Var: uint32(w >> 1), Branch: uint8(w & 1)})
+		}
 		cs = append(cs, chunk[at:len(chunk):len(chunk)])
-		return nil
-	})
-	if err == nil && decs > MaxExpand*size {
-		err = ErrExpand
 	}
-	if err != nil {
-		return nil, 0, err
-	}
-	return cs, n, nil
+	return cs, off, nil
 }
 
 // UvarintLen returns the number of bytes binary.AppendUvarint writes for v.

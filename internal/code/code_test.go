@@ -1,8 +1,6 @@
 package code
 
 import (
-	"encoding/binary"
-	"errors"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -220,20 +218,20 @@ func TestDecodeErrors(t *testing.T) {
 	if _, _, err := Decode([]byte{5}); err == nil {
 		t.Error("Decode(truncated) succeeded")
 	}
-	if _, _, err := DecodeAll(nil); err == nil {
-		t.Error("DecodeAll(nil) succeeded")
+	if _, _, err := DecodeList(nil); err == nil {
+		t.Error("DecodeList(nil) succeeded")
 	}
-	if _, _, err := DecodeAll([]byte{2, 1}); err == nil {
-		t.Error("DecodeAll(truncated) succeeded")
+	if _, _, err := DecodeList([]byte{2, 1}); err == nil {
+		t.Error("DecodeList(truncated) succeeded")
 	}
 }
 
 func TestBatchRoundTrip(t *testing.T) {
 	batch := []Code{Root(), mk(1, 0), mk(1, 1, 2, 0), mk(3, 1)}
-	buf := AppendAll(nil, batch)
-	got, n, err := DecodeAll(buf)
+	buf := AppendList(nil, batch)
+	got, n, err := DecodeList(buf)
 	if err != nil {
-		t.Fatalf("DecodeAll: %v", err)
+		t.Fatalf("DecodeList: %v", err)
 	}
 	if n != len(buf) {
 		t.Errorf("consumed %d of %d", n, len(buf))
@@ -450,18 +448,18 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-// --- front-coded batches ---------------------------------------------------------
+// --- lists ---------------------------------------------------------------------
 
-// checkBatch round-trips one batch and holds the size function to the encoder.
+// checkBatch round-trips one list and holds the size function to the encoder.
 func checkBatch(t *testing.T, batch []Code) {
 	t.Helper()
-	buf := AppendAll(nil, batch)
-	if len(buf) != WireSizeAll(batch) {
-		t.Fatalf("%v: len(AppendAll) = %d, WireSizeAll = %d", batch, len(buf), WireSizeAll(batch))
+	buf := AppendList(nil, batch)
+	if len(buf) != ListSize(batch) {
+		t.Fatalf("%v: len(AppendList) = %d, ListSize = %d", batch, len(buf), ListSize(batch))
 	}
-	got, n, err := DecodeAll(append(buf, 0xff)) // trailing bytes are the caller's, not the batch's
+	got, n, err := DecodeList(append(buf, 0xff)) // trailing bytes are the caller's, not the list's
 	if err != nil {
-		t.Fatalf("DecodeAll(%v): %v", batch, err)
+		t.Fatalf("DecodeList(%v): %v", batch, err)
 	}
 	if n != len(buf) || len(got) != len(batch) {
 		t.Fatalf("%v: consumed %d of %d bytes, %d codes of %d", batch, n, len(buf), len(got), len(batch))
@@ -474,28 +472,10 @@ func checkBatch(t *testing.T, batch []Code) {
 			t.Fatalf("%v: code %d is nil or not clipped to its length (len %d cap %d)", batch, i, len(got[i]), cap(got[i]))
 		}
 	}
-	// DecodeEach sees the same codes, each with what it really has in common
-	// with the last.
-	i := 0
-	n, err = DecodeEach(buf, func(c Code, shared, left int) error {
-		want := 0
-		if i > 0 {
-			want = CommonPrefixLen(batch[i-1], batch[i])
-		}
-		if !c.Equal(batch[i]) || shared != want || left != len(batch)-1-i {
-			t.Fatalf("%v: DecodeEach code %d = %v shared %d with %d to come, want shared %d", batch, i, c, shared, left, want)
-		}
-		i++
-		return nil
-	})
-	if err != nil || i != len(batch) || n != len(buf) {
-		t.Fatalf("%v: DecodeEach read %d codes and %d of %d bytes: %v", batch, i, n, len(buf), err)
-	}
 }
 
-// TestBatchShapes: the batches a frontier never is but a hand-built message
-// may be — empty, unordered, with duplicates, a code next to its own ancestor
-// or descendant, roots anywhere — all go through the one format.
+// TestBatchShapes: a list is kept as it stands — empty, unordered, with
+// duplicates, a code next to its own ancestor or descendant, roots anywhere.
 func TestBatchShapes(t *testing.T) {
 	deep := mk(7, 1, 300, 0, 5000, 1, 2, 0)
 	for _, batch := range [][]Code{
@@ -511,35 +491,17 @@ func TestBatchShapes(t *testing.T) {
 	} {
 		checkBatch(t, batch)
 	}
-	// A batch of one code is that code's own encoding behind a count of 1: the
-	// root termination report keeps its bytes.
+	// A list of one code is that code's own encoding behind a count of 1.
 	for _, c := range []Code{Root(), deep} {
-		if got, want := AppendAll(nil, []Code{c}), c.Append([]byte{1}); string(got) != string(want) {
+		if got, want := AppendList(nil, []Code{c}), c.Append([]byte{1}); string(got) != string(want) {
 			t.Errorf("singleton %v encodes as %x, want %x", c, got, want)
 		}
 	}
 }
 
-// TestDecodeEachScratchGrowsOnce: the scratch code DecodeEach rebuilds each
-// code in starts at 64 decisions, so walking a frontier that deepens a level
-// a code down to depth 40 costs one allocation, not one per doubling (seven).
-func TestDecodeEachScratchGrowsOnce(t *testing.T) {
-	var frontier []Code
-	c := Root()
-	for d := uint32(1); d <= 40; d++ {
-		frontier = append(frontier, c.Child(d, 0))
-		c = c.Child(d, 1)
-	}
-	buf := AppendAll(nil, frontier)
-	skip := func(Code, int, int) error { return nil }
-	if got := testing.AllocsPerRun(100, func() { DecodeEach(buf, skip) }); got != 1 {
-		t.Errorf("DecodeEach over a depth-40 frontier allocates %.0f, want 1", got)
-	}
-}
-
-// TestPropBatchRoundTrip: arbitrary batches — random codes, and random walks
-// that step to a neighbour's ancestor, descendant, sibling or copy so that
-// codes really share prefixes — round-trip at exactly the size function.
+// TestPropBatchRoundTrip: arbitrary lists — random codes, and random walks
+// that step to a neighbour's ancestor, descendant or copy — round-trip at
+// exactly the size function.
 func TestPropBatchRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		checkBatch(t, randomBatch(rand.New(rand.NewSource(seed))))
@@ -554,144 +516,53 @@ func randomBatch(r *rand.Rand) []Code {
 			continue
 		}
 		prev := batch[i-1]
-		switch r.Intn(4) {
+		switch r.Intn(3) {
 		case 0:
 			batch[i] = prev[:r.Intn(len(prev)+1)]
 		case 1:
-			batch[i] = Join(prev, randomCode(r))
+			batch[i] = append(prev.Clone(), randomCode(r)...)
 		case 2:
-			batch[i] = Join(prev[:r.Intn(len(prev)+1)], randomCode(r))
-		case 3:
 			batch[i] = prev
 		}
 	}
 	return batch
 }
 
-// appendLoose is AppendAll as another encoder might write it: any shared
-// length up to the true one (all of them 0 if r is nil), and varints padded
-// with a continuation byte now and then.
-func appendLoose(r *rand.Rand, cs []Code) []byte {
-	var dst []byte
-	uv := func(v uint64) {
-		dst = binary.AppendUvarint(dst, v)
-		if r != nil && r.Intn(4) == 0 {
-			dst[len(dst)-1] |= 0x80
-			dst = append(dst, 0)
-		}
-	}
-	uv(uint64(len(cs)))
-	for i, c := range cs {
-		shared := 0
-		if i > 0 {
-			if r != nil {
-				shared = r.Intn(CommonPrefixLen(cs[i-1], c) + 1)
-			}
-			uv(uint64(shared))
-		}
-		uv(uint64(len(c)))
-		for _, d := range c[shared:] {
-			uv(uint64(d.Var)<<1 | uint64(d.Branch))
-		}
-	}
-	return dst
-}
-
-// TestBatchLooseEncodings: the decoder reads a batch that shares less than it
-// could or pads its varints, reports the true shared lengths all the same, and
-// charges MaxExpand as if the batch had come from AppendAll — so what it
-// accepts, it accepts again re-encoded. Charged by the bytes read instead,
-// copies of one deep code written out in full would pass and their re-encoding,
-// a few bytes a copy, would not.
-func TestBatchLooseEncodings(t *testing.T) {
-	for seed := int64(0); seed < 300; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		batch := randomBatch(r)
-		loose := appendLoose(r, batch)
-		got, n, err := DecodeAll(loose)
-		if err != nil || n != len(loose) || string(AppendAll(nil, got)) != string(AppendAll(nil, batch)) {
-			t.Fatalf("seed %d: %v as %x decoded to %v, %d bytes, %v", seed, batch, loose, got, n, err)
-		}
-		i := 0
-		DecodeEach(loose, func(c Code, shared, _ int) error {
-			if i > 0 && shared != CommonPrefixLen(batch[i-1], c) {
-				t.Fatalf("seed %d: code %d shares %d, reported %d", seed, i, CommonPrefixLen(batch[i-1], c), shared)
-			}
-			i++
-			return nil
-		})
-	}
-	deep := make(Code, 1000)
-	for i := range deep {
-		deep[i] = Decision{Var: uint32(i), Branch: 1}
-	}
-	for _, tc := range []struct {
-		copies int
-		dense  bool
-	}{{60, false}, {400, true}} {
-		batch := make([]Code, tc.copies)
-		for i := range batch {
-			batch[i] = deep
-		}
-		tight := AppendAll(nil, batch)
-		if err := CheckExpand(batch, len(tight)); (err != nil) != tc.dense {
-			t.Fatalf("%d copies in %d bytes: CheckExpand = %v", tc.copies, len(tight), err)
-		}
-		for name, buf := range map[string][]byte{"front-coded": tight, "written out in full": appendLoose(nil, batch)} {
-			cs, _, err := DecodeAll(buf)
-			if tc.dense && !errors.Is(err, ErrExpand) || !tc.dense && (err != nil || len(cs) != tc.copies) {
-				t.Errorf("%d copies %s (%d bytes): %d codes, %v", tc.copies, name, len(buf), len(cs), err)
-			}
-		}
-	}
-}
-
-// TestBatchDecodeBounds: what front coding lets a frame claim and the decoder
-// must refuse. A code may not share more than its predecessor holds, may not
-// be shallower than what it shares, and a batch may not materialise more than
-// MaxExpand decisions per encoded byte — n codes repeating a depth-D prefix
-// cost about 2n+D bytes on the wire and n·D decisions in memory.
+// TestBatchDecodeBounds: a list the bytes cannot hold is refused, and what is
+// accepted costs at most a decision per byte of input — every decision takes
+// one — however many codes the frame declares.
 func TestBatchDecodeBounds(t *testing.T) {
 	for name, buf := range map[string][]byte{
-		"shared past the predecessor": {2, 1, 2, 3, 1},    // code 0 depth 1; code 1 shares 3
-		"depth below shared":          {2, 2, 2, 4, 2, 1}, // code 0 depth 2; code 1 shares 2, depth 1
-		"count past the buffer":       {200, 1, 0},
-		"truncated suffix":            {2, 1, 2, 1, 3, 6},      // code 1 shares 1, depth 3, one decision present
-		"truncated shared":            {2, 1, 2},               // second code missing entirely
-		"depth past the buffer":       {2, 1, 2, 1, 100, 6, 6}, // depth 100 with two bytes left
+		"count past the buffer": {200, 1, 0},
+		"truncated decision":    {2, 1, 2, 3, 6},      // code 1 of depth 3 with one decision
+		"missing code":          {2, 1, 2},            // second code missing entirely
+		"depth past the buffer": {2, 1, 2, 100, 6, 6}, // depth 100 with two bytes left
+		"truncated count":       {0x80},
 	} {
-		if cs, _, err := DecodeAll(buf); err == nil {
+		if cs, _, err := DecodeList(buf); err == nil {
 			t.Errorf("%s: %x decoded to %v", name, buf, cs)
 		}
 	}
 
-	// 64 KB: one code 4 000 deep, then code after code claiming all of it.
+	// 64 KB of one code 4 000 deep written again and again.
 	spine := make(Code, 4000)
 	for i := range spine {
 		spine[i] = Decision{Var: uint32(i), Branch: 1}
 	}
-	var body []byte
-	n := 1
-	for ; spine.WireSize()+len(body) < 64<<10; n++ {
-		body = binary.AppendUvarint(body, uint64(len(spine))) // shared
-		body = binary.AppendUvarint(body, uint64(len(spine))) // depth: a duplicate
+	var batch []Code
+	for ListSize(batch) < 64<<10 {
+		batch = append(batch, spine)
 	}
-	frame := append(spine.Append(binary.AppendUvarint(nil, uint64(n))), body...)
-	claimed := n * len(spine)
-	if claimed < 10*MaxExpand*len(frame) {
-		t.Fatalf("the frame claims only %d decisions, the cap is %d", claimed, MaxExpand*len(frame))
-	}
+	frame := AppendList(nil, batch)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	cs, _, err := DecodeAll(frame)
+	cs, n, err := DecodeList(frame)
 	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrExpand) {
-		t.Fatalf("a %d-byte frame claiming %d decisions decoded to %d codes, %v", len(frame), claimed, len(cs), err)
+	if err != nil || n != len(frame) || len(cs) != len(batch) {
+		t.Fatalf("a %d-byte frame of %d codes: %d codes, %d bytes, %v", len(frame), len(batch), len(cs), n, err)
 	}
-	// What the decoder may have allocated before refusing: the capped
-	// decisions, a slice header per declared code, and the spine's scratch.
-	limit := uint64(MaxExpand*len(frame)+2*len(spine))*uint64(unsafe.Sizeof(Decision{})) + uint64(n)*uint64(unsafe.Sizeof(Code{}))
-	if got := after.TotalAlloc - before.TotalAlloc; got > limit+limit/4 {
-		t.Errorf("rejecting the frame allocated %d bytes, the cap allows %d", got, limit)
+	limit := uint64(len(frame)) * uint64(unsafe.Sizeof(Decision{})+unsafe.Sizeof(Code{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("decoding the frame allocated %d bytes, a decision per byte allows %d", got, limit)
 	}
 }

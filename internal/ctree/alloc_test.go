@@ -2,7 +2,7 @@ package ctree
 
 // Allocation regression guards for the table hot path (ISSUE 3, ISSUE 16):
 // the O(depth) insert with a warm free list is allocation-free; Len and
-// WireSize are allocation-free always, straight after a mutation included;
+// EncodedSize are allocation-free always, straight after a mutation included;
 // Codes is allocation-free between mutations and costs a handful of chunks,
 // not one allocation per code, after one. These bounds are what keeps the
 // hot-path wins from silently eroding; if a change legitimately needs to
@@ -58,7 +58,7 @@ func TestInsertSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSumsAfterMutationAllocs: Len and WireSize read sums the mutation itself
+// TestSumsAfterMutationAllocs: Len and EncodedSize read sums the mutation itself
 // kept current, so asking after every single insert — as the outbox check in
 // protocol.Core and the simulator's storage accounting do — allocates nothing.
 func TestSumsAfterMutationAllocs(t *testing.T) {
@@ -72,12 +72,12 @@ func TestSumsAfterMutationAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(20, func() {
 		for _, c := range leaves {
 			tb.Insert(c)
-			sum += tb.Len() + tb.WireSize()
+			sum += tb.Len() + tb.EncodedSize()
 		}
 		tb.Reset()
 	})
 	if avg > 0 {
-		t.Errorf("Len/WireSize after each of %d inserts allocate: %.1f allocs per cycle, want 0",
+		t.Errorf("Len/EncodedSize after each of %d inserts allocate: %.1f allocs per cycle, want 0",
 			len(leaves), avg)
 	}
 	if sum == 0 {
@@ -149,7 +149,7 @@ func TestSampleComplementAllocs(t *testing.T) {
 	}
 }
 
-// TestCachedViewAllocs: Snapshot, WireSize, and Len on an unchanged table
+// TestCachedViewAllocs: Snapshot, EncodedSize, and Len on an unchanged table
 // allocate nothing — this is what lets SendTable push the same frontier to
 // several peers without re-deriving it. An empty table's snapshot allocates
 // nothing even the first time.
@@ -162,12 +162,12 @@ func TestCachedViewAllocs(t *testing.T) {
 	}
 	tb.Snapshot() // derive once
 	avg := testing.AllocsPerRun(100, func() {
-		if tb.Snapshot().Len() == 0 || tb.WireSize() == 0 || tb.Len() == 0 {
+		if tb.Snapshot().Len() == 0 || tb.EncodedSize() == 0 || tb.Len() == 0 {
 			t.Fatal("table unexpectedly empty")
 		}
 	})
 	if avg > 0 {
-		t.Errorf("cached Snapshot/WireSize/Len allocate: %.1f allocs/op, want 0", avg)
+		t.Errorf("cached Snapshot/EncodedSize/Len allocate: %.1f allocs/op, want 0", avg)
 	}
 	empty := New()
 	if avg := testing.AllocsPerRun(100, func() { New().Snapshot(); empty.Snapshot() }); avg > 2 {

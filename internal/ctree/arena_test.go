@@ -194,6 +194,22 @@ func TestDepthLimit(t *testing.T) {
 	if back, err := Decode(enc); err != nil || back.Decisions() != maxDepth {
 		t.Fatalf("Decode of a trie at the limit = %v", err)
 	}
+	// Below a prefix the limit counts the prefix too: a subtree that would
+	// reach one level past it is refused whole, and one that reaches it lands.
+	sub, _ := Decode(chainEncoding(3))
+	for _, tc := range []struct {
+		prefix int
+		ok     bool
+	}{{maxDepth - 3, true}, {maxDepth - 2, false}} {
+		tb := New()
+		ch, er := tb.MergeAt(deep[:tc.prefix], sub)
+		if (ch == 1 && er == 0) != tc.ok || (ch == 0 && er == 1) == tc.ok {
+			t.Fatalf("MergeAt below a depth-%d prefix = (%d, %d), want it accepted %v", tc.prefix, ch, er, tc.ok)
+		}
+		if tb.Len() != ch || (tb.NodeCount() == 1) == tc.ok {
+			t.Fatalf("MergeAt below a depth-%d prefix left Len %d, NodeCount %d", tc.prefix, tb.Len(), tb.NodeCount())
+		}
+	}
 }
 
 // chainEncoding is the encoding of a table whose one code is depth decisions

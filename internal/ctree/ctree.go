@@ -25,24 +25,26 @@
 // subtree digests only diff gossip reads live in a side array the table
 // allocates on the first digest request; Insert keeps an explicit path stack
 // so contraction walks bottom-up without re-walking from the root per level;
-// the frontier's size, wire size and decision count, and the encoded trie's
-// size, are sums kept along the mutation path, so Len, WireSize and
-// EncodedSize are field reads.
+// the frontier's size and decision count, and the encoded trie's size, are
+// sums kept along the mutation path, so Len and EncodedSize are field reads.
 //
-// A whole-table push travels as a trie, not as a code list. Snapshot freezes
-// the table with one copy of its arena, cached until the next mutation (a
-// table with more free vertices than live ones compacts first); Merge folds
-// one table into another by a lockstep walk of the two tries that skips every
-// subtree the receiver already holds complete, marks complete wherever the
-// other is, grafts wherever the receiver has no vertex and contracts on the
-// way back up. On the wire it is the trie again: Encode writes the vertices in
-// pre-order, two bits of shape each and the branching variable of each inner
-// one, and Decode lays them out as a compact depth-first arena, sums included,
-// so a receiver rebuilds the sender's exact trie and merges it as it would
-// the snapshot itself. Merge only reads its argument, and Encode, Codes, Len
-// and WireSize write nothing into their table, so one snapshot serves every
-// peer it is sent to, from any goroutine. The reference implementation the
-// optimizations are property-tested against lives in reference_test.go.
+// Every set of codes the protocol ships — a table push, a work report, a
+// digest report's delta, a leaf subtree reply — travels as a trie, never as a
+// code list. Snapshot freezes a table with one copy of its arena, cached until
+// the next mutation (a table with more free vertices than live ones compacts
+// first), and Subtree copies out the part below one code; Merge folds one
+// table into another — MergeAt into the part below a code — by a lockstep
+// walk of the two tries that skips every subtree the receiver already holds
+// complete, marks complete wherever the other is, grafts wherever the receiver
+// has no vertex and contracts on the way back up. On the wire it is the trie
+// again: Encode writes the vertices in pre-order, two bits of shape each and
+// the branching variable of each inner one, and Decode lays them out as a
+// compact depth-first arena, sums included, so a receiver rebuilds the
+// sender's exact trie and merges it as it would the snapshot itself. Merge
+// only reads its argument, and Encode, Codes and Len write nothing into their
+// table, so one snapshot serves every peer it is sent to, from any goroutine.
+// The reference implementation the optimizations are property-tested against
+// lives in reference_test.go.
 package ctree
 
 import (
@@ -83,12 +85,11 @@ const (
 	metaDigestOK
 	metaDepthShift = iota
 
-	// maxDepth is the deepest code a table accepts: Insert and Decode refuse
-	// a longer one with ErrDepth, and Merge cannot meet one, since its
+	// maxDepth is the deepest code a table accepts: Insert, Decode and MergeAt
+	// refuse a longer one with ErrDepth, and Merge cannot meet one, since its
 	// argument is a table too. The depth field has room for 2^30-1 levels;
 	// the limit sits lower, where the recursive walks (Merge, its grafts,
-	// digests) stay far inside the goroutine stack cap, and far deeper than
-	// the ≈ 950 levels a code batch may carry (code.MaxExpand).
+	// digests) stay far inside the goroutine stack cap.
 	maxDepth = 1 << 20
 )
 
@@ -109,17 +110,6 @@ func (n *node) gaps() int32 {
 		return 0
 	}
 	return 1
-}
-
-// forkBytes is what a vertex with two children adds to the front-coded
-// frontier: it is the deepest common ancestor of exactly one pair of adjacent
-// codes — the last under its branch 0 and the first under its branch 1 — and
-// that pair's shared length is its depth.
-func (n *node) forkBytes() int32 {
-	if n.children[0] == 0 || n.children[1] == 0 {
-		return 0
-	}
-	return int32(code.UvarintLen(uint64(n.depth())))
 }
 
 // Table is a contracted set of completed-problem codes. The zero value is not
@@ -160,25 +150,17 @@ type Table struct {
 
 	// Sums over the frontier, kept where the trie changes. codes and depthSum
 	// count the complete vertices and the decisions of their codes (tally).
-	// wireSum is the front-coded size of the frontier less its count header:
-	// every live edge's decision bytes once — in prefix order a decision is
-	// written by the first code below it and shared by the rest, and every
-	// leaf is complete — plus a depth header per complete vertex (tally) and a
-	// shared-length header per two-child vertex (forkBytes). newChild adds an
-	// edge and perhaps a fork, prune takes them back. Len and WireSize read
-	// the sums; Codes sizes its chunks by them.
+	// Len reads the first; Codes sizes its chunks by both.
 	//
 	// varSum is the encoding's variable bytes: the uvarint length of the
 	// branching variable of every inner vertex (one with a child). newChild
 	// adds it when a leaf gets its first child, prune takes it back when a
 	// vertex loses them. EncodedSize reads it.
 	//
-	// (codes, wireSum and varSum are 32 bits beside nodeCount: a wider Table
-	// leaves its allocation size class. A vertex adds at most a dozen bytes to
-	// either byte sum, so they overflow only past 150 M vertices, a 2.4 GB
-	// arena.)
+	// (codes and varSum are 32 bits beside nodeCount: a wider Table leaves its
+	// allocation size class. A vertex adds at most five bytes to varSum, so it
+	// overflows only past 400 M vertices, a 6.4 GB arena.)
 	codes    int32
-	wireSum  int32
 	varSum   int32
 	depthSum int
 
@@ -231,7 +213,7 @@ func New() *Table {
 func (t *Table) Reset() {
 	t.prune(0)
 	t.nodes[0] = node{}
-	t.codes, t.wireSum, t.varSum, t.depthSum, t.gaps = 0, 0, 0, 0, 1
+	t.codes, t.varSum, t.depthSum, t.gaps = 0, 0, 0, 1
 	t.digests = t.digests[:0] // every vertex was just zeroed; keep the capacity
 	t.invalidate()
 }
@@ -260,13 +242,8 @@ func (t *Table) newChild(p uint32, b uint8) uint32 {
 	t.nodes[i] = node{meta: (parent.depth() + 1) << metaDepthShift}
 	t.nodeCount++
 	parent.children[b] = i
-	t.wireSum += edgeBytes(parent.branchVar) + parent.forkBytes()
 	return i
 }
-
-// edgeBytes is the wire size of a decision on variable v: either branch, as
-// v<<1|b takes the same number of uvarint bytes for b = 0 and 1.
-func edgeBytes(v uint32) int32 { return int32(code.UvarintLen(uint64(v)<<1 | 1)) }
 
 // varBytes is the encoded size of an inner vertex branching on variable v.
 func varBytes(v uint32) int32 { return int32(code.UvarintLen(uint64(v))) }
@@ -276,7 +253,6 @@ func varBytes(v uint32) int32 { return int32(code.UvarintLen(uint64(v))) }
 func (t *Table) tally(n *node, sign int) {
 	t.codes += int32(sign)
 	t.depthSum += sign * int(n.depth())
-	t.wireSum += int32(sign * code.UvarintLen(uint64(n.depth())))
 }
 
 // VarMismatchError reports an Insert whose code branches a subproblem on a
@@ -379,15 +355,14 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 }
 
 // prune recycles the subtrees below a vertex that just became complete; its
-// descendants carry no extra information, and their edges, their forks and the
-// codes of the complete ones leave the frontier sums, the variables of the
-// vertex and its inner descendants leave the encoding's, and whatever the
-// vertex and its incomplete descendants lacked leaves the complement. The walk
+// descendants carry no extra information, and the codes of the complete ones
+// leave the frontier sums, the variables of the vertex and its inner
+// descendants leave the encoding's, and whatever the vertex and its incomplete
+// descendants lacked leaves the complement. The walk
 // is iterative and feeds the free list, so a prune is allocation-free and
 // later inserts reuse the vertices.
 func (t *Table) prune(at uint32) {
 	n := &t.nodes[at]
-	t.wireSum -= n.forkBytes()
 	t.gaps -= n.gaps()
 	t.nstack = t.nstack[:0]
 	t.pushChildren(n)
@@ -402,16 +377,14 @@ func (t *Table) prune(at uint32) {
 		} else {
 			t.gaps -= v.gaps()
 		}
-		t.wireSum -= v.forkBytes()
 		t.nodeCount--
 		*v = node{children: [2]uint32{t.free, 0}}
 		t.free = i
 	}
 }
 
-// pushChildren queues v's children on nstack for prune and takes their edges
-// — decisions on v's branchVar — out of the wire sum, and v's variable out of
-// the encoding's if it has a child.
+// pushChildren queues v's children on nstack for prune and takes v's variable
+// out of the encoding's sum if it has a child.
 func (t *Table) pushChildren(v *node) {
 	if !v.leaf() {
 		t.varSum -= varBytes(v.branchVar)
@@ -419,7 +392,6 @@ func (t *Table) pushChildren(v *node) {
 	for _, c := range v.children {
 		if c != 0 {
 			t.nstack = append(t.nstack, c)
-			t.wireSum -= edgeBytes(v.branchVar)
 		}
 	}
 }
@@ -493,46 +465,39 @@ func (t *Table) Covering(c code.Code) (code.Code, bool) {
 // Codes returns the contracted frontier: the minimal set of codes whose
 // completion implies everything the table knows. Order is deterministic
 // (depth-first, branch 0 before branch 1). Each call materialises a fresh
-// slice the caller owns; a work report is the one hot caller, once per flush.
-// Codes writes nothing into the table, so a snapshot's may run concurrently.
-func (t *Table) Codes() []code.Code { return t.materialise(0, int(t.codes), t.depthSum) }
-
-// walkDepth is how deep a frontier walk's stacks go before they spill from the
-// goroutine stack to the heap: deeper than any tree the experiments build.
-const walkDepth = 64
-
-// materialise returns the frontier of the subtree rooted at start, as n codes
-// relative to start holding decs decisions in all (frontierSize counts them;
-// for the root they are the table's sums). One iterative depth-first walk,
-// branch 0 first, keeps the current vertex's code in a prefix buffer — each
-// vertex knows its depth, so a popped frame truncates the prefix to its parent
-// and appends its own decision — and copies each complete vertex's code into a
-// pointer-free chunk, emitting a capacity-clipped slice of it so an append to
-// one code cannot reach its neighbour. The allocations are the exact-capacity
-// result and about one chunk per code.ChunkLen decisions, not one per code:
-// sized to the whole frontier instead, the large-object spans of a 100-process
-// run raised its peak RSS by a third (DESIGN.md "Completion-table hot path").
-// The walk's stack and prefix live on the goroutine stack (walkDepth).
+// slice the caller owns. Codes writes nothing into the table, so a snapshot's
+// may run concurrently.
+//
+// One iterative depth-first walk, branch 0 first, keeps the current vertex's
+// code in a prefix buffer — each vertex knows its depth, so a popped frame
+// truncates the prefix to its parent and appends its own decision — and copies
+// each complete vertex's code into a pointer-free chunk, emitting a
+// capacity-clipped slice of it so an append to one code cannot reach its
+// neighbour. The allocations are the exact-capacity result and about one chunk
+// per code.ChunkLen decisions, not one per code: sized to the whole frontier
+// instead, the large-object spans of a 100-process run raised its peak RSS by a
+// third (DESIGN.md "Completion-table hot path"). The walk's stack and prefix
+// live on the goroutine stack (walkDepth).
 //
 // The emission order is exactly prefixCmp order: the children of one vertex
 // share its branching variable, so branch 0 before branch 1 is decision order,
 // and no frontier code is a prefix of another. InsertAll relies on it — a
-// materialised frontier merges with no sort.
-func (t *Table) materialise(start uint32, n, decs int) []code.Code {
-	if n == 0 {
+// materialised frontier inserts with no sort.
+func (t *Table) Codes() []code.Code {
+	if t.codes == 0 {
 		return nil
 	}
-	out := make([]code.Code, 0, n)
-	chunk := code.Root() // empty, not nil: a complete start yields Root(), as Clone did
+	out := make([]code.Code, 0, t.codes)
+	chunk := code.Root() // empty, not nil: a complete table yields Root(), as Clone did
+	decs := t.depthSum
 	var stk [walkDepth]frontierFrame
 	var pfx [walkDepth]code.Decision
-	stack, prefix := append(stk[:0], frontierFrame{n: start}), pfx[:0]
-	base := t.nodes[start].depth()
+	stack, prefix := append(stk[:0], frontierFrame{}), pfx[:0]
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		v := &t.nodes[f.n]
-		d := int(v.depth() - base)
+		d := int(v.depth())
 		if d > 0 {
 			prefix = append(prefix[:d-1], f.via)
 		}
@@ -555,25 +520,29 @@ func (t *Table) materialise(start uint32, n, decs int) []code.Code {
 	return out
 }
 
-// frontierSize counts the frontier of the subtree rooted at start: its codes
-// and the decisions they hold relative to start. If max > 0 it stops once
-// more than max codes are found and reports ok = false — the anti-entropy
-// responder uses this to decide between inlining a small subtree's codes and
-// descending another level of the digest walk.
-func (t *Table) frontierSize(start uint32, max int) (n, decs int, ok bool) {
+// walkDepth is how deep a frontier walk's stacks go before they spill from the
+// goroutine stack to the heap: deeper than any tree the experiments build.
+const walkDepth = 64
+
+// extent counts the vertices of the subtree rooted at start and whether its
+// frontier holds at most max codes, stopping once it does not; a max of 0 or
+// less admits anything. The anti-entropy responder uses it to choose between
+// shipping a small subtree (Subtree, which sizes its copy by the count) and
+// describing another level of the digest walk.
+func (t *Table) extent(start uint32, max int) (vertices int, ok bool) {
 	if start == 0 {
-		return int(t.codes), t.depthSum, max <= 0 || int(t.codes) <= max
+		return int(t.nodeCount), max <= 0 || int(t.codes) <= max
 	}
-	base := t.nodes[start].depth()
+	codes := 0
 	t.nstack = append(t.nstack[:0], start)
 	for len(t.nstack) > 0 {
 		v := &t.nodes[t.nstack[len(t.nstack)-1]]
 		t.nstack = t.nstack[:len(t.nstack)-1]
+		vertices++
 		if v.complete() {
-			if n++; max > 0 && n > max {
-				return n, decs, false
+			if codes++; max > 0 && codes > max {
+				return vertices, false
 			}
-			decs += int(v.depth() - base)
 			continue
 		}
 		for b := 0; b < 2; b++ {
@@ -582,7 +551,7 @@ func (t *Table) frontierSize(start uint32, max int) (n, decs int, ok bool) {
 			}
 		}
 	}
-	return n, decs, true
+	return vertices, true
 }
 
 // Complement returns a minimal set of codes covering every tree node not
@@ -680,14 +649,66 @@ func (t *Table) eachGap(visit func(c code.Code) bool) {
 // a push of mostly known completions costs the walk down to where t is
 // complete, not a path walk per code. other is only read: the snapshot a push
 // carries is merged by each receiver as it stands.
-func (t *Table) Merge(other *Table) (changed int, errs int) {
+func (t *Table) Merge(other *Table) (changed int, errs int) { return t.MergeAt(nil, other) }
+
+// MergeAt is Merge for other holding the subtree below prefix, its codes
+// relative to prefix (Subtree's output): t ends as if each of them had been
+// inserted joined to prefix. The walk to prefix creates the vertices t lacks
+// on the way, the merge runs there, and contraction climbs back along the
+// walked path. If prefix is covered already nothing changes; if it branches a
+// vertex on another variable than t does, or would put a code deeper than a
+// table holds, every code of other is an error.
+func (t *Table) MergeAt(prefix code.Code, other *Table) (changed int, errs int) {
 	if other.codes == 0 {
 		return 0, 0
 	}
-	if changed, errs = t.mergeAt(0, other, 0); changed > 0 {
-		t.invalidate()
+	if len(prefix) > 0 && len(prefix)+len(other.nodes) > maxDepth && len(prefix)+other.height() > maxDepth {
+		return 0, int(other.codes)
 	}
+	t.path = append(t.path[:0], 0)
+	at := uint32(0)
+	for _, d := range prefix {
+		n := &t.nodes[at]
+		if n.complete() {
+			return 0, 0
+		}
+		if n.leaf() {
+			n.branchVar = d.Var
+		} else if n.branchVar != d.Var {
+			return 0, int(other.codes)
+		}
+		next := n.children[d.Branch&1]
+		if next == 0 {
+			// From here down every vertex is new, and the merge below it
+			// completes something, so none is left an incomplete leaf.
+			next = t.newChild(at, d.Branch&1)
+		}
+		at = next
+		t.path = append(t.path, at)
+	}
+	if changed, errs = t.mergeAt(at, other, 0); changed == 0 {
+		return 0, errs
+	}
+	for i := len(prefix) - 1; i >= 0; i-- {
+		p := &t.nodes[t.path[i]]
+		p.meta &^= metaDigestOK
+		if !p.complete() && p.children[0] != 0 && p.children[1] != 0 &&
+			t.nodes[p.children[0]].complete() && t.nodes[p.children[1]].complete() {
+			t.markComplete(t.path[i])
+		}
+	}
+	t.invalidate()
 	return changed, errs
+}
+
+// height returns the depth of the deepest vertex, reading every arena slot: a
+// free-listed vertex is zeroed, depth 0 included.
+func (t *Table) height() int {
+	h := uint32(0)
+	for i := range t.nodes {
+		h = max(h, t.nodes[i].depth())
+	}
+	return int(h)
 }
 
 // mergeAt merges the subtree of o at oi into the subtree of t at ti, the same
@@ -779,8 +800,8 @@ func (t *Table) countFrontier(i uint32) int {
 // many failed validation. Consecutive codes in prefix order (prefixCmp) reuse
 // the common-ancestor portion of the path walk, and ancestors land before the
 // descendants they subsume. A batch that arrives in that order — every
-// Codes/SubtreeCodes output, hence every report and decoded table push — is
-// walked as it stands: the common-prefix length each step computes anyway
+// Codes output, such as a decoded report's listed codes — is walked as it
+// stands: the common-prefix length each step computes anyway
 // also says, with one more decision compare, whether the code follows its
 // predecessor. The first code that does not sends itself and the rest of the
 // batch through a sorted scratch copy (cs itself, often an in-flight message
@@ -842,13 +863,9 @@ func (t *Table) Len() int { return int(t.codes) }
 // NodeCount returns the number of trie vertices, a proxy for in-memory size.
 func (t *Table) NodeCount() int { return int(t.nodeCount) }
 
-// WireSize returns the front-coded size of the frontier (code.WireSizeAll of
-// Codes, read off the running sum): what a work report of these codes weighs,
-// and what the simulator reads after every mutation for the storage figures.
-func (t *Table) WireSize() int { return code.UvarintLen(uint64(t.codes)) + int(t.wireSum) }
-
 // EncodedSize returns the number of bytes Encode produces, read off the
-// running sums: what a table push weighs.
+// running sums: what a table push or a work report weighs, and what the
+// simulator reads after every mutation for the storage figures.
 func (t *Table) EncodedSize() int {
 	if t.codes == 0 {
 		return 1
@@ -858,7 +875,7 @@ func (t *Table) EncodedSize() int {
 }
 
 // Decisions returns the number of decisions the frontier's codes hold in all,
-// read off the running sum: what code.MaxExpand weighs against WireSize.
+// read off the running sum: what materialising the frontier (Codes) costs.
 func (t *Table) Decisions() int { return t.depthSum }
 
 // Encode appends the wire encoding of the table to dst: the trie in
@@ -964,7 +981,6 @@ func DecodeOne(buf []byte) (*Table, int, error) {
 			if v.meta = (p.depth() + 1) << metaDepthShift; v.depth() > maxDepth {
 				return nil, 0, ErrDepth
 			}
-			t.wireSum += edgeBytes(p.branchVar)
 		}
 		tag := tags[k/4] >> (2 * (k % 4)) & 3
 		if tag == 0 {
@@ -984,9 +1000,7 @@ func DecodeOne(buf []byte) (*Table, int, error) {
 		off += m
 		v.branchVar = uint32(x)
 		t.varSum += int32(m)
-		if tag == 3 {
-			t.wireSum += int32(code.UvarintLen(uint64(v.depth()))) // forkBytes
-		} else {
+		if tag != 3 {
 			t.gaps++
 		}
 		if tag&2 != 0 { // pushed in reverse: branch 0 pops first
@@ -1022,8 +1036,8 @@ func canonicalUvarint(buf []byte) (uint64, int, error) {
 // walks from the root. A table whose free vertices outnumber its live ones
 // first compacts (compact), so neither arena ever holds more free vertices
 // than live ones. A snapshot must never be mutated. Read as a Merge argument,
-// and through Encode, Codes, Len, WireSize, Decisions, Complete and Snapshot,
-// it is never written, so those may run from any goroutine. An empty table's
+// and through Encode, EncodedSize, Codes, Len, Decisions, Complete and
+// Snapshot, it is never written, so those may run from any goroutine. An empty table's
 // snapshot is one shared empty table, so taking it allocates nothing.
 func (t *Table) Snapshot() *Table {
 	if t.snap != nil {
@@ -1071,12 +1085,26 @@ func (t *Table) compact() {
 	t.digests = t.digests[:0]
 }
 
-// emptySnapshot is the snapshot of every empty table.
-var emptySnapshot = func() *Table {
+// emptySnapshot is the snapshot of every empty table (Empty), and
+// doneSnapshot that of every complete one (Done).
+var emptySnapshot, doneSnapshot = frozen(), frozen(code.Root())
+
+// frozen returns a snapshot of the table of cs.
+func frozen(cs ...code.Code) *Table {
 	t := New()
+	t.InsertAll(cs)
 	t.snap = t
 	return t
-}()
+}
+
+// Done returns the snapshot of a complete table, whose frontier is the root
+// code alone: the body of every termination report (§5.4). It is one shared
+// table, so handing it out allocates nothing; it must never be mutated.
+func Done() *Table { return doneSnapshot }
+
+// Empty returns the snapshot of an empty table: one shared table, so handing
+// it out allocates nothing; it must never be mutated.
+func Empty() *Table { return emptySnapshot }
 
 // Clone returns a deep copy of the table: one copy of the arena, free list
 // included (it is indices into the arena, so it carries over as is), and one
@@ -1089,7 +1117,6 @@ func (t *Table) Clone() *Table {
 		nodeCount: t.nodeCount,
 		free:      t.free,
 		codes:     t.codes,
-		wireSum:   t.wireSum,
 		varSum:    t.varSum,
 		depthSum:  t.depthSum,
 		gaps:      t.gaps,

@@ -443,11 +443,6 @@ func TestPropListTableAgreesWithTrie(t *testing.T) {
 		if trie.Complete() != list.Complete() {
 			return false
 		}
-		// The list's size is its own batch, in its own order: never below the
-		// prefix-ordered trie frontier's, which shares the most there is.
-		if w := list.WireSize(); w != len(code.AppendAll(nil, list.Codes())) || w < trie.WireSize() {
-			return false
-		}
 		return sameCodes(trie.Codes(), list.Codes())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -574,7 +569,7 @@ func BenchmarkCodesAfterMutation(b *testing.B) {
 	}
 }
 
-func BenchmarkWireSizeAfterMutation(b *testing.B) {
+func BenchmarkEncodedSizeAfterMutation(b *testing.B) {
 	leaves := shuffledBenchLeaves()
 	tb := New()
 	b.ReportAllocs()
@@ -584,7 +579,7 @@ func BenchmarkWireSizeAfterMutation(b *testing.B) {
 			tb.Reset()
 		}
 		tb.Insert(leaves[i%len(leaves)])
-		benchSink += tb.WireSize()
+		benchSink += tb.EncodedSize()
 	}
 }
 

@@ -1,7 +1,6 @@
 package ctree
 
 import (
-	"fmt"
 	"slices"
 
 	"gossipbnb/internal/code"
@@ -161,81 +160,38 @@ func (t *Table) Children(prefix code.Code) (branchVar uint32, kids [2]ChildDiges
 	return n.branchVar, kids, true
 }
 
-// SubtreeCodes exports the frontier of the subtree at prefix, relative to
-// prefix (an empty code in the result means prefix itself is complete). A
-// prefix the table knows nothing under yields nil. If max > 0 and the
-// subtree frontier exceeds max codes, ok is false and nothing is exported —
-// the responder should describe children digests instead.
-func (t *Table) SubtreeCodes(prefix code.Code, max int) (rel []code.Code, ok bool) {
+// Subtree returns the part of the table at prefix as a table of its own,
+// rooted at prefix: its codes are relative to prefix, the inverse of MergeAt.
+// A prefix the table knows nothing under yields the empty table, and one at or
+// under a complete vertex the complete one (Done); both are shared and frozen,
+// as is the copy: nothing may mutate what Subtree returns. If max > 0 and the
+// subtree's frontier holds more than max codes, ok is false and nothing is
+// copied — the responder should describe children digests instead.
+func (t *Table) Subtree(prefix code.Code, max int) (sub *Table, ok bool) {
 	at := uint32(0)
-	for _, d := range prefix {
+	for i := 0; ; i++ {
 		n := &t.nodes[at]
-		if n.complete() {
-			return []code.Code{code.Root()}, true
+		switch {
+		case n.complete():
+			return doneSnapshot, true
+		case i == len(prefix):
+			if n.leaf() {
+				return emptySnapshot, true
+			}
+			vertices, ok := t.extent(at, max)
+			if !ok {
+				return nil, false
+			}
+			sub = &Table{nodes: make([]node, 1, vertices), nodeCount: 1, gaps: 1} // New, sized
+			sub.mergeAt(0, t, at)
+			sub.snap = sub
+			return sub, true
 		}
+		d := prefix[i]
 		next := n.children[d.Branch&1]
 		if next == 0 || n.branchVar != d.Var {
-			return nil, true // nothing known under prefix
+			return emptySnapshot, true // nothing known under prefix
 		}
 		at = next
 	}
-	cnt, decs, ok := t.frontierSize(at, max)
-	if !ok {
-		return nil, false
-	}
-	return t.materialise(at, cnt, decs), true
-}
-
-// InsertSubtree merges an exported subtree back in: each relative code is
-// re-anchored under prefix and inserted. It returns how many codes changed
-// the table and how many failed validation, like InsertAll. The joined codes
-// are carved, capacity-clipped, from one allocation; a constant prefix keeps
-// rel's order, so a SubtreeCodes export takes InsertAll's ordered path.
-func (t *Table) InsertSubtree(prefix code.Code, rel []code.Code) (changed, errs int) {
-	if len(rel) == 0 {
-		return 0, 0
-	}
-	decs := len(rel) * len(prefix)
-	for _, r := range rel {
-		decs += len(r)
-	}
-	buf := make(code.Code, 0, decs)
-	abs := make([]code.Code, len(rel))
-	for i, r := range rel {
-		at := len(buf)
-		buf = append(append(buf, prefix...), r...)
-		abs[i] = buf[at:len(buf):len(buf)]
-	}
-	return t.InsertAll(abs)
-}
-
-// EncodeSubtree appends the wire encoding of one exported subtree: the
-// prefix code followed by the batch of frontier codes relative to it.
-func EncodeSubtree(dst []byte, prefix code.Code, rel []code.Code) []byte {
-	dst = prefix.Append(dst)
-	return code.AppendAll(dst, rel)
-}
-
-// SubtreeWireSize returns the number of bytes EncodeSubtree produces.
-func SubtreeWireSize(prefix code.Code, rel []code.Code) int {
-	return prefix.WireSize() + code.WireSizeAll(rel)
-}
-
-// DecodeSubtree parses EncodeSubtree output. Like Decode, the whole buffer
-// must be exactly one encoded subtree: a malformed prefix or relative code
-// fails the parse, and trailing bytes after the declared code count are
-// rejected, so a corrupt or padded frame cannot half-decode.
-func DecodeSubtree(buf []byte) (prefix code.Code, rel []code.Code, err error) {
-	prefix, n, err := code.Decode(buf)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ctree: subtree prefix: %w", err)
-	}
-	rel, m, err := code.DecodeAll(buf[n:])
-	if err != nil {
-		return nil, nil, fmt.Errorf("ctree: subtree codes: %w", err)
-	}
-	if n+m != len(buf) {
-		return nil, nil, fmt.Errorf("ctree: subtree: %d trailing bytes", len(buf)-n-m)
-	}
-	return prefix, rel, nil
 }

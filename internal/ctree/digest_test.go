@@ -129,10 +129,10 @@ func TestPropDigestEqualsAcrossInsertionOrders(t *testing.T) {
 	}
 }
 
-// TestDigestSubtreeRoundTrip exports random subtrees and re-imports them into
-// fresh tables: the re-anchored subtree must reproduce the original subtree's
-// digest and knowledge state exactly, including the complete-above-prefix and
-// nothing-known edge cases.
+// TestDigestSubtreeRoundTrip exports random subtrees and merges them into
+// fresh tables below their prefix: the re-anchored subtree must reproduce the
+// original subtree's digest and knowledge state exactly, including the
+// complete-above-prefix and nothing-known edge cases.
 func TestDigestSubtreeRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -144,12 +144,12 @@ func TestDigestSubtreeRoundTrip(t *testing.T) {
 			probes = append(probes, l, l[:r.Intn(len(l)+1)].Clone())
 		}
 		for _, p := range probes {
-			rel, ok := tbl.SubtreeCodes(p, 0)
+			sub, ok := tbl.Subtree(p, 0)
 			if !ok {
-				t.Fatalf("seed %d: uncapped SubtreeCodes(%v) refused", seed, p)
+				t.Fatalf("seed %d: uncapped Subtree(%v) refused", seed, p)
 			}
 			fresh := New()
-			fresh.InsertSubtree(p, rel)
+			fresh.MergeAt(p, sub)
 			wd, wk, wc := tbl.DigestAt(p)
 			gd, gk, gc := fresh.DigestAt(p)
 			if wk != gk || wc != gc || (wk && wd != gd) {
@@ -158,12 +158,12 @@ func TestDigestSubtreeRoundTrip(t *testing.T) {
 			}
 			// The cap must refuse exactly when the subtree exceeds it, and
 			// never change what a permitted export contains.
-			if len(rel) > 0 {
-				if _, ok := tbl.SubtreeCodes(p, len(rel)-1); ok && len(rel) > 1 {
-					t.Fatalf("seed %d: cap %d accepted %d codes", seed, len(rel)-1, len(rel))
+			if n := sub.Len(); n > 0 {
+				if _, ok := tbl.Subtree(p, n-1); ok && n > 1 {
+					t.Fatalf("seed %d: cap %d accepted %d codes", seed, n-1, n)
 				}
-				capped, ok := tbl.SubtreeCodes(p, len(rel))
-				if !ok || !codesExactlyEqual(capped, rel) {
+				capped, ok := tbl.Subtree(p, n)
+				if !ok || !sameTable(capped, sub) {
 					t.Fatalf("seed %d: capped export differs from uncapped", seed)
 				}
 			}
@@ -201,45 +201,31 @@ func TestDigestChildren(t *testing.T) {
 	walk(code.Root())
 }
 
-// TestDigestSubtreeDecodeHardening mirrors the Decode hardening: the subtree
-// wire format must reject trailing bytes, truncation at every split point,
-// and malformed prefixes.
+// TestDigestSubtreeDecodeHardening: what Subtree copies out is a table in
+// the one canonical spelling the decoder holds input to — contracted, compact
+// — so it travels as any other: Decode rebuilds it and rejects a trailing byte
+// or a cut at any split point.
 func TestDigestSubtreeDecodeHardening(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	leaves := randTree(r, 6)
 	tbl := New()
 	tbl.InsertAll(leaves[:len(leaves)/2+1])
-	prefix := leaves[0][:1]
-	rel, _ := tbl.SubtreeCodes(prefix, 0)
-	enc := EncodeSubtree(nil, prefix, rel)
-	if len(enc) != SubtreeWireSize(prefix, rel) {
-		t.Fatalf("SubtreeWireSize %d, encoded %d bytes", SubtreeWireSize(prefix, rel), len(enc))
+	sub, _ := tbl.Subtree(leaves[0][:1], 0)
+	enc := sub.Encode(nil)
+	if len(enc) != sub.EncodedSize() || sub.Len() < 2 {
+		t.Fatalf("EncodedSize %d, encoded %d bytes, %d codes", sub.EncodedSize(), len(enc), sub.Len())
 	}
-
-	gotP, gotRel, err := DecodeSubtree(enc)
-	if err != nil {
-		t.Fatalf("round trip: %v", err)
+	back, err := Decode(enc)
+	if err != nil || !sameTable(back, sub) {
+		t.Fatalf("round trip: %v, %v", back.Codes(), err)
 	}
-	if !gotP.Equal(prefix) || !codesExactlyEqual(gotRel, rel) {
-		t.Fatalf("round trip mismatch: (%v,%v) != (%v,%v)", gotP, gotRel, prefix, rel)
-	}
-
-	if _, _, err := DecodeSubtree(append(enc[:len(enc):len(enc)], 0)); err == nil {
+	if _, err := Decode(append(enc[:len(enc):len(enc)], 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 	for cut := 0; cut < len(enc); cut++ {
-		if _, _, err := DecodeSubtree(enc[:cut]); err == nil {
-			// A truncation may still parse as a shorter valid subtree only if
-			// it ends exactly on a code boundary with a smaller count — the
-			// count is up front, so any cut inside the declared payload fails.
+		if _, err := Decode(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
-	}
-	if _, _, err := DecodeSubtree([]byte{0xff}); err == nil {
-		t.Fatal("malformed prefix accepted")
-	}
-	if _, _, err := DecodeSubtree([]byte{}); err == nil {
-		t.Fatal("empty buffer accepted")
 	}
 }
 

@@ -1,7 +1,7 @@
 package ctree
 
 // Property tests for the derived quantities the table carries instead of
-// recomputing (Len, WireSize, EncodedSize, the decision count that sizes the
+// recomputing (Len, EncodedSize, the decision count that sizes the
 // frontier chunks) and for the storage a materialised frontier shares: codes
 // carved from common chunks must behave, to every caller, like the independent
 // clones they replaced.
@@ -14,19 +14,16 @@ import (
 	"gossipbnb/internal/code"
 )
 
-// checkSums reads Len, WireSize and EncodedSize first — straight after the
+// checkSums reads Len and EncodedSize first — straight after the
 // mutation, before anything materialises the frontier — and requires them to
 // agree with what the frontier and the encoding then say, and the table Decode
 // rebuilds from the encoding to be this one (checkDecoded).
 func checkSums(t *testing.T, tb *Table, when string) {
 	t.Helper()
-	n, w, e := tb.Len(), tb.WireSize(), tb.EncodedSize()
+	n, e := tb.Len(), tb.EncodedSize()
 	cs := tb.Codes()
 	if n != len(cs) {
 		t.Fatalf("%s: Len %d, len(Codes()) %d", when, n, len(cs))
-	}
-	if fc := code.WireSizeAll(cs); w != fc {
-		t.Fatalf("%s: WireSize %d, the front-coded frontier takes %d", when, w, fc)
 	}
 	enc := tb.Encode(nil)
 	if e != len(enc) {
@@ -56,7 +53,7 @@ func checkDecoded(t *testing.T, tb *Table, enc []byte, when string) {
 	c := tb.Clone()
 	if !sameTable(back, tb) || back.EncodedSize() != tb.EncodedSize() || back.Complete() != tb.Complete() {
 		t.Fatalf("%s: Decode(Encode) = %v (%d B, %d gaps, %d vertices), want %v (%d B, %d gaps, %d vertices)",
-			when, back.Codes(), back.WireSize(), back.Gaps(), back.NodeCount(), tb.Codes(), tb.WireSize(), tb.Gaps(), tb.NodeCount())
+			when, back.Codes(), back.EncodedSize(), back.Gaps(), back.NodeCount(), tb.Codes(), tb.EncodedSize(), tb.Gaps(), tb.NodeCount())
 	}
 	if !codesExactlyEqual(back.Complement(0), c.Complement(0)) || back.Digest() != c.Digest() {
 		t.Fatalf("%s: decoded complement %v digest %#x, want %v %#x", when, back.Complement(0), back.Digest(), c.Complement(0), c.Digest())
@@ -68,7 +65,7 @@ func checkDecoded(t *testing.T, tb *Table, enc []byte, when string) {
 }
 
 // TestPropSumsMatchFrontier drives every mutating operation — the ones
-// TestPropTableMatchesReference covers plus InsertSubtree, Clone and the
+// TestPropTableMatchesReference covers plus Subtree and MergeAt, Clone and the
 // Reset-then-reuse cycle of protocol's tablePool — through a table and the
 // reference, checking the sums and the frontier after every step.
 func TestPropSumsMatchFrontier(t *testing.T) {
@@ -104,18 +101,19 @@ func TestPropSumsMatchFrontier(t *testing.T) {
 				tb.Merge(src)
 				ref.InsertAll(srcRef.Codes())
 			case 3:
-				op = "InsertSubtree"
+				op = "MergeAt"
 				c := pick()
 				src.Insert(c)
 				srcRef.Insert(c)
 				prefix := c[:r.Intn(len(c)+1)]
-				rel, ok := src.SubtreeCodes(prefix, 0)
+				sub, ok := src.Subtree(prefix, 0)
 				if !ok {
-					t.Fatalf("seed %d step %d: unbounded SubtreeCodes refused", seed, step)
+					t.Fatalf("seed %d step %d: unbounded Subtree refused", seed, step)
 				}
-				tb.InsertSubtree(prefix, rel)
-				for _, rc := range rel {
-					ref.Insert(code.Join(prefix, rc))
+				checkSums(t, sub, "Subtree")
+				tb.MergeAt(prefix, sub)
+				for _, rc := range sub.Codes() {
+					ref.Insert(append(prefix.Clone(), rc...))
 				}
 			case 4:
 				op = "Clone"
@@ -145,9 +143,8 @@ func TestPropSumsMatchFrontier(t *testing.T) {
 			if !codesExactlyEqual(tb.Codes(), ref.Codes()) {
 				t.Fatalf("seed %d step %d %s: Codes %v, ref %v", seed, step, op, tb.Codes(), ref.Codes())
 			}
-			if tb.Len() != ref.Len() || tb.WireSize() != ref.WireSize() {
-				t.Fatalf("seed %d step %d %s: Len/WireSize %d/%d, ref %d/%d",
-					seed, step, op, tb.Len(), tb.WireSize(), ref.Len(), ref.WireSize())
+			if tb.Len() != ref.Len() {
+				t.Fatalf("seed %d step %d %s: Len %d, ref %d", seed, step, op, tb.Len(), ref.Len())
 			}
 		}
 	}
@@ -184,9 +181,10 @@ func TestFrontierAliasing(t *testing.T) {
 	}
 	held := tb.Codes()
 	want := cloneCodes(held)
-	sub, ok := tb.SubtreeCodes(leaves[0][:2], 0)
+	st, ok := tb.Subtree(leaves[0][:2], 0)
+	sub := st.Codes()
 	if !ok || len(sub) == 0 {
-		t.Fatalf("SubtreeCodes: %d codes, ok %v", len(sub), ok)
+		t.Fatalf("Subtree: %d codes, ok %v", len(sub), ok)
 	}
 	wantSub := cloneCodes(sub)
 

@@ -47,7 +47,7 @@ func merged(a, b *Table) (*Table, int, int) {
 // sameTable reports whether two tables hold the same frontier and agree on
 // every figure kept beside it.
 func sameTable(a, b *Table) bool {
-	return codesExactlyEqual(a.Codes(), b.Codes()) && a.Len() == b.Len() && a.WireSize() == b.WireSize() &&
+	return codesExactlyEqual(a.Codes(), b.Codes()) && a.Len() == b.Len() && a.EncodedSize() == b.EncodedSize() &&
 		a.Decisions() == b.Decisions() && a.Gaps() == b.Gaps() && a.NodeCount() == b.NodeCount()
 }
 
@@ -71,7 +71,7 @@ func TestPropMergeMatchesInsertAll(t *testing.T) {
 		}
 		if !sameTable(a, byList) {
 			t.Fatalf("seed %d: Merge leaves %v (%d B, %d gaps, %d vertices), InsertAll %v (%d B, %d gaps, %d vertices)",
-				seed, a.Codes(), a.WireSize(), a.Gaps(), a.NodeCount(), byList.Codes(), byList.WireSize(), byList.Gaps(), byList.NodeCount())
+				seed, a.Codes(), a.EncodedSize(), a.Gaps(), a.NodeCount(), byList.Codes(), byList.EncodedSize(), byList.Gaps(), byList.NodeCount())
 		}
 		if !codesExactlyEqual(a.Complement(0), byList.Complement(0)) || a.Gaps() != len(a.Complement(0)) {
 			t.Fatalf("seed %d: complement %v, by list %v, Gaps %d", seed, a.Complement(0), byList.Complement(0), a.Gaps())
@@ -254,13 +254,13 @@ func TestPropSnapshot(t *testing.T) {
 }
 
 // TestSnapshotEmpty: every empty table shares one snapshot, which encodes as
-// the empty batch and merges as nothing.
+// a single zero byte — no vertex — and merges as nothing.
 func TestSnapshotEmpty(t *testing.T) {
 	a, b := New(), New()
 	if a.Snapshot() != b.Snapshot() || a.Snapshot().Snapshot() != a.Snapshot() {
 		t.Fatal("empty tables do not share their snapshot")
 	}
-	if enc := a.Snapshot().Encode(nil); !bytes.Equal(enc, code.AppendAll(nil, nil)) {
+	if enc := a.Snapshot().Encode(nil); !bytes.Equal(enc, []byte{0}) {
 		t.Fatalf("empty snapshot encodes as %x", enc)
 	}
 	b.Insert(mk(1, 0))

@@ -213,29 +213,6 @@ func (t *refTable) Len() int {
 	return n
 }
 
-// WireSize is the front-coded batch size spelled out pair by pair, sharing no
-// code with code.WireSizeAll or the arena's running sum: a count, then per code
-// its depth header and the decisions its predecessor does not already hold,
-// and for every code but the first the shared length itself.
-func (t *refTable) WireSize() int {
-	cs := t.Codes()
-	sz := code.UvarintLen(uint64(len(cs)))
-	for i, c := range cs {
-		shared := 0
-		if i > 0 {
-			for shared < len(c) && shared < len(cs[i-1]) && c[shared] == cs[i-1][shared] {
-				shared++
-			}
-			sz += code.UvarintLen(uint64(shared))
-		}
-		sz += code.UvarintLen(uint64(len(c)))
-		for _, d := range c[shared:] {
-			sz += code.UvarintLen(uint64(d.Var)<<1 | uint64(d.Branch))
-		}
-	}
-	return sz
-}
-
 // Encode is the trie encoding spelled out from the pointer trie: a recursive
 // pre-order walk collects each vertex's child mask as its tag and each inner
 // vertex's variable, then the tags are packed four to a byte.
@@ -298,9 +275,6 @@ func checkAgainstRef(t *testing.T, opt *Table, ref *refTable, probes []code.Code
 	}
 	if opt.NodeCount() != ref.nodeCount {
 		t.Fatalf("NodeCount: opt %d, ref %d", opt.NodeCount(), ref.nodeCount)
-	}
-	if opt.WireSize() != ref.WireSize() {
-		t.Fatalf("WireSize: opt %d, ref %d", opt.WireSize(), ref.WireSize())
 	}
 	if oc, rc := opt.Codes(), ref.Codes(); !codesExactlyEqual(oc, rc) {
 		t.Fatalf("Codes: opt %v, ref %v", oc, rc)

@@ -297,8 +297,8 @@ func TestMetricsAccounting(t *testing.T) {
 	// two stored bytes read as redundant.
 	root := ctree.New()
 	root.Insert(code.Root())
-	if res.Met.UniquePeak <= root.WireSize() {
-		t.Errorf("union peak %d B is no more than a completed table's %d B", res.Met.UniquePeak, root.WireSize())
+	if res.Met.UniquePeak <= root.EncodedSize() {
+		t.Errorf("union peak %d B is no more than a completed table's %d B", res.Met.UniquePeak, root.EncodedSize())
 	}
 	if red, tot := res.Met.RedundantStorage(), res.Met.TotalStorage(); red <= 0 || red >= tot {
 		t.Errorf("redundant storage %d B of %d B total, want strictly between", red, tot)

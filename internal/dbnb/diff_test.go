@@ -32,12 +32,15 @@ func reportPathBytes(res Result) int64 {
 // workload (8001 nodes, 100 processes) in both modes. Diff gossip must
 // preserve the computation — termination, exact optimum, identical expansion
 // count — while cutting steady-state completion-propagation bytes at least
-// 1.1× (measured 1.56×; the slack absorbs tuning drift, not regressions). The
+// 1.1× (measured 2.04×; the slack absorbs tuning drift, not regressions). The
 // gap was ≥ 5× while a frontier push spelled every code out from the root;
 // front coding cut the frontier side by two thirds and the digest side, whose
 // deltas are a few codes each, by far less (2.9× measured, 2× floor); a table
 // push that travels as its trie cut the frontier side again, by 46 %, and the
-// digest side, which sends no table push, not at all.
+// digest side, which sends no table push, not at all (1.56×). Reports and leaf
+// subtree replies that travel as tries too cut the frontier side by 1.4 %
+// (2 925 590 → 2 885 776 bytes) and the digest side by 25 % (1 870 485 →
+// 1 411 843), whose subtree replies are most of it.
 func TestDiffGossipParityTable1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full Table-1 runs")

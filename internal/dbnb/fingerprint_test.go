@@ -31,7 +31,9 @@ import (
 // and the new one make the same single draw. Table pushes that travel as
 // tries (ISSUE 35) are lighter again and moved nine strings; fpDiffMesh (diff
 // gossip sends no table push), fpMultiStaggered[2] and fpMultiCrashes[1]
-// stayed. EXPERIMENTS.md records each re-pin, value by value.
+// stayed. Reports, digest reports and leaf subtree replies that travel as
+// tries too moved ten strings; fpMultiStaggered[2] and [3] stayed.
+// EXPERIMENTS.md records each re-pin, value by value.
 
 // printFingerprint renders what a run did in counts and virtual times only —
 // nothing that depends on wall-clock or on how the simulator batches events.
@@ -207,23 +209,23 @@ func TestFingerprintMultiCrashes(t *testing.T) {
 }
 
 const (
-	fpMeshProblem       = "t=10.502536875000004 first=10.500721875000004 exp=1389 uniq=1389 comp=1368 sent=482 bytes=25789 kinds=[0 233 65 92 19 73] per=[443 44 163 154 116 90 379 0]"
-	fpMeshJoins         = "t=6.520770000000001 first=6.518955000000001 exp=301 uniq=301 comp=151 sent=267 bytes=9374 kinds=[0 69 50 70 8 62 0 4 4] per=[100 93 38 0 13 0 0 10 0 0 1 46]"
-	fpMeshChaosS1       = "t=10.774252859525129 first=10.772437859525128 exp=659 uniq=301 comp=295 sent=189 bytes=8048 kinds=[0 87 24 41 13 24] per=[140 81 26 118 108 0 69 117]"
-	fpMeshChaosS4       = "t=9.301681335722172 first=9.299866335722172 exp=662 uniq=301 comp=298 sent=181 bytes=7612 kinds=[0 87 20 37 10 27] per=[140 80 26 126 108 0 69 113]"
-	fpDiffMesh          = "t=10.99708335632244 first=10.99526835632244 exp=301 uniq=301 comp=151 sent=334 bytes=10474 kinds=[0 21 0 86 10 76 129 6 6] per=[76 0 98 18 19 16 36 38]"
-	fpMembershipRestart = "t=9.419247320286548 first=9.386978112907453 exp=149 uniq=121 comp=67 sent=82 bytes=2744 kinds=[36 24 7 9 1 5] per=[101 20 0 28 0]"
+	fpMeshProblem       = "t=10.502531875000004 first=10.500716875000004 exp=1388 uniq=1388 comp=1367 sent=482 bytes=23465 kinds=[0 233 65 92 19 73] per=[442 44 163 154 116 90 379 0]"
+	fpMeshJoins         = "t=6.520770000000001 first=6.518955000000001 exp=301 uniq=301 comp=151 sent=267 bytes=8913 kinds=[0 69 50 70 8 62 0 4 4] per=[100 93 38 0 13 0 0 10 0 0 1 46]"
+	fpMeshChaosS1       = "t=10.77427785952513 first=10.77246285952513 exp=659 uniq=301 comp=295 sent=189 bytes=6935 kinds=[0 87 24 41 13 24] per=[140 81 26 118 108 0 69 117]"
+	fpMeshChaosS4       = "t=9.301736335722172 first=9.299921335722171 exp=662 uniq=301 comp=298 sent=181 bytes=6543 kinds=[0 87 20 37 10 27] per=[140 80 26 126 108 0 69 113]"
+	fpDiffMesh          = "t=10.99685835632244 first=10.995043356322439 exp=301 uniq=301 comp=151 sent=334 bytes=9243 kinds=[0 21 0 86 10 76 129 6 6] per=[76 0 98 18 19 16 36 38]"
+	fpMembershipRestart = "t=9.419247320286548 first=9.386978112907453 exp=149 uniq=121 comp=67 sent=82 bytes=2586 kinds=[36 24 7 9 1 5] per=[101 20 0 28 0]"
 )
 
 var (
 	fpMultiStaggered = [4]string{
-		"t=2.4600616406249993 first=2.4582416406249994 exp=345 uniq=345 comp=329 sent=558 bytes=19116 kinds=[0 235 79 122 13 109] per=[142 117 44 0 0 42 0 0]",
-		"t=10.670926171875008 first=10.669106171875008 exp=781 uniq=781 comp=759 sent=0 bytes=0 kinds=[] per=[0 266 191 64 74 0 186 0]",
+		"t=2.4600616406249993 first=2.4582416406249994 exp=345 uniq=345 comp=329 sent=558 bytes=17417 kinds=[0 235 79 122 13 109] per=[142 117 44 0 0 42 0 0]",
+		"t=10.670916171875009 first=10.669096171875008 exp=781 uniq=781 comp=759 sent=0 bytes=0 kinds=[] per=[0 266 191 64 74 0 186 0]",
 		"t=12.381069140625005 first=12.378889140625004 exp=235 uniq=235 comp=228 sent=0 bytes=0 kinds=[] per=[0 0 235 0 0 0 0 0]",
 		"t=18.01362 first=18.0118 exp=323 uniq=323 comp=310 sent=0 bytes=0 kinds=[] per=[0 101 99 116 0 7 0 0]",
 	}
 	fpMultiCrashes = [2]string{
-		"t=4.5019771875 first=4.5001571875 exp=337 uniq=337 comp=323 sent=316 bytes=11335 kinds=[0 118 59 75 6 58] per=[145 0 0 44 148 0]",
-		"t=20.069829375 first=20.068009375000003 exp=726 uniq=726 comp=706 sent=0 bytes=0 kinds=[] per=[407 197 0 114 3 5]",
+		"t=4.5019771875 first=4.5001571875 exp=337 uniq=337 comp=323 sent=316 bytes=10303 kinds=[0 118 59 75 6 58] per=[145 0 0 44 148 0]",
+		"t=20.069884375 first=20.068064375000002 exp=726 uniq=726 comp=706 sent=0 bytes=0 kinds=[] per=[407 197 0 114 3 5]",
 	}
 )

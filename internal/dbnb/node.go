@@ -146,9 +146,6 @@ type nodeSender struct{ n *node }
 // wire is m as it travels: bare for the single untagged instance (instance
 // 0 adds no header bytes anyway), tagged with the instance id otherwise.
 func (s nodeSender) wire(m protocol.Msg) sim.Message {
-	if hook := s.n.h.cfg.sendHook; hook != nil {
-		hook(m)
-	}
 	if s.n.mux == nil {
 		return m
 	}
@@ -545,19 +542,19 @@ func (n *node) drainInbox() {
 		commCost += commOverhead
 		switch t := m.msg.(type) {
 		case protocol.Report:
-			contractCost += contractPerCode * float64(len(t.Codes))
+			contractCost += contractPerCode * float64(t.Len())
 		case protocol.TableMsg:
 			contractCost += contractPerCode * float64(t.Len())
 		case protocol.DigestReport:
 			// Merging the delta plus one digest comparison.
-			contractCost += contractPerCode * float64(len(t.Codes)+1)
+			contractCost += contractPerCode * float64(t.Len()+1)
 		case protocol.SubtreeRequest:
 			// One trie descent to the requested prefix.
 			contractCost += contractPerCode
 		case protocol.SubtreeReply:
-			// Merging the pulled subtree frontier (branch replies have no
-			// codes and cost the single digest comparison).
-			contractCost += contractPerCode * float64(len(t.Rel)+1)
+			// Merging the pulled subtree (branch replies have no codes and
+			// cost the single digest comparison).
+			contractCost += contractPerCode * float64(t.Len()+1)
 		case protocol.WorkGrant:
 			lbCost += commOverhead * float64(1+len(t.Codes)/8)
 		}
@@ -595,10 +592,10 @@ func (n *node) drainDone(gen int) {
 	n.loop()
 }
 
-// observeTable records the table's wire size after every mutation, so the
+// observeTable records the table's encoded size after every mutation, so the
 // storage peak is exact.
 func (n *node) observeTable() {
-	n.met.ObserveTable(n.core.Table().WireSize())
+	n.met.ObserveTable(n.core.Table().EncodedSize())
 }
 
 // noteExpansion tracks redundant work: expansions of subproblems some
@@ -621,14 +618,14 @@ func (n *node) noteExpansion(c code.Code) {
 }
 
 // noteCompletion maintains the union of the instance's completion
-// information; its peak wire size is the "one shared copy" baseline against
+// information; its peak encoded size is the "one shared copy" baseline against
 // which replicated storage is called redundant. The union and its peak are
 // per shard (rec.uniquePeak); fold reports the largest.
 func (n *node) noteCompletion(c code.Code) {
 	r := n.rec
 	r.completions++
 	r.union.Insert(c)
-	r.uniquePeak = max(r.uniquePeak, r.union.WireSize())
+	r.uniquePeak = max(r.uniquePeak, r.union.EncodedSize())
 }
 
 // --- termination ---------------------------------------------------------------

@@ -241,7 +241,7 @@ func (h *harness) demux(id sim.NodeID) sim.Handler {
 			if _, isReq := im.Msg.(protocol.WorkRequest); isReq {
 				inc, _ := mux.Reaped(im.Instance)
 				nw.Send(id, from, protocol.InstMsg{Instance: im.Instance,
-					Msg: protocol.Report{Codes: []code.Code{code.Root()}, Incumbent: inc}})
+					Msg: protocol.RootReport(inc, 0)})
 			}
 		}
 	}
@@ -426,7 +426,7 @@ func shardLookahead(cfg Config) float64 {
 // membership, tracing, the test hooks, per-link latency, a latency model with
 // no positive floor.
 func shardCount(cfg Config) int {
-	if cfg.UseMembership || cfg.Trace != nil || cfg.fireHook != nil || cfg.sendHook != nil ||
+	if cfg.UseMembership || cfg.Trace != nil || cfg.fireHook != nil ||
 		cfg.LinkLatency != nil || shardLookahead(cfg) <= 0 {
 		return 1
 	}

@@ -8,7 +8,6 @@ import (
 
 	"gossipbnb/internal/bnb"
 	"gossipbnb/internal/btree"
-	"gossipbnb/internal/code"
 	"gossipbnb/internal/metrics"
 	"gossipbnb/internal/protocol"
 	"gossipbnb/internal/sim"
@@ -36,14 +35,14 @@ func rootReports(net sim.NetStats, systems ...*metrics.System) int64 {
 // every learner broadcasting again made it procs·(procs − 1). Every starving
 // process hears the detector directly, so the last detection trails the first
 // by one root report's latency and handling cost, as it did with the echo. The
-// ReportFanout processes the detector's last work report went to in the same
-// instant may take that one's handling longer: front-coded it is 44 bytes
-// longer than the root report, which at 0.005 ms/B is to the microsecond what
-// handling the root report takes, so it is in the inbox when that ends.
+// ReportFanout processes the detector's last work report went to before the
+// detection instant may take that one's handling longer; the work reports the
+// detecting eliminations flush never go out (Core.Next), since the root
+// report subsumes them.
 func TestTerminationTrafficIsLinear(t *testing.T) {
 	k := bnb.RandomKnapsack(rand.New(rand.NewSource(1)), 24)
 	ref := bnb.SolveProblem(k)
-	root := protocol.Report{Codes: []code.Code{code.Root()}}
+	root := protocol.RootReport(0, 0)
 	for _, procs := range []int{1000, 4000} {
 		cfg := Config{Procs: procs, Seed: 1, Prune: true, Shards: 1, MinPoolToShare: 1 << 30}
 		res := RunProblemRef(k, ref, cfg)

@@ -8,13 +8,13 @@ import (
 	"time"
 
 	"gossipbnb/internal/bnb"
-	"gossipbnb/internal/code"
+	"gossipbnb/internal/ctree"
 	"gossipbnb/internal/protocol"
 )
 
 // fanoutNet watches every report a cluster hands its transport. A flush is
-// named by its codes slice — the table hands out a fresh one per flush, and
-// the in-memory transport passes messages by reference — so (link, slice) seen
+// named by its snapshot — the core takes a fresh one per flush, and the
+// in-memory transport passes messages by reference — so (link, snapshot) seen
 // twice is one flush's report put on one link twice.
 type fanoutNet struct {
 	Net
@@ -31,7 +31,7 @@ type fanoutNet struct {
 
 type fanoutKey struct {
 	from, to NodeID
-	flush    *code.Code // retained, so the address cannot be reused
+	flush    *ctree.Table // retained, so the address cannot be reused
 }
 
 func (f *fanoutNet) Send(from, to NodeID, msg Message) {
@@ -44,30 +44,29 @@ func (f *fanoutNet) note(from, to NodeID, msg Message) {
 	if im, ok := msg.(protocol.InstMsg); ok {
 		inner, isTagged = im.Msg, true
 	}
-	var codes []code.Code
+	var flush *ctree.Table
 	switch t := inner.(type) {
 	case protocol.Report:
-		codes = t.Codes
+		flush = t.Snapshot()
 	case protocol.DigestReport:
-		codes = t.Codes // empty on a bare table-digest push
+		flush = t.Snapshot() // ctree.Empty on a bare table-digest push
 	default:
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.kinds.note(msgKind(msg), 0)
-	if len(codes) == 0 {
-		return
+	if flush == nil || flush == ctree.Empty() || flush == ctree.Done() {
+		return // no flush: a bare digest push, or a root report
 	}
-	k := fanoutKey{from, to, &codes[0]}
+	k := fanoutKey{from, to, flush}
 	if f.seen[k] {
 		f.repeat++
 	}
 	f.seen[k] = true
-	switch {
-	case isTagged:
+	if isTagged {
 		f.tagged++
-	case len(codes) > 1 || !codes[0].IsRoot():
+	} else {
 		f.flushes++
 	}
 }

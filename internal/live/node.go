@@ -11,7 +11,7 @@ import (
 
 	"gossipbnb/internal/bnb"
 	"gossipbnb/internal/btree"
-	"gossipbnb/internal/code"
+	"gossipbnb/internal/ctree"
 	"gossipbnb/internal/instance"
 	"gossipbnb/internal/metrics"
 	"gossipbnb/internal/nemesis"
@@ -250,10 +250,10 @@ func (c liveClock) Now() float64 { return time.Since(c.start).Seconds() }
 type instSender struct {
 	inc *incarnation
 	id  protocol.InstanceID
-	// flush is the codes slice of the report flush in progress — the table
-	// hands out a fresh one per flush, so its identity names the flush — and
+	// flush is the outbox snapshot the report flush in progress carries — the
+	// core takes a fresh one per flush, so its identity names the flush — and
 	// flushTo the peers that flush has reached.
-	flush   []code.Code
+	flush   *ctree.Table
 	flushTo []protocol.NodeID
 }
 
@@ -276,19 +276,23 @@ func (s *instSender) Send(to protocol.NodeID, m protocol.Msg) {
 // it changes nothing at the receiver, so at-least-once delivery loses nothing
 // when the sender drops it. The draw itself stays in the core, untouched, so
 // the simulator's random sequence does not move.
+//
+// Every root report carries the one shared complete table (ctree.Done), and
+// every bare digest push the one shared empty table (ctree.Empty), so neither
+// names a flush and neither is ever dropped.
 func (s *instSender) repeatsFlush(to protocol.NodeID, m protocol.Msg) bool {
-	var codes []code.Code
+	var flush *ctree.Table
 	switch t := m.(type) {
 	case protocol.Report:
-		codes = t.Codes
+		flush = t.Snapshot()
 	case protocol.DigestReport:
-		codes = t.Codes
+		flush = t.Snapshot()
 	}
-	if len(codes) == 0 {
+	if flush == nil || flush == ctree.Done() || flush == ctree.Empty() {
 		return false
 	}
-	if len(codes) != len(s.flush) || &codes[0] != &s.flush[0] {
-		s.flush, s.flushTo = codes, append(s.flushTo[:0], to)
+	if flush != s.flush {
+		s.flush, s.flushTo = flush, append(s.flushTo[:0], to)
 		return false
 	}
 	if slices.Contains(s.flushTo, to) {
@@ -840,7 +844,7 @@ func (inc *incarnation) handle(env Envelope) {
 		if _, isReq := pm.(protocol.WorkRequest); isReq {
 			if tomb, ok := inc.mux.Reaped(id); ok {
 				(&instSender{inc: inc, id: id}).Send(protocol.NodeID(env.From),
-					protocol.Report{Codes: []code.Code{code.Root()}, Incumbent: tomb})
+					protocol.RootReport(tomb, 0))
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"gossipbnb/internal/btree"
 	"gossipbnb/internal/code"
+	"gossipbnb/internal/ctree"
 	"gossipbnb/internal/protocol"
 )
 
@@ -155,6 +156,70 @@ func TestTCPDelivery(t *testing.T) {
 	if nw.Addr(0) == "" || nw.Addr(1) == "" {
 		t.Error("missing listen addresses")
 	}
+}
+
+// TestTCPDeepCodes: every kind that carries codes crosses a socket at any
+// depth a table holds — reports, table pushes, digest reports and leaf
+// subtree replies as tries, grants as lists of codes, subtree requests as one
+// — here 100, 1 200 and 3 000 levels of a depth-first descent's frontier and
+// one code 2^17 deep. Each arrives and re-encodes to the bytes that left.
+func TestTCPDeepCodes(t *testing.T) {
+	nw, err := NewTCPNetwork(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	inbox := nw.Register(1)
+	for _, depth := range []int{100, 1200, 3000, 1 << 17} {
+		spine := code.Root()
+		for i := 0; i < depth; i++ {
+			spine = spine.AppendChild(uint32(7*i), uint8(i&1))
+		}
+		tb := ctree.New()
+		if depth < 1<<17 {
+			for i := 1; i <= depth; i++ {
+				tb.Insert(spine[:i].Sibling())
+			}
+		} else {
+			tb.Insert(spine)
+		}
+		body := tb.Encode(nil)
+		for _, m := range []protocol.Msg{
+			decodeWithBody(t, protocol.KindReport, nil, body),
+			decodeWithBody(t, protocol.KindTable, nil, body),
+			decodeWithBody(t, protocol.KindDigestReport, make([]byte, 8), body),
+			decodeWithBody(t, protocol.KindSubtreeReply, spine[:3].Append([]byte{1}), body),
+			protocol.WorkGrant{Codes: []code.Code{spine, spine.Sibling()}},
+			protocol.SubtreeRequest{Prefix: spine},
+		} {
+			want, err := protocol.Encode(nil, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nw.Send(0, 1, m)
+			select {
+			case env := <-inbox:
+				if got, err := protocol.Encode(nil, env.Msg.(protocol.Msg)); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("depth %d: %T arrived as %d bytes, %v; sent %d", depth, m, len(got), err, len(want))
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("depth %d: a %d-byte %T did not arrive (%d unrouted)", depth, len(want), m, nw.NetStats().Unrouted)
+			}
+		}
+	}
+}
+
+// decodeWithBody decodes a message of the given kind, zero scalars, the fixed
+// fields head and then body: the one way outside the protocol package to a
+// message that carries a trie.
+func decodeWithBody(t *testing.T, kind byte, head, body []byte) protocol.Msg {
+	t.Helper()
+	buf := append(append(append([]byte{kind}, make([]byte, 16)...), head...), body...)
+	m, n, err := protocol.Decode(buf)
+	if err != nil || n != len(buf) {
+		t.Fatalf("kind %d: %d of %d bytes, %v", kind, n, len(buf), err)
+	}
+	return m
 }
 
 func TestTCPManyMessagesOneConnection(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"gossipbnb/internal/ctree"
 	"gossipbnb/internal/protocol"
 )
 
@@ -47,7 +48,7 @@ func (w *rootWatch) Send(from, to NodeID, msg Message) {
 	case protocol.WorkDeny, protocol.WorkGrant:
 		w.answered(from, to)
 	case protocol.Report:
-		if root = len(m.Codes) == 1 && m.Codes[0].IsRoot(); !root {
+		if root = m.Snapshot() == ctree.Done(); !root {
 			break
 		}
 		if w.answered(from, to) {

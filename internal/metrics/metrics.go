@@ -99,9 +99,11 @@ type Node struct {
 	BytesSent     int64 // payload bytes (mirror of the network's per-sender count)
 }
 
-// ObserveTable records the current wire size of the node's table, tracking
-// the peak. Storage in the paper is the space used to store completed-code
-// information across the whole system.
+// ObserveTable records the current size of the node's table, tracking the
+// peak. Storage in the paper is the space used to store completed-code
+// information across the whole system; the simulator measures a table by its
+// encoded trie (ctree.Table.EncodedSize), what a push of it weighs on the
+// wire.
 func (n *Node) ObserveTable(bytes int) {
 	if bytes > n.PeakTableSize {
 		n.PeakTableSize = bytes
@@ -111,7 +113,7 @@ func (n *Node) ObserveTable(bytes int) {
 // System aggregates per-node metrics plus the global storage view.
 type System struct {
 	Nodes []Node
-	// UniquePeak is the peak wire size of the union of all completed-code
+	// UniquePeak is the peak encoded size of the union of all completed-code
 	// information, i.e. the storage a single perfectly shared copy would
 	// need. TotalStorage − UniquePeak is the paper's "redundant" storage.
 	// The simulator keeps the union per event shard: exact on one shard; on
@@ -143,7 +145,7 @@ func (s *System) RedundantStorage() int {
 	return r
 }
 
-// ObserveUnique records the current wire size of the global union table.
+// ObserveUnique records the current encoded size of the global union table.
 func (s *System) ObserveUnique(bytes int) {
 	if bytes > s.UniquePeak {
 		s.UniquePeak = bytes

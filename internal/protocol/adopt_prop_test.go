@@ -57,7 +57,7 @@ func adoptChecked(c *Core, plan []code.Code) (pooled, known int) {
 		}
 		pooled++
 		cd, _, _ := code.Decode([]byte(key))
-		if sub, _ := c.Table().SubtreeCodes(cd, 0); len(sub) > 0 {
+		if sub, _ := c.Table().Subtree(cd, 0); sub.Len() > 0 {
 			known++
 		}
 	}

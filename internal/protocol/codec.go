@@ -16,24 +16,28 @@ import (
 //	msg     := header f64le(incumbent) f64le(actAge) [payload]
 //	header  := u8(kind)                               (instance 0, legacy)
 //	         | u8(kind|0x80) uvarint(instance)        (instance-scoped)
-//	payload := codes                                  (report, grant)
-//	         | trie                                   (table)
-//	         | u64le(digest) codes                    (digest report)
-//	         | u8(full) prefix                        (subtree request)
-//	         | u8(1) uvarint(len) subtree             (subtree reply, leaf)
-//	         | u8(0) prefix uvarint(var) u8(mask) digests   (…, branch)
-//	codes   := uvarint(count) [code {uvarint(shared) code'}]   (code.AppendAll)
-//	code    := uvarint(depth) {uvarint(var<<1|branch)}         (code.Code.Append)
-//	code'   := code with its first shared decisions left out: they are those
-//	           of the code before (front coding; frontiers go in prefix order)
-//	prefix  := code
-//	subtree := ctree.EncodeSubtree encoding (length-prefixed so the hardened
-//	           whole-buffer ctree.DecodeSubtree validates it in place)
+//	payload := set                                    (report, table)
+//	         | list                                   (grant)
+//	         | u64le(digest) set                      (digest report)
+//	         | u8(full) code                          (subtree request)
+//	         | u8(1) code trie                        (subtree reply, leaf)
+//	         | u8(0) code uvarint(var) u8(mask) digests     (…, branch)
+//	set     := trie | 0x80 0x00 list
 //	trie    := uvarint(V) tags {uvarint(var)}            (ctree.Table.Encode)
 //	tags    := ⌈V/4⌉ bytes, a 2-bit tag per vertex in pre-order, branch 0
 //	           first, low bits first: 00 complete leaf, 01 / 10 only child
 //	           0 / 1, 11 both children; one var per inner (nonzero) tag.
 //	           V = 0 is the empty table
+//	list    := uvarint(count) {code}                     (code.AppendList)
+//	code    := uvarint(depth) {uvarint(var<<1|branch)}   (code.Code.Append)
+//
+// A set of codes — a report's, a table push's, a leaf subtree reply's
+// subtree, relative to the code before it — is a trie. A grant's codes are a
+// list: pool entries, not a contracted set. A set goes as a list only when a
+// hand-built message carries codes and no trie; the 0x80 0x00 before it is a
+// padded zero, which no trie starts with.
+// A trie takes two bits of input per vertex and a list a byte per decision,
+// so what a message decodes to is bounded by its size at any depth.
 //
 // The encoding is self-delimiting, so messages can be concatenated; Decode
 // returns the number of bytes consumed. Encode produces exactly Size() bytes.
@@ -41,10 +45,7 @@ import (
 // Encode appends the wire encoding of m to dst and returns the extended
 // slice. An InstMsg encodes the instance-scoped header (instance 0 unwraps to
 // the legacy bytes); anything else encodes exactly as before instances
-// existed. It fails on a message type outside the canonical set, with
-// code.ErrExpand on a code batch so deep and so shared that the receiver's
-// decoder would refuse it, and on a hand-built table push whose codes branch
-// one subproblem on two variables, which no table holds.
+// existed. It fails only on a message type outside the canonical set.
 func Encode(dst []byte, m Msg) ([]byte, error) {
 	var inst InstanceID
 	if im, ok := m.(InstMsg); ok {
@@ -63,34 +64,24 @@ func Encode(dst []byte, m Msg) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(incumbent))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(actAge))
 	}
-	var err error // a message has one code batch at most
-	putCodes := func(cs []code.Code) {
-		at := len(dst)
-		dst = code.AppendAll(dst, cs)
-		err = code.CheckExpand(cs, len(dst)-at)
-	}
 	switch t := m.(type) {
 	case Report:
 		put(KindReport, t.Incumbent, t.ActAge)
-		putCodes(t.Codes)
+		dst = t.set().appendTo(dst)
 	case TableMsg:
 		put(KindTable, t.Incumbent, t.ActAge)
-		tb, errs := t.trie()
-		if errs > 0 {
-			return nil, fmt.Errorf("protocol: %d table push codes branch a subproblem on another variable", errs)
-		}
-		dst = tb.Encode(dst)
+		dst = t.set().appendTo(dst)
 	case WorkRequest:
 		put(KindRequest, t.Incumbent, t.ActAge)
 	case WorkGrant:
 		put(KindGrant, t.Incumbent, t.ActAge)
-		putCodes(t.Codes)
+		dst = code.AppendList(dst, t.Codes)
 	case WorkDeny:
 		put(KindDeny, t.Incumbent, t.ActAge)
 	case DigestReport:
 		put(KindDigestReport, t.Incumbent, t.ActAge)
 		dst = binary.LittleEndian.AppendUint64(dst, t.Digest)
-		putCodes(t.Codes)
+		dst = t.set().appendTo(dst)
 	case SubtreeRequest:
 		put(KindSubtreeRequest, t.Incumbent, t.ActAge)
 		var full byte
@@ -103,10 +94,8 @@ func Encode(dst []byte, m Msg) ([]byte, error) {
 		put(KindSubtreeReply, t.Incumbent, t.ActAge)
 		if t.Leaf {
 			dst = append(dst, 1)
-			sec := ctree.SubtreeWireSize(t.Prefix, t.Rel)
-			dst = binary.AppendUvarint(dst, uint64(sec))
-			dst = ctree.EncodeSubtree(dst, t.Prefix, t.Rel)
-			err = code.CheckExpand(t.Rel, sec-t.Prefix.WireSize())
+			dst = t.Prefix.Append(dst)
+			dst = t.trie().Encode(dst)
 		} else {
 			dst = append(dst, 0)
 			dst = t.Prefix.Append(dst)
@@ -142,7 +131,7 @@ func Encode(dst []byte, m Msg) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("protocol: cannot encode %T", m)
 	}
-	return dst, err
+	return dst, nil
 }
 
 // maxAddrLen bounds address strings in Hello/Welcome payloads; real
@@ -201,40 +190,27 @@ func decodeMsg(kind byte, buf []byte, off int) (Msg, int, error) {
 	incumbent := math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 	actAge := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+8:]))
 	off += 16
-	readCodes := func() ([]code.Code, error) {
-		cs, n, err := code.DecodeAll(buf[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += n
-		return cs, nil
-	}
 	switch kind {
 	case KindReport:
-		cs, err := readCodes()
+		s, n, err := decodeSet(buf[off:])
 		if err != nil {
-			return nil, 0, fmt.Errorf("protocol: report codes: %w", err)
+			return nil, 0, fmt.Errorf("protocol: report: %w", err)
 		}
-		return Report{Codes: cs, Incumbent: incumbent, ActAge: actAge}, off, nil
+		return Report{Codes: s.codes, table: s.table, Incumbent: incumbent, ActAge: actAge}, off + n, nil
 	case KindTable:
-		tb, n, err := ctree.DecodeOne(buf[off:])
+		s, n, err := decodeSet(buf[off:])
 		if err != nil {
 			return nil, 0, fmt.Errorf("protocol: table: %w", err)
 		}
-		off += n
-		m := TableMsg{table: tb, Incumbent: incumbent, ActAge: actAge}
-		if tb.Decisions() <= code.MaxExpand*n {
-			m.Codes = tb.Codes()
-		}
-		return m, off, nil
+		return TableMsg{Codes: s.codes, table: s.table, Incumbent: incumbent, ActAge: actAge}, off + n, nil
 	case KindRequest:
 		return WorkRequest{Incumbent: incumbent, ActAge: actAge}, off, nil
 	case KindGrant:
-		cs, err := readCodes()
+		cs, n, err := code.DecodeList(buf[off:])
 		if err != nil {
 			return nil, 0, fmt.Errorf("protocol: grant codes: %w", err)
 		}
-		return WorkGrant{Codes: cs, Incumbent: incumbent, ActAge: actAge}, off, nil
+		return WorkGrant{Codes: cs, Incumbent: incumbent, ActAge: actAge}, off + n, nil
 	case KindDeny:
 		return WorkDeny{Incumbent: incumbent, ActAge: actAge}, off, nil
 	case KindDigestReport:
@@ -243,11 +219,11 @@ func decodeMsg(kind byte, buf []byte, off int) (Msg, int, error) {
 		}
 		digest := binary.LittleEndian.Uint64(buf[off:])
 		off += 8
-		cs, err := readCodes()
+		s, n, err := decodeSet(buf[off:])
 		if err != nil {
-			return nil, 0, fmt.Errorf("protocol: digest report codes: %w", err)
+			return nil, 0, fmt.Errorf("protocol: digest report: %w", err)
 		}
-		return DigestReport{Digest: digest, Codes: cs, Incumbent: incumbent, ActAge: actAge}, off, nil
+		return DigestReport{Digest: digest, Codes: s.codes, table: s.table, Incumbent: incumbent, ActAge: actAge}, off + n, nil
 	case KindSubtreeRequest:
 		if len(buf) < off+1 {
 			return nil, 0, errors.New("protocol: truncated subtree request")
@@ -266,26 +242,18 @@ func decodeMsg(kind byte, buf []byte, off int) (Msg, int, error) {
 		}
 		leaf := buf[off] == 1
 		off++
-		m := SubtreeReply{Leaf: leaf, Incumbent: incumbent, ActAge: actAge}
-		if leaf {
-			sec, n := binary.Uvarint(buf[off:])
-			if n <= 0 || sec > uint64(len(buf)-off-n) {
-				return nil, 0, errors.New("protocol: bad subtree section length")
-			}
-			off += n
-			prefix, rel, err := ctree.DecodeSubtree(buf[off : off+int(sec)])
-			if err != nil {
-				return nil, 0, fmt.Errorf("protocol: subtree reply: %w", err)
-			}
-			off += int(sec)
-			m.Prefix, m.Rel = prefix, rel
-			return m, off, nil
-		}
 		prefix, n, err := code.Decode(buf[off:])
 		if err != nil {
 			return nil, 0, fmt.Errorf("protocol: subtree reply prefix: %w", err)
 		}
 		off += n
+		m := SubtreeReply{Prefix: prefix, Leaf: leaf, Incumbent: incumbent, ActAge: actAge}
+		if leaf {
+			if m.table, n, err = decodeTrie(buf[off:]); err != nil {
+				return nil, 0, fmt.Errorf("protocol: subtree reply: %w", err)
+			}
+			return m, off + n, nil
+		}
 		bv, n := binary.Uvarint(buf[off:])
 		if n <= 0 || bv > math.MaxUint32 {
 			return nil, 0, errors.New("protocol: bad subtree branch var")
@@ -299,7 +267,7 @@ func decodeMsg(kind byte, buf []byte, off int) (Msg, int, error) {
 		if mask > 3 {
 			return nil, 0, fmt.Errorf("protocol: bad subtree child mask %#x", mask)
 		}
-		m.Prefix, m.BranchVar = prefix, uint32(bv)
+		m.BranchVar = uint32(bv)
 		for b := 0; b < 2; b++ {
 			if mask&(1<<b) == 0 {
 				continue
@@ -352,6 +320,35 @@ func decodeMsg(kind byte, buf []byte, off int) (Msg, int, error) {
 	default:
 		return nil, 0, fmt.Errorf("protocol: unknown message kind %d", kind)
 	}
+}
+
+// decodeSet reads a set body from the front of buf: a trie, whose frontier it
+// also lists unless that holds more than maxListed decisions per byte, or
+// behind listMark a list.
+func decodeSet(buf []byte) (codeSet, int, error) {
+	if len(buf) >= len(listMark) && string(buf[:len(listMark)]) == listMark {
+		cs, n, err := code.DecodeList(buf[len(listMark):])
+		return codeSet{codes: cs}, len(listMark) + n, err
+	}
+	tb, n, err := decodeTrie(buf)
+	if err != nil {
+		return codeSet{}, 0, err
+	}
+	s := codeSet{table: tb}
+	if tb.Decisions() <= maxListed*n {
+		s.codes = tb.Codes()
+	}
+	return s, n, nil
+}
+
+// decodeTrie reads a trie from the front of buf. The empty one — a bare
+// digest push's, an empty subtree's — is the shared ctree.Empty, so decoding
+// it allocates no table.
+func decodeTrie(buf []byte) (*ctree.Table, int, error) {
+	if len(buf) > 0 && buf[0] == 0 {
+		return ctree.Empty(), 1, nil
+	}
+	return ctree.DecodeOne(buf)
 }
 
 // decodeAddr reads one length-prefixed address string, returning it and the

@@ -2,7 +2,7 @@ package protocol
 
 import (
 	"encoding/binary"
-	"errors"
+	"encoding/hex"
 	"math"
 	"reflect"
 	"slices"
@@ -20,9 +20,10 @@ func sampleCodes() []code.Code {
 	}
 }
 
-// tableCodes is a contracted frontier in prefix order: a table push of these
-// codes decodes to the same codes. (sampleCodes branches the root on two
-// variables, which no table holds.)
+// tableCodes is a contracted frontier in prefix order: the snapshot of their
+// table (tableOf) travels as a trie and decodes to the same codes. A
+// hand-built set message of any codes — sampleCodes branches the root on two
+// variables, which no table holds — travels as a list.
 func tableCodes() []code.Code {
 	return []code.Code{
 		code.Root().Child(1, 0).Child(2, 1),
@@ -30,29 +31,55 @@ func tableCodes() []code.Code {
 	}
 }
 
-// sameMsg is reflect.DeepEqual, except that table pushes are compared by what
-// they carry — scalars and frontier — since a decoded one also holds its trie.
-func sameMsg(got, want Msg) bool {
-	g, ok := got.(TableMsg)
-	w, ok2 := want.(TableMsg)
-	if !ok || !ok2 {
-		return reflect.DeepEqual(got, want)
+// tableOf returns the snapshot of the table of cs.
+func tableOf(cs ...code.Code) *ctree.Table {
+	t := ctree.New()
+	t.InsertAll(cs)
+	return t.Snapshot()
+}
+
+// sameMsg is reflect.DeepEqual over what messages say: a set message is
+// compared by its frontier and a leaf subtree reply by its subtree's, since a
+// decoded one also holds its trie.
+func sameMsg(got, want Msg) bool { return reflect.DeepEqual(said(got), said(want)) }
+
+func said(m Msg) any {
+	switch t := m.(type) {
+	case Report:
+		t.Codes, t.table = t.Frontier(), nil
+		return t
+	case TableMsg:
+		t.Codes, t.table = t.Frontier(), nil
+		return t
+	case DigestReport:
+		t.Codes, t.table = t.Frontier(), nil
+		return t
+	case SubtreeReply:
+		cs := t.trie().Codes()
+		t.table = nil
+		return []any{t, cs}
 	}
-	return g.Incumbent == w.Incumbent && g.ActAge == w.ActAge && reflect.DeepEqual(g.Frontier(), w.Frontier())
+	return m
 }
 
 func TestCodecRoundTrip(t *testing.T) {
 	codes := sampleCodes()
 	cases := []Msg{
 		Report{Codes: codes, Incumbent: 3.5, ActAge: 0.25},
+		Report{Codes: tableCodes(), Incumbent: 3.5},
+		Report{table: tableOf(tableCodes()...), ActAge: 1},
+		RootReport(-7, 0.5),
 		TableMsg{Codes: tableCodes(), Incumbent: -1, ActAge: 12},
+		TableMsg{Codes: codes, Incumbent: -1},
 		WorkRequest{Incumbent: math.Inf(1), ActAge: 0},
 		WorkGrant{Codes: codes[1:], Incumbent: -2, ActAge: 7},
 		WorkDeny{Incumbent: 0, ActAge: 3},
 		DigestReport{Digest: 0xdeadbeefcafef00d, Codes: codes, Incumbent: 2, ActAge: 1},
+		DigestReport{Digest: 3, table: tableOf(tableCodes()...)},
 		SubtreeRequest{Prefix: codes[1], Full: true, Incumbent: 9, ActAge: 4},
 		SubtreeRequest{Prefix: code.Root(), Incumbent: -3},
-		SubtreeReply{Prefix: codes[1], Leaf: true, Rel: codes[2:], Incumbent: 5, ActAge: 2},
+		SubtreeReply{Prefix: codes[1], Leaf: true, table: tableOf(codes[2:]...), Incumbent: 5, ActAge: 2},
+		SubtreeReply{Prefix: codes[2], Leaf: true, table: ctree.Done()},
 		SubtreeReply{Prefix: codes[2], BranchVar: 301,
 			Kids: [2]ctree.ChildDigest{{Present: true, Digest: 7}, {Present: true, Digest: 0xffffffffffffffff}}},
 		SubtreeReply{Prefix: code.Root(), BranchVar: 1,
@@ -155,10 +182,15 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	if _, _, err := Decode(buf[:len(buf)-1]); err == nil {
 		t.Error("truncated subtree request prefix accepted")
 	}
-	// Leaf reply whose declared subtree section overruns the buffer.
-	buf, _ = Encode(nil, SubtreeReply{Leaf: true, Prefix: sampleCodes()[1], Rel: sampleCodes()})
+	// Leaf reply whose subtree is cut off.
+	buf, _ = Encode(nil, SubtreeReply{Leaf: true, Prefix: sampleCodes()[1], table: tableOf(tableCodes()...)})
 	if _, _, err := Decode(buf[:len(buf)-1]); err == nil {
-		t.Error("truncated subtree section accepted")
+		t.Error("truncated subtree accepted")
+	}
+	// Report whose trie is cut off.
+	buf, _ = Encode(nil, Report{Codes: tableCodes()})
+	if _, _, err := Decode(buf[:len(buf)-1]); err == nil {
+		t.Error("truncated trie accepted")
 	}
 	// Branch reply with an invalid child mask.
 	branch := SubtreeReply{Prefix: sampleCodes()[1], BranchVar: 9,
@@ -201,7 +233,8 @@ func TestCodecInstanceRoundTrip(t *testing.T) {
 		WorkDeny{ActAge: 3},
 		DigestReport{Digest: 0xdeadbeef, Codes: codes, Incumbent: 2},
 		SubtreeRequest{Prefix: codes[1], Full: true, Incumbent: 9},
-		SubtreeReply{Prefix: codes[1], Leaf: true, Rel: codes[2:], Incumbent: 5},
+		SubtreeReply{Prefix: codes[1], Leaf: true, table: tableOf(codes[2:]...), Incumbent: 5},
+		Report{table: tableOf(tableCodes()...), Incumbent: 3},
 		Hello{ID: 7, Addr: "127.0.0.1:9021", Incumbent: 1},
 		Welcome{Peers: []Peer{{ID: 0, Addr: "10.0.0.1:80"}}, Incumbent: -4},
 		Ping{Incumbent: 12, ActAge: 0.5},
@@ -308,6 +341,10 @@ func TestDecodeInstanceRejectsGarbage(t *testing.T) {
 // decode fine but re-encode shorter.) Both decode modes run on every input:
 // the version-0 Decode and the instance-aware DecodeInstance.
 func FuzzDecode(f *testing.F) {
+	// Seeds 0–23: a message of every kind, then tagged ones. Six of them are
+	// the bytes the codec wrote when reports, digest reports and leaf subtree
+	// replies carried a front-coded code list; they are garbage now.
+	var seeds [][]byte
 	for _, m := range []Msg{
 		Report{Codes: sampleCodes(), Incumbent: 1, ActAge: 2},
 		TableMsg{Codes: tableCodes(), Incumbent: 3},
@@ -316,18 +353,14 @@ func FuzzDecode(f *testing.F) {
 		WorkDeny{},
 		DigestReport{Digest: 0x1234, Codes: sampleCodes(), Incumbent: 6},
 		SubtreeRequest{Prefix: sampleCodes()[1], Full: true},
-		SubtreeReply{Leaf: true, Prefix: sampleCodes()[1], Rel: sampleCodes()[2:]},
+		SubtreeReply{Leaf: true, Prefix: sampleCodes()[1], table: tableOf(sampleCodes()[2:]...)},
 		SubtreeReply{Prefix: sampleCodes()[2], BranchVar: 3,
 			Kids: [2]ctree.ChildDigest{{Present: true, Digest: 11}}},
 		Hello{ID: 12, Addr: "127.0.0.1:8080", Incumbent: 7},
 		Welcome{Peers: []Peer{{ID: 1, Addr: "a:1"}, {ID: 2}}, ActAge: 3},
 		Ping{Incumbent: 1, ActAge: 2},
 	} {
-		buf, err := Encode(nil, m)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf)
+		seeds = append(seeds, mustEncode(f, m))
 	}
 	// Instance-scoped headers: tagged seeds for the flagged-kind path.
 	for _, inst := range []InstanceID{1, 128, math.MaxUint32} {
@@ -337,19 +370,25 @@ func FuzzDecode(f *testing.F) {
 			DigestReport{Digest: 0x77, Codes: sampleCodes()[:1]},
 			Hello{ID: 3, Addr: "h:1"},
 		} {
-			buf, err := Encode(nil, InstMsg{Instance: inst, Msg: m})
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(buf)
+			seeds = append(seeds, mustEncode(f, InstMsg{Instance: inst, Msg: m}))
 		}
 	}
-	// Front-coded batches that lie: a shared length past the predecessor, a
-	// depth below the shared length, a count the frame cannot hold, a suffix
-	// cut short, many codes each claiming all of a deep first one — and one
-	// that shares less than it could, which is no lie.
-	report, _ := Encode(nil, Report{Incumbent: 1})
-	report = slices.Clip(report[:len(report)-1]) // the scalars; the batch follows
+	for i, old := range map[int]string{
+		0:  "01000000000000f03f00000000000000400300000202050001d904",
+		5:  "060000000000001840000000000000000034120000000000000300000202050001d904",
+		7:  "080000000000000000000000000000000001070202050101d904",
+		12: "8101000000000000f03f00000000000000000300000202050001d904",
+		16: "818001000000000000f03f00000000000000000300000202050001d904",
+		20: "81ffffffff0f000000000000f03f00000000000000000300000202050001d904",
+	} {
+		seeds[i], _ = hex.DecodeString(old)
+	}
+	for _, b := range seeds {
+		f.Add(b)
+	}
+	// Seeds 24–29: front-coded batches that lied about shared length, depth
+	// and count, behind a report's scalars; garbage now.
+	report := scalarsOf(f, Report{Incumbent: 1})
 	deep := code.Root()
 	for i := 0; i < 1000; i++ {
 		deep = deep.AppendChild(uint32(i), 1)
@@ -364,7 +403,7 @@ func FuzzDecode(f *testing.F) {
 		{0xff, 0xff, 0xff, 0x7f, 0},
 		{2, 1, 2, 1, 3, 6},
 		dense[len(report):],
-		{3, 2, 2, 4, 0, 2, 2, 4, 0x80, 0, 2, 2, 4}, // copies written out in full, a padded varint
+		{3, 2, 2, 4, 0, 2, 2, 4, 0x80, 0, 2, 2, 4},
 	} {
 		f.Add(append(report, batch...))
 	}
@@ -373,20 +412,19 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{KindDeny | 0x80})          // flagged kind, truncated varint
 	f.Add([]byte{KindDeny | 0x80, 0})       // flagged instance 0 (non-canonical)
 	f.Add([]byte{KindDeny | 0x80, 0xac, 2}) // flagged header, truncated scalars
-	// Table pushes, whose body is a trie: a real one of a few hundred
-	// vertices, a deep descent's frontier whose decoded codes would pass the
-	// cap, and near misses — a pair of complete children, a count the tags
-	// leave open, nonzero padding bits, a padded variable, a count the frame
-	// cannot hold.
-	table, _ := Encode(nil, TableMsg{Incumbent: 1})
-	table = slices.Clip(table[:len(table)-1]) // the scalars; the trie follows
+	// Seeds 35–41, and 42–62 for the other trie-bodied kinds: table pushes,
+	// reports, digest reports and leaf subtree replies whose body is a trie —
+	// a real one of a few hundred vertices, a deep descent's frontier whose
+	// decoded codes pass the listing bound, and near misses: a pair of
+	// complete children, a count the tags leave open, nonzero padding bits, a
+	// padded variable, a count the frame cannot hold.
 	push := ctree.New()
 	for i, c := range fakeLeaves(9) {
 		if i%3 != 0 && i%7 != 0 {
 			push.Insert(c)
 		}
 	}
-	for _, body := range [][]byte{
+	tries := [][]byte{
 		push.Encode(nil),
 		spineEncoding(2000),
 		{3, 0x03, 5},
@@ -394,9 +432,31 @@ func FuzzDecode(f *testing.F) {
 		{1, 0x04},
 		{2, 0x01, 0x85, 0x00},
 		{0xff, 0xff, 0x03, 0, 0},
-	} {
-		f.Add(append(table, body...))
 	}
+	for _, head := range [][]byte{
+		scalarsOf(f, TableMsg{Incumbent: 1}),
+		report,
+		scalarsOf(f, DigestReport{Digest: 0x99}),
+		scalarsOf(f, SubtreeReply{Leaf: true, Prefix: sampleCodes()[1]}),
+	} {
+		for _, body := range tries {
+			f.Add(append(head, body...))
+		}
+	}
+	// Plain lists that lie about count and depth — a grant's, and a set
+	// spelled as a list — and a grant of one code 3 000 deep.
+	grant := scalarsOf(f, WorkGrant{Incumbent: 2})
+	for _, head := range [][]byte{grant, append(report, listMark...)} {
+		for _, body := range [][]byte{
+			{200, 1, 0},
+			{2, 1, 2, 100, 6, 6},
+			{2, 1, 2, 3, 6},
+			{0x80},
+		} {
+			f.Add(append(head, body...))
+		}
+	}
+	f.Add(mustEncode(f, WorkGrant{Codes: []code.Code{descent(3000)}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzInstanceDecode(t, data)
 		m, n, err := Decode(data)
@@ -406,15 +466,22 @@ func FuzzDecode(f *testing.F) {
 		if n <= 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
-		// The memory bound of front coding: whatever decoded cost at most
-		// MaxExpand decisions per byte of input.
-		if d := batchDecisions(m); d > code.MaxExpand*n {
-			t.Fatalf("%d bytes decoded to %d decisions, the cap is %d per byte", n, d, code.MaxExpand)
-		}
-		// A trie takes two bits of input per vertex, so a table push holds
-		// at most four frontier codes per byte.
-		if tm, ok := m.(TableMsg); ok && tm.Len() > 4*n {
-			t.Fatalf("%d bytes decoded to a table of %d codes", n, tm.Len())
+		// The decoder's memory bounds. A trie takes two bits of input per
+		// vertex, so a set message or a leaf subtree reply holds at most four
+		// codes per byte, and the codes listed beside it at most maxListed
+		// decisions per byte; a list takes a byte per decision.
+		switch t2 := m.(type) {
+		case Report, TableMsg, DigestReport, SubtreeReply:
+			if k := setLen(m); k > 4*n {
+				t.Fatalf("%d bytes decoded to a %T of %d codes", n, m, k)
+			}
+			if d := decisions(setCodes(m)); d > maxListed*n {
+				t.Fatalf("%d bytes decoded to %d listed decisions, the bound is %d per byte", n, d, maxListed)
+			}
+		case WorkGrant:
+			if d := decisions(t2.Codes); d > n {
+				t.Fatalf("%d bytes decoded to a grant of %d decisions", n, d)
+			}
 		}
 		re, err := Encode(nil, m)
 		if err != nil {
@@ -439,87 +506,143 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// TestDeepFrontierRefusedAtTheSender: what is left behind by a depth-first
-// descent D levels deep — D sibling codes, in prefix order — is an honest
-// frontier of D²/2 decisions in some 8·D bytes front-coded, past
-// code.MaxExpand from about 1 000 levels. For a code batch the limit is the
-// same on both ends: Encode refuses exactly the batches DecodeAll would, so
-// the sender hears of it (a TCP send counts the drop as Unrouted) instead of
-// the receiver discarding frames as corrupt. Whatever Encode lets through
-// round-trips. A table push is no code batch: it travels as its trie, about
-// 2.5 bytes a level here, and its decoder's memory is bounded by its input,
-// so it goes at any depth a table holds — down to ctree's 2^20 levels, here
-// 2^17 — and round-trips; the decoded push keeps its frontier as Codes only
-// while that is within the cap.
-func TestDeepFrontierRefusedAtTheSender(t *testing.T) {
-	for _, depth := range []int{100, 800, 1200, 3000} {
-		tb := ctree.New()
-		spine := code.Root()
-		for i := 0; i < depth; i++ {
-			spine = spine.AppendChild(uint32(7*i), uint8(i&1))
-			if _, err := tb.Insert(spine.Sibling()); err != nil {
-				t.Fatal(err)
+// mustEncode encodes a seed message.
+func mustEncode(f *testing.F, m Msg) []byte {
+	buf, err := Encode(nil, m)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return buf
+}
+
+// scalarsOf returns m's encoding up to its last byte, clipped: for a message
+// whose payload ends in an empty set, list or trie — one zero byte — that is
+// the header, scalars and fixed fields a body may follow.
+func scalarsOf(f *testing.F, m Msg) []byte {
+	buf := mustEncode(f, m)
+	return slices.Clip(buf[:len(buf)-1])
+}
+
+// setLen counts the codes a set message or a leaf subtree reply carries.
+func setLen(m Msg) int {
+	if im, ok := m.(InstMsg); ok {
+		m = im.Msg
+	}
+	switch t := m.(type) {
+	case Report:
+		return t.Len()
+	case TableMsg:
+		return t.Len()
+	case DigestReport:
+		return t.Len()
+	case SubtreeReply:
+		return t.Len()
+	}
+	return 0
+}
+
+// setCodes returns the codes a decoded set message lists.
+func setCodes(m Msg) []code.Code {
+	switch t := m.(type) {
+	case Report:
+		return t.Codes
+	case TableMsg:
+		return t.Codes
+	case DigestReport:
+		return t.Codes
+	}
+	return nil
+}
+
+func decisions(cs []code.Code) (n int) {
+	for _, c := range cs {
+		n += len(c)
+	}
+	return n
+}
+
+// descent returns a code depth decisions deep, on variables 7·i, branching
+// 0 and 1 by turns: a depth-first descent's current problem.
+func descent(depth int) code.Code {
+	c := code.Root()
+	for i := 0; i < depth; i++ {
+		c = c.AppendChild(uint32(7*i), uint8(i&1))
+	}
+	return c
+}
+
+// descentTable returns the table a depth-first descent leaves behind: the
+// sibling of every problem on its path complete, depth codes of up to depth
+// decisions in a trie of 2·depth vertices.
+func descentTable(t *testing.T, depth int) *ctree.Table {
+	t.Helper()
+	tb := ctree.New()
+	spine := descent(depth)
+	for i := 1; i <= depth; i++ {
+		if _, err := tb.Insert(spine[:i].Sibling()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tb
+}
+
+// deepMessages returns a message of every code-carrying kind whose codes go
+// depth levels down: the set kinds carry a descent's table tb, the grant and
+// the subtree request and branch reply a code of that depth.
+func deepMessages(tb *ctree.Table, depth int) []Msg {
+	s := tb.Snapshot()
+	spine := descent(depth)
+	return []Msg{
+		Report{table: s, Incumbent: 1},
+		TableMsg{table: s, Incumbent: 2},
+		DigestReport{Digest: 3, table: s},
+		SubtreeReply{Leaf: true, Prefix: spine[:3], table: s},
+		WorkGrant{Codes: []code.Code{spine, spine.Sibling()}},
+		SubtreeRequest{Prefix: spine},
+		SubtreeReply{Prefix: spine, BranchVar: 9, Kids: [2]ctree.ChildDigest{{Present: true, Digest: 4}}},
+		InstMsg{Instance: 9, Msg: Report{table: s}},
+	}
+}
+
+// TestDeepCodesRoundTrip: every kind that carries codes goes as deep as a
+// table holds. A depth-first descent D levels down leaves a frontier of
+// D²/2 decisions that its trie holds in about 2.5 bytes a level, and a grant
+// or a prefix of one deep code takes a byte or two a level; nothing is
+// refused for depth or density, and each decodes, bounded by its input, to
+// the same codes and re-encodes byte for byte — here at 100, 1 200 and 3 000
+// levels and at 2^17, a crafted spine. The decoded set messages list their
+// frontier as Codes only while that is within maxListed decisions a byte.
+func TestDeepCodesRoundTrip(t *testing.T) {
+	for _, depth := range []int{100, 1200, 3000, 1 << 17} {
+		var tb *ctree.Table
+		if depth < 1<<17 {
+			tb = descentTable(t, depth)
+		} else {
+			var err error
+			if tb, err = ctree.Decode(spineEncoding(depth)); err != nil || tb.Len() != depth {
+				t.Fatalf("a %d-level spine: %v", depth, err)
 			}
 		}
-		cs := tb.Codes()
-		_, _, derr := code.DecodeAll(code.AppendAll(nil, cs))
-		refused := errors.Is(derr, code.ErrExpand)
-		if !refused && derr != nil || refused != (depth > 1000) {
-			t.Fatalf("depth %d: DecodeAll of the encoded frontier: %v", depth, derr)
-		}
-		for _, m := range []Msg{
-			Report{Codes: cs}, WorkGrant{Codes: cs}, DigestReport{Codes: cs},
-			SubtreeReply{Leaf: true, Prefix: spine[:3], Rel: cs},
-			InstMsg{Instance: 9, Msg: Report{Codes: cs}},
-		} {
+		listed := tb.Decisions() <= maxListed*tb.EncodedSize()
+		for _, m := range deepMessages(tb, depth) {
 			buf, err := Encode(nil, m)
-			if refused {
-				if !errors.Is(err, code.ErrExpand) {
-					t.Errorf("depth %d: Encode(%T) = %v, want ErrExpand as the decoder says", depth, m, err)
-				}
-				continue
-			}
 			if err != nil || len(buf) != m.Size() {
 				t.Fatalf("depth %d: Encode(%T): %d bytes, Size %d, %v", depth, m, len(buf), m.Size(), err)
 			}
 			inst, got, n, err := DecodeInstance(buf)
-			if re, _ := Encode(nil, InstMsg{Instance: inst, Msg: got}); err != nil || n != len(buf) || string(re) != string(buf) {
-				t.Errorf("depth %d: %T does not round-trip: %v", depth, m, err)
+			if err != nil || n != len(buf) {
+				t.Fatalf("depth %d: DecodeInstance(%T): %v", depth, m, err)
+			}
+			if re, _ := Encode(nil, InstMsg{Instance: inst, Msg: got}); string(re) != string(buf) {
+				t.Errorf("depth %d: %T does not round-trip", depth, m)
+			}
+			if k, want := setLen(got), setLen(m); k != want {
+				t.Errorf("depth %d: decoded %T of %d codes, want %d", depth, got, k, want)
+			}
+			if _, set := got.(SubtreeReply); !set && setLen(got) > 0 && (setCodes(got) != nil) != listed {
+				t.Errorf("depth %d: decoded %T lists its codes %v, want %v", depth, got, setCodes(got) != nil, listed)
 			}
 		}
-		for _, m := range []Msg{
-			TableMsg{table: tb.Snapshot()}, TableMsg{Codes: cs},
-			InstMsg{Instance: 9, Msg: TableMsg{table: tb.Snapshot()}},
-		} {
-			checkDeepPush(t, m, depth, tb.Decisions() <= code.MaxExpand*tb.EncodedSize())
-		}
-	}
-	deep := 1 << 17
-	tb, err := ctree.Decode(spineEncoding(deep))
-	if err != nil || tb.Len() != deep {
-		t.Fatalf("a %d-level spine: %v", deep, err)
-	}
-	checkDeepPush(t, TableMsg{table: tb}, deep, false)
-}
-
-// checkDeepPush requires a table push of a depth-level descent's frontier to
-// encode to Size() bytes and decode to the same frontier size, re-encoding
-// byte for byte, with its codes materialised exactly when listed is set.
-func checkDeepPush(t *testing.T, m Msg, depth int, listed bool) {
-	t.Helper()
-	buf, err := Encode(nil, m)
-	if err != nil || len(buf) != m.Size() {
-		t.Fatalf("depth %d: Encode(%T): %d bytes, Size %d, %v", depth, m, len(buf), m.Size(), err)
-	}
-	inst, got, n, err := DecodeInstance(buf)
-	if err != nil || n != len(buf) {
-		t.Fatalf("depth %d: DecodeInstance(%T): %v", depth, m, err)
-	}
-	if re, _ := Encode(nil, InstMsg{Instance: inst, Msg: got}); string(re) != string(buf) {
-		t.Errorf("depth %d: %T does not round-trip", depth, m)
-	}
-	if tm := got.(TableMsg); tm.Len() != depth || (tm.Codes != nil) != listed {
-		t.Errorf("depth %d: decoded push of %d codes, codes listed %v, want %v", depth, tm.Len(), tm.Codes != nil, listed)
 	}
 }
 
@@ -540,27 +663,6 @@ func spineEncoding(depth int) []byte {
 		buf[at+k/4] |= tag << (2 * (k % 4))
 	}
 	return buf
-}
-
-// batchDecisions counts the decisions of a message's code batch.
-func batchDecisions(m Msg) (n int) {
-	var cs []code.Code
-	switch t := m.(type) {
-	case Report:
-		cs = t.Codes
-	case TableMsg:
-		cs = t.Codes
-	case WorkGrant:
-		cs = t.Codes
-	case DigestReport:
-		cs = t.Codes
-	case SubtreeReply:
-		cs = t.Rel
-	}
-	for _, c := range cs {
-		n += len(c)
-	}
-	return n
 }
 
 // fuzzInstanceDecode holds the instance-aware half of the fuzz property: what

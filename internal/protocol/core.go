@@ -282,6 +282,12 @@ type Core struct {
 	// carried the root code: this core did not detect termination, it was
 	// told, and forwards the news instead of broadcasting it (terminate).
 	learned bool
+	// holding queues in held the work reports that Next's eliminations
+	// flush, which go out when Next returns — unless the eliminations
+	// detected termination: the root report broadcast then subsumes them,
+	// and a receiver handling one behind it would only detect later.
+	holding bool
+	held    []heldReport
 
 	// The idle discipline (WakeAt): the outstanding request and its deadline,
 	// the retry pace (0 = none), and the consecutive failed attempts.
@@ -465,6 +471,7 @@ func (c *Core) Next() (Item, Status) {
 		c.terminate()
 		return Item{}, Terminated
 	}
+	c.holding = true
 	for c.pool.Len() > 0 {
 		it := c.pool.pop()
 		if c.table.Contains(it.Code) {
@@ -475,14 +482,43 @@ func (c *Core) Next() (Item, Status) {
 			// completes it (nothing below it can matter).
 			c.complete(it.Code)
 			if c.table.Complete() {
+				c.release(false)
 				c.terminate()
 				return Item{}, Terminated
 			}
 			continue
 		}
+		c.release(true)
 		return it, Expand
 	}
+	c.release(true)
 	return Item{}, Starved
+}
+
+// heldReport is one work report send that Next holds (Core.holding).
+type heldReport struct {
+	to NodeID
+	m  Msg
+	n  int // the codes it carries
+}
+
+// release ends Next's hold on work reports, sending them or dropping them.
+func (c *Core) release(send bool) {
+	c.holding = false
+	if send {
+		for _, h := range c.held {
+			c.sendReport(h.to, h.m, h.n)
+		}
+	}
+	clear(c.held)
+	c.held = c.held[:0]
+}
+
+// sendReport sends one work report of n codes.
+func (c *Core) sendReport(to NodeID, m Msg, n int) {
+	c.d.Sender.Send(to, m)
+	c.cnt.ReportsSent++
+	c.cnt.ReportCodes += n
 }
 
 // Outcome is what branching one subproblem revealed: the node's own value
@@ -550,15 +586,15 @@ func (c *Core) complete(cd code.Code) {
 
 // FlushReport flushes the outbox as a work report to ReportFanout random
 // members. Compression already happened: the outbox is a contracted table,
-// and the codes slice is its materialised frontier — Reset drops the table's
-// reference without touching the slice or the chunks its codes share, so the
-// report rides those allocations while the outbox recycles its trie vertices
-// for the next batch.
+// and the report ships its snapshot, as SendTable ships the table's — one
+// arena copy, which the receivers merge trie to trie — while the outbox
+// recycles its own vertices for the next batch.
 func (c *Core) FlushReport() {
-	codes, size := c.outbox.Codes(), c.outbox.WireSize()
-	if len(codes) == 0 {
+	n := c.outbox.Len()
+	if n == 0 {
 		return
 	}
+	s := c.outbox.Snapshot()
 	c.outbox.Reset()
 	c.cnt.ReportedComps += c.outboxAdds
 	c.outboxAdds = 0
@@ -567,17 +603,20 @@ func (c *Core) FlushReport() {
 	if len(peers) == 0 {
 		return // lone process: nothing to gossip, its own table suffices
 	}
-	var m Msg = Report{Codes: codes, codesSize: size, Incumbent: c.incumbent, ActAge: c.ActivityAge()}
+	var m Msg = Report{table: s, Incumbent: c.incumbent, ActAge: c.ActivityAge()}
 	if c.cfg.DiffGossip {
 		// Diff mode: the same delta codes, plus the table digest so the
 		// receiver can detect divergence beyond the delta and pull what it
 		// is missing (maybeSync on the receiving side).
-		m = DigestReport{Digest: c.table.Digest(), Codes: codes, codesSize: size, Incumbent: c.incumbent, ActAge: c.ActivityAge()}
+		m = DigestReport{Digest: c.table.Digest(), table: s, Incumbent: c.incumbent, ActAge: c.ActivityAge()}
 	}
 	for i := 0; i < c.cfg.ReportFanout; i++ {
-		c.d.Sender.Send(peers[c.d.Rand(len(peers))], m)
-		c.cnt.ReportsSent++
-		c.cnt.ReportCodes += len(codes)
+		to := peers[c.d.Rand(len(peers))]
+		if c.holding {
+			c.held = append(c.held, heldReport{to, m, n})
+		} else {
+			c.sendReport(to, m, n)
+		}
 	}
 }
 
@@ -609,7 +648,7 @@ func (c *Core) ReportOverdue() bool {
 // steady-state traffic.
 func (c *Core) SendTable(to NodeID) {
 	if c.cfg.DiffGossip {
-		c.d.Sender.Send(to, DigestReport{Digest: c.table.Digest(), Incumbent: c.incumbent, ActAge: c.ActivityAge()})
+		c.d.Sender.Send(to, DigestReport{Digest: c.table.Digest(), table: ctree.Empty(), Incumbent: c.incumbent, ActAge: c.ActivityAge()})
 		c.cnt.TablesSent++
 		return
 	}
@@ -880,15 +919,11 @@ func (c *Core) HandleMessage(from NodeID, m Msg) Effect {
 	case Report:
 		c.observeIncumbent(t.Incumbent)
 		c.noteActivity(t.ActAge)
-		c.merge(t.Codes)
+		c.merge(t.set())
 	case TableMsg:
 		c.observeIncumbent(t.Incumbent)
 		c.noteActivity(t.ActAge)
-		if t.table != nil {
-			c.mergeTable(t.table)
-		} else {
-			c.merge(t.Codes)
-		}
+		c.mergeTable(nil, t.set().trie())
 	case WorkRequest:
 		c.observeIncumbent(t.Incumbent)
 		c.noteActivity(t.ActAge)
@@ -907,7 +942,7 @@ func (c *Core) HandleMessage(from NodeID, m Msg) Effect {
 	case DigestReport:
 		c.observeIncumbent(t.Incumbent)
 		c.noteActivity(t.ActAge)
-		c.merge(t.Codes)
+		c.merge(t.set())
 		c.maybeSync(from, t.Digest)
 	case SubtreeRequest:
 		c.observeIncumbent(t.Incumbent)
@@ -1030,24 +1065,24 @@ func (c *Core) requestSubtree(peer NodeID, prefix code.Code) {
 	})
 }
 
-// answerSubtree serves one walk step: inline the subtree's frontier when it
-// is small (or the requester asked for everything), otherwise describe the
-// children digests so the requester can descend only where they differ. A
-// prefix this core knows nothing under yields an empty leaf reply, which
-// ends that branch of the walk. The handler is stateless and idempotent, so
-// duplicated or replayed requests are harmless.
+// answerSubtree serves one walk step: ship the subtree when it is small (or
+// the requester asked for everything), otherwise describe the children
+// digests so the requester can descend only where they differ. A prefix this
+// core knows nothing under yields an empty leaf reply, which ends that branch
+// of the walk. The handler is stateless and idempotent, so duplicated or
+// replayed requests are harmless.
 func (c *Core) answerSubtree(from NodeID, req SubtreeRequest) {
 	max := syncLeafMax
 	if req.Full {
-		max = 0 // bootstrap: ship the whole subtree frontier
+		max = 0 // bootstrap: ship the whole subtree
 	}
-	if rel, ok := c.table.SubtreeCodes(req.Prefix, max); ok {
-		c.d.Sender.Send(from, SubtreeReply{Prefix: req.Prefix, Leaf: true, Rel: rel, Incumbent: c.incumbent, ActAge: c.ActivityAge()})
+	if sub, ok := c.table.Subtree(req.Prefix, max); ok {
+		c.d.Sender.Send(from, SubtreeReply{Prefix: req.Prefix, Leaf: true, table: sub, Incumbent: c.incumbent, ActAge: c.ActivityAge()})
 		return
 	}
 	bv, kids, ok := c.table.Children(req.Prefix)
 	if !ok {
-		// SubtreeCodes refuses only on size, so a walkable vertex exists;
+		// Subtree refuses only on size, so a walkable vertex exists;
 		// kept as a defensive empty reply for a racing contraction.
 		c.d.Sender.Send(from, SubtreeReply{Prefix: req.Prefix, Leaf: true, Incumbent: c.incumbent, ActAge: c.ActivityAge()})
 		return
@@ -1056,11 +1091,12 @@ func (c *Core) answerSubtree(from NodeID, req SubtreeRequest) {
 }
 
 // absorbSubtree consumes one walk step's answer: leaf replies merge the
-// pulled codes; branch replies descend into children whose digests differ
-// from this core's own. Descent depth strictly increases and the total
-// request budget bounds fan-out, so the walk always terminates — and because
-// every pulled code passes through the same insert path as any report, a
-// stale or replayed reply can only re-insert what is already subsumed.
+// pulled subtree below its prefix; branch replies descend into children whose
+// digests differ from this core's own. Descent depth strictly increases and
+// the total request budget bounds fan-out, so the walk always terminates —
+// and because every pulled subtree passes through the same merge as any
+// report, a stale or replayed reply can only re-merge what is already
+// subsumed.
 func (c *Core) absorbSubtree(from NodeID, rep SubtreeReply) {
 	if c.syncOut > 0 {
 		c.syncOut--
@@ -1069,15 +1105,7 @@ func (c *Core) absorbSubtree(from NodeID, rep SubtreeReply) {
 		return
 	}
 	if rep.Leaf {
-		open := !c.table.Complete()
-		changed, _ := c.table.InsertSubtree(rep.Prefix, rep.Rel)
-		c.noteMerged(open, rep.Prefix, rep.Rel)
-		if changed > 0 {
-			c.lastProgress = c.d.Clock.Now()
-		}
-		if c.d.OnTableChange != nil {
-			c.d.OnTableChange()
-		}
+		c.mergeTable(rep.Prefix, rep.trie())
 		return
 	}
 	for b := 0; b < 2; b++ {
@@ -1096,6 +1124,7 @@ func (c *Core) absorbSubtree(from NodeID, rep SubtreeReply) {
 
 // merge stores a received report in the table and contracts it. Novel
 // information counts as remote progress for the recovery quiet window.
+// Outside diff mode it is mergeTable, on the report's trie.
 //
 // In diff mode novel codes are also relayed: they enter the outbox and ride
 // the next delta report, so a completion spreads epidemically in O(log n)
@@ -1106,25 +1135,26 @@ func (c *Core) absorbSubtree(from NodeID, rep SubtreeReply) {
 // in whatever contracted form it had when it arrived. This is what lets the
 // anti-entropy walk stay the rare repair path — convergence no longer
 // depends on it.
-func (c *Core) merge(cs []code.Code) {
+func (c *Core) merge(s codeSet) {
 	if c.cfg.DiffGossip {
-		c.relayMerge(cs)
+		c.relayMerge(s.frontier())
 		return
 	}
-	open := !c.table.Complete()
-	changed, _ := c.table.InsertAll(cs)
-	c.noteMerged(open, code.Root(), cs)
-	c.noteChanged(changed)
+	c.mergeTable(nil, s.trie())
 }
 
-// mergeTable is merge for a pushed table, a snapshot or its decoded copy: the
-// same rules, with the trie merge in place of the code walk. A table carries
-// the root code exactly when it is complete.
-func (c *Core) mergeTable(s *ctree.Table) {
+// mergeTable merges a received trie — a report's or a pushed table's, a
+// snapshot or its decoded copy, or a leaf subtree reply's, below prefix —
+// into the table. If the merge closed the table, the message decides what
+// this core is in §5.4's terms: one that carried the root code merely told it
+// the computation is over (learned); one that carried the last missing piece
+// let it contract to the root from partial information, which is detection. A
+// trie carries the root code exactly when it is complete and sits at the root.
+func (c *Core) mergeTable(prefix code.Code, s *ctree.Table) {
 	open := !c.table.Complete()
-	changed, _ := c.table.Merge(s)
+	changed, _ := c.table.MergeAt(prefix, s)
 	if open && c.table.Complete() {
-		c.learned = s.Complete()
+		c.learned = prefix.IsRoot() && s.Complete()
 	}
 	c.noteChanged(changed)
 }
@@ -1137,18 +1167,6 @@ func (c *Core) noteChanged(changed int) {
 	}
 	if c.d.OnTableChange != nil {
 		c.d.OnTableChange()
-	}
-}
-
-// noteMerged runs after the codes of one received message — rel, anchored
-// under prefix — were merged into a table that was open before. If the merge
-// closed it, the message decides what this core is in §5.4's terms: one that
-// carried the root code merely told it the computation is over (learned);
-// one that carried the last missing piece let it contract to the root from
-// partial information, which is detection.
-func (c *Core) noteMerged(open bool, prefix code.Code, rel []code.Code) {
-	if open && c.table.Complete() {
-		c.learned = prefix.IsRoot() && slices.ContainsFunc(rel, code.Code.IsRoot)
 	}
 }
 
@@ -1176,7 +1194,9 @@ func (c *Core) relayMerge(cs []code.Code) {
 			c.outbox.Insert(cov)
 		}
 	}
-	c.noteMerged(open, code.Root(), cs)
+	if open && c.table.Complete() {
+		c.learned = slices.ContainsFunc(cs, code.Code.IsRoot) // as mergeTable decides
+	}
 	if changed > 0 {
 		now := c.d.Clock.Now()
 		c.lastProgress = now
@@ -1218,7 +1238,7 @@ func (c *Core) poolSet() map[string]struct{} {
 // report so the requester can terminate too.
 func (c *Core) handleWorkRequest(from NodeID) {
 	if c.terminated {
-		c.d.Sender.Send(from, Report{Codes: []code.Code{code.Root()}, Incumbent: c.incumbent, ActAge: c.ActivityAge()})
+		c.d.Sender.Send(from, RootReport(c.incumbent, c.ActivityAge()))
 		return
 	}
 	k := min(c.pool.Len()/2, maxShare)
@@ -1312,7 +1332,7 @@ func (c *Core) terminate() {
 	}
 	// Box the report into the Msg interface once: re-boxing per peer is one
 	// heap allocation per recipient of the broadcast.
-	var m Msg = Report{Codes: []code.Code{code.Root()}, Incumbent: c.incumbent, ActAge: c.ActivityAge()}
+	var m Msg = RootReport(c.incumbent, c.ActivityAge())
 	if c.learned {
 		for i := 0; i < c.cfg.ReportFanout; i++ {
 			c.d.Sender.Send(peers[c.d.Rand(len(peers))], m)

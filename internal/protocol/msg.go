@@ -113,33 +113,62 @@ func KindName(k byte) string {
 //     it prescribes.
 
 // Report is a work report: a contracted batch of completed-problem codes
-// (§5.3.2). A report whose only code is the root is the termination report
-// of §5.4: broadcast by a process that detects termination, forwarded by the
-// ones it tells, and a finished process's answer to a work request.
+// (§5.3.2). It travels as the trie of that batch: Core.FlushReport ships the
+// outbox's frozen snapshot (ctree.Table.Snapshot), with Codes nil, and the
+// receiving core merges it trie to trie, exactly as a table push. A report
+// whose only code is the root is the termination report of §5.4 (RootReport):
+// broadcast by a process that detects termination, forwarded by the ones it
+// tells, and a finished process's answer to a work request. Decode rebuilds
+// the trie and also fills Codes with its frontier, unless that frontier holds
+// more than maxListed decisions per byte of the body. A hand-built report
+// carries Codes alone: it travels as the list they are (codeSet), and the
+// receiver merges the table they build. Len and Frontier read any form.
 type Report struct {
 	Codes     []code.Code
 	Incumbent float64
 	ActAge    float64
 
-	codesSize int // see stampedSize
+	table *ctree.Table // the sender's snapshot or the decoded trie, or nil
 }
 
+// RootReport returns the termination report: the complete table, whose one
+// code is the root. Every root report shares one frozen trie and one Codes
+// slice, so building and sizing the termination traffic allocates nothing;
+// neither may be written.
+func RootReport(incumbent, actAge float64) Report {
+	return Report{Codes: rootCodes, Incumbent: incumbent, ActAge: actAge, table: ctree.Done()}
+}
+
+// rootCodes is the frontier of ctree.Done.
+var rootCodes = []code.Code{code.Root()}
+
 // Size implements Msg.
-func (m Report) Size() int { return scalarSize + stampedSize(m.codesSize, m.Codes) }
+func (m Report) Size() int { return scalarSize + m.set().size() }
 
 // Kind implements Msg.
 func (m Report) Kind() byte { return KindReport }
 
+// Len returns the number of codes the report carries.
+func (m Report) Len() int { return m.set().len() }
+
+// Frontier returns the codes the report carries: Codes, or the trie's
+// frontier materialised afresh.
+func (m Report) Frontier() []code.Code { return m.set().frontier() }
+
+// Snapshot returns the trie the report carries — the sender's snapshot, or
+// the decoded trie — or nil for a hand-built report. It must not be mutated.
+// A snapshot is taken once per outbox flush, so its identity names the flush
+// for a driver that drops the flush's repeats to one peer.
+func (m Report) Snapshot() *ctree.Table { return m.table }
+
+func (m Report) set() codeSet { return codeSet{m.table, m.Codes} }
+
 // TableMsg is the occasional full-table push "to inform new members of the
 // current state of the execution and to increase the degree of consistency".
-// Its payload is the sender's contracted table, and it travels as one: the
-// codec writes the trie (ctree.Table.Encode) and the receiving core merges it
-// trie to trie. Core.SendTable ships the table's frozen snapshot
-// (ctree.Table.Snapshot), with Codes nil; Decode rebuilds the sender's trie
-// and also fills Codes with its frontier, unless that frontier holds more
-// than code.MaxExpand decisions per byte of the body. A hand-built push
-// carries Codes alone, and is encoded and sized as the table they build. Len
-// and Frontier read any form.
+// Its payload is the sender's contracted table, and it travels as one, with
+// a Report's body: Core.SendTable ships the table's frozen snapshot
+// (ctree.Table.Snapshot), with Codes nil, and the receiving core merges it
+// trie to trie. Decode and hand-built pushes are as for Report.
 type TableMsg struct {
 	Codes     []code.Code
 	Incumbent float64
@@ -150,42 +179,79 @@ type TableMsg struct {
 
 // Size implements Msg: the encoded table's size, which a table keeps as a
 // running sum, so sizing a pushed or decoded message walks nothing.
-func (m TableMsg) Size() int {
-	t, _ := m.trie()
-	return scalarSize + t.EncodedSize()
-}
-
-// trie returns the table the push carries: its snapshot or decoded trie, or
-// for a hand-built push the table its Codes build, with the number of codes
-// that branched a vertex on another variable than an earlier one.
-func (m TableMsg) trie() (*ctree.Table, int) {
-	if m.table != nil {
-		return m.table, 0
-	}
-	t := ctree.New()
-	_, errs := t.InsertAll(m.Codes)
-	return t, errs
-}
+func (m TableMsg) Size() int { return scalarSize + m.set().size() }
 
 // Len returns the number of frontier codes the push carries.
-func (m TableMsg) Len() int {
-	if m.table != nil {
-		return m.table.Len()
-	}
-	return len(m.Codes)
-}
+func (m TableMsg) Len() int { return m.set().len() }
 
 // Frontier returns the codes the push carries: Codes, or the table's
 // frontier materialised afresh — what a Sender that inspects pushes reads.
-func (m TableMsg) Frontier() []code.Code {
-	if m.table != nil && m.Codes == nil {
-		return m.table.Codes()
-	}
-	return m.Codes
-}
+func (m TableMsg) Frontier() []code.Code { return m.set().frontier() }
 
 // Kind implements Msg.
 func (m TableMsg) Kind() byte { return KindTable }
+
+func (m TableMsg) set() codeSet { return codeSet{m.table, m.Codes} }
+
+// codeSet is the body Report, TableMsg and DigestReport share: a set of codes
+// that travels as the trie it carries. Hand-built codes, which carry none,
+// travel as the list they are, behind listMark.
+type codeSet struct {
+	table *ctree.Table // the sender's snapshot or the decoded trie; nil if hand-built
+	codes []code.Code  // a hand-built body, or the decoded trie's frontier
+}
+
+func (s codeSet) size() int {
+	if s.table != nil {
+		return s.table.EncodedSize()
+	}
+	return len(listMark) + code.ListSize(s.codes)
+}
+
+func (s codeSet) appendTo(dst []byte) []byte {
+	if s.table != nil {
+		return s.table.Encode(dst)
+	}
+	return code.AppendList(append(dst, listMark...), s.codes)
+}
+
+// trie returns the table to merge: the trie the set carries, or the table
+// hand-built codes build.
+func (s codeSet) trie() *ctree.Table {
+	if s.table != nil {
+		return s.table
+	}
+	t := ctree.New()
+	t.InsertAll(s.codes)
+	return t
+}
+
+func (s codeSet) len() int {
+	if s.table != nil {
+		return s.table.Len()
+	}
+	return len(s.codes)
+}
+
+func (s codeSet) frontier() []code.Code {
+	if s.table != nil && s.codes == nil {
+		return s.table.Codes()
+	}
+	return s.codes
+}
+
+// listMark introduces a set body spelled as a list: the two-byte, padded
+// spelling of a zero vertex count, which no trie uses (ctree.DecodeOne holds
+// varints to their shortest form). Nothing the protocol sends uses it: it
+// carries the hand-built reports of bench/, which sizes a report by adding
+// codes to it until it weighs enough.
+const listMark = "\x80\x00"
+
+// maxListed bounds the codes Decode lists beside a decoded trie: a frontier
+// of more than maxListed decisions per byte of the body is left in the trie,
+// where Frontier still reads it. A trie holds a deep descent's frontier in a
+// few bytes a level, and its listed codes in a decision per level per code.
+const maxListed = 64
 
 // WorkRequest asks a randomly chosen member for problems.
 type WorkRequest struct {
@@ -201,7 +267,10 @@ func (m WorkRequest) Kind() byte { return KindRequest }
 
 // WorkGrant transfers problems: codes suffice, because codes are
 // self-contained (§5.3.1) — the receiver rebuilds bound and decomposition
-// from the code plus the initial data every process holds.
+// from the code plus the initial data every process holds. The codes are pool
+// entries, not a contracted set — two granted siblings are two problems, not
+// their parent — so a grant travels as the plain list of them
+// (code.AppendList).
 type WorkGrant struct {
 	Codes     []code.Code
 	Incumbent float64
@@ -209,7 +278,7 @@ type WorkGrant struct {
 }
 
 // Size implements Msg.
-func (m WorkGrant) Size() int { return scalarSize + code.WireSizeAll(m.Codes) }
+func (m WorkGrant) Size() int { return scalarSize + code.ListSize(m.Codes) }
 
 // Kind implements Msg.
 func (m WorkGrant) Kind() byte { return KindGrant }
@@ -228,23 +297,36 @@ func (m WorkDeny) Size() int { return scalarSize }
 func (m WorkDeny) Kind() byte { return KindDeny }
 
 // DigestReport is the diff-gossip work report: the same recent-delta codes a
-// Report carries, plus the content digest of the sender's whole completion
-// table (ctree.Table.Digest). The delta keeps steady-state convergence as
-// cheap as legacy reports; the digest lets a receiver detect divergence
-// beyond the delta — lost reports, a restart, a partition heal — and pull
-// exactly the missing subtrees instead of waiting for a full-table push. A
-// DigestReport with no codes is the diff-mode table push.
+// Report carries, with its body, plus the content digest of the sender's whole
+// completion table (ctree.Table.Digest). The delta keeps steady-state
+// convergence as cheap as legacy reports; the digest lets a receiver detect
+// divergence beyond the delta — lost reports, a restart, a partition heal —
+// and pull exactly the missing subtrees instead of waiting for a full-table
+// push. A DigestReport whose trie is the shared empty one (ctree.Empty) is
+// the diff-mode table push.
 type DigestReport struct {
 	Digest    uint64
 	Codes     []code.Code
 	Incumbent float64
 	ActAge    float64
 
-	codesSize int // see stampedSize
+	table *ctree.Table // the sender's snapshot or the decoded trie, or nil
 }
 
 // Size implements Msg.
-func (m DigestReport) Size() int { return scalarSize + 8 + stampedSize(m.codesSize, m.Codes) }
+func (m DigestReport) Size() int { return scalarSize + 8 + m.set().size() }
+
+// Len returns the number of codes the report carries.
+func (m DigestReport) Len() int { return m.set().len() }
+
+// Frontier returns the codes the report carries: Codes, or the trie's
+// frontier materialised afresh.
+func (m DigestReport) Frontier() []code.Code { return m.set().frontier() }
+
+// Snapshot is Report.Snapshot.
+func (m DigestReport) Snapshot() *ctree.Table { return m.table }
+
+func (m DigestReport) set() codeSet { return codeSet{m.table, m.Codes} }
 
 // Kind implements Msg.
 func (m DigestReport) Kind() byte { return KindDigestReport }
@@ -266,30 +348,47 @@ func (m SubtreeRequest) Size() int { return scalarSize + 1 + m.Prefix.WireSize()
 // Kind implements Msg.
 func (m SubtreeRequest) Kind() byte { return KindSubtreeRequest }
 
-// SubtreeReply answers a SubtreeRequest. A leaf reply inlines the subtree's
-// frontier codes relative to Prefix (nil = the responder knows nothing
-// there; a single empty code = the whole subtree is complete). A branch
+// SubtreeReply answers a SubtreeRequest. A leaf reply carries the subtree
+// below Prefix as a table of its own, relative to Prefix (ctree.Table.Subtree:
+// empty = the responder knows nothing there, complete = the whole subtree
+// is), and travels as its trie; the receiver merges it below Prefix. A branch
 // reply describes the vertex at Prefix — its branching variable and
 // per-child digests — so the requester can descend only into the children
 // that differ.
 type SubtreeReply struct {
 	Prefix    code.Code
 	Leaf      bool
-	Rel       []code.Code // leaf replies: frontier relative to Prefix
-	BranchVar uint32      // branch replies
+	BranchVar uint32 // branch replies
 	Kids      [2]ctree.ChildDigest
 	Incumbent float64
 	ActAge    float64
+
+	table *ctree.Table // leaf replies: the subtree; nil is the empty one
+}
+
+// Len returns the number of codes a leaf reply carries.
+func (m SubtreeReply) Len() int {
+	if m.table == nil {
+		return 0
+	}
+	return m.table.Len()
+}
+
+// trie returns the subtree a leaf reply carries.
+func (m SubtreeReply) trie() *ctree.Table {
+	if m.table == nil {
+		return ctree.Empty()
+	}
+	return m.table
 }
 
 // Size implements Msg.
 func (m SubtreeReply) Size() int {
-	sz := scalarSize + 1
+	sz := scalarSize + 1 + m.Prefix.WireSize()
 	if m.Leaf {
-		sec := ctree.SubtreeWireSize(m.Prefix, m.Rel)
-		return sz + code.UvarintLen(uint64(sec)) + sec
+		return sz + m.trie().EncodedSize()
 	}
-	sz += m.Prefix.WireSize() + code.UvarintLen(uint64(m.BranchVar)) + 1
+	sz += code.UvarintLen(uint64(m.BranchVar)) + 1
 	for _, k := range m.Kids {
 		if k.Present {
 			sz += 8
@@ -374,16 +473,3 @@ func (m Welcome) Kind() byte { return KindWelcome }
 // scalarSize is the fixed part of every message: one kind byte plus the two
 // 8-byte piggybacked scalars.
 const scalarSize = 17
-
-// stampedSize returns the encoded size of a message's code batch. The messages
-// whose codes are an outbox's frontier — Report, DigestReport — carry it as a
-// stamp: the sending core holds the figure as the outbox's WireSize
-// (FlushReport), so the transports' Size call on every send is a field read.
-// A decoded or hand-built message has no stamp and walks its codes.
-// A real size is never 0: the code count alone takes a byte.
-func stampedSize(stamp int, cs []code.Code) int {
-	if stamp > 0 {
-		return stamp
-	}
-	return code.WireSizeAll(cs)
-}

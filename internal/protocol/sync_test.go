@@ -131,9 +131,9 @@ func TestDiffGossipSyncBootstrap(t *testing.T) {
 			}
 		case SubtreeReply:
 			replies++
-			if !sm.Leaf || len(sm.Rel) != len(half) {
+			if !sm.Leaf || sm.Len() != len(half) {
 				t.Fatalf("bootstrap reply leaf=%v with %d codes, want whole %d-code frontier",
-					sm.Leaf, len(sm.Rel), len(half))
+					sm.Leaf, sm.Len(), len(half))
 			}
 		}
 	}
@@ -183,11 +183,9 @@ func TestDiffGossipSyncWalkDescends(t *testing.T) {
 			syncBytes += sm.Size()
 		}
 	}
-	// The pull must be delta-sized: below re-shipping the full frontier as a
-	// code batch, which is what a report of it weighs (656 bytes; the walk
-	// moves 416). A table push, which travels as the trie, weighs 370 here:
-	// on a table this small with half of it missing, the walk's digests cost
-	// more than the whole trie.
+	// The pull must be delta-sized: below re-shipping the full frontier, which
+	// is what a report of it weighs — 370 bytes as its trie, as much as a
+	// table push; the walk, whose leaf replies are tries too, moves 273.
 	full := Report{Codes: p.a.Table().Codes()}.Size()
 	if syncBytes >= full {
 		t.Fatalf("walk moved %d sync bytes >= %d full-frontier bytes", syncBytes, full)

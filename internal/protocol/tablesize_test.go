@@ -7,29 +7,15 @@ import (
 	"gossipbnb/internal/code"
 )
 
-// stampOf returns the code batch of a message that may carry a size stamp,
-// and the stamp.
-func stampOf(m Msg) (cs []code.Code, stamp int, ok bool) {
-	switch t := m.(type) {
-	case Report:
-		return t.Codes, t.codesSize, true
-	case DigestReport:
-		return t.Codes, t.codesSize, true
-	}
-	return nil, 0, false
-}
-
-// TestTablePushSizeStamp: Core.FlushReport stamps what it sends with the size
-// the outbox already holds, and a table push is sized by the sums its table
-// keeps, so Size() is a field read on the sending side however many members
-// the message goes to. Real cores are driven over the loopback net, with
-// frontier reports and with diff gossip — core 0 works in short bursts, the
-// rest starve, steal, report and push their tables between them — and every
-// report any core sends must be charged exactly what the codec writes and
-// what the walk over its codes adds up to; the same message rebuilt by Decode
-// carries no stamp, takes the walk, and must report the same size. Every
-// table push, sent and decoded, must carry its trie and weigh exactly what
-// the codec writes.
+// TestTablePushSizeStamp: every set of codes a core sends — a report, a
+// digest report, a table push — carries a trie, the outbox's or the table's
+// snapshot, and is sized by the sums that trie keeps, so Size() is a field
+// read on the sending side however many members the message goes to. Real
+// cores are driven over the loopback net, with frontier reports and with diff
+// gossip — core 0 works in short bursts, the rest starve, steal, report and
+// push their tables between them — and every such message must be charged
+// exactly what the codec writes; the same message rebuilt by Decode must
+// carry the same trie and report the same size.
 func TestTablePushSizeStamp(t *testing.T) {
 	const n = 8
 	var multi [KindCount]int // per kind: messages of more than one code
@@ -53,41 +39,21 @@ func TestTablePushSizeStamp(t *testing.T) {
 			t.Fatal("not every core terminated")
 		}
 		for _, f := range l.log {
-			if tm, ok := f.m.(TableMsg); ok {
-				if tm.Len() > 1 {
-					multi[KindTable]++
-				}
-				checkTablePush(t, tm)
+			var s codeSet
+			switch m := f.m.(type) {
+			case Report:
+				s = m.set()
+			case DigestReport:
+				s = m.set()
+			case TableMsg:
+				s = m.set()
+			default:
 				continue
 			}
-			cs, stamp, ok := stampOf(f.m)
-			if !ok || len(cs) == 0 || isRootReport(f.m) {
-				continue // a bare digest push and the termination report are built by hand
-			}
-			if len(cs) > 1 {
+			if s.len() > 1 {
 				multi[f.m.Kind()]++
 			}
-			if stamp == 0 {
-				t.Fatalf("%T %d→%d of %d codes carries no size stamp", f.m, f.from, f.to, len(cs))
-			}
-			buf, err := Encode(nil, f.m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if walked := code.WireSizeAll(cs); stamp != walked || f.m.Size() != len(buf) {
-				t.Fatalf("%T of %d codes: stamp %d, codes walk to %d; Size() %d, encodes to %d bytes",
-					f.m, len(cs), stamp, walked, f.m.Size(), len(buf))
-			}
-			back, used, err := Decode(buf)
-			if err != nil || used != len(buf) {
-				t.Fatalf("Decode: %v, consumed %d of %d bytes", err, used, len(buf))
-			}
-			if _, stamp, _ := stampOf(back); stamp != 0 {
-				t.Fatalf("a decoded %T carries a size stamp (%d)", back, stamp)
-			}
-			if back.Size() != f.m.Size() {
-				t.Fatalf("decoded %T reports %d bytes, the stamped original %d", back, back.Size(), f.m.Size())
-			}
+			checkSetMsg(t, f.m, s)
 		}
 	}
 	for _, k := range []byte{KindTable, KindReport, KindDigestReport} {
@@ -97,25 +63,33 @@ func TestTablePushSizeStamp(t *testing.T) {
 	}
 }
 
-// checkTablePush requires a pushed table, and the message Decode rebuilds
-// from its encoding, to carry the trie and to weigh what the codec writes,
-// and the decoded one to hold the pushed frontier.
-func checkTablePush(t *testing.T, m TableMsg) {
+// checkSetMsg requires a sent set message to carry a trie and to weigh what
+// the codec writes, and the message Decode rebuilds from its encoding to
+// carry a trie of the same frontier, listed as Codes, at the same size.
+func checkSetMsg(t *testing.T, m Msg, s codeSet) {
 	t.Helper()
-	if m.table == nil {
-		t.Fatal("a pushed TableMsg carries no table")
+	if s.table == nil {
+		t.Fatalf("a sent %T carries no table", m)
 	}
 	buf, err := Encode(nil, m)
 	if err != nil || m.Size() != len(buf) {
-		t.Fatalf("TableMsg of %d codes: Size() %d, encodes to %d bytes (%v)", m.Len(), m.Size(), len(buf), err)
+		t.Fatalf("%T of %d codes: Size() %d, encodes to %d bytes (%v)", m, s.len(), m.Size(), len(buf), err)
 	}
 	back, used, err := Decode(buf)
 	if err != nil || used != len(buf) {
 		t.Fatalf("Decode: %v, consumed %d of %d bytes", err, used, len(buf))
 	}
-	bt := back.(TableMsg)
-	if bt.table == nil || bt.Size() != len(buf) || !slices.EqualFunc(bt.Codes, m.Frontier(), code.Code.Equal) {
-		t.Fatalf("decoded TableMsg: table %v, Size() %d for %d bytes, codes %v, want %v",
-			bt.table != nil, bt.Size(), len(buf), bt.Codes, m.Frontier())
+	var bs codeSet
+	switch b := back.(type) {
+	case Report:
+		bs = b.set()
+	case DigestReport:
+		bs = b.set()
+	case TableMsg:
+		bs = b.set()
+	}
+	if bs.table == nil || back.Size() != len(buf) || !slices.EqualFunc(bs.codes, s.frontier(), code.Code.Equal) {
+		t.Fatalf("decoded %T: table %v, Size() %d for %d bytes, codes %v, want %v",
+			back, bs.table != nil, back.Size(), len(buf), bs.codes, s.frontier())
 	}
 }

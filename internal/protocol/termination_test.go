@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gossipbnb/internal/code"
+	"gossipbnb/internal/ctree"
 )
 
 // --- cores on a loopback sender ------------------------------------------------
@@ -141,7 +142,7 @@ func (l *loopNet) allDone() bool {
 
 func isRootReport(m Msg) bool {
 	r, ok := m.(Report)
-	return ok && len(r.Codes) == 1 && r.Codes[0].IsRoot()
+	return ok && r.Len() == 1 && r.Frontier()[0].IsRoot()
 }
 
 // rootsFrom counts the root reports core i sent, and to how many distinct
@@ -225,6 +226,47 @@ func TestTerminationDetectorBroadcastsLearnersForward(t *testing.T) {
 	})
 }
 
+// TestDetectingEliminationsSendNoWorkReports: the work reports Next's
+// eliminations flush go out when Next returns, unless the eliminations
+// detected termination — the root report then subsumes them, and a peer that
+// handled one behind it would only detect later.
+func TestDetectingEliminationsSendNoWorkReports(t *testing.T) {
+	bothModes(t, func(t *testing.T, cfg Config) {
+		// Depth first, the pool pops a, then b.
+		cfg.Prune, cfg.ReportBatch, cfg.Select = true, 1, DepthFirst
+		for _, detect := range []bool{true, false} {
+			e := newEnv(t, 4, cfg, []NodeID{1, 2})
+			a, b := halves()
+			if detect {
+				e.core.Seed(Item{Code: b, Bound: 100})
+			} else {
+				e.core.Seed(Item{Code: b, Bound: 0})
+			}
+			e.core.Seed(Item{Code: a, Bound: 100})
+			e.core.HandleMessage(1, Ping{Incumbent: 50})
+			_, st := e.core.Next()
+			var work, roots int
+			for _, s := range e.snd.take() {
+				if isRootReport(s.m) {
+					roots++
+				} else {
+					work++
+				}
+			}
+			if detect && (st != Terminated || work != 0 || roots != 2) {
+				t.Errorf("detecting: status %v, %d work reports and %d root reports sent, want Terminated, 0 and 2", st, work, roots)
+			}
+			if !detect && (st != Expand || work != cfg.withDefaults().ReportFanout || roots != 0) {
+				t.Errorf("not detecting: status %v, %d work reports and %d root reports sent, want Expand, %d and 0",
+					st, work, roots, cfg.withDefaults().ReportFanout)
+			}
+			if got := e.core.Counters().ReportsSent; got != work {
+				t.Errorf("detect=%v: ReportsSent = %d, %d sent", detect, got, work)
+			}
+		}
+	})
+}
+
 // TestTerminationSimultaneousDetectors: two cores that each hold the half the
 // other lacks both contract to the root from partial information, so both
 // detect and both broadcast — including a core whose table was already
@@ -261,7 +303,9 @@ func TestTerminationSimultaneousDetectors(t *testing.T) {
 // TestTerminationLearnedFromTableOrSubtree: any message that carries the root
 // code teaches termination — a table push or a subtree reply from a finished
 // peer as much as its root report — and the core forwards; the same kinds
-// carrying the last missing piece make it a detector, and it broadcasts.
+// carrying the last missing piece make it a detector, and it broadcasts. (A
+// set of codes is merged as its contracted table, so a push of both halves is
+// the root's: the table push carries the missing half alone.)
 func TestTerminationLearnedFromTableOrSubtree(t *testing.T) {
 	bothModes(t, func(t *testing.T, cfg Config) {
 		const n = 8
@@ -276,11 +320,11 @@ func TestTerminationLearnedFromTableOrSubtree(t *testing.T) {
 			{"root report", Report{Codes: root}, fanout},
 			{"root table", TableMsg{Codes: root}, fanout},
 			{"root digest report", DigestReport{Digest: 1, Codes: root}, fanout},
-			{"root subtree reply", SubtreeReply{Prefix: code.Root(), Leaf: true, Rel: root}, fanout},
+			{"root subtree reply", SubtreeReply{Prefix: code.Root(), Leaf: true, table: ctree.Done()}, fanout},
 			{"missing half by report", Report{Codes: []code.Code{b}}, n - 1},
-			{"missing half by table", TableMsg{Codes: []code.Code{a, b}}, n - 1},
+			{"missing half by table", TableMsg{Codes: []code.Code{b}}, n - 1},
 			{"missing half by digest report", DigestReport{Digest: 1, Codes: []code.Code{b}}, n - 1},
-			{"missing half by subtree reply", SubtreeReply{Prefix: b, Leaf: true, Rel: root}, n - 1},
+			{"missing half by subtree reply", SubtreeReply{Prefix: b, Leaf: true, table: ctree.Done()}, n - 1},
 		} {
 			l := newLoopNet(n, 5, n, cfg)
 			l.cores[0].HandleMessage(1, Report{Codes: []code.Code{a}})

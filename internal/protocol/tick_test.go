@@ -139,7 +139,7 @@ func TestTickBootstrapRetry(t *testing.T) {
 	}
 	// The first code lands: the next retry check finds a table and stops.
 	e.clk.t = 7
-	e.core.HandleMessage(2, SubtreeReply{Prefix: code.Root(), Leaf: true, Rel: []code.Code{code.Root().Child(1, 0)}})
+	e.core.HandleMessage(2, SubtreeReply{Prefix: code.Root(), Leaf: true, table: tableOf(code.Root().Child(1, 0))})
 	if got := only(e.tickAt(9), KindSubtreeRequest); len(got) != 0 {
 		t.Fatalf("retry after the first code sent %v, want nothing", got)
 	}
