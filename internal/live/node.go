@@ -37,8 +37,9 @@ type Config struct {
 	// built from Seed/Delay/Loss/Chaos. Pass a TCPNetwork to run over real
 	// sockets. The cluster closes the network when Run returns.
 	Network Net
-	// Protocol parameters, as in the simulator; the rest are
-	// protocol.Config's defaults.
+	// Protocol parameters, as in the simulator. The report path is the
+	// exception: newCore sizes its batch and timeout for the live clock. The
+	// rest are protocol.Config's defaults.
 	Select        protocol.SelectRule
 	Prune         bool
 	RetryDelay    time.Duration
@@ -392,16 +393,30 @@ func (cl *Cluster) newIncarnation(n *liveNode, gen int64, inbox <-chan Envelope)
 
 // newCore builds one instance's protocol core for an incarnation, its sends
 // tagged with the instance ID, and staggers its periodic chains from now.
+//
+// The report path runs on the live clock. On loopback a report costs about
+// ten code-driven expansions of CPU, so a live core batches liveReportBatch
+// codes, not the simulator's 8. The batch counts the outbox's contracted
+// frontier, which a depth-first node can hold under it for a whole subtree —
+// work a crash takes with it — so ReportTimeout = RetryDelay bounds how
+// stale the outbox gets: Tick's report check flushes it within about two
+// RetryDelays, or within yieldEvery expansions when those take longer (a
+// tree-replay cluster's sleeps), since a busy node ticks only then.
+// SyncInterval, which defaults to ReportTimeout, stays at 30 s: diff
+// gossip's walk rate limit is not the report path's.
 func (cl *Cluster) newCore(inc *incarnation, exp protocol.Expander, id protocol.InstanceID) *protocol.Core {
 	cfg := &cl.cfg
 	n := inc.n
 	c := protocol.New(protocol.NodeID(n.id), protocol.Config{
 		Select:         cfg.Select,
 		Prune:          cfg.Prune,
+		ReportBatch:    liveReportBatch,
+		ReportTimeout:  cfg.RetryDelay.Seconds(),
 		RequestTimeout: cfg.RetryDelay.Seconds(), // one wait for a probe's answer, one pace after a failure
 		RetryDelay:     cfg.RetryDelay.Seconds(),
 		RecoveryQuiet:  cfg.RecoveryQuiet.Seconds(),
 		DiffGossip:     cfg.DiffGossip,
+		SyncInterval:   30,
 	}, protocol.Deps{
 		Clock:     cl.clock,
 		Sender:    &instSender{inc: inc, id: id},
@@ -728,6 +743,10 @@ func (n *liveNode) dropPeer(id protocol.NodeID) {
 // its processor: a few hundred microseconds of a code-driven problem, and a
 // call that returns at once when nothing else is runnable.
 const yieldEvery = 64
+
+// liveReportBatch is a live core's ReportBatch (the paper's c): contracted
+// codes in the outbox before it flushes a work report. See newCore.
+const liveReportBatch = 16
 
 // run is the incarnation goroutine: alternate work and message handling,
 // exactly the process model of §5, round-robin across every instance the
