@@ -9,8 +9,9 @@
 //	dbbsim -procs 8 -problem qap:6:1 -prune                 #  no tree on disk
 //	dbbsim -procs 8 -crash 30:3 -crash 40:5 -loss 0.05      # fault injection
 //	dbbsim -procs 8 -crash 30:3:60 -dup 0.2 -reorder 0.3    # restart + chaos
-//	dbbsim -procs 8 -nemesis partition:10-20:0,1 -prune     # scheduled faults
-//	dbbsim -procs 8 -nemesis flap:0-2:4:0-30                #  (live grammar)
+//	dbbsim -procs 8 -nemesis partition:10-20:0,1 -prune     # link faults in the
+//	dbbsim -procs 8 -nemesis flap:0-2:4:0-30                #  nemesis grammar the
+//	dbbsim -procs 8 -nemesis replay:0.05:2                  #  live runtime speaks
 //	dbbsim -procs 4 -join 25:4                              # double mid-solve
 //	dbbsim -procs 3 -gantt                                  # ASCII Gantt
 //	dbbsim -procs 16 -membership                            # §5.2 protocol on
@@ -22,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -97,63 +97,20 @@ func (j *joinList) Set(s string) error {
 	return nil
 }
 
-// nemesisList collects repeated -nemesis FAULT flags in the live runtime's
-// fault grammar (internal/nemesis) and maps them onto the simulator's
-// group-partition network model at parse time, so an unsupported spec fails
-// at the command line, not mid-run.
-type nemesisList struct {
-	specs []string
-	parts []dbnb.Partition
-}
+// nemesisList collects repeated -nemesis FAULT flags in the fault grammar
+// the live runtime also speaks (internal/nemesis), parsed at the command
+// line so a malformed spec fails there, not mid-run.
+type nemesisList []nemesis.Fault
 
-func (n *nemesisList) String() string { return strings.Join(n.specs, " ") }
+func (n *nemesisList) String() string { return fmt.Sprint(*n) }
 
 func (n *nemesisList) Set(s string) error {
 	f, err := nemesis.Parse(s)
 	if err != nil {
 		return err
 	}
-	ps, err := faultPartitions(f)
-	if err != nil {
-		return err
-	}
-	n.specs = append(n.specs, s)
-	n.parts = append(n.parts, ps...)
+	*n = append(*n, f)
 	return nil
-}
-
-// faultPartitions maps one nemesis fault onto simulator partition windows.
-// The simulator's only network fault is the group partition (Group isolated
-// from everyone else for a window), so: partition and stall map directly on
-// side A; a flap becomes its series of down half-periods (requiring a
-// bounded window); oneway, slow, and corrupt have no simulator analogue and
-// are rejected as live-only.
-func faultPartitions(f nemesis.Fault) ([]dbnb.Partition, error) {
-	end := math.Inf(1)
-	if f.End > 0 {
-		end = f.End.Seconds()
-	}
-	switch f.Kind {
-	case nemesis.Partition, nemesis.Stall:
-		return []dbnb.Partition{{Start: f.Start.Seconds(), End: end, Group: f.A}}, nil
-	case nemesis.Flap:
-		if f.End <= 0 {
-			return nil, fmt.Errorf("flap needs a bounded window in the simulator (got %s): its down half-periods are enumerated up front", f)
-		}
-		// Approximation: the simulator cannot cut one link, so each down
-		// half-period isolates side A from everyone.
-		var ps []dbnb.Partition
-		for t := f.Start; t < f.End; t += f.Period {
-			down := t + f.Period/2
-			if down > f.End {
-				down = f.End
-			}
-			ps = append(ps, dbnb.Partition{Start: t.Seconds(), End: down.Seconds(), Group: f.A})
-		}
-		return ps, nil
-	default:
-		return nil, fmt.Errorf("%v faults are live-only: the simulator's network model has no per-link delay, direction, or payload damage (got %s)", f.Kind, f)
-	}
 }
 
 // validateFlags rejects mutually inconsistent flag combinations up front,
@@ -213,7 +170,6 @@ func run() int {
 		gantt    = flag.Bool("gantt", false, "print an ASCII Gantt of the run")
 		dup      = flag.Float64("dup", 0, "message duplication probability")
 		reorder  = flag.Float64("reorder", 0, "message reordering probability (bounded hold-back)")
-		replay   = flag.Float64("replay", 0, "stale-replay probability (~1 s late)")
 		diffG    = flag.Bool("diffgossip", false, "anti-entropy diff gossip: digests + subtree pulls instead of full frontiers")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprof  = flag.String("memprofile", "", "write a heap profile (post-run, after GC) to this file")
@@ -223,7 +179,7 @@ func run() int {
 	)
 	flag.Var(&crashes, "crash", "crash a process: TIME:NODE, or TIME:NODE:RESTART to reboot it (repeatable)")
 	flag.Var(&joins, "join", "add COUNT brand-new processes at TIME: TIME:COUNT (repeatable)")
-	flag.Var(&nemeses, "nemesis", "inject a scheduled fault in the live grammar, e.g. partition:10-20:0,1 or flap:0-2:4:0-30 (repeatable; oneway/slow/corrupt are live-only)")
+	flag.Var(&nemeses, "nemesis", "inject a scheduled fault, windows in virtual seconds: partition, oneway, flap, stall, slow, corrupt, loss, dup, reorder or replay, e.g. partition:10-20:0,1, flap:0-2:4:0-30 or replay:0.05 (repeatable)")
 	flag.Parse()
 
 	if err := validateFlags(*insts, *problem, *treePath, *member, *gantt, *shards, joins); err != nil {
@@ -297,10 +253,11 @@ func run() int {
 		Joins:         joins,
 		Duplicate:     *dup,
 		Reorder:       *reorder,
-		Replay:        *replay,
 		DiffGossip:    *diffG,
-		Partitions:    nemeses.parts,
 		Trace:         lg,
+	}
+	if len(nemeses) > 0 {
+		cfg.Nemesis = nemesis.New(nemeses...)
 	}
 
 	if *insts > 0 {

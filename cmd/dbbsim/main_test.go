@@ -1,43 +1,43 @@
 package main
 
 import (
-	"math"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
+
+	"gossipbnb/internal/nemesis"
 )
 
+// TestNemesisFlagParsing: -nemesis takes every fault of the grammar the live
+// runtime speaks, as nemesis.Parse reads it, and a rejected spec leaves the
+// list as it was.
 func TestNemesisFlagParsing(t *testing.T) {
 	var n nemesisList
-	if err := n.Set("partition:10-20:0,1"); err != nil {
-		t.Fatal(err)
+	good := []string{
+		"partition:10-20:0,1|2",
+		"oneway:1-2:0|1",
+		"stall:3:5-",
+		"flap:0-2:4:0-20",
+		"slow:0-1:10ms",
+		"corrupt:0.5",
+		"loss:0.1:0-30",
+		"dup:0.2",
+		"reorder:0.3:20ms",
+		"replay:0.05:2:10-",
 	}
-	if err := n.Set("stall:3:5-"); err != nil {
-		t.Fatal(err)
+	for _, s := range good {
+		if err := n.Set(s); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := n.Set("flap:0-2:4:0-20"); err != nil {
-		t.Fatal(err)
+	if len(n) != len(good) {
+		t.Fatalf("faults = %v", n)
 	}
-	if len(n.specs) != 3 {
-		t.Fatalf("specs = %v", n.specs)
-	}
-	// partition → one window; open-ended stall → to +Inf; 20s flap at
-	// period 4 → five down half-periods.
-	if len(n.parts) != 1+1+5 {
-		t.Fatalf("parts = %+v", n.parts)
-	}
-	if p := n.parts[0]; p.Start != 10 || p.End != 20 || len(p.Group) != 2 {
-		t.Errorf("partition window = %+v", p)
-	}
-	if p := n.parts[1]; p.Start != 5 || !math.IsInf(p.End, 1) || len(p.Group) != 1 || p.Group[0] != 3 {
-		t.Errorf("stall window = %+v", p)
-	}
-	if p := n.parts[2]; p.Start != 0 || p.End != 2 || len(p.Group) != 1 || p.Group[0] != 0 {
-		t.Errorf("first flap window = %+v", p)
-	}
-	if p := n.parts[6]; p.Start != 16 || p.End != 18 {
-		t.Errorf("last flap window = %+v", p)
+	for i, s := range good {
+		if want, _ := nemesis.Parse(s); n[i].String() != want.String() {
+			t.Errorf("Set(%q) stored %v", s, n[i])
+		}
 	}
 	if n.String() == "" {
 		t.Error("empty String")
@@ -45,19 +45,30 @@ func TestNemesisFlagParsing(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"bogus:1-2:0",
-		"oneway:1-2:0|1",  // live-only: no directed cuts in the simulator
-		"slow:0-1:10ms",   // live-only: no per-link delay
-		"corrupt:0.5",     // live-only: no payload damage
-		"flap:0-1:4:10-",  // open-ended flap cannot be enumerated
 		"partition:2-1:0", // bad window
+		"loss:NaN",        // not a probability
+		"replay:0.1:-1",   // negative delay
 	} {
 		if err := n.Set(bad); err == nil {
 			t.Errorf("Set(%q) accepted", bad)
 		}
 	}
-	// Rejected specs must not leave partial state behind.
-	if len(n.specs) != 3 || len(n.parts) != 7 {
-		t.Errorf("rejected specs mutated the list: %v / %+v", n.specs, n.parts)
+	if len(n) != len(good) {
+		t.Errorf("rejected specs mutated the list: %v", n)
+	}
+}
+
+// TestNemesisFlagReachesRun: faults the simulator once refused as live-only
+// now act in a run — a one-way cut counts cut messages, and the run still
+// ends with the exact optimum.
+func TestNemesisFlagReachesRun(t *testing.T) {
+	out, err := dbbsim(t, "-procs", "4", "-size", "301",
+		"-nemesis", "oneway:0-5:0|1,2", "-nemesis", "slow:2-3:50ms", "-nemesis", "replay:0.05")
+	if err != nil {
+		t.Fatalf("dbbsim failed: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "correct=true") || strings.Contains(out, " 0 cut") {
+		t.Errorf("want a correct run with cut messages:\n%s", out)
 	}
 }
 

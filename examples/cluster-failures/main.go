@@ -33,13 +33,12 @@ func main() {
 
 	// Now the hostile run: rolling crashes of 24 of the 32 processes plus a
 	// 60-second partition isolating a third of the pool.
-	cfg := gossipbnb.SimConfig{
-		Procs: 32, Seed: 1, RecoveryQuiet: 15,
-		Partitions: []gossipbnb.Partition{
-			{Start: 0.3 * base.Time, End: 0.3*base.Time + 60,
-				Group: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
-		},
+	split, err := gossipbnb.ParseNemesis(fmt.Sprintf("partition:%g-%g:0,1,2,3,4,5,6,7,8,9",
+		0.3*base.Time, 0.3*base.Time+60))
+	if err != nil {
+		log.Fatal(err)
 	}
+	cfg := gossipbnb.SimConfig{Procs: 32, Seed: 1, RecoveryQuiet: 15, Nemesis: split}
 	restarts := 0
 	for i := 0; i < 24; i++ {
 		c := gossipbnb.Crash{

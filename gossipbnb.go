@@ -15,10 +15,13 @@
 //     re-derives any subproblem from its code plus the initial data;
 //   - "basic trees": recorded search trees that drive replay runs;
 //   - the deterministic discrete-event simulation of the full distributed
-//     algorithm, with crash-stop, crash-restart, loss, partition,
-//     duplication, reordering, and stale-replay injection;
+//     algorithm, with crash-stop and crash-restart failures;
 //   - the DIB and centralized manager-worker baselines;
-//   - a live goroutine/channel runtime of the same protocol core.
+//   - a live goroutine/channel runtime of the same protocol core;
+//   - one link-fault vocabulary for both runtimes: a nemesis schedule of
+//     partitions, one-way cuts, flaps, stalls, slow links, and per-message
+//     loss, corruption, duplication, reordering and stale replay, judged
+//     alike in virtual and in wall-clock time.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record. Regenerate every table and figure with
@@ -254,9 +257,6 @@ const (
 	SelectDepthFirst = dbnb.DepthFirst
 )
 
-// Partition schedules a temporary network partition.
-type Partition = dbnb.Partition
-
 // TraceLog records per-process activity spans (ASCII Gantt of Figures 5/6).
 type TraceLog = trace.Log
 
@@ -341,10 +341,6 @@ type LiveNet = live.Net
 // LiveTransport is the in-memory lossy transport.
 type LiveTransport = live.Transport
 
-// LiveChaos parameterizes adversarial delivery for the in-memory transport:
-// duplication, bounded reordering, and stale replay (LiveConfig.Chaos).
-type LiveChaos = live.Chaos
-
 // TCPNetwork runs the live protocol over real TCP sockets on loopback.
 type TCPNetwork = live.TCPNetwork
 
@@ -375,9 +371,12 @@ type InstanceHandle = live.Handle
 
 // --- self-healing: failure detection and fault injection --------------------------------
 
-// NemesisSchedule is a declarative fault-injection schedule for the live
-// transports: partitions, one-way cuts, flapping links, stalls, slow links,
-// and byte corruption, each over a time window (LiveConfig.Nemesis).
+// NemesisSchedule is a declarative link-fault schedule for both runtimes
+// (SimConfig.Nemesis, windows in virtual seconds; LiveConfig.Nemesis,
+// windows in wall-clock time from Run): partitions, one-way cuts, flapping
+// links, stalls, slow links, and per-message loss, corruption, duplication,
+// reordering and stale replay, each over a time window. The same
+// (time, src, dst) gets the same verdict in both.
 type NemesisSchedule = nemesis.Schedule
 
 // NemesisFault is one scheduled fault of a NemesisSchedule.
@@ -385,7 +384,7 @@ type NemesisFault = nemesis.Fault
 
 // ParseNemesis builds a schedule from fault specs in the nemesis grammar,
 // e.g. "partition:1-3:0,1|2,3", "flap:0-2:0.25", "stall:2:1-",
-// "corrupt:0.1:0-5".
+// "corrupt:0.1:0-5", "reorder:0.2:5ms", "replay:0.05".
 func ParseNemesis(specs ...string) (*NemesisSchedule, error) {
 	fs, err := nemesis.ParseAll(specs)
 	if err != nil {

@@ -1,13 +1,26 @@
 package dbnb
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"gossipbnb/internal/btree"
+	"gossipbnb/internal/nemesis"
 )
+
+// faults builds a schedule from specs in the nemesis grammar; windows are
+// virtual seconds.
+func faults(t testing.TB, specs ...string) *nemesis.Schedule {
+	t.Helper()
+	fs, err := nemesis.ParseAll(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nemesis.New(fs...)
+}
 
 // TestPropRandomCrashSchedules is the paper's headline guarantee as a
 // property: for ANY schedule that leaves at least one process alive, the run
@@ -80,7 +93,7 @@ func TestChaosEverythingAtOnce(t *testing.T) {
 		Crashes: []Crash{
 			{Time: 4, Node: 5}, {Time: 6, Node: 6}, {Time: 9, Node: 7},
 		},
-		Partitions: []Partition{{Start: 3, End: 10, Group: []int{0, 1, 2}}},
+		Nemesis: faults(t, "partition:3-10:0,1,2"),
 	})
 	if !res.Terminated {
 		t.Fatalf("chaos run did not terminate: %+v", res)
@@ -104,7 +117,7 @@ func TestPartitionBothSidesProgress(t *testing.T) {
 	base := Run(tr, Config{Procs: 6, Seed: 14, RecoveryQuiet: 4})
 	res := Run(tr, Config{
 		Procs: 6, Seed: 14, RecoveryQuiet: 4,
-		Partitions: []Partition{{Start: 1, End: base.Time * 2, Group: []int{0, 1, 2}}},
+		Nemesis: faults(t, fmt.Sprintf("partition:1-%g:0,1,2", base.Time*2)),
 	})
 	if !res.Terminated || !res.OptimumOK {
 		t.Fatalf("partitioned run failed: %+v", res)
@@ -298,6 +311,7 @@ func TestChaosSoakCrossProduct(t *testing.T) {
 		t.Fatal("baseline did not terminate")
 	}
 	half := base.Time / 2
+	cut := fmt.Sprintf("partition:%g-%g:0,1", half/2, half)
 	scenarios := []struct {
 		name string
 		mut  func(*Config)
@@ -307,19 +321,15 @@ func TestChaosSoakCrossProduct(t *testing.T) {
 		}},
 		{"dup", func(c *Config) { c.Duplicate = 0.25 }},
 		{"reorder", func(c *Config) { c.Reorder = 0.4 }},
-		{"replay", func(c *Config) { c.Replay = 0.1; c.ReplayDelay = 2 }},
+		{"replay", func(c *Config) { c.Nemesis = faults(t, "replay:0.1:2") }},
 		{"loss", func(c *Config) { c.Loss = 0.15 }},
-		{"partition", func(c *Config) {
-			c.Partitions = []Partition{{Start: half / 2, End: half, Group: []int{0, 1}}}
-		}},
+		{"partition", func(c *Config) { c.Nemesis = faults(t, cut) }},
 		{"everything", func(c *Config) {
 			c.Crashes = []Crash{{Time: half / 2, Node: 1, Restart: half}, {Time: half, Node: 3}}
 			c.Duplicate = 0.2
 			c.Reorder = 0.3
-			c.Replay = 0.05
-			c.ReplayDelay = 2
 			c.Loss = 0.1
-			c.Partitions = []Partition{{Start: half / 2, End: half, Group: []int{0, 1}}}
+			c.Nemesis = faults(t, "replay:0.05:2", cut)
 		}},
 	}
 	for _, sc := range scenarios {
@@ -346,7 +356,7 @@ func TestChaosSoakCrossProduct(t *testing.T) {
 func TestChaosDupReorderDeterministic(t *testing.T) {
 	tr := btree.Tiny(23)
 	cfg := Config{Procs: 4, Seed: 42, RecoveryQuiet: 3,
-		Duplicate: 0.3, Reorder: 0.5, Replay: 0.1, ReplayDelay: 1,
+		Duplicate: 0.3, Reorder: 0.5, Nemesis: faults(t, "replay:0.1:1"),
 		Crashes: []Crash{{Time: 1, Node: 2, Restart: 3}}}
 	a, b := Run(tr, cfg), Run(tr, cfg)
 	if a.Time != b.Time || a.Expanded != b.Expanded || a.Net != b.Net {

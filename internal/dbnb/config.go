@@ -14,7 +14,10 @@
 package dbnb
 
 import (
+	"slices"
+
 	"gossipbnb/internal/bnb"
+	"gossipbnb/internal/nemesis"
 	"gossipbnb/internal/protocol"
 	"gossipbnb/internal/sim"
 	"gossipbnb/internal/trace"
@@ -75,12 +78,6 @@ type Join struct {
 	Count int
 }
 
-// Partition isolates Group from everyone else during [Start, End).
-type Partition struct {
-	Start, End float64
-	Group      []int
-}
-
 // Config parameterizes a simulated run.
 type Config struct {
 	Procs int
@@ -92,8 +89,8 @@ type Config struct {
 	// one event discipline at every count: each process draws its randomness
 	// from its own (Seed, id)-derived stream, so failure-free results are
 	// invariant in the shard count, and a fixed (Seed, Shards) pair is
-	// exactly reproducible. Chaos-model draws (loss/dup/reorder/replay)
-	// come from per-shard streams, so under chaos only the solved optimum —
+	// exactly reproducible. Fault draws (loss/corrupt/reorder/dup/replay)
+	// come from per-shard streams, so under them only the solved optimum —
 	// not the event trajectory — is shard-count invariant.
 	//
 	// Values below 1 (the zero value included) mean one shard — not one per
@@ -106,7 +103,6 @@ type Config struct {
 
 	// Network model. Latency nil means the paper's 1.5 + 0.005·L ms model.
 	Latency sim.LatencyModel
-	Loss    float64
 
 	// LinkLatency, if non-nil, refines the latency model per (from, to) pair
 	// — non-uniform topologies like two clusters joined by a slow WAN link.
@@ -123,17 +119,20 @@ type Config struct {
 	// full-frontier path, the one the golden event-order tests pin.
 	DiffGossip bool
 
-	// Adversarial delivery — the full asynchronous model of §4, beyond the
-	// loss-only network of the paper's own experiments. Duplicate is the
-	// independent probability a message is delivered twice (the copy draws
-	// its own latency, so the pair races). Reorder is the probability a
-	// message is held back by up to 10× the base latency, letting later
-	// sends overtake it. Replay re-delivers a stale copy between ReplayDelay
-	// and 2·ReplayDelay seconds after the send; ReplayDelay 0 means 1 second.
-	Duplicate   float64
-	Reorder     float64
-	Replay      float64
-	ReplayDelay float64
+	// Nemesis schedules the §4 link faults in the grammar the live runtime
+	// also speaks (internal/nemesis): partitions, one-way cuts, flaps,
+	// stalls, slow links, and per-message loss, corruption, reordering,
+	// duplication and stale replay, each over a window of virtual seconds.
+	// Every send is judged once, at send time. nil is a clean network.
+	Nemesis *nemesis.Schedule
+	// Loss, Duplicate and Reorder are whole-run loss:P, dup:P and
+	// reorder:P faults added to Nemesis: the per-message probability a
+	// message is dropped, delivered twice (the copy takes its own latency,
+	// so the pair races), or held back by up to 10× the base latency so
+	// later sends overtake it.
+	Loss      float64
+	Duplicate float64
+	Reorder   float64
 
 	// CostFactor scales every node cost, the paper's granularity knob
 	// ("we tuned this granularity by multiplying all time values by a
@@ -203,10 +202,9 @@ type Config struct {
 	// predetermined pool ("we do not include yet the membership protocol").
 	UseMembership bool
 
-	// Fault injection and elastic membership.
-	Crashes    []Crash
-	Partitions []Partition
-	Joins      []Join
+	// Process failures and elastic membership.
+	Crashes []Crash
+	Joins   []Join
 
 	// Instances is the multi-instance workload of RunInstances: every listed
 	// problem is solved concurrently over the same process pool, each scoped
@@ -233,6 +231,24 @@ const (
 	commOverhead    = 200e-6
 	contractPerCode = 20e-6
 )
+
+// schedule is the nemesis schedule a run judges its sends against: Nemesis
+// plus the whole-run faults Loss, Duplicate and Reorder stand for. A
+// malformed probability — a sign typo, a NaN — panics in nemesis.New rather
+// than silently running a well-behaved network.
+func (c Config) schedule() *nemesis.Schedule {
+	fs := slices.Clone(c.Nemesis.Faults())
+	for _, f := range [...]nemesis.Fault{
+		{Kind: nemesis.Loss, Prob: c.Loss},
+		{Kind: nemesis.Dup, Prob: c.Duplicate},
+		{Kind: nemesis.Reorder, Prob: c.Reorder},
+	} {
+		if f.Prob != 0 {
+			fs = append(fs, f)
+		}
+	}
+	return nemesis.New(fs...)
+}
 
 // withDefaults fills unset fields with the defaults used throughout the
 // experiments.

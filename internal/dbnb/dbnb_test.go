@@ -212,7 +212,7 @@ func TestTemporaryPartition(t *testing.T) {
 	tr := smallTree(9)
 	res := Run(tr, Config{
 		Procs: 6, Seed: 19, RecoveryQuiet: 4,
-		Partitions: []Partition{{Start: 2, End: 8, Group: []int{0, 1, 2}}},
+		Nemesis: faults(t, "partition:2-8:0,1,2"),
 	})
 	mustTerminate(t, res)
 	if res.Net.Cut == 0 {

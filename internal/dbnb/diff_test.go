@@ -131,14 +131,13 @@ func TestDiffGossipChaosCrossProduct(t *testing.T) {
 		}},
 		{"dup", func(c *Config) { c.Duplicate = 0.25 }},
 		{"reorder", func(c *Config) { c.Reorder = 0.4 }},
-		{"replay", func(c *Config) { c.Replay = 0.1; c.ReplayDelay = 2 }},
+		{"replay", func(c *Config) { c.Nemesis = faults(t, "replay:0.1:2") }},
 		{"loss", func(c *Config) { c.Loss = 0.15 }},
 		{"everything", func(c *Config) {
 			c.Crashes = []Crash{{Time: half / 2, Node: 1, Restart: half}, {Time: half, Node: 3}}
 			c.Duplicate = 0.2
 			c.Reorder = 0.3
-			c.Replay = 0.05
-			c.ReplayDelay = 2
+			c.Nemesis = faults(t, "replay:0.05:2")
 			c.Loss = 0.1
 		}},
 	}
@@ -180,7 +179,7 @@ func TestDiffGossipRestartRejoin(t *testing.T) {
 func TestDiffGossipDeterministic(t *testing.T) {
 	tr := btree.Tiny(23)
 	cfg := Config{Procs: 4, Seed: 42, RecoveryQuiet: 3, DiffGossip: true,
-		Duplicate: 0.3, Reorder: 0.5, Replay: 0.1, ReplayDelay: 1,
+		Duplicate: 0.3, Reorder: 0.5, Nemesis: faults(t, "replay:0.1:1"),
 		Crashes: []Crash{{Time: 1, Node: 2, Restart: 3}}}
 	a, b := Run(tr, cfg), Run(tr, cfg)
 	if a.Time != b.Time || a.Expanded != b.Expanded || a.Net != b.Net {

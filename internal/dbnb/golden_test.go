@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gossipbnb/internal/btree"
+	"gossipbnb/internal/nemesis"
 	"gossipbnb/internal/sim"
 )
 
@@ -122,7 +123,7 @@ func goldenChaos() (*btree.Tree, Config) {
 		Loss:          0.05,
 		Duplicate:     0.1,
 		Reorder:       0.1,
-		Replay:        0.05,
+		Nemesis:       nemesis.New(nemesis.Fault{Kind: nemesis.Replay, Prob: 0.05}),
 		RecoveryQuiet: 8,
 		Crashes: []Crash{
 			{Time: 0.5, Node: 0, Restart: 1.5},

@@ -12,6 +12,7 @@ import (
 	"gossipbnb/internal/instance"
 	"gossipbnb/internal/member"
 	"gossipbnb/internal/metrics"
+	"gossipbnb/internal/nemesis"
 	"gossipbnb/internal/protocol"
 	"gossipbnb/internal/sim"
 	"gossipbnb/internal/trace"
@@ -406,16 +407,17 @@ func costJitter(c code.Code) float64 {
 // shardLookahead computes the static safe lookahead of a config: the
 // minimum virtual delay any cross-shard message can have. The latency
 // model is monotone in size, so its zero-byte value lower-bounds every
-// send; replay copies can surface after only ReplayDelay.
+// send, and slow links and reordering only add to it; a replay copy can
+// surface after only its fault's delay (1 s when it names none).
 func shardLookahead(cfg Config) float64 {
 	la := cfg.Latency(0)
-	if cfg.Replay > 0 {
-		rd := cfg.ReplayDelay
-		if rd <= 0 {
-			rd = 1 // SetReplay's default floor
-		}
-		if rd < la {
-			la = rd
+	for _, f := range cfg.Nemesis.Faults() {
+		if f.Kind == nemesis.Replay && f.Prob > 0 {
+			rd := 1.0
+			if f.Delay > 0 {
+				rd = f.Delay.Seconds()
+			}
+			la = min(la, rd)
 		}
 	}
 	return la
@@ -484,6 +486,7 @@ func newHarness(cfg Config, specs []*spec, tagged bool) *harness {
 		}
 	}
 
+	nem := cfg.schedule()
 	for _, sh := range h.shards {
 		sh.recs = make([]rec, len(specs))
 		for i, sp := range specs {
@@ -499,20 +502,7 @@ func newHarness(cfg Config, specs []*spec, tagged bool) *harness {
 				return cfg.LinkLatency(int(from), int(to), bytes)
 			})
 		}
-		sh.nw.SetLoss(cfg.Loss)
-		// Unconditional, like SetLoss: a malformed probability (a sign typo
-		// for a knob the user believes is on) must panic, not silently run a
-		// well-behaved network.
-		sh.nw.SetDuplicate(cfg.Duplicate)
-		sh.nw.SetReorder(cfg.Reorder, 0) // the network's window, 10× the base latency
-		sh.nw.SetReplay(cfg.Replay, cfg.ReplayDelay)
-		for _, p := range cfg.Partitions {
-			ids := make([]sim.NodeID, len(p.Group))
-			for i, g := range p.Group {
-				ids[i] = sim.NodeID(g)
-			}
-			sh.nw.AddPartition(p.Start, p.End, ids)
-		}
+		sh.nw.SetNemesis(nem)
 	}
 
 	h.nodes = make([]*node, h.total*len(specs))

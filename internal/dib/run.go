@@ -6,6 +6,7 @@ import (
 
 	"gossipbnb/internal/btree"
 	"gossipbnb/internal/code"
+	"gossipbnb/internal/nemesis"
 	"gossipbnb/internal/sim"
 )
 
@@ -332,7 +333,9 @@ func Run(tree *btree.Tree, cfg Config) Result {
 		optimum:  math.Inf(1),
 	}
 	h.nw = sim.NewNetwork(h.k, sim.PaperLatency())
-	h.nw.SetLoss(cfg.Loss)
+	if cfg.Loss != 0 {
+		h.nw.SetNemesis(nemesis.New(nemesis.Fault{Kind: nemesis.Loss, Prob: cfg.Loss}))
+	}
 	h.nodes = make([]*node, cfg.Procs)
 	for i := range h.nodes {
 		h.nodes[i] = newDIBNode(sim.NodeID(i), h)

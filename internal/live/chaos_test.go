@@ -50,7 +50,7 @@ func TestTransportRestartDropsInFlight(t *testing.T) {
 
 func TestTransportChaosDuplicates(t *testing.T) {
 	tr := NewTransport(3, nil, 0)
-	tr.SetChaos(Chaos{Duplicate: 1})
+	tr.SetNemesis(mustFaults(t, "dup:1"))
 	ch := tr.Register(1)
 	const n = 20
 	for i := 0; i < n; i++ {
@@ -66,15 +66,14 @@ func TestTransportChaosDuplicates(t *testing.T) {
 			t.Fatalf("delivered %d of %d (every message duplicated)", got, 2*n)
 		}
 	}
-	dup, _, _ := tr.ChaosStats()
-	if dup != n {
+	if dup := tr.NetStats().Duplicated; dup != n {
 		t.Errorf("duplicated = %d, want %d", dup, n)
 	}
 }
 
 func TestTransportChaosReplayArrivesLate(t *testing.T) {
 	tr := NewTransport(5, nil, 0)
-	tr.SetChaos(Chaos{Replay: 1, ReplayDelay: 30 * time.Millisecond})
+	tr.SetNemesis(mustFaults(t, "replay:1:30ms"))
 	ch := tr.Register(1)
 	start := time.Now()
 	tr.Send(0, 1, protocol.WorkDeny{})
@@ -144,24 +143,17 @@ func TestChaosLiveDupReorderReplay(t *testing.T) {
 	tr := liveTree(32, 301)
 	cl := NewCluster(tr, Config{
 		Nodes: 4, Seed: 32, TimeScale: 0.001,
-		Delay: func(bytes int) time.Duration { return 100 * time.Microsecond },
-		Chaos: Chaos{
-			Duplicate:     0.25,
-			Reorder:       0.3,
-			ReorderWindow: 2 * time.Millisecond,
-			Replay:        0.05,
-			ReplayDelay:   10 * time.Millisecond,
-		},
+		Delay:   func(bytes int) time.Duration { return 100 * time.Microsecond },
+		Nemesis: mustFaults(t, "dup:0.25", "reorder:0.3:2ms", "replay:0.05:10ms"),
 		Timeout: 60 * time.Second,
 	})
 	res := cl.Run()
 	if !res.Terminated || !res.OptimumOK {
 		t.Fatalf("chaotic live cluster failed: %+v", res)
 	}
-	mem := cl.tr.(*Transport)
-	dup, reord, rep := mem.ChaosStats()
-	if dup == 0 || reord == 0 || rep == 0 {
-		t.Errorf("chaos knobs had no effect: dup=%d reorder=%d replay=%d", dup, reord, rep)
+	if ns := cl.tr.NetStats(); ns.Duplicated == 0 || ns.Reordered == 0 || ns.Replayed == 0 {
+		t.Errorf("chaos faults had no effect: dup=%d reorder=%d replay=%d",
+			ns.Duplicated, ns.Reordered, ns.Replayed)
 	}
 }
 
@@ -172,7 +164,7 @@ func TestChaosLiveRestartEverything(t *testing.T) {
 	cl := NewCluster(tr, Config{
 		Nodes: 4, Seed: 33, TimeScale: 0.002,
 		Loss:          0.05,
-		Chaos:         Chaos{Duplicate: 0.2, Reorder: 0.25, ReorderWindow: time.Millisecond},
+		Nemesis:       mustFaults(t, "dup:0.2", "reorder:0.25:1ms"),
 		RecoveryQuiet: 25 * time.Millisecond,
 		Timeout:       60 * time.Second,
 	})

@@ -40,17 +40,17 @@ func TestDiffGossipLiveCluster(t *testing.T) {
 	}
 }
 
-// TestDiffGossipLiveChaosRestart: duplication, reordering, replay, loss, a
+// TestDiffGossipLiveFaultsRestart: duplication, reordering, loss, a
 // crash-stop, and a crash-restart — all with diff gossip on. The restarted
 // node rejoins with an empty table and must be rebuilt by the bootstrap
 // walk under genuinely concurrent, adversarial delivery.
-func TestDiffGossipLiveChaosRestart(t *testing.T) {
+func TestDiffGossipLiveFaultsRestart(t *testing.T) {
 	tr := liveTree(42, 401)
 	cl := NewCluster(tr, Config{
 		Nodes: 4, Seed: 42, TimeScale: 0.002,
 		DiffGossip:    true,
 		Loss:          0.05,
-		Chaos:         Chaos{Duplicate: 0.2, Reorder: 0.25, ReorderWindow: time.Millisecond},
+		Nemesis:       mustFaults(t, "dup:0.2", "reorder:0.25:1ms"),
 		RecoveryQuiet: 25 * time.Millisecond,
 		Timeout:       60 * time.Second,
 	})

@@ -1,7 +1,7 @@
 package live
 
 import (
-	"fmt"
+	"cmp"
 	"math/rand"
 	"sync"
 	"time"
@@ -19,8 +19,8 @@ type NetStats struct {
 	Bytes   int64 // payload bytes of sent messages
 
 	// Why dropped messages vanished:
-	Lost      int64 // injected uniform loss model
-	Cut       int64 // severed by a nemesis fault (partition, stall, flap)
+	Lost      int64 // injected loss: the transport's rate or a nemesis loss fault
+	Cut       int64 // severed by a nemesis fault (partition, oneway, flap, stall)
 	Suspect   int64 // suppressed: destination excluded by the failure detector
 	Corrupt   int64 // destroyed in transit; on TCP, rejected by the frame CRC
 	ToDead    int64 // receiver crashed or was replaced while in flight
@@ -28,7 +28,7 @@ type NetStats struct {
 	Unrouted  int64 // no endpoint, no known address, or dial failed
 	Closed    int64 // transport torn down with the message in flight
 
-	// Chaos-model injections (extra or delayed deliveries, not drops):
+	// Nemesis injections (extra or delayed deliveries, not drops):
 	Duplicated int64
 	Reordered  int64
 	Replayed   int64
@@ -69,44 +69,6 @@ func msgKind(msg Message) byte {
 	return 0
 }
 
-// Chaos parameterizes adversarial delivery: the duplicated, reordered, and
-// replayed arrivals the asynchronous model of §4 permits but well-behaved
-// transports rarely produce. The zero value is a well-behaved network.
-type Chaos struct {
-	// Duplicate is the independent probability a message is delivered twice.
-	// The copy is scheduled with the base delay, so it races the original
-	// only when the original was held back by Reorder (or by delivery-time
-	// scheduling jitter).
-	Duplicate float64
-	// Reorder is the probability a message is held back by up to
-	// ReorderWindow extra delay, letting later sends overtake it.
-	// ReorderWindow 0 means 5 ms.
-	Reorder       float64
-	ReorderWindow time.Duration
-	// Replay re-delivers a stale copy between ReplayDelay and 2·ReplayDelay
-	// after the send; ReplayDelay 0 means 50 ms.
-	Replay      float64
-	ReplayDelay time.Duration
-}
-
-func (c Chaos) withDefaults() Chaos {
-	for _, p := range [...]struct {
-		what string
-		p    float64
-	}{{"duplicate", c.Duplicate}, {"reorder", c.Reorder}, {"replay", c.Replay}} {
-		if p.p < 0 || p.p > 1 {
-			panic(fmt.Sprintf("live: %s probability %g out of [0,1]", p.what, p.p))
-		}
-	}
-	if c.ReorderWindow <= 0 {
-		c.ReorderWindow = 5 * time.Millisecond
-	}
-	if c.ReplayDelay <= 0 {
-		c.ReplayDelay = 50 * time.Millisecond
-	}
-	return c
-}
-
 // inboxCap is the buffered capacity of every node inbox; sends beyond it
 // drop, like a congested receiver.
 const inboxCap = 4096
@@ -128,13 +90,14 @@ type parcel struct {
 //
 // Send is one pipeline, in this order: size the message once → refuse it if
 // the link is closed or either end crashed → tally it (Sent, Bytes, per kind)
-// → failure-detector exclusion, the join handshake exempt → nemesis cut →
-// uniform loss → corrupt draw → base delay and chaos copies → hand each copy
-// to carry, now or from a tracked timer. A message is counted Sent before
-// any drop cause can claim it, and a copy that vanishes is counted under
-// exactly one cause. Sends from or to a crashed node, and sends after Close,
-// are counted nowhere. The loss rate, the delay function and the chaos model
-// apply wherever the constructor or SetChaos set them.
+// → failure-detector exclusion, the join handshake exempt → nemesis verdict:
+// cut → loss → corrupt → reorder → duplicate → replay (the simulator's order)
+// → hand each copy to carry, now or from a tracked timer. A message is
+// counted Sent before any drop cause can claim it, and a copy that vanishes
+// is counted under exactly one cause. Sends from or to a crashed node, and
+// sends after Close, are counted nowhere. The loss rate and the delay
+// function apply wherever the constructor set them; the nemesis schedule
+// wherever SetNemesis installed one.
 //
 // The policy decides Suspect, Cut, Lost and Closed, and — in deliver, which
 // every arriving copy passes through — ToDead and Congested. The delivery
@@ -156,7 +119,6 @@ type link struct {
 	rng     *rand.Rand
 	delay   func(bytes int) time.Duration
 	loss    float64
-	chaos   Chaos
 	nem     *nemesis.Schedule
 	stats   NetStats
 	kinds   KindStats
@@ -189,26 +151,18 @@ func (l *link) open(id NodeID) chan Envelope {
 	return ch
 }
 
-// SetChaos turns on adversarial delivery: duplicated, reordered, and
-// replayed arrivals. Call it before the cluster starts sending. (Embedding
-// promotes it onto TCPNetwork as well, where the copies become extra frames.)
-func (l *link) SetChaos(c Chaos) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.chaos = c.withDefaults()
-}
-
-// ChaosStats returns how many extra or delayed deliveries the chaos model
-// injected: (duplicated, reordered, replayed).
-func (l *link) ChaosStats() (duplicated, reordered, replayed int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stats.Duplicated, l.stats.Reordered, l.stats.Replayed
-}
+// Live defaults for a nemesis reorder fault without a window and a replay
+// fault without a delay.
+const (
+	reorderWindow = 5 * time.Millisecond
+	replayAfter   = 50 * time.Millisecond
+)
 
 // SetNemesis attaches a fault-injection schedule: every send is judged
-// against it, and cut, delayed, or corrupted accordingly. Call it before the
-// cluster starts sending.
+// against it once, at send time — cut, delayed, lost, corrupted, held back,
+// duplicated or replayed accordingly. Call it before the cluster starts
+// sending. (Embedding promotes it onto TCPNetwork as well, where the copies
+// become extra frames.)
 func (l *link) SetNemesis(s *nemesis.Schedule) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -242,9 +196,9 @@ func (l *link) Crashed(id NodeID) bool {
 
 // Send implements Net. Every way a message can vanish is silent — the
 // asynchronous model of §4 — but each is counted, so loss metrics see
-// congestion and crash losses, not just injected loss. Under a Chaos model a
-// message may additionally be delivered twice, held back so later sends
-// overtake it, or replayed stale much later.
+// congestion and crash losses, not just injected loss. Under a nemesis
+// schedule a message may additionally be delivered twice, held back so later
+// sends overtake it, or replayed stale much later.
 func (l *link) Send(from, to NodeID, msg Message) {
 	size := msg.Size() // once per send and outside the lock: an unstamped batch's is a walk over every decision
 	l.mu.Lock()
@@ -269,7 +223,9 @@ func (l *link) Send(from, to NodeID, msg Message) {
 		l.mu.Unlock()
 		return
 	}
-	if l.loss > 0 && l.rng.Float64() < l.loss {
+	// The transport's own rate and a loss fault drop independently; the sum
+	// is exact when either is zero.
+	if loss := l.loss + verdict.Loss - l.loss*verdict.Loss; loss > 0 && l.rng.Float64() < loss {
 		l.dropLocked(&l.stats.Lost)
 		l.mu.Unlock()
 		return
@@ -283,19 +239,21 @@ func (l *link) Send(from, to NodeID, msg Message) {
 	var scratch [3]time.Duration
 	copies := scratch[:0]
 	first := d
-	if l.chaos.Reorder > 0 && l.rng.Float64() < l.chaos.Reorder {
+	if verdict.Reorder > 0 && l.rng.Float64() < verdict.Reorder {
 		// Held back: messages sent after this one can overtake it.
-		first += time.Duration(l.rng.Float64() * float64(l.chaos.ReorderWindow))
+		w := cmp.Or(verdict.ReorderWindow, reorderWindow)
+		first += time.Duration(l.rng.Float64() * float64(w))
 		l.stats.Reordered++
 	}
 	copies = append(copies, first)
-	if l.chaos.Duplicate > 0 && l.rng.Float64() < l.chaos.Duplicate {
+	if verdict.Dup > 0 && l.rng.Float64() < verdict.Dup {
 		copies = append(copies, d)
 		l.stats.Duplicated++
 	}
-	if l.chaos.Replay > 0 && l.rng.Float64() < l.chaos.Replay {
+	if verdict.Replay > 0 && l.rng.Float64() < verdict.Replay {
 		// A stale copy from the past surfaces long after both ends moved on.
-		copies = append(copies, l.chaos.ReplayDelay+time.Duration(l.rng.Float64()*float64(l.chaos.ReplayDelay)))
+		lag := cmp.Or(verdict.ReplayAfter, replayAfter)
+		copies = append(copies, lag+time.Duration(l.rng.Float64()*float64(lag)))
 		l.stats.Replayed++
 	}
 	immediate := 0

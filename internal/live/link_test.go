@@ -8,12 +8,11 @@ import (
 	"gossipbnb/internal/protocol"
 )
 
-// linkNet is a transport as the link-policy cases drive it: Net plus the two
-// setters the link layer gives both transports.
+// linkNet is a transport as the link-policy cases drive it: Net plus the
+// fault setter the link layer gives both transports.
 type linkNet interface {
 	Net
 	SetNemesis(*nemesis.Schedule)
-	SetChaos(Chaos)
 }
 
 // linkRig counts what a case receives, so every case can close the ledger.
@@ -191,10 +190,10 @@ func TestLinkPolicy(t *testing.T) {
 				t.Errorf("stats = %+v, want the in-flight message to-dead", ns)
 			}
 		}},
-		// Embedding puts SetChaos on TCPNetwork too; its copies are frames.
+		// Embedding puts SetNemesis on TCPNetwork too; its copies are frames.
 		{"chaos-duplicates", func(t *testing.T, r *linkRig) {
 			ch := r.register(1)
-			r.nw.SetChaos(Chaos{Duplicate: 1})
+			r.nw.SetNemesis(mustFaults(t, "dup:1"))
 			const n = 20
 			for i := 0; i < n; i++ {
 				r.nw.Send(0, 1, protocol.WorkDeny{})

@@ -29,12 +29,8 @@ type Config struct {
 	// Both apply only to the default in-memory transport.
 	Delay func(bytes int) time.Duration
 	Loss  float64
-	// Chaos turns on adversarial delivery (duplication, bounded reordering,
-	// stale replay). It applies only to the default in-memory transport; a
-	// caller-supplied Network brings its own delivery model.
-	Chaos Chaos
 	// Network overrides the transport; nil means an in-memory Transport
-	// built from Seed/Delay/Loss/Chaos. Pass a TCPNetwork to run over real
+	// built from Seed/Delay/Loss. Pass a TCPNetwork to run over real
 	// sockets. The cluster closes the network when Run returns.
 	Network Net
 	// Protocol parameters, as in the simulator. The report path is the
@@ -65,9 +61,11 @@ type Config struct {
 	// Exclusion is the same §5.2 view shrink a crash notification produces,
 	// and is always revocable: any message from the peer re-absorbs it.
 	ExcludeAfter time.Duration
-	// Nemesis injects scheduled faults (partitions, flaps, stalls, slow
-	// links, corruption) into the transport; nil means none. The schedule is
-	// armed when Run starts.
+	// Nemesis injects scheduled faults into the transport, in the grammar
+	// the simulator also speaks: partitions, one-way cuts, flaps, stalls,
+	// slow links, and per-message loss, corruption, reordering, duplication
+	// and stale replay. nil means none. The schedule is armed when Run
+	// starts.
 	Nemesis *nemesis.Schedule
 	// OnDetect observes failure-detector transitions (suspected, cleared,
 	// excluded, reabsorbed) across all nodes. Called from node goroutines —
@@ -337,11 +335,7 @@ func NewProblemClusterRef(p bnb.Problem, ref bnb.Result, cfg Config) *Cluster {
 func newCluster(cfg Config, newExp func() protocol.Expander, sleepOf func(it protocol.Item) float64, trueOpt float64) *Cluster {
 	tr := cfg.Network
 	if tr == nil {
-		mem := NewTransport(cfg.Seed, cfg.Delay, cfg.Loss)
-		if cfg.Chaos != (Chaos{}) {
-			mem.SetChaos(cfg.Chaos)
-		}
-		tr = mem
+		tr = NewTransport(cfg.Seed, cfg.Delay, cfg.Loss)
 	}
 	if cfg.Nemesis != nil {
 		if s, ok := tr.(interface{ SetNemesis(*nemesis.Schedule) }); ok {

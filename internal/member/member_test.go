@@ -3,8 +3,14 @@ package member
 import (
 	"testing"
 
+	"gossipbnb/internal/nemesis"
 	"gossipbnb/internal/sim"
 )
+
+// lossy is a schedule that drops every message with probability p.
+func lossy(p float64) *nemesis.Schedule {
+	return nemesis.New(nemesis.Fault{Kind: nemesis.Loss, Prob: p})
+}
 
 // cluster wires n members on a fresh kernel; member 0 is the gossip server.
 func cluster(seed int64, n int, cfg Config) (*sim.Kernel, *sim.Network, []*Member) {
@@ -126,7 +132,7 @@ func TestOnJoinOnLeaveCallbacks(t *testing.T) {
 func TestToleratesMessageLoss(t *testing.T) {
 	cfg := Config{GossipInterval: 1, Fanout: 2, FailTimeout: 15}
 	k, nw, ms := cluster(7, 8, cfg)
-	nw.SetLoss(0.15)
+	nw.SetNemesis(lossy(0.15))
 	for _, m := range ms {
 		m.Join()
 	}
@@ -178,7 +184,7 @@ func TestStaleRelayDoesNotResurrect(t *testing.T) {
 func TestLostJoinIsRetried(t *testing.T) {
 	cfg := Config{GossipInterval: 1, Fanout: 2, FailTimeout: 30}
 	k, nw, ms := cluster(11, 4, cfg)
-	nw.SetLoss(0.6) // well beyond "a small percentage": joins need retries
+	nw.SetNemesis(lossy(0.6)) // well beyond "a small percentage": joins need retries
 	for _, m := range ms {
 		m.Join()
 	}
@@ -230,7 +236,7 @@ func TestLateJoinAnnounceLostAndRetried(t *testing.T) {
 		m.Join()
 	}
 	k.Run(20)
-	nw.SetLoss(1)
+	nw.SetNemesis(lossy(1))
 	ms[4].Join()
 	k.Run(30)
 	for i, m := range ms[:4] {
@@ -238,7 +244,7 @@ func TestLateJoinAnnounceLostAndRetried(t *testing.T) {
 			t.Fatalf("member %d learned of the joiner through a lossless blackout", i)
 		}
 	}
-	nw.SetLoss(0)
+	nw.SetNemesis(nil)
 	k.Run(90)
 	for i, m := range ms {
 		if !m.Knows(4) {
@@ -257,7 +263,7 @@ func TestConvergenceTimeUnderLoss(t *testing.T) {
 	// FailTimeout, or churn would outrun detection.
 	cfg := Config{GossipInterval: 1, Fanout: 2, FailTimeout: 60}
 	k, nw, ms := cluster(14, 8, cfg)
-	nw.SetLoss(0.3)
+	nw.SetNemesis(lossy(0.3))
 	for _, m := range ms[:7] {
 		m.Join()
 	}

@@ -1,17 +1,24 @@
-// Package nemesis is a declarative fault-injection schedule for the live
-// transports and the simulator CLI. A scenario is a list of Faults, each a
-// network misbehaviour active over a time window; a Schedule judges every
-// directed link at every instant and returns a Verdict — cut, delayed,
-// and/or corrupted — that a transport applies to the message in flight.
+// Package nemesis is the one description of the §4 link-fault model for
+// both runtimes. A scenario is a list of Faults, each a network misbehaviour
+// active over a time window; a Schedule judges a directed link at an instant
+// and returns a Verdict that the runtime applies to the message in flight:
+// whether it is cut, how much delay a slow link adds, and the per-message
+// probabilities that it is lost, corrupted, held back (reordered),
+// duplicated or replayed stale.
 //
-// The grammar is runtime-neutral: the live runtime arms a Schedule against
-// the wall clock, the simulator maps the subset of faults it can express
-// onto virtual-time partitions. Faults compose: a link may be simultaneously
-// slowed by one fault and flapped by another.
+// The grammar is runtime-neutral and so are the verdicts: the live link
+// judges each send against the wall clock since Arm, the simulator judges
+// each send against virtual time with At, and the same (time, src, dst)
+// gets the same verdict in both. Only the random draws and the defaults
+// for an unset reorder window or replay delay belong to the runtime.
+// Faults compose: a link may be slowed by one fault and flapped by another,
+// and two loss faults active together drop independently.
 package nemesis
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,26 +45,30 @@ const (
 	// Slow adds a fixed delay to every message on the link A[0]–B[0]
 	// (both directions).
 	Slow
-	// Corrupt flips bytes in transit with the given per-message
+	// Corrupt damages messages in transit with the given per-message
 	// probability, on every link. The CRC layer must catch these.
 	Corrupt
+	// Loss drops messages with the given per-message probability, on every
+	// link.
+	Loss
+	// Dup delivers an extra copy of a message with the given probability,
+	// on every link; the copy takes the base delay, so it races the original
+	// when that was held back.
+	Dup
+	// Reorder holds a message back by up to Delay extra latency with the
+	// given probability, on every link, so later sends can overtake it.
+	Reorder
+	// Replay re-delivers a stale copy between Delay and 2·Delay after the
+	// send with the given probability, on every link.
+	Replay
 )
+
+var kindNames = [...]string{"partition", "oneway", "flap", "stall", "slow", "corrupt", "loss", "dup", "reorder", "replay"}
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	switch k {
-	case Partition:
-		return "partition"
-	case OneWay:
-		return "oneway"
-	case Flap:
-		return "flap"
-	case Stall:
-		return "stall"
-	case Slow:
-		return "slow"
-	case Corrupt:
-		return "corrupt"
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return "unknown"
 }
@@ -71,8 +82,26 @@ type Fault struct {
 	End    time.Duration // 0 = until the run ends
 	A, B   []int         // node groups (single-element for link faults)
 	Period time.Duration // Flap
-	Delay  time.Duration // Slow
-	Prob   float64       // Corrupt
+	// Delay is Slow's added latency, Reorder's hold-back window and
+	// Replay's stale lag; for the last two 0 means the runtime's default.
+	Delay time.Duration
+	Prob  float64 // Corrupt, Loss, Dup, Reorder, Replay
+}
+
+// check is the one test of a fault's numbers, for Parse and New alike: a
+// window must satisfy 0 <= Start < End (or End 0), a probability must lie
+// in [0,1] — NaN does not — a flap period and a slow delay must be positive
+// and a reorder window or replay lag not negative.
+func (f Fault) check() error {
+	switch {
+	case f.Start < 0 || (f.End != 0 && f.End <= f.Start):
+		return fmt.Errorf("window [%v, %v): want 0 <= start < end", f.Start, f.End)
+	case f.Kind >= Corrupt && !(f.Prob >= 0 && f.Prob <= 1):
+		return fmt.Errorf("probability %v out of [0,1]", f.Prob)
+	case f.Delay < 0 || (f.Kind == Flap && f.Period <= 0) || (f.Kind == Slow && f.Delay <= 0):
+		return fmt.Errorf("%v: bad duration", f.Kind)
+	}
+	return nil
 }
 
 // active reports whether the fault's window covers instant t.
@@ -108,8 +137,6 @@ func (f Fault) hits(from, to int, t time.Duration) bool {
 		return phase < f.Period/2
 	case Stall:
 		return in(f.A, from) || in(f.A, to)
-	case Slow, Corrupt:
-		// handled by Verdict accumulation, not a cut
 	}
 	return false
 }
@@ -122,7 +149,8 @@ func (f Fault) link(from, to int) bool {
 	return (f.A[0] == from && f.B[0] == to) || (f.B[0] == from && f.A[0] == to)
 }
 
-// String renders the fault back in the scenario grammar.
+// String renders the fault back in the scenario grammar; Parse reads it
+// back as the same fault.
 func (f Fault) String() string {
 	win := fmtDur(f.Start) + "-"
 	if f.End != 0 {
@@ -150,26 +178,49 @@ func (f Fault) String() string {
 		return fmt.Sprintf("stall:%s:%s", g(f.A), win)
 	case Slow:
 		return fmt.Sprintf("slow:%d-%d:%s:%s", f.A[0], f.B[0], fmtDur(f.Delay), win)
-	case Corrupt:
-		return fmt.Sprintf("corrupt:%g:%s", f.Prob, win)
+	case Reorder, Replay:
+		if f.Delay != 0 {
+			return fmt.Sprintf("%v:%g:%s:%s", f.Kind, f.Prob, fmtDur(f.Delay), win)
+		}
+	}
+	if f.Kind >= Corrupt {
+		return fmt.Sprintf("%v:%g:%s", f.Kind, f.Prob, win)
 	}
 	return "unknown"
 }
 
+// fmtDur renders d as bare whole seconds when it is one, else in Go syntax;
+// both forms parse back to exactly d.
 func fmtDur(d time.Duration) string {
-	if d == d.Truncate(time.Second) {
-		return strconv.FormatFloat(d.Seconds(), 'g', -1, 64)
+	if d%time.Second == 0 {
+		return strconv.FormatInt(int64(d/time.Second), 10)
 	}
 	return d.String()
 }
 
 // Verdict is a Schedule's judgement of one message on one directed link at
 // one instant. Zero value = deliver normally.
+//
+// A runtime applies it in one order: a cut drops the message; otherwise
+// the draws run loss → corrupt → reorder → duplicate → replay, each only
+// when its probability is positive, and Delay is added to every copy that
+// takes the link's base latency.
 type Verdict struct {
-	Cut     bool
-	Delay   time.Duration // extra latency to add before delivery
-	Corrupt float64       // probability the frame should be corrupted
+	Cut   bool
+	Delay time.Duration // extra latency a slow link adds
+	// Per-message probabilities. Active faults of one kind compose as
+	// independent events.
+	Loss, Corrupt, Reorder, Dup, Replay float64
+	// ReorderWindow bounds a held-back message's extra delay and ReplayAfter
+	// a stale copy's lag: the widest among the active faults, 0 for the
+	// runtime's default.
+	ReorderWindow, ReplayAfter time.Duration
 }
+
+// either is the probability that at least one of two independent events
+// with probabilities p and q happens. It is exact when either is 0, so a
+// lone fault's probability reaches the draw unrounded.
+func either(p, q float64) float64 { return p + q - p*q }
 
 // Schedule holds a scenario's faults and judges links against them. The
 // zero time origin is set by Arm (or lazily by the first JudgeNow call), so
@@ -179,27 +230,41 @@ type Schedule struct {
 	t0     atomic.Int64 // wall-clock origin, unix nanos; 0 = not armed
 }
 
-// New builds a schedule over the given faults.
+// New builds a schedule over the given faults. It panics on a fault the
+// grammar could not express — a NaN or out-of-range probability built in
+// code must not silently run a different network.
 func New(faults ...Fault) *Schedule {
+	for _, f := range faults {
+		if err := f.check(); err != nil {
+			panic(fmt.Sprintf("nemesis: %v fault: %v", f.Kind, err))
+		}
+	}
 	return &Schedule{faults: faults}
 }
 
-// Faults returns the scenario (shared slice; treat as read-only).
-func (s *Schedule) Faults() []Fault { return s.faults }
+// Faults returns the scenario (shared slice; treat as read-only). A nil
+// schedule has none.
+func (s *Schedule) Faults() []Fault {
+	if s == nil {
+		return nil
+	}
+	return s.faults
+}
 
 // Arm fixes the schedule's time origin. Calling Arm again re-bases the
 // windows — useful when one Schedule value is reused across runs.
 func (s *Schedule) Arm(t0 time.Time) { s.t0.Store(t0.UnixNano()) }
 
 // At is the pure judgement: the verdict for a message from → to at instant
-// t after the origin. Deterministic and lock-free, so tests can table-drive
-// it and the simulator can call it with virtual time.
+// t after the origin. Deterministic, lock-free and allocation-free, so tests
+// can table-drive it and the simulator calls it with virtual time.
 func (s *Schedule) At(from, to int, t time.Duration) Verdict {
 	var v Verdict
 	if s == nil {
 		return v
 	}
-	for _, f := range s.faults {
+	for i := range s.faults {
+		f := &s.faults[i]
 		if !f.active(t) {
 			continue
 		}
@@ -208,8 +273,18 @@ func (s *Schedule) At(from, to int, t time.Duration) Verdict {
 			if f.link(from, to) {
 				v.Delay += f.Delay
 			}
+		case Loss:
+			v.Loss = either(v.Loss, f.Prob)
 		case Corrupt:
-			v.Corrupt = 1 - (1-v.Corrupt)*(1-f.Prob)
+			v.Corrupt = either(v.Corrupt, f.Prob)
+		case Reorder:
+			v.Reorder = either(v.Reorder, f.Prob)
+			v.ReorderWindow = max(v.ReorderWindow, f.Delay)
+		case Dup:
+			v.Dup = either(v.Dup, f.Prob)
+		case Replay:
+			v.Replay = either(v.Replay, f.Prob)
+			v.ReplayAfter = max(v.ReplayAfter, f.Delay)
 		default:
 			if f.hits(from, to, t) {
 				v.Cut = true
@@ -254,111 +329,126 @@ func (s *Schedule) Horizon() time.Duration {
 
 // Parse reads one fault in the scenario grammar:
 //
-//	partition:T1-T2:a[|b]    cut group a from group b (b defaults to rest)
-//	oneway:T1-T2:a|b         cut only the a → b direction
-//	flap:A-B:PERIOD[:T1-T2]  link A–B toggles down/up each PERIOD
-//	stall:a:T1-T2            nodes in a drop all traffic, both directions
-//	slow:A-B:DELAY[:T1-T2]   add DELAY to each message on link A–B
-//	corrupt:P[:T1-T2]        corrupt frames with probability P, all links
+//	partition:T1-T2:a[|b]      cut group a from group b (b defaults to rest)
+//	oneway:T1-T2:a|b           cut only the a → b direction
+//	flap:A-B:PERIOD[:T1-T2]    link A–B toggles down/up each PERIOD
+//	stall:a:T1-T2              nodes in a drop all traffic, both directions
+//	slow:A-B:DELAY[:T1-T2]     add DELAY to each message on link A–B
+//	corrupt:P[:T1-T2]          damage messages with probability P, all links
+//	loss:P[:T1-T2]             drop messages with probability P, all links
+//	dup:P[:T1-T2]              deliver an extra copy with probability P
+//	reorder:P[:WINDOW][:T1-T2] hold back by up to WINDOW with probability P
+//	replay:P[:DELAY][:T1-T2]   re-deliver DELAY to 2·DELAY late with probability P
 //
 // Durations accept Go syntax ("750ms") or bare seconds ("1.5"); windows are
-// "start-end" with an optional open end ("2-"). Groups are comma-separated
-// node IDs; "|" separates two sides.
+// "start-end" with an optional open end ("2-"), and an omitted window is
+// the whole run. A reorder WINDOW or replay DELAY of 0, or none, leaves the
+// runtime's default. Groups are comma-separated node IDs; "|" separates two
+// sides.
 func Parse(s string) (Fault, error) {
-	parts := strings.Split(s, ":")
-	bad := func(why string) (Fault, error) {
-		return Fault{}, fmt.Errorf("nemesis: %q: %s", s, why)
+	f, err := parse(s)
+	if err == nil {
+		err = f.check()
 	}
+	if err != nil {
+		return Fault{}, fmt.Errorf("nemesis: %q: %v", s, err)
+	}
+	return f, nil
+}
+
+// parse reads the fields of one fault; Parse then checks the whole.
+func parse(s string) (f Fault, err error) {
+	parts := strings.Split(s, ":")
 	if len(parts) < 2 {
-		return bad("want kind:args")
+		return f, fmt.Errorf("want kind:args")
+	}
+	// window reads an optional trailing window at parts[i].
+	window := func(i int) (err error) {
+		if i < len(parts) {
+			f.Start, f.End, err = parseWindow(parts[i])
+		}
+		return err
 	}
 	switch parts[0] {
 	case "partition", "oneway":
 		if len(parts) != 3 {
-			return bad("want " + parts[0] + ":T1-T2:a|b")
+			return f, fmt.Errorf("want %s:T1-T2:a|b", parts[0])
 		}
-		f := Fault{Kind: Partition}
+		f.Kind = Partition
 		if parts[0] == "oneway" {
 			f.Kind = OneWay
 		}
-		var err error
-		if f.Start, f.End, err = parseWindow(parts[1]); err != nil {
-			return bad(err.Error())
+		if err = window(1); err != nil {
+			return f, err
 		}
 		sides := strings.Split(parts[2], "|")
-		if f.A, err = parseGroup(sides[0]); err != nil {
-			return bad(err.Error())
-		}
 		if len(sides) > 2 {
-			return bad("more than two sides")
+			return f, fmt.Errorf("more than two sides")
+		}
+		if f.A, err = parseGroup(sides[0]); err != nil {
+			return f, err
 		}
 		if len(sides) == 2 {
 			if f.B, err = parseGroup(sides[1]); err != nil {
-				return bad(err.Error())
+				return f, err
 			}
 		}
 		if f.Kind == OneWay && len(f.B) == 0 {
-			return bad("oneway needs both sides: a|b")
+			return f, fmt.Errorf("oneway needs both sides: a|b")
 		}
 		return f, nil
 	case "flap", "slow":
 		if len(parts) != 3 && len(parts) != 4 {
-			return bad("want " + parts[0] + ":A-B:arg[:T1-T2]")
-		}
-		f := Fault{Kind: Flap}
-		if parts[0] == "slow" {
-			f.Kind = Slow
+			return f, fmt.Errorf("want %s:A-B:arg[:T1-T2]", parts[0])
 		}
 		a, b, err := parseLink(parts[1])
 		if err != nil {
-			return bad(err.Error())
+			return f, err
 		}
 		f.A, f.B = []int{a}, []int{b}
 		d, err := parseDur(parts[2])
-		if err != nil || d <= 0 {
-			return bad("bad duration " + strconv.Quote(parts[2]))
+		if err != nil {
+			return f, err
 		}
-		if f.Kind == Flap {
-			f.Period = d
+		if parts[0] == "flap" {
+			f.Kind, f.Period = Flap, d
 		} else {
-			f.Delay = d
+			f.Kind, f.Delay = Slow, d
 		}
-		if len(parts) == 4 {
-			if f.Start, f.End, err = parseWindow(parts[3]); err != nil {
-				return bad(err.Error())
-			}
-		}
-		return f, nil
+		return f, window(3)
 	case "stall":
 		if len(parts) != 3 {
-			return bad("want stall:nodes:T1-T2")
+			return f, fmt.Errorf("want stall:nodes:T1-T2")
 		}
-		f := Fault{Kind: Stall}
-		var err error
+		f.Kind = Stall
 		if f.A, err = parseGroup(parts[1]); err != nil {
-			return bad(err.Error())
+			return f, err
 		}
-		if f.Start, f.End, err = parseWindow(parts[2]); err != nil {
-			return bad(err.Error())
+		return f, window(2)
+	case "corrupt", "loss", "dup", "reorder", "replay":
+		f.Kind = Kind(slices.Index(kindNames[:], parts[0]))
+		timed := f.Kind == Reorder || f.Kind == Replay
+		if len(parts) > 4 || (len(parts) == 4 && !timed) {
+			return f, fmt.Errorf("too many fields")
 		}
-		return f, nil
-	case "corrupt":
-		if len(parts) != 2 && len(parts) != 3 {
-			return bad("want corrupt:P[:T1-T2]")
+		if f.Prob, err = strconv.ParseFloat(parts[1], 64); err != nil {
+			return f, fmt.Errorf("bad probability %q", parts[1])
 		}
-		p, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil || p < 0 || p > 1 {
-			return bad("probability must be in [0,1]")
-		}
-		f := Fault{Kind: Corrupt, Prob: p}
-		if len(parts) == 3 {
-			if f.Start, f.End, err = parseWindow(parts[2]); err != nil {
-				return bad(err.Error())
+		// The optional duration precedes the optional window; a third field
+		// that does not read as a duration is the window.
+		if timed && len(parts) > 2 {
+			d, derr := parseDur(parts[2])
+			if derr == nil {
+				f.Delay = d
+				return f, window(3)
+			}
+			if len(parts) == 4 {
+				return f, derr
 			}
 		}
-		return f, nil
+		return f, window(2)
 	}
-	return bad("unknown fault kind " + strconv.Quote(parts[0]))
+	return f, fmt.Errorf("unknown fault kind %q", parts[0])
 }
 
 // ParseAll parses a whole scenario, one fault per string.
@@ -374,12 +464,22 @@ func ParseAll(specs []string) ([]Fault, error) {
 	return fs, nil
 }
 
+// parseDur reads a non-negative duration that fits a time.Duration: whole
+// seconds ("3"), fractional seconds ("1.5"), or Go syntax ("750ms"). NaN,
+// infinities and out-of-range values are rejected, never wrapped.
 func parseDur(s string) (time.Duration, error) {
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		if f < 0 {
-			return 0, fmt.Errorf("negative duration %q", s)
+	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
+		if n < 0 || n > math.MaxInt64/int64(time.Second) {
+			return 0, fmt.Errorf("duration %q out of range", s)
 		}
-		return time.Duration(f * float64(time.Second)), nil
+		return time.Duration(n) * time.Second, nil
+	}
+	if f, err := strconv.ParseFloat(s, 64); err == nil {
+		ns := f * float64(time.Second)
+		if !(ns >= 0 && ns < math.MaxInt64) {
+			return 0, fmt.Errorf("duration %q out of range", s)
+		}
+		return time.Duration(ns), nil
 	}
 	d, err := time.ParseDuration(s)
 	if err != nil || d < 0 {
@@ -402,9 +502,6 @@ func parseWindow(s string) (start, end time.Duration, err error) {
 	}
 	if end, err = parseDur(s[i+1:]); err != nil {
 		return 0, 0, fmt.Errorf("window %q: %v", s, err)
-	}
-	if end <= start {
-		return 0, 0, fmt.Errorf("window %q: end before start", s)
 	}
 	return start, end, nil
 }

@@ -57,25 +57,39 @@ func TestCancelSteadyStateAllocs(t *testing.T) {
 
 // TestNetworkSendSteadyStateAllocs: a warm Network delivers messages with
 // zero allocations per send — the typed delivery event replaces the
-// per-message capture closure.
+// per-message capture closure — on a well-behaved network and under a
+// loss/dup/reorder schedule, whose judgement is a value, not a heap object.
 func TestNetworkSendSteadyStateAllocs(t *testing.T) {
-	k := New(1)
-	nw := NewNetwork(k, PaperLatency())
-	got := 0
-	nw.Register(1, func(NodeID, Message) {})
-	nw.Register(2, func(NodeID, Message) { got++ })
-	var msg Message = payload(3)
-	cycle := func() {
-		for i := 0; i < 64; i++ {
-			nw.Send(1, 2, msg)
-		}
-		k.Run(math.Inf(1))
-	}
-	cycle()
-	if avg := testing.AllocsPerRun(50, cycle); avg > 0 {
-		t.Errorf("steady-state Send→deliver allocates: %.1f allocs per 64-message cycle, want 0", avg)
-	}
-	if got == 0 {
-		t.Fatal("nothing delivered")
+	for _, c := range []struct {
+		name  string
+		specs []string
+	}{
+		{"clean", nil},
+		{"loss-dup-reorder", []string{"loss:0.05", "dup:0.05", "reorder:0.05"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			k := New(1)
+			nw := NewNetwork(k, PaperLatency())
+			if c.specs != nil {
+				nw.SetNemesis(faults(t, c.specs...))
+			}
+			got := 0
+			nw.Register(1, func(NodeID, Message) {})
+			nw.Register(2, func(NodeID, Message) { got++ })
+			var msg Message = payload(3)
+			cycle := func() {
+				for i := 0; i < 64; i++ {
+					nw.Send(1, 2, msg)
+				}
+				k.Run(math.Inf(1))
+			}
+			cycle()
+			if avg := testing.AllocsPerRun(50, cycle); avg > 0 {
+				t.Errorf("steady-state Send→deliver allocates: %.1f allocs per 64-message cycle, want 0", avg)
+			}
+			if got == 0 {
+				t.Fatal("nothing delivered")
+			}
+		})
 	}
 }

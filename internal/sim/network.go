@@ -1,6 +1,12 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"time"
+
+	"gossipbnb/internal/nemesis"
+)
 
 // NodeID identifies a simulated process. IDs are dense small integers —
 // the network's per-node tables are slices indexed by NodeID, not maps, so
@@ -31,13 +37,6 @@ func LinearLatency(base, perByte float64) LatencyModel {
 // 1.5 + 0.005·L milliseconds for messages of size L bytes.
 func PaperLatency() LatencyModel { return LinearLatency(1.5e-3, 5e-6) }
 
-// partition is a temporary network partition: during [start, end), nodes
-// inside the group cannot exchange messages with nodes outside it.
-type partition struct {
-	start, end float64
-	group      map[NodeID]bool
-}
-
 // MsgKinds bounds the dense per-kind accounting arrays. Message kinds are
 // small dense bytes (the protocol codec's kind space); index 0 collects
 // messages that expose no kind or one outside the dense range.
@@ -63,7 +62,8 @@ type NetStats struct {
 	Sent       int64 // messages handed to the network
 	Delivered  int64
 	Lost       int64 // dropped by the loss model
-	Cut        int64 // dropped by a partition
+	Cut        int64 // dropped by a nemesis cut (partition, oneway, flap, stall)
+	Corrupt    int64 // damaged in transit, so dropped
 	ToDead     int64 // addressed to a crashed node
 	Bytes      int64 // payload bytes of sent messages
 	Duplicated int64 // extra copies injected by the duplication model
@@ -83,6 +83,7 @@ func (s *NetStats) add(o NetStats) {
 	s.Delivered += o.Delivered
 	s.Lost += o.Lost
 	s.Cut += o.Cut
+	s.Corrupt += o.Corrupt
 	s.ToDead += o.ToDead
 	s.Bytes += o.Bytes
 	s.Duplicated += o.Duplicated
@@ -94,12 +95,11 @@ func (s *NetStats) add(o NetStats) {
 	}
 }
 
-// Network delivers messages between registered nodes under a latency model,
-// optional uniform loss, crash failures, and temporary partitions — the
-// target-architecture assumptions of §4: unbounded delivery time and
-// possible loss. §4 additionally permits duplicated and arbitrarily
-// reordered delivery; SetDuplicate, SetReorder and SetReplay turn those on,
-// widening the default well-behaved network into the full adversarial model.
+// Network delivers messages between registered nodes under a latency model
+// and crash failures; SetNemesis adds the link faults of §4 — cuts, slow
+// links, loss, corruption, duplication, bounded reordering and stale replay
+// — in the one fault vocabulary the live runtime also speaks, widening the
+// default well-behaved network into the full adversarial model.
 //
 // A Network is single-goroutine, like its Kernel. In a sharded Mesh every
 // shard owns one Network; each mutates only its own counters and tables
@@ -111,20 +111,13 @@ type Network struct {
 	// linkLatency optionally refines latency per (from, to) pair — see
 	// SetLinkLatency. nil means the size-only model applies everywhere.
 	linkLatency func(from, to NodeID, bytes int) float64
-	lossProb    float64
-	// dupProb injects an independent extra copy of a message, delivered
-	// after its own fresh latency draw. reorderProb holds a message back by
-	// up to reorderWindow extra seconds, letting later sends overtake it
-	// (bounded reordering). replayProb re-delivers a stale copy roughly
-	// replayDelay seconds later — a message from the system's past.
-	dupProb       float64
-	reorderProb   float64
+	// nem judges every send; nil is a well-behaved network. reorderWindow
+	// is the hold-back bound, in seconds, for a reorder fault that names
+	// none.
+	nem           *nemesis.Schedule
 	reorderWindow float64
-	replayProb    float64
-	replayDelay   float64
 	handlers      []Handler
 	crashed       []bool
-	parts         []partition
 	stats         NetStats
 	sentBytes     []int64 // per-sender payload bytes
 	sentMsgs      []int64
@@ -171,53 +164,33 @@ func (n *Network) delayFor(from, to NodeID, sz int) float64 {
 	return n.latency(sz)
 }
 
-// SetLoss sets the independent per-message loss probability.
-func (n *Network) SetLoss(p float64) {
-	n.lossProb = checkProb("loss", p)
-}
-
-// SetDuplicate sets the independent probability that a message is delivered
-// twice. The duplicate is scheduled with its own base-latency delay, so when
-// the original was held back by the reordering model the copies arrive in
-// either order; under a plain deterministic latency model the duplicate
-// follows the original.
-func (n *Network) SetDuplicate(p float64) {
-	n.dupProb = checkProb("duplicate", p)
-}
-
-// SetReorder sets the independent probability that a message is held back by
-// up to window extra seconds of delay, so messages sent later can overtake
-// it — bounded reordering. window <= 0 picks 10× the base latency of an
-// empty message, floored at 10 ms so the knob still reorders under a
-// zero-latency model.
-func (n *Network) SetReorder(p, window float64) {
-	n.reorderProb = checkProb("reorder", p)
-	if window <= 0 {
-		window = 10 * n.latency(0)
-		if window <= 0 {
-			window = 0.01
-		}
+// SetNemesis installs the fault schedule every later send is judged
+// against, once, at send time and virtual now — as the live link judges at
+// send time and wall-clock now. A message in flight when a fault starts is
+// not re-judged at delivery. Windows are virtual seconds. A reorder fault
+// without a window holds a message back by up to 10× the base latency of an
+// empty message, or 10 ms under a zero-latency model; a replay fault
+// without a delay replays between 1 and 2 seconds late. nil restores a
+// well-behaved network, and so does a schedule without faults: a send then
+// makes no judgement at all.
+func (n *Network) SetNemesis(s *nemesis.Schedule) {
+	if len(s.Faults()) == 0 {
+		s = nil
 	}
-	n.reorderWindow = window
+	n.nem = s
+	n.reorderWindow = 10 * n.latency(0)
+	if n.reorderWindow <= 0 {
+		n.reorderWindow = 0.01
+	}
 }
 
-// SetReplay sets the independent probability that a message is re-delivered
-// once more between delay and 2·delay seconds after the original send — a
-// stale copy from the system's past, long after both ends moved on.
-// delay <= 0 means 1 second.
-func (n *Network) SetReplay(p, delay float64) {
-	n.replayProb = checkProb("replay", p)
-	if delay <= 0 {
-		delay = 1
+// virtual converts a virtual instant in seconds to the schedule's time
+// axis, saturating rather than wrapping past time.Duration's range.
+func virtual(t float64) time.Duration {
+	if ns := t * float64(time.Second); ns < math.MaxInt64 {
+		return time.Duration(ns)
 	}
-	n.replayDelay = delay
-}
-
-func checkProb(what string, p float64) float64 {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("sim: %s probability %g out of [0,1]", what, p))
-	}
-	return p
+	return math.MaxInt64
 }
 
 // grow extends the per-node tables to cover id.
@@ -267,29 +240,10 @@ func (n *Network) Crashed(id NodeID) bool {
 	return int(id) < len(n.crashed) && n.crashed[id]
 }
 
-// AddPartition isolates group from the rest of the network during
-// [start, end) of virtual time.
-func (n *Network) AddPartition(start, end float64, group []NodeID) {
-	g := make(map[NodeID]bool, len(group))
-	for _, id := range group {
-		g[id] = true
-	}
-	n.parts = append(n.parts, partition{start: start, end: end, group: g})
-}
-
-// separated reports whether a partition currently cuts the (a, b) link.
-func (n *Network) separated(a, b NodeID, t float64) bool {
-	for _, p := range n.parts {
-		if t >= p.start && t < p.end && p.group[a] != p.group[b] {
-			return true
-		}
-	}
-	return false
-}
-
-// Send queues msg for delivery from -> to under the latency model. Sends
-// from or to crashed nodes, lost messages, and partitioned links all vanish
-// silently — exactly the asynchronous model the algorithm must tolerate.
+// Send queues msg for delivery from -> to under the latency model and the
+// nemesis schedule. Sends from or to crashed nodes, and messages a fault
+// cuts, loses or corrupts, all vanish silently — exactly the asynchronous
+// model the algorithm must tolerate.
 //
 // In a Mesh, the crashed-destination check moves to delivery time for
 // cross-shard sends (the sender's shard cannot see a remote node's crash
@@ -312,27 +266,50 @@ func (n *Network) Send(from, to NodeID, msg Message) {
 		n.stats.ToDead++
 		return
 	}
-	if n.lossProb > 0 && n.k.Rand().Float64() < n.lossProb {
+	if n.nem == nil {
+		n.route(from, to, msg, n.delayFor(from, to, sz))
+		return
+	}
+	v := n.nem.At(int(from), int(to), virtual(n.k.now))
+	if v.Cut {
+		n.stats.Cut++
+		return
+	}
+	r := n.k.Rand()
+	if v.Loss > 0 && r.Float64() < v.Loss {
 		n.stats.Lost++
 		return
 	}
-	delay := n.delayFor(from, to, sz)
-	if n.reorderProb > 0 && n.k.Rand().Float64() < n.reorderProb {
+	if v.Corrupt > 0 && r.Float64() < v.Corrupt {
+		n.stats.Corrupt++
+		return
+	}
+	slow := v.Delay.Seconds()
+	delay := n.delayFor(from, to, sz) + slow
+	if v.Reorder > 0 && r.Float64() < v.Reorder {
 		// Held back: messages sent after this one can overtake it.
-		delay += n.k.Rand().Float64() * n.reorderWindow
+		w := n.reorderWindow
+		if v.ReorderWindow > 0 {
+			w = v.ReorderWindow.Seconds()
+		}
+		delay += r.Float64() * w
 		n.stats.Reordered++
 	}
 	n.route(from, to, msg, delay)
-	if n.dupProb > 0 && n.k.Rand().Float64() < n.dupProb {
-		// The duplicate draws its own latency, so the copies race.
+	if v.Dup > 0 && r.Float64() < v.Dup {
+		// The duplicate takes its own base latency, so the copies race.
 		n.stats.Duplicated++
-		n.route(from, to, msg, n.delayFor(from, to, sz))
+		n.route(from, to, msg, n.delayFor(from, to, sz)+slow)
 	}
-	if n.replayProb > 0 && n.k.Rand().Float64() < n.replayProb {
+	if v.Replay > 0 && r.Float64() < v.Replay {
 		// A stale copy surfaces much later — a retransmit buffer flushing, a
 		// route flap healing — when the system has long moved past it.
+		lag := 1.0
+		if v.ReplayAfter > 0 {
+			lag = v.ReplayAfter.Seconds()
+		}
 		n.stats.Replayed++
-		n.route(from, to, msg, n.replayDelay*(1+n.k.Rand().Float64()))
+		n.route(from, to, msg, lag*(1+r.Float64()))
 	}
 }
 
@@ -368,19 +345,15 @@ func (n *Network) schedule(from, to NodeID, msg Message, delay float64) {
 	n.k.Deliver(delay, n.deliverHandler(to), from, msg)
 }
 
-// deliverNow runs one delivery attempt at its scheduled time. Every check is
-// re-done at delivery time: the destination may have crashed, or a partition
-// may have formed, while the message was in flight. A message already in
-// flight from a sender that crashes later is still delivered — crash-stop
-// halts the process, not the wire. The handler is also looked up at delivery
-// time, so a receiver registered mid-flight still gets the message.
+// deliverNow runs one delivery attempt at its scheduled time. The crash
+// check is re-done at delivery time: the destination may have crashed while
+// the message was in flight. A message already in flight from a sender that
+// crashes later is still delivered — crash-stop halts the process, not the
+// wire. The handler is also looked up at delivery time, so a receiver
+// registered mid-flight still gets the message.
 func (n *Network) deliverNow(from, to NodeID, msg Message) {
 	if n.Crashed(to) {
 		n.stats.ToDead++
-		return
-	}
-	if n.separated(from, to, n.k.Now()) {
-		n.stats.Cut++
 		return
 	}
 	if int(to) >= len(n.handlers) {
@@ -401,9 +374,9 @@ func (n *Network) deliverNow(from, to NodeID, msg Message) {
 // pending events per detector; this path instead enqueues ONE group entry
 // per destination shard, and the group fires as one kernel event that walks
 // only the shard's own slice of the ring.
-// Legal only under a failure-free network (no loss/dup/reorder/replay —
-// those need independent per-recipient draws) and only on a Mesh; the
-// caller falls back to per-recipient Send otherwise.
+// Legal only on a Mesh. Under a nemesis schedule every recipient is judged
+// and drawn for on its own, so the broadcast falls back to per-recipient
+// Send.
 func (n *Network) BroadcastRange(from NodeID, lo, cnt int, msg Message) {
 	m := n.mesh
 	if m == nil {
@@ -412,8 +385,7 @@ func (n *Network) BroadcastRange(from NodeID, lo, cnt int, msg Message) {
 	if cnt <= 0 || n.Crashed(from) {
 		return
 	}
-	if n.lossProb > 0 || n.dupProb > 0 || n.reorderProb > 0 || n.replayProb > 0 {
-		// Chaos knobs need one independent draw per recipient.
+	if n.nem != nil {
 		for j := 0; j < cnt; j++ {
 			n.Send(from, NodeID((lo+j)%m.n), msg)
 		}
@@ -433,13 +405,11 @@ func (n *Network) BroadcastRange(from NodeID, lo, cnt int, msg Message) {
 
 // deliverRing delivers one broadcast group to this shard's slice of the
 // ring: every owned id whose ring position falls in [lo, lo+cnt) mod n.
-// Per-recipient crash/partition state is checked here, at delivery time,
-// exactly like deliverNow.
+// Per-recipient crash state is checked here, at delivery time, exactly like
+// deliverNow.
 func (n *Network) deliverRing(from NodeID, lo, cnt int, msg Message) {
 	m := n.mesh
 	blo, bhi := int(m.blockLo[n.self]), int(m.blockHi[n.self])
-	checkParts := len(n.parts) > 0
-	t := n.k.Now()
 	for id := blo; id < bhi; id++ {
 		d := id - lo
 		if d < 0 {
@@ -450,10 +420,6 @@ func (n *Network) deliverRing(from NodeID, lo, cnt int, msg Message) {
 		}
 		if n.crashed[id] {
 			n.stats.ToDead++
-			continue
-		}
-		if checkParts && n.separated(from, NodeID(id), t) {
-			n.stats.Cut++
 			continue
 		}
 		h := n.handlers[id]

@@ -5,11 +5,24 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"gossipbnb/internal/nemesis"
 )
 
 type payload int
 
 func (p payload) Size() int { return int(p) }
+
+// faults builds a schedule from specs in the nemesis grammar.
+func faults(t testing.TB, specs ...string) *nemesis.Schedule {
+	t.Helper()
+	fs, err := nemesis.ParseAll(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nemesis.New(fs...)
+}
 
 func TestKernelOrdering(t *testing.T) {
 	k := New(1)
@@ -313,7 +326,7 @@ func TestInFlightFromCrashedSenderStillDelivered(t *testing.T) {
 func TestLoss(t *testing.T) {
 	k := New(7)
 	nw := NewNetwork(k, nil)
-	nw.SetLoss(0.5)
+	nw.SetNemesis(faults(t, "loss:0.5"))
 	delivered := 0
 	nw.Register(1, func(NodeID, Message) {})
 	nw.Register(2, func(NodeID, Message) { delivered++ })
@@ -331,46 +344,57 @@ func TestLoss(t *testing.T) {
 	}
 }
 
+// TestSetLossValidates: a loss probability built in code outside [0,1], or
+// NaN, panics when the schedule is built — it must not silently run a
+// different network.
 func TestSetLossValidates(t *testing.T) {
 	nw := NewNetwork(New(1), nil)
-	for _, p := range []float64{-0.1, 1.1} {
+	for _, p := range []float64{-0.1, 1.1, math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("SetLoss(%g) did not panic", p)
+					t.Errorf("loss probability %g did not panic", p)
 				}
 			}()
-			nw.SetLoss(p)
+			nw.SetNemesis(nemesis.New(nemesis.Fault{Kind: nemesis.Loss, Prob: p}))
 		}()
 	}
 }
 
+// TestPartition: a cut is judged once, at send time. A message sent just
+// before the window opens is delivered inside it; one sent just before the
+// window closes is cut although it would arrive after the heal.
 func TestPartition(t *testing.T) {
 	k := New(1)
 	nw := NewNetwork(k, LinearLatency(0.1, 0))
 	var delivered []float64
 	nw.Register(1, func(NodeID, Message) {})
 	nw.Register(2, func(NodeID, Message) { delivered = append(delivered, k.Now()) })
-	nw.AddPartition(1, 2, []NodeID{1}) // 1 isolated during [1, 2)
+	nw.SetNemesis(faults(t, "partition:1-2:1")) // 1 isolated during [1, 2)
 	// Send at t=0.5: delivers at 0.6 — before the partition.
 	k.At(0.5, func() { nw.Send(1, 2, payload(1)) })
-	// Send at t=1.2: would deliver at 1.3 — inside the partition, cut.
+	// Send at t=0.95: sent before the cut, delivered at 1.05 inside it.
+	k.At(0.95, func() { nw.Send(1, 2, payload(1)) })
+	// Send at t=1.2: inside the partition, cut.
 	k.At(1.2, func() { nw.Send(1, 2, payload(1)) })
+	// Send at t=1.95: inside the partition, cut though it would land at 2.05.
+	k.At(1.95, func() { nw.Send(1, 2, payload(1)) })
 	// Send at t=2.5: after healing, delivers.
 	k.At(2.5, func() { nw.Send(1, 2, payload(1)) })
 	k.Run(math.Inf(1))
-	if len(delivered) != 2 {
-		t.Fatalf("delivered %d messages, want 2 (partition should cut one): %v", len(delivered), delivered)
+	if len(delivered) != 3 || delivered[1] < 1 {
+		t.Fatalf("delivered at %v, want 0.6, 1.05 and 2.6", delivered)
 	}
-	if nw.Stats().Cut != 1 {
-		t.Errorf("Cut = %d, want 1", nw.Stats().Cut)
+	if nw.Stats().Cut != 2 {
+		t.Errorf("Cut = %d, want 2", nw.Stats().Cut)
 	}
 	// Nodes on the same side of the partition still communicate.
 	nw2 := NewNetwork(k, nil)
 	got := 0
 	nw2.Register(3, func(NodeID, Message) { got++ })
 	nw2.Register(4, func(NodeID, Message) {})
-	nw2.AddPartition(k.Now(), k.Now()+100, []NodeID{3, 4})
+	nw2.SetNemesis(nemesis.New(nemesis.Fault{Kind: nemesis.Partition,
+		End: virtual(k.Now() + 100), A: []int{3, 4}}))
 	nw2.Send(4, 3, payload(1))
 	k.Run(math.Inf(1))
 	if got != 1 {
@@ -393,7 +417,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() (float64, int64) {
 		k := New(99)
 		nw := NewNetwork(k, PaperLatency())
-		nw.SetLoss(0.2)
+		nw.SetNemesis(faults(t, "loss:0.2"))
 		count := int64(0)
 		for id := NodeID(0); id < 5; id++ {
 			id := id
@@ -498,7 +522,7 @@ func TestRestoreDeliversInFlightStale(t *testing.T) {
 func TestDuplicateDelivery(t *testing.T) {
 	k := New(3)
 	nw := NewNetwork(k, nil)
-	nw.SetDuplicate(1)
+	nw.SetNemesis(faults(t, "dup:1"))
 	got := 0
 	nw.Register(1, func(from NodeID, msg Message) { got++ })
 	const n = 50
@@ -518,7 +542,7 @@ func TestDuplicateDelivery(t *testing.T) {
 func TestReorderIsBoundedAndReorders(t *testing.T) {
 	k := New(7)
 	nw := NewNetwork(k, LinearLatency(1e-3, 0))
-	nw.SetReorder(0.5, 0.05)
+	nw.SetNemesis(faults(t, "reorder:0.5:50ms"))
 	var order []int
 	nw.Register(1, func(from NodeID, msg Message) { order = append(order, int(msg.Size())) })
 	const n = 200
@@ -552,7 +576,7 @@ func TestReorderIsBoundedAndReorders(t *testing.T) {
 func TestReplayDeliversStaleCopy(t *testing.T) {
 	k := New(9)
 	nw := NewNetwork(k, nil)
-	nw.SetReplay(1, 10)
+	nw.SetNemesis(faults(t, "replay:1:10"))
 	var times []float64
 	nw.Register(1, func(from NodeID, msg Message) { times = append(times, k.Now()) })
 	nw.Send(0, 1, payload(1))
@@ -570,18 +594,45 @@ func TestReplayDeliversStaleCopy(t *testing.T) {
 
 func TestChaosProbabilityValidation(t *testing.T) {
 	nw := NewNetwork(New(1), nil)
-	for _, f := range []func(){
-		func() { nw.SetDuplicate(-0.1) },
-		func() { nw.SetReorder(1.5, 1) },
-		func() { nw.SetReplay(2, 1) },
+	for _, f := range []nemesis.Fault{
+		{Kind: nemesis.Dup, Prob: -0.1},
+		{Kind: nemesis.Reorder, Prob: 1.5, Delay: time.Second},
+		{Kind: nemesis.Replay, Prob: 2, Delay: time.Second},
+		{Kind: nemesis.Corrupt, Prob: math.Inf(1)},
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("out-of-range probability accepted")
+					t.Errorf("%v probability %g accepted", f.Kind, f.Prob)
 				}
 			}()
-			f()
+			nw.SetNemesis(nemesis.New(f))
 		}()
+	}
+}
+
+// TestNemesisCutSlowCorrupt: the schedule's non-random verdicts act on a
+// send — a stall cuts both directions, a slow link adds its delay to the
+// base latency, and a certain corruption drops the message under its own
+// cause.
+func TestNemesisCutSlowCorrupt(t *testing.T) {
+	k := New(1)
+	nw := NewNetwork(k, LinearLatency(0.1, 0))
+	nw.SetNemesis(faults(t, "stall:3:0-1", "slow:1-2:250ms", "corrupt:1:2-3"))
+	var at []float64
+	for id := NodeID(1); id <= 3; id++ {
+		nw.Register(id, func(NodeID, Message) { at = append(at, k.Now()) })
+	}
+	nw.Send(1, 3, payload(1))                       // stalled receiver: cut
+	nw.Send(3, 1, payload(1))                       // stalled sender: cut
+	nw.Send(2, 1, payload(1))                       // slow link: 0.1 + 0.25
+	k.At(2.5, func() { nw.Send(1, 3, payload(1)) }) // corrupted
+	k.At(1.5, func() { nw.Send(1, 3, payload(1)) }) // clean: 1.6
+	k.Run(math.Inf(1))
+	if len(at) != 2 || math.Abs(at[0]-0.35) > 1e-12 || math.Abs(at[1]-1.6) > 1e-12 {
+		t.Errorf("delivered at %v, want [0.35 1.6]", at)
+	}
+	if st := nw.Stats(); st.Cut != 2 || st.Corrupt != 1 || st.Sent != 5 {
+		t.Errorf("stats = %+v, want 2 cut, 1 corrupt of 5 sent", st)
 	}
 }
