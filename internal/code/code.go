@@ -257,8 +257,10 @@ func (c Code) Append(dst []byte) []byte {
 }
 
 // EncodeInto encodes c into buf's storage, reusing its capacity: it is
-// Append(buf[:0]). Callers that encode in a loop (framing, report flushes)
-// keep one buffer alive instead of allocating per message.
+// Append(buf[:0]), so a loop that encodes one code after another keeps one
+// buffer alive instead of allocating per code. No protocol path encodes a
+// code on its own any more — a set of codes ships as its trie, a grant as a
+// list (AppendList) — and its one caller is the benchmark's code.encode_ns.
 func (c Code) EncodeInto(buf []byte) []byte {
 	return c.Append(buf[:0])
 }

@@ -45,6 +45,11 @@
 // table, so one snapshot serves every peer it is sent to, from any goroutine.
 // The reference implementation the optimizations are property-tested against
 // lives in reference_test.go.
+//
+// Set is the same trie without contraction: an exact set of codes, for the
+// places that need membership of a code itself rather than coverage by a
+// completed ancestor (the simulator's expansion ledger, the core's pooled-code
+// guard).
 package ctree
 
 import (

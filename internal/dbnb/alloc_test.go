@@ -69,6 +69,38 @@ func TestDeliverTaggedWhileBusyAllocs(t *testing.T) {
 	}
 }
 
+// TestExpansionLedgerAllocs: booking a fresh expansion into a warm ledger —
+// one whose arena has already grown — allocates nothing, and neither does
+// booking a redundant one. (A map keyed by encoded codes allocates a string
+// per first-time expansion.)
+func TestExpansionLedgerAllocs(t *testing.T) {
+	h := deliveryHarness(false, 1)
+	n := h.nodes[0]
+	var codes []code.Code
+	for i := 0; i < 1<<8; i++ {
+		c := code.Root()
+		for d := 0; d < 8; d++ {
+			c = c.Child(uint32(d+1), uint8(i>>(7-d))&1)
+			codes = append(codes, c) // inner codes more than once: redundant bookings
+		}
+	}
+	book := func() {
+		n.rec.expanded.Reset()
+		n.met.Redundant = 0
+		for _, c := range codes {
+			n.noteExpansion(c)
+		}
+	}
+	book() // grow the ledger's arena once
+	if a := testing.AllocsPerRun(20, book); a != 0 {
+		t.Errorf("booking %d expansions into a warm ledger allocates %.1f, want 0", len(codes), a)
+	}
+	if unique := 1<<9 - 2; n.rec.expanded.Len() != unique || n.met.Redundant != len(codes)-unique {
+		t.Errorf("ledger holds %d codes, %d redundant bookings; want %d, %d",
+			n.rec.expanded.Len(), n.met.Redundant, unique, len(codes)-unique)
+	}
+}
+
 // TestSingleInstanceHandlerIsDeliver: what a single-instance process
 // registers with the network is its context's bound deliver method itself —
 // not a closure around it — on both kernels; only a multi-instance process

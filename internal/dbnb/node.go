@@ -599,22 +599,19 @@ func (n *node) observeTable() {
 }
 
 // noteExpansion tracks redundant work: expansions of subproblems some
-// context of this instance already expanded. The key is encoded into a reused
-// scratch buffer; the compiler elides the string conversion on lookup, so
-// only first-time expansions allocate (their map key). Runs dedup
-// within each shard and merge the key sets after the run, so Unique is exact;
-// only the per-node Redundant tallies become shard-local approximations.
+// context of this instance already expanded. The ledger is a trie of codes
+// (ctree.Set), so a first-time expansion adds a vertex or two to its arena.
+// Runs dedup within each shard and union the ledgers after the run, so Unique
+// is exact; only the per-node Redundant tallies become shard-local
+// approximations. Every code here came out of the expander, so
+// none is refused for branching on another variable than the ledger holds.
 func (n *node) noteExpansion(c code.Code) {
 	if n.h.ghost != nil {
 		n.h.ghost(n, c)
 	}
-	sh := n.sh
-	sh.keyBuf = c.EncodeInto(sh.keyBuf)
-	if n.rec.expanded[string(sh.keyBuf)] {
+	if present, _ := n.rec.expanded.Add(c); present {
 		n.met.Redundant++
-		return
 	}
-	n.rec.expanded[string(sh.keyBuf)] = true
 }
 
 // noteCompletion maintains the union of the instance's completion

@@ -71,8 +71,7 @@ type workload struct {
 	// the CostFactor granularity knob.
 	costOf func(it protocol.Item) float64
 	// trueOpt is the single-processor reference optimum, found in
-	// seqExpanded expansions (a recorded tree's size) — which also sizes the
-	// expansion-dedup maps.
+	// seqExpanded expansions (a recorded tree's size).
 	trueOpt     float64
 	seqExpanded int
 }
@@ -92,8 +91,8 @@ type spec struct {
 
 // rec is one shard's detection/expansion record of one instance.
 type rec struct {
-	expanded map[string]bool // subproblems expanded at least once (shard-local)
-	union    *ctree.Table    // completions observed by this shard's contexts
+	expanded ctree.Set    // subproblems expanded at least once (shard-local)
+	union    *ctree.Table // completions observed by this shard's contexts
 	// uniquePeak is the union's peak wire size — the "one shared copy" storage
 	// baseline. Kept here, not in the shared metrics sink, so a shard touches
 	// only its own record mid-run; fold reports the largest (see
@@ -124,10 +123,9 @@ func (r *rec) noteTermination(now float64) {
 // its owner shard's context, from its owner shard's worker goroutine, which
 // is what keeps the parallel run free of driver-level races.
 type shardCtx struct {
-	k      *sim.Kernel
-	nw     *sim.Network
-	recs   []rec  // per instance slot
-	keyBuf []byte // scratch for expansion-map keys
+	k    *sim.Kernel
+	nw   *sim.Network
+	recs []rec // per instance slot
 }
 
 // harness owns one simulated run: the substrate, every execution context,
@@ -489,11 +487,8 @@ func newHarness(cfg Config, specs []*spec, tagged bool) *harness {
 	nem := cfg.schedule()
 	for _, sh := range h.shards {
 		sh.recs = make([]rec, len(specs))
-		for i, sp := range specs {
-			sh.recs[i] = rec{
-				union:    ctree.New(),
-				expanded: make(map[string]bool, sp.w.seqExpanded/len(h.shards)+1),
-			}
+		for i := range specs {
+			sh.recs[i] = rec{union: ctree.New()}
 		}
 		if cfg.LinkLatency != nil {
 			// One shard only (shardCount clamps), so no lookahead bound
@@ -646,8 +641,8 @@ func (h *harness) fold(sp *spec, end float64) InstanceResult {
 		DetectTimes: make([]float64, h.total),
 	}
 	// Detection times, completions, the storage peak and the distinct
-	// expansions. Unique is exact at every shard count: the shard-local dedup
-	// sets are merged here, after the run.
+	// expansions. Unique is exact at every shard count: the shard-local
+	// ledgers are unioned here, after the run.
 	first := &h.shards[0].recs[sp.idx]
 	detected := 0
 	for _, sh := range h.shards {
@@ -662,12 +657,10 @@ func (h *harness) fold(sp *spec, end float64) InstanceResult {
 		ir.Completions += r.completions
 		sp.met.ObserveUnique(r.uniquePeak)
 		if r != first {
-			for k := range r.expanded {
-				first.expanded[k] = true
-			}
+			first.expanded.Union(&r.expanded)
 		}
 	}
-	ir.Unique = len(first.expanded)
+	ir.Unique = first.expanded.Len()
 	// Leftover staggered timer events can outlive the computation; clamp the
 	// trace window to when the run actually finished.
 	traceEnd := end

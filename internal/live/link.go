@@ -200,7 +200,10 @@ func (l *link) Crashed(id NodeID) bool {
 // schedule a message may additionally be delivered twice, held back so later
 // sends overtake it, or replayed stale much later.
 func (l *link) Send(from, to NodeID, msg Message) {
-	size := msg.Size() // once per send and outside the lock: an unstamped batch's is a walk over every decision
+	// Sized once per send, outside the lock every sender contends on: a set
+	// message's Size is a field read, but a grant's walks every decision of
+	// its codes, and a Welcome's every peer address.
+	size := msg.Size()
 	l.mu.Lock()
 	if l.closed || l.crashed[from] || l.crashed[to] {
 		l.mu.Unlock()

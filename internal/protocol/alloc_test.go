@@ -158,6 +158,33 @@ func TestMergeReportStreamAllocs(t *testing.T) {
 	}
 }
 
+// TestPooledCodeGuardAllocs: the pooled-code guard rebuilds its set from the
+// pool on every grant and every recovery adoption, and a duplicated grant or
+// an adoption of regions already pooled is exactly when it runs over a full
+// pool. Once the set's arena has grown to the pool, neither allocates. (A
+// map keyed by encoded codes allocates a string per pooled code per rebuild.)
+func TestPooledCodeGuardAllocs(t *testing.T) {
+	e := newEnv(t, 8, Config{}, []NodeID{1})
+	var regions []code.Code
+	for _, it := range counterItems(4) {
+		regions = append(regions, it.Code)
+	}
+	if got := e.core.Adopt(regions); got != len(regions) {
+		t.Fatalf("Adopt re-created %d of %d regions", got, len(regions))
+	}
+	var grant Msg = WorkGrant{Codes: regions, Incumbent: 1e9}
+	e.core.HandleMessage(1, grant) // grow the set's arena once
+	if a := testing.AllocsPerRun(100, func() { e.core.HandleMessage(1, grant) }); a != 0 {
+		t.Errorf("a duplicated grant of %d pooled codes allocates %.1f, want 0", len(regions), a)
+	}
+	if a := testing.AllocsPerRun(100, func() { e.core.Adopt(regions) }); a != 0 {
+		t.Errorf("adopting %d pooled regions allocates %.1f, want 0", len(regions), a)
+	}
+	if e.core.PoolLen() != len(regions) {
+		t.Fatalf("pool = %d, want %d: the guard let a pooled code in twice", e.core.PoolLen(), len(regions))
+	}
+}
+
 // BenchmarkReportRoundTrip times one report the whole way: FlushReport of
 // eight completions, Encode, DecodeInstance and the receiver's HandleMessage.
 func BenchmarkReportRoundTrip(b *testing.B) {

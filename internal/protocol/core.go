@@ -301,15 +301,14 @@ type Core struct {
 	pushAt   float64
 	bootAt   float64
 	bootPeer NodeID
-	// poolKeys and keyBuf are scratch for the pooled-code guard: the key set
-	// of every code currently in the pool, rebuilt on demand when a grant or
-	// recovery adoption arrives. At-least-once delivery means the same code
-	// can reach this process twice — a duplicated grant, or a delayed grant
-	// racing the complement recovery that already re-created its region — and
-	// pooling it twice expands the whole subtree twice locally. The set lives
-	// only on those rare paths, so the push/pop hot path stays untouched.
-	poolKeys map[string]struct{}
-	keyBuf   []byte
+	// pooled is scratch for the pooled-code guard: the set of every code
+	// currently in the pool, rebuilt on demand when a grant or recovery
+	// adoption arrives. At-least-once delivery means the same code can reach
+	// this process twice — a duplicated grant, or a delayed grant racing the
+	// complement recovery that already re-created its region — and pooling it
+	// twice expands the whole subtree twice locally. The set lives only on
+	// those rare paths, so the push/pop hot path stays untouched.
+	pooled ctree.Set
 	// lastProgress is the last remote progress: a grant, or a novel
 	// report/table. remoteAct anchors the freshest evidence that some OTHER
 	// process was computing (merged from message ages); selfBusy anchors
@@ -880,15 +879,13 @@ func (c *Core) Adopt(cands []code.Code) int {
 		if !ok || c.table.Overlaps(cd) {
 			continue
 		}
-		c.keyBuf = cd.EncodeInto(c.keyBuf)
-		if _, dup := pooled[string(c.keyBuf)]; dup {
+		if dup, err := pooled.Add(cd); dup || err != nil {
 			continue
 		}
 		if c.cfg.Prune && it.Bound >= c.incumbent {
-			c.complete(cd)
+			c.complete(cd) // a repeat of cd now stops at Overlaps
 			continue
 		}
-		pooled[string(c.keyBuf)] = struct{}{}
 		c.pool.push(it)
 		got++
 	}
@@ -1213,24 +1210,18 @@ func (c *Core) relayMerge(cs []code.Code) {
 	}
 }
 
-// poolSet rebuilds the pooled-code key set from the current pool contents.
-// It is called only on the rare paths that may re-introduce a code this
-// process already holds (work grants, recovery adoption); the scratch map
-// and key buffer are retained across calls so steady state allocates only
-// for map entries of codes actually present.
-func (c *Core) poolSet() map[string]struct{} {
-	if c.poolKeys == nil {
-		c.poolKeys = make(map[string]struct{}, c.pool.Len())
-	} else {
-		for k := range c.poolKeys {
-			delete(c.poolKeys, k)
-		}
-	}
+// poolSet rebuilds the pooled-code set from the current pool contents. It is
+// called only on the rare paths that may re-introduce a code this process
+// already holds (work grants, recovery adoption); the set keeps its arena
+// across calls, so once it has grown to the pool's size a rebuild allocates
+// nothing. Every pooled code was generated or located by the expander, so
+// none is refused for branching on another variable than the set holds.
+func (c *Core) poolSet() *ctree.Set {
+	c.pooled.Reset()
 	for i := range c.pool.items {
-		c.keyBuf = c.pool.items[i].Code.EncodeInto(c.keyBuf)
-		c.poolKeys[string(c.keyBuf)] = struct{}{}
+		c.pooled.Add(c.pool.items[i].Code)
 	}
-	return c.poolKeys
+	return &c.pooled
 }
 
 // handleWorkRequest grants half the pool (up to maxShare) if the process has
@@ -1280,16 +1271,14 @@ func (c *Core) handleGrant(g WorkGrant) Effect {
 		if !ok || c.table.Contains(cd) {
 			continue
 		}
-		c.keyBuf = cd.EncodeInto(c.keyBuf)
-		if _, dup := pooled[string(c.keyBuf)]; dup {
+		if dup, err := pooled.Add(cd); dup || err != nil {
 			continue
 		}
 		if c.cfg.Prune && it.Bound >= c.incumbent {
-			c.complete(cd)
+			c.complete(cd) // a repeat of cd now stops at Contains
 			got++
 			continue
 		}
-		pooled[string(c.keyBuf)] = struct{}{}
 		c.pool.push(it)
 		got++
 	}
