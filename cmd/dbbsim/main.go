@@ -7,8 +7,10 @@
 //	dbbsim -procs 16 -tree tree.gbbt                        # saved tree
 //	dbbsim -procs 8 -problem knapsack:20:7 -prune           # real problem,
 //	dbbsim -procs 8 -problem qap:6:1 -prune                 #  no tree on disk
-//	dbbsim -procs 8 -crash 30:3 -crash 40:5 -loss 0.05      # fault injection
-//	dbbsim -procs 8 -crash 30:3:60 -dup 0.2 -reorder 0.3    # restart + chaos
+//	dbbsim -procs 8 -crash 30:3 -crash 40:5 \
+//	       -nemesis loss:0.05                               # fault injection
+//	dbbsim -procs 8 -crash 30:3:60 -nemesis dup:0.2 \
+//	       -nemesis reorder:0.3                             # restart + chaos
 //	dbbsim -procs 8 -nemesis partition:10-20:0,1 -prune     # link faults in the
 //	dbbsim -procs 8 -nemesis flap:0-2:4:0-30                #  nemesis grammar the
 //	dbbsim -procs 8 -nemesis replay:0.05:2                  #  live runtime speaks
@@ -163,13 +165,10 @@ func run() int {
 		size     = flag.Int("size", 10001, "generated tree size")
 		mean     = flag.Float64("mean", 0.05, "generated mean node cost, seconds")
 		prune    = flag.Bool("prune", false, "enable incumbent-based elimination")
-		loss     = flag.Float64("loss", 0, "message loss probability")
 		factor   = flag.Float64("granularity", 1, "node-cost multiplier (§6.3.1)")
 		quiet    = flag.Float64("quiet", 0, "recovery quiet window, seconds (0 = default)")
 		member   = flag.Bool("membership", false, "run the §5.2 membership protocol")
 		gantt    = flag.Bool("gantt", false, "print an ASCII Gantt of the run")
-		dup      = flag.Float64("dup", 0, "message duplication probability")
-		reorder  = flag.Float64("reorder", 0, "message reordering probability (bounded hold-back)")
 		diffG    = flag.Bool("diffgossip", false, "anti-entropy diff gossip: digests + subtree pulls instead of full frontiers")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprof  = flag.String("memprofile", "", "write a heap profile (post-run, after GC) to this file")
@@ -244,15 +243,12 @@ func run() int {
 		Shards:        nshards,
 		Seed:          *seed,
 		Prune:         *prune,
-		Loss:          *loss,
 		CostFactor:    *factor,
 		NodeCost:      *nodeCost,
 		RecoveryQuiet: *quiet,
 		UseMembership: *member,
 		Crashes:       crashes,
 		Joins:         joins,
-		Duplicate:     *dup,
-		Reorder:       *reorder,
 		DiffGossip:    *diffG,
 		Trace:         lg,
 	}

@@ -25,6 +25,10 @@ func main() {
 	fmt.Printf("problem: %d nodes, %.0f s of simulated work (scaled 1000x down)\n",
 		st.Size, st.TotalCost)
 
+	loss, err := gossipbnb.ParseNemesis("loss:0.02")
+	if err != nil {
+		log.Fatal(err)
+	}
 	cl := gossipbnb.NewLiveCluster(tree, gossipbnb.LiveConfig{
 		Nodes:     6,
 		Seed:      3,
@@ -32,7 +36,7 @@ func main() {
 		Delay: func(bytes int) time.Duration {
 			return 100*time.Microsecond + time.Duration(bytes)*100*time.Nanosecond
 		},
-		Loss:          0.02,
+		Nemesis:       loss,
 		RecoveryQuiet: 40 * time.Millisecond,
 		Timeout:       60 * time.Second,
 	})

@@ -193,9 +193,6 @@ type Config struct {
 	// concurrent recoverers stagger. This is the paper's "how soon failure
 	// is suspected after a machine unsuccessfully tries to get work" knob.
 	RecoveryQuiet float64
-	// DisableRecovery turns the failure-recovery mechanism off (ablation;
-	// with failures the run will then hang until MaxTime).
-	DisableRecovery bool
 
 	// UseMembership runs the gossip membership protocol (§5.2) instead of a
 	// predetermined resource pool; the paper's own simulations use the

@@ -220,14 +220,16 @@ func TestTemporaryPartition(t *testing.T) {
 	}
 }
 
+// TestDisableRecoveryHangsAfterCrash keeps recovery off the way a run can:
+// a RecoveryQuiet whose jittered window (at least 0.75×) outlasts MaxTime, so
+// no starving process ever presumes work was lost.
 func TestDisableRecoveryHangsAfterCrash(t *testing.T) {
 	tr := btree.Tiny(4)
 	res := Run(tr, Config{
 		Procs: 3, Seed: 21,
-		DisableRecovery: true,
-		RecoveryQuiet:   2,
-		Crashes:         []Crash{{Time: 1.0, Node: 0}},
-		MaxTime:         120,
+		RecoveryQuiet: 1000,
+		Crashes:       []Crash{{Time: 1.0, Node: 0}},
+		MaxTime:       120,
 	})
 	if res.Terminated {
 		// Only legitimate if node 0 held no unreported completed work and

@@ -266,7 +266,6 @@ func (n *node) initCore() {
 		RetryDelay:       cfg.RetryDelay,
 		RecoveryPatience: cfg.RecoveryPatience,
 		RecoveryQuiet:    cfg.RecoveryQuiet,
-		DisableRecovery:  cfg.DisableRecovery,
 		DiffGossip:       cfg.DiffGossip,
 	}, protocol.Deps{
 		Clock:         n.k,
@@ -437,7 +436,7 @@ func (n *node) tick() {
 // recover charges the table-complement scan as contraction time, then lets
 // the core adopt the planned regions (§5.3.2 failure recovery).
 func (n *node) recover() {
-	if n.h.cfg.DisableRecovery || n.crashed || n.done {
+	if n.crashed || n.done {
 		return
 	}
 	plan := n.core.PlanRecovery()

@@ -79,7 +79,7 @@ func TestJoinerRetriesLostBootstrap(t *testing.T) {
 	}
 	// Reaping releases a finished core's table, so the end state to check is
 	// the detection itself: the joiner's table reached the root code.
-	if !cl.nodes[w.joiner].done.Load() {
+	if !detectedBoot(cl, w.joiner) {
 		t.Error("the joiner never completed its table")
 	}
 	t.Logf("reply lost at %v, requests at %v", w.lostAt, w.requests)

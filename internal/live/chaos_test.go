@@ -163,8 +163,7 @@ func TestChaosLiveRestartEverything(t *testing.T) {
 	tr := liveTree(33, 401)
 	cl := NewCluster(tr, Config{
 		Nodes: 4, Seed: 33, TimeScale: 0.002,
-		Loss:          0.05,
-		Nemesis:       mustFaults(t, "dup:0.2", "reorder:0.25:1ms"),
+		Nemesis:       mustFaults(t, "loss:0.05", "dup:0.2", "reorder:0.25:1ms"),
 		RecoveryQuiet: 25 * time.Millisecond,
 		Timeout:       60 * time.Second,
 	})

@@ -235,12 +235,7 @@ func (d *detector) tick() {
 				time.Duration(cl.randFloat()*float64(cl.cfg.ExcludeAfter/4))
 			if now.Sub(p.lastProbe) > probeEvery {
 				p.lastProbe = now
-				cl.tr.Send(n.id, id, protocol.Hello{
-					ID:        protocol.NodeID(n.id),
-					Addr:      cl.tr.AddrOf(n.id),
-					Incumbent: d.inc.core.Incumbent(),
-					ActAge:    d.inc.core.ActivityAge(),
-				})
+				cl.tr.Send(n.id, id, d.inc.hello())
 			}
 			continue
 		}
@@ -250,10 +245,9 @@ func (d *detector) tick() {
 			// detector fed. Busy links never pay this — every envelope is
 			// already evidence.
 			p.lastSent = now
-			cl.tr.Send(n.id, id, protocol.Ping{
-				Incumbent: d.inc.core.Incumbent(),
-				ActAge:    d.inc.core.ActivityAge(),
-			})
+			var ping protocol.Ping
+			ping.Incumbent, ping.ActAge = d.inc.bootScalars()
+			cl.tr.Send(n.id, id, ping)
 		}
 	}
 }

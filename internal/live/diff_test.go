@@ -49,8 +49,7 @@ func TestDiffGossipLiveFaultsRestart(t *testing.T) {
 	cl := NewCluster(tr, Config{
 		Nodes: 4, Seed: 42, TimeScale: 0.002,
 		DiffGossip:    true,
-		Loss:          0.05,
-		Nemesis:       mustFaults(t, "dup:0.2", "reorder:0.25:1ms"),
+		Nemesis:       mustFaults(t, "loss:0.05", "dup:0.2", "reorder:0.25:1ms"),
 		RecoveryQuiet: 25 * time.Millisecond,
 		Timeout:       60 * time.Second,
 	})

@@ -108,7 +108,7 @@ func TestFlushReachesEachPeerOnce(t *testing.T) {
 				}
 				draws := 0
 				for _, n := range cl.nodes {
-					draws += n.cur.core.Counters().ReportsSent
+					draws += n.cur.boot.Counters().ReportsSent
 				}
 				switch {
 				case nodes == 2 && net.flushes*2 != draws:

@@ -66,7 +66,7 @@ func TestJoinUnderLoss(t *testing.T) {
 	tr := liveTree(41, 1001)
 	cl := NewCluster(tr, Config{
 		Nodes: 2, Seed: 41, TimeScale: 0.002,
-		Loss:          0.25,
+		Nemesis:       mustFaults(t, "loss:0.25"),
 		RecoveryQuiet: 30 * time.Millisecond,
 	})
 	addAfter(t, cl, 8*time.Millisecond, 2)

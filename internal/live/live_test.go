@@ -53,7 +53,7 @@ func TestWithLatencyAndLoss(t *testing.T) {
 		Delay: func(bytes int) time.Duration {
 			return 200*time.Microsecond + time.Duration(bytes)*time.Microsecond
 		},
-		Loss: 0.05,
+		Nemesis: mustFaults(t, "loss:0.05"),
 	})
 	res := cl.Run()
 	if !res.Terminated || !res.OptimumOK {

@@ -25,12 +25,11 @@ type Config struct {
 	// TimeScale converts tree node costs (seconds) to real durations; e.g.
 	// 0.001 runs a 10-second tree in ~10 ms of wall clock per process.
 	TimeScale float64
-	// Delay maps message size to latency (nil = none); Loss drops messages.
-	// Both apply only to the default in-memory transport.
+	// Delay maps message size to latency (nil = none). It applies only to
+	// the default in-memory transport; message loss is a Nemesis fault.
 	Delay func(bytes int) time.Duration
-	Loss  float64
 	// Network overrides the transport; nil means an in-memory Transport
-	// built from Seed/Delay/Loss. Pass a TCPNetwork to run over real
+	// built from Seed and Delay. Pass a TCPNetwork to run over real
 	// sockets. The cluster closes the network when Run returns.
 	Network Net
 	// Protocol parameters, as in the simulator. The report path is the
@@ -128,16 +127,14 @@ type liveNode struct {
 	id NodeID
 	cl *Cluster
 
-	// mu guards cur, the incarnation whose core is the node's current
-	// protocol state; Restart swaps it. The goroutine of a dead incarnation
-	// may briefly keep running against its own (orphaned) core — gen tells
-	// it to exit at the next loop turn.
-	mu  sync.Mutex
+	// cur is the incarnation whose cores are the node's current protocol
+	// state; Restart swaps it, under Cluster.stopMu. The goroutine of a dead
+	// incarnation may briefly keep running against its own (orphaned) cores
+	// — gen tells it to exit at the next loop turn.
 	cur *incarnation
 	gen atomic.Int64
 
 	crashed atomic.Bool
-	done    atomic.Bool
 
 	// expanded counts expansions across all incarnations — a crashed
 	// incarnation's work was really performed (and possibly reported), so
@@ -164,16 +161,20 @@ type liveNode struct {
 
 // incarnation is one boot of a liveNode: everything a crash wipes. The §5
 // process model runs here, against this incarnation's own cores and inbox.
-// The mux multiplexes the boot problem (instance 0, the legacy untagged
-// wire) and every instance submitted mid-run over the one goroutine, one
-// inbox, and one transport endpoint the process owns.
+// The mux multiplexes every registry instance — the boot problem (instance
+// 0, the legacy untagged wire) and those submitted mid-run — over the one
+// goroutine, one inbox, and one transport endpoint the process owns.
 type incarnation struct {
 	n     *liveNode
 	gen   int64
 	inbox <-chan Envelope
 	mux   *instance.Mux
-	core  *protocol.Core    // the boot instance's core (mux instance 0)
-	exp   protocol.Expander // the boot instance's own code resolver
+	// boot is instance 0's core, kept past its reaping: the membership
+	// messages (Hello, Welcome, Ping) travel untagged and carry its
+	// incumbent and activity age. nil when this incarnation never opened
+	// it — the boot problem had resolved, or this node had detected it
+	// before a crash.
+	boot *protocol.Core
 
 	// instEpoch is the submission-registry generation this incarnation last
 	// synchronized with; it trails Cluster.instEpoch until the next
@@ -195,25 +196,21 @@ type incarnation struct {
 	det *detector
 }
 
-// Cluster wires live nodes over a shared transport. It solves either a
-// recorded basic tree (NewCluster: expansion sleeps the scaled recorded
-// cost) or a code-driven problem (NewProblemCluster: expansion burns real
-// CPU re-deriving bounds from the initial data).
+// Cluster wires live nodes over a shared transport. Its boot problem,
+// registry entry 0, is either a recorded basic tree (NewCluster: expansion
+// sleeps the scaled recorded cost) or a code-driven problem
+// (NewProblemCluster: expansion burns real CPU re-deriving bounds from the
+// initial data).
 type Cluster struct {
-	cfg    Config
-	tr     Net
-	start  time.Time
-	clock  liveClock
-	newExp func() protocol.Expander
-	nodes  []*liveNode
-	// sleepOf is the scaled seconds an expansion sleeps before the expander
-	// computes the outcome; zero for code-driven problems, whose outcome
-	// computation is itself the work.
-	sleepOf func(it protocol.Item) float64
-	// trueOpt is the single-processor reference optimum for OptimumOK.
-	trueOpt float64
-	wg      sync.WaitGroup
-	doneCh  chan NodeID
+	cfg   Config
+	tr    Net
+	start time.Time
+	clock liveClock
+	nodes []*liveNode
+	wg    sync.WaitGroup
+	// wake nudges the Run loop to sweep the registry at once when a node
+	// detects an instance's termination; its ticker sweeps anyway.
+	wake    chan struct{}
 	stopAll chan struct{}
 	// stopMu orders Restart's wg.Add against Run's close(stopAll)+wg.Wait:
 	// a restart racing the shutdown must either win the Add before the stop
@@ -226,9 +223,10 @@ type Cluster struct {
 	rngMu   sync.Mutex
 	rngSeed int64
 
-	// Submitted-instance registry: specs grows append-only under instMu, and
-	// instEpoch bumps on every change so node loops can poll for news with one
-	// atomic load instead of a lock acquisition per turn.
+	// Instance registry: specs grows append-only under instMu (specs[0] is
+	// the boot problem), and instEpoch bumps on every change so node loops
+	// can poll for news with one atomic load instead of a lock acquisition
+	// per turn.
 	instMu    sync.Mutex
 	specs     []*instSpec
 	instEpoch atomic.Int64
@@ -331,11 +329,12 @@ func NewProblemClusterRef(p bnb.Problem, ref bnb.Result, cfg Config) *Cluster {
 		ref.Value)
 }
 
-// newCluster wires nodes over the transport; cfg already has defaults.
+// newCluster wires nodes over the transport and registers the boot problem
+// as instance 0, seeded on node 0; cfg already has defaults.
 func newCluster(cfg Config, newExp func() protocol.Expander, sleepOf func(it protocol.Item) float64, trueOpt float64) *Cluster {
 	tr := cfg.Network
 	if tr == nil {
-		tr = NewTransport(cfg.Seed, cfg.Delay, cfg.Loss)
+		tr = NewTransport(cfg.Seed, cfg.Delay, 0)
 	}
 	if cfg.Nemesis != nil {
 		if s, ok := tr.(interface{ SetNemesis(*nemesis.Schedule) }); ok {
@@ -346,17 +345,13 @@ func newCluster(cfg Config, newExp func() protocol.Expander, sleepOf func(it pro
 		cfg:     cfg,
 		tr:      tr,
 		start:   time.Now(),
-		newExp:  newExp,
-		sleepOf: sleepOf,
-		trueOpt: trueOpt,
-		doneCh:  make(chan NodeID, cfg.Nodes),
+		wake:    make(chan struct{}, 1),
 		stopAll: make(chan struct{}),
 		rngSeed: cfg.Seed,
 	}
 	cl.clock = liveClock{start: cl.start}
 	for i := 0; i < cfg.Nodes; i++ {
-		id := NodeID(i)
-		n := &liveNode{id: id, cl: cl}
+		n := &liveNode{id: NodeID(i), cl: cl}
 		view := make([]protocol.NodeID, 0, cfg.Nodes-1)
 		for j := 0; j < cfg.Nodes; j++ {
 			if j != i {
@@ -364,24 +359,25 @@ func newCluster(cfg Config, newExp func() protocol.Expander, sleepOf func(it pro
 			}
 		}
 		n.view.Store(&view)
-		n.cur = cl.newIncarnation(n, 0, cl.tr.Register(id))
 		cl.nodes = append(cl.nodes, n)
 	}
-	cl.nodes[0].cur.core.Seed(cl.nodes[0].cur.exp.Root())
+	cl.register(newExp, sleepOf, trueOpt, cl.nodes[0])
+	for _, n := range cl.nodes {
+		n.cur = cl.newIncarnation(n, 0, cl.tr.Register(n.id), nil)
+	}
 	return cl
 }
 
-// newIncarnation builds one boot of a node: a fresh mux whose instance 0 is
-// the boot problem's core over a fresh expander, fed from the given inbox —
-// all the state the paper lets a process lose. Submitted instances are
-// (re)opened lazily by syncInstances at the first loop turn.
-func (cl *Cluster) newIncarnation(n *liveNode, gen int64, inbox <-chan Envelope) *incarnation {
-	inc := &incarnation{n: n, gen: gen, inbox: inbox, exp: cl.newExp(), mux: instance.NewMux()}
-	inc.core = cl.newCore(inc, inc.exp, 0)
-	inc.mux.Open(0, inc.core, inc.exp)
+// newIncarnation builds one boot of a node — a fresh mux, fed from the given
+// inbox: all the state the paper lets a process lose — and opens every
+// instance the node still has to solve. contacts is non-nil only for a
+// joiner's first incarnation.
+func (cl *Cluster) newIncarnation(n *liveNode, gen int64, inbox <-chan Envelope, contacts []NodeID) *incarnation {
+	inc := &incarnation{n: n, gen: gen, inbox: inbox, mux: instance.NewMux(), contacts: contacts}
 	if cl.cfg.SuspectAfter > 0 {
 		inc.det = newDetector(inc)
 	}
+	inc.syncInstances()
 	return inc
 }
 
@@ -440,8 +436,9 @@ func (cl *Cluster) Crash(id NodeID) {
 // listener on its old address), re-enters the predetermined resource pool
 // it never left — failures are not directly detectable, so peers kept
 // probing it all along — and rebuilds its state purely from the reports,
-// tables, and grants it receives. Restarting a node that is not crashed is
-// a no-op.
+// tables, and grants it receives. It reopens only the instances it had not
+// finished before the crash and that are still unresolved. Restarting a
+// node that is not crashed is a no-op.
 func (cl *Cluster) Restart(id NodeID) {
 	// The whole rebirth happens under stopMu: Run's completion check closes
 	// the run under the same lock, so a restart either lands before it (the
@@ -454,9 +451,7 @@ func (cl *Cluster) Restart(id NodeID) {
 		return
 	}
 	n := cl.nodes[id]
-	if !n.crashed.Load() || n.done.Load() {
-		// Never crashed, or crashed after terminating — a finished process
-		// has already played its part in §5.4 and stays down.
+	if !n.crashed.Load() {
 		return
 	}
 	if !cl.started || cl.stopped {
@@ -468,10 +463,8 @@ func (cl *Cluster) Restart(id NodeID) {
 	}
 	// Bump the generation first: the dead incarnation's goroutine may still
 	// be running, and must see itself orphaned before crashed clears.
-	inc := cl.newIncarnation(n, n.gen.Add(1), inbox)
-	n.mu.Lock()
+	inc := cl.newIncarnation(n, n.gen.Add(1), inbox, nil)
 	n.cur = inc
-	n.mu.Unlock()
 	n.crashed.Store(false)
 	cl.wg.Add(1)
 	go inc.run()
@@ -508,13 +501,7 @@ func (cl *Cluster) AddNode(contacts ...NodeID) (NodeID, error) {
 		}
 	}
 	n.view.Store(&view)
-	inc := cl.newIncarnation(n, 0, inbox)
-	inc.contacts = append([]NodeID(nil), contacts...)
-	// Seed the remote-activity anchor: a joiner's empty table means "I know
-	// nothing yet", not "the cluster is quiet" — without the anchor the
-	// recovery path could adopt the complement of an empty table (the root)
-	// and redo the whole tree.
-	inc.core.NoteRemoteActivity(0)
+	inc := cl.newIncarnation(n, 0, inbox, append([]NodeID(nil), contacts...))
 	n.cur = inc
 	cl.nodes = append(cl.nodes, n)
 	cl.wg.Add(1)
@@ -522,47 +509,19 @@ func (cl *Cluster) AddNode(contacts ...NodeID) (NodeID, error) {
 	return id, nil
 }
 
-// allDone reports whether every non-crashed node detected termination of the
-// boot problem and every submitted instance resolved.
-func (cl *Cluster) allDone() bool {
-	for _, n := range cl.nodes {
-		if !n.crashed.Load() && !n.done.Load() {
-			return false
-		}
-	}
-	return cl.specsResolved()
-}
-
-// checkDone samples completion without closing anything.
-func (cl *Cluster) checkDone() bool {
-	cl.stopMu.Lock()
-	defer cl.stopMu.Unlock()
-	return cl.allDone()
-}
-
-// tryStop closes the run iff it is complete, deciding under stopMu so no
-// Restart can revive a node between the verdict and the close.
-func (cl *Cluster) tryStop() bool {
-	cl.stopMu.Lock()
-	defer cl.stopMu.Unlock()
-	if !cl.allDone() {
-		return false
-	}
-	if !cl.stopped {
-		cl.stopped = true
-		close(cl.stopAll)
-	}
-	return true
-}
-
 // stop closes the run unconditionally (timeout path).
 func (cl *Cluster) stop() {
 	cl.stopMu.Lock()
+	cl.closeLocked()
+	cl.stopMu.Unlock()
+}
+
+// closeLocked closes the run once; callers hold stopMu.
+func (cl *Cluster) closeLocked() {
 	if !cl.stopped {
 		cl.stopped = true
 		close(cl.stopAll)
 	}
-	cl.stopMu.Unlock()
 }
 
 // rand returns a pseudo-random int below n, safe for concurrent callers.
@@ -584,8 +543,9 @@ func (cl *Cluster) randFloat() float64 {
 	return v
 }
 
-// Run starts every node goroutine and blocks until all live nodes detect
-// termination or the timeout expires.
+// Run starts every node goroutine and blocks until every instance in the
+// registry resolved (or no node is left alive) or the timeout expires. The
+// run's verdict is the boot problem's resolution.
 func (cl *Cluster) Run() Result {
 	start := time.Now()
 	if cl.cfg.Nemesis != nil {
@@ -604,28 +564,22 @@ func (cl *Cluster) Run() Result {
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()
 	timedOut := false
-	var idleSince time.Time
+	var settledAt time.Time
 loop:
 	for {
-		// Crashed nodes never signal, so completion is "every non-crashed
-		// node detected termination (and every submitted instance resolved)",
-		// re-checked on every tick — under stopMu, so a Restart racing the
-		// check either revives its node before the verdict (the loop keeps
-		// waiting for it) or is refused. A Linger window holds a finished
-		// cluster open for late submissions, which reset the window.
-		cl.resolveInstances()
-		if cl.checkDone() {
-			if idleSince.IsZero() {
-				idleSince = time.Now()
-			}
-			if time.Since(idleSince) >= cl.cfg.Linger && cl.tryStop() {
-				break
-			}
-		} else {
-			idleSince = time.Time{}
+		// Crashed nodes never detect anything, so the registry is swept on
+		// every tick (and on every detection). A Linger window holds a
+		// settled cluster open for late submissions, which reset the window.
+		if !cl.sweep(false) {
+			settledAt = time.Time{}
+		} else if settledAt.IsZero() {
+			settledAt = time.Now()
+		}
+		if !settledAt.IsZero() && time.Since(settledAt) >= cl.cfg.Linger && cl.sweep(true) {
+			break
 		}
 		select {
-		case <-cl.doneCh:
+		case <-cl.wake:
 		case <-tick.C:
 		case <-deadline:
 			timedOut = true
@@ -636,28 +590,16 @@ loop:
 	cl.wg.Wait()
 	defer cl.tr.Close()
 
-	res := Result{Elapsed: time.Since(start), Optimum: math.Inf(1)}
-	crashedCount := 0
-	terminatedAll := true
+	res := Result{Elapsed: time.Since(start)}
 	for _, n := range cl.nodes {
 		res.Expanded += int(n.expanded.Load())
-		n.mu.Lock()
-		core := n.cur.core
-		n.mu.Unlock()
-		if n.crashed.Load() {
-			crashedCount++
-			continue
-		}
-		if n.done.Load() {
-			if opt := core.Incumbent(); opt < res.Optimum {
-				res.Optimum = opt
-			}
-		} else {
-			terminatedAll = false
-		}
 	}
-	res.Terminated = terminatedAll && crashedCount < len(cl.nodes) && !timedOut
-	res.OptimumOK = res.Terminated && res.Optimum == cl.trueOpt
+	cl.instMu.Lock()
+	boot := cl.specs[0]
+	res.Terminated = boot.resolved && !timedOut
+	res.Optimum = boot.optimum
+	cl.instMu.Unlock()
+	res.OptimumOK = res.Terminated && res.Optimum == boot.trueOpt
 	res.Kinds = cl.tr.ByKind()
 	res.Net = cl.tr.NetStats()
 	res.MsgsSent, res.BytesSent = res.Net.Sent, res.Net.Bytes
@@ -816,10 +758,11 @@ func (inc *incarnation) run() {
 // membership handshake (Hello/Welcome) is driver business — views live in
 // the driver, exactly as in the simulator — so those two kinds are
 // intercepted before any core.
-// Untagged messages are the boot problem's (instance 0); tagged ones route
-// through the mux, with reaped instances answered from their tombstone and
-// unknown ones triggering a registry poll — a submitted instance's traffic
-// can outrun the submission epoch's propagation to this node.
+// Untagged messages are the boot problem's (instance 0), tagged ones carry
+// their instance; either way they route through the mux, with reaped
+// instances answered from their tombstone and unknown ones triggering a
+// registry poll — a submitted instance's traffic can outrun the submission
+// epoch's propagation to this node.
 func (inc *incarnation) handle(env Envelope) {
 	// Every delivered envelope is evidence its sender is alive — the
 	// piggybacked heartbeat. This must precede routing: a suspect's work
@@ -863,19 +806,32 @@ func (inc *incarnation) handle(env Envelope) {
 	}
 }
 
-// noteTerminated finishes one instance on this node: the boot problem flips
-// the node's done flag (the cluster-level termination signal), a submitted
-// instance records its completion in the registry. Either way the instance
-// is reaped — its completion tables go back to the shared pool, and its
-// tombstone keeps answering straggler work requests.
+// noteTerminated finishes one instance on this node: it records the
+// detection in the registry and reaps the instance — its completion tables
+// go back to the shared pool, and its tombstone keeps answering straggler
+// work requests.
 func (inc *incarnation) noteTerminated(e *instance.Entry) {
-	n := inc.n
-	if e.ID == 0 {
-		n.terminate()
-	} else {
-		n.cl.noteInstanceDone(e.ID, n.id, e.Core.Incumbent())
-	}
+	inc.n.cl.noteInstanceDone(e.Data.(*instSpec), inc.n.id, e.Core.Incumbent())
 	inc.mux.Reap(e.ID)
+}
+
+// hello is this node's join announcement, which the failure detector also
+// sends as its probe of an excluded peer.
+func (inc *incarnation) hello() protocol.Hello {
+	h := protocol.Hello{ID: protocol.NodeID(inc.n.id), Addr: inc.n.cl.tr.AddrOf(inc.n.id)}
+	h.Incumbent, h.ActAge = inc.bootScalars()
+	return h
+}
+
+// bootScalars returns what the untagged membership messages carry: the boot
+// core's incumbent and activity age. An incarnation that never opened the
+// boot problem knows no incumbent and no activity; an infinite age moves no
+// receiver's activity anchor.
+func (inc *incarnation) bootScalars() (incumbent, actAge float64) {
+	if inc.boot == nil {
+		return math.Inf(1), math.Inf(1)
+	}
+	return inc.boot.Incumbent(), inc.boot.ActivityAge()
 }
 
 // onHello absorbs a join announcement (§5.2 over the canonical wire): learn
@@ -900,11 +856,9 @@ func (inc *incarnation) onHello(from NodeID, h protocol.Hello) {
 		}
 		peers = append(peers, protocol.Peer{ID: p, Addr: cl.tr.AddrOf(NodeID(p))})
 	}
-	cl.tr.Send(n.id, NodeID(h.ID), protocol.Welcome{
-		Peers:     peers,
-		Incumbent: inc.core.Incumbent(),
-		ActAge:    inc.core.ActivityAge(),
-	})
+	w := protocol.Welcome{Peers: peers}
+	w.Incumbent, w.ActAge = inc.bootScalars()
+	cl.tr.Send(n.id, NodeID(h.ID), w)
 	if fresh {
 		for _, p := range view {
 			if p == h.ID || NodeID(p) == from {
@@ -926,14 +880,19 @@ func (inc *incarnation) onWelcome(from NodeID, w protocol.Welcome) {
 		n.cl.tr.Learn(NodeID(p.ID), p.Addr)
 		n.learnPeer(p.ID)
 	}
-	inc.core.NoteRemoteActivity(w.ActAge)
+	c := inc.boot
+	if c == nil {
+		inc.welcomed = true // nothing to bootstrap: the boot problem resolved
+		return
+	}
+	c.NoteRemoteActivity(w.ActAge)
 	// A Welcome from a peer this detector recently re-absorbed answers our
 	// probe after a severed link: both sides completed work the other never
 	// heard about, so pull the Full-root subtree to catch up — the same
 	// bootstrap a brand-new joiner does.
-	if !inc.welcomed || inc.core.Table().Len() == 0 || inc.det.rejoining(from) {
+	if !inc.welcomed || c.Table().Len() == 0 || inc.det.rejoining(from) {
 		inc.welcomed = true
-		inc.core.Bootstrap(protocol.NodeID(from))
+		c.Bootstrap(protocol.NodeID(from))
 	}
 }
 
@@ -949,26 +908,22 @@ func (inc *incarnation) maybeAnnounce() {
 		return
 	}
 	inc.lastHello = time.Now()
-	h := protocol.Hello{
-		ID:        protocol.NodeID(inc.n.id),
-		Addr:      cl.tr.AddrOf(inc.n.id),
-		Incumbent: inc.core.Incumbent(),
-		ActAge:    inc.core.ActivityAge(),
-	}
+	h := inc.hello()
 	for _, c := range inc.contacts {
 		cl.tr.Send(inc.n.id, c, h)
 	}
 }
 
-// expand performs one unit of work for one instance: tree replays (only ever
-// the boot instance) sleep the scaled recorded cost and then translate the
-// recorded outcome; code-driven problems spend their time inside Outcome
-// itself, re-deriving bounds from the initial data. Either way the elapsed
-// seconds feed the instance core's adaptive pacing.
+// expand performs one unit of work for one instance: tree replays sleep the
+// scaled recorded cost and then translate the recorded outcome; code-driven
+// problems spend their time inside Outcome itself, re-deriving bounds from
+// the initial data. Either way the elapsed seconds feed the instance core's
+// adaptive pacing.
 func (inc *incarnation) expand(e *instance.Entry, it protocol.Item) {
+	sp := e.Data.(*instSpec)
 	sleep := 0.0
-	if e.ID == 0 && inc.n.cl.sleepOf != nil {
-		sleep = inc.n.cl.sleepOf(it)
+	if sp.sleepOf != nil {
+		sleep = sp.sleepOf(it)
 		time.Sleep(time.Duration(sleep * float64(time.Second)))
 	}
 	start := time.Now()
@@ -978,7 +933,7 @@ func (inc *incarnation) expand(e *instance.Entry, it protocol.Item) {
 	}
 	e.Core.OnExpanded(it, out, sleep+time.Since(start).Seconds())
 	inc.n.expanded.Add(1)
-	if sp, ok := e.Data.(*instSpec); ok {
+	if sp.id != 0 {
 		sp.expanded.Add(1)
 	}
 }
@@ -1004,17 +959,5 @@ func (inc *incarnation) starve(e *instance.Entry) {
 		inc.handle(env)
 	case <-time.After(wait):
 	case <-inc.n.cl.stopAll:
-	}
-}
-
-// terminate signals the cluster; the core already broadcast the final root
-// report of §5.4.
-func (n *liveNode) terminate() {
-	if n.done.Swap(true) {
-		return
-	}
-	select {
-	case n.cl.doneCh <- n.id:
-	default: // Run's ticker re-checks completion anyway
 	}
 }

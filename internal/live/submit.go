@@ -9,28 +9,35 @@ import (
 	"gossipbnb/internal/protocol"
 )
 
-// instSpec is the cluster-wide registry entry of one submitted instance: the
-// recipe every node needs to open it (a fresh expander over the problem's
-// initial data), the node elected to seed its root, and the resolution state
-// the Run loop sweeps. Fields below the comment line are guarded by
-// Cluster.instMu; the atomics are free-standing.
+// instSpec is the cluster-wide registry entry of one instance: the recipe
+// every node needs to open it (a fresh expander, and for a tree replay the
+// sleep an expansion stands for), the node elected to seed its root, and the
+// resolution state the Run loop sweeps. specs[0] is the boot problem the
+// cluster was built for; the rest were submitted mid-run. Fields below the
+// comment line are guarded by Cluster.instMu; the atomics are free-standing.
 type instSpec struct {
-	id      protocol.InstanceID
-	newExp  func() protocol.Expander
+	id     protocol.InstanceID
+	newExp func() protocol.Expander
+	// sleepOf is the scaled seconds an expansion sleeps before the expander
+	// computes the outcome: a recorded tree's node cost. nil for code-driven
+	// problems, whose outcome computation is itself the work.
+	sleepOf func(it protocol.Item) float64
 	trueOpt float64
-	// seedNode is the node elected at submission to seed the instance's root.
-	// If it crashes before seeding, any other node that polls the registry
-	// claims the seeding by the same CAS — the instance cannot be stranded by
-	// one failure.
+	// seedNode is the node elected to seed the instance's root. If it crashes
+	// before seeding, any other node that polls the registry claims the
+	// seeding by the same CAS — the instance cannot be stranded by one
+	// failure.
 	seedNode *liveNode
 	seeded   atomic.Bool
+	// expanded is the Handle's live progress count, so only submitted
+	// instances book it: the boot problem has no Handle, and one counter all
+	// nodes write on every expansion would cost it measurable time.
 	expanded atomic.Int64
 
 	// Guarded by Cluster.instMu.
-	done      map[NodeID]bool    // nodes that detected this instance's termination
-	incumbent map[NodeID]float64 // their final incumbents
-	resolved  bool
-	optimum   float64
+	done     map[NodeID]bool // nodes that detected this instance's termination
+	optimum  float64         // the best of their final incumbents; +Inf until one detects
+	resolved bool
 
 	doneCh chan struct{} // closed at resolution; publishes optimum/resolved
 }
@@ -82,38 +89,42 @@ func (cl *Cluster) SubmitRef(p bnb.Problem, ref bnb.Result) (*Handle, error) {
 	if !cl.started || cl.stopped {
 		return nil, fmt.Errorf("live: Submit on a cluster that is not running")
 	}
-	var seed *liveNode
 	for _, n := range cl.nodes {
 		if !n.crashed.Load() {
-			seed = n
-			break
+			sp := cl.register(func() protocol.Expander { return bnb.NewExpander(p) }, nil, ref.Value, n)
+			return &Handle{ID: sp.id, spec: sp}, nil
 		}
 	}
-	if seed == nil {
-		return nil, fmt.Errorf("live: no live node to seed the instance")
-	}
+	return nil, fmt.Errorf("live: no live node to seed the instance")
+}
+
+// register appends an instance to the registry under the next wire ID and
+// bumps the epoch, so every node opens it at its next registry poll.
+func (cl *Cluster) register(newExp func() protocol.Expander, sleepOf func(protocol.Item) float64, trueOpt float64, seed *liveNode) *instSpec {
 	cl.instMu.Lock()
 	sp := &instSpec{
-		id:        protocol.InstanceID(len(cl.specs) + 1),
-		newExp:    func() protocol.Expander { return bnb.NewExpander(p) },
-		trueOpt:   ref.Value,
-		seedNode:  seed,
-		done:      map[NodeID]bool{},
-		incumbent: map[NodeID]float64{},
-		doneCh:    make(chan struct{}),
+		id:       protocol.InstanceID(len(cl.specs)),
+		newExp:   newExp,
+		sleepOf:  sleepOf,
+		trueOpt:  trueOpt,
+		seedNode: seed,
+		done:     map[NodeID]bool{},
+		optimum:  math.Inf(1),
+		doneCh:   make(chan struct{}),
 	}
 	cl.specs = append(cl.specs, sp)
 	cl.instMu.Unlock()
 	cl.instEpoch.Add(1)
-	return &Handle{ID: sp.id, spec: sp}, nil
+	return sp
 }
 
-// syncInstances reconciles this incarnation's mux with the submission
-// registry. The fast path is one atomic epoch load; only a changed epoch —
-// or an unknown tagged message — walks the spec list. Each unresolved
-// instance this node has not yet finished gets a fresh core; the elected
-// seeder (or, if it crashed, whoever gets here first) seeds the root, won
-// by CAS so exactly one root ever enters the system.
+// syncInstances reconciles this incarnation's mux with the registry; it is
+// the one path by which any incarnation opens any instance. The fast path is
+// one atomic epoch load; only a changed epoch — or an unknown tagged message
+// — walks the spec list. Each unresolved instance this node has not yet
+// finished gets a fresh core; the elected seeder (or, if it crashed, whoever
+// gets here first) seeds the root, won by CAS so exactly one root ever
+// enters the system.
 func (inc *incarnation) syncInstances() {
 	cl := inc.n.cl
 	epoch := cl.instEpoch.Load()
@@ -142,16 +153,25 @@ func (inc *incarnation) syncInstances() {
 		}
 		exp := sp.newExp()
 		core := cl.newCore(inc, exp, sp.id)
-		// Anchor the remote-activity clock: a fresh empty table means "this
-		// node knows nothing yet", not "the instance is quiet" — without the
-		// anchor the recovery path could adopt the complement of an empty
-		// table (the whole root) while work simply hasn't spread here.
-		core.NoteRemoteActivity(0)
+		// Anchor the remote-activity clock where a fresh empty table means
+		// "this node knows nothing yet", not "the instance is quiet": on a
+		// joiner, and for a submitted instance, which may already run
+		// elsewhere. Without the anchor the recovery path could adopt the
+		// complement of an empty table (the whole root) while work simply
+		// hasn't spread here. A boot-time or restarted node opens the boot
+		// problem unanchored, as the simulator's restart does (ROADMAP item 7
+		// measured anchoring it at +2 % work and +6 % time).
+		if sp.id != 0 || inc.contacts != nil {
+			core.NoteRemoteActivity(0)
+		}
 		e, ok := inc.mux.Open(sp.id, core, exp)
 		if !ok {
 			continue
 		}
 		e.Data = sp
+		if sp.id == 0 {
+			inc.boot = core
+		}
 		if sp.seedNode == inc.n || sp.seedNode.crashed.Load() {
 			if sp.seeded.CompareAndSwap(false, true) {
 				core.Seed(exp.Root())
@@ -160,70 +180,62 @@ func (inc *incarnation) syncInstances() {
 	}
 }
 
-// noteInstanceDone records one node's termination detection for a submitted
-// instance. The record survives the node's later crash — detection happened,
-// exactly like a boot-instance finisher staying counted.
-func (cl *Cluster) noteInstanceDone(id protocol.InstanceID, node NodeID, incumbent float64) {
+// noteInstanceDone records one node's termination detection for an
+// instance, and wakes the Run loop to sweep. The record survives the node's
+// later crash: detection happened.
+func (cl *Cluster) noteInstanceDone(sp *instSpec, node NodeID, incumbent float64) {
 	cl.instMu.Lock()
-	defer cl.instMu.Unlock()
-	if int(id) > len(cl.specs) || id == 0 {
-		return
+	if !sp.resolved && !sp.done[node] {
+		sp.done[node] = true
+		sp.optimum = min(sp.optimum, incumbent)
 	}
-	sp := cl.specs[id-1]
-	if sp.resolved || sp.done[node] {
-		return
+	cl.instMu.Unlock()
+	select {
+	case cl.wake <- struct{}{}:
+	default: // a sweep is already due
 	}
-	sp.done[node] = true
-	sp.incumbent[node] = incumbent
 }
 
-// resolveInstances sweeps the registry: an instance resolves when every
-// node is crashed or has detected its termination — and at least one
-// detected it, so a fully crashed cluster cannot "resolve" an unsolved
-// instance. Decided under stopMu, like tryStop, so no Restart can revive a
-// node between the verdict and the resolution.
-func (cl *Cluster) resolveInstances() {
+// sweep resolves every instance that every node has crashed or detected —
+// at least one detected, so a fully crashed cluster cannot "resolve" an
+// unsolved instance — and reports whether the run is settled: every
+// instance resolved, or no node left alive to resolve one. With stop set, a
+// settled run is closed before the lock is released. Both are decided under
+// stopMu, so no Restart, AddNode or Submit lands between the verdict and
+// what follows from it.
+func (cl *Cluster) sweep(stop bool) bool {
 	cl.stopMu.Lock()
 	defer cl.stopMu.Unlock()
+	alive := false
+	for _, n := range cl.nodes {
+		alive = alive || !n.crashed.Load()
+	}
+	settled := true
 	cl.instMu.Lock()
-	defer cl.instMu.Unlock()
 	for _, sp := range cl.specs {
 		if sp.resolved {
 			continue
 		}
 		all, any := true, false
-		opt := math.Inf(1)
 		for _, n := range cl.nodes {
 			if sp.done[n.id] {
 				any = true
-				if v := sp.incumbent[n.id]; v < opt {
-					opt = v
-				}
-				continue
+			} else if !n.crashed.Load() {
+				all = false
+				break
 			}
-			if n.crashed.Load() {
-				continue
-			}
-			all = false
-			break
 		}
 		if all && any {
-			sp.optimum = opt
 			sp.resolved = true
 			close(sp.doneCh)
+		} else {
+			settled = false
 		}
 	}
-}
-
-// specsResolved reports whether every submitted instance resolved. Callers
-// hold stopMu (the lock order is stopMu, then instMu).
-func (cl *Cluster) specsResolved() bool {
-	cl.instMu.Lock()
-	defer cl.instMu.Unlock()
-	for _, sp := range cl.specs {
-		if !sp.resolved {
-			return false
-		}
+	cl.instMu.Unlock()
+	settled = settled || !alive
+	if settled && stop {
+		cl.closeLocked()
 	}
-	return true
+	return settled
 }

@@ -112,7 +112,7 @@ func TestSubmitAfterBootTerminated(t *testing.T) {
 	for {
 		done := 0
 		for _, n := range cl.nodes {
-			if n.done.Load() {
+			if detectedBoot(cl, n.id) {
 				done++
 			}
 		}

@@ -120,8 +120,6 @@ type Config struct {
 	// before a starving process may presume work was lost. Jittered ±25%
 	// per attempt so concurrent recoverers stagger.
 	RecoveryQuiet float64
-	// DisableRecovery turns the failure-recovery mechanism off (ablation).
-	DisableRecovery bool
 	// DiffGossip switches the report path to anti-entropy diff gossip:
 	// reports and table pushes carry the table's content digest (plus the
 	// recent-delta codes a report would have carried anyway), and a receiver
@@ -842,7 +840,7 @@ func (c *Core) RequestPending() bool { return c.reqPending }
 // so the policy is as safe and as live as adopting all of them (DESIGN.md
 // "Failure recovery").
 func (c *Core) PlanRecovery() []code.Code {
-	if c.cfg.DisableRecovery || c.terminated {
+	if c.terminated {
 		return nil
 	}
 	// Stay at the suspicion threshold: while the remote-evidence gate stays
