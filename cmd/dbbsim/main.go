@@ -4,9 +4,8 @@
 // Usage:
 //
 //	dbbsim -procs 16 -size 10000 -mean 0.05                 # generated tree
-//	dbbsim -procs 16 -tree tree.gbbt                        # saved tree
-//	dbbsim -procs 8 -problem knapsack:20:7 -prune           # real problem,
-//	dbbsim -procs 8 -problem qap:6:1 -prune                 #  no tree on disk
+//	dbbsim -procs 8 -problem knapsack:20:7 -prune           # real problem from
+//	dbbsim -procs 8 -problem qap:6:1 -granularity 2         #  its initial data
 //	dbbsim -procs 8 -crash 30:3 -crash 40:5 \
 //	       -nemesis loss:0.05                               # fault injection
 //	dbbsim -procs 8 -crash 30:3:60 -nemesis dup:0.2 \
@@ -118,19 +117,14 @@ func (n *nemesisList) Set(s string) error {
 // validateFlags rejects mutually inconsistent flag combinations up front,
 // with an error naming both sides. -shards with -membership or -gantt is not
 // one of them: those runs clamp to one shard and the engine line says so.
-func validateFlags(insts int, problem, treePath string, member, gantt bool, shards int, joins joinList) error {
+func validateFlags(insts int, problem string, member, gantt bool, shards int, joins joinList) error {
 	if insts < 0 {
 		return fmt.Errorf("-instances must be >= 0, got %d", insts)
-	}
-	if problem != "" && treePath != "" {
-		return fmt.Errorf("-problem and -tree are mutually exclusive")
 	}
 	if insts > 0 {
 		switch {
 		case problem != "":
 			return fmt.Errorf("-instances and -problem are mutually exclusive: -instances generates its own problems")
-		case treePath != "":
-			return fmt.Errorf("-instances and -tree are mutually exclusive: multi-instance runs are code-driven")
 		case member:
 			return fmt.Errorf("-instances does not support -membership: multi-instance runs use the predetermined pool")
 		case gantt:
@@ -159,13 +153,11 @@ func run() int {
 		procs    = flag.Int("procs", 8, "number of processes")
 		shards   = flag.Int("shards", 1, "parallel event shards: N >= 1 exact, 0 = one per CPU")
 		seed     = flag.Int64("seed", 1, "deterministic seed")
-		treePath = flag.String("tree", "", "basic-tree file (else a tree is generated)")
 		problem  = flag.String("problem", "", "solve a real problem from initial data, no recorded tree: knapsack:<n>:<seed> or qap:<n>:<seed>")
-		nodeCost = flag.Float64("nodecost", 0, "-problem mode: modeled seconds per expansion (0 = default)")
 		size     = flag.Int("size", 10001, "generated tree size")
 		mean     = flag.Float64("mean", 0.05, "generated mean node cost, seconds")
 		prune    = flag.Bool("prune", false, "enable incumbent-based elimination")
-		factor   = flag.Float64("granularity", 1, "node-cost multiplier (§6.3.1)")
+		factor   = flag.Float64("granularity", 1, "node-cost multiplier (§6.3.1); a -problem expansion costs 0.01 s at 1")
 		quiet    = flag.Float64("quiet", 0, "recovery quiet window, seconds (0 = default)")
 		member   = flag.Bool("membership", false, "run the §5.2 membership protocol")
 		gantt    = flag.Bool("gantt", false, "print an ASCII Gantt of the run")
@@ -181,7 +173,7 @@ func run() int {
 	flag.Var(&nemeses, "nemesis", "inject a scheduled fault, windows in virtual seconds: partition, oneway, flap, stall, slow, corrupt, loss, dup, reorder or replay, e.g. partition:10-20:0,1, flap:0-2:4:0-30 or replay:0.05 (repeatable)")
 	flag.Parse()
 
-	if err := validateFlags(*insts, *problem, *treePath, *member, *gantt, *shards, joins); err != nil {
+	if err := validateFlags(*insts, *problem, *member, *gantt, *shards, joins); err != nil {
 		log.Fatal(err)
 	}
 
@@ -244,7 +236,6 @@ func run() int {
 		Seed:          *seed,
 		Prune:         *prune,
 		CostFactor:    *factor,
-		NodeCost:      *nodeCost,
 		RecoveryQuiet: *quiet,
 		UseMembership: *member,
 		Crashes:       crashes,
@@ -272,22 +263,13 @@ func run() int {
 			*problem, ref.Value, ref.Expanded)
 		res = dbnb.RunProblemRef(p, ref, cfg)
 	} else {
-		var tree *btree.Tree
-		if *treePath != "" {
-			var err error
-			tree, err = btree.Load(*treePath)
-			if err != nil {
-				log.Fatal(err)
-			}
-		} else {
-			r := rand.New(rand.NewSource(*seed))
-			tree = btree.Random(r, btree.RandomConfig{
-				Size:         *size,
-				Cost:         btree.CostModel{Mean: *mean, Sigma: 0.5},
-				BoundSpread:  1,
-				FeasibleProb: 0.1,
-			})
-		}
+		r := rand.New(rand.NewSource(*seed))
+		tree := btree.Random(r, btree.RandomConfig{
+			Size:         *size,
+			Cost:         btree.CostModel{Mean: *mean, Sigma: 0.5},
+			BoundSpread:  1,
+			FeasibleProb: 0.1,
+		})
 		st := tree.Stats()
 		fmt.Printf("tree: %d nodes, %.1f s uniprocessor, optimum %.6g\n",
 			st.Size, st.TotalCost, st.Optimum)

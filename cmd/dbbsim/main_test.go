@@ -120,7 +120,6 @@ func TestValidateFlagInstanceCombos(t *testing.T) {
 		name    string
 		insts   int
 		problem string
-		tree    string
 		member  bool
 		gantt   bool
 		shards  int
@@ -132,18 +131,16 @@ func TestValidateFlagInstanceCombos(t *testing.T) {
 		{name: "instances sharded", insts: 4, shards: 4, want: true},
 		{name: "negative instances", insts: -1, shards: 1, want: false},
 		{name: "instances+problem", insts: 2, problem: "knapsack:12:1", shards: 1, want: false},
-		{name: "instances+tree", insts: 2, tree: "t.gbbt", shards: 1, want: false},
 		{name: "instances+membership", insts: 2, member: true, shards: 1, want: false},
 		{name: "instances+gantt", insts: 2, gantt: true, shards: 1, want: false},
 		{name: "instances+join", insts: 2, joins: joinList{{Time: 5, Count: 2}}, shards: 1, want: false},
-		{name: "problem+tree", problem: "qap:6:1", tree: "t.gbbt", shards: 1, want: false},
 		{name: "shards+membership clamps", member: true, shards: 4, want: true},
 		{name: "shards+gantt clamps", gantt: true, shards: 0, want: true},
 		{name: "negative shards", shards: -1, want: false},
 		{name: "join without membership", joins: joinList{{Time: 5, Count: 2}}, shards: 1, want: true},
 	}
 	for _, c := range cases {
-		err := validateFlags(c.insts, c.problem, c.tree, c.member, c.gantt, c.shards, c.joins)
+		err := validateFlags(c.insts, c.problem, c.member, c.gantt, c.shards, c.joins)
 		if ok(err) != c.want {
 			t.Errorf("%s: err = %v, want valid=%v", c.name, err, c.want)
 		}

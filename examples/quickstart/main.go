@@ -1,6 +1,6 @@
 // Quickstart: solve a knapsack with the sequential engine, record its basic
 // tree, then solve the same problem with the simulated distributed algorithm
-// and check both agree.
+// and check both agree; it exits non-zero if they do not.
 package main
 
 import (
@@ -42,4 +42,7 @@ func main() {
 		sim.Terminated, sim.Time, -sim.Optimum, sim.OptimumOK)
 	fmt.Printf("             %d expansions (%d redundant), %d messages, %d bytes\n",
 		sim.Expanded, sim.Redundant, sim.Net.Sent, sim.Net.Bytes)
+	if !sim.Terminated || !sim.OptimumOK || -sim.Optimum != k.Best(res) {
+		log.Fatal("the distributed optimum does not match the sequential one")
+	}
 }

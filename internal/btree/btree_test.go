@@ -1,7 +1,6 @@
 package btree
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -234,54 +233,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 	if err := base().Validate(); err != nil {
 		t.Fatalf("baseline tree invalid: %v", err)
-	}
-}
-
-func TestIORoundTrip(t *testing.T) {
-	tr := testRandom(9, 301)
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Nodes) != len(tr.Nodes) {
-		t.Fatalf("size %d != %d", len(got.Nodes), len(tr.Nodes))
-	}
-	for i := range tr.Nodes {
-		if got.Nodes[i] != tr.Nodes[i] {
-			t.Fatalf("node %d: %+v != %+v", i, got.Nodes[i], tr.Nodes[i])
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not a tree"))); err == nil {
-		t.Error("Read accepted garbage")
-	}
-	if _, err := Read(bytes.NewReader(nil)); err == nil {
-		t.Error("Read accepted empty input")
-	}
-	// Valid magic, truncated body.
-	if _, err := Read(bytes.NewReader(append([]byte("GBBT1"), 200))); err == nil {
-		t.Error("Read accepted truncated body")
-	}
-}
-
-func TestSaveLoad(t *testing.T) {
-	tr := testRandom(10, 101)
-	path := t.TempDir() + "/tree.gbbt"
-	if err := tr.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Size() != tr.Size() {
-		t.Errorf("loaded size %d, want %d", got.Size(), tr.Size())
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 func deliveryHarness(tagged bool, shards int) *harness {
 	k, ref := shardKnapsack()
 	cfg := Config{Procs: 4, Seed: 1, Prune: true, Shards: shards}
-	w := problemWorkload(k, ref, cfg.withDefaults().NodeCost)
+	w := problemWorkload(k, ref)
 	if !tagged {
 		return newHarness(cfg, []*spec{{w: w}}, false)
 	}

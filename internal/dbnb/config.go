@@ -136,16 +136,9 @@ type Config struct {
 
 	// CostFactor scales every node cost, the paper's granularity knob
 	// ("we tuned this granularity by multiplying all time values by a
-	// constant factor"). 0 means 1.
+	// constant factor"): a tree node's recorded cost, or nodeCost per
+	// code-driven expansion. 0 means 1.
 	CostFactor float64
-
-	// NodeCost is the modeled CPU seconds per expansion in code-driven
-	// problem runs (RunProblem), standing in for the per-node costs a basic
-	// tree records. The charge for each subproblem jitters ±50% by a hash
-	// of its code, so runs stay deterministic in (problem, seed, config)
-	// while avoiding system-wide lockstep. 0 means 0.01. Tree replays
-	// (Run) ignore it.
-	NodeCost float64
 
 	// Prune enables incumbent-based elimination. The paper prunes real
 	// trees and runs random trees "without eliminating the unpromising
@@ -160,6 +153,8 @@ type Config struct {
 
 	// ReportBatch is c: completed codes accumulated before a work report is
 	// sent. ReportFanout is m: how many random members receive each report.
+	// They, ReportTimeout, MinPoolToShare and RecoveryPatience are copied
+	// into the protocol core's config, whose defaults fill the unset ones.
 	ReportBatch  int
 	ReportFanout int
 	// ReportTimeout flushes a non-empty outbox that has waited this long.
@@ -175,11 +170,6 @@ type Config struct {
 	// MinPoolToShare is how many active problems a process must hold before
 	// it grants work away.
 	MinPoolToShare int
-	// RetryDelay paces retries after a failed work request. While retrying,
-	// a starving process also pushes its table to random members — the
-	// paper's observation that lightly loaded processes "suspect termination
-	// and send more work reports".
-	RetryDelay float64
 	// RecoveryPatience is how many consecutive failed work requests a
 	// process tolerates before it presumes work was lost and recovers an
 	// uncompleted problem from the complement of its table (§5.3.2).
@@ -192,6 +182,7 @@ type Config struct {
 	// work has not spread yet. Each attempt jitters the window ±25% so
 	// concurrent recoverers stagger. This is the paper's "how soon failure
 	// is suspected after a machine unsuccessfully tries to get work" knob.
+	// 0 means ten retry paces.
 	RecoveryQuiet float64
 
 	// UseMembership runs the gossip membership protocol (§5.2) instead of a
@@ -214,6 +205,13 @@ type Config struct {
 	// Trace, if non-nil, records per-process activity spans (Figures 5/6).
 	Trace *trace.Log
 
+	// retryDelay paces retries after a failed work request (0 = 1 s).
+	// While retrying, a starving process also pushes its table to random
+	// members — the paper's observation that lightly loaded processes
+	// "suspect termination and send more work reports". Test-only, like
+	// fireHook: TestSnapshotSharedMesh shortens it.
+	retryDelay float64
+
 	// fireHook, if non-nil, observes every kernel event's (time, seq) as it
 	// fires. Test-only: the golden event-order tests hash this stream to
 	// prove a kernel rewrite preserves the exact firing order of seeded runs.
@@ -223,10 +221,15 @@ type Config struct {
 // commOverhead is the modeled CPU seconds to handle one received message;
 // contractPerCode the CPU seconds per code merged into the table. Together
 // they produce the paper's "communication time" and "list contraction time"
-// columns.
+// columns. nodeCost is the modeled CPU seconds per expansion in code-driven
+// problem runs, standing in for the per-node costs a basic tree records; the
+// charge for each subproblem jitters ±50% by a hash of its code (costJitter),
+// so runs stay deterministic in (problem, seed, config) while avoiding
+// system-wide lockstep.
 const (
 	commOverhead    = 200e-6
 	contractPerCode = 20e-6
+	nodeCost        = 0.01
 )
 
 // schedule is the nemesis schedule a run judges its sends against: Nemesis
@@ -247,8 +250,9 @@ func (c Config) schedule() *nemesis.Schedule {
 	return nemesis.New(fs...)
 }
 
-// withDefaults fills unset fields with the defaults used throughout the
-// experiments.
+// withDefaults fills the unset fields the driver reads with the defaults used
+// throughout the experiments. The protocol fields it only copies get theirs
+// from protocol.Config, so the two runtimes cannot drift apart.
 func (c Config) withDefaults() Config {
 	if c.Procs <= 0 {
 		c.Procs = 1
@@ -259,29 +263,11 @@ func (c Config) withDefaults() Config {
 	if c.CostFactor <= 0 {
 		c.CostFactor = 1
 	}
-	if c.NodeCost <= 0 {
-		c.NodeCost = 0.01
-	}
-	if c.ReportBatch <= 0 {
-		c.ReportBatch = 8
-	}
-	if c.ReportFanout <= 0 {
-		c.ReportFanout = 2
-	}
-	if c.ReportTimeout <= 0 {
-		c.ReportTimeout = 30
-	}
-	if c.MinPoolToShare <= 0 {
-		c.MinPoolToShare = 2
-	}
-	if c.RetryDelay <= 0 {
-		c.RetryDelay = 1
-	}
-	if c.RecoveryPatience <= 0 {
-		c.RecoveryPatience = 3
+	if c.retryDelay <= 0 {
+		c.retryDelay = 1
 	}
 	if c.RecoveryQuiet <= 0 {
-		c.RecoveryQuiet = 10 * c.RetryDelay
+		c.RecoveryQuiet = 10 * c.retryDelay
 	}
 	if c.MaxTime <= 0 {
 		c.MaxTime = 1e9

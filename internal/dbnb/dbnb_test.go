@@ -395,7 +395,7 @@ func TestDetectTimesOrdered(t *testing.T) {
 
 func TestConfigValidationDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.Procs != 1 || cfg.ReportBatch <= 0 || cfg.RetryDelay <= 0 || cfg.RecoveryQuiet <= 0 {
+	if cfg.Procs != 1 || cfg.retryDelay <= 0 || cfg.RecoveryQuiet <= 0 {
 		t.Errorf("defaults incomplete: %+v", cfg)
 	}
 }

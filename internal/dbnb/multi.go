@@ -106,7 +106,7 @@ func RunInstances(cfg Config) MultiResult {
 			start:    max(in.StartTime, 0),
 			seed:     in.Seed,
 			seedNode: i % cfg.Procs, // spread the roots across processes
-			w:        problemWorkload(in.Problem, bnb.SolveProblem(in.Problem), cfg.NodeCost),
+			w:        problemWorkload(in.Problem, bnb.SolveProblem(in.Problem)),
 		}
 	}
 	return newHarness(cfg, specs, true).run()

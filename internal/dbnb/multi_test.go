@@ -254,7 +254,7 @@ func TestMultiInstanceTerminationBroadcastIsGrouped(t *testing.T) {
 			t.Errorf("instance %d moved: first detection %v expanded %d unique %d, want %+v", ir.ID, ir.FirstDetect, ir.Expanded, ir.Unique, w)
 		}
 	}
-	fanout := cfg.withDefaults().ReportFanout
+	fanout := defaultReportFanout
 	if got, bound := rootReports(res.Net, res.Met.Systems...), int64(len(res.Instances)*(1+fanout)*(procs-1)); got != bound+lateProbes {
 		t.Errorf("root reports sent = %d, want %d + %d: one detector per instance, (1 + %d)·(%d − 1) each, and the late probes' answers",
 			got, bound, lateProbes, fanout, procs)

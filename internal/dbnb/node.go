@@ -263,7 +263,7 @@ func (n *node) initCore() {
 		ReportTimeout:    cfg.ReportTimeout,
 		AdaptiveReports:  cfg.AdaptiveReports,
 		MinPoolToShare:   cfg.MinPoolToShare,
-		RetryDelay:       cfg.RetryDelay,
+		RetryDelay:       cfg.retryDelay,
 		RecoveryPatience: cfg.RecoveryPatience,
 		RecoveryQuiet:    cfg.RecoveryQuiet,
 		DiffGossip:       cfg.DiffGossip,

@@ -324,7 +324,7 @@ func treeWorkload(tree *btree.Tree) workload {
 // RunProblem simulates the algorithm of §5 solving a code-driven problem
 // from its initial data only — no recorded tree anywhere. Every process
 // re-derives subproblems through its own bnb expander; expansion charges
-// the modeled NodeCost (jittered deterministically per code). The
+// the modeled nodeCost (jittered deterministically per code). The
 // single-processor reference optimum is established first by the
 // sequential engine, so Result.OptimumOK is a real cross-check. Runs are
 // deterministic in (problem, cfg).
@@ -335,12 +335,12 @@ func RunProblem(p bnb.Problem, cfg Config) Result {
 // RunProblemRef is RunProblem with a precomputed sequential reference,
 // sparing callers that already solved the instance a second solve.
 func RunProblemRef(p bnb.Problem, ref bnb.Result, cfg Config) Result {
-	return runOne(cfg, problemWorkload(p, ref, cfg.withDefaults().NodeCost))
+	return runOne(cfg, problemWorkload(p, ref))
 }
 
 // problemWorkload is the code-driven workload of RunProblem and RunInstances:
 // a fresh bnb expander per context, nodeCost jittered per code.
-func problemWorkload(p bnb.Problem, ref bnb.Result, nodeCost float64) workload {
+func problemWorkload(p bnb.Problem, ref bnb.Result) workload {
 	return workload{
 		newExpander: func() protocol.Expander { return bnb.NewExpander(p) },
 		costOf:      func(it protocol.Item) float64 { return nodeCost * costJitter(it.Code) },

@@ -20,7 +20,7 @@ func TestSnapshotSharedMesh(t *testing.T) {
 		Size: 2001, Cost: btree.CostModel{Mean: 3.47, Sigma: 0.6}, BoundSpread: 1, FeasibleProb: 0.05,
 	})
 	run := func(shards int) Result {
-		res := Run(tr, Config{Procs: 64, Seed: 1, RecoveryQuiet: 120, RetryDelay: 0.05, Shards: shards})
+		res := Run(tr, Config{Procs: 64, Seed: 1, RecoveryQuiet: 120, retryDelay: 0.05, Shards: shards})
 		mustTerminate(t, res)
 		return res
 	}

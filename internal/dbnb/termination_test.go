@@ -28,6 +28,13 @@ func rootReports(net sim.NetStats, systems ...*metrics.System) int64 {
 	return n
 }
 
+// protocol.Config's report defaults, which a run that leaves ReportFanout and
+// ReportBatch unset uses.
+const (
+	defaultReportFanout = 2
+	defaultReportBatch  = 8
+)
+
 // TestTerminationTrafficIsLinear: a run whose work is never shared is one
 // process solving and procs − 1 starving, so nearly every message of it is
 // probing or termination. The detector's broadcast plus ReportFanout forwards
@@ -51,8 +58,8 @@ func TestTerminationTrafficIsLinear(t *testing.T) {
 			t.Errorf("procs=%d: %d messages sent, want at most 20 per process", procs, res.Net.Sent)
 		}
 		cfg = cfg.withDefaults()
-		if got, bound := rootReports(res.Net, res.Met), int64((1+cfg.ReportFanout)*(procs-1)); got > bound {
-			t.Errorf("procs=%d: %d root reports sent, want at most (1 + %d)·(procs − 1) = %d", procs, got, cfg.ReportFanout, bound)
+		if got, bound := rootReports(res.Net, res.Met), int64((1+defaultReportFanout)*(procs-1)); got > bound {
+			t.Errorf("procs=%d: %d root reports sent, want at most (1 + %d)·(procs − 1) = %d", procs, got, defaultReportFanout, bound)
 		}
 		lag := cfg.Latency(root.Size()) + commOverhead + contractPerCode
 		late := 0
@@ -61,11 +68,11 @@ func TestTerminationTrafficIsLinear(t *testing.T) {
 				late++
 			}
 		}
-		if late > cfg.ReportFanout {
+		if late > defaultReportFanout {
 			t.Errorf("procs=%d: %d detections trail the first by more than one delivered broadcast, %v; only the last work report's %d recipients may",
-				procs, late, lag, cfg.ReportFanout)
+				procs, late, lag, defaultReportFanout)
 		}
-		lag += commOverhead + float64(cfg.ReportBatch)*contractPerCode
+		lag += commOverhead + float64(defaultReportBatch)*contractPerCode
 		if got := res.Time - res.FirstDetect; got > lag+1e-12 {
 			t.Errorf("procs=%d: last detection trails the first by %v, want one delivered broadcast and one work report's handling, %v", procs, got, lag)
 		}

@@ -143,7 +143,7 @@ func TestChaosLiveDupReorderReplay(t *testing.T) {
 	tr := liveTree(32, 301)
 	cl := NewCluster(tr, Config{
 		Nodes: 4, Seed: 32, TimeScale: 0.001,
-		Delay:   func(bytes int) time.Duration { return 100 * time.Microsecond },
+		Network: NewTransport(32, func(bytes int) time.Duration { return 100 * time.Microsecond }, 0),
 		Nemesis: mustFaults(t, "dup:0.25", "reorder:0.3:2ms", "replay:0.05:10ms"),
 		Timeout: 60 * time.Second,
 	})

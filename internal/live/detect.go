@@ -144,7 +144,6 @@ func (d *detector) heard(from NodeID) {
 	switch p.state {
 	case peerSuspect:
 		p.state = peerAlive
-		d.inc.n.detCleared.Add(1)
 		d.emit(from, Cleared)
 	case peerExcluded:
 		n := d.inc.n

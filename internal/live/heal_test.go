@@ -158,7 +158,7 @@ func TestHealFalseSuspicionStorm(t *testing.T) {
 	tr := liveTree(34, 201)
 	cl := NewCluster(tr, Config{
 		Nodes: 3, Seed: 34, TimeScale: 0.001,
-		Delay:         func(int) time.Duration { return 8 * time.Millisecond },
+		Network:       NewTransport(34, func(int) time.Duration { return 8 * time.Millisecond }, 0),
 		RecoveryQuiet: 20 * time.Millisecond,
 		SuspectAfter:  3 * time.Millisecond,
 		ExcludeAfter:  6 * time.Millisecond,

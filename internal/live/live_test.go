@@ -50,9 +50,9 @@ func TestWithLatencyAndLoss(t *testing.T) {
 	tr := liveTree(3, 201)
 	cl := NewCluster(tr, Config{
 		Nodes: 4, Seed: 3, TimeScale: 0.001,
-		Delay: func(bytes int) time.Duration {
+		Network: NewTransport(3, func(bytes int) time.Duration {
 			return 200*time.Microsecond + time.Duration(bytes)*time.Microsecond
-		},
+		}, 0),
 		Nemesis: mustFaults(t, "loss:0.05"),
 	})
 	res := cl.Run()

@@ -25,11 +25,9 @@ type Config struct {
 	// TimeScale converts tree node costs (seconds) to real durations; e.g.
 	// 0.001 runs a 10-second tree in ~10 ms of wall clock per process.
 	TimeScale float64
-	// Delay maps message size to latency (nil = none). It applies only to
-	// the default in-memory transport; message loss is a Nemesis fault.
-	Delay func(bytes int) time.Duration
 	// Network overrides the transport; nil means an in-memory Transport
-	// built from Seed and Delay. Pass a TCPNetwork to run over real
+	// built from Seed, with no latency. Pass NewTransport with a delay
+	// function for modeled latency, or a TCPNetwork to run over real
 	// sockets. The cluster closes the network when Run returns.
 	Network Net
 	// Protocol parameters, as in the simulator. The report path is the
@@ -156,7 +154,6 @@ type liveNode struct {
 	detSuspicions atomic.Int64
 	detExclusions atomic.Int64
 	detReabsorbed atomic.Int64
-	detCleared    atomic.Int64
 }
 
 // incarnation is one boot of a liveNode: everything a crash wipes. The §5
@@ -334,7 +331,7 @@ func NewProblemClusterRef(p bnb.Problem, ref bnb.Result, cfg Config) *Cluster {
 func newCluster(cfg Config, newExp func() protocol.Expander, sleepOf func(it protocol.Item) float64, trueOpt float64) *Cluster {
 	tr := cfg.Network
 	if tr == nil {
-		tr = NewTransport(cfg.Seed, cfg.Delay, 0)
+		tr = NewTransport(cfg.Seed, nil, 0)
 	}
 	if cfg.Nemesis != nil {
 		if s, ok := tr.(interface{ SetNemesis(*nemesis.Schedule) }); ok {

@@ -243,15 +243,5 @@ type NetHealth struct {
 	Reabsorbed    int64 // excluded peers readmitted after re-announcing
 }
 
-// Merge adds o into h.
-func (h *NetHealth) Merge(o NetHealth) {
-	h.CorruptFrames += o.CorruptFrames
-	h.CutMessages += o.CutMessages
-	h.SuspectDrops += o.SuspectDrops
-	h.Suspicions += o.Suspicions
-	h.Exclusions += o.Exclusions
-	h.Reabsorbed += o.Reabsorbed
-}
-
 // MB converts bytes to megabytes (10^6, as the paper reports).
 func MB(bytes int64) float64 { return float64(bytes) / 1e6 }
