@@ -216,8 +216,8 @@ func TestInsertAllOrderedAllocs(t *testing.T) {
 	if avg > 0 {
 		t.Errorf("ordered %d-code InsertAll allocates %.1f times, want 0", len(leaves), avg)
 	}
-	if tb.sortBuf != nil {
-		t.Errorf("ordered batches touched the sort scratch (cap %d)", cap(tb.sortBuf))
+	if sortBuf(tb) != nil {
+		t.Errorf("ordered batches touched the sort scratch (cap %d)", cap(sortBuf(tb)))
 	}
 
 	reversed := slices.Clone(leaves)
@@ -233,12 +233,20 @@ func TestInsertAllOrderedAllocs(t *testing.T) {
 	if avg > 0 {
 		t.Errorf("out-of-order %d-code InsertAll with a warm scratch allocates %.1f times, want 0", len(leaves), avg)
 	}
-	if cap(tb.sortBuf) < len(leaves)-1 {
-		t.Fatalf("the reversed batch did not go through the sort scratch (cap %d)", cap(tb.sortBuf))
+	if cap(sortBuf(tb)) < len(leaves)-1 {
+		t.Fatalf("the reversed batch did not go through the sort scratch (cap %d)", cap(sortBuf(tb)))
 	}
-	for _, c := range tb.sortBuf[:cap(tb.sortBuf)] {
+	for _, c := range sortBuf(tb)[:cap(sortBuf(tb))] {
 		if c != nil {
 			t.Fatal("the sort scratch keeps a merged batch's codes alive")
 		}
 	}
+}
+
+// sortBuf is t's InsertAll sort scratch, nil if t has no scratch yet.
+func sortBuf(t *Table) []code.Code {
+	if t.sc == nil {
+		return nil
+	}
+	return t.sc.sortBuf
 }

@@ -118,10 +118,13 @@ func (n *node) gaps() int32 {
 }
 
 // Table is a contracted set of completed-problem codes. The zero value is not
-// usable; call New. Table is not safe for concurrent use: each table belongs
-// to one protocol core, and a core is confined to one goroutine (a simulator
-// process or a live node's loop). A snapshot is the exception: it is never
-// mutated, and the methods Snapshot lists may read it from any goroutine.
+// usable; call New. A table is its vertex arena and the sums kept over it;
+// everything a walk reuses, and the digest side array, waits behind one
+// pointer until a walk needs it (scratch). Table is not safe for concurrent
+// use: each table belongs to one protocol core, and a core is confined to one
+// goroutine (a simulator process or a live node's loop). A snapshot is the
+// exception: it is never mutated, and the methods Snapshot lists may read it
+// from any goroutine.
 type Table struct {
 	// nodes is the vertex arena: nodes[0] is the root, every other live
 	// vertex is reachable from it through children, and the rest are on the
@@ -130,15 +133,6 @@ type Table struct {
 	// vertices holds indices and re-takes the pointer.
 	nodes []node
 
-	// digests is the side array of cached subtree digests, digests[i] for
-	// nodes[i], valid where the vertex's metaDigestOK bit is set. It stays
-	// empty until something asks the table for a digest — outboxes and
-	// frontier-gossip tables never do — and while it is empty no vertex
-	// holds a valid digest, so inserts need not clear the bits along their
-	// path. The digest entry points grow it to the arena's length before
-	// they walk (growDigests).
-	digests []uint64
-
 	// free is the head of the vertex free list, threaded through
 	// children[0]; 0 means empty. prune feeds it; newChild pops it.
 	free uint32
@@ -146,7 +140,8 @@ type Table struct {
 	// gaps counts the regions of the complement — the incomplete vertices that
 	// lack a child (node.gaps) — kept where the trie changes, like the frontier
 	// sums below, so a recovery plan knows how much is missing before it walks.
-	// (32 bits beside free: a wider Table leaves its allocation size class.)
+	// (32 bits beside free, like the counts below: the Table is 72 bytes, in
+	// the 80-byte size class.)
 	gaps int32
 
 	// nodeCount is the live trie vertices, for storage accounting, the
@@ -162,9 +157,8 @@ type Table struct {
 	// adds it when a leaf gets its first child, prune takes it back when a
 	// vertex loses them. EncodedSize reads it.
 	//
-	// (codes and varSum are 32 bits beside nodeCount: a wider Table leaves its
-	// allocation size class. A vertex adds at most five bytes to varSum, so it
-	// overflows only past 400 M vertices, a 6.4 GB arena.)
+	// (A vertex adds at most five bytes to varSum, so it overflows only past
+	// 400 M vertices, a 6.4 GB arena.)
 	codes    int32
 	varSum   int32
 	depthSum int
@@ -174,20 +168,45 @@ type Table struct {
 	// messages in flight still hold it. A snapshot's snap is itself.
 	snap *Table
 
-	// Reused scratch space. path holds the root-to-leaf vertex stack of the
-	// last insert (path[i] = index of the vertex at depth i); scratch is the
-	// complement walk's prefix; frames and nstack are the iterative-walk
-	// stacks of Complement and of the pruning, counting and snapshot walks.
-	// sortBuf is InsertAll's out-of-order fallback only: the sorted copy of
-	// the part of a batch that broke prefix order. It is cleared when the
-	// fallback returns, so it never keeps a received batch's chunks alive.
-	// The frontier walks (Codes, Encode) keep their stacks on the goroutine
-	// stack instead, so they write nothing here.
+	// sc is the table's walk scratch and digest side array, nil until a walk
+	// needs it (work). Most tables of a big run never do: an idle process's
+	// table only ever merges what it is sent, and a merge without a prefix
+	// into a shallow trie walks on the goroutine stack.
+	sc *scratch
+}
+
+// scratch is what a table reuses from walk to walk, allocated by the first
+// walk that needs any of it. path holds the root-to-leaf vertex stack of the
+// last insert (path[i] = index of the vertex at depth i) and of MergeAt's walk
+// to its prefix; prefix is the complement walk's code; frames and nstack are
+// the iterative-walk stacks of Complement and of the pruning, counting and
+// compaction walks. sortBuf is InsertAll's out-of-order fallback only: the
+// sorted copy of the part of a batch that broke prefix order. It is cleared
+// when the fallback returns, so it never keeps a received batch's chunks
+// alive. The frontier walks (Codes, Encode) keep their stacks on the goroutine
+// stack instead, so they write nothing here.
+//
+// digests is the side array of cached subtree digests, digests[i] for
+// nodes[i], valid where the vertex's metaDigestOK bit is set. It stays empty
+// until something asks the table for a digest — outboxes and frontier-gossip
+// tables never do — and while it is empty no vertex holds a valid digest, so
+// inserts need not clear the bits along their path. The digest entry points
+// grow it to the arena's length before they walk (growDigests).
+type scratch struct {
 	path    []uint32
-	scratch code.Code
+	prefix  code.Code
 	frames  []walkFrame
 	nstack  []uint32
 	sortBuf []code.Code
+	digests []uint64
+}
+
+// work returns the table's scratch, allocating it on first use.
+func (t *Table) work() *scratch {
+	if t.sc == nil {
+		t.sc = new(scratch)
+	}
+	return t.sc
 }
 
 // walkFrame is one level of an iterative depth-first walk: the vertex and the
@@ -204,10 +223,11 @@ type frontierFrame struct {
 	via code.Decision
 }
 
-// New returns an empty table: nothing is known to be completed. The arena
-// holds the root alone — most tables of a big run (10 000 idle processes, two
-// tables each) never grow past a handful of vertices, and reserving more up
-// front is paid by every one of them.
+// New returns an empty table: nothing is known to be completed. It is two
+// allocations, 96 bytes: the Table and an arena holding the root alone. Most
+// tables of a big run (10 000 idle processes, two tables each) never grow past
+// a handful of vertices and never walk anything that needs scratch, and
+// whatever is reserved up front is paid by every one of them.
 func New() *Table {
 	return &Table{nodes: make([]node, 1), nodeCount: 1, gaps: 1}
 }
@@ -219,7 +239,9 @@ func (t *Table) Reset() {
 	t.prune(0)
 	t.nodes[0] = node{}
 	t.codes, t.varSum, t.depthSum, t.gaps = 0, 0, 0, 1
-	t.digests = t.digests[:0] // every vertex was just zeroed; keep the capacity
+	if t.sc != nil {
+		t.sc.digests = t.sc.digests[:0] // every vertex was just zeroed; keep the capacity
+	}
 	t.invalidate()
 }
 
@@ -298,12 +320,13 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 	if len(c) > maxDepth {
 		return false, from, ErrDepth
 	}
+	sc := t.work()
 	if from == 0 {
-		t.path = append(t.path[:0], 0)
+		sc.path = append(sc.path[:0], 0)
 	} else {
-		t.path = t.path[:from+1]
+		sc.path = sc.path[:from+1]
 	}
-	at := t.path[from]
+	at := sc.path[from]
 	for depth := from; depth < len(c); depth++ {
 		d := c[depth]
 		n := &t.nodes[at]
@@ -321,7 +344,7 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 			next = t.newChild(at, b) // n may be stale now: the arena may have moved
 		}
 		at = next
-		t.path = append(t.path, at)
+		sc.path = append(sc.path, at)
 	}
 	n := &t.nodes[at] // no vertex is created from here on
 	if n.complete() {
@@ -335,14 +358,14 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 	// are recycled, so only path[:valid+1] survives for prefix reuse.
 	valid = len(c)
 	for i := len(c) - 1; i >= 0; i-- {
-		p := &t.nodes[t.path[i]]
+		p := &t.nodes[sc.path[i]]
 		if p.children[0] == 0 || p.children[1] == 0 ||
 			!t.nodes[p.children[0]].complete() || !t.nodes[p.children[1]].complete() {
 			break // cannot contract further
 		}
 		p.meta |= metaComplete
 		t.tally(p, +1)
-		t.prune(t.path[i])
+		t.prune(sc.path[i])
 		valid = i
 	}
 	// Every vertex on the walked path now roots a changed subtree, so their
@@ -350,8 +373,8 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 	// were zeroed by prune; re-clearing them is harmless. Nothing off the
 	// path changed, so nothing else needs touching — this is the same
 	// invalidation discipline as the snapshot cache, pushed down to vertices.
-	if len(t.digests) > 0 {
-		for _, v := range t.path {
+	if len(sc.digests) > 0 {
+		for _, v := range sc.path {
 			t.nodes[v].meta &^= metaDigestOK
 		}
 	}
@@ -365,18 +388,34 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 // descendants leave the encoding's, and whatever the vertex and its incomplete
 // descendants lacked leaves the complement. The walk
 // is iterative and feeds the free list, so a prune is allocation-free and
-// later inserts reuse the vertices.
+// later inserts reuse the vertices. Its stack is the scratch's where the table
+// has one, and otherwise starts on the goroutine stack: it holds at most one
+// vertex per level, so a merge that completes a shallow trie — a termination
+// report reaching an idle process — allocates nothing.
 func (t *Table) prune(at uint32) {
 	n := &t.nodes[at]
 	t.gaps -= n.gaps()
-	t.nstack = t.nstack[:0]
-	t.pushChildren(n)
+	if n.leaf() {
+		return
+	}
+	if t.sc != nil {
+		t.sc.nstack = t.pruneBelow(t.sc.nstack[:0], n) // keep what the walk grew
+		return
+	}
+	var stk [walkDepth]uint32
+	t.pruneBelow(stk[:0], n)
+}
+
+// pruneBelow is prune's walk over the descendants of n on stack, which it
+// returns.
+func (t *Table) pruneBelow(stack []uint32, n *node) []uint32 {
+	stack = t.pushChildren(stack, n)
 	n.children = [2]uint32{}
-	for len(t.nstack) > 0 {
-		i := t.nstack[len(t.nstack)-1]
-		t.nstack = t.nstack[:len(t.nstack)-1]
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		v := &t.nodes[i]
-		t.pushChildren(v)
+		stack = t.pushChildren(stack, v)
 		if v.complete() {
 			t.tally(v, -1)
 		} else {
@@ -386,19 +425,21 @@ func (t *Table) prune(at uint32) {
 		*v = node{children: [2]uint32{t.free, 0}}
 		t.free = i
 	}
+	return stack
 }
 
-// pushChildren queues v's children on nstack for prune and takes v's variable
+// pushChildren queues v's children on prune's stack and takes v's variable
 // out of the encoding's sum if it has a child.
-func (t *Table) pushChildren(v *node) {
+func (t *Table) pushChildren(stack []uint32, v *node) []uint32 {
 	if !v.leaf() {
 		t.varSum -= varBytes(v.branchVar)
 	}
 	for _, c := range v.children {
 		if c != 0 {
-			t.nstack = append(t.nstack, c)
+			stack = append(stack, c)
 		}
 	}
+	return stack
 }
 
 // Complete reports whether the root problem is known completed — the paper's
@@ -539,10 +580,11 @@ func (t *Table) extent(start uint32, max int) (vertices int, ok bool) {
 		return int(t.nodeCount), max <= 0 || int(t.codes) <= max
 	}
 	codes := 0
-	t.nstack = append(t.nstack[:0], start)
-	for len(t.nstack) > 0 {
-		v := &t.nodes[t.nstack[len(t.nstack)-1]]
-		t.nstack = t.nstack[:len(t.nstack)-1]
+	sc := t.work()
+	sc.nstack = append(sc.nstack[:0], start)
+	for len(sc.nstack) > 0 {
+		v := &t.nodes[sc.nstack[len(sc.nstack)-1]]
+		sc.nstack = sc.nstack[:len(sc.nstack)-1]
 		vertices++
 		if v.complete() {
 			if codes++; max > 0 && codes > max {
@@ -552,7 +594,7 @@ func (t *Table) extent(start uint32, max int) (vertices int, ok bool) {
 		}
 		for b := 0; b < 2; b++ {
 			if v.children[b] != 0 {
-				t.nstack = append(t.nstack, v.children[b])
+				sc.nstack = append(sc.nstack, v.children[b])
 			}
 		}
 	}
@@ -603,10 +645,11 @@ func (t *Table) SampleComplement(k int, rnd func(n int) int) []code.Code {
 // visit with each region's code until it returns false. The code is the shared
 // walk prefix: visit must copy what it keeps.
 func (t *Table) eachGap(visit func(c code.Code) bool) {
-	t.scratch = t.scratch[:0]
-	t.frames = append(t.frames[:0], walkFrame{})
-	for len(t.frames) > 0 {
-		f := &t.frames[len(t.frames)-1]
+	sc := t.work()
+	sc.prefix = sc.prefix[:0]
+	sc.frames = append(sc.frames[:0], walkFrame{})
+	for len(sc.frames) > 0 {
+		f := &sc.frames[len(sc.frames)-1]
 		n := &t.nodes[f.n]
 		if f.b == 0 {
 			if n.complete() {
@@ -614,7 +657,7 @@ func (t *Table) eachGap(visit func(c code.Code) bool) {
 			} else if n.leaf() {
 				// Nothing below this node has been reported: the whole
 				// subproblem is (as far as we know) outstanding.
-				if !visit(t.scratch) {
+				if !visit(sc.prefix) {
 					return
 				}
 				f.b = 2
@@ -623,23 +666,23 @@ func (t *Table) eachGap(visit func(c code.Code) bool) {
 		if f.b < 2 {
 			b := uint8(f.b)
 			f.b++
-			t.scratch = t.scratch.AppendChild(n.branchVar, b)
+			sc.prefix = sc.prefix.AppendChild(n.branchVar, b)
 			if n.children[b] != 0 {
-				t.frames = append(t.frames, walkFrame{n: n.children[b]})
+				sc.frames = append(sc.frames, walkFrame{n: n.children[b]})
 				continue
 			}
 			// The sibling branch was reported but this branch never was:
 			// complement it (the paper's "complementing the code of a solved
 			// problem whose sibling is not solved").
-			if !visit(t.scratch) {
+			if !visit(sc.prefix) {
 				return
 			}
-			t.scratch = t.scratch[:len(t.scratch)-1]
+			sc.prefix = sc.prefix[:len(sc.prefix)-1]
 			continue
 		}
-		t.frames = t.frames[:len(t.frames)-1]
-		if len(t.scratch) > 0 {
-			t.scratch = t.scratch[:len(t.scratch)-1]
+		sc.frames = sc.frames[:len(sc.frames)-1]
+		if len(sc.prefix) > 0 {
+			sc.prefix = sc.prefix[:len(sc.prefix)-1]
 		}
 	}
 }
@@ -670,7 +713,13 @@ func (t *Table) MergeAt(prefix code.Code, other *Table) (changed int, errs int) 
 	if len(prefix) > 0 && len(prefix)+len(other.nodes) > maxDepth && len(prefix)+other.height() > maxDepth {
 		return 0, int(other.codes)
 	}
-	t.path = append(t.path[:0], 0)
+	// Only a walk to a prefix records its path, for the contraction back up;
+	// a plain Merge needs no scratch.
+	var sc *scratch
+	if len(prefix) > 0 {
+		sc = t.work()
+		sc.path = append(sc.path[:0], 0)
+	}
 	at := uint32(0)
 	for _, d := range prefix {
 		n := &t.nodes[at]
@@ -689,17 +738,17 @@ func (t *Table) MergeAt(prefix code.Code, other *Table) (changed int, errs int) 
 			next = t.newChild(at, d.Branch&1)
 		}
 		at = next
-		t.path = append(t.path, at)
+		sc.path = append(sc.path, at)
 	}
 	if changed, errs = t.mergeAt(at, other, 0); changed == 0 {
 		return 0, errs
 	}
 	for i := len(prefix) - 1; i >= 0; i-- {
-		p := &t.nodes[t.path[i]]
+		p := &t.nodes[sc.path[i]]
 		p.meta &^= metaDigestOK
 		if !p.complete() && p.children[0] != 0 && p.children[1] != 0 &&
 			t.nodes[p.children[0]].complete() && t.nodes[p.children[1]].complete() {
-			t.markComplete(t.path[i])
+			t.markComplete(sc.path[i])
 		}
 	}
 	t.invalidate()
@@ -823,10 +872,11 @@ func (t *Table) InsertAll(cs []code.Code) (changed int, errs int) {
 		if prefixCmpAt(prev, c, from) > 0 {
 			// slices.SortFunc, not sort.Slice: the reflection-based sorter
 			// allocates a Swapper closure per call.
-			t.sortBuf = append(t.sortBuf[:0], cs[i:]...)
-			slices.SortFunc(t.sortBuf, prefixCmp)
-			ch, er := t.InsertAll(t.sortBuf) // sorted: cannot come back here
-			clear(t.sortBuf)                 // do not pin the batch's chunks
+			sc := t.work()
+			sc.sortBuf = append(sc.sortBuf[:0], cs[i:]...)
+			slices.SortFunc(sc.sortBuf, prefixCmp)
+			ch, er := t.InsertAll(sc.sortBuf) // sorted: cannot come back here
+			clear(sc.sortBuf)                 // do not pin the batch's chunks
 			return changed + ch, errs + er
 		}
 		if from > valid {
@@ -1069,10 +1119,11 @@ func (t *Table) compact() {
 	// nstack holds pairs: a vertex of t to copy, and where to link its copy —
 	// parent<<1|branch in live.
 	next := uint32(0)
-	t.nstack = append(t.nstack[:0], 0, 0)
-	for len(t.nstack) > 0 {
-		link, src := t.nstack[len(t.nstack)-2], t.nstack[len(t.nstack)-1]
-		t.nstack = t.nstack[:len(t.nstack)-2]
+	sc := t.work()
+	sc.nstack = append(sc.nstack[:0], 0, 0)
+	for len(sc.nstack) > 0 {
+		link, src := sc.nstack[len(sc.nstack)-2], sc.nstack[len(sc.nstack)-1]
+		sc.nstack = sc.nstack[:len(sc.nstack)-2]
 		v := &t.nodes[src]
 		live[next] = node{branchVar: v.branchVar, meta: v.meta &^ metaDigestOK}
 		if next > 0 {
@@ -1080,14 +1131,14 @@ func (t *Table) compact() {
 		}
 		for b := 1; b >= 0; b-- { // pushed in reverse: branch 0 is copied first
 			if v.children[b] != 0 {
-				t.nstack = append(t.nstack, next<<1|uint32(b), v.children[b])
+				sc.nstack = append(sc.nstack, next<<1|uint32(b), v.children[b])
 			}
 		}
 		next++
 	}
 	t.nodes = append(t.nodes[:0], live...) // within capacity: no allocation
 	t.free = 0
-	t.digests = t.digests[:0]
+	sc.digests = sc.digests[:0]
 }
 
 // emptySnapshot is the snapshot of every empty table (Empty), and
@@ -1113,12 +1164,11 @@ func Empty() *Table { return emptySnapshot }
 
 // Clone returns a deep copy of the table: one copy of the arena, free list
 // included (it is indices into the arena, so it carries over as is), and one
-// of the digest side array if the table has one. The snapshot cache and
-// scratch space are not copied; the clone derives its own on demand.
+// of the digest side array if the table has one. The snapshot cache and the
+// walk scratch are not copied; the clone derives its own on demand.
 func (t *Table) Clone() *Table {
-	return &Table{
+	c := &Table{
 		nodes:     slices.Clone(t.nodes),
-		digests:   slices.Clone(t.digests),
 		nodeCount: t.nodeCount,
 		free:      t.free,
 		codes:     t.codes,
@@ -1126,4 +1176,8 @@ func (t *Table) Clone() *Table {
 		depthSum:  t.depthSum,
 		gaps:      t.gaps,
 	}
+	if t.sc != nil && len(t.sc.digests) > 0 {
+		c.sc = &scratch{digests: slices.Clone(t.sc.digests)}
+	}
+	return c
 }

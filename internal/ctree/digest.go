@@ -23,10 +23,11 @@ import (
 //   - a distinct constant for the bare root of an empty table.
 //
 // Digests are cached in a side array beside the arena, digests[i] for vertex
-// i, which a table allocates the first time it is asked for a digest; the
-// vertex keeps only the validity bit (metaDigestOK). From then on insertFrom
-// clears the bit of every vertex on its mutation path (the same path the
-// contraction loop walks), and Digest recomputes only invalidated subtrees.
+// i, which a table allocates in its scratch the first time it is asked for a
+// digest; the vertex keeps only the validity bit (metaDigestOK). From then on
+// insertFrom clears the bit of every vertex on its mutation path (the same
+// path the contraction loop walks), and Digest recomputes only invalidated
+// subtrees.
 // The property tests in digest_test.go pin incremental == recompute-from-
 // scratch and digest equality ⇔ frontier equality over arbitrary mutation
 // sequences.
@@ -59,7 +60,7 @@ func mixDigest(h, v uint64) uint64 {
 func (t *Table) digestOf(at uint32) uint64 {
 	n := &t.nodes[at] // digests create no vertex: the arena stays put
 	if n.meta&metaDigestOK != 0 {
-		return t.digests[at]
+		return t.sc.digests[at]
 	}
 	var h uint64
 	switch {
@@ -77,7 +78,7 @@ func (t *Table) digestOf(at uint32) uint64 {
 			}
 		}
 	}
-	t.digests[at] = h
+	t.sc.digests[at] = h
 	n.meta |= metaDigestOK
 	return h
 }
@@ -85,8 +86,9 @@ func (t *Table) digestOf(at uint32) uint64 {
 // growDigests extends the digest side array to the arena's length before a
 // digest walk: vertices created since the last one have no slot yet.
 func (t *Table) growDigests() {
-	if n := len(t.nodes); len(t.digests) < n {
-		t.digests = slices.Grow(t.digests, n-len(t.digests))[:n]
+	sc := t.work()
+	if n := len(t.nodes); len(sc.digests) < n {
+		sc.digests = slices.Grow(sc.digests, n-len(sc.digests))[:n]
 	}
 }
 

@@ -598,16 +598,16 @@ func TestPropInsertAllAnyOrder(t *testing.T) {
 				t.Fatalf("seed %d %s: InsertAll reordered its input: %v, was %v", seed, sh.name, in, sh.batch)
 			}
 			checkAgainstRef(t, opt, ref, leaves)
-			if sh.ordered && opt.sortBuf != nil {
+			if sh.ordered && sortBuf(opt) != nil {
 				t.Fatalf("seed %d %s: an ordered batch went through the sort scratch", seed, sh.name)
 			}
-			if opt.sortBuf != nil {
+			if sortBuf(opt) != nil {
 				fellBack++
 			}
 			if ch1 == 0 {
 				nothingNew++
 			}
-			for _, c := range opt.sortBuf[:cap(opt.sortBuf)] {
+			for _, c := range sortBuf(opt)[:cap(sortBuf(opt))] {
 				if c != nil {
 					t.Fatalf("seed %d %s: the sort scratch still holds %v", seed, sh.name, c)
 				}

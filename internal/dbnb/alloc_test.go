@@ -85,7 +85,7 @@ func TestExpansionLedgerAllocs(t *testing.T) {
 		}
 	}
 	book := func() {
-		n.rec.expanded.Reset()
+		n.record().expanded.Reset()
 		n.met.Redundant = 0
 		for _, c := range codes {
 			n.noteExpansion(c)
@@ -95,9 +95,9 @@ func TestExpansionLedgerAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(20, book); a != 0 {
 		t.Errorf("booking %d expansions into a warm ledger allocates %.1f, want 0", len(codes), a)
 	}
-	if unique := 1<<9 - 2; n.rec.expanded.Len() != unique || n.met.Redundant != len(codes)-unique {
+	if unique := 1<<9 - 2; n.record().expanded.Len() != unique || n.met.Redundant != len(codes)-unique {
 		t.Errorf("ledger holds %d codes, %d redundant bookings; want %d, %d",
-			n.rec.expanded.Len(), n.met.Redundant, unique, len(codes)-unique)
+			n.record().expanded.Len(), n.met.Redundant, unique, len(codes)-unique)
 	}
 }
 

@@ -194,6 +194,37 @@ func TestRestartRebuildsFromGossip(t *testing.T) {
 	}
 }
 
+// TestRestartInsideBusyPeriod: a process that crashes mid-expansion and
+// restarts a microsecond later is reborn before the dead incarnation's busy
+// period ends. That period's end event still fires, and must be discarded:
+// handed to the fresh core, it would apply an expansion the new incarnation
+// never popped and end whatever busy period the new one has begun. The run
+// follows the trajectory pinned before node events carried their
+// incarnation in the kernel argument.
+func TestRestartInsideBusyPeriod(t *testing.T) {
+	k, ref := lazyKnapsack()
+	cfg := Config{Procs: 4, Seed: 2, Prune: true, Shards: 2, RecoveryQuiet: 3,
+		Crashes: []Crash{{Time: 0.5, Node: 0, Restart: 0.500001}}}
+	h := newHarness(cfg, []*spec{{w: problemWorkload(k, ref)}}, false)
+	n := h.nodes[0]
+	h.shardOf(0).k.At(0.5, func() {
+		if !n.crashed || !n.busy || n.incarn != 0 {
+			t.Errorf("at the crash: crashed %v, busy %v, incarnation %d; want a busy first incarnation",
+				n.crashed, n.busy, n.incarn)
+		}
+	})
+	mr := h.run()
+	if ir := mr.Instances[0]; !ir.Terminated || !ir.OptimumOK {
+		t.Fatalf("terminated %v, optimum ok %v", ir.Terminated, ir.OptimumOK)
+	}
+	if n.incarn != 1 {
+		t.Fatalf("process 0 is in incarnation %d, want 1", n.incarn)
+	}
+	checkFingerprint(t, "restart inside a busy period", multiFingerprint(mr)[0], fpRestartInsideBusy)
+}
+
+const fpRestartInsideBusy = "t=7.335820234375001 first=7.3340052343750015 exp=406 uniq=406 comp=360 sent=182 bytes=14251 kinds=[0 101 23 29 2 27] per=[50 329 27 0]"
+
 // TestRestartAfterSystemTerminated: a process that comes back after everyone
 // else finished must still learn the outcome (terminated peers answer its
 // work requests with the root report) and terminate instead of recovering

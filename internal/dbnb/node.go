@@ -54,28 +54,23 @@ type node struct {
 	h    *harness
 	spec *spec       // the instance this context solves
 	sh   *shardCtx   // owner shard: the kernel/network this node lives on
-	rec  *rec        // == &sh.recs[spec.idx], the shard's record of this instance
 	k    *sim.Kernel // == sh.k, the node's scheduling clock
 	core *protocol.Core
-	exp  protocol.Expander // this context's own code resolver
+	// exp is this context's own code resolver, built on first use
+	// (expander): most contexts of a large run never expand, never resolve
+	// a grant and never seed the root, so they never pay for one. The core
+	// and the mux entry hold the node itself as their protocol.Expander.
+	exp protocol.Expander
 	// mux is the process's instance demultiplexer in multi-instance runs, nil
 	// in single-problem ones. It is the one mark of a tagged context: messages
 	// go out wrapped in an InstMsg, the randomness stream derives from the
 	// instance too, and termination reaps the instance from the mux.
 	mux *instance.Mux
 
-	// rng drives every stochastic choice this context makes (timer stagger,
-	// report fanout targets, recovery jitter): an independent stream (see
-	// newNode), so a context's decisions do not depend on how processes are
-	// sharded — the root of the shard-count invariance property.
-	rng *rand.Rand
-
-	started    bool // the instance's submission time was reached
-	busy       bool
-	crashed    bool
-	done       bool // observed the core's termination detection
-	detectedAt float64
-	inbox      []inMsg
+	started bool // the instance's submission time was reached
+	busy    bool
+	crashed bool
+	done    bool // observed the core's termination detection
 	// wake marks a pending same-time wake event. Deliveries never process the
 	// inbox directly: the first arrival at a virtual instant schedules a
 	// wake at that same instant, which — because every
@@ -83,17 +78,28 @@ type node struct {
 	// latency floor is at least the mesh lookahead) — fires after the WHOLE
 	// same-time batch has landed, so the batch can be handled in canonical
 	// order no matter which shards the senders ran on.
-	wake bool
+	wake       bool
+	detectedAt float64
+	inbox      []inMsg
 
-	// incarn is the crash-restart incarnation: every busy-period callback
-	// captures it at schedule time and aborts if the node has been reborn
-	// since — a pre-crash expansion finishing after the restart must not leak
-	// the dead incarnation's state into the fresh core.
+	// rng drives every stochastic choice this context makes (timer stagger,
+	// report fanout targets, recovery jitter): an independent stream (see
+	// newNode) held in the node itself, so a context's decisions do not
+	// depend on how processes are sharded — the root of the shard-count
+	// invariance property.
+	pcg pcgSource
+	rng rand.Rand
+
+	// incarn is the crash-restart incarnation: every busy-period event
+	// carries it (event) and is discarded if the node has been reborn since —
+	// a pre-crash expansion finishing after the restart must not leak the
+	// dead incarnation's state into the fresh core.
 	incarn    int
 	crashedAt float64
 	// cntPrior accumulates dead incarnations' protocol counters, so the
-	// experiment tables count messages a crashed process really sent.
-	cntPrior protocol.Counters
+	// experiment tables count messages a crashed process really sent. nil
+	// until the first restart.
+	cntPrior *protocol.Counters
 
 	// timer is the context's one kernel timer: it calls the core's Tick at
 	// its WakeAt, and is cancelled at crash and at termination. It fires
@@ -103,19 +109,10 @@ type node struct {
 	starveAt float64
 	tie      uint64
 
-	// Pre-bound callbacks, created once per node: scheduling through them
-	// (plus AfterArg's incarnation argument) costs zero allocations per
-	// event, where a per-schedule closure or method value would allocate.
-	// The busy-period callbacks read their inputs from the pend* fields
-	// below — safe because the busy flag admits at most one outstanding
-	// busy period per incarnation, and a stale fire from a dead incarnation
-	// bails on the incarnation check before touching them.
-	wakeFn        func()
-	tickFn        func()
-	expandDoneFn  func(int)
-	drainDoneFn   func(int)
-	recoverDoneFn func(int)
-
+	// The busy-period events read their inputs from the pend* fields below —
+	// safe because the busy flag admits at most one outstanding busy period
+	// per incarnation, and a stale fire from a dead incarnation is discarded
+	// before it touches them.
 	pendItem     protocol.Item // expansion in flight
 	pendStart    float64       // busy-period start (expand/drain/recover)
 	pendComm     float64       // drain: modeled communication cost
@@ -134,6 +131,56 @@ type node struct {
 	peersCache []protocol.NodeID
 	viewSize   int
 }
+
+// Node events. A node's kernel events carry the node as their argument
+// instead of a closure of the node's own: the harness binds one callback
+// (harness.fire) for all of them, and event packs into the argument the
+// node's place in harness.nodes (low 32 bits), what the event does (the
+// next 3) and the incarnation that scheduled it (the rest).
+const (
+	evWake = iota
+	evTick
+	evActivate
+	evExpandDone
+	evDrainDone
+	evRecoverDone
+)
+
+// event is the kernel argument of n's event of the given kind.
+func (n *node) event(kind int) int {
+	slot := int(n.id)*len(n.h.specs) + n.spec.idx
+	return (n.incarn<<3|kind)<<32 | slot
+}
+
+// fire runs the node event a: busy-period ends of a dead incarnation are
+// discarded, everything else goes to its node.
+func (h *harness) fire(a int) {
+	n := h.nodes[uint32(a)]
+	kind, gen := a>>32&7, a>>35
+	switch kind {
+	case evWake:
+		n.wakeup()
+	case evTick:
+		n.tick()
+	case evActivate:
+		n.activate()
+	default:
+		if gen != n.incarn {
+			return // the node was reborn; this busy period died with its incarnation
+		}
+		switch kind {
+		case evExpandDone:
+			n.expandDone()
+		case evDrainDone:
+			n.drainDone()
+		case evRecoverDone:
+			n.recoverDone()
+		}
+	}
+}
+
+// record is the owner shard's record of this context's instance.
+func (n *node) record() *rec { return &n.sh.recs[n.spec.idx] }
 
 // nodeSender transmits the core's canonical messages over the simulated
 // network, charging each send's modeled CPU overhead to the activity it
@@ -199,12 +246,6 @@ func (s nodeSender) Broadcast(peers []protocol.NodeID, m protocol.Msg) {
 // from a handful of times.
 type pcgSource struct{ randv2.PCG }
 
-func newPCGSource(seed int64, stream int) *pcgSource {
-	s := new(pcgSource)
-	s.PCG.Seed(uint64(seed), uint64(stream))
-	return s
-}
-
 func (s *pcgSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // Seed completes rand.Source; nothing reseeds a context's stream.
@@ -213,8 +254,8 @@ func (s *pcgSource) Seed(seed int64) { s.PCG.Seed(uint64(seed), 0) }
 func newNode(id sim.NodeID, h *harness, sp *spec) *node {
 	sh := h.shardOf(int(id))
 	n := &node{
-		id: id, h: h, spec: sp, sh: sh, rec: &sh.recs[sp.idx], k: sh.k,
-		exp: sp.w.newExpander(), idleStart: -1, met: &sp.met.Nodes[id], tie: sh.k.Reserve(),
+		id: id, h: h, spec: sp, sh: sh, k: sh.k,
+		idleStart: -1, met: &sp.met.Nodes[id], tie: sh.k.Reserve(),
 	}
 	if h.muxes != nil {
 		n.mux = h.muxes[id]
@@ -227,20 +268,16 @@ func newNode(id sim.NodeID, h *harness, sp *spec) *node {
 	if n.mux != nil {
 		seed = sim.DeriveSeed(seed^sp.seed, 1_000_003+sp.idx)
 	}
-	n.rng = rand.New(newPCGSource(sim.DeriveSeed(seed, int(id)), int(id)))
+	n.pcg.PCG.Seed(uint64(sim.DeriveSeed(seed, int(id))), uint64(id))
+	n.rng = *rand.New(&n.pcg)
 	if h.ring != nil {
 		// The static peer view is a window into the shared doubled ring:
 		// every process but this one, O(1) extra memory per node.
 		n.peersCache = h.ring[int(id)+1 : int(id)+h.cfg.Procs]
 	}
-	n.wakeFn = n.wakeup
-	n.tickFn = n.tick
-	n.expandDoneFn = n.expandDone
-	n.drainDoneFn = n.drainDone
-	n.recoverDoneFn = n.recoverDone
 	n.initCore()
 	if n.mux != nil {
-		e, ok := n.mux.Open(sp.id, n.core, n.exp)
+		e, ok := n.mux.Open(sp.id, n.core, n)
 		if !ok {
 			panic("dbnb: duplicate instance id")
 		}
@@ -249,9 +286,9 @@ func newNode(id sim.NodeID, h *harness, sp *spec) *node {
 	return n
 }
 
-// initCore builds a fresh protocol core over the node's current expander —
-// at construction and again at every crash-restart (a rebooted process keeps
-// nothing but its identity and the initial problem data).
+// initCore builds a fresh protocol core over the node — at construction and
+// again at every crash-restart (a rebooted process keeps nothing but its
+// identity and the initial problem data).
 func (n *node) initCore() {
 	h := n.h
 	cfg := &h.cfg
@@ -270,7 +307,7 @@ func (n *node) initCore() {
 	}, protocol.Deps{
 		Clock:         n.k,
 		Sender:        nodeSender{n},
-		Expander:      n.exp,
+		Expander:      n,
 		Peers:         n.peerView,
 		Rand:          func(m int) int { return n.rng.Intn(m) },
 		RandFloat:     func() float64 { return n.rng.Float64() },
@@ -278,6 +315,23 @@ func (n *node) initCore() {
 		OnTableChange: n.observeTable,
 	})
 }
+
+// expander returns the context's code resolver, building it over the initial
+// data on first use.
+func (n *node) expander() protocol.Expander {
+	if n.exp == nil {
+		n.exp = n.spec.w.newExpander()
+	}
+	return n.exp
+}
+
+// Locate, Root and Outcome make the node the protocol.Expander its core and
+// mux entry hold: each is its expander's, built on first use.
+func (n *node) Locate(c code.Code) (protocol.Item, bool) { return n.expander().Locate(c) }
+
+func (n *node) Root() protocol.Item { return n.expander().Root() }
+
+func (n *node) Outcome(it protocol.Item) protocol.Outcome { return n.expander().Outcome(it) }
 
 // peerView adapts the harness's membership view to protocol identifiers. The
 // core reads the returned slice without retaining or mutating it, so the
@@ -344,20 +398,17 @@ func (n *node) loop() {
 // expand pays the workload's modeled node cost, then reports the branching
 // outcome the expander computes to the core. The in-flight item rides in
 // pendItem/pendStart rather than a capture closure — the busy flag admits
-// only one expansion per incarnation, and expandDone discards stale fires
-// from dead incarnations before reading them.
+// only one expansion per incarnation, and harness.fire discards stale fires
+// from dead incarnations before expandDone reads them.
 func (n *node) expand(it protocol.Item) {
 	cost := n.spec.w.costOf(it) * n.h.cfg.CostFactor
 	n.busy = true
 	n.pendItem = it
 	n.pendStart = n.k.Now()
-	n.k.AfterArg(cost, n.expandDoneFn, n.incarn)
+	n.k.AfterArg(cost, n.h.fireFn, n.event(evExpandDone))
 }
 
-func (n *node) expandDone(gen int) {
-	if n.incarn != gen {
-		return // the node was reborn; this expansion died with its incarnation
-	}
+func (n *node) expandDone() {
 	n.busy = false
 	if n.crashed {
 		return
@@ -368,7 +419,7 @@ func (n *node) expandDone(gen int) {
 	n.h.cfg.Trace.Add(int(n.id), trace.Compute, start, now)
 	n.met.Expanded++
 	n.noteExpansion(it.Code)
-	n.core.OnExpanded(it, n.exp.Outcome(it), now-start)
+	n.core.OnExpanded(it, n.Outcome(it), now-start)
 	n.loop()
 }
 
@@ -383,7 +434,7 @@ func (n *node) activate() {
 	n.started = true
 	n.core.NoteRemoteActivity(0)
 	if n.spec.seedNode == int(n.id) {
-		n.core.Seed(n.exp.Root())
+		n.core.Seed(n.Root())
 	}
 	n.loop()
 }
@@ -419,7 +470,7 @@ func (n *node) arm() {
 	}
 	n.timer.Cancel()
 	if !math.IsInf(at, 1) {
-		n.timer = n.k.AtSeq(at, n.tie, n.tickFn)
+		n.timer = n.k.AtSeqArg(at, n.tie, n.h.fireFn, n.event(evTick))
 	}
 }
 
@@ -450,13 +501,10 @@ func (n *node) recover() {
 	n.pendStart = n.k.Now()
 	n.pendContract = scanCost
 	n.endIdle()
-	n.k.AfterArg(scanCost, n.recoverDoneFn, n.incarn)
+	n.k.AfterArg(scanCost, n.h.fireFn, n.event(evRecoverDone))
 }
 
-func (n *node) recoverDone(gen int) {
-	if n.incarn != gen {
-		return
-	}
+func (n *node) recoverDone() {
 	n.busy = false
 	if n.crashed {
 		return
@@ -509,7 +557,7 @@ func (n *node) deliver(from sim.NodeID, msg sim.Message) {
 	// replay the kernel's tie order, which depends on the shard count.
 	if !n.busy && !n.wake {
 		n.wake = true
-		n.k.After(0, n.wakeFn)
+		n.k.AfterArg(0, n.h.fireFn, n.event(evWake))
 	}
 }
 
@@ -567,13 +615,10 @@ func (n *node) drainInbox() {
 	n.pendComm = commCost
 	n.pendContract = contractCost
 	n.endIdle()
-	n.k.AfterArg(commCost+contractCost, n.drainDoneFn, n.incarn)
+	n.k.AfterArg(commCost+contractCost, n.h.fireFn, n.event(evDrainDone))
 }
 
-func (n *node) drainDone(gen int) {
-	if n.incarn != gen {
-		return
-	}
+func (n *node) drainDone() {
 	n.busy = false
 	if n.crashed {
 		return
@@ -608,7 +653,7 @@ func (n *node) noteExpansion(c code.Code) {
 	if n.h.ghost != nil {
 		n.h.ghost(n, c)
 	}
-	if present, _ := n.rec.expanded.Add(c); present {
+	if present, _ := n.record().expanded.Add(c); present {
 		n.met.Redundant++
 	}
 }
@@ -618,7 +663,7 @@ func (n *node) noteExpansion(c code.Code) {
 // which replicated storage is called redundant. The union and its peak are
 // per shard (rec.uniquePeak); fold reports the largest.
 func (n *node) noteCompletion(c code.Code) {
-	r := n.rec
+	r := n.record()
 	r.completions++
 	r.union.Insert(c)
 	r.uniquePeak = max(r.uniquePeak, r.union.EncodedSize())
@@ -634,7 +679,7 @@ func (n *node) onTerminated() {
 	n.detectedAt = n.k.Now()
 	n.endIdle()
 	n.timer.Cancel()
-	n.rec.noteTermination(n.detectedAt)
+	n.record().noteTermination(n.detectedAt)
 	if n.h.cfg.UseMembership {
 		// Leave the group so membership heartbeats quiesce; peers time the
 		// process out exactly as they would a failed one (§5.2).
@@ -685,11 +730,20 @@ func (n *node) crash() {
 	n.timer.Cancel()
 }
 
+// counters is the protocol event tallies of every incarnation so far: the
+// live core's, merged into the dead ones' where there were any.
+func (n *node) counters() protocol.Counters {
+	if n.cntPrior == nil {
+		return n.core.Counters()
+	}
+	return n.cntPrior.Merge(n.core.Counters())
+}
+
 // restart reboots a crashed node under its old identity (§5.2 rejoin): an
-// empty table, an empty pool, a fresh expander over the initial data, and
-// nothing else — the process rebuilds purely from the reports, tables, and
-// grants it receives. The incarnation counter orphans every callback the
-// dead incarnation left behind.
+// empty table, an empty pool, a fresh expander over the initial data (built
+// on its first use), and nothing else — the process rebuilds purely from the
+// reports, tables, and grants it receives. The incarnation counter orphans
+// every busy-period event the dead incarnation left behind.
 func (n *node) restart() {
 	if !n.crashed {
 		// Never crashed, or the crash found the context already terminated
@@ -698,19 +752,20 @@ func (n *node) restart() {
 		return
 	}
 	n.h.cfg.Trace.Add(int(n.id), trace.Dead, n.crashedAt, n.k.Now())
-	n.cntPrior = n.cntPrior.Merge(n.core.Counters())
+	cnt := n.counters()
+	n.cntPrior = &cnt
 	n.incarn++
 	n.crashed = false
 	n.busy = false
 	n.inbox = nil
 	n.idleStart = -1
-	n.exp = n.spec.w.newExpander()
+	n.exp = nil // the next use builds a fresh one over the initial data
 	n.initCore()
 	if n.mux != nil {
 		// The mux entry follows the live core, so the eventual reap reads
 		// its incumbent and releases its tables, not the dead incarnation's.
 		if e, ok := n.mux.Get(n.spec.id); ok {
-			e.Core, e.Exp = n.core, n.exp
+			e.Core = n.core
 		}
 	}
 	if n.h.cfg.UseMembership {

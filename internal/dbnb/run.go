@@ -162,6 +162,9 @@ type harness struct {
 	// builds itself, one shard): the ledger that says why an expansion was
 	// redundant needs the moment it happened, not the end-of-run totals.
 	ghost func(n *node, c code.Code)
+	// fireFn is fire bound once: the callback of every node event of the
+	// run (node.event).
+	fireFn func(int)
 }
 
 // shardOf returns the context owning process i.
@@ -458,6 +461,7 @@ func normalizeJoins(joins []Join) []Join {
 func newHarness(cfg Config, specs []*spec, tagged bool) *harness {
 	cfg = cfg.withDefaults()
 	h := &harness{cfg: cfg, specs: specs}
+	h.fireFn = h.fire
 	h.joins = normalizeJoins(cfg.Joins)
 	h.total = cfg.Procs
 	for _, j := range h.joins {
@@ -542,7 +546,7 @@ func newHarness(cfg Config, specs []*spec, tagged bool) *harness {
 	for _, n := range h.nodes[:cfg.Procs*len(specs)] {
 		n.core.Stagger(n.spec.start)
 		n.arm()
-		n.k.At(n.spec.start, n.activate)
+		n.k.AtSeqArg(n.spec.start, n.k.Reserve(), h.fireFn, n.event(evActivate))
 	}
 
 	// Failure schedule. Instance 0 — and every Crash of a single-problem run
@@ -683,7 +687,7 @@ func (h *harness) fold(sp *spec, end float64) InstanceResult {
 		// core's, so a termination broadcast is not a "work report" in the
 		// experiment tables. Dead crash-restart incarnations folded their
 		// tallies into cntPrior — messages they sent were really sent.
-		cnt := n.cntPrior.Merge(n.core.Counters())
+		cnt := n.counters()
 		n.met.ReportsSent = cnt.ReportsSent
 		n.met.ReportCodes = cnt.ReportCodes
 		n.met.ReportedComps = cnt.ReportedComps

@@ -48,7 +48,7 @@ func TestSolveAllocCeilings(t *testing.T) {
 			}
 			return ok
 		}},
-		{"knapsack30/10000procs", 500000, true, func() bool {
+		{"knapsack30/10000procs", 320000, true, func() bool {
 			k, ref := knapsack(7, 30)
 			res := RunProblemRef(k, ref, Config{Procs: 10000, Seed: 7, Prune: true, Shards: 1})
 			return res.Terminated && res.OptimumOK

@@ -285,11 +285,16 @@ type Core struct {
 	// detected termination: the root report broadcast then subsumes them,
 	// and a receiver handling one behind it would only detect later.
 	holding bool
-	held    []heldReport
+	// reqPending and syncHot belong to the idle discipline and the
+	// anti-entropy walk below; they sit with the other flags, which keeps
+	// the Core inside the 512-byte allocation size class.
+	reqPending bool
+	syncHot    bool
+	held       []heldReport
 
-	// The idle discipline (WakeAt): the outstanding request and its deadline,
-	// the retry pace (0 = none), and the consecutive failed attempts.
-	reqPending  bool
+	// The idle discipline (WakeAt): the outstanding request (reqPending) and
+	// its deadline, the retry pace (0 = none), and the consecutive failed
+	// attempts.
 	reqDeadline float64
 	paceUntil   float64
 	failedReqs  int
@@ -305,8 +310,9 @@ type Core struct {
 	// this process twice — a duplicated grant, or a delayed grant racing the
 	// complement recovery that already re-created its region — and pooling it
 	// twice expands the whole subtree twice locally. The set lives only on
-	// those rare paths, so the push/pop hot path stays untouched.
-	pooled ctree.Set
+	// those rare paths, so the push/pop hot path stays untouched, and it is
+	// allocated on the first of them: most cores of a big run never meet one.
+	pooled *ctree.Set
 	// lastProgress is the last remote progress: a grant, or a novel
 	// report/table. remoteAct anchors the freshest evidence that some OTHER
 	// process was computing (merged from message ages); selfBusy anchors
@@ -325,13 +331,13 @@ type Core struct {
 	// a novel gossiped code, NOT a walk pull — anchoring the quiet gate that
 	// keeps walks out of mid-run convergence; a walk's own pulls must not
 	// re-arm the gate or endgame repair would crawl one round per interval.
-	// syncHot marks a committed aggregator: it passed the quiet gate once
-	// and keeps walking round after round (one walk in flight at a time)
-	// until its table converges or the delta stream resumes.
+	// syncHot (with the flags above) marks a committed aggregator: it passed
+	// the quiet gate once and keeps walking round after round (one walk in
+	// flight at a time) until its table converges or the delta stream
+	// resumes.
 	lastSync  float64
 	syncOut   int
 	lastDelta float64
-	syncHot   bool
 
 	cnt Counters
 }
@@ -1215,11 +1221,14 @@ func (c *Core) relayMerge(cs []code.Code) {
 // nothing. Every pooled code was generated or located by the expander, so
 // none is refused for branching on another variable than the set holds.
 func (c *Core) poolSet() *ctree.Set {
+	if c.pooled == nil {
+		c.pooled = new(ctree.Set)
+	}
 	c.pooled.Reset()
 	for i := range c.pool.items {
 		c.pooled.Add(c.pool.items[i].Code)
 	}
-	return &c.pooled
+	return c.pooled
 }
 
 // handleWorkRequest grants half the pool (up to maxShare) if the process has

@@ -192,6 +192,17 @@ func (k *Kernel) AtSeq(t float64, seq uint64, fn func()) Event {
 	return Event{k: k, idx: idx, gen: k.key(idx).gen}
 }
 
+// AtSeqArg is AtSeq for fn(arg), as AfterArg is After's: a caller that keeps
+// one callback for many events passes what tells them apart in arg.
+func (k *Kernel) AtSeqArg(t float64, seq uint64, fn func(int), arg int) Event {
+	idx := k.allocSeq(t, seq)
+	p := k.payload(idx)
+	p.kind = kindArg
+	p.argFn = fn
+	p.arg = arg
+	return Event{k: k, idx: idx, gen: k.key(idx).gen}
+}
+
 // alloc pops a free slot (or grows the arena) and stamps it with the next
 // sequence number at time t. It returns the slot's index.
 func (k *Kernel) alloc(t float64) int32 {
@@ -263,12 +274,7 @@ func (k *Kernel) AfterArg(d float64, fn func(int), arg int) Event {
 	if d < 0 {
 		d = 0
 	}
-	idx := k.alloc(k.now + d)
-	p := k.payload(idx)
-	p.kind = kindArg
-	p.argFn = fn
-	p.arg = arg
-	return Event{k: k, idx: idx, gen: k.key(idx).gen}
+	return k.AtSeqArg(k.now+d, k.Reserve(), fn, arg)
 }
 
 // Deliver schedules h(from, msg) d seconds from now — the typed delivery

@@ -176,6 +176,35 @@ func TestAfterArg(t *testing.T) {
 	}
 }
 
+// TestAtSeqArg: an argument-carrying event under a reserved sequence number
+// fires where AtSeq's would, with its own argument, and a warm reschedule of
+// it allocates nothing.
+func TestAtSeqArg(t *testing.T) {
+	k := New(1)
+	var got []int
+	fn := func(v int) { got = append(got, v) }
+	k.AfterArg(3, fn, 1)
+	seq := k.Reserve()
+	k.AfterArg(3, fn, 3)
+	k.AtSeqArg(3, seq, fn, 2)
+	k.AtSeqArg(1, k.Reserve(), fn, 0)
+	k.Run(math.Inf(1))
+	if want := []int{0, 1, 2, 3}; !slices.Equal(got, want) {
+		t.Errorf("order = %v, want %v", got, want)
+	}
+	cycle := func() {
+		got = got[:0]
+		for i := 0; i < 16; i++ {
+			k.AtSeqArg(k.Now()+1, k.Reserve(), fn, i)
+		}
+		k.Run(math.Inf(1))
+	}
+	cycle()
+	if a := testing.AllocsPerRun(20, cycle); a != 0 {
+		t.Errorf("warm AtSeqArg schedule→fire allocates %.1f per 16 events, want 0", a)
+	}
+}
+
 func TestDeliverTyped(t *testing.T) {
 	k := New(1)
 	var from NodeID
