@@ -293,14 +293,7 @@ func run() int {
 		fmt.Printf("churn: %d joined, %d crashed (%d restarted), final pool %d processes\n",
 			res.Joined, len(crashes), restarts, *procs+res.Joined)
 	}
-	agg := res.Met.AggregateBreakdown()
-	parts := make([]string, 0, 5)
-	for _, a := range []metrics.Activity{metrics.BB, metrics.Comm, metrics.Contract, metrics.LB, metrics.Idle} {
-		parts = append(parts, fmt.Sprintf("%s %.1f%%", a, agg.Percent(a)))
-	}
-	fmt.Println("time split:", strings.Join(parts, ", "))
-	fmt.Printf("network: %d msgs, %.3f MB, %d lost, %d cut, %d to dead\n",
-		res.Net.Sent, metrics.MB(res.Net.Bytes), res.Net.Lost, res.Net.Cut, res.Net.ToDead)
+	printTotals(res.Met.AggregateBreakdown(), res.Net)
 	fmt.Printf("payload: %d bytes total, %.0f bytes/process\n",
 		res.Net.Bytes, float64(res.Net.Bytes)/float64(*procs))
 	kindParts := make([]string, 0, protocol.KindCount)
@@ -336,6 +329,17 @@ func printEngine(ran, requested int, events uint64, elapsed time.Duration) {
 	}
 	fmt.Printf("engine: %s, %d events in %.2fs wall (%.3g events/sec)\n",
 		kernel, events, elapsed.Seconds(), float64(events)/elapsed.Seconds())
+}
+
+// printTotals prints the time split and the network line of a run.
+func printTotals(agg metrics.Breakdown, net nemesis.NetStats) {
+	parts := make([]string, 0, 5)
+	for _, a := range []metrics.Activity{metrics.BB, metrics.Comm, metrics.Contract, metrics.LB, metrics.Idle} {
+		parts = append(parts, fmt.Sprintf("%s %.1f%%", a, agg.Percent(a)))
+	}
+	fmt.Println("time split:", strings.Join(parts, ", "))
+	fmt.Printf("network: %d msgs, %.3f MB, %d lost, %d cut, %d to dead\n",
+		net.Sent, metrics.MB(net.Bytes), net.Lost, net.Cut, net.ToDead)
 }
 
 // runMulti is the -instances mode: k staggered random knapsacks multiplexed
@@ -374,14 +378,7 @@ func runMulti(cfg dbnb.Config, k, size int, stagger float64, seed int64) int {
 			fmt.Sprintf("%.2fs", ir.Work), fmt.Sprintf("%.2fs", ir.Overhead))
 	}
 
-	agg := res.Met.AggregateBreakdown()
-	parts := make([]string, 0, 5)
-	for _, a := range []metrics.Activity{metrics.BB, metrics.Comm, metrics.Contract, metrics.LB, metrics.Idle} {
-		parts = append(parts, fmt.Sprintf("%s %.1f%%", a, agg.Percent(a)))
-	}
-	fmt.Println("time split:", strings.Join(parts, ", "))
-	fmt.Printf("network: %d msgs, %.3f MB, %d lost, %d cut, %d to dead\n",
-		res.Net.Sent, metrics.MB(res.Net.Bytes), res.Net.Lost, res.Net.Cut, res.Net.ToDead)
+	printTotals(res.Met.AggregateBreakdown(), res.Net)
 	if !res.Terminated {
 		return 1
 	}

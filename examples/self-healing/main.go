@@ -66,7 +66,7 @@ func main() {
 	fmt.Printf("network: %d msgs, %d cut by the partition, %d suppressed toward excluded peers\n",
 		res.Net.Sent, res.Net.Cut, res.Net.Suspect)
 	fmt.Printf("detector: %d suspicions, %d exclusions, %d re-absorbed\n",
-		res.Health.Suspicions, res.Health.Exclusions, res.Health.Reabsorbed)
+		res.Suspicions, res.Exclusions, res.Reabsorbed)
 
 	for id := 0; id < 4; id++ {
 		if v := cl.PeerView(gossipbnb.LiveNodeID(id)); len(v) != 3 {

@@ -14,6 +14,7 @@ import (
 	"slices"
 
 	"gossipbnb/internal/btree"
+	"gossipbnb/internal/nemesis"
 	"gossipbnb/internal/sim"
 )
 
@@ -70,7 +71,7 @@ type Result struct {
 	// ManagerUtilization is the fraction of the run the manager spent
 	// processing messages — near 1.0 means the manager saturated.
 	ManagerUtilization float64
-	Net                sim.NetStats
+	Net                nemesis.NetStats
 }
 
 // --- messages ----------------------------------------------------------------

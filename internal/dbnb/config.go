@@ -10,7 +10,7 @@
 // core and charges the modeled CPU costs of the paper's evaluation. It
 // solves either a recorded basic tree (Run — exactly the paper's Parsec
 // experiments) or a real code-driven problem expanded from its initial
-// data (RunProblem).
+// data (RunProblemRef).
 package dbnb
 
 import (
@@ -48,7 +48,7 @@ type Crash struct {
 	// 0 fails the whole process — every instance it hosts plus its network
 	// endpoint — while k > 0 fails only instance k's execution context
 	// (1-based, in Instances order), leaving the process's other instances
-	// running. Single-instance runs (Run/RunProblem) ignore it.
+	// running. Single-instance runs (Run/RunProblemRef) ignore it.
 	Instance int
 }
 
@@ -196,7 +196,7 @@ type Config struct {
 
 	// Instances is the multi-instance workload of RunInstances: every listed
 	// problem is solved concurrently over the same process pool, each scoped
-	// to its own wire InstanceID. Run/RunProblem ignore it.
+	// to its own wire InstanceID. Run/RunProblemRef ignore it.
 	Instances []Instance
 
 	// MaxTime aborts a run that fails to terminate (0 = 1e9 seconds).

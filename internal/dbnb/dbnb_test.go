@@ -147,7 +147,8 @@ func TestCrashRecoverySingleSurvivor(t *testing.T) {
 // them up in) and still find the sequential optimum.
 func TestProblemRunCrashRecovery(t *testing.T) {
 	k := bnb.RandomKnapsack(rand.New(rand.NewSource(21)), 12)
-	res := RunProblem(k, Config{
+	ref := bnb.SolveProblem(k)
+	res := RunProblemRef(k, ref, Config{
 		Procs: 4, Seed: 21, Prune: true,
 		RecoveryQuiet: 3,
 		Crashes:       []Crash{{Time: 0.05, Node: 0}, {Time: 0.1, Node: 2}},
@@ -159,8 +160,8 @@ func TestProblemRunCrashRecovery(t *testing.T) {
 	if !math.IsNaN(res.DetectTimes[0]) || !math.IsNaN(res.DetectTimes[2]) {
 		t.Error("crashed processes should have NaN detect times")
 	}
-	if want := bnb.SolveProblem(k).Value; res.Optimum != want {
-		t.Errorf("optimum after crashes = %g, sequential = %g", res.Optimum, want)
+	if res.Optimum != ref.Value {
+		t.Errorf("optimum after crashes = %g, sequential = %g", res.Optimum, ref.Value)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 
 	"gossipbnb/internal/btree"
 	"gossipbnb/internal/metrics"
-	"gossipbnb/internal/sim"
+	"gossipbnb/internal/nemesis"
 )
 
 // Absolute fingerprints for the paths the two golden event-order hashes do
@@ -39,7 +39,7 @@ import (
 // nothing that depends on wall-clock or on how the simulator batches events.
 // %v on a float64 prints the shortest decimal that round-trips, so equal
 // strings mean equal bits.
-func printFingerprint(time, first float64, expanded, unique, completions int, net sim.NetStats, met *metrics.System) string {
+func printFingerprint(time, first float64, expanded, unique, completions int, net nemesis.NetStats, met *metrics.System) string {
 	per := make([]int, len(met.Nodes))
 	for i := range met.Nodes {
 		per[i] = met.Nodes[i].Expanded
@@ -61,7 +61,7 @@ func fingerprint(r Result) string {
 func multiFingerprint(r MultiResult) []string {
 	out := make([]string, len(r.Instances))
 	for i, ir := range r.Instances {
-		net := sim.NetStats{}
+		net := nemesis.NetStats{}
 		if i == 0 {
 			net = r.Net
 		}

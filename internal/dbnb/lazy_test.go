@@ -127,15 +127,15 @@ func TestLazyExpanderRestart(t *testing.T) {
 	// Probes fire after the crash and restart events at the same instant:
 	// they were scheduled later, and they only read.
 	h.shardOf(int(idle.id)).k.At(cfg.Crashes[0].Time, func() {
-		if !idle.crashed || idle.exp != nil || idle.met.Expanded != 0 {
+		if !idle.crashed || idle.exp != nil || idle.counters().Expanded != 0 {
 			t.Errorf("crash of process %d: crashed %v, expander built %v, %d expansions; want a process that never expanded",
-				idle.id, idle.crashed, idle.exp != nil, idle.met.Expanded)
+				idle.id, idle.crashed, idle.exp != nil, idle.counters().Expanded)
 		}
 	})
 	h.shardOf(int(busy.id)).k.At(cfg.Crashes[1].Time, func() {
-		if dead = busy.exp; !busy.crashed || dead == nil || busy.met.Expanded == 0 {
+		if dead = busy.exp; !busy.crashed || dead == nil || busy.counters().Expanded == 0 {
 			t.Errorf("crash of process %d: crashed %v, expander built %v, %d expansions; want a process that expanded",
-				busy.id, busy.crashed, dead != nil, busy.met.Expanded)
+				busy.id, busy.crashed, dead != nil, busy.counters().Expanded)
 		}
 	})
 	for i, n := range []*node{idle, busy} {

@@ -3,8 +3,8 @@ package dbnb
 import (
 	"gossipbnb/internal/bnb"
 	"gossipbnb/internal/metrics"
+	"gossipbnb/internal/nemesis"
 	"gossipbnb/internal/protocol"
-	"gossipbnb/internal/sim"
 )
 
 // Multi-instance runs: one simulated cluster solving several problem
@@ -27,7 +27,8 @@ import (
 // chaos only each instance's solved optimum — not its event trajectory — is
 // isolation-invariant.
 
-// InstanceResult is one instance's slice of a multi-instance run.
+// InstanceResult is one instance's slice of a run: one of a multi-instance
+// run's, or the whole of a single-problem run's, which Result embeds.
 type InstanceResult struct {
 	// ID is the instance's wire identifier (its 1-based Instances position).
 	ID protocol.InstanceID
@@ -76,8 +77,8 @@ type MultiResult struct {
 	// Met is the instance-labeled metrics registry: Met.At(i) is instance
 	// i's per-process breakdowns and counters.
 	Met *metrics.Multi
-	// Net carries the shared network's counters (all instances together).
-	Net sim.NetStats
+	// Net is the shared network's traffic ledger (all instances together).
+	Net nemesis.NetStats
 }
 
 // RunInstances simulates the cluster solving every cfg.Instances problem

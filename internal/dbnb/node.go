@@ -417,7 +417,6 @@ func (n *node) expandDone() {
 	now := n.k.Now()
 	n.met.Add(metrics.BB, now-start)
 	n.h.cfg.Trace.Add(int(n.id), trace.Compute, start, now)
-	n.met.Expanded++
 	n.noteExpansion(it.Code)
 	n.core.OnExpanded(it, n.Outcome(it), now-start)
 	n.loop()

@@ -18,35 +18,16 @@ import (
 	"gossipbnb/internal/trace"
 )
 
-// Result summarizes a simulated run.
+// Result summarizes a simulated run of one problem: the instance's result —
+// the harness runs a single problem as its one-instance case — plus what
+// belongs to the run as a whole. In DetectTimes, identities run initial
+// processes first, then joiners in join order (NaN = crashed or never
+// entered, +Inf = entered but never detected).
 type Result struct {
-	// Terminated reports whether every non-crashed process detected
-	// termination before MaxTime.
-	Terminated bool
-	// Time is the virtual time at which the last live process detected
-	// termination — the paper's "execution time".
-	Time float64
-	// FirstDetect is when the first process detected termination.
-	FirstDetect float64
-	// Optimum is the best solution value known to the terminated processes;
-	// OptimumOK compares it against the tree's true optimum.
-	Optimum   float64
-	OptimumOK bool
-	// Expanded counts node expansions summed over processes; Unique is the
-	// number of distinct tree nodes expanded; Redundant = Expanded − Unique
-	// is the paper's redundant work.
-	Expanded  int
-	Unique    int
-	Redundant int
-	// DetectTimes holds each process's termination-detection time, indexed
-	// by identity — initial processes first, then joiners in join order
-	// (NaN = crashed or never entered, +Inf = entered but never detected).
-	DetectTimes []float64
+	InstanceResult
 	// Joined counts the scheduled joiners that actually entered before the
 	// run ended.
 	Joined int
-	// Completions counts completion events summed over processes.
-	Completions int
 	// Events is the total simulator events fired — the denominator of the
 	// events/sec throughput the CLI reports.
 	Events uint64
@@ -55,12 +36,12 @@ type Result struct {
 	Shards int
 	// Met carries the per-process breakdowns, counters and storage peaks.
 	Met *metrics.System
-	// Net carries the network counters.
-	Net sim.NetStats
+	// Net is the network's traffic ledger.
+	Net nemesis.NetStats
 }
 
 // workload is what a simulated run solves: either a recorded basic tree
-// (Run) or a code-driven problem expanded from initial data (RunProblem,
+// (Run) or a code-driven problem expanded from initial data (RunProblemRef,
 // RunInstances). The harness never looks past this struct, so the modes share
 // every line of driver code.
 type workload struct {
@@ -324,24 +305,17 @@ func treeWorkload(tree *btree.Tree) workload {
 	}
 }
 
-// RunProblem simulates the algorithm of §5 solving a code-driven problem
+// RunProblemRef simulates the algorithm of §5 solving a code-driven problem
 // from its initial data only — no recorded tree anywhere. Every process
 // re-derives subproblems through its own bnb expander; expansion charges
-// the modeled nodeCost (jittered deterministically per code). The
-// single-processor reference optimum is established first by the
-// sequential engine, so Result.OptimumOK is a real cross-check. Runs are
-// deterministic in (problem, cfg).
-func RunProblem(p bnb.Problem, cfg Config) Result {
-	return RunProblemRef(p, bnb.SolveProblem(p), cfg)
-}
-
-// RunProblemRef is RunProblem with a precomputed sequential reference,
-// sparing callers that already solved the instance a second solve.
+// the modeled nodeCost (jittered deterministically per code). ref is the
+// problem's sequential solve (bnb.SolveProblem), so Result.OptimumOK is a
+// real cross-check. Runs are deterministic in (problem, cfg).
 func RunProblemRef(p bnb.Problem, ref bnb.Result, cfg Config) Result {
 	return runOne(cfg, problemWorkload(p, ref))
 }
 
-// problemWorkload is the code-driven workload of RunProblem and RunInstances:
+// problemWorkload is the code-driven workload of RunProblemRef and RunInstances:
 // a fresh bnb expander per context, nodeCost jittered per code.
 func problemWorkload(p bnb.Problem, ref bnb.Result) workload {
 	return workload{
@@ -353,28 +327,17 @@ func problemWorkload(p bnb.Problem, ref bnb.Result) workload {
 }
 
 // runOne runs the single-problem case: one untagged instance (wire id 0,
-// submitted at time 0, root at process 0), its InstanceResult flattened into
-// a Result.
+// submitted at time 0, root at process 0).
 func runOne(cfg Config, w workload) Result {
 	h := newHarness(cfg, []*spec{{w: w}}, false)
 	mr := h.run()
-	ir := mr.Instances[0]
 	return Result{
-		Terminated:  ir.Terminated,
-		Time:        ir.Time,
-		FirstDetect: ir.FirstDetect,
-		Optimum:     ir.Optimum,
-		OptimumOK:   ir.OptimumOK,
-		Expanded:    ir.Expanded,
-		Unique:      ir.Unique,
-		Redundant:   ir.Redundant,
-		DetectTimes: ir.DetectTimes,
-		Joined:      h.joined(),
-		Completions: ir.Completions,
-		Events:      mr.Events,
-		Shards:      mr.Shards,
-		Met:         mr.Met.At(0),
-		Net:         mr.Net,
+		InstanceResult: mr.Instances[0],
+		Joined:         h.joined(),
+		Events:         mr.Events,
+		Shards:         mr.Shards,
+		Met:            mr.Met.At(0),
+		Net:            mr.Net,
 	}
 }
 
@@ -681,22 +644,13 @@ func (h *harness) fold(sp *spec, end float64) InstanceResult {
 			ir.DetectTimes[i] = math.NaN()
 			continue
 		}
-		// Fold the core's protocol-event tallies into the metrics. The
-		// driver accounts only what the substrate defines (time splits,
-		// storage peaks, expansions it paid for); event counts are the
-		// core's, so a termination broadcast is not a "work report" in the
-		// experiment tables. Dead crash-restart incarnations folded their
-		// tallies into cntPrior — messages they sent were really sent.
-		cnt := n.counters()
-		n.met.ReportsSent = cnt.ReportsSent
-		n.met.ReportCodes = cnt.ReportCodes
-		n.met.ReportedComps = cnt.ReportedComps
-		n.met.TablesSent = cnt.TablesSent
-		n.met.WorkRequests = cnt.WorkRequests
-		n.met.WorkSent = cnt.WorkSent
-		n.met.RecoveryPlans = cnt.RecoveryPlans
-		n.met.Recoveries = cnt.Recoveries
-		n.met.PeakPool = cnt.PeakPool
+		// The core's event counters are the process's: the harness accounts
+		// only what the substrate defines (time splits, storage peaks,
+		// redundancy), so a termination broadcast is not a "work report" in
+		// the experiment tables. Dead crash-restart incarnations folded
+		// their tallies into cntPrior — messages they sent were really sent,
+		// and subproblems they expanded were really paid for.
+		n.met.Counters = n.counters()
 		switch {
 		case n.crashed:
 			ir.DetectTimes[i] = math.NaN()

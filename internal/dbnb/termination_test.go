@@ -9,8 +9,8 @@ import (
 	"gossipbnb/internal/bnb"
 	"gossipbnb/internal/btree"
 	"gossipbnb/internal/metrics"
+	"gossipbnb/internal/nemesis"
 	"gossipbnb/internal/protocol"
-	"gossipbnb/internal/sim"
 )
 
 // rootReports counts the root reports a run sent: the Report messages on the
@@ -18,7 +18,7 @@ import (
 // forwards, and the answers terminated processes give to work requests.
 // (Frontier-report runs only: under DiffGossip work reports are
 // DigestReports and every Report on the wire is a root report.)
-func rootReports(net sim.NetStats, systems ...*metrics.System) int64 {
+func rootReports(net nemesis.NetStats, systems ...*metrics.System) int64 {
 	n := net.KindSent[protocol.KindReport]
 	for _, sys := range systems {
 		for i := range sys.Nodes {

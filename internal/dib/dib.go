@@ -21,6 +21,7 @@ package dib
 
 import (
 	"gossipbnb/internal/code"
+	"gossipbnb/internal/nemesis"
 	"gossipbnb/internal/sim"
 )
 
@@ -82,7 +83,7 @@ type Result struct {
 	Unique     int
 	Redundant  int
 	Redos      int // delegations redone by their donors
-	Net        sim.NetStats
+	Net        nemesis.NetStats
 }
 
 // --- messages ---------------------------------------------------------------

@@ -9,6 +9,7 @@ import (
 
 	"gossipbnb/internal/bnb"
 	"gossipbnb/internal/ctree"
+	"gossipbnb/internal/nemesis"
 	"gossipbnb/internal/protocol"
 )
 
@@ -26,7 +27,7 @@ type fanoutNet struct {
 	// exactly the sends Core.FlushReport made. tagged counts reports of
 	// submitted instances.
 	flushes, tagged int
-	kinds           KindStats
+	kinds           [nemesis.MsgKinds]int64
 }
 
 type fanoutKey struct {
@@ -55,7 +56,7 @@ func (f *fanoutNet) note(from, to NodeID, msg Message) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.kinds.note(msgKind(msg), 0)
+	f.kinds[nemesis.KindOf(msg)]++
 	if flush == nil || flush == ctree.Empty() || flush == ctree.Done() {
 		return // no flush: a bare digest push, or a root report
 	}
@@ -102,8 +103,8 @@ func TestFlushReachesEachPeerOnce(t *testing.T) {
 				}
 				// The transport's own per-kind ledger saw what the watcher saw.
 				for _, k := range []byte{protocol.KindReport, protocol.KindDigestReport} {
-					if res.Kinds.Sent[k] != net.kinds.Sent[k] {
-						t.Errorf("%s: NetStats counts %d sent, the watcher %d", protocol.KindName(k), res.Kinds.Sent[k], net.kinds.Sent[k])
+					if res.Net.KindSent[k] != net.kinds[k] {
+						t.Errorf("%s: NetStats counts %d sent, the watcher %d", protocol.KindName(k), res.Net.KindSent[k], net.kinds[k])
 					}
 				}
 				draws := 0

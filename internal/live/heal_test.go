@@ -53,10 +53,10 @@ func TestSuspectStalledNodeExcludedTCP(t *testing.T) {
 	if !res.Terminated || !res.OptimumOK {
 		t.Fatalf("stalled-node run failed: %+v", res)
 	}
-	if res.Health.Suspicions == 0 {
+	if res.Suspicions == 0 {
 		t.Error("stalled node never suspected")
 	}
-	if res.Health.Exclusions == 0 {
+	if res.Exclusions == 0 {
 		t.Error("stalled node never excluded")
 	}
 	if res.Net.Cut == 0 {
@@ -96,10 +96,10 @@ func TestHealUnstalledNodeReabsorbedTCP(t *testing.T) {
 	if !res.Terminated || !res.OptimumOK {
 		t.Fatalf("healed run failed: %+v", res)
 	}
-	if res.Health.Exclusions == 0 {
+	if res.Exclusions == 0 {
 		t.Error("stall window never produced an exclusion")
 	}
-	if res.Health.Reabsorbed == 0 {
+	if res.Reabsorbed == 0 {
 		t.Error("healed node never re-absorbed")
 	}
 	wantFullView(t, cl, 3)
@@ -168,10 +168,10 @@ func TestHealFalseSuspicionStorm(t *testing.T) {
 	if !res.Terminated || !res.OptimumOK {
 		t.Fatalf("storm run failed: %+v", res)
 	}
-	if res.Health.Suspicions == 0 {
+	if res.Suspicions == 0 {
 		t.Error("pathological detector produced no suspicions")
 	}
-	if res.Health.Reabsorbed == 0 {
+	if res.Reabsorbed == 0 {
 		t.Error("no exclusion was ever revoked despite every peer being live")
 	}
 }

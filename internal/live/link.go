@@ -10,63 +10,11 @@ import (
 	"gossipbnb/internal/protocol"
 )
 
-// NetStats is the structured traffic ledger of a live transport. Dropped is
-// the total; the cause counters below it partition that total, mirroring the
-// simulator's NetStats so figures can compare runtimes column for column.
-type NetStats struct {
-	Sent    int64
-	Dropped int64
-	Bytes   int64 // payload bytes of sent messages
-
-	// Why dropped messages vanished:
-	Lost      int64 // injected loss: the transport's rate or a nemesis loss fault
-	Cut       int64 // severed by a nemesis fault (partition, oneway, flap, stall)
-	Suspect   int64 // suppressed: destination excluded by the failure detector
-	Corrupt   int64 // destroyed in transit; on TCP, rejected by the frame CRC
-	ToDead    int64 // receiver crashed or was replaced while in flight
-	Congested int64 // receiver inbox overflow
-	Unrouted  int64 // no endpoint, no known address, or dial failed
-	Closed    int64 // transport torn down with the message in flight
-
-	// Nemesis injections (extra or delayed deliveries, not drops):
-	Duplicated int64
-	Reordered  int64
-	Replayed   int64
-}
-
-// joinExempt reports whether msg belongs to the Hello/Welcome join
+// joinExempt reports whether kind k belongs to the Hello/Welcome join
 // handshake, which failure-detector link exclusion must never suppress: it
 // is the one path a falsely-suspected peer can re-announce through.
-func joinExempt(msg Message) bool {
-	k := msgKind(msg)
+func joinExempt(k byte) bool {
 	return k == protocol.KindHello || k == protocol.KindWelcome
-}
-
-// MsgKinds bounds the dense per-kind accounting arrays — the protocol
-// codec's kind space; bucket 0 collects messages that expose no kind.
-const MsgKinds = 16
-
-// KindStats breaks sent traffic down by message kind, indexed by the codec
-// kind byte (protocol.KindName labels them).
-type KindStats struct {
-	Sent  [MsgKinds]int64
-	Bytes [MsgKinds]int64
-}
-
-// note tallies one sent message of size sz under kind k.
-func (s *KindStats) note(k byte, sz int) {
-	s.Sent[k]++
-	s.Bytes[k] += int64(sz)
-}
-
-// msgKind resolves a message's accounting bucket.
-func msgKind(msg Message) byte {
-	if km, ok := msg.(interface{ Kind() byte }); ok {
-		if k := km.Kind(); int(k) < MsgKinds {
-			return k
-		}
-	}
-	return 0
 }
 
 // inboxCap is the buffered capacity of every node inbox; sends beyond it
@@ -88,11 +36,12 @@ type parcel struct {
 // only the mechanism that moves a surviving copy: a channel hand-off in
 // memory, a framed socket write over TCP. It is safe for concurrent use.
 //
-// Send is one pipeline, in this order: size the message once → refuse it if
-// the link is closed or either end crashed → tally it (Sent, Bytes, per kind)
-// → failure-detector exclusion, the join handshake exempt → nemesis verdict:
-// cut → loss → corrupt → reorder → duplicate → replay (the simulator's order)
-// → hand each copy to carry, now or from a tracked timer. A message is
+// Send is one pipeline, in this order: size and kind the message once →
+// refuse it if the link is closed or either end crashed → tally it in the
+// nemesis.NetStats ledger (Sent, Bytes, per kind) → failure-detector
+// exclusion, the join handshake exempt → nemesis verdict: cut → loss →
+// corrupt → reorder → duplicate → replay (the simulator's order) → hand each
+// copy to carry, now or from a tracked timer. A message is
 // counted Sent before any drop cause can claim it, and a copy that vanishes
 // is counted under exactly one cause. Sends from or to a crashed node, and
 // sends after Close, are counted nowhere. The loss rate and the delay
@@ -120,8 +69,7 @@ type link struct {
 	delay   func(bytes int) time.Duration
 	loss    float64
 	nem     *nemesis.Schedule
-	stats   NetStats
-	kinds   KindStats
+	stats   nemesis.NetStats
 	carry   func(parcel) // the embedding transport's delivery mechanism
 }
 
@@ -200,19 +148,17 @@ func (l *link) Crashed(id NodeID) bool {
 // schedule a message may additionally be delivered twice, held back so later
 // sends overtake it, or replayed stale much later.
 func (l *link) Send(from, to NodeID, msg Message) {
-	// Sized once per send, outside the lock every sender contends on: a set
-	// message's Size is a field read, but a grant's walks every decision of
-	// its codes, and a Welcome's every peer address.
-	size := msg.Size()
+	// Sized and kinded once per send, outside the lock every sender contends
+	// on: a set message's Size is a field read, but a grant's walks every
+	// decision of its codes, and a Welcome's every peer address.
+	size, kind := msg.Size(), nemesis.KindOf(msg)
 	l.mu.Lock()
 	if l.closed || l.crashed[from] || l.crashed[to] {
 		l.mu.Unlock()
 		return
 	}
-	l.stats.Sent++
-	l.stats.Bytes += int64(size)
-	l.kinds.note(msgKind(msg), size)
-	if l.excl[[2]NodeID{from, to}] && !joinExempt(msg) {
+	l.stats.Send(kind, int64(size), 1)
+	if l.excl[[2]NodeID{from, to}] && !joinExempt(kind) {
 		// The local failure detector excluded this destination; only the
 		// Hello/Welcome re-announcement path stays open.
 		l.dropLocked(&l.stats.Suspect)
@@ -329,23 +275,13 @@ func (l *link) drop(cause *int64) {
 	l.mu.Unlock()
 }
 
-func (l *link) dropLocked(cause *int64) {
-	l.stats.Dropped++
-	*cause++
-}
+func (l *link) dropLocked(cause *int64) { l.stats.Drop(cause) }
 
 // NetStats implements Net.
-func (l *link) NetStats() NetStats {
+func (l *link) NetStats() nemesis.NetStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.stats
-}
-
-// ByKind implements Net.
-func (l *link) ByKind() KindStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.kinds
 }
 
 // Close implements Net: refuse further sends and stop every held-back copy,

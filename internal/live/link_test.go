@@ -58,7 +58,7 @@ func (r *linkRig) silent(ch <-chan Envelope, d time.Duration) {
 // sent or injected either arrived or was counted dropped.
 func (r *linkRig) settle() {
 	r.t.Helper()
-	var ns NetStats
+	var ns nemesis.NetStats
 	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
 		for _, ch := range r.inboxes {
 			for len(ch) > 0 {

@@ -13,7 +13,6 @@ import (
 	"gossipbnb/internal/btree"
 	"gossipbnb/internal/ctree"
 	"gossipbnb/internal/instance"
-	"gossipbnb/internal/metrics"
 	"gossipbnb/internal/nemesis"
 	"gossipbnb/internal/protocol"
 )
@@ -105,15 +104,30 @@ type Result struct {
 	OptimumOK  bool
 	Expanded   int
 	Elapsed    time.Duration
-	MsgsSent   int64
-	BytesSent  int64
-	// Kinds breaks the sent traffic down by message kind.
-	Kinds KindStats
-	// Net is the transport's full traffic ledger, per-cause drops included.
-	Net NetStats
-	// Health aggregates what the self-healing layer saw: frame-integrity
-	// rejections, nemesis casualties, and detector transitions.
-	Health metrics.NetHealth
+	// MsgsSent and BytesSent copy Net.Sent and Net.Bytes, and Kinds copies
+	// its per-kind arrays, for callers that read them under these names.
+	MsgsSent  int64
+	BytesSent int64
+	Kinds     KindStats
+	// Net is the transport's traffic ledger: frame-integrity rejections are
+	// its Corrupt drops, nemesis casualties its Cut and Lost, detector
+	// suppression its Suspect.
+	Net nemesis.NetStats
+	// Suspicions, Exclusions and Reabsorbed count failure-detector
+	// transitions across all nodes and incarnations: alive → suspect,
+	// suspect → excluded, and excluded peers readmitted after re-announcing.
+	// Exclusions of peers that were alive all along are the detector's
+	// false-positive cost — time lost, never correctness.
+	Suspicions int64
+	Exclusions int64
+	Reabsorbed int64
+}
+
+// KindStats is the ledger's sent traffic by message kind, indexed by the
+// codec kind byte (protocol.KindName labels them).
+type KindStats struct {
+	Sent  [nemesis.MsgKinds]int64
+	Bytes [nemesis.MsgKinds]int64
 }
 
 // liveNode is one goroutine-backed process identity: it survives
@@ -196,7 +210,7 @@ type incarnation struct {
 // Cluster wires live nodes over a shared transport. Its boot problem,
 // registry entry 0, is either a recorded basic tree (NewCluster: expansion
 // sleeps the scaled recorded cost) or a code-driven problem
-// (NewProblemCluster: expansion burns real CPU re-deriving bounds from the
+// (NewProblemClusterRef: expansion burns real CPU re-deriving bounds from the
 // initial data).
 type Cluster struct {
 	cfg   Config
@@ -307,18 +321,11 @@ func NewCluster(tree *btree.Tree, cfg Config) *Cluster {
 		tree.Stats().Optimum)
 }
 
-// NewProblemCluster builds a cluster solving a code-driven problem from its
-// initial data only — no recorded tree anywhere. Every process owns a bnb
-// expander and burns real CPU per expansion re-deriving bounds and
-// branching. The single-processor reference optimum is established first by
-// the sequential engine, so Result.OptimumOK is a real cross-check.
-func NewProblemCluster(p bnb.Problem, cfg Config) *Cluster {
-	return NewProblemClusterRef(p, bnb.SolveProblem(p), cfg)
-}
-
-// NewProblemClusterRef is NewProblemCluster with a precomputed sequential
-// reference, sparing callers that already solved the instance a second
-// solve.
+// NewProblemClusterRef builds a cluster solving a code-driven problem from
+// its initial data only — no recorded tree anywhere. Every process owns a
+// bnb expander and burns real CPU per expansion re-deriving bounds and
+// branching. ref is the problem's sequential solve (bnb.SolveProblem), so
+// Result.OptimumOK is a real cross-check.
 func NewProblemClusterRef(p bnb.Problem, ref bnb.Result, cfg Config) *Cluster {
 	return newCluster(cfg.withDefaults(),
 		func() protocol.Expander { return bnb.NewExpander(p) },
@@ -389,8 +396,8 @@ func (cl *Cluster) newIncarnation(n *liveNode, gen int64, inbox <-chan Envelope,
 // stale the outbox gets: Tick's report check flushes it within about two
 // RetryDelays, or within yieldEvery expansions when those take longer (a
 // tree-replay cluster's sleeps), since a busy node ticks only then.
-// SyncInterval, which defaults to ReportTimeout, stays at 30 s: diff
-// gossip's walk rate limit is not the report path's.
+// Diff gossip's walk rate limit is the core's own 30 clock units, not the
+// report path's.
 func (cl *Cluster) newCore(inc *incarnation, exp protocol.Expander, id protocol.InstanceID) *protocol.Core {
 	cfg := &cl.cfg
 	n := inc.n
@@ -403,7 +410,6 @@ func (cl *Cluster) newCore(inc *incarnation, exp protocol.Expander, id protocol.
 		RetryDelay:     cfg.RetryDelay.Seconds(),
 		RecoveryQuiet:  cfg.RecoveryQuiet.Seconds(),
 		DiffGossip:     cfg.DiffGossip,
-		SyncInterval:   30,
 	}, protocol.Deps{
 		Clock:     cl.clock,
 		Sender:    &instSender{inc: inc, id: id},
@@ -597,18 +603,13 @@ loop:
 	res.Optimum = boot.optimum
 	cl.instMu.Unlock()
 	res.OptimumOK = res.Terminated && res.Optimum == boot.trueOpt
-	res.Kinds = cl.tr.ByKind()
 	res.Net = cl.tr.NetStats()
 	res.MsgsSent, res.BytesSent = res.Net.Sent, res.Net.Bytes
-	res.Health = metrics.NetHealth{
-		CorruptFrames: res.Net.Corrupt,
-		CutMessages:   res.Net.Cut,
-		SuspectDrops:  res.Net.Suspect,
-	}
+	res.Kinds = KindStats{Sent: res.Net.KindSent, Bytes: res.Net.KindBytes}
 	for _, n := range cl.nodes {
-		res.Health.Suspicions += n.detSuspicions.Load()
-		res.Health.Exclusions += n.detExclusions.Load()
-		res.Health.Reabsorbed += n.detReabsorbed.Load()
+		res.Suspicions += n.detSuspicions.Load()
+		res.Exclusions += n.detExclusions.Load()
+		res.Reabsorbed += n.detReabsorbed.Load()
 	}
 	return res
 }

@@ -77,7 +77,8 @@ func TestRestartAfterBootResolved(t *testing.T) {
 // instances, and the membership messages it sends carry no incumbent and an
 // activity age that anchors nobody.
 func TestResolvedBootNotReopened(t *testing.T) {
-	cl := NewProblemCluster(bnb.RandomKnapsack(rand.New(rand.NewSource(42)), 10), Config{Nodes: 2, Seed: 42})
+	k := bnb.RandomKnapsack(rand.New(rand.NewSource(42)), 10)
+	cl := NewProblemClusterRef(k, bnb.SolveProblem(k), Config{Nodes: 2, Seed: 42})
 	defer cl.tr.Close()
 	for _, n := range cl.nodes {
 		cl.noteInstanceDone(cl.specs[0], n.id, 1)
@@ -157,7 +158,8 @@ func TestResultOptimumFromDetectors(t *testing.T) {
 // node makes — is not (its age is the cluster's whole age). Nothing runs:
 // the incarnations are built and inspected on the test goroutine.
 func TestOpenAnchorsActivity(t *testing.T) {
-	cl := NewProblemCluster(bnb.RandomKnapsack(rand.New(rand.NewSource(41)), 10), Config{Nodes: 3, Seed: 41})
+	k := bnb.RandomKnapsack(rand.New(rand.NewSource(41)), 10)
+	cl := NewProblemClusterRef(k, bnb.SolveProblem(k), Config{Nodes: 3, Seed: 41})
 	defer cl.tr.Close()
 	const gap = 50 * time.Millisecond
 	time.Sleep(gap)

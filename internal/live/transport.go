@@ -6,7 +6,11 @@
 // protocol logic, subjected to genuine concurrency and the race detector.
 package live
 
-import "time"
+import (
+	"time"
+
+	"gossipbnb/internal/nemesis"
+)
 
 // NodeID identifies a live node.
 type NodeID int
@@ -52,10 +56,9 @@ type Net interface {
 	// NetStats Suspect cause) — except Hello and Welcome, the §5.2
 	// re-announcement path a falsely-excluded peer needs to get back in.
 	Exclude(from, to NodeID, down bool)
-	// NetStats returns the full traffic ledger with per-cause drop counts.
-	NetStats() NetStats
-	// ByKind returns the per-message-kind traffic breakdown.
-	ByKind() KindStats
+	// NetStats returns the traffic ledger: sends and bytes, in total and
+	// per message kind, drops by cause, and nemesis injections.
+	NetStats() nemesis.NetStats
 	// Close releases transport resources after the run.
 	Close()
 }

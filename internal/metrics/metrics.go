@@ -1,12 +1,17 @@
 // Package metrics implements the cost accounting of the paper's evaluation
 // (§6.3): per-process execution time split into branch-and-bound work,
 // communication handling, list contraction, load balancing, and idle time;
-// message and byte counters; storage accounting for the replicated
+// the protocol core's event counters; storage accounting for the replicated
 // completed-problem tables (total and redundant); and redundant-work
-// counters.
+// counters. Message and byte counts are the transport's ledger
+// (nemesis.NetStats).
 package metrics
 
-import "fmt"
+import (
+	"fmt"
+
+	"gossipbnb/internal/protocol"
+)
 
 // Activity labels where a process's virtual time goes. The five categories
 // are exactly the stacked bars of Figure 3.
@@ -81,22 +86,14 @@ func (b *Breakdown) Merge(o *Breakdown) {
 	}
 }
 
-// Node aggregates everything measured about one simulated process.
+// Node aggregates everything measured about one simulated process: its time
+// split, its protocol core's event counters (merged over crash-restart
+// incarnations), and what only the simulator sees.
 type Node struct {
 	Breakdown
-	Expanded      int   // subproblems whose cost this node paid
-	Redundant     int   // expansions of subproblems some node had already completed
-	ReportsSent   int   // work-report messages sent
-	ReportCodes   int   // codes carried by those reports (after compression)
-	ReportedComps int   // completions covered by flushed reports (before compression)
-	TablesSent    int   // full-table gossip messages sent
-	WorkSent      int   // subproblems shipped to requesters
-	WorkRequests  int   // work-request messages sent
-	RecoveryPlans int   // non-empty complement recovery plans drawn
-	Recoveries    int   // subproblems those plans re-created
-	PeakTableSize int   // bytes, max over time of the local table encoding
-	PeakPool      int   // max active problems held at once
-	BytesSent     int64 // payload bytes (mirror of the network's per-sender count)
+	protocol.Counters
+	Redundant     int // expansions of subproblems some node had already completed
+	PeakTableSize int // bytes, max over time of the local table encoding
 }
 
 // ObserveTable records the current size of the node's table, tracking the
@@ -152,24 +149,6 @@ func (s *System) ObserveUnique(bytes int) {
 	}
 }
 
-// TotalExpanded sums node expansions.
-func (s *System) TotalExpanded() int {
-	t := 0
-	for i := range s.Nodes {
-		t += s.Nodes[i].Expanded
-	}
-	return t
-}
-
-// TotalRedundant sums redundant expansions.
-func (s *System) TotalRedundant() int {
-	t := 0
-	for i := range s.Nodes {
-		t += s.Nodes[i].Redundant
-	}
-	return t
-}
-
 // TotalRecoveries sums the recovery plans drawn and the regions they
 // re-created.
 func (s *System) TotalRecoveries() (plans, regions int) {
@@ -206,15 +185,6 @@ type Multi struct {
 	Systems []*System
 }
 
-// NewMulti returns a registry for instances slots of nodes processes each.
-func NewMulti(instances, nodes int) *Multi {
-	m := &Multi{Systems: make([]*System, instances)}
-	for i := range m.Systems {
-		m.Systems[i] = NewSystem(nodes)
-	}
-	return m
-}
-
 // At returns instance slot i's System.
 func (m *Multi) At(i int) *System { return m.Systems[i] }
 
@@ -227,20 +197,6 @@ func (m *Multi) AggregateBreakdown() Breakdown {
 		b.Merge(&sb)
 	}
 	return b
-}
-
-// NetHealth aggregates what the self-healing layer observed during a run:
-// transport integrity rejections, injected-fault casualties, and the failure
-// detector's state transitions. Exclusions minus Reabsorbed that concern
-// still-live nodes is the detector's false-positive cost — time lost, never
-// correctness (§4's model already tolerates every drop counted here).
-type NetHealth struct {
-	CorruptFrames int64 // frames rejected by the transport CRC (or destroyed in transit)
-	CutMessages   int64 // messages severed by injected partitions/stalls/flaps
-	SuspectDrops  int64 // sends suppressed toward locally excluded peers
-	Suspicions    int64 // alive → suspect transitions across all detectors
-	Exclusions    int64 // suspect → excluded transitions across all detectors
-	Reabsorbed    int64 // excluded peers readmitted after re-announcing
 }
 
 // MB converts bytes to megabytes (10^6, as the paper reports).

@@ -102,14 +102,10 @@ func TestSystemRedundantClamped(t *testing.T) {
 
 func TestSystemCounters(t *testing.T) {
 	s := NewSystem(2)
-	s.Nodes[0].Expanded = 5
-	s.Nodes[1].Expanded = 7
-	s.Nodes[1].Redundant = 2
-	if s.TotalExpanded() != 12 {
-		t.Errorf("TotalExpanded = %d", s.TotalExpanded())
-	}
-	if s.TotalRedundant() != 2 {
-		t.Errorf("TotalRedundant = %d", s.TotalRedundant())
+	s.Nodes[0].RecoveryPlans, s.Nodes[0].Recoveries = 1, 3
+	s.Nodes[1].RecoveryPlans, s.Nodes[1].Recoveries = 2, 4
+	if plans, regions := s.TotalRecoveries(); plans != 3 || regions != 7 {
+		t.Errorf("TotalRecoveries = %d plans, %d regions; want 3, 7", plans, regions)
 	}
 	s.Nodes[0].Add(BB, 4)
 	s.Nodes[1].Add(BB, 6)
@@ -140,7 +136,7 @@ func TestWorkOverhead(t *testing.T) {
 }
 
 func TestMultiInstanceDimension(t *testing.T) {
-	m := NewMulti(3, 2)
+	m := &Multi{Systems: []*System{NewSystem(2), NewSystem(2), NewSystem(2)}}
 	m.At(0).Nodes[0].Add(BB, 5)
 	m.At(1).Nodes[1].Add(Comm, 2)
 	m.At(2).Nodes[0].Add(BB, 1)

@@ -13,6 +13,9 @@
 // for an unset reorder window or replay delay belong to the runtime.
 // Faults compose: a link may be slowed by one fault and flapped by another,
 // and two loss faults active together drop independently.
+//
+// NetStats is the ledger both runtimes count a message's fate in: sent,
+// delivered, dropped by cause, or injected by a fault.
 package nemesis
 
 import (

@@ -127,13 +127,6 @@ type Config struct {
 	// what it is missing. Off by default — legacy full-frontier gossip is the
 	// bit-identical baseline the golden tests pin.
 	DiffGossip bool
-	// SyncInterval rate-limits anti-entropy walks: a core starts at most one
-	// digest walk per interval. During convergence peers' tables differ
-	// almost always (deltas are in flight), so walking on every digest
-	// mismatch would trade the report savings back for request storms; the
-	// walk exists to repair real divergence — loss, restarts, partitions —
-	// not convergence lag. Defaults to ReportTimeout.
-	SyncInterval float64
 }
 
 func (c Config) withDefaults() Config {
@@ -161,15 +154,21 @@ func (c Config) withDefaults() Config {
 	if c.RecoveryQuiet <= 0 {
 		c.RecoveryQuiet = 10
 	}
-	if c.SyncInterval <= 0 {
-		c.SyncInterval = c.ReportTimeout
-	}
 	return c
 }
 
 // pushInterval is the period of the whole-table push to one random member
 // (§5.2, Tick), beside ReportTimeout's default of 30 clock units.
 const pushInterval = 120
+
+// syncInterval rate-limits anti-entropy walks: a core starts at most one
+// digest walk per interval, in clock units. During convergence peers' tables
+// differ almost always (deltas are in flight), so walking on every digest
+// mismatch would trade the report savings back for request storms; the walk
+// exists to repair real divergence — loss, restarts, partitions — not
+// convergence lag. It is ReportTimeout's default, and a live core's
+// millisecond ReportTimeout does not shorten it.
+const syncInterval = 30.0
 
 // maxShare caps the problems one work grant carries.
 const maxShare = 16
@@ -191,7 +190,7 @@ const (
 	// digest mismatch fans out at once.
 	maxSyncRequests = 32
 	// syncQuietJitter spreads the quiet gate: each divergent digest draws a
-	// quiet threshold uniform in [SyncInterval, (1+jitter)·SyncInterval), so
+	// quiet threshold uniform in [syncInterval, (1+jitter)·syncInterval), so
 	// the longer a core's delta stream has been silent the likelier it is to
 	// start repairing. At quiescence this thins the walker herd — every
 	// starving member sees the same global silence, but only one converged
@@ -974,7 +973,7 @@ func (c *Core) HandleMessage(from NodeID, m Msg) Effect {
 // matters (termination detection, complement recovery) — and a crash-restart
 // rejoin starves until work arrives, so its first divergent digest still
 // triggers the full-root bootstrap pull. Walks are additionally rate-limited
-// by SyncInterval, and the pull is one-directional (this core requests what
+// by syncInterval, and the pull is one-directional (this core requests what
 // peer has); the symmetric repair happens when its own digest reaches peer.
 func (c *Core) maybeSync(peer NodeID, digest uint64) {
 	if c.terminated || c.pool.Len() > 0 || digest == c.table.Digest() {
@@ -984,9 +983,9 @@ func (c *Core) maybeSync(peer NodeID, digest uint64) {
 	if c.syncHot {
 		// Committed aggregator: keep pulling, one walk in flight at a time.
 		// A reply can be lost, so a walk whose budget never drains is
-		// abandoned after a full SyncInterval rather than wedging the
+		// abandoned after a full syncInterval rather than wedging the
 		// aggregation forever.
-		if c.syncOut > 0 && now-c.lastSync < c.cfg.SyncInterval {
+		if c.syncOut > 0 && now-c.lastSync < syncInterval {
 			return
 		}
 	} else {
@@ -1000,7 +999,7 @@ func (c *Core) maybeSync(peer NodeID, digest uint64) {
 			// quiet window is remaining divergence real damage worth a pull.
 			// An empty table skips the gate: a crash-restart rejoin must
 			// bootstrap immediately, while reports are still flowing past it.
-			quiet := c.cfg.SyncInterval
+			quiet := syncInterval
 			if c.d.RandFloat != nil {
 				quiet *= 1 + syncQuietJitter*c.d.RandFloat()
 			}
@@ -1016,7 +1015,7 @@ func (c *Core) maybeSync(peer NodeID, digest uint64) {
 				return
 			}
 		}
-		if now-c.lastSync < c.cfg.SyncInterval {
+		if now-c.lastSync < syncInterval {
 			return
 		}
 		c.syncHot = true

@@ -101,7 +101,7 @@ func (p *syncPair) tablesEqual() bool {
 // restart-rejoin case) triggers a Full root request answered by the whole
 // frontier in one uncapped leaf reply.
 func TestDiffGossipSyncBootstrap(t *testing.T) {
-	p := newSyncPair(t, 6, Config{DiffGossip: true, SyncInterval: 1})
+	p := newSyncPair(t, 6, Config{DiffGossip: true})
 	leaves := fakeLeaves(6)
 	var half []code.Code
 	for i := 0; i < len(leaves); i += 2 {
@@ -146,7 +146,7 @@ func TestDiffGossipSyncBootstrap(t *testing.T) {
 // sender's table must descend past the root branch digests and pull only the
 // missing half — never requesting the subtree it already agrees on.
 func TestDiffGossipSyncWalkDescends(t *testing.T) {
-	p := newSyncPair(t, 8, Config{DiffGossip: true, SyncInterval: 1})
+	p := newSyncPair(t, 8, Config{DiffGossip: true})
 	leaves := fakeLeaves(8)
 	var sparse []code.Code
 	for i := 0; i < len(leaves); i += 2 {
@@ -163,8 +163,9 @@ func TestDiffGossipSyncWalkDescends(t *testing.T) {
 	p.b.HandleMessage(2, Report{Codes: shared})
 
 	// Step past the quiet gate: b's table just changed, and a core whose
-	// delta stream is still warm treats divergence as convergence lag.
-	p.clk.t = 2
+	// delta stream is still warm treats divergence as convergence lag. The
+	// gate is syncInterval (30) capped at half of RecoveryQuiet.
+	p.clk.t = 31
 	p.a.SendTable(1)
 	relayed := p.pump(t)
 
@@ -192,10 +193,10 @@ func TestDiffGossipSyncWalkDescends(t *testing.T) {
 	}
 }
 
-// TestDiffGossipSyncRateLimit: at most one walk per SyncInterval, no matter
-// how many divergent digests arrive.
+// TestDiffGossipSyncRateLimit: at most one walk per syncInterval (30 clock
+// units), no matter how many divergent digests arrive.
 func TestDiffGossipSyncRateLimit(t *testing.T) {
-	p := newSyncPair(t, 5, Config{DiffGossip: true, SyncInterval: 5})
+	p := newSyncPair(t, 5, Config{DiffGossip: true})
 	leaves := fakeLeaves(5)
 	p.a.HandleMessage(2, Report{Codes: leaves[:7]})
 	d := p.a.Table().Digest()
@@ -210,8 +211,14 @@ func TestDiffGossipSyncRateLimit(t *testing.T) {
 	if n := len(p.sb.take()); n != 0 {
 		t.Fatalf("rate-limited core sent %d messages, want 0", n)
 	}
+	// Still inside the interval, near its end.
+	p.clk.t = 29
+	p.b.HandleMessage(0, DigestReport{Digest: d})
+	if n := len(p.sb.take()); n != 0 {
+		t.Fatalf("rate-limited core sent %d messages at t=29, want 0", n)
+	}
 	// After the interval the next divergent digest walks again.
-	p.clk.t = 6
+	p.clk.t = 31
 	p.b.HandleMessage(0, DigestReport{Digest: d})
 	if n := len(p.sb.take()); n != 1 {
 		t.Fatalf("post-interval digest sent %d messages, want 1", n)
@@ -228,7 +235,7 @@ func TestDiffGossipSyncRateLimit(t *testing.T) {
 // replies must not change a converged table — the exchange is a pull of
 // monotone completion facts, so at-least-once delivery is harmless.
 func TestDiffGossipSyncIdempotent(t *testing.T) {
-	p := newSyncPair(t, 6, Config{DiffGossip: true, SyncInterval: 1})
+	p := newSyncPair(t, 6, Config{DiffGossip: true})
 	leaves := fakeLeaves(6)
 	var half []code.Code
 	for i := 0; i < len(leaves); i += 2 {
@@ -262,7 +269,7 @@ func TestDiffGossipSyncIdempotent(t *testing.T) {
 // terminates stragglers with the legacy root report — the broadcast fallback
 // no digest walk is needed for.
 func TestDiffGossipTerminationFallback(t *testing.T) {
-	p := newSyncPair(t, 4, Config{DiffGossip: true, SyncInterval: 1})
+	p := newSyncPair(t, 4, Config{DiffGossip: true})
 	root := p.tree.Root()
 	p.a.Seed(root)
 	for steps := 0; steps < 1<<12; steps++ {

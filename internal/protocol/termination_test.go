@@ -160,7 +160,7 @@ func (l *loopNet) rootsFrom(i, since int) (sent, peers int) {
 
 // bothModes runs a scenario under frontier reports and under diff gossip.
 func bothModes(t *testing.T, f func(t *testing.T, cfg Config)) {
-	for _, cfg := range []Config{{}, {DiffGossip: true, SyncInterval: 1}} {
+	for _, cfg := range []Config{{}, {DiffGossip: true}} {
 		t.Run(fmt.Sprintf("diff=%v", cfg.DiffGossip), func(t *testing.T) { f(t, cfg) })
 	}
 }

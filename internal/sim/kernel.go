@@ -175,25 +175,17 @@ func (e Event) When() (float64, bool) {
 }
 
 // Reserve draws the next sequence number without scheduling anything. An
-// event later scheduled under it with AtSeq fires, among the events due at
-// its time, where one scheduled at the moment of the draw would have.
+// event later scheduled under it with AtSeqArg fires, among the events due
+// at its time, where one scheduled at the moment of the draw would have.
 func (k *Kernel) Reserve() uint64 {
 	k.seq++
 	return k.seq - 1
 }
 
-// AtSeq is At under a sequence number drawn by Reserve. The caller keeps the
-// number unique among pending events: one reservation, one pending event.
-func (k *Kernel) AtSeq(t float64, seq uint64, fn func()) Event {
-	idx := k.allocSeq(t, seq)
-	p := k.payload(idx)
-	p.kind = kindFunc
-	p.fn = fn
-	return Event{k: k, idx: idx, gen: k.key(idx).gen}
-}
-
-// AtSeqArg is AtSeq for fn(arg), as AfterArg is After's: a caller that keeps
-// one callback for many events passes what tells them apart in arg.
+// AtSeqArg schedules fn(arg) at t under a sequence number drawn by Reserve.
+// The caller keeps the number unique among pending events: one reservation,
+// one pending event. A caller that keeps one callback for many events passes
+// what tells them apart in arg.
 func (k *Kernel) AtSeqArg(t float64, seq uint64, fn func(int), arg int) Event {
 	idx := k.allocSeq(t, seq)
 	p := k.payload(idx)

@@ -8,9 +8,8 @@ import (
 	"gossipbnb/internal/nemesis"
 )
 
-// NodeID identifies a simulated process. IDs are dense small integers —
-// the network's per-node tables are slices indexed by NodeID, not maps, so
-// the per-message bookkeeping on the Send hot path is two array stores.
+// NodeID identifies a simulated process. IDs are dense small integers: the
+// network's per-node tables are slices indexed by NodeID, not maps.
 type NodeID int
 
 // Message is a network payload. Size drives the communication-cost model;
@@ -37,64 +36,6 @@ func LinearLatency(base, perByte float64) LatencyModel {
 // 1.5 + 0.005·L milliseconds for messages of size L bytes.
 func PaperLatency() LatencyModel { return LinearLatency(1.5e-3, 5e-6) }
 
-// MsgKinds bounds the dense per-kind accounting arrays. Message kinds are
-// small dense bytes (the protocol codec's kind space); index 0 collects
-// messages that expose no kind or one outside the dense range.
-const MsgKinds = 16
-
-// Kinded is an optional Message capability: a small dense kind byte that
-// buckets the per-kind traffic accounting. Canonical protocol messages
-// implement it; membership and test messages need not.
-type Kinded interface{ Kind() byte }
-
-// msgKind resolves a message's accounting bucket.
-func msgKind(msg Message) byte {
-	if km, ok := msg.(Kinded); ok {
-		if k := km.Kind(); int(k) < MsgKinds {
-			return k
-		}
-	}
-	return 0
-}
-
-// NetStats aggregates network activity.
-type NetStats struct {
-	Sent       int64 // messages handed to the network
-	Delivered  int64
-	Lost       int64 // dropped by the loss model
-	Cut        int64 // dropped by a nemesis cut (partition, oneway, flap, stall)
-	Corrupt    int64 // damaged in transit, so dropped
-	ToDead     int64 // addressed to a crashed node
-	Bytes      int64 // payload bytes of sent messages
-	Duplicated int64 // extra copies injected by the duplication model
-	Reordered  int64 // messages held back by the reordering model
-	Replayed   int64 // stale copies injected by the replay model
-	// KindSent and KindBytes break Sent/Bytes down by message kind (the
-	// protocol codec's kind byte; bucket 0 is everything unkinded). Like
-	// every other counter they are per-shard in a Mesh and merged read-only
-	// at Stats time.
-	KindSent  [MsgKinds]int64
-	KindBytes [MsgKinds]int64
-}
-
-// add folds o into s — the mesh merges per-shard counter sets with it.
-func (s *NetStats) add(o NetStats) {
-	s.Sent += o.Sent
-	s.Delivered += o.Delivered
-	s.Lost += o.Lost
-	s.Cut += o.Cut
-	s.Corrupt += o.Corrupt
-	s.ToDead += o.ToDead
-	s.Bytes += o.Bytes
-	s.Duplicated += o.Duplicated
-	s.Reordered += o.Reordered
-	s.Replayed += o.Replayed
-	for k := 0; k < MsgKinds; k++ {
-		s.KindSent[k] += o.KindSent[k]
-		s.KindBytes[k] += o.KindBytes[k]
-	}
-}
-
 // Network delivers messages between registered nodes under a latency model
 // and crash failures; SetNemesis adds the link faults of §4 — cuts, slow
 // links, loss, corruption, duplication, bounded reordering and stale replay
@@ -118,9 +59,7 @@ type Network struct {
 	reorderWindow float64
 	handlers      []Handler
 	crashed       []bool
-	stats         NetStats
-	sentBytes     []int64 // per-sender payload bytes
-	sentMsgs      []int64
+	stats         nemesis.NetStats
 	// deliverTo caches one destination-bound delivery callback per receiver,
 	// so scheduling a message costs no capture closure: the kernel's typed
 	// delivery event carries (callback, from, msg) in its pooled slot, and
@@ -201,8 +140,6 @@ func (n *Network) grow(id NodeID) {
 	for int(id) >= len(n.handlers) {
 		n.handlers = append(n.handlers, nil)
 		n.crashed = append(n.crashed, false)
-		n.sentBytes = append(n.sentBytes, 0)
-		n.sentMsgs = append(n.sentMsgs, 0)
 		n.deliverTo = append(n.deliverTo, nil)
 	}
 }
@@ -253,17 +190,10 @@ func (n *Network) Send(from, to NodeID, msg Message) {
 	if n.Crashed(from) {
 		return
 	}
-	n.grow(from)
-	n.stats.Sent++
 	sz := msg.Size()
-	n.stats.Bytes += int64(sz)
-	k := msgKind(msg)
-	n.stats.KindSent[k]++
-	n.stats.KindBytes[k] += int64(sz)
-	n.sentBytes[from] += int64(sz)
-	n.sentMsgs[from]++
+	n.stats.Send(nemesis.KindOf(msg), int64(sz), 1)
 	if n.Crashed(to) {
-		n.stats.ToDead++
+		n.stats.Drop(&n.stats.ToDead)
 		return
 	}
 	if n.nem == nil {
@@ -272,16 +202,16 @@ func (n *Network) Send(from, to NodeID, msg Message) {
 	}
 	v := n.nem.At(int(from), int(to), virtual(n.k.now))
 	if v.Cut {
-		n.stats.Cut++
+		n.stats.Drop(&n.stats.Cut)
 		return
 	}
 	r := n.k.Rand()
 	if v.Loss > 0 && r.Float64() < v.Loss {
-		n.stats.Lost++
+		n.stats.Drop(&n.stats.Lost)
 		return
 	}
 	if v.Corrupt > 0 && r.Float64() < v.Corrupt {
-		n.stats.Corrupt++
+		n.stats.Drop(&n.stats.Corrupt)
 		return
 	}
 	slow := v.Delay.Seconds()
@@ -350,21 +280,28 @@ func (n *Network) schedule(from, to NodeID, msg Message, delay float64) {
 // the message was in flight. A message already in flight from a sender that
 // crashes later is still delivered — crash-stop halts the process, not the
 // wire. The handler is also looked up at delivery time, so a receiver
-// registered mid-flight still gets the message.
+// registered mid-flight still gets the message, and a copy for an id that
+// has none by then is counted Unrouted.
 func (n *Network) deliverNow(from, to NodeID, msg Message) {
 	if n.Crashed(to) {
-		n.stats.ToDead++
+		n.stats.Drop(&n.stats.ToDead)
 		return
 	}
-	if int(to) >= len(n.handlers) {
-		return
-	}
-	h := n.handlers[to]
+	h := n.handler(to)
 	if h == nil {
+		n.stats.Drop(&n.stats.Unrouted)
 		return
 	}
 	n.stats.Delivered++
 	h(from, msg)
+}
+
+// handler returns id's registered handler, or nil.
+func (n *Network) handler(id NodeID) Handler {
+	if int(id) < len(n.handlers) {
+		return n.handlers[id]
+	}
+	return nil
 }
 
 // BroadcastRange sends msg from -> every node in the mesh ring range
@@ -391,15 +328,8 @@ func (n *Network) BroadcastRange(from NodeID, lo, cnt int, msg Message) {
 		}
 		return
 	}
-	n.grow(from)
 	sz := msg.Size()
-	n.stats.Sent += int64(cnt)
-	n.stats.Bytes += int64(sz) * int64(cnt)
-	k := msgKind(msg)
-	n.stats.KindSent[k] += int64(cnt)
-	n.stats.KindBytes[k] += int64(sz) * int64(cnt)
-	n.sentBytes[from] += int64(sz) * int64(cnt)
-	n.sentMsgs[from] += int64(cnt)
+	n.stats.Send(nemesis.KindOf(msg), int64(sz), int64(cnt))
 	m.broadcast(n.self, n.k.now+n.latency(sz), from, lo, cnt, msg)
 }
 
@@ -418,12 +348,13 @@ func (n *Network) deliverRing(from NodeID, lo, cnt int, msg Message) {
 		if d >= cnt {
 			continue
 		}
-		if n.crashed[id] {
-			n.stats.ToDead++
+		if n.Crashed(NodeID(id)) {
+			n.stats.Drop(&n.stats.ToDead)
 			continue
 		}
-		h := n.handlers[id]
+		h := n.handler(NodeID(id))
 		if h == nil {
+			n.stats.Drop(&n.stats.Unrouted)
 			continue
 		}
 		n.stats.Delivered++
@@ -431,21 +362,5 @@ func (n *Network) deliverRing(from NodeID, lo, cnt int, msg Message) {
 	}
 }
 
-// Stats returns a copy of the aggregate counters.
-func (n *Network) Stats() NetStats { return n.stats }
-
-// SentBytes returns the payload bytes sent by id.
-func (n *Network) SentBytes(id NodeID) int64 {
-	if int(id) >= len(n.sentBytes) {
-		return 0
-	}
-	return n.sentBytes[id]
-}
-
-// SentMessages returns the number of messages sent by id.
-func (n *Network) SentMessages(id NodeID) int64 {
-	if int(id) >= len(n.sentMsgs) {
-		return 0
-	}
-	return n.sentMsgs[id]
-}
+// Stats returns a copy of the traffic ledger.
+func (n *Network) Stats() nemesis.NetStats { return n.stats }

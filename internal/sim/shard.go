@@ -15,7 +15,11 @@
 // delivery keeps its exact virtual arrival time.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"gossipbnb/internal/nemesis"
+)
 
 // xmsg is one cross-shard mailbox entry: either a point-to-point message
 // for to, or (bcast) a ring-range broadcast group [lo, lo+cnt).
@@ -135,10 +139,6 @@ func (m *Mesh) ShardOf(id NodeID) int {
 // the node's handler on and to Send from.
 func (m *Mesh) NetOf(id NodeID) *Network { return m.nets[m.ShardOf(id)] }
 
-// KernelOf returns the kernel of the shard owning id — the one to schedule
-// the node's timers on.
-func (m *Mesh) KernelOf(id NodeID) *Kernel { return m.kernels[m.ShardOf(id)] }
-
 // enqueue appends one point-to-point message to the src→dst mailbox.
 // Called only by the src shard's worker during a run window.
 func (m *Mesh) enqueue(src, dst int, at float64, from, to NodeID, msg Message) {
@@ -203,21 +203,14 @@ func (m *Mesh) drain(dst int) {
 	}
 }
 
-// Stats returns the merged counters of every shard, as a value copy.
-func (m *Mesh) Stats() NetStats {
-	var s NetStats
+// Stats returns the merged ledgers of every shard, as a value copy.
+func (m *Mesh) Stats() nemesis.NetStats {
+	var s nemesis.NetStats
 	for _, nw := range m.nets {
-		s.add(nw.stats)
+		s.Add(nw.stats)
 	}
 	return s
 }
-
-// SentBytes returns the payload bytes sent by id (tracked by its owner
-// shard: a node only ever sends from the shard it lives on).
-func (m *Mesh) SentBytes(id NodeID) int64 { return m.NetOf(id).SentBytes(id) }
-
-// SentMessages returns the number of messages sent by id.
-func (m *Mesh) SentMessages(id NodeID) int64 { return m.NetOf(id).SentMessages(id) }
 
 // Events returns the total events fired across all shard kernels.
 func (m *Mesh) Events() uint64 {

@@ -22,7 +22,7 @@ func meshRecorders(m *Mesh, n int) [][]arrival {
 	got := make([][]arrival, n)
 	for id := 0; id < n; id++ {
 		id := id
-		k := m.KernelOf(NodeID(id))
+		k := m.Kernel(m.ShardOf(NodeID(id)))
 		m.NetOf(NodeID(id)).Register(NodeID(id), func(from NodeID, msg Message) {
 			got[id] = append(got[id], arrival{t: k.Now(), from: from, msg: msg})
 		})
@@ -68,7 +68,7 @@ func TestShardMeshPingPong(t *testing.T) {
 	var times []float64 // appended alternately, but strictly causally ordered
 	for id := 0; id < 2; id++ {
 		id := id
-		k := m.KernelOf(NodeID(id))
+		k := m.Kernel(m.ShardOf(NodeID(id)))
 		nw := m.NetOf(NodeID(id))
 		m.NetOf(NodeID(id)).Register(NodeID(id), func(from NodeID, msg Message) {
 			hops++
@@ -108,7 +108,7 @@ func TestShardMeshBroadcastRange(t *testing.T) {
 	// checks run there (node 7 is on shard 2 with n=10, S=3).
 	m.NetOf(7).Crash(7)
 	net := m.NetOf(sender)
-	m.KernelOf(sender).At(0, func() {
+	m.Kernel(m.ShardOf(sender)).At(0, func() {
 		net.BroadcastRange(sender, sender+1, n-1, testMsg{sz: 8})
 	})
 	m.Run(1)
@@ -132,14 +132,8 @@ func TestShardMeshBroadcastRange(t *testing.T) {
 		}
 	}
 	st := m.Stats()
-	if st.Sent != n-1 || st.Delivered != n-2 || st.ToDead != 1 {
-		t.Errorf("stats = %+v, want Sent=%d Delivered=%d ToDead=1", st, n-1, n-2)
-	}
-	if b := m.SentBytes(sender); b != 8*(n-1) {
-		t.Errorf("SentBytes(sender) = %d, want %d", b, 8*(n-1))
-	}
-	if c := m.SentMessages(sender); c != n-1 {
-		t.Errorf("SentMessages(sender) = %d, want %d", c, n-1)
+	if st.Sent != n-1 || st.Bytes != 8*(n-1) || st.Delivered != n-2 || st.ToDead != 1 || st.Dropped != 1 {
+		t.Errorf("stats = %+v, want Sent=%d Bytes=%d Delivered=%d ToDead=Dropped=1", st, n-1, 8*(n-1), n-2)
 	}
 }
 
@@ -157,7 +151,7 @@ func TestShardMeshMatchesSingleShard(t *testing.T) {
 		got := make([][]arrival, n)
 		for id := 0; id < n; id++ {
 			id := id
-			k := m.KernelOf(NodeID(id))
+			k := m.Kernel(m.ShardOf(NodeID(id)))
 			nw := m.NetOf(NodeID(id))
 			replied := false
 			m.NetOf(NodeID(id)).Register(NodeID(id), func(from NodeID, msg Message) {
@@ -175,7 +169,7 @@ func TestShardMeshMatchesSingleShard(t *testing.T) {
 		for id := 0; id < n; id++ {
 			id := id
 			nw := m.NetOf(NodeID(id))
-			m.KernelOf(NodeID(id)).At(float64(id)*1e-4, func() {
+			m.Kernel(m.ShardOf(NodeID(id))).At(float64(id)*1e-4, func() {
 				for p := 0; p < n; p++ {
 					if p != id {
 						nw.Send(NodeID(id), NodeID(p), testMsg{sz: id})
@@ -218,7 +212,7 @@ func TestShardMeshLookaheadSafety(t *testing.T) {
 	bad := make([]bool, n)
 	for id := 0; id < n; id++ {
 		id := id
-		k := m.KernelOf(NodeID(id))
+		k := m.Kernel(m.ShardOf(NodeID(id)))
 		nw := m.NetOf(NodeID(id))
 		sent := 0
 		var lastAt float64

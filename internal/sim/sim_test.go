@@ -64,11 +64,12 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 func TestReservedSequenceKeepsItsPlace(t *testing.T) {
 	k := New(1)
 	var order []string
-	mark := func(s string) func() { return func() { order = append(order, s) } }
-	k.At(5, mark("before"))
+	names := []string{"moved away", "reserved"}
+	mark := func(i int) { order = append(order, names[i]) }
+	k.At(5, func() { order = append(order, "before") })
 	seq := k.Reserve()
-	k.At(5, mark("after"))
-	e := k.AtSeq(4, seq, mark("moved away"))
+	k.At(5, func() { order = append(order, "after") })
+	e := k.AtSeqArg(4, seq, mark, 0)
 	if at, ok := e.When(); !ok || at != 4 {
 		t.Fatalf("When = %g, %v; want 4, true", at, ok)
 	}
@@ -76,7 +77,7 @@ func TestReservedSequenceKeepsItsPlace(t *testing.T) {
 	if _, ok := e.When(); ok {
 		t.Fatal("When reports a cancelled event as pending")
 	}
-	k.At(1, func() { k.AtSeq(5, seq, mark("reserved")) })
+	k.At(1, func() { k.AtSeqArg(5, seq, mark, 1) })
 	k.Run(math.Inf(1))
 	if want := []string{"before", "reserved", "after"}; !slices.Equal(order, want) {
 		t.Errorf("order = %v, want %v", order, want)
@@ -177,7 +178,7 @@ func TestAfterArg(t *testing.T) {
 }
 
 // TestAtSeqArg: an argument-carrying event under a reserved sequence number
-// fires where AtSeq's would, with its own argument, and a warm reschedule of
+// fires where one scheduled at the reservation would, with its own argument, and a warm reschedule of
 // it allocates nothing.
 func TestAtSeqArg(t *testing.T) {
 	k := New(1)
@@ -268,9 +269,6 @@ func TestNetworkDelivery(t *testing.T) {
 	if st.Sent != 1 || st.Delivered != 1 || st.Bytes != 100 {
 		t.Errorf("stats = %+v", st)
 	}
-	if nw.SentBytes(1) != 100 || nw.SentMessages(1) != 1 {
-		t.Errorf("per-sender: bytes=%d msgs=%d", nw.SentBytes(1), nw.SentMessages(1))
-	}
 }
 
 func TestRegisterMidRun(t *testing.T) {
@@ -297,8 +295,8 @@ func TestRegisterMidRun(t *testing.T) {
 	if len(back) != 1 || back[0] != 6 {
 		t.Errorf("reply to node 0 = %v, want [6]", back)
 	}
-	if st := nw.Stats(); st.Delivered != 2 {
-		t.Errorf("Delivered = %d, want 2", st.Delivered)
+	if st := nw.Stats(); st.Delivered != 2 || st.Unrouted != 1 || st.Dropped != 1 {
+		t.Errorf("stats = %+v, want 2 delivered and the early send unrouted", st)
 	}
 }
 

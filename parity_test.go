@@ -80,7 +80,7 @@ func TestThreeWayParityKnapsack(t *testing.T) {
 	// Problem runs stay deterministic in (problem, seed, config).
 	again := gossipbnb.RunProblemRef(k, seq, simCfg)
 	if again.Time != sim.Time || again.Expanded != sim.Expanded || again.Optimum != sim.Optimum {
-		t.Errorf("RunProblem not deterministic: (%g, %d, %g) vs (%g, %d, %g)",
+		t.Errorf("RunProblemRef not deterministic: (%g, %d, %g) vs (%g, %d, %g)",
 			sim.Time, sim.Expanded, sim.Optimum, again.Time, again.Expanded, again.Optimum)
 	}
 }
