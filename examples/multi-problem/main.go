@@ -68,7 +68,7 @@ func main() {
 	qapOpt, qapOK := handle.Result()
 	fmt.Printf("submitted qap: optimum %.6g (correct=%v), %d cluster expansions\n",
 		qapOpt, qapOK, handle.Expanded())
-	fmt.Printf("%d TCP messages, %d payload bytes\n", res.MsgsSent, res.BytesSent)
+	fmt.Printf("%d TCP messages, %d payload bytes\n", res.Net.Sent, res.Net.Bytes)
 
 	if !res.Terminated || !res.OptimumOK || !qapOK {
 		log.Fatal("multi-problem cluster failed the scenario")

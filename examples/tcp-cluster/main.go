@@ -49,7 +49,7 @@ func main() {
 	fmt.Printf("terminated=%v in %v, optimum %.3f (correct=%v)\n",
 		res.Terminated, res.Elapsed.Round(time.Millisecond), res.Optimum, res.OptimumOK)
 	fmt.Printf("%d expansions, %d TCP messages, %d payload bytes\n",
-		res.Expanded, res.MsgsSent, res.BytesSent)
+		res.Expanded, res.Net.Sent, res.Net.Bytes)
 	if !res.Terminated || !res.OptimumOK {
 		log.Fatal("TCP cluster failed the scenario")
 	}

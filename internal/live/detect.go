@@ -1,10 +1,6 @@
 package live
 
-import (
-	"time"
-
-	"gossipbnb/internal/protocol"
-)
+import "gossipbnb/internal/protocol"
 
 // This file is the live runtime's failure detector: the unreliable,
 // completeness-over-accuracy detector of Chandra & Toueg grafted onto the
@@ -20,7 +16,8 @@ import (
 //
 // Evidence is piggybacked: every received envelope refreshes the sender's
 // lastHeard, so a busy link never needs explicit traffic. Only idle links
-// get Ping heartbeats, paced at a third of SuspectAfter.
+// get Ping heartbeats, paced at a third of SuspectAfter. Every time here is
+// seconds on the cluster's protocol clock.
 
 // DetectKind labels one failure-detector transition.
 type DetectKind int
@@ -68,11 +65,12 @@ const (
 )
 
 // peerHealth is everything the detector tracks about one peer. All times are
-// wall clock, read and written only on the owning incarnation's goroutine.
+// seconds on the cluster's protocol clock, read and written only on the
+// owning incarnation's goroutine.
 type peerHealth struct {
-	lastHeard time.Time // last envelope received from the peer
-	lastSent  time.Time // last message sent to the peer (heartbeat pacing)
-	lastProbe time.Time // last Hello probe while excluded
+	lastHeard float64 // last envelope received from the peer
+	lastSent  float64 // last message sent to the peer (heartbeat pacing)
+	probeAt   float64 // next Hello probe while excluded; 0 probes at once
 	state     peerState
 }
 
@@ -90,28 +88,17 @@ type detector struct {
 	// sides completed work the other never heard about, and the Full-root
 	// subtree pull is how the healed side catches up.
 	rejoin map[NodeID]bool
-
-	heartbeat time.Duration // Ping an idle link after this long: SuspectAfter/3
-	nextTick  time.Time     // internal pacing; tick is called every loop turn
 }
 
 // newDetector builds the detector for a fresh incarnation, seeding every
 // current view peer as alive-as-of-now and clearing any link suppression a
 // previous incarnation of this node left in the transport.
 func newDetector(inc *incarnation) *detector {
-	d := &detector{
-		inc:       inc,
-		peers:     map[NodeID]*peerHealth{},
-		rejoin:    map[NodeID]bool{},
-		heartbeat: inc.n.cl.cfg.SuspectAfter / 3,
-	}
-	if d.heartbeat <= 0 {
-		d.heartbeat = time.Millisecond
-	}
-	now := time.Now()
+	d := &detector{inc: inc, peers: map[NodeID]*peerHealth{}, rejoin: map[NodeID]bool{}}
 	n := inc.n
+	now := n.cl.clock.Now()
 	for _, p := range n.peers() {
-		d.peers[NodeID(p)] = &peerHealth{lastHeard: now, lastSent: now}
+		d.ensure(NodeID(p), now)
 		n.cl.tr.Exclude(n.id, NodeID(p), false)
 	}
 	return d
@@ -120,10 +107,9 @@ func newDetector(inc *incarnation) *detector {
 // ensure returns the tracking entry for id, creating it alive-as-of-now for
 // peers learned mid-run (join gossip spreads the view faster than tick
 // re-scans it).
-func (d *detector) ensure(id NodeID) *peerHealth {
+func (d *detector) ensure(id NodeID, now float64) *peerHealth {
 	p := d.peers[id]
 	if p == nil {
-		now := time.Now()
 		p = &peerHealth{lastHeard: now, lastSent: now}
 		d.peers[id] = p
 	}
@@ -140,7 +126,8 @@ func (d *detector) heard(from NodeID) {
 	if d == nil || from == d.inc.n.id {
 		return
 	}
-	p := d.ensure(from)
+	now := d.inc.n.cl.clock.Now()
+	p := d.ensure(from, now)
 	switch p.state {
 	case peerSuspect:
 		p.state = peerAlive
@@ -154,7 +141,7 @@ func (d *detector) heard(from NodeID) {
 		n.detReabsorbed.Add(1)
 		d.emit(from, Reabsorbed)
 	}
-	p.lastHeard = time.Now()
+	p.lastHeard = now
 }
 
 // noteSent records outbound traffic toward a peer, so heartbeats only fill
@@ -164,7 +151,8 @@ func (d *detector) noteSent(to NodeID) {
 	if d == nil || to == d.inc.n.id {
 		return
 	}
-	d.ensure(to).lastSent = time.Now()
+	now := d.inc.n.cl.clock.Now()
+	d.ensure(to, now).lastSent = now
 }
 
 // rejoining consumes the bootstrap flag for a re-absorbed peer: true means
@@ -177,31 +165,20 @@ func (d *detector) rejoining(from NodeID) bool {
 	return true
 }
 
-// tick advances every peer's state machine and fills idle links. It is
-// called every run-loop turn but paces itself at a fraction of the
-// heartbeat period, so the failure-free cost is one time read and one
-// comparison per turn.
-func (d *detector) tick() {
-	if d == nil {
-		return
-	}
-	now := time.Now()
-	if now.Before(d.nextTick) {
-		return
-	}
+// tick advances every peer's state machine and fills idle links. It returns
+// the deadline of the next tick, a quarter of a heartbeat on, which the
+// incarnation waits on beside its cores' WakeAt.
+func (d *detector) tick(now float64) float64 {
 	n := d.inc.n
 	cl := n.cl
-	pace := d.heartbeat / 4
-	if pace <= 0 {
-		pace = time.Millisecond
-	}
-	d.nextTick = now.Add(pace)
+	suspect, exclude := cl.cfg.SuspectAfter.Seconds(), cl.cfg.ExcludeAfter.Seconds()
+	heartbeat := suspect / 3
 
 	// The view can gain members between ticks (join gossip); make sure every
 	// current peer is tracked before scanning. Excluded peers left the view
 	// but stay in the map — that is where their probe cadence lives.
 	for _, p := range n.peers() {
-		d.ensure(NodeID(p))
+		d.ensure(NodeID(p), now)
 	}
 	for id, p := range d.peers {
 		if cl.tr.Crashed(id) {
@@ -212,15 +189,15 @@ func (d *detector) tick() {
 			// crashes, never for nemesis faults.
 			continue
 		}
-		silent := now.Sub(p.lastHeard)
+		silent := now - p.lastHeard
 		switch {
-		case p.state != peerExcluded && silent > cl.cfg.ExcludeAfter:
+		case p.state != peerExcluded && silent > exclude:
 			p.state = peerExcluded
 			n.dropPeer(protocol.NodeID(id))
 			cl.tr.Exclude(n.id, id, true)
 			n.detExclusions.Add(1)
 			d.emit(id, Excluded)
-		case p.state == peerAlive && silent > cl.cfg.SuspectAfter:
+		case p.state == peerAlive && silent > suspect:
 			p.state = peerSuspect
 			n.detSuspicions.Add(1)
 			d.emit(id, Suspected)
@@ -230,15 +207,13 @@ func (d *detector) tick() {
 			// message link suppression lets through, and the §5.2 door a
 			// falsely-excluded (or healed) peer answers with Welcome. Jitter
 			// desynchronizes probe storms after a partition heals.
-			probeEvery := cl.cfg.ExcludeAfter +
-				time.Duration(cl.randFloat()*float64(cl.cfg.ExcludeAfter/4))
-			if now.Sub(p.lastProbe) > probeEvery {
-				p.lastProbe = now
+			if now >= p.probeAt {
+				p.probeAt = now + exclude*(1+d.inc.rng.Float64()/4)
 				cl.tr.Send(n.id, id, d.inc.hello())
 			}
 			continue
 		}
-		if now.Sub(p.lastSent) > d.heartbeat {
+		if now-p.lastSent > heartbeat {
 			// Idle link: no protocol traffic flowed for a full heartbeat
 			// period, so send the explicit Ping that keeps the peer's
 			// detector fed. Busy links never pay this — every envelope is
@@ -249,6 +224,7 @@ func (d *detector) tick() {
 			cl.tr.Send(n.id, id, ping)
 		}
 	}
+	return now + heartbeat/4
 }
 
 // emit delivers one transition to the configured observer callback.

@@ -72,6 +72,30 @@ func TestSuspectStalledNodeExcludedTCP(t *testing.T) {
 	}
 }
 
+// TestIdleNodeKeepsItsHeartbeats runs a failure-free cluster whose retry
+// pace (RetryDelay) is longer than SuspectAfter, so a starving or idle node
+// sleeps longer per wait than its peers tolerate silence. It must still wake
+// for its own heartbeats: one wait ends at the earliest of the cores'
+// WakeAt and the detector's next tick, and nothing is ever suspected.
+func TestIdleNodeKeepsItsHeartbeats(t *testing.T) {
+	tr := liveTree(41, 801)
+	cl := NewCluster(tr, Config{
+		Nodes: 4, Seed: 41, TimeScale: 0.002,
+		RetryDelay:   60 * time.Millisecond,
+		SuspectAfter: 30 * time.Millisecond,
+		ExcludeAfter: 400 * time.Millisecond,
+		Timeout:      60 * time.Second,
+	})
+	res := cl.Run()
+	if !res.Terminated || !res.OptimumOK {
+		t.Fatalf("failure-free run failed: %+v", res)
+	}
+	if res.Suspicions != 0 || res.Exclusions != 0 {
+		t.Errorf("failure-free run raised %d suspicions and %d exclusions, want none",
+			res.Suspicions, res.Exclusions)
+	}
+}
+
 // TestHealUnstalledNodeReabsorbedTCP un-stalls the node before the run ends:
 // the exclusion must be revoked through the Hello/Welcome re-announcement
 // path, the node re-absorbed with a table bootstrap, and every view whole

@@ -49,9 +49,9 @@ type parcel struct {
 // wherever SetNemesis installed one.
 //
 // The policy decides Suspect, Cut, Lost and Closed, and — in deliver, which
-// every arriving copy passes through — ToDead and Congested. The delivery
-// mechanism decides Unrouted and Corrupt, and ToDead for a socket that died
-// under the write.
+// every arriving copy passes through — Delivered, ToDead and Congested. The
+// delivery mechanism decides Unrouted and Corrupt, and ToDead for a socket
+// that died under the write.
 //
 // Every boot of a node is a distinct endpoint: open hands it a fresh inbox,
 // and the channel's identity names the boot. A copy in flight carries the
@@ -245,6 +245,8 @@ func (l *link) holdLocked(p parcel, d time.Duration) {
 // and reports whether that endpoint is still live. It is not once the link
 // closed, or `to` crashed — or crashed and was replaced by a restart's fresh
 // inbox — meanwhile; either way that the message vanishes, it is counted.
+// A live endpoint's copy is counted Delivered under the lock the checks
+// already hold, and moved to Congested if the inbox turns out to be full.
 func (l *link) deliver(to NodeID, ep chan Envelope, env Envelope) bool {
 	l.mu.Lock()
 	var cause *int64
@@ -258,11 +260,15 @@ func (l *link) deliver(to NodeID, ep chan Envelope, env Envelope) bool {
 		l.mu.Unlock()
 		return false
 	}
+	l.stats.Delivered++
 	l.mu.Unlock()
 	select {
 	case ep <- env:
 	default:
-		l.drop(&l.stats.Congested) // inbox overflow: a congested receiver
+		l.mu.Lock() // inbox overflow: a congested receiver
+		l.stats.Delivered--
+		l.dropLocked(&l.stats.Congested)
+		l.mu.Unlock()
 	}
 	return true
 }

@@ -15,7 +15,8 @@ type linkNet interface {
 	SetNemesis(*nemesis.Schedule)
 }
 
-// linkRig counts what a case receives, so every case can close the ledger.
+// linkRig counts what a case receives, so every case can check the ledger's
+// Delivered against it.
 type linkRig struct {
 	t         *testing.T
 	nw        linkNet
@@ -53,9 +54,10 @@ func (r *linkRig) silent(ch <-chan Envelope, d time.Duration) {
 	}
 }
 
-// settle asserts the two ledger identities: the drop causes partition
-// Dropped, and — once nothing is in flight any more — every copy that was
-// sent or injected either arrived or was counted dropped.
+// settle waits until nothing is in flight any more and asserts the ledger's
+// identities: the drop causes partition Dropped, every copy that was sent or
+// injected was delivered or counted dropped — from the ledger alone — and
+// the ledger's Delivered is what the rig received.
 func (r *linkRig) settle() {
 	r.t.Helper()
 	var ns nemesis.NetStats
@@ -67,15 +69,19 @@ func (r *linkRig) settle() {
 			}
 		}
 		ns = r.nw.NetStats()
-		if ns.Sent+ns.Duplicated+ns.Replayed == r.delivered+ns.Dropped || time.Now().After(deadline) {
+		quiet := ns.Sent+ns.Duplicated+ns.Replayed == ns.Delivered+ns.Dropped && ns.Delivered == r.delivered
+		if quiet || time.Now().After(deadline) {
 			break
 		}
 	}
 	if causes := ns.Lost + ns.Cut + ns.Suspect + ns.Corrupt + ns.ToDead + ns.Congested + ns.Unrouted + ns.Closed; ns.Dropped != causes {
 		r.t.Errorf("Dropped = %d but its causes sum to %d: %+v", ns.Dropped, causes, ns)
 	}
-	if in, out := ns.Sent+ns.Duplicated+ns.Replayed, r.delivered+ns.Dropped; in != out {
-		r.t.Errorf("sent+injected = %d but delivered+dropped = %d (delivered %d): %+v", in, out, r.delivered, ns)
+	if in, out := ns.Sent+ns.Duplicated+ns.Replayed, ns.Delivered+ns.Dropped; in != out {
+		r.t.Errorf("sent+injected = %d but delivered+dropped = %d: %+v", in, out, ns)
+	}
+	if ns.Delivered != r.delivered {
+		r.t.Errorf("ledger Delivered = %d, but %d copies were received: %+v", ns.Delivered, r.delivered, ns)
 	}
 }
 

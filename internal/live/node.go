@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"slices"
 	"sync"
@@ -105,7 +106,8 @@ type Result struct {
 	Expanded   int
 	Elapsed    time.Duration
 	// MsgsSent and BytesSent copy Net.Sent and Net.Bytes, and Kinds copies
-	// its per-kind arrays, for callers that read them under these names.
+	// its per-kind arrays; the benchmark harness (bench/) is their last
+	// reader.
 	MsgsSent  int64
 	BytesSent int64
 	Kinds     KindStats
@@ -194,17 +196,27 @@ type incarnation struct {
 
 	sinceYield int // expansions since run last yielded its processor
 
+	// rng is the incarnation's one random stream, seeded from (Seed, node
+	// id, generation): every hosted core and the detector's probe jitter
+	// draw from it, on this goroutine only.
+	rng *rand.Rand
+
 	// contacts is non-nil on a joiner's first incarnation: the members it
 	// announces itself to. Until one of them answers with a Welcome
 	// (welcomed), the announcement is re-sent on the RetryDelay cadence —
 	// the Hello, or its answer, can be lost like any message.
-	contacts  []NodeID
-	welcomed  bool
-	lastHello time.Time
+	contacts []NodeID
+	welcomed bool
 
 	// det is the incarnation's failure detector; nil when SuspectAfter is
 	// zero. Confined to this incarnation's goroutine.
 	det *detector
+
+	// helloAt and tickAt are the deadlines of the incarnation's own duties,
+	// in clock seconds: a joiner's next Hello and the detector's next tick.
+	// +Inf when there is none — the node joined no one, or was welcomed; it
+	// runs no detector.
+	helloAt, tickAt float64
 }
 
 // Cluster wires live nodes over a shared transport. Its boot problem,
@@ -215,7 +227,6 @@ type incarnation struct {
 type Cluster struct {
 	cfg   Config
 	tr    Net
-	start time.Time
 	clock liveClock
 	nodes []*liveNode
 	wg    sync.WaitGroup
@@ -231,8 +242,6 @@ type Cluster struct {
 	stopMu  sync.Mutex
 	started bool
 	stopped bool
-	rngMu   sync.Mutex
-	rngSeed int64
 
 	// Instance registry: specs grows append-only under instMu (specs[0] is
 	// the boot problem), and instEpoch bumps on every change so node loops
@@ -348,12 +357,10 @@ func newCluster(cfg Config, newExp func() protocol.Expander, sleepOf func(it pro
 	cl := &Cluster{
 		cfg:     cfg,
 		tr:      tr,
-		start:   time.Now(),
+		clock:   liveClock{start: time.Now()},
 		wake:    make(chan struct{}, 1),
 		stopAll: make(chan struct{}),
-		rngSeed: cfg.Seed,
 	}
-	cl.clock = liveClock{start: cl.start}
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &liveNode{id: NodeID(i), cl: cl}
 		view := make([]protocol.NodeID, 0, cfg.Nodes-1)
@@ -377,9 +384,16 @@ func newCluster(cfg Config, newExp func() protocol.Expander, sleepOf func(it pro
 // instance the node still has to solve. contacts is non-nil only for a
 // joiner's first incarnation.
 func (cl *Cluster) newIncarnation(n *liveNode, gen int64, inbox <-chan Envelope, contacts []NodeID) *incarnation {
-	inc := &incarnation{n: n, gen: gen, inbox: inbox, mux: instance.NewMux(), contacts: contacts}
+	inc := &incarnation{
+		n: n, gen: gen, inbox: inbox, mux: instance.NewMux(), contacts: contacts,
+		rng:     rand.New(rand.NewPCG(uint64(cl.cfg.Seed), uint64(n.id)<<32|uint64(gen))),
+		helloAt: math.Inf(1), tickAt: math.Inf(1),
+	}
+	if contacts != nil {
+		inc.helloAt = 0 // due at the first loop turn
+	}
 	if cl.cfg.SuspectAfter > 0 {
-		inc.det = newDetector(inc)
+		inc.det, inc.tickAt = newDetector(inc), 0
 	}
 	inc.syncInstances()
 	return inc
@@ -415,8 +429,8 @@ func (cl *Cluster) newCore(inc *incarnation, exp protocol.Expander, id protocol.
 		Sender:    &instSender{inc: inc, id: id},
 		Expander:  exp,
 		Peers:     n.peers,
-		Rand:      cl.rand,
-		RandFloat: cl.randFloat,
+		Rand:      inc.rng.IntN,
+		RandFloat: inc.rng.Float64,
 	})
 	c.Stagger(cl.clock.Now())
 	return c
@@ -525,25 +539,6 @@ func (cl *Cluster) closeLocked() {
 		cl.stopped = true
 		close(cl.stopAll)
 	}
-}
-
-// rand returns a pseudo-random int below n, safe for concurrent callers.
-func (cl *Cluster) rand(n int) int {
-	cl.rngMu.Lock()
-	cl.rngSeed = cl.rngSeed*6364136223846793005 + 1442695040888963407
-	v := int(uint64(cl.rngSeed>>33) % uint64(n))
-	cl.rngMu.Unlock()
-	return v
-}
-
-// randFloat returns a pseudo-random float64 in [0, 1), safe for concurrent
-// callers.
-func (cl *Cluster) randFloat() float64 {
-	cl.rngMu.Lock()
-	cl.rngSeed = cl.rngSeed*6364136223846793005 + 1442695040888963407
-	v := float64(uint64(cl.rngSeed)>>11) / (1 << 53)
-	cl.rngMu.Unlock()
-	return v
 }
 
 // Run starts every node goroutine and blocks until every instance in the
@@ -703,8 +698,7 @@ func (inc *incarnation) run() {
 			// A crashed process halts; drain nothing, say nothing.
 			return
 		}
-		inc.maybeAnnounce()
-		inc.det.tick()
+		inc.runDue()
 		inc.syncInstances()
 		// Handle all pending messages.
 		drained := false
@@ -741,14 +735,50 @@ func (inc *incarnation) run() {
 			// Every hosted instance terminated and was reaped. Keep answering
 			// stragglers from the tombstones, and wake on the RetryDelay
 			// cadence to poll the registry for newly submitted instances.
-			select {
-			case env := <-inc.inbox:
-				inc.handle(env)
-			case <-time.After(n.cl.cfg.RetryDelay):
-			case <-n.cl.stopAll:
-				return
-			}
+			inc.wait(true)
 		}
+	}
+}
+
+// runDue runs the incarnation's own duties whose deadlines have passed. With
+// none pending it reads no clock.
+func (inc *incarnation) runDue() {
+	if math.IsInf(min(inc.helloAt, inc.tickAt), 1) {
+		return
+	}
+	now := inc.n.cl.clock.Now()
+	if now >= inc.helloAt {
+		inc.announce(now)
+	}
+	if now >= inc.tickAt {
+		inc.tickAt = inc.det.tick(now)
+	}
+}
+
+// wait is the one place an incarnation blocks: until a message arrives
+// (handled here), the cluster stops, or the clock reaches the earliest
+// deadline — every hosted core's WakeAt, the detector's next tick, a
+// joiner's next Hello and, when idle, the next registry poll. No deadline,
+// no timer. The mux only reaches here when no hosted instance can expand,
+// so the wait never withholds the processor from runnable work.
+func (inc *incarnation) wait(idle bool) {
+	cl := inc.n.cl
+	at := min(inc.helloAt, inc.tickAt)
+	inc.mux.Each(func(o *instance.Entry) { at = min(at, o.Core.WakeAt()) })
+	if idle {
+		at = min(at, cl.clock.Now()+cl.cfg.RetryDelay.Seconds())
+	}
+	var timeout <-chan time.Time
+	if !math.IsInf(at, 1) {
+		t := time.NewTimer(time.Duration((at - cl.clock.Now()) * float64(time.Second)))
+		defer t.Stop()
+		timeout = t.C
+	}
+	select {
+	case env := <-inc.inbox:
+		inc.handle(env)
+	case <-timeout:
+	case <-cl.stopAll:
 	}
 }
 
@@ -878,6 +908,7 @@ func (inc *incarnation) onWelcome(from NodeID, w protocol.Welcome) {
 		n.cl.tr.Learn(NodeID(p.ID), p.Addr)
 		n.learnPeer(p.ID)
 	}
+	inc.helloAt = math.Inf(1) // somebody answered: the announcing is over
 	c := inc.boot
 	if c == nil {
 		inc.welcomed = true // nothing to bootstrap: the boot problem resolved
@@ -894,18 +925,11 @@ func (inc *incarnation) onWelcome(from NodeID, w protocol.Welcome) {
 	}
 }
 
-// maybeAnnounce is the joiner's half of the handshake: until somebody
-// welcomes it, it re-announces itself to its contacts on the RetryDelay
-// cadence.
-func (inc *incarnation) maybeAnnounce() {
-	if inc.contacts == nil || inc.welcomed {
-		return
-	}
+// announce is the joiner's half of the handshake: until somebody welcomes
+// it, it re-announces itself to its contacts every RetryDelay.
+func (inc *incarnation) announce(now float64) {
 	cl := inc.n.cl
-	if time.Since(inc.lastHello) < cl.cfg.RetryDelay {
-		return
-	}
-	inc.lastHello = time.Now()
+	inc.helloAt = now + cl.cfg.RetryDelay.Seconds()
 	h := inc.hello()
 	for _, c := range inc.contacts {
 		cl.tr.Send(inc.n.id, c, h)
@@ -924,12 +948,13 @@ func (inc *incarnation) expand(e *instance.Entry, it protocol.Item) {
 		sleep = sp.sleepOf(it)
 		time.Sleep(time.Duration(sleep * float64(time.Second)))
 	}
-	start := time.Now()
+	clock := inc.n.cl.clock
+	start := clock.Now()
 	out := e.Exp.Outcome(it)
 	if inc.n.crashed.Load() || inc.n.gen.Load() != inc.gen {
 		return // the work died with this incarnation
 	}
-	e.Core.OnExpanded(it, out, sleep+time.Since(start).Seconds())
+	e.Core.OnExpanded(it, out, sleep+clock.Now()-start)
 	inc.n.expanded.Add(1)
 	if sp.id != 0 {
 		sp.expanded.Add(1)
@@ -937,25 +962,12 @@ func (inc *incarnation) expand(e *instance.Entry, it protocol.Item) {
 }
 
 // starve runs every hosted core's due duties (Tick), then one starving
-// instance's out-of-work decision: a recovery at once, else block until a
-// message arrives or the earliest WakeAt of any hosted core. The mux only
-// reaches here when no hosted instance can expand, so the blocking never
-// withholds the processor from runnable work.
+// instance's out-of-work decision: a recovery at once, else the wait.
 func (inc *incarnation) starve(e *instance.Entry) {
 	inc.mux.Each(func(o *instance.Entry) { o.Core.Tick() })
-	if e.Core.Starve() == protocol.StarveRecover {
-		if plan := e.Core.PlanRecovery(); len(plan) > 0 {
-			e.Core.Adopt(plan)
-		}
-		return
-	}
-	wake := math.Inf(1)
-	inc.mux.Each(func(o *instance.Entry) { wake = min(wake, o.Core.WakeAt()) })
-	wait := time.Duration((wake - inc.n.cl.clock.Now()) * float64(time.Second))
-	select {
-	case env := <-inc.inbox:
-		inc.handle(env)
-	case <-time.After(wait):
-	case <-inc.n.cl.stopAll:
+	if e.Core.Starve() != protocol.StarveRecover {
+		inc.wait(false)
+	} else if plan := e.Core.PlanRecovery(); len(plan) > 0 {
+		e.Core.Adopt(plan)
 	}
 }

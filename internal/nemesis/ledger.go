@@ -25,9 +25,8 @@ func KindOf(msg any) byte {
 type NetStats struct {
 	Sent  int64 // messages handed to the network
 	Bytes int64 // payload bytes of sent messages
-	// Delivered counts copies handed to a receiver: a simulator handler.
-	// The live link hands copies to an inbox its node drains unseen, so it
-	// leaves this zero and a caller closes the ledger by counting receipts.
+	// Delivered counts copies handed to a receiver: a simulator handler or
+	// a live node's inbox.
 	Delivered int64
 	Dropped   int64
 
