@@ -115,9 +115,9 @@ func (n *nemesisList) Set(s string) error {
 }
 
 // validateFlags rejects mutually inconsistent flag combinations up front,
-// with an error naming both sides. -shards with -membership or -gantt is not
-// one of them: those runs clamp to one shard and the engine line says so.
-func validateFlags(insts int, problem string, member, gantt bool, shards int, joins joinList) error {
+// with an error naming both sides. -shards with -gantt is not one of them:
+// that run clamps to one shard and the engine line says so.
+func validateFlags(insts int, problem string, gantt bool, shards int, joins joinList) error {
 	if insts < 0 {
 		return fmt.Errorf("-instances must be >= 0, got %d", insts)
 	}
@@ -125,8 +125,6 @@ func validateFlags(insts int, problem string, member, gantt bool, shards int, jo
 		switch {
 		case problem != "":
 			return fmt.Errorf("-instances and -problem are mutually exclusive: -instances generates its own problems")
-		case member:
-			return fmt.Errorf("-instances does not support -membership: multi-instance runs use the predetermined pool")
 		case gantt:
 			return fmt.Errorf("-instances does not support -gantt")
 		case len(joins) > 0:
@@ -173,7 +171,7 @@ func run() int {
 	flag.Var(&nemeses, "nemesis", "inject a scheduled fault, windows in virtual seconds: partition, oneway, flap, stall, slow, corrupt, loss, dup, reorder or replay, e.g. partition:10-20:0,1, flap:0-2:4:0-30 or replay:0.05 (repeatable)")
 	flag.Parse()
 
-	if err := validateFlags(*insts, *problem, *member, *gantt, *shards, joins); err != nil {
+	if err := validateFlags(*insts, *problem, *gantt, *shards, joins); err != nil {
 		log.Fatal(err)
 	}
 
@@ -320,8 +318,8 @@ func run() int {
 }
 
 // printEngine reports the shard count that ran — and the requested one where
-// the run clamped it (to the process count, or to one shard under -membership
-// and -gantt) — with the simulator's event throughput.
+// the run clamped it (to the process count, or to one shard under -gantt) —
+// with the simulator's event throughput.
 func printEngine(ran, requested int, events uint64, elapsed time.Duration) {
 	kernel := fmt.Sprintf("%d shards", ran)
 	if ran != requested {

@@ -120,7 +120,6 @@ func TestValidateFlagInstanceCombos(t *testing.T) {
 		name    string
 		insts   int
 		problem string
-		member  bool
 		gantt   bool
 		shards  int
 		joins   joinList
@@ -131,16 +130,14 @@ func TestValidateFlagInstanceCombos(t *testing.T) {
 		{name: "instances sharded", insts: 4, shards: 4, want: true},
 		{name: "negative instances", insts: -1, shards: 1, want: false},
 		{name: "instances+problem", insts: 2, problem: "knapsack:12:1", shards: 1, want: false},
-		{name: "instances+membership", insts: 2, member: true, shards: 1, want: false},
 		{name: "instances+gantt", insts: 2, gantt: true, shards: 1, want: false},
 		{name: "instances+join", insts: 2, joins: joinList{{Time: 5, Count: 2}}, shards: 1, want: false},
-		{name: "shards+membership clamps", member: true, shards: 4, want: true},
 		{name: "shards+gantt clamps", gantt: true, shards: 0, want: true},
 		{name: "negative shards", shards: -1, want: false},
 		{name: "join without membership", joins: joinList{{Time: 5, Count: 2}}, shards: 1, want: true},
 	}
 	for _, c := range cases {
-		err := validateFlags(c.insts, c.problem, c.member, c.gantt, c.shards, c.joins)
+		err := validateFlags(c.insts, c.problem, c.gantt, c.shards, c.joins)
 		if ok(err) != c.want {
 			t.Errorf("%s: err = %v, want valid=%v", c.name, err, c.want)
 		}
@@ -176,16 +173,38 @@ func TestShardsMinusOneRejected(t *testing.T) {
 	}
 }
 
-// TestShardsClampReported: -membership cannot be partitioned, so -shards 4
-// runs it on one shard and the engine line says both numbers.
+// TestShardsClampReported: a -gantt trace cannot be partitioned, so -shards 4
+// runs it on one shard and the engine line says both numbers; -membership
+// runs on the shards it asks for.
 func TestShardsClampReported(t *testing.T) {
-	out, err := dbbsim(t, "-procs", "8", "-size", "801", "-shards", "4", "-membership")
+	out, err := dbbsim(t, "-procs", "8", "-size", "801", "-shards", "4", "-gantt")
 	if err != nil {
-		t.Fatalf("-shards 4 -membership failed: %v\n%s", err, out)
+		t.Fatalf("-shards 4 -gantt failed: %v\n%s", err, out)
 	}
 	for _, want := range []string{"terminated=true", "correct=true", "engine: 1 shards (4 requested)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q:\n%s", want, out)
 		}
+	}
+	out, err = dbbsim(t, "-procs", "8", "-size", "801", "-shards", "4", "-membership")
+	if err != nil {
+		t.Fatalf("-shards 4 -membership failed: %v\n%s", err, out)
+	}
+	for _, want := range []string{"terminated=true", "correct=true", "engine: 4 shards,", "heartbeat "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestInstancesWithMembership: -instances runs under -membership too, every
+// instance at its optimum.
+func TestInstancesWithMembership(t *testing.T) {
+	out, err := dbbsim(t, "-procs", "6", "-instances", "3", "-instsize", "12", "-stagger", "2", "-membership", "-shards", "2")
+	if err != nil {
+		t.Fatalf("-instances -membership failed: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "terminated=true") || strings.Contains(out, "false") {
+		t.Errorf("a multi-instance membership run missed an optimum:\n%s", out)
 	}
 }

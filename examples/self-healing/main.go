@@ -1,9 +1,9 @@
 // Self-healing: a TCP cluster rides out a network partition with zero
 // orchestration. The nemesis severs two processes from the other two
 // mid-run and heals the cut later; nobody calls Crash, nobody restarts
-// anything. Each side's failure detector notices the silence (heartbeats
-// piggybacked on gossip, explicit pings only on idle links), suspects and
-// then excludes the unreachable peers — the same §5.2 view shrink a crash
+// anything. Each side's failure detector notices the silence (every message
+// is evidence of life, and heartbeat tables go to a few random peers each
+// heartbeat), suspects and then excludes the unreachable peers — the same §5.2 view shrink a crash
 // produces — and keeps working on what it can reach. When the partition
 // heals, Hello probes cross the mended link, the excluded peers are
 // re-absorbed with a completion-table bootstrap, and the cluster finishes

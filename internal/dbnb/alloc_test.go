@@ -118,3 +118,22 @@ func TestSingleInstanceHandlerIsDeliver(t *testing.T) {
 		t.Error("multi-instance handler bypasses the demultiplexer")
 	}
 }
+
+// TestMembershipPeerViewAllocs: under UseMembership a core's every view read
+// is the member's own slice, with no sort and no copy, and the handler still
+// registered is the context's deliver.
+func TestMembershipPeerViewAllocs(t *testing.T) {
+	k, ref := shardKnapsack()
+	h := newHarness(Config{Procs: 8, Seed: 1, UseMembership: true}, []*spec{{w: problemWorkload(k, ref)}}, false)
+	n := h.nodes[3]
+	if a := testing.AllocsPerRun(1000, func() { _ = n.peerView() }); a != 0 {
+		t.Errorf("peerView under membership: %v allocs, want 0", a)
+	}
+	if v := n.peerView(); len(v) != 7 || &v[0] != &h.agents[3].m.Peers()[0] {
+		t.Errorf("peerView = %v, want the member's own 7-peer view", v)
+	}
+	codePtr := func(f sim.Handler) uintptr { return reflect.ValueOf(f).Pointer() }
+	if codePtr(h.handler(3)) != codePtr(n.deliver) {
+		t.Error("a membership process's handler is not node.deliver")
+	}
+}

@@ -72,7 +72,8 @@ type Instance struct {
 // change is the predetermined-pool analogue: every process's view tracks the
 // scheduled member count as a pure function of virtual time, so runs stay
 // deterministic in (scenario, seed) and invariant in the shard count. With
-// UseMembership joiners run the real §5.2 announce/absorb path.
+// UseMembership a joiner knows process 0, its gossip server: its heartbeats
+// announce it, and the heartbeat gossip spreads it to every view (§5.2).
 type Join struct {
 	Time  float64 // virtual time the processes come up
 	Count int
@@ -96,9 +97,9 @@ type Config struct {
 	// Values below 1 (the zero value included) mean one shard — not one per
 	// CPU, which would make a seeded chaos run depend on the machine — and
 	// values above Procs are clamped. Features whose state cannot be
-	// partitioned run on one shard whatever is asked: UseMembership, a
-	// non-nil Trace, LinkLatency, and latency models without a positive
-	// zero-byte floor. Result.Shards reports the count that ran.
+	// partitioned run on one shard whatever is asked: a non-nil Trace,
+	// LinkLatency, and latency models without a positive zero-byte floor.
+	// Result.Shards reports the count that ran.
 	Shards int
 
 	// Network model. Latency nil means the paper's 1.5 + 0.005·L ms model.
@@ -185,8 +186,11 @@ type Config struct {
 	// 0 means ten retry paces.
 	RecoveryQuiet float64
 
-	// UseMembership runs the gossip membership protocol (§5.2) instead of a
-	// predetermined resource pool; the paper's own simulations use the
+	// UseMembership runs the §5.2 membership and failure detector the live
+	// runtime runs (internal/member) instead of a predetermined resource
+	// pool, at any shard count and in RunInstances: each process's view is
+	// its member's, which excludes peers silent for 10 s and re-absorbs them
+	// on any evidence of life. The paper's own simulations use the
 	// predetermined pool ("we do not include yet the membership protocol").
 	UseMembership bool
 

@@ -2,11 +2,13 @@ package dbnb
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"gossipbnb/internal/btree"
 	"gossipbnb/internal/metrics"
 	"gossipbnb/internal/nemesis"
+	"gossipbnb/internal/protocol"
 )
 
 // Absolute fingerprints for the paths the two golden event-order hashes do
@@ -169,13 +171,51 @@ func TestFingerprintDefaultIsOneShard(t *testing.T) {
 	}
 }
 
-// TestFingerprintMembershipRestart: the §5.2 membership path (one shard
-// always) with a crash-restart and a crash-stop.
+// TestFingerprintMembershipRestart: the §5.2 membership path with a
+// crash-restart and a crash-stop.
 func TestFingerprintMembershipRestart(t *testing.T) {
 	res := Run(btree.Tiny(14), Config{Procs: 5, Seed: 3, RecoveryQuiet: 5, UseMembership: true,
 		Crashes: []Crash{{Time: 2, Node: 3, Restart: 8}, {Time: 3, Node: 4}}})
 	mustTerminate(t, res)
 	checkFingerprint(t, "membership restart", fingerprint(res), fpMembershipRestart)
+}
+
+// TestMembershipShardInvariance: the §5.2 member of each process runs on its
+// owner shard and draws from its own stream, so a membership run is the same
+// at every shard count — failure-free, and through a crash-restart and a
+// crash-stop — to the last count of its fingerprint.
+func TestMembershipShardInvariance(t *testing.T) {
+	// About 150 s of sequential work on 8 processes: the run outlasts the
+	// restart and the crash-stopped process's exclusion.
+	tr := btree.Random(rand.New(rand.NewSource(8)), btree.RandomConfig{
+		Size: 301, Cost: btree.CostModel{Mean: 0.5, Sigma: 0.4}, BoundSpread: 1, FeasibleProb: 0.1,
+	})
+	for _, c := range []struct {
+		name    string
+		crashes []Crash
+	}{
+		{"failure-free", nil},
+		{"crash-restart", []Crash{{Time: 2, Node: 3, Restart: 8}, {Time: 3, Node: 6}}},
+	} {
+		var want string
+		for _, S := range []int{1, 2, 4} {
+			res := Run(tr, Config{Procs: 8, Seed: 5, UseMembership: true, RecoveryQuiet: 5,
+				Shards: S, Crashes: c.crashes})
+			mustTerminate(t, res)
+			if res.Shards != S {
+				t.Fatalf("%s: Shards=%d ran on %d shards", c.name, S, res.Shards)
+			}
+			if res.Net.KindSent[protocol.KindHeartbeat] == 0 {
+				t.Fatalf("%s: no heartbeat was sent", c.name)
+			}
+			got := fingerprint(res)
+			if S == 1 {
+				want = got
+				continue
+			}
+			checkFingerprint(t, fmt.Sprintf("%s at Shards=%d vs 1", c.name, S), got, want)
+		}
+	}
 }
 
 // TestFingerprintMultiStaggered: four staggered instances. Shards 0 is in
@@ -214,7 +254,7 @@ const (
 	fpMeshChaosS1       = "t=10.77427785952513 first=10.77246285952513 exp=659 uniq=301 comp=295 sent=189 bytes=6935 kinds=[0 87 24 41 13 24] per=[140 81 26 118 108 0 69 117]"
 	fpMeshChaosS4       = "t=9.301736335722172 first=9.299921335722171 exp=662 uniq=301 comp=298 sent=181 bytes=6543 kinds=[0 87 20 37 10 27] per=[140 80 26 126 108 0 69 113]"
 	fpDiffMesh          = "t=10.99685835632244 first=10.995043356322439 exp=301 uniq=301 comp=151 sent=334 bytes=9243 kinds=[0 21 0 86 10 76 129 6 6] per=[76 0 98 18 19 16 36 38]"
-	fpMembershipRestart = "t=9.419247320286548 first=9.386978112907453 exp=149 uniq=121 comp=67 sent=82 bytes=2586 kinds=[36 24 7 9 1 5] per=[101 20 0 28 0]"
+	fpMembershipRestart = "t=9.997371096244025 first=9.938841884955918 exp=135 uniq=121 comp=72 sent=180 bytes=4897 kinds=[0 34 12 23 6 12 0 0 0 0 0 0 93] per=[43 0 55 17 20]"
 )
 
 var (

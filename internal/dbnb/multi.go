@@ -85,17 +85,18 @@ type MultiResult struct {
 // concurrently and returns the per-instance measurements. Each instance's
 // optimum is cross-checked against its own sequential solve. Runs are
 // deterministic in (cfg, seed); failure-free runs are invariant in the shard
-// count. Features whose state is inherently single-instance — §5.2
-// membership, tracing, elastic joins, per-link latency — are rejected, and so
-// is a latency model without a positive floor.
+// count. Under UseMembership every process runs one §5.2 member, whose view
+// all its instances share. Features whose state is inherently single-instance
+// — tracing, elastic joins, per-link latency — are rejected, and so is a
+// latency model without a positive floor.
 func RunInstances(cfg Config) MultiResult {
 	if len(cfg.Instances) == 0 {
 		panic("dbnb: RunInstances requires at least one Instance")
 	}
 	cfg = cfg.withDefaults()
-	if cfg.UseMembership || cfg.Trace != nil || len(cfg.Joins) > 0 ||
+	if cfg.Trace != nil || len(cfg.Joins) > 0 ||
 		cfg.LinkLatency != nil || cfg.fireHook != nil || shardLookahead(cfg) <= 0 {
-		panic("dbnb: RunInstances does not support UseMembership, Trace, Joins, LinkLatency, or a latency model without a positive floor")
+		panic("dbnb: RunInstances does not support Trace, Joins, LinkLatency, or a latency model without a positive floor")
 	}
 	// Sequential references first: they are both the OptimumOK cross-check
 	// and the throughput baseline the experiments compare against.

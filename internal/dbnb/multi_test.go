@@ -1,11 +1,13 @@
 package dbnb
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"gossipbnb/internal/bnb"
+	"gossipbnb/internal/protocol"
 )
 
 // fourInstances is the canonical concurrent workload: four staggered
@@ -264,15 +266,45 @@ func TestMultiInstanceTerminationBroadcastIsGrouped(t *testing.T) {
 	}
 }
 
+// TestRunInstancesWithMembership: every process runs one §5.2 member, whose
+// view all its instances share, through a whole-process crash-restart. Each
+// instance still terminates at its own optimum, and the run is the same at
+// one shard and at four.
+func TestRunInstancesWithMembership(t *testing.T) {
+	var want []string
+	for _, S := range []int{1, 4} {
+		res := RunInstances(Config{Procs: 8, Seed: 13, Prune: true, Select: DepthFirst, Shards: S,
+			UseMembership: true, Instances: fourInstances(),
+			Crashes: []Crash{{Time: 3, Node: 5, Restart: 9}}})
+		if !res.Terminated || res.Shards != S {
+			t.Fatalf("Shards=%d: terminated=%v on %d shards", S, res.Terminated, res.Shards)
+		}
+		for _, ir := range res.Instances {
+			if !ir.OptimumOK {
+				t.Errorf("Shards=%d: instance %d optimum %g, want %g", S, ir.ID, ir.Optimum, ir.SeqOptimum)
+			}
+		}
+		if res.Net.KindSent[protocol.KindHeartbeat] == 0 {
+			t.Fatalf("Shards=%d: no heartbeat was sent", S)
+		}
+		got := multiFingerprint(res)
+		if S == 1 {
+			want = got
+			continue
+		}
+		checkMultiFingerprint(t, fmt.Sprintf("membership Shards=%d vs 1", S), got, want)
+	}
+}
+
 func TestRunInstancesRejectsUnsupported(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("RunInstances accepted UseMembership")
+			t.Fatal("RunInstances accepted Joins")
 		}
 	}()
 	RunInstances(Config{
-		Procs:         4,
-		UseMembership: true,
-		Instances:     fourInstances()[:1],
+		Procs:     4,
+		Joins:     []Join{{Time: 1, Count: 1}},
+		Instances: fourInstances()[:1],
 	})
 }

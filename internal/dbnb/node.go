@@ -144,6 +144,7 @@ const (
 	evExpandDone
 	evDrainDone
 	evRecoverDone
+	evBeat // the process's heartbeat round (harness.beat)
 )
 
 // event is the kernel argument of n's event of the given kind.
@@ -164,6 +165,8 @@ func (h *harness) fire(a int) {
 		n.tick()
 	case evActivate:
 		n.activate()
+	case evBeat:
+		h.beat(n.id)
 	default:
 		if gen != n.incarn {
 			return // the node was reborn; this busy period died with its incarnation
@@ -333,12 +336,13 @@ func (n *node) Root() protocol.Item { return n.expander().Root() }
 
 func (n *node) Outcome(it protocol.Item) protocol.Outcome { return n.expander().Outcome(it) }
 
-// peerView adapts the harness's membership view to protocol identifiers. The
-// core reads the returned slice without retaining or mutating it, so the
-// predetermined-pool view is cached: a window of the shared ring assigned at
-// construction, or an epoch-built list where there is no ring.
+// peerView is the process's view: its member's under UseMembership, else
+// the predetermined pool. The core reads the returned slice without retaining
+// or mutating it, so neither is copied: the member's is its own, and the
+// pool's is cached — a window of the shared ring assigned at construction, or
+// an epoch-built list where there is no ring.
 func (n *node) peerView() []protocol.NodeID {
-	if !n.h.cfg.UseMembership {
+	if n.h.agents == nil {
 		if n.h.ring == nil {
 			// The view is every process scheduled to exist at this node's
 			// current clock. The cache is rebuilt only when the clock crosses
@@ -356,12 +360,7 @@ func (n *node) peerView() []protocol.NodeID {
 		}
 		return n.peersCache
 	}
-	peers := n.h.view(n.id)
-	out := make([]protocol.NodeID, len(peers))
-	for i, p := range peers {
-		out[i] = protocol.NodeID(p)
-	}
-	return out
+	return n.h.agents[n.id].m.Peers()
 }
 
 // --- the main loop ----------------------------------------------------------
@@ -528,7 +527,7 @@ func (n *node) deliver(from sim.NodeID, msg sim.Message) {
 		return
 	}
 	pm, ok := msg.(protocol.Msg)
-	if !ok {
+	if !ok || n.h.agents != nil && n.h.hear(n.id, from, pm) {
 		return
 	}
 	if n.done {
@@ -679,10 +678,8 @@ func (n *node) onTerminated() {
 	n.endIdle()
 	n.timer.Cancel()
 	n.record().noteTermination(n.detectedAt)
-	if n.h.cfg.UseMembership {
-		// Leave the group so membership heartbeats quiesce; peers time the
-		// process out exactly as they would a failed one (§5.2).
-		n.h.members[n.id].Leave()
+	if n.h.agents != nil {
+		n.h.settle(n.id)
 	}
 	if n.mux != nil {
 		// A finished instance leaves the process's routing table: the
@@ -727,6 +724,9 @@ func (n *node) crash() {
 	n.crashedAt = n.k.Now()
 	n.inbox = nil
 	n.timer.Cancel()
+	if n.h.agents != nil {
+		n.h.settle(n.id)
+	}
 }
 
 // counters is the protocol event tallies of every incarnation so far: the
@@ -767,11 +767,8 @@ func (n *node) restart() {
 			e.Core = n.core
 		}
 	}
-	if n.h.cfg.UseMembership {
-		// Rejoin the group through the §5.2 membership path: a brand-new
-		// member announces itself to the gossip servers and rebuilds its
-		// view from their gossip, exactly like a first join.
-		n.h.rejoinMember(n.id)
+	if n.h.agents != nil {
+		n.h.settle(n.id) // rejoins the group if the process had left it
 	}
 	// Stagger the fresh core's periodic chains like at boot and resume the
 	// main loop.

@@ -136,13 +136,18 @@ type harness struct {
 	// muxes routes each process's inbound traffic by instance in
 	// multi-instance runs; nil in single-problem ones, whose processes
 	// register their one context's deliver directly.
-	muxes   []*instance.Mux
-	members []*member.Member
+	muxes []*instance.Mux
+	// agents holds each process's §5.2 membership under UseMembership, nil
+	// otherwise.
+	agents []agent
 	// ghost, if non-nil, is shown every expansion noteExpansion books, before
 	// it is booked. Test-only (redundancy_test.go sets it on a harness it
 	// builds itself, one shard): the ledger that says why an expansion was
 	// redundant needs the moment it happened, not the end-of-run totals.
 	ghost func(n *node, c code.Code)
+	// onDetect, if non-nil, is shown every membership transition: observer,
+	// peer, kind. Test-only, like ghost (heal_test.go).
+	onDetect func(obs sim.NodeID, peer protocol.NodeID, t member.Transition)
 	// fireFn is fire bound once: the callback of every node event of the
 	// run (node.event).
 	fireFn func(int)
@@ -159,10 +164,82 @@ func (h *harness) contexts(i int) []*node {
 	return h.nodes[i*k : (i+1)*k]
 }
 
-// view returns the members a process may contact under the membership
-// protocol (§5.2).
-func (h *harness) view(self sim.NodeID) []sim.NodeID {
-	return h.members[self].Peers()
+// agent is one process's §5.2 membership under UseMembership: its member
+// and the timer of its heartbeat rounds. Membership costs no modeled CPU:
+// the paper's time split leaves it out.
+type agent struct {
+	m     *member.Member
+	timer sim.Event
+}
+
+// startMember brings process id's member up on the process's owner shard,
+// drawing from its first context's stream, knowing the given members: the
+// boot pool for a boot process, as in a live node; the previous incarnation's
+// view for a restarted one, a machine's identity; the gossip server, process
+// 0, for a joiner, whose heartbeats to it announce it to the group.
+func (h *harness) startMember(id sim.NodeID, known []protocol.NodeID) {
+	n, a := h.contexts(int(id))[0], &h.agents[id]
+	nw := n.sh.nw
+	a.m = member.New(protocol.NodeID(id), member.DefaultConfig(), member.Deps{
+		Send: func(to protocol.NodeID, m protocol.Msg) { nw.Send(id, sim.NodeID(to), m) },
+		Rand: n.rng.Intn,
+		On: func(p protocol.NodeID, t member.Transition) {
+			if h.onDetect != nil {
+				h.onDetect(id, p, t)
+			}
+		},
+	}, n.k.Now())
+	for _, p := range known {
+		a.m.Learn(p, n.k.Now())
+	}
+	h.beat(id)
+}
+
+// beat runs process id's heartbeat round if it is due and sets the timer for
+// the next one.
+func (h *harness) beat(id sim.NodeID) {
+	a, k := &h.agents[id], h.shardOf(int(id)).k
+	if next := a.m.Tick(k.Now()); !math.IsInf(next, 1) {
+		// The event is addressed to the process's first context (node.event).
+		a.timer = k.AtSeqArg(next, k.Reserve(), h.fireFn, evBeat<<32|int(id)*len(h.specs))
+	}
+}
+
+// hear shows process id's member an envelope from `from` and reports whether
+// it was the member's own: every delivered envelope is direct evidence its
+// sender is alive, a heartbeat table is gossip, and a Hello is an excluded
+// member's probe, evidence only. Merging commutes — counters only grow, the
+// view is kept sorted — so a batch of same-instant arrivals needs no
+// canonical order for the view to be the same at every shard count.
+func (h *harness) hear(id, from sim.NodeID, msg protocol.Msg) bool {
+	m, now := h.agents[id].m, h.shardOf(int(id)).k.Now()
+	m.Heard(protocol.NodeID(from), now)
+	switch t := msg.(type) {
+	case protocol.Heartbeat:
+		m.Gossip(t, now)
+	case protocol.Hello:
+	default:
+		return false
+	}
+	return true
+}
+
+// settle retires process id's member once the process has nothing left to
+// run — every context terminated or crashed — so its heartbeats quiesce and
+// peers time it out as they would a failed one (§5.2). A context that comes
+// back (restart) starts a fresh member knowing its predecessor's view.
+func (h *harness) settle(id sim.NodeID) {
+	a := &h.agents[id]
+	for _, n := range h.contexts(int(id)) {
+		if n != nil && !n.done && !n.crashed {
+			if !a.m.Alive() {
+				h.startMember(id, a.m.Peers())
+			}
+			return
+		}
+	}
+	a.m.Leave()
+	a.timer.Cancel()
 }
 
 // memberCountAt is the predetermined-pool membership function: how many
@@ -184,37 +261,28 @@ func (h *harness) memberCountAt(t float64) int {
 
 // handler returns process id's network handler. A single-instance process
 // gets its context's own deliver, with nothing between the network and that
-// method's first branch: every delivery of a run goes through it.
-// Under §5.2 membership its traffic is peeled off first; the member is
-// looked up per delivery, not captured: a restart replaces it with a
-// brand-new one rejoining the group. Only a multi-instance process pays for
-// the demultiplexer.
+// method's first branch: every delivery of a run goes through it. Only a
+// multi-instance process pays for the demultiplexer.
 func (h *harness) handler(id sim.NodeID) sim.Handler {
 	if h.muxes != nil {
 		return h.demux(id)
 	}
-	n := h.nodes[id]
-	if !h.cfg.UseMembership {
-		return n.deliver
-	}
-	return func(from sim.NodeID, msg sim.Message) {
-		if member.IsProtocolMessage(msg) {
-			h.members[id].Deliver(from, msg)
-			return
-		}
-		n.deliver(from, msg)
-	}
+	return h.nodes[id].deliver
 }
 
 // demux is a multi-instance process's handler: route by instance, deliver to
 // the owning context, and answer straggler work requests for reaped
 // instances from the tombstone — a root report carrying the final incumbent,
-// which terminates the requester's instance too.
+// which terminates the requester's instance too. The untagged membership
+// messages are the process's own.
 func (h *harness) demux(id sim.NodeID) sim.Handler {
 	mux, nw := h.muxes[id], h.shardOf(int(id)).nw
 	return func(from sim.NodeID, msg sim.Message) {
 		im, ok := msg.(protocol.InstMsg)
 		if !ok {
+			if pm, ok := msg.(protocol.Msg); ok && h.agents != nil {
+				h.hear(id, from, pm)
+			}
 			return
 		}
 		switch e, v := mux.Route(im.Instance); v {
@@ -228,14 +296,6 @@ func (h *harness) demux(id sim.NodeID) sim.Handler {
 			}
 		}
 	}
-}
-
-// addMember starts process id's §5.2 membership agent on the one shard a
-// membership run has; the caller joins it once the process's handler is
-// registered.
-func (h *harness) addMember(id sim.NodeID) {
-	sh := h.shards[0]
-	h.members[id] = member.New(sh.k, sh.nw, id, []sim.NodeID{0}, member.DefaultConfig())
 }
 
 // spawnJoiner brings one scheduled joiner up mid-run: a brand-new process
@@ -252,12 +312,9 @@ func (h *harness) spawnJoiner(id int) {
 	nid := sim.NodeID(id)
 	n := newNode(nid, h, h.specs[0])
 	h.nodes[id] = n
-	if h.cfg.UseMembership {
-		h.addMember(nid)
-	}
 	n.sh.nw.Register(nid, h.handler(nid))
-	if h.cfg.UseMembership {
-		h.members[id].Join()
+	if h.agents != nil {
+		h.startMember(nid, []protocol.NodeID{0})
 	}
 	n.started = true
 	n.core.NoteRemoteActivity(0)
@@ -272,19 +329,6 @@ func (h *harness) spawnJoiner(id int) {
 	n.core.Bootstrap(boot)
 	n.arm()
 	n.loop()
-}
-
-// rejoinMember replaces a restarted process's membership agent with a fresh
-// one that rejoins through the gossip servers (§5.2): the old view died with
-// the old incarnation, and peers that timed the process out re-admit it on
-// its new join announcement.
-func (h *harness) rejoinMember(id sim.NodeID) {
-	// Retire the dead incarnation's agent explicitly: its gossip round may
-	// not have ticked inside the crash window, and an undead agent would
-	// keep gossiping its stale view under the same identity.
-	h.members[id].Leave()
-	h.addMember(id)
-	h.members[id].Join()
 }
 
 // Run simulates the algorithm of §5 replaying the given basic tree and
@@ -389,10 +433,10 @@ func shardLookahead(cfg Config) float64 {
 
 // shardCount resolves how many shards a run actually uses: Shards clamped to
 // [1, Procs], and one for the features whose state cannot be partitioned —
-// membership, tracing, the test hooks, per-link latency, a latency model with
-// no positive floor.
+// tracing, the event-order hook, per-link latency, a latency model with no
+// positive floor.
 func shardCount(cfg Config) int {
-	if cfg.UseMembership || cfg.Trace != nil || cfg.fireHook != nil ||
+	if cfg.Trace != nil || cfg.fireHook != nil ||
 		cfg.LinkLatency != nil || shardLookahead(cfg) <= 0 {
 		return 1
 	}
@@ -468,8 +512,12 @@ func newHarness(cfg Config, specs []*spec, tagged bool) *harness {
 	}
 
 	h.nodes = make([]*node, h.total*len(specs))
+	var pool []protocol.NodeID // every boot process: a boot member's view
 	if cfg.UseMembership {
-		h.members = make([]*member.Member, h.total)
+		h.agents = make([]agent, h.total)
+		for i := 0; i < cfg.Procs; i++ {
+			pool = append(pool, protocol.NodeID(i))
+		}
 	}
 	if tagged {
 		h.muxes = make([]*instance.Mux, cfg.Procs)
@@ -483,12 +531,9 @@ func newHarness(cfg Config, specs []*spec, tagged bool) *harness {
 		for _, sp := range specs {
 			ctxs[sp.idx] = newNode(id, h, sp)
 		}
-		if cfg.UseMembership {
-			h.addMember(id)
-		}
 		h.shardOf(i).nw.Register(id, h.handler(id))
 		if cfg.UseMembership {
-			h.members[i].Join()
+			h.startMember(id, pool)
 		}
 	}
 

@@ -159,7 +159,7 @@ func TestShardClamp(t *testing.T) {
 		{"above Procs", Config{Procs: 4, Shards: 64}, 4},
 		{"default", Config{Procs: 8}, 1},
 		{"negative", Config{Procs: 8, Shards: -3}, 1},
-		{"UseMembership", Config{Procs: 8, Shards: 4, UseMembership: true}, 1},
+		{"UseMembership", Config{Procs: 8, Shards: 4, UseMembership: true}, 4},
 		{"Trace", Config{Procs: 8, Shards: 4, Trace: &trace.Log{}}, 1},
 		{"LinkLatency", Config{Procs: 8, Shards: 4, LinkLatency: func(from, to, bytes int) float64 {
 			return base(bytes) + 0.001*float64((from+to)%3)

@@ -4,13 +4,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"gossipbnb/internal/bnb"
 	"gossipbnb/internal/btree"
+	"gossipbnb/internal/member"
 	"gossipbnb/internal/metrics"
 	"gossipbnb/internal/nemesis"
 	"gossipbnb/internal/protocol"
+	"gossipbnb/internal/sim"
 )
 
 // rootReports counts the root reports a run sent: the Report messages on the
@@ -126,15 +129,18 @@ func TestTerminationSurvivesLossAndCrashes(t *testing.T) {
 }
 
 // TestTerminationBroadcastFollowsMembershipView: under §5.2 membership a
-// context's view is what gossip made it, not the static ring. Two processes
-// crash early and every survivor times them out; from then on no message —
-// the detector's root-report broadcast included — may be addressed to them.
-// The ring-range fast path would write to the Procs − 3 ring positions after
-// the detector, whoever lives there, and at most one window of that length
-// misses both dead processes: not the first detector's, or the seed would
-// have to change.
+// context's view is what its detector made it, not the static ring. Two
+// processes crash early and every survivor excludes them; from then on no
+// message — the detector's root-report broadcast included — may be addressed
+// to them, except the detector's own slow Hello probes of the members it
+// excluded. The ring-range fast path would write to the Procs − 3 ring
+// positions after the detector, whoever lives there, and at most one window
+// of that length misses both dead processes: not the first detector's, or
+// the seed would have to change.
 func TestTerminationBroadcastFollowsMembershipView(t *testing.T) {
-	const procs, settled = 8, 25.0
+	// Heartbeat rounds, and with them the probes, fire on whole seconds and
+	// land within milliseconds: halfway between two, none is in flight.
+	const procs, settled = 8, 25.5
 	tree := btree.Random(rand.New(rand.NewSource(3)), btree.RandomConfig{
 		Size:         1201,
 		Cost:         btree.CostModel{Mean: 0.2, Sigma: 0.4},
@@ -145,8 +151,14 @@ func TestTerminationBroadcastFollowsMembershipView(t *testing.T) {
 		Procs: procs, Seed: 3, Shards: 4, UseMembership: true, RecoveryQuiet: 5,
 		Crashes: []Crash{{Time: 1, Node: 2}, {Time: 1, Node: 5}},
 	}, []*spec{{w: treeWorkload(tree)}}, false)
+	var falseExclusions atomic.Int64 // the shards run in parallel
+	h.onDetect = func(_ sim.NodeID, peer protocol.NodeID, k member.Transition) {
+		if k == member.Excluded && peer != 2 && peer != 5 {
+			falseExclusions.Add(1)
+		}
+	}
 
-	// FailTimeout is 10 s from the last heartbeat progress a member hears of,
+	// ExcludeAfter is 10 s from the last evidence a member has of a peer,
 	// and the victims' last heartbeats are themselves still spreading when
 	// they die: by now every live view is the six survivors.
 	h.mesh.Run(settled)
@@ -157,20 +169,26 @@ func TestTerminationBroadcastFollowsMembershipView(t *testing.T) {
 		if n.done {
 			t.Fatalf("process %d terminated before the views settled; the scenario pins nothing", n.id)
 		}
-		if v := h.view(n.id); len(v) != procs-3 {
+		if v := h.agents[n.id].m.Peers(); len(v) != procs-3 {
 			t.Fatalf("process %d's view at t = %v is %v, want the %d other survivors", n.id, settled, v, procs-3)
 		}
 	}
-	toDead := h.mesh.Stats().ToDead
+	before := h.mesh.Stats()
 
 	res := h.run()
 	if !res.Terminated || !res.Instances[0].OptimumOK {
 		t.Fatalf("terminated=%v optimumOK=%v", res.Terminated, res.Instances[0].OptimumOK)
 	}
-	if res.Shards != 1 {
-		t.Errorf("membership run used %d shards, want 1", res.Shards)
+	if res.Shards != 4 {
+		t.Errorf("membership run used %d shards, want 4", res.Shards)
 	}
-	if got := res.Net.ToDead - toDead; got != 0 {
-		t.Errorf("%d messages addressed to processes no view contains", got)
+	if n := falseExclusions.Load(); n != 0 {
+		t.Fatalf("%d exclusions of live processes: their probes would go to live ones", n)
+	}
+	// With no live process excluded and nobody joining, every Hello sent
+	// after the views settled is a probe of a dead process.
+	probes := res.Net.KindSent[protocol.KindHello] - before.KindSent[protocol.KindHello]
+	if got := res.Net.ToDead - before.ToDead; got != probes {
+		t.Errorf("%d messages addressed to processes no view contains, %d of them probes", got, probes)
 	}
 }

@@ -3,11 +3,13 @@ package exp
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"gossipbnb/internal/central"
 	"gossipbnb/internal/dbnb"
 	"gossipbnb/internal/dib"
 	"gossipbnb/internal/member"
+	"gossipbnb/internal/protocol"
 	"gossipbnb/internal/sim"
 )
 
@@ -136,36 +138,52 @@ type MemberRow struct {
 	DetectSecs float64 // mean crash-detection latency
 }
 
-// Membership measures the §5.2 protocol standalone: per-member network load
-// as the group grows, and failure-detection latency.
+// Membership measures the §5.2 detector standalone — the one both runtimes
+// run — over the simulated network: per-member network load as the group
+// grows, and how long after a crash its peers exclude it. Every member boots
+// knowing the group, as in both runtimes, so the load is the heartbeat
+// gossip alone.
 func Membership(seed int64) []MemberRow {
 	var out []MemberRow
 	for _, n := range []int{8, 16, 32, 64} {
 		k := sim.New(seed)
 		nw := sim.NewNetwork(k, sim.PaperLatency())
-		cfg := member.Config{GossipInterval: 1, Fanout: 2, FailTimeout: 8}
-		ms := make([]*member.Member, n)
+		cfg := member.Config{SuspectAfter: 3, ExcludeAfter: 8, Fanout: 2}
+		victim := sim.NodeID(n - 1)
+		crashAt := math.Inf(1)
+		var detected []float64
 		for i := 0; i < n; i++ {
 			id := sim.NodeID(i)
-			ms[i] = member.New(k, nw, id, []sim.NodeID{0}, cfg)
-			m := ms[i]
-			nw.Register(id, func(from sim.NodeID, msg sim.Message) { m.Deliver(from, msg) })
-			m.Join()
+			m := member.New(protocol.NodeID(id), cfg, member.Deps{
+				Send: func(to protocol.NodeID, msg protocol.Msg) { nw.Send(id, sim.NodeID(to), msg) },
+				Rand: k.Rand().Intn,
+				On: func(p protocol.NodeID, t member.Transition) {
+					if sim.NodeID(p) == victim && t == member.Excluded {
+						detected = append(detected, k.Now()-crashAt)
+					}
+				},
+			}, 0)
+			for p := 0; p < n; p++ {
+				m.Learn(protocol.NodeID(p), 0)
+			}
+			nw.Register(id, func(from sim.NodeID, msg sim.Message) {
+				m.Heard(protocol.NodeID(from), k.Now())
+				if hb, ok := msg.(protocol.Heartbeat); ok {
+					m.Gossip(hb, k.Now())
+				}
+			})
+			var round func()
+			round = func() {
+				if !nw.Crashed(id) {
+					k.At(m.Tick(k.Now()), round)
+				}
+			}
+			round()
 		}
 		k.Run(60)
 		// Crash the highest-numbered member; measure mean detection latency.
-		victim := sim.NodeID(n - 1)
-		crashAt := k.Now()
+		crashAt = k.Now()
 		nw.Crash(victim)
-		detected := make([]float64, 0, n-1)
-		for i := 0; i < n-1; i++ {
-			m := ms[i]
-			m.OnLeave = func(id sim.NodeID) {
-				if id == victim {
-					detected = append(detected, k.Now()-crashAt)
-				}
-			}
-		}
 		k.Run(crashAt + 120)
 		row := MemberRow{Members: n}
 		row.MsgsPerSec = float64(nw.Stats().Sent) / k.Now() / float64(n)

@@ -205,6 +205,14 @@ func TestMembershipShape(t *testing.T) {
 		t.Errorf("per-member load grew with group size: %.2f -> %.2f",
 			first.MsgsPerSec, last.MsgsPerSec)
 	}
+	// The caption's claim: flat within 10 % from 8 to 64 members.
+	lo, hi := first.MsgsPerSec, first.MsgsPerSec
+	for _, r := range rows {
+		lo, hi = min(lo, r.MsgsPerSec), max(hi, r.MsgsPerSec)
+	}
+	if hi > 1.1*lo {
+		t.Errorf("per-member load spans %.2f to %.2f msgs/s, more than the 10 %% the caption allows", lo, hi)
+	}
 	for _, r := range rows {
 		if r.DetectSecs <= 0 {
 			t.Errorf("no failure detection at %d members", r.Members)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"gossipbnb/internal/member"
 	"gossipbnb/internal/nemesis"
 	"gossipbnb/internal/protocol"
 )
@@ -96,6 +97,34 @@ func TestIdleNodeKeepsItsHeartbeats(t *testing.T) {
 	}
 }
 
+// TestHeartbeatLoadPerMember: the detector's load per member does not grow
+// with the cluster (§5.2, and member.txt's caption). An 8-node in-memory
+// cluster with the detector on solves a small tree and lingers idle after
+// termination; over the whole run no node sends more than Fanout heartbeat
+// messages per heartbeat period. A detector that pings every idle peer each
+// period sends about n − 1 = 7 per node.
+func TestHeartbeatLoadPerMember(t *testing.T) {
+	const nodes = 8
+	const suspect = 30 * time.Millisecond
+	cl := NewCluster(liveTree(46, 101), Config{
+		Nodes: nodes, Seed: 46, TimeScale: 0.0005,
+		SuspectAfter: suspect,
+		Linger:       600 * time.Millisecond,
+		Timeout:      60 * time.Second,
+	})
+	res := cl.Run()
+	if !res.Terminated || !res.OptimumOK {
+		t.Fatalf("run failed: %+v", res)
+	}
+	periods := res.Elapsed.Seconds()/(suspect.Seconds()/3) + 1
+	bound := float64(nodes*member.DefaultConfig().Fanout) * periods
+	beats := res.Net.KindSent[protocol.KindHeartbeat] + res.Net.KindSent[protocol.KindPing]
+	if float64(beats) > bound {
+		t.Errorf("%d heartbeat messages in %.0f periods of %d nodes: %.1f per node per period, over the fanout bound %d",
+			beats, periods, nodes, float64(beats)/periods/nodes, member.DefaultConfig().Fanout)
+	}
+}
+
 // TestHealUnstalledNodeReabsorbedTCP un-stalls the node before the run ends:
 // the exclusion must be revoked through the Hello/Welcome re-announcement
 // path, the node re-absorbed with a table bootstrap, and every view whole
@@ -165,10 +194,10 @@ func TestHealAsymmetricPartition(t *testing.T) {
 		}
 		return false
 	}
-	if !saw(Suspected, 0) {
+	if !saw(member.Suspected, 0) {
 		t.Error("unheard node 0 never suspected")
 	}
-	if !saw(Cleared, 0) && !saw(Reabsorbed, 0) {
+	if !saw(member.Cleared, 0) && !saw(member.Reabsorbed, 0) {
 		t.Error("suspicion of node 0 never revoked after the heal")
 	}
 	wantFullView(t, cl, 3)

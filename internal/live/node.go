@@ -14,6 +14,7 @@ import (
 	"gossipbnb/internal/btree"
 	"gossipbnb/internal/ctree"
 	"gossipbnb/internal/instance"
+	"gossipbnb/internal/member"
 	"gossipbnb/internal/nemesis"
 	"gossipbnb/internal/protocol"
 )
@@ -47,11 +48,13 @@ type Config struct {
 	// the run closes within one completion-check tick of the last instance
 	// resolving. A submission during the window resets it.
 	Linger time.Duration
-	// SuspectAfter enables the failure detector: a peer silent this long is
-	// suspected, and a link idle for a third of it gets a Ping heartbeat
-	// (busy links never ping — every received envelope is already evidence
-	// of life). Zero disables detection entirely — no per-peer tracking, no
-	// heartbeats, no pings — keeping the failure-free path unchanged.
+	// SuspectAfter enables the failure detector, the §5.2 membership of
+	// internal/member: a peer silent this long — no envelope from it, no
+	// progress of its heartbeat — is suspected. Every third of it a node
+	// sends its heartbeat table to a constant fanout of random view members,
+	// and every received envelope is already evidence of life. Zero disables
+	// detection entirely — no per-peer tracking, no heartbeats — keeping the
+	// failure-free path unchanged.
 	SuspectAfter time.Duration
 	// ExcludeAfter is the silence after which a suspect is excluded from the
 	// local view (defaults to 4×SuspectAfter, never below SuspectAfter).
@@ -87,13 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 30 * time.Second
-	}
-	if c.SuspectAfter > 0 {
-		if c.ExcludeAfter <= 0 {
-			c.ExcludeAfter = 4 * c.SuspectAfter
-		} else if c.ExcludeAfter < c.SuspectAfter {
-			c.ExcludeAfter = c.SuspectAfter
-		}
 	}
 	return c
 }
@@ -164,12 +160,6 @@ type liveNode struct {
 	// incarnation state.
 	view   atomic.Pointer[[]protocol.NodeID]
 	viewMu sync.Mutex
-
-	// Failure-detector tallies, summed across incarnations — a restart wipes
-	// the detector's state but not what it observed.
-	detSuspicions atomic.Int64
-	detExclusions atomic.Int64
-	detReabsorbed atomic.Int64
 }
 
 // incarnation is one boot of a liveNode: everything a crash wipes. The §5
@@ -183,7 +173,7 @@ type incarnation struct {
 	inbox <-chan Envelope
 	mux   *instance.Mux
 	// boot is instance 0's core, kept past its reaping: the membership
-	// messages (Hello, Welcome, Ping) travel untagged and carry its
+	// messages (Hello, Welcome, Heartbeat) travel untagged and carry its
 	// incumbent and activity age. nil when this incarnation never opened
 	// it — the boot problem had resolved, or this node had detected it
 	// before a crash.
@@ -197,8 +187,8 @@ type incarnation struct {
 	sinceYield int // expansions since run last yielded its processor
 
 	// rng is the incarnation's one random stream, seeded from (Seed, node
-	// id, generation): every hosted core and the detector's probe jitter
-	// draw from it, on this goroutine only.
+	// id, generation): every hosted core and the detector draw from it, on
+	// this goroutine only.
 	rng *rand.Rand
 
 	// contacts is non-nil on a joiner's first incarnation: the members it
@@ -209,8 +199,10 @@ type incarnation struct {
 	welcomed bool
 
 	// det is the incarnation's failure detector; nil when SuspectAfter is
-	// zero. Confined to this incarnation's goroutine.
-	det *detector
+	// zero. Confined to this incarnation's goroutine. rejoin marks the peers
+	// it re-absorbed whose next Welcome bootstraps the table (onDetect).
+	det    *member.Member
+	rejoin map[NodeID]bool
 
 	// helloAt and tickAt are the deadlines of the incarnation's own duties,
 	// in clock seconds: a joiner's next Hello and the detector's next tick.
@@ -250,6 +242,10 @@ type Cluster struct {
 	instMu    sync.Mutex
 	specs     []*instSpec
 	instEpoch atomic.Int64
+
+	// detected tallies every node's detector transitions by kind, across
+	// incarnations: a restart wipes a detector, not what it observed.
+	detected [member.Reabsorbed + 1]atomic.Int64
 }
 
 // liveClock is the cluster's shared protocol clock: wall-clock seconds
@@ -262,8 +258,7 @@ func (c liveClock) Now() float64 { return time.Since(c.start).Seconds() }
 // instSender transmits one instance's canonical messages over the cluster
 // transport, tagging them with the instance ID. Instance 0 — the boot
 // problem — stays untagged, so a never-multiplexed cluster speaks the exact
-// legacy wire format. Sends refresh the failure detector's per-link clock,
-// so heartbeats only fill links the protocol leaves idle.
+// legacy wire format.
 type instSender struct {
 	inc *incarnation
 	id  protocol.InstanceID
@@ -281,7 +276,6 @@ func (s *instSender) Send(to protocol.NodeID, m protocol.Msg) {
 	if s.id != 0 {
 		m = protocol.InstMsg{Instance: s.id, Msg: m}
 	}
-	s.inc.det.noteSent(NodeID(to))
 	n := s.inc.n
 	n.cl.tr.Send(n.id, NodeID(to), m)
 }
@@ -393,6 +387,7 @@ func (cl *Cluster) newIncarnation(n *liveNode, gen int64, inbox <-chan Envelope,
 		inc.helloAt = 0 // due at the first loop turn
 	}
 	if cl.cfg.SuspectAfter > 0 {
+		inc.rejoin = map[NodeID]bool{}
 		inc.det, inc.tickAt = newDetector(inc), 0
 	}
 	inc.syncInstances()
@@ -601,11 +596,9 @@ loop:
 	res.Net = cl.tr.NetStats()
 	res.MsgsSent, res.BytesSent = res.Net.Sent, res.Net.Bytes
 	res.Kinds = KindStats{Sent: res.Net.KindSent, Bytes: res.Net.KindBytes}
-	for _, n := range cl.nodes {
-		res.Suspicions += n.detSuspicions.Load()
-		res.Exclusions += n.detExclusions.Load()
-		res.Reabsorbed += n.detReabsorbed.Load()
-	}
+	res.Suspicions = cl.detected[member.Suspected].Load()
+	res.Exclusions = cl.detected[member.Excluded].Load()
+	res.Reabsorbed = cl.detected[member.Reabsorbed].Load()
 	return res
 }
 
@@ -751,7 +744,7 @@ func (inc *incarnation) runDue() {
 		inc.announce(now)
 	}
 	if now >= inc.tickAt {
-		inc.tickAt = inc.det.tick(now)
+		inc.tickAt = inc.det.Tick(now)
 	}
 }
 
@@ -784,8 +777,8 @@ func (inc *incarnation) wait(idle bool) {
 
 // handle demultiplexes one delivered message to its instance's core. The
 // membership handshake (Hello/Welcome) is driver business — views live in
-// the driver, exactly as in the simulator — so those two kinds are
-// intercepted before any core.
+// the driver — so those two kinds are intercepted before any core, and a
+// heartbeat table goes to the detector first.
 // Untagged messages are the boot problem's (instance 0), tagged ones carry
 // their instance; either way they route through the mux, with reaped
 // instances answered from their tombstone and unknown ones triggering a
@@ -795,16 +788,24 @@ func (inc *incarnation) handle(env Envelope) {
 	// Every delivered envelope is evidence its sender is alive — the
 	// piggybacked heartbeat. This must precede routing: a suspect's work
 	// request clears the suspicion before the core decides how to answer.
-	inc.det.heard(env.From)
-	switch m := env.Msg.(type) {
+	if inc.det != nil {
+		inc.det.Heard(protocol.NodeID(env.From), inc.n.cl.clock.Now())
+	}
+	pm, ok := env.Msg.(protocol.Msg)
+	switch m := pm.(type) {
 	case protocol.Hello:
 		inc.onHello(env.From, m)
 		return
 	case protocol.Welcome:
 		inc.onWelcome(env.From, m)
 		return
+	case protocol.Heartbeat:
+		if inc.det != nil {
+			inc.det.Gossip(m, inc.n.cl.clock.Now())
+		}
+		// Its scalars reach the boot core as an explicit heartbeat's would.
+		pm = protocol.Ping{Incumbent: m.Incumbent, ActAge: m.ActAge}
 	}
-	pm, ok := env.Msg.(protocol.Msg)
 	if !ok {
 		return
 	}
@@ -868,13 +869,16 @@ func (inc *incarnation) bootScalars() (incumbent, actAge float64) {
 // joiner was news — forward the hello to the rest of the view, flooding the
 // join through the cluster from a single contact. Views reached at different
 // times stay inconsistent for a while; that is safe, as the resource pool
-// only steers randomized work exchange (see the Chandra et al. note in
-// member.go).
+// only steers randomized work exchange (see the package comment of
+// internal/member). The detector learns every member the view does.
 func (inc *incarnation) onHello(from NodeID, h protocol.Hello) {
 	n := inc.n
 	cl := n.cl
 	cl.tr.Learn(NodeID(h.ID), h.Addr)
 	fresh := n.learnPeer(h.ID)
+	if inc.det != nil {
+		inc.det.Learn(h.ID, cl.clock.Now())
+	}
 	view := n.peers()
 	peers := make([]protocol.Peer, 0, len(view)+1)
 	peers = append(peers, protocol.Peer{ID: protocol.NodeID(n.id), Addr: cl.tr.AddrOf(n.id)})
@@ -907,6 +911,9 @@ func (inc *incarnation) onWelcome(from NodeID, w protocol.Welcome) {
 	for _, p := range w.Peers {
 		n.cl.tr.Learn(NodeID(p.ID), p.Addr)
 		n.learnPeer(p.ID)
+		if inc.det != nil {
+			inc.det.Learn(p.ID, n.cl.clock.Now())
+		}
 	}
 	inc.helloAt = math.Inf(1) // somebody answered: the announcing is over
 	c := inc.boot
@@ -919,7 +926,8 @@ func (inc *incarnation) onWelcome(from NodeID, w protocol.Welcome) {
 	// probe after a severed link: both sides completed work the other never
 	// heard about, so pull the Full-root subtree to catch up — the same
 	// bootstrap a brand-new joiner does.
-	if !inc.welcomed || c.Table().Len() == 0 || inc.det.rejoining(from) {
+	if !inc.welcomed || c.Table().Len() == 0 || inc.rejoin[from] {
+		delete(inc.rejoin, from)
 		inc.welcomed = true
 		c.Bootstrap(protocol.NodeID(from))
 	}

@@ -1,259 +1,270 @@
-// Package member implements the group membership protocol of §5.2: a
-// gossip-style protocol inspired by the failure-detection service of van
-// Renesse, Minsky and Hayden. Each member maintains a view — the set of
-// processes it believes are in the group, with a log of when it last heard
-// of each — and periodically gossips heartbeat counters to randomly chosen
-// members. New members announce themselves to gossip servers: ordinary
-// members of which at least one is guaranteed to be alive at any moment,
-// whose main task is to propagate information about newly arrived members.
+// Package member is the group membership and failure detector of §5.2,
+// stated once for both runtimes: gossip heartbeats after the failure
+// detection service of van Renesse, Minsky and Hayden, escalated suspect →
+// exclude as in a Chandra–Toueg unreliable detector.
+//
+// A Member is one process's state machine and holds no kernel, network,
+// transport or clock handle. Its inputs are its driver's calls, each with the
+// driver's time in seconds: Heard (any envelope is direct evidence its sender
+// is alive), Gossip (a heartbeat table is indirect evidence, counted only on
+// strict progress), Learn and Tick. Its outputs go through Deps: messages,
+// random draws from the caller's stream, and transitions.
+//
+// Heartbeat tables also spread membership: a member that learns of a
+// newcomer relays it, so a joiner that knows one contact is in every view a
+// few rounds later (§5.2's gossip servers). A driver whose transport needs
+// addresses adds its own handshake, as the live runtime's Hello/Welcome does.
 //
 // Consistent views are impossible in asynchronous unreliable systems
 // (Chandra et al.), and the paper's algorithm does not need them: the view
-// only has to be good enough to pick gossip and load-balancing partners.
+// only has to be good enough to pick gossip and load-balancing partners. So
+// the detector never decides correctness: a false exclusion costs time, and
+// any evidence of life revokes it.
 package member
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
-	"gossipbnb/internal/sim"
+	"gossipbnb/internal/protocol"
 )
 
-// Config tunes the protocol. The paper chooses these "to keep communication
-// and the probability of false membership information under some threshold
-// values".
+// Config tunes the detector.
 type Config struct {
-	// GossipInterval is the virtual time between heartbeat gossip rounds.
-	GossipInterval float64
-	// Fanout is how many random members receive each gossip message.
+	// SuspectAfter is the silence — no envelope from a member, no progress of
+	// its heartbeat — after which it is suspected. A third of it is the
+	// heartbeat period. 0 means 3 s.
+	SuspectAfter float64
+	// ExcludeAfter is the silence after which a member leaves the view; 0
+	// means 4×SuspectAfter, and it is never below SuspectAfter.
+	ExcludeAfter float64
+	// Fanout is how many random view members get each heartbeat; 0 means 3.
 	Fanout int
-	// FailTimeout is how long a member may stay silent (no direct or
-	// indirect heartbeat progress) before it is suspected failed and
-	// dropped from the view.
-	FailTimeout float64
 }
 
-// DefaultConfig returns moderate settings: gossip every second, declare
-// failure after 10 missed intervals.
-func DefaultConfig() Config {
-	return Config{GossipInterval: 1, Fanout: 1, FailTimeout: 10}
-}
+// DefaultConfig is the simulator's: a heartbeat every second to three
+// members, suspicion after 3 s and exclusion after 10 s of silence.
+func DefaultConfig() Config { return Config{ExcludeAfter: 10}.withDefaults() }
 
-// entry is what a member knows about a peer.
-type entry struct {
-	heartbeat uint64
-	lastHeard float64 // local virtual time of last heartbeat progress
-}
-
-// viewMessage carries heartbeat state; joinMessage announces a new member to
-// a gossip server.
-type viewMessage struct {
-	pairs []hbPair
-}
-
-type hbPair struct {
-	id sim.NodeID
-	hb uint64
-}
-
-// Size implements sim.Message: ~10 bytes per (id, heartbeat) pair.
-func (m viewMessage) Size() int { return 1 + 10*len(m.pairs) }
-
-type joinMessage struct{ id sim.NodeID }
-
-// Size implements sim.Message.
-func (m joinMessage) Size() int { return 5 }
-
-// IsProtocolMessage reports whether msg belongs to the membership protocol,
-// so applications multiplexing a node's network handler can route it to
-// Deliver.
-func IsProtocolMessage(msg sim.Message) bool {
-	switch msg.(type) {
-	case joinMessage, viewMessage:
-		return true
+func (c Config) withDefaults() Config {
+	if c.SuspectAfter <= 0 {
+		c.SuspectAfter = 3
 	}
-	return false
+	if c.ExcludeAfter <= 0 {
+		c.ExcludeAfter = 4 * c.SuspectAfter
+	}
+	c.ExcludeAfter = max(c.ExcludeAfter, c.SuspectAfter)
+	if c.Fanout < 1 {
+		c.Fanout = 3
+	}
+	return c
 }
 
-// Member is one participant in the membership protocol.
+// Transition is one change of a peer's state, as its observer saw it.
+type Transition int
+
+// Transitions, in escalation order. Cleared and Reabsorbed are recoveries:
+// evidence of life revoked a suspicion or an exclusion.
+const (
+	Suspected  Transition = iota // alive → suspect: silent past SuspectAfter
+	Cleared                      // suspect → alive
+	Excluded                     // → excluded: silent past ExcludeAfter
+	Reabsorbed                   // excluded → alive
+)
+
+func (t Transition) String() string {
+	if t >= Suspected && t <= Reabsorbed {
+		return [...]string{"suspected", "cleared", "excluded", "reabsorbed"}[t]
+	}
+	return "detect(?)"
+}
+
+// Deps is what a member does through its driver.
+type Deps struct {
+	// Send transmits a Heartbeat, or a Hello probing an excluded member, with
+	// +Inf scalars (no information); a driver may stamp its own.
+	Send func(to protocol.NodeID, m protocol.Msg)
+	Rand func(n int) int // uniform in [0, n), from the caller's stream
+	// On, if non-nil, observes every transition.
+	On func(peer protocol.NodeID, t Transition)
+}
+
+type state uint8
+
+const (
+	alive state = iota
+	suspect
+	excluded
+)
+
+type peer struct {
+	id      protocol.NodeID
+	beat    uint64  // latest heartbeat counter seen
+	heard   float64 // last evidence: an envelope, or heartbeat progress
+	probeAt float64 // next Hello probe, while excluded
+	state   state
+}
+
+// Member is one process's view and failure detector.
 type Member struct {
-	id      sim.NodeID
-	k       *sim.Kernel
-	nw      *sim.Network
-	cfg     Config
-	servers []sim.NodeID // known gossip servers
-	entries map[sim.NodeID]*entry
-	// dead records evicted members and the heartbeat they were last seen
-	// with, so a stale relay from a slower peer cannot flap them back into
-	// the view. A direct join or genuine heartbeat progress clears the entry.
-	dead  map[sim.NodeID]uint64
-	hb    uint64
-	alive bool
-	// OnJoin and OnLeave, if non-nil, observe view changes.
-	OnJoin  func(sim.NodeID)
-	OnLeave func(sim.NodeID)
+	self protocol.NodeID
+	cfg  Config
+	d    Deps
+	// peers is every member ever known, ascending by id. An excluded one
+	// keeps its last counter, so a relay of that stale heartbeat cannot flap
+	// it back into the view.
+	peers   []peer
+	view    []protocol.NodeID // the peers not excluded, ascending
+	targets []protocol.NodeID // scratch: one round's heartbeat targets
+	beat    uint64
+	beatAt  float64
+	left    bool
 }
 
-// New creates a member. servers are the well-known gossip servers the member
-// contacts on Join; a gossip server passes its own ID. The caller must route
-// incoming messages to Deliver.
-func New(k *sim.Kernel, nw *sim.Network, id sim.NodeID, servers []sim.NodeID, cfg Config) *Member {
-	if cfg.GossipInterval <= 0 {
-		cfg.GossipInterval = 1
-	}
-	if cfg.Fanout < 1 {
-		cfg.Fanout = 1
-	}
-	if cfg.FailTimeout <= 0 {
-		cfg.FailTimeout = 10 * cfg.GossipInterval
-	}
-	return &Member{
-		id: id, k: k, nw: nw, cfg: cfg,
-		servers: append([]sim.NodeID(nil), servers...),
-		entries: map[sim.NodeID]*entry{},
-		dead:    map[sim.NodeID]uint64{},
-	}
+// New returns member self, its first heartbeat due one period after now. It
+// knows nobody yet: Learn the boot view, or a contact to join through.
+func New(self protocol.NodeID, cfg Config, d Deps, now float64) *Member {
+	cfg = cfg.withDefaults()
+	return &Member{self: self, cfg: cfg, d: d, beatAt: now + cfg.SuspectAfter/3}
 }
 
-// Join enters the group: the member announces itself to every known gossip
-// server and starts gossiping heartbeats.
-func (m *Member) Join() {
-	m.alive = true
-	m.entries[m.id] = &entry{heartbeat: 0, lastHeard: m.k.Now()}
-	for _, s := range m.servers {
-		if s != m.id {
-			m.nw.Send(m.id, s, joinMessage{id: m.id})
-		}
-	}
-	m.k.After(m.cfg.GossipInterval, m.round)
-}
-
-// Leave exits the group silently; peers will time the member out, exactly as
-// if it had failed (§5.2: a process leaves either by leaving or by failing).
-func (m *Member) Leave() { m.alive = false }
+// Leave exits the group silently; peers time the member out exactly as if it
+// had failed (§5.2: a process leaves either by leaving or by failing).
+func (m *Member) Leave() { m.left = true }
 
 // Alive reports whether the member is participating.
-func (m *Member) Alive() bool { return m.alive }
+func (m *Member) Alive() bool { return !m.left }
 
-// View returns the members currently believed alive, in ascending order,
-// including the member itself.
-func (m *Member) View() []sim.NodeID {
-	out := make([]sim.NodeID, 0, len(m.entries))
-	for id := range m.entries {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// Peers returns the view, ascending: every other member not excluded. The
+// slice is the member's own; callers read it without retaining it.
+func (m *Member) Peers() []protocol.NodeID { return m.view }
+
+func (m *Member) search(id protocol.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(m.peers, id, func(p peer, id protocol.NodeID) int { return cmp.Compare(p.id, id) })
 }
 
-// Peers returns the view without the member itself — the candidate set for
-// gossip and work requests.
-func (m *Member) Peers() []sim.NodeID {
-	out := m.View()
-	for i, id := range out {
-		if id == m.id {
-			return append(out[:i], out[i+1:]...)
-		}
-	}
-	return out
+// Learn adds id to the view, alive as of now, unless it is known already,
+// and reports whether it was news.
+func (m *Member) Learn(id protocol.NodeID, now float64) bool {
+	_, fresh := m.learn(id, 0, now)
+	return fresh
 }
 
-// Knows reports whether id is in the current view.
-func (m *Member) Knows(id sim.NodeID) bool {
-	_, ok := m.entries[id]
-	return ok
-}
-
-// Deliver handles an incoming protocol message.
-func (m *Member) Deliver(from sim.NodeID, msg sim.Message) {
-	if !m.alive {
-		return
+// learn returns id's entry, added with counter beat if it is news; nil for
+// the member itself, or once it left.
+func (m *Member) learn(id protocol.NodeID, beat uint64, now float64) (p *peer, fresh bool) {
+	if m.left || id == m.self {
+		return nil, false
 	}
-	switch t := msg.(type) {
-	case joinMessage:
-		// A join is a direct message from the node itself, so it counts as
-		// hearing from it regardless of heartbeat progress.
-		m.bump(t.id, 0, true)
-	case viewMessage:
-		for _, p := range t.pairs {
-			m.bump(p.id, p.hb, false)
-		}
-	}
-}
-
-// bump merges one heartbeat observation. Indirect observations refresh
-// lastHeard only on strict heartbeat progress: a relayed stale heartbeat
-// must not keep a dead member alive forever.
-func (m *Member) bump(id sim.NodeID, hb uint64, direct bool) {
-	if id == m.id {
-		return
-	}
-	e, ok := m.entries[id]
+	i, ok := m.search(id)
 	if !ok {
-		if deadHb, wasDead := m.dead[id]; wasDead && !direct && hb <= deadHb {
-			return // stale relay of an evicted member
-		}
-		delete(m.dead, id)
-		m.entries[id] = &entry{heartbeat: hb, lastHeard: m.k.Now()}
-		if m.OnJoin != nil {
-			m.OnJoin(id)
-		}
-		return
+		m.peers = slices.Insert(m.peers, i, peer{id: id, beat: beat, heard: now})
+		v, _ := slices.BinarySearch(m.view, id)
+		m.view = slices.Insert(m.view, v, id)
 	}
-	if hb > e.heartbeat {
-		e.heartbeat = hb
-		e.lastHeard = m.k.Now()
-	} else if direct {
-		e.lastHeard = m.k.Now()
+	return &m.peers[i], !ok
+}
+
+// Heard records direct evidence: an envelope from `from` arrived. It clears
+// a suspicion and re-absorbs an excluded member, whatever its heartbeat says.
+func (m *Member) Heard(from protocol.NodeID, now float64) {
+	if p, fresh := m.learn(from, 0, now); p != nil && !fresh {
+		m.revive(p, now)
 	}
 }
 
-// round advances the member's own heartbeat, expires silent peers, and
-// gossips the view to Fanout random peers.
-func (m *Member) round() {
-	if !m.alive || m.nw.Crashed(m.id) {
-		return
+func (m *Member) revive(p *peer, now float64) {
+	p.heard = now
+	switch p.state {
+	case suspect:
+		p.state = alive
+		m.emit(p.id, Cleared)
+	case excluded:
+		p.state = alive
+		m.rebuild()
+		m.emit(p.id, Reabsorbed)
 	}
-	m.hb++
-	m.entries[m.id].heartbeat = m.hb
-	m.entries[m.id].lastHeard = m.k.Now()
-	// Expire peers that have made no heartbeat progress within FailTimeout.
-	for id, e := range m.entries {
-		if id == m.id {
-			continue
-		}
-		if m.k.Now()-e.lastHeard > m.cfg.FailTimeout {
-			m.dead[id] = e.heartbeat
-			delete(m.entries, id)
-			if m.OnLeave != nil {
-				m.OnLeave(id)
-			}
-		}
-	}
-	peers := m.Peers()
-	if len(peers) == 0 {
-		// Still isolated: the join announcement may have been lost (§4
-		// allows it). Retry the gossip servers until someone answers.
-		for _, s := range m.servers {
-			if s != m.id {
-				m.nw.Send(m.id, s, joinMessage{id: m.id})
-			}
-		}
-	} else {
-		msg := m.snapshot()
-		for i := 0; i < m.cfg.Fanout; i++ {
-			to := peers[m.k.Rand().Intn(len(peers))]
-			m.nw.Send(m.id, to, msg)
-		}
-	}
-	m.k.After(m.cfg.GossipInterval, m.round)
 }
 
-// snapshot encodes the view as heartbeat pairs, deterministically ordered.
-func (m *Member) snapshot() viewMessage {
-	pairs := make([]hbPair, 0, len(m.entries))
-	for id, e := range m.entries {
-		pairs = append(pairs, hbPair{id: id, hb: e.heartbeat})
+// Gossip merges a heartbeat table. An entry refreshes a member only on strict
+// progress of its counter — a relayed stale heartbeat must not keep a dead
+// member alive — and teaches the members this one never knew. An entry for
+// this member above its own counter, its previous incarnation's, moves its
+// counter past it.
+func (m *Member) Gossip(hb protocol.Heartbeat, now float64) {
+	for _, b := range hb.Beats {
+		if b.ID == m.self {
+			m.beat = max(m.beat, b.Count)
+		} else if p, fresh := m.learn(b.ID, b.Count, now); p != nil && !fresh && b.Count > p.beat {
+			p.beat = b.Count
+			m.revive(p, now)
+		}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].id < pairs[j].id })
-	return viewMessage{pairs: pairs}
+}
+
+// Tick runs the heartbeat round if it is due and returns the next deadline,
+// +Inf once the member left. A round advances the member's own counter,
+// suspects each peer silent past SuspectAfter and excludes each one silent
+// past ExcludeAfter, probes each excluded peer with a Hello on a slow
+// jittered cadence — evidence of life that a falsely excluded or healed peer
+// answers — and sends the heartbeat table, itself and its view, to Fanout
+// distinct random view members.
+func (m *Member) Tick(now float64) float64 {
+	if m.left {
+		return math.Inf(1)
+	}
+	if now < m.beatAt {
+		return m.beatAt
+	}
+	m.beatAt = now + m.cfg.SuspectAfter/3
+	m.beat++
+	hb := protocol.Heartbeat{Beats: make([]protocol.Beat, 1, len(m.view)+1), Incumbent: math.Inf(1), ActAge: math.Inf(1)}
+	hb.Beats[0] = protocol.Beat{ID: m.self, Count: m.beat}
+	for i := range m.peers {
+		p := &m.peers[i]
+		switch silent := now - p.heard; {
+		case p.state != excluded && silent > m.cfg.ExcludeAfter:
+			p.state = excluded
+			m.rebuild()
+			m.emit(p.id, Excluded)
+		case p.state == alive && silent > m.cfg.SuspectAfter:
+			p.state = suspect
+			m.emit(p.id, Suspected)
+		}
+		if p.state != excluded {
+			hb.Beats = append(hb.Beats, protocol.Beat{ID: p.id, Count: p.beat})
+		} else if now >= p.probeAt {
+			p.probeAt = now + m.cfg.ExcludeAfter*(1+float64(m.d.Rand(256))/1024)
+			m.d.Send(p.id, protocol.Hello{ID: m.self, Incumbent: math.Inf(1), ActAge: math.Inf(1)})
+		}
+	}
+	// Fanout distinct targets in exactly as many draws (Floyd's sampling).
+	n := len(m.view)
+	m.targets = m.targets[:0]
+	for j := n - min(m.cfg.Fanout, n); j < n; j++ {
+		to := m.view[m.d.Rand(j+1)]
+		if slices.Contains(m.targets, to) {
+			to = m.view[j]
+		}
+		m.targets = append(m.targets, to)
+		m.d.Send(to, hb)
+	}
+	return m.beatAt
+}
+
+// rebuild recomputes the view in place after an exclusion or re-absorption.
+func (m *Member) rebuild() {
+	m.view = m.view[:0]
+	for _, p := range m.peers {
+		if p.state != excluded {
+			m.view = append(m.view, p.id)
+		}
+	}
+}
+
+func (m *Member) emit(id protocol.NodeID, t Transition) {
+	if m.d.On != nil {
+		m.d.On(id, t)
+	}
 }

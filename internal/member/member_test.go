@@ -1,228 +1,335 @@
 package member
 
 import (
+	"container/heap"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
-	"gossipbnb/internal/nemesis"
-	"gossipbnb/internal/sim"
+	"gossipbnb/internal/protocol"
 )
 
-// lossy is a schedule that drops every message with probability p.
-func lossy(p float64) *nemesis.Schedule {
-	return nemesis.New(nemesis.Fault{Kind: nemesis.Loss, Prob: p})
+// group is a deterministic test network for members: every message takes
+// the paper's 1.5 ms, is lost with probability loss, and never reaches or
+// leaves a crashed member. Each member's heartbeat rounds run at the
+// deadlines its Tick returns; every delivery is Heard, and a heartbeat table
+// is Gossip too.
+type group struct {
+	now   float64
+	seq   int
+	q     events
+	rng   *rand.Rand
+	loss  float64
+	ms    []*Member
+	down  []bool
+	sent  int
+	trans []string // every transition: "observer peer kind"
 }
 
-// cluster wires n members on a fresh kernel; member 0 is the gossip server.
-func cluster(seed int64, n int, cfg Config) (*sim.Kernel, *sim.Network, []*Member) {
-	k := sim.New(seed)
-	nw := sim.NewNetwork(k, sim.PaperLatency())
-	ms := make([]*Member, n)
-	servers := []sim.NodeID{0}
-	for i := 0; i < n; i++ {
-		id := sim.NodeID(i)
-		ms[i] = New(k, nw, id, servers, cfg)
-		m := ms[i]
-		nw.Register(id, func(from sim.NodeID, msg sim.Message) { m.Deliver(from, msg) })
+type event struct {
+	at  float64
+	seq int
+	fn  func()
+}
+
+type events []event
+
+func (e events) Len() int { return len(e) }
+func (e events) Less(i, j int) bool {
+	return e[i].at < e[j].at || e[i].at == e[j].at && e[i].seq < e[j].seq
+}
+func (e events) Swap(i, j int) { e[i], e[j] = e[j], e[i] }
+func (e *events) Push(x any)   { *e = append(*e, x.(event)) }
+func (e *events) Pop() any {
+	old := *e
+	x := old[len(old)-1]
+	*e = old[:len(old)-1]
+	return x
+}
+
+func (g *group) at(t float64, fn func()) {
+	g.seq++
+	heap.Push(&g.q, event{at: t, seq: g.seq, fn: fn})
+}
+
+// run fires every event up to until and leaves the clock there.
+func (g *group) run(until float64) {
+	for len(g.q) > 0 && g.q[0].at <= until {
+		e := heap.Pop(&g.q).(event)
+		g.now = e.at
+		e.fn()
 	}
-	return k, nw, ms
+	g.now = until
+}
+
+// newGroup builds n members that know nobody; cfg applies to all.
+func newGroup(seed int64, n int, cfg Config) *group {
+	g := &group{rng: rand.New(rand.NewSource(seed)), down: make([]bool, n)}
+	for i := 0; i < n; i++ {
+		id := protocol.NodeID(i)
+		g.ms = append(g.ms, New(id, cfg, Deps{
+			Send: func(to protocol.NodeID, m protocol.Msg) { g.send(id, to, m) },
+			Rand: g.rng.Intn,
+			On: func(p protocol.NodeID, t Transition) {
+				g.trans = append(g.trans, string(rune('0'+id))+" "+string(rune('0'+p))+" "+t.String())
+			},
+		}, g.now))
+	}
+	return g
+}
+
+func (g *group) send(from, to protocol.NodeID, m protocol.Msg) {
+	if g.down[from] {
+		return
+	}
+	g.sent++
+	if g.loss > 0 && g.rng.Float64() < g.loss {
+		return
+	}
+	g.at(g.now+1.5e-3, func() {
+		if int(to) < len(g.ms) && !g.down[to] {
+			g.ms[to].Heard(from, g.now)
+			if hb, ok := m.(protocol.Heartbeat); ok {
+				g.ms[to].Gossip(hb, g.now)
+			}
+		}
+	})
+}
+
+// start begins member i's heartbeat rounds.
+func (g *group) start(i int) {
+	if g.down[i] {
+		return
+	}
+	if next := g.ms[i].Tick(g.now); !math.IsInf(next, 1) {
+		g.at(next, func() { g.start(i) })
+	}
+}
+
+// joinAll makes every member join through gossip server 0: it knows 0, and
+// its heartbeats to 0 announce it.
+func (g *group) joinAll(ids ...int) {
+	for _, i := range ids {
+		g.ms[i].Learn(0, g.now)
+		g.start(i)
+	}
+}
+
+// boot gives the members named (all of them by default) the boot view of
+// each other, as both runtimes do at start, and starts their rounds.
+func (g *group) boot(among ...int) {
+	if len(among) == 0 {
+		among = ids(len(g.ms))
+	}
+	for _, i := range among {
+		for _, j := range among {
+			g.ms[i].Learn(protocol.NodeID(j), g.now)
+		}
+		g.start(i)
+	}
+}
+
+// knows reports whether id is in m's view.
+func knows(m *Member, id protocol.NodeID) bool { return slices.Contains(m.Peers(), id) }
+
+func ids(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }
 
 func TestJoinPropagation(t *testing.T) {
-	k, _, ms := cluster(1, 8, DefaultConfig())
-	for _, m := range ms {
-		m.Join()
-	}
-	k.Run(30)
-	for i, m := range ms {
-		if got := len(m.View()); got != 8 {
-			t.Errorf("member %d view size = %d, want 8 (%v)", i, got, m.View())
+	g := newGroup(1, 8, DefaultConfig())
+	g.joinAll(ids(8)...)
+	g.run(30)
+	for i, m := range g.ms {
+		if got := len(m.Peers()); got != 7 {
+			t.Errorf("member %d has %d peers, want 7 (%v)", i, got, m.Peers())
 		}
 	}
 }
 
 func TestPeersExcludesSelf(t *testing.T) {
-	k, _, ms := cluster(2, 4, DefaultConfig())
-	for _, m := range ms {
-		m.Join()
-	}
-	k.Run(20)
-	for i, m := range ms {
-		for _, p := range m.Peers() {
-			if p == sim.NodeID(i) {
-				t.Errorf("member %d's Peers contains itself", i)
-			}
+	g := newGroup(2, 4, DefaultConfig())
+	g.joinAll(ids(4)...)
+	g.run(20)
+	for i, m := range g.ms {
+		if knows(m, protocol.NodeID(i)) {
+			t.Errorf("member %d's view contains itself: %v", i, m.Peers())
 		}
 	}
 }
 
 func TestLateJoiner(t *testing.T) {
-	k, _, ms := cluster(3, 5, DefaultConfig())
-	for _, m := range ms[:4] {
-		m.Join()
-	}
-	k.Run(20)
-	ms[4].Join()
-	k.Run(60)
-	for i, m := range ms {
-		if !m.Knows(4) {
-			t.Errorf("member %d never learned of late joiner", i)
+	g := newGroup(3, 5, DefaultConfig())
+	g.joinAll(0, 1, 2, 3)
+	g.run(20)
+	g.joinAll(4)
+	g.run(60)
+	for i, m := range g.ms[:4] {
+		if !knows(m, 4) {
+			t.Errorf("member %d never learned of the late joiner", i)
 		}
-		_ = i
 	}
-	if len(ms[4].View()) != 5 {
-		t.Errorf("late joiner view = %v", ms[4].View())
+	if got := len(g.ms[4].Peers()); got != 4 {
+		t.Errorf("late joiner's view = %v", g.ms[4].Peers())
 	}
 }
 
 func TestFailureDetection(t *testing.T) {
-	cfg := Config{GossipInterval: 1, Fanout: 2, FailTimeout: 8}
-	k, nw, ms := cluster(4, 6, cfg)
-	for _, m := range ms {
-		m.Join()
-	}
-	k.Run(20)
-	nw.Crash(5)
-	k.Run(120)
-	for i, m := range ms[:5] {
-		if m.Knows(5) {
+	g := newGroup(4, 6, Config{SuspectAfter: 3, ExcludeAfter: 8, Fanout: 2})
+	g.boot()
+	g.run(20)
+	g.down[5] = true
+	g.run(120)
+	for i, m := range g.ms[:5] {
+		if knows(m, 5) {
 			t.Errorf("member %d still believes crashed member 5 is alive", i)
 		}
 	}
 }
 
 func TestLeaveIsDetectedLikeFailure(t *testing.T) {
-	cfg := Config{GossipInterval: 1, Fanout: 2, FailTimeout: 8}
-	k, _, ms := cluster(5, 4, cfg)
-	for _, m := range ms {
-		m.Join()
-	}
-	k.Run(20)
-	ms[3].Leave()
-	if ms[3].Alive() {
+	g := newGroup(5, 4, Config{SuspectAfter: 3, ExcludeAfter: 8, Fanout: 2})
+	g.boot()
+	g.run(20)
+	g.ms[3].Leave()
+	if g.ms[3].Alive() {
 		t.Error("Alive after Leave")
 	}
-	k.Run(120)
-	for i, m := range ms[:3] {
-		if m.Knows(3) {
-			t.Errorf("member %d still has departed member in view", i)
+	g.run(120)
+	for i, m := range g.ms[:3] {
+		if knows(m, 3) {
+			t.Errorf("member %d still has the departed member in view", i)
 		}
 	}
 }
 
+// TestOnJoinOnLeaveCallbacks: the one transition callback reports a crashed
+// member's whole escalation, suspected before excluded, once each per
+// observer, and never reports members that stay alive.
 func TestOnJoinOnLeaveCallbacks(t *testing.T) {
-	cfg := Config{GossipInterval: 1, Fanout: 2, FailTimeout: 6}
-	k, nw, ms := cluster(6, 3, cfg)
-	joins, leaves := 0, 0
-	ms[0].OnJoin = func(sim.NodeID) { joins++ }
-	ms[0].OnLeave = func(sim.NodeID) { leaves++ }
-	for _, m := range ms {
-		m.Join()
+	g := newGroup(6, 3, Config{SuspectAfter: 3, ExcludeAfter: 6, Fanout: 2})
+	g.joinAll(0, 1, 2)
+	g.run(15)
+	if len(g.ms[0].Peers()) != 2 || len(g.trans) != 0 {
+		t.Fatalf("after the joins: view %v, transitions %v", g.ms[0].Peers(), g.trans)
 	}
-	k.Run(15)
-	if joins != 2 {
-		t.Errorf("joins = %d, want 2", joins)
+	g.down[2] = true
+	g.run(120)
+	want := []string{"0 2 suspected", "1 2 suspected", "0 2 excluded", "1 2 excluded"}
+	if len(g.trans) != len(want) {
+		t.Fatalf("transitions %v, want %v", g.trans, want)
 	}
-	nw.Crash(2)
-	k.Run(120)
-	if leaves == 0 {
-		t.Error("no leave observed after crash")
+	for i := range want {
+		if g.trans[i] != want[i] {
+			t.Fatalf("transitions %v, want %v", g.trans, want)
+		}
 	}
 }
 
 func TestToleratesMessageLoss(t *testing.T) {
-	cfg := Config{GossipInterval: 1, Fanout: 2, FailTimeout: 15}
-	k, nw, ms := cluster(7, 8, cfg)
-	nw.SetNemesis(lossy(0.15))
-	for _, m := range ms {
-		m.Join()
-	}
-	k.Run(200)
+	g := newGroup(7, 8, Config{SuspectAfter: 3, ExcludeAfter: 15, Fanout: 2})
+	g.loss = 0.15
+	g.boot()
+	g.run(200)
 	// §5.2: tolerance to a small percentage of message loss — live members
-	// must not be evicted.
-	for i, m := range ms {
-		if got := len(m.View()); got != 8 {
-			t.Errorf("member %d view size under loss = %d, want 8", i, got)
+	// must not be excluded.
+	for i, m := range g.ms {
+		if got := len(m.Peers()); got != 7 {
+			t.Errorf("member %d has %d peers under loss, want 7", i, got)
 		}
 	}
 }
 
+// TestDeadMemberIgnoresMessages: a member that left builds no view from what
+// still reaches it.
 func TestDeadMemberIgnoresMessages(t *testing.T) {
-	k, _, ms := cluster(8, 2, DefaultConfig())
-	ms[0].Join()
-	// member 1 never joined; deliveries must not resurrect it.
-	ms[1].Deliver(0, viewMessage{pairs: []hbPair{{id: 0, hb: 3}}})
-	k.Run(5)
-	if ms[1].Knows(0) {
-		t.Error("non-joined member built a view")
+	g := newGroup(8, 2, DefaultConfig())
+	g.ms[1].Leave()
+	g.ms[1].Heard(0, 1)
+	g.ms[1].Gossip(protocol.Heartbeat{Beats: []protocol.Beat{{ID: 0, Count: 3}}}, 1)
+	if knows(g.ms[1], 0) || g.sent != 0 {
+		t.Errorf("a departed member learned %v and sent %d messages", g.ms[1].Peers(), g.sent)
+	}
+	if next := g.ms[1].Tick(100); !math.IsInf(next, 1) {
+		t.Errorf("a departed member's next round is due at %v", next)
 	}
 }
 
-func TestStaleRelayDoesNotResurrect(t *testing.T) {
-	k := sim.New(1)
-	nw := sim.NewNetwork(k, nil)
-	m := New(k, nw, 0, []sim.NodeID{0}, Config{GossipInterval: 1, Fanout: 1, FailTimeout: 3})
-	nw.Register(0, func(from sim.NodeID, msg sim.Message) { m.Deliver(from, msg) })
-	m.Join()
-	// Learn of member 1 at heartbeat 5, then silence until eviction.
-	m.Deliver(2, viewMessage{pairs: []hbPair{{id: 1, hb: 5}}})
-	k.Run(10)
-	if m.Knows(1) {
-		t.Fatal("member 1 not evicted")
+// lone is a member whose sends go nowhere, driven by hand.
+func lone(cfg Config) *Member {
+	return New(0, cfg, Deps{Send: func(protocol.NodeID, protocol.Msg) {}, Rand: func(int) int { return 0 }}, 0)
+}
+
+// tickUntil runs m's rounds up to until.
+func tickUntil(m *Member, until float64) {
+	for t := m.Tick(0); t <= until; t = m.Tick(t) {
 	}
-	// A slow peer relays the same stale heartbeat: must stay evicted.
-	m.Deliver(2, viewMessage{pairs: []hbPair{{id: 1, hb: 5}}})
-	if m.Knows(1) {
-		t.Error("stale relay resurrected an evicted member")
+}
+
+func beat(id protocol.NodeID, n uint64) protocol.Heartbeat {
+	return protocol.Heartbeat{Beats: []protocol.Beat{{ID: id, Count: n}}}
+}
+
+func TestStaleRelayDoesNotResurrect(t *testing.T) {
+	m := lone(Config{SuspectAfter: 1, ExcludeAfter: 3, Fanout: 1})
+	// Learn of member 1 at heartbeat 5, then silence until exclusion.
+	m.Gossip(beat(1, 5), 0)
+	tickUntil(m, 10)
+	if knows(m, 1) {
+		t.Fatal("member 1 not excluded")
+	}
+	// A slow peer relays the same stale heartbeat: it must stay out.
+	m.Gossip(beat(1, 5), 10)
+	if knows(m, 1) {
+		t.Error("a stale relay resurrected an excluded member")
 	}
 	// Genuine progress (a higher heartbeat) readmits it.
-	m.Deliver(2, viewMessage{pairs: []hbPair{{id: 1, hb: 6}}})
-	if !m.Knows(1) {
+	m.Gossip(beat(1, 6), 10)
+	if !knows(m, 1) {
 		t.Error("heartbeat progress did not readmit the member")
 	}
 }
 
 func TestLostJoinIsRetried(t *testing.T) {
-	cfg := Config{GossipInterval: 1, Fanout: 2, FailTimeout: 30}
-	k, nw, ms := cluster(11, 4, cfg)
-	nw.SetNemesis(lossy(0.6)) // well beyond "a small percentage": joins need retries
-	for _, m := range ms {
-		m.Join()
-	}
-	k.Run(300)
-	for i, m := range ms {
-		if len(m.View()) < 2 {
-			t.Errorf("member %d still isolated after join retries: %v", i, m.View())
+	g := newGroup(11, 4, Config{SuspectAfter: 3, ExcludeAfter: 30, Fanout: 2})
+	g.loss = 0.6 // well beyond "a small percentage": joins need retries
+	g.joinAll(ids(4)...)
+	g.run(300)
+	for i, m := range g.ms {
+		if len(m.Peers()) < 1 {
+			t.Errorf("member %d still isolated after join retries", i)
 		}
 	}
 }
 
+// TestHeartbeatFlapReadmits: a member that goes quiet long enough is
+// suspected and excluded. Direct evidence from the member itself —
+// first-hand, unlike a stale relay — must flap it straight back into the
+// view, and renewed silence must exclude it again.
 func TestHeartbeatFlapReadmits(t *testing.T) {
-	// A member that goes quiet long enough is suspected and dropped. A direct
-	// announcement from the member itself — first-hand evidence, unlike a
-	// stale relay — must flap it straight back into the view, and renewed
-	// silence must evict it again.
-	k := sim.New(12)
-	nw := sim.NewNetwork(k, nil)
-	m := New(k, nw, 0, []sim.NodeID{0}, Config{GossipInterval: 1, Fanout: 1, FailTimeout: 3})
-	nw.Register(0, func(from sim.NodeID, msg sim.Message) { m.Deliver(from, msg) })
-	m.Join()
-	m.Deliver(1, viewMessage{pairs: []hbPair{{id: 1, hb: 5}}})
-	if !m.Knows(1) {
+	m := lone(Config{SuspectAfter: 1, ExcludeAfter: 3, Fanout: 1})
+	m.Gossip(beat(1, 5), 0)
+	if !knows(m, 1) {
 		t.Fatal("member 1 not admitted")
 	}
-	k.Run(10) // silence beyond FailTimeout: suspected and dropped
-	if m.Knows(1) {
-		t.Fatal("member 1 not evicted after silence")
+	tickUntil(m, 10)
+	if knows(m, 1) {
+		t.Fatal("member 1 not excluded after silence")
 	}
-	// The member reappears with a direct join announce at its old heartbeat:
-	// no counter progress, but first-hand.
-	m.Deliver(1, joinMessage{id: 1})
-	if !m.Knows(1) {
-		t.Error("direct announce did not readmit the flapped member")
+	// The member speaks again at its old heartbeat: no counter progress,
+	// but first-hand.
+	m.Heard(1, 10)
+	if !knows(m, 1) {
+		t.Error("direct evidence did not readmit the flapped member")
 	}
-	k.Run(20)
-	if m.Knows(1) {
-		t.Error("readmitted member survived renewed silence")
+	tickUntil(m, 30)
+	if knows(m, 1) {
+		t.Error("the readmitted member survived renewed silence")
 	}
 }
 
@@ -230,107 +337,159 @@ func TestLateJoinAnnounceLostAndRetried(t *testing.T) {
 	// A late joiner announces into a total blackout — the §4 adversary may
 	// drop every message. When the network heals, the joiner's periodic
 	// re-announce must get it absorbed without any outside help.
-	cfg := Config{GossipInterval: 1, Fanout: 2, FailTimeout: 30}
-	k, nw, ms := cluster(13, 5, cfg)
-	for _, m := range ms[:4] {
-		m.Join()
-	}
-	k.Run(20)
-	nw.SetNemesis(lossy(1))
-	ms[4].Join()
-	k.Run(30)
-	for i, m := range ms[:4] {
-		if m.Knows(4) {
-			t.Fatalf("member %d learned of the joiner through a lossless blackout", i)
+	g := newGroup(13, 5, Config{SuspectAfter: 3, ExcludeAfter: 30, Fanout: 2})
+	g.joinAll(0, 1, 2, 3)
+	g.run(20)
+	g.loss = 1
+	g.joinAll(4)
+	g.run(50)
+	for i, m := range g.ms[:4] {
+		if knows(m, 4) {
+			t.Fatalf("member %d learned of the joiner through a blackout", i)
 		}
 	}
-	nw.SetNemesis(nil)
-	k.Run(90)
-	for i, m := range ms {
-		if !m.Knows(4) {
+	g.loss = 0
+	g.run(140)
+	for i, m := range g.ms[:4] {
+		if !knows(m, 4) {
 			t.Errorf("member %d never absorbed the joiner after the network healed", i)
 		}
 	}
-	if got := len(ms[4].View()); got != 5 {
-		t.Errorf("joiner view size = %d, want 5 (%v)", got, ms[4].View())
+	if got := len(g.ms[4].Peers()); got != 4 {
+		t.Errorf("joiner's view = %v", g.ms[4].Peers())
 	}
 }
 
 func TestConvergenceTimeUnderLoss(t *testing.T) {
 	// View convergence slows under loss but stays bounded: with 30% of
-	// messages vanishing, a late joiner must still be in every view within a
-	// modest multiple of the lossless convergence time — and well inside
-	// FailTimeout, or churn would outrun detection.
-	cfg := Config{GossipInterval: 1, Fanout: 2, FailTimeout: 60}
-	k, nw, ms := cluster(14, 8, cfg)
-	nw.SetNemesis(lossy(0.3))
-	for _, m := range ms[:7] {
-		m.Join()
-	}
-	k.Run(30)
-	ms[7].Join()
-	joined := k.Now()
+	// messages vanishing, a late joiner must be in every view within a
+	// modest multiple of the lossless convergence time, and well inside
+	// ExcludeAfter, or churn would outrun detection.
+	g := newGroup(14, 8, Config{SuspectAfter: 3, ExcludeAfter: 60, Fanout: 2})
+	g.loss = 0.3
+	g.boot(0, 1, 2, 3, 4, 5, 6)
+	g.run(30)
+	g.joinAll(7)
+	joined := g.now
 	allKnow := func() bool {
-		for _, m := range ms {
-			if !m.Knows(7) {
+		for _, m := range g.ms[:7] {
+			if !knows(m, 7) {
 				return false
 			}
 		}
-		return len(ms[7].View()) == 8
+		return len(g.ms[7].Peers()) == 7
 	}
 	for !allKnow() {
-		if k.Now() > joined+40 {
-			t.Fatalf("views did not converge on the joiner within 40 s of virtual time under 30%% loss")
+		if g.now > joined+40 {
+			t.Fatalf("views did not converge on the joiner within 40 s under 30%% loss")
 		}
-		k.Run(k.Now() + 1)
+		g.run(g.now + 1)
 	}
-	if conv := k.Now() - joined; conv > 30 {
-		t.Errorf("convergence took %.0f s — beyond the expected bound under 30%% loss", conv)
+	if conv := g.now - joined; conv > 30 {
+		t.Errorf("convergence took %.0f s, beyond the expected bound under 30%% loss", conv)
 	}
 }
 
+// TestViewMessageSize: the heartbeat table a round sends lists the sender and
+// its whole view, and its wire size is the codec's.
 func TestViewMessageSize(t *testing.T) {
-	m := viewMessage{pairs: make([]hbPair, 7)}
-	if m.Size() != 1+70 {
-		t.Errorf("Size = %d", m.Size())
+	var got []protocol.Heartbeat
+	m := New(0, Config{Fanout: 2}, Deps{
+		Send: func(_ protocol.NodeID, msg protocol.Msg) { got = append(got, msg.(protocol.Heartbeat)) },
+		Rand: func(n int) int { return n - 1 },
+	}, 0)
+	for id := protocol.NodeID(1); id <= 6; id++ {
+		m.Learn(id, 0)
 	}
-	if (joinMessage{}).Size() <= 0 {
-		t.Error("join size must be positive")
+	m.Tick(1)
+	if len(got) != 2 {
+		t.Fatalf("one round sent %d heartbeats, want Fanout 2", len(got))
+	}
+	hb := got[0]
+	if len(hb.Beats) != 7 || hb.Beats[0] != (protocol.Beat{ID: 0, Count: 1}) {
+		t.Errorf("table = %v, want the sender at counter 1 and its 6 peers", hb.Beats)
+	}
+	buf, err := protocol.Encode(nil, hb)
+	if err != nil || len(buf) != hb.Size() || hb.Size() != 17+1+2*7 {
+		t.Errorf("Size = %d, encoded %d bytes (%v), want %d", hb.Size(), len(buf), err, 17+1+2*7)
 	}
 }
 
 func TestConfigDefaults(t *testing.T) {
-	k := sim.New(1)
-	nw := sim.NewNetwork(k, nil)
-	m := New(k, nw, 0, nil, Config{})
-	if m.cfg.GossipInterval <= 0 || m.cfg.Fanout < 1 || m.cfg.FailTimeout <= 0 {
+	m := New(0, Config{}, Deps{}, 0)
+	if m.cfg != (Config{SuspectAfter: 3, ExcludeAfter: 12, Fanout: 3}) {
 		t.Errorf("defaults not applied: %+v", m.cfg)
+	}
+	if c := DefaultConfig(); c != (Config{SuspectAfter: 3, ExcludeAfter: 10, Fanout: 3}) {
+		t.Errorf("DefaultConfig() = %+v", c)
+	}
+	if c := (Config{SuspectAfter: 2, ExcludeAfter: 1}).withDefaults(); c.ExcludeAfter != 2 {
+		t.Errorf("ExcludeAfter below SuspectAfter kept: %+v", c)
 	}
 }
 
 func TestScalabilityOfNetworkLoad(t *testing.T) {
-	// §5.2 advantage (1): network load per member stays bounded as the group
-	// grows (each member sends Fanout messages per interval regardless of n).
+	// §5.2 advantage (1): network load per member stays flat as the group
+	// grows — each member sends Fanout heartbeats per period whatever n is.
 	load := func(n int) float64 {
-		k, nw, ms := cluster(9, n, Config{GossipInterval: 1, Fanout: 1, FailTimeout: 10})
-		for _, m := range ms {
-			m.Join()
-		}
-		k.Run(100)
-		return float64(nw.Stats().Sent) / float64(n)
+		g := newGroup(9, n, Config{SuspectAfter: 3, ExcludeAfter: 10, Fanout: 1})
+		g.boot()
+		g.run(100)
+		return float64(g.sent) / float64(n)
 	}
 	l8, l64 := load(8), load(64)
-	if l64 > 1.5*l8 {
-		t.Errorf("per-member load grew with group size: n=8: %.1f, n=64: %.1f", l8, l64)
+	if l64 > 1.1*l8 || l8 > 1.1*l64 {
+		t.Errorf("per-member load moved with group size: n=8: %.1f, n=64: %.1f", l8, l64)
+	}
+}
+
+// TestFanoutDistinct: one round's heartbeats go to Fanout distinct members,
+// all of the view when it is smaller, and never to an excluded member.
+func TestFanoutDistinct(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var to []protocol.NodeID
+	m := New(0, Config{SuspectAfter: 3, ExcludeAfter: 3, Fanout: 3}, Deps{
+		Send: func(p protocol.NodeID, msg protocol.Msg) {
+			if _, ok := msg.(protocol.Heartbeat); ok {
+				to = append(to, p)
+			}
+		},
+		Rand: rng.Intn,
+	}, 0)
+	for id := protocol.NodeID(1); id <= 5; id++ {
+		m.Learn(id, 0)
+	}
+	for round := 1; round <= 50; round++ {
+		to = to[:0]
+		now := float64(round)
+		for id := protocol.NodeID(1); id <= 4; id++ {
+			m.Heard(id, now) // member 5 stays silent and is excluded at t = 4
+		}
+		m.Tick(now)
+		seen := map[protocol.NodeID]bool{}
+		for _, p := range to {
+			if seen[p] || p == 5 && now > 3 {
+				t.Fatalf("round %d sent to %v", round, to)
+			}
+			seen[p] = true
+		}
+		if len(to) != 3 {
+			t.Fatalf("round %d sent %d heartbeats, want 3", round, len(to))
+		}
+	}
+	small := New(0, Config{Fanout: 3}, Deps{Send: func(p protocol.NodeID, _ protocol.Msg) { to = append(to, p) }, Rand: rng.Intn}, 0)
+	small.Learn(1, 0)
+	to = to[:0]
+	small.Tick(1)
+	if len(to) != 1 || to[0] != 1 {
+		t.Errorf("a one-peer view got heartbeats to %v", to)
 	}
 }
 
 func BenchmarkMembershipRound64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		k, _, ms := cluster(int64(i), 64, DefaultConfig())
-		for _, m := range ms {
-			m.Join()
-		}
-		k.Run(50)
+		g := newGroup(int64(i), 64, DefaultConfig())
+		g.boot()
+		g.run(50)
 	}
 }

@@ -128,6 +128,13 @@ func Encode(dst []byte, m Msg) ([]byte, error) {
 		}
 	case Ping:
 		put(KindPing, t.Incumbent, t.ActAge)
+	case Heartbeat:
+		put(KindHeartbeat, t.Incumbent, t.ActAge)
+		dst = binary.AppendUvarint(dst, uint64(len(t.Beats)))
+		for _, b := range t.Beats {
+			dst = binary.AppendUvarint(dst, uint64(b.ID))
+			dst = binary.AppendUvarint(dst, b.Count)
+		}
 	default:
 		return nil, fmt.Errorf("protocol: cannot encode %T", m)
 	}
@@ -317,6 +324,26 @@ func decodeMsg(kind byte, buf []byte, off int) (Msg, int, error) {
 		return Welcome{Peers: peers, Incumbent: incumbent, ActAge: actAge}, off, nil
 	case KindPing:
 		return Ping{Incumbent: incumbent, ActAge: actAge}, off, nil
+	case KindHeartbeat:
+		cnt, n := binary.Uvarint(buf[off:])
+		if n <= 0 || cnt > uint64(len(buf)-off)/2 {
+			return nil, 0, errors.New("protocol: bad heartbeat count")
+		}
+		off += n
+		m := Heartbeat{Incumbent: incumbent, ActAge: actAge}
+		if cnt > 0 {
+			m.Beats = make([]Beat, 0, cnt)
+		}
+		for ; cnt > 0; cnt-- {
+			id, n1 := binary.Uvarint(buf[off:])
+			c, n2 := binary.Uvarint(buf[off+max(n1, 0):])
+			if n1 <= 0 || n2 <= 0 || id > math.MaxInt32 {
+				return nil, 0, errors.New("protocol: bad heartbeat entry")
+			}
+			off += n1 + n2
+			m.Beats = append(m.Beats, Beat{ID: NodeID(id), Count: c})
+		}
+		return m, off, nil
 	default:
 		return nil, 0, fmt.Errorf("protocol: unknown message kind %d", kind)
 	}

@@ -223,6 +223,41 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestHeartbeatRoundTrip: the membership heartbeat table encodes to exactly
+// Size bytes and decodes to itself, bare and instance-tagged alike, and a
+// count the frame cannot hold is refused before anything is allocated.
+func TestHeartbeatRoundTrip(t *testing.T) {
+	for _, m := range []Heartbeat{
+		{Beats: []Beat{{ID: 0, Count: 1}, {ID: 7, Count: 300}, {ID: 1 << 20, Count: math.MaxUint64}},
+			Incumbent: -3, ActAge: 0.5},
+		{Incumbent: math.Inf(1), ActAge: math.Inf(1)},
+	} {
+		for _, inst := range []InstanceID{0, 300} {
+			im := InstMsg{Instance: inst, Msg: m}
+			buf, err := Encode(nil, im)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(buf) != im.Size() {
+				t.Errorf("inst %d: Size() = %d but Encode produced %d bytes", inst, im.Size(), len(buf))
+			}
+			gotInst, got, n, err := DecodeInstance(buf)
+			if err != nil || gotInst != inst || n != len(buf) || !reflect.DeepEqual(got, Msg(m)) {
+				t.Errorf("inst %d: decoded %+v (inst %d, %d of %d bytes, %v), want %+v",
+					inst, got, gotInst, n, len(buf), err, m)
+			}
+		}
+	}
+	empty, _ := Encode(nil, Heartbeat{})
+	lie := append(empty[:len(empty)-1:len(empty)-1], 0xff, 0xff, 0x03, 1, 1)
+	if _, _, err := Decode(lie); err == nil {
+		t.Error("a heartbeat claiming 65 535 beats in 4 bytes decoded")
+	}
+	if KindName(KindHeartbeat) != "heartbeat" {
+		t.Errorf("KindName(KindHeartbeat) = %q", KindName(KindHeartbeat))
+	}
+}
+
 func TestCodecInstanceRoundTrip(t *testing.T) {
 	codes := sampleCodes()
 	inner := []Msg{
@@ -457,6 +492,8 @@ func FuzzDecode(f *testing.F) {
 		}
 	}
 	f.Add(mustEncode(f, WorkGrant{Codes: []code.Code{descent(3000)}}))
+	// The membership heartbeat, the last kind added.
+	f.Add(mustEncode(f, Heartbeat{Beats: []Beat{{ID: 0, Count: 9}, {ID: 300, Count: 1 << 40}}, Incumbent: 1}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzInstanceDecode(t, data)
 		m, n, err := Decode(data)

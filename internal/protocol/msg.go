@@ -61,9 +61,10 @@ const (
 	KindHello
 	KindWelcome
 	KindPing
+	KindHeartbeat
 
 	// KindCount bounds the dense kind space for accounting arrays.
-	KindCount = int(KindPing) + 1
+	KindCount = int(KindHeartbeat) + 1
 )
 
 // KindName returns a short stable label for a kind byte, for CLI summaries
@@ -92,6 +93,8 @@ func KindName(k byte) string {
 		return "welcome"
 	case KindPing:
 		return "ping"
+	case KindHeartbeat:
+		return "heartbeat"
 	}
 	return "other"
 }
@@ -442,11 +445,10 @@ type Welcome struct {
 	ActAge    float64
 }
 
-// Ping is an explicit heartbeat, sent only when a link has been otherwise
-// idle long enough that the receiver's failure detector would start doubting
-// the sender. It carries nothing beyond the scalars every message already
-// piggybacks — on a busy link the regular gossip traffic *is* the heartbeat,
-// so pings cost nothing in failure-free, work-saturated runs.
+// Ping carries only the scalars every message piggybacks. No runtime sends
+// it since the membership heartbeat (Heartbeat) replaced the live detector's
+// idle-link pings: a live node hands its boot core a heartbeat's scalars as
+// a Ping, which the core still reads.
 type Ping struct {
 	Incumbent float64
 	ActAge    float64
@@ -457,6 +459,36 @@ func (m Ping) Size() int { return scalarSize }
 
 // Kind implements Msg.
 func (m Ping) Kind() byte { return KindPing }
+
+// Heartbeat is the §5.2 gossip heartbeat (internal/member): the sender's
+// table of every member it holds in its view, itself included, each with the
+// latest heartbeat counter it knows. A member sends it to a constant fanout
+// of random view members once per heartbeat period, so its load per member
+// does not grow with the group; a receiver refreshes a member only on strict
+// counter progress.
+type Heartbeat struct {
+	Beats     []Beat
+	Incumbent float64
+	ActAge    float64
+}
+
+// Beat is one entry of a Heartbeat table.
+type Beat struct {
+	ID    NodeID
+	Count uint64
+}
+
+// Size implements Msg.
+func (m Heartbeat) Size() int {
+	sz := scalarSize + code.UvarintLen(uint64(len(m.Beats)))
+	for _, b := range m.Beats {
+		sz += code.UvarintLen(uint64(b.ID)) + code.UvarintLen(b.Count)
+	}
+	return sz
+}
+
+// Kind implements Msg.
+func (m Heartbeat) Kind() byte { return KindHeartbeat }
 
 // Size implements Msg.
 func (m Welcome) Size() int {
