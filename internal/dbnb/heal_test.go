@@ -102,9 +102,9 @@ func TestHealStallWindow(t *testing.T) {
 15 2→1 excluded
 15 2→3 excluded
 15 3→2 excluded
-26.001595 1→2 reabsorbed
-26.001595 2→3 reabsorbed
-27.001595 2→0 reabsorbed
+26.00159 1→2 reabsorbed
+26.00159 2→3 reabsorbed
+27.00159 2→0 reabsorbed
 27.00161 3→2 reabsorbed
 27.00163 2→1 reabsorbed
 27.267407213937148 0→2 reabsorbed`)
@@ -158,11 +158,11 @@ func TestHealPartition(t *testing.T) {
 15 2→1 excluded
 15 3→0 excluded
 15 3→1 excluded
-26.001595 3→0 reabsorbed
-26.001595 1→2 reabsorbed
-26.001595 0→3 reabsorbed
-26.001595 1→3 reabsorbed
-27.001595 2→0 reabsorbed
+26.00159 3→0 reabsorbed
+26.00159 1→2 reabsorbed
+26.00159 0→3 reabsorbed
+26.00159 1→3 reabsorbed
+27.00159 2→0 reabsorbed
 27.00162 3→1 reabsorbed
 27.00162 0→2 reabsorbed
 27.00163 2→1 reabsorbed`)

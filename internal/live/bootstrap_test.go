@@ -9,8 +9,9 @@ import (
 )
 
 // bootWatch loses a joiner's first bootstrap reply, and — until the joiner
-// asks again — everything else addressed to it but its first Welcome, so
-// that only a retried bootstrap can fill its table or move it at all. It
+// asks again — everything else addressed to it but its first heartbeat, the
+// answer to its Hello, so that only a retried bootstrap can fill its table or
+// move it at all. It
 // records when the joiner's subtree requests go out and when the reply was
 // lost.
 type bootWatch struct {
@@ -19,7 +20,7 @@ type bootWatch struct {
 	start  time.Time
 
 	mu       sync.Mutex
-	welcomed bool
+	answered bool
 	lostAt   time.Duration   // when the first reply was dropped; 0 = not yet
 	requests []time.Duration // the joiner's subtree requests
 }
@@ -33,8 +34,8 @@ func (w *bootWatch) Send(from, to NodeID, msg Message) {
 	cut := false
 	if to == w.joiner && len(w.requests) < 2 {
 		switch msg.(type) {
-		case protocol.Welcome:
-			cut, w.welcomed = w.welcomed, true
+		case protocol.Heartbeat:
+			cut, w.answered = w.answered, true
 		case protocol.SubtreeReply:
 			cut = true
 			if w.lostAt == 0 {

@@ -5,14 +5,16 @@ import (
 	"gossipbnb/internal/protocol"
 )
 
-// This file wires the §5.2 membership (internal/member), the detector the
-// simulator runs under -membership too, into an incarnation. It never decides
-// correctness, only steers resources: a silent peer is suspected, then
-// excluded from the view — the shrink a Crash produces — and its link
-// suppressed, so work requests and gossip stop burning on a black hole. A
-// false exclusion costs only time: the excluded peer is probed with Hello on
-// a slow cadence, and any message from it re-absorbs it, Welcome answer and
-// table bootstrap included, the join path of a brand-new member. Times are
+// This file wires the §5.2 membership (internal/member), the one the
+// simulator runs under -membership too, into an incarnation. The member is
+// the incarnation's view: its cores read Member.Peers. With SuspectAfter zero
+// it is never ticked, so it only learns — no heartbeat rounds, no suspicion.
+// Detection never decides correctness, only steers resources: a silent peer
+// is suspected, then excluded from the view — the shrink a Crash produces —
+// and its link suppressed, so work requests and gossip stop burning on a
+// black hole. A false exclusion costs only time: the excluded peer is probed
+// with Hello on a slow cadence, and any message from it re-absorbs it, its
+// next heartbeat bootstrapping the table as a joiner's first does. Times are
 // seconds on the cluster's protocol clock.
 
 // DetectKind labels one failure-detector transition: member.Suspected,
@@ -28,11 +30,11 @@ type DetectEvent struct {
 	Kind DetectKind
 }
 
-// newDetector builds the member for a fresh incarnation: it knows every
-// current view peer, alive as of now, and lifts any link suppression a
-// previous incarnation of this node left in the transport. Its random draws
-// come from the incarnation's stream, on the incarnation's goroutine.
-func newDetector(inc *incarnation) *member.Member {
+// newMember builds the member of a fresh incarnation: it knows pool, alive as
+// of now, and lifts any link suppression a previous incarnation of this node
+// left in the transport. Its random draws come from the incarnation's stream,
+// on the incarnation's goroutine.
+func newMember(inc *incarnation, pool []NodeID) *member.Member {
 	n := inc.n
 	cfg := &n.cl.cfg
 	now := n.cl.clock.Now()
@@ -40,16 +42,15 @@ func newDetector(inc *incarnation) *member.Member {
 		SuspectAfter: cfg.SuspectAfter.Seconds(),
 		ExcludeAfter: cfg.ExcludeAfter.Seconds(),
 	}, member.Deps{Send: inc.sendMember, Rand: inc.rng.IntN, On: inc.onDetect}, now)
-	for _, p := range n.peers() {
-		m.Learn(p, now)
-		n.cl.tr.Exclude(n.id, NodeID(p), false)
+	for _, p := range pool {
+		m.Learn(protocol.NodeID(p), now)
+		n.cl.tr.Exclude(n.id, p, false)
 	}
 	return m
 }
 
-// sendMember transmits a membership message with this incarnation's own
-// scalars: a heartbeat carries the boot core's incumbent and activity age,
-// and a Hello probe is this node's own announcement, address included.
+// sendMember transmits a membership message — a heartbeat table or a Hello
+// probe — with the boot core's incumbent and activity age.
 func (inc *incarnation) sendMember(to protocol.NodeID, m protocol.Msg) {
 	switch t := m.(type) {
 	case protocol.Heartbeat:
@@ -61,20 +62,16 @@ func (inc *incarnation) sendMember(to protocol.NodeID, m protocol.Msg) {
 	inc.n.cl.tr.Send(inc.n.id, NodeID(to), m)
 }
 
-// onDetect carries out one transition. An exclusion drops the peer from the
-// view and suppresses the link to it. A re-absorption undoes both and flags
-// the peer's next Welcome to bootstrap the table: while the link was severed
-// both sides completed work the other never heard about, and the Full-root
-// subtree pull is how the healed side catches up.
+// onDetect carries out one transition. An exclusion suppresses the link to
+// the peer; a re-absorption lifts it and marks the peer's next heartbeat to
+// bootstrap the table (onHeartbeat).
 func (inc *incarnation) onDetect(peer protocol.NodeID, k member.Transition) {
 	n, id := inc.n, NodeID(peer)
 	n.cl.detected[k].Add(1)
 	switch k {
 	case member.Excluded:
-		n.dropPeer(peer)
 		n.cl.tr.Exclude(n.id, id, true)
 	case member.Reabsorbed:
-		n.learnPeer(peer)
 		n.cl.tr.Exclude(n.id, id, false)
 		inc.rejoin[id] = true
 	}

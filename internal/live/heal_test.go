@@ -126,7 +126,7 @@ func TestHeartbeatLoadPerMember(t *testing.T) {
 }
 
 // TestHealUnstalledNodeReabsorbedTCP un-stalls the node before the run ends:
-// the exclusion must be revoked through the Hello/Welcome re-announcement
+// the exclusion must be revoked through the Hello/Heartbeat re-announcement
 // path, the node re-absorbed with a table bootstrap, and every view whole
 // again by the end.
 func TestHealUnstalledNodeReabsorbedTCP(t *testing.T) {

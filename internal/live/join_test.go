@@ -1,7 +1,9 @@
 package live
 
 import (
+	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -48,19 +50,138 @@ func TestJoinDoublesLiveCluster(t *testing.T) {
 	if joinerWork == 0 {
 		t.Error("joiners expanded nothing — they never stole work")
 	}
-	// The Hello flood converged every view onto the full 4-member pool.
+	// The Hello round converged every view onto the full 4-member pool.
 	for _, n := range cl.nodes {
-		if got := len(n.peers()); got != 3 {
+		if got := len(cl.PeerView(n.id)); got != 3 {
 			t.Errorf("node %d view has %d peers, want 3", n.id, got)
 		}
 	}
-	if res.Kinds.Sent[protocol.KindHello] == 0 || res.Kinds.Sent[protocol.KindWelcome] == 0 {
-		t.Error("no join handshake traffic recorded")
+	// Detection is off, so every heartbeat is the answer to a Hello.
+	if res.Kinds.Sent[protocol.KindHello] == 0 || res.Kinds.Sent[protocol.KindHeartbeat] == 0 {
+		t.Error("no join traffic recorded")
+	}
+}
+
+// joinLog records every Hello and every heartbeat table the network carries,
+// with its send time since start.
+type joinLog struct {
+	Net
+	start time.Time
+
+	mu     sync.Mutex
+	hellos []joinSend
+	beats  []joinSend
+}
+
+type joinSend struct {
+	from, to, id NodeID // id: the Hello's announcer
+	at           time.Duration
+}
+
+func (w *joinLog) Send(from, to NodeID, msg Message) {
+	s := joinSend{from: from, to: to, at: time.Since(w.start)}
+	w.mu.Lock()
+	switch m := msg.(type) {
+	case protocol.Hello:
+		s.id = NodeID(m.ID)
+		w.hellos = append(w.hellos, s)
+	case protocol.Heartbeat:
+		w.beats = append(w.beats, s)
+	}
+	w.mu.Unlock()
+	w.Net.Send(from, to, msg)
+}
+
+// TestJoinTrafficOneHelloRound: a join costs one Hello round. The joiner
+// announces itself to its contact until its first heartbeat arrives; the
+// contact answers each of those Hellos with one heartbeat table and forwards
+// the first, once, to the rest of its view; nobody forwards or answers a
+// forwarded Hello. Every view still ends whole. With detection on, members'
+// heartbeat rounds start one period (SuspectAfter/3) after the cluster is
+// built, so every heartbeat sent before then is an answer; the cluster
+// lingers through two rounds after it.
+func TestJoinTrafficOneHelloRound(t *testing.T) {
+	for _, nodes := range []int{4, 8, 16} {
+		for _, suspect := range []time.Duration{0, 600 * time.Millisecond} {
+			t.Run(fmt.Sprintf("%d-nodes/suspect-%v", nodes, suspect), func(t *testing.T) {
+				w := &joinLog{Net: NewTransport(int64(nodes), nil, 0), start: time.Now()}
+				cl := NewCluster(liveTree(int64(nodes), 301), Config{
+					Nodes: nodes, Seed: int64(nodes), TimeScale: 0.002, Network: w,
+					SuspectAfter: suspect, Linger: 100*time.Millisecond + 2*suspect/3,
+				})
+				addAfter(t, cl, 5*time.Millisecond, 1)
+				res := cl.Run()
+				if !res.Terminated || !res.OptimumOK {
+					t.Fatalf("run did not finish correctly: %+v", res)
+				}
+				if len(cl.nodes) != nodes+1 {
+					t.Fatalf("cluster has %d nodes, want %d", len(cl.nodes), nodes+1)
+				}
+				joiner, contact := NodeID(nodes), NodeID(0)
+				cutoff := time.Duration(1<<63 - 1)
+				if suspect > 0 {
+					cutoff = suspect / 3
+				}
+				w.mu.Lock()
+				defer w.mu.Unlock()
+				announces, forwards := 0, 0
+				for _, h := range w.hellos {
+					switch {
+					case h.id != joiner:
+						t.Errorf("Hello announcing %d from %d: only the joiner announces", h.id, h.from)
+					case h.from == joiner:
+						if h.to != contact {
+							t.Errorf("the joiner announced itself to %d, not its contact", h.to)
+						}
+						if h.at > cutoff-cutoff/4 {
+							t.Fatalf("the joiner still announced at %v, too close to the first heartbeat round at %v", h.at, cutoff)
+						}
+						announces++
+					case h.from == contact && h.to != joiner:
+						forwards++
+					default:
+						t.Errorf("Hello %d→%d announcing the joiner: a forwarded Hello was forwarded again", h.from, h.to)
+					}
+				}
+				answers, rounds := 0, 0
+				for _, b := range w.beats {
+					switch {
+					case b.at >= cutoff:
+						rounds++
+					case b.from != contact || b.to != joiner:
+						t.Errorf("heartbeat %d→%d at %v: only the contact answers, and only the joiner", b.from, b.to, b.at)
+					default:
+						answers++
+					}
+				}
+				if announces == 0 {
+					t.Fatal("the joiner never announced itself")
+				}
+				if forwards > nodes-1 {
+					t.Errorf("the contact forwarded the Hello %d times, want at most %d", forwards, nodes-1)
+				}
+				if sent := int(res.Net.KindSent[protocol.KindHello]); sent != announces+forwards {
+					t.Errorf("%d Hellos sent, want %d announces + %d forwards", sent, announces, forwards)
+				}
+				if answers != announces {
+					t.Errorf("%d heartbeat answers to %d Hellos from the joiner, want one each", answers, announces)
+				}
+				if suspect > 0 && rounds == 0 {
+					t.Error("no heartbeat round ran")
+				}
+				for _, n := range cl.nodes {
+					if got := len(cl.PeerView(n.id)); got != nodes {
+						t.Errorf("node %d view has %d peers, want %d", n.id, got, nodes)
+					}
+				}
+				t.Logf("%d announces, %d forwards, %d answers, %d round heartbeats", announces, forwards, answers, rounds)
+			})
+		}
 	}
 }
 
 // TestJoinUnderLoss: the join handshake itself is unreliable traffic — the
-// Hello or its Welcome can be dropped — so the joiner re-announces until it
+// Hello or its answer can be dropped — so the joiner re-announces until it
 // is absorbed, and the run still converges.
 func TestJoinUnderLoss(t *testing.T) {
 	tr := liveTree(41, 1001)
@@ -80,8 +201,8 @@ func TestJoinUnderLoss(t *testing.T) {
 }
 
 // TestJoinTCPCluster runs the same doubling over real sockets: the joiners
-// come up on fresh listeners nobody knew at boot, their addresses spread via
-// the join gossip, and peers dial them on demand.
+// come up on fresh listeners nobody knew at boot, and peers dial them on
+// demand.
 func TestJoinTCPCluster(t *testing.T) {
 	nw, err := NewTCPNetwork(2)
 	if err != nil {
@@ -102,7 +223,7 @@ func TestJoinTCPCluster(t *testing.T) {
 		t.Error("TCP joiners expanded nothing")
 	}
 	for _, n := range cl.nodes {
-		if got := len(n.peers()); got != 3 {
+		if got := len(cl.PeerView(n.id)); got != 3 {
 			t.Errorf("node %d view has %d peers, want 3", n.id, got)
 		}
 	}
@@ -147,6 +268,53 @@ func TestAddNodeRefusedOffline(t *testing.T) {
 	}
 }
 
+// TestForeignIDsRejected: an id that names no node of the cluster — beyond
+// it, negative, or the next one AddNode would hand out — is refused as a
+// contact, and Crash, Restart and PeerView leave every node alone for it.
+func TestForeignIDsRejected(t *testing.T) {
+	cl := NewCluster(liveTree(45, 301), Config{Nodes: 2, Seed: 45, TimeScale: 0.002, Linger: 50 * time.Millisecond})
+	var res Result
+	done := make(chan struct{})
+	go func() { res = cl.Run(); close(done) }()
+	for running := false; !running; time.Sleep(time.Millisecond) {
+		cl.stopMu.Lock()
+		running = cl.started
+		cl.stopMu.Unlock()
+	}
+	for _, c := range []struct {
+		name string
+		id   NodeID
+	}{
+		{"beyond the cluster", 99},
+		{"negative", -3},
+		{"the next free id", 2},
+	} {
+		if _, err := cl.AddNode(c.id); err == nil {
+			t.Errorf("%s: AddNode(%d) accepted", c.name, c.id)
+		}
+		cl.Crash(c.id)
+		cl.Restart(c.id)
+		if v := cl.PeerView(c.id); v != nil {
+			t.Errorf("%s: PeerView(%d) = %v", c.name, c.id, v)
+		}
+	}
+	<-done
+	if !res.Terminated || !res.OptimumOK {
+		t.Fatalf("run did not finish correctly: %+v", res)
+	}
+	if len(cl.nodes) != 2 {
+		t.Errorf("cluster has %d nodes, want 2", len(cl.nodes))
+	}
+	if v := cl.PeerView(-3); v != nil {
+		t.Errorf("PeerView(-3) after the run = %v", v)
+	}
+	for id := range NodeID(2) {
+		if v := cl.PeerView(id); len(v) != 1 {
+			t.Errorf("node %d view after the run = %v, want the other node", id, v)
+		}
+	}
+}
+
 // TestTCPDialBackoff is the regression test for dial pacing: a node sending
 // to a peer whose listener is not up yet — a joiner announcing before its
 // contact listens, a machine mid-reboot — must trickle bounded reconnect
@@ -158,14 +326,16 @@ func TestTCPDialBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nw.Close()
-	// Reserve an address, then release it: node 1's gossiped address points
+	// Reserve an address, then release it: node 1's recorded address points
 	// at a port nobody listens on.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ln.Close()
-	nw.Learn(1, ln.Addr().String())
+	nw.mu.Lock()
+	nw.addrs[1] = ln.Addr().String()
+	nw.mu.Unlock()
 
 	const sends = 400
 	for i := 0; i < sends; i++ {
@@ -184,7 +354,7 @@ func TestTCPDialBackoff(t *testing.T) {
 	}
 
 	// The peer comes up (on a fresh port — its own listener address
-	// supersedes the stale gossiped one) and the very same send path must
+	// supersedes the stale one) and the very same send path must
 	// now get through, within the bounded backoff window.
 	inbox := nw.Add(1)
 	timeout := time.After(5 * time.Second)

@@ -10,11 +10,11 @@ import (
 	"gossipbnb/internal/protocol"
 )
 
-// joinExempt reports whether kind k belongs to the Hello/Welcome join
-// handshake, which failure-detector link exclusion must never suppress: it
-// is the one path a falsely-suspected peer can re-announce through.
+// joinExempt reports whether kind k is a Hello or the heartbeat table that
+// answers it, which failure-detector link exclusion must never suppress: they
+// are the one path a falsely-suspected peer can re-announce through.
 func joinExempt(k byte) bool {
-	return k == protocol.KindHello || k == protocol.KindWelcome
+	return k == protocol.KindHello || k == protocol.KindHeartbeat
 }
 
 // inboxCap is the buffered capacity of every node inbox; sends beyond it
@@ -150,7 +150,7 @@ func (l *link) Crashed(id NodeID) bool {
 func (l *link) Send(from, to NodeID, msg Message) {
 	// Sized and kinded once per send, outside the lock every sender contends
 	// on: a set message's Size is a field read, but a grant's walks every
-	// decision of its codes, and a Welcome's every peer address.
+	// decision of its codes.
 	size, kind := msg.Size(), nemesis.KindOf(msg)
 	l.mu.Lock()
 	if l.closed || l.crashed[from] || l.crashed[to] {
@@ -160,7 +160,7 @@ func (l *link) Send(from, to NodeID, msg Message) {
 	l.stats.Send(kind, int64(size), 1)
 	if l.excl[[2]NodeID{from, to}] && !joinExempt(kind) {
 		// The local failure detector excluded this destination; only the
-		// Hello/Welcome re-announcement path stays open.
+		// Hello/Heartbeat re-announcement path stays open.
 		l.dropLocked(&l.stats.Suspect)
 		l.mu.Unlock()
 		return

@@ -106,16 +106,16 @@ func TestLinkPolicy(t *testing.T) {
 		run  func(t *testing.T, r *linkRig)
 	}{
 		// An excluded link drops protocol traffic under the Suspect cause but
-		// keeps the Hello/Welcome re-announcement door open, and lifts cleanly.
+		// keeps the Hello/Heartbeat re-announcement door open, and lifts cleanly.
 		{"exclusion", func(t *testing.T, r *linkRig) {
 			ch := r.register(1)
 			r.nw.Exclude(0, 1, true)
 			r.nw.Send(0, 1, protocol.WorkDeny{})
 			r.nw.Send(0, 1, protocol.Hello{ID: 0})
-			r.nw.Send(0, 1, protocol.Welcome{})
+			r.nw.Send(0, 1, protocol.Heartbeat{})
 			for i := 0; i < 2; i++ {
 				switch env := r.recv(ch); env.Msg.(type) {
-				case protocol.Hello, protocol.Welcome:
+				case protocol.Hello, protocol.Heartbeat:
 				default:
 					t.Errorf("suppressed link delivered %T", env.Msg)
 				}

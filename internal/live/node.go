@@ -48,13 +48,13 @@ type Config struct {
 	// the run closes within one completion-check tick of the last instance
 	// resolving. A submission during the window resets it.
 	Linger time.Duration
-	// SuspectAfter enables the failure detector, the §5.2 membership of
-	// internal/member: a peer silent this long — no envelope from it, no
-	// progress of its heartbeat — is suspected. Every third of it a node
-	// sends its heartbeat table to a constant fanout of random view members,
-	// and every received envelope is already evidence of life. Zero disables
-	// detection entirely — no per-peer tracking, no heartbeats — keeping the
-	// failure-free path unchanged.
+	// SuspectAfter enables failure detection in each node's §5.2 membership
+	// (internal/member), which is also its view: a peer silent this long — no
+	// envelope from it, no progress of its heartbeat — is suspected. Every
+	// third of it a node sends its heartbeat table to a constant fanout of
+	// random view members, and every received envelope is already evidence
+	// of life. Zero means the member is never ticked: no heartbeats, no
+	// suspicions, only the view.
 	SuspectAfter time.Duration
 	// ExcludeAfter is the silence after which a suspect is excluded from the
 	// local view (defaults to 4×SuspectAfter, never below SuspectAfter).
@@ -150,16 +150,6 @@ type liveNode struct {
 	// incarnation's work was really performed (and possibly reported), so
 	// the cluster-level tally must not lose it.
 	expanded atomic.Int64
-
-	// view is the node's current peer view: the boot-time resource pool,
-	// plus every member learned since via the Hello/Welcome join gossip. It
-	// is a copy-on-write slice behind an atomic pointer — the core reads it
-	// on every protocol decision with a single load, no lock and no
-	// allocation on the send path, while joins (rare) copy and swap under
-	// viewMu. A restarted process keeps its view — machine identity, not
-	// incarnation state.
-	view   atomic.Pointer[[]protocol.NodeID]
-	viewMu sync.Mutex
 }
 
 // incarnation is one boot of a liveNode: everything a crash wipes. The §5
@@ -173,7 +163,7 @@ type incarnation struct {
 	inbox <-chan Envelope
 	mux   *instance.Mux
 	// boot is instance 0's core, kept past its reaping: the membership
-	// messages (Hello, Welcome, Heartbeat) travel untagged and carry its
+	// messages (Hello, Heartbeat) travel untagged and carry its
 	// incumbent and activity age. nil when this incarnation never opened
 	// it — the boot problem had resolved, or this node had detected it
 	// before a crash.
@@ -187,27 +177,26 @@ type incarnation struct {
 	sinceYield int // expansions since run last yielded its processor
 
 	// rng is the incarnation's one random stream, seeded from (Seed, node
-	// id, generation): every hosted core and the detector draw from it, on
+	// id, generation): every hosted core and the member draw from it, on
 	// this goroutine only.
 	rng *rand.Rand
 
-	// contacts is non-nil on a joiner's first incarnation: the members it
-	// announces itself to. Until one of them answers with a Welcome
-	// (welcomed), the announcement is re-sent on the RetryDelay cadence —
-	// the Hello, or its answer, can be lost like any message.
-	contacts []NodeID
-	welcomed bool
-
-	// det is the incarnation's failure detector; nil when SuspectAfter is
-	// zero. Confined to this incarnation's goroutine. rejoin marks the peers
-	// it re-absorbed whose next Welcome bootstraps the table (onDetect).
-	det    *member.Member
+	// mem is the incarnation's membership and view, confined to its
+	// goroutine. rejoin marks the peers it re-absorbed whose next heartbeat
+	// bootstraps the table (onDetect).
+	mem    *member.Member
 	rejoin map[NodeID]bool
 
+	// contacts is non-nil on a joiner's first incarnation: the members it
+	// announces itself to, on the RetryDelay cadence until its first
+	// heartbeat arrives — the Hello, or its answer, can be lost like any
+	// message.
+	contacts []NodeID
+
 	// helloAt and tickAt are the deadlines of the incarnation's own duties,
-	// in clock seconds: a joiner's next Hello and the detector's next tick.
-	// +Inf when there is none — the node joined no one, or was welcomed; it
-	// runs no detector.
+	// in clock seconds: a joiner's next Hello and the member's next tick.
+	// +Inf when there is none — the node is not announcing; SuspectAfter is
+	// zero.
 	helloAt, tickAt float64
 }
 
@@ -230,7 +219,8 @@ type Cluster struct {
 	// a restart racing the shutdown must either win the Add before the stop
 	// flag is set or see it and spawn nothing. started gates Restart to the
 	// running window — before Run spawns the boot incarnations, a restart
-	// would double-drive the same core from two goroutines.
+	// would double-drive the same core from two goroutines. Run clears it
+	// once every incarnation exited.
 	stopMu  sync.Mutex
 	started bool
 	stopped bool
@@ -356,15 +346,7 @@ func newCluster(cfg Config, newExp func() protocol.Expander, sleepOf func(it pro
 		stopAll: make(chan struct{}),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		n := &liveNode{id: NodeID(i), cl: cl}
-		view := make([]protocol.NodeID, 0, cfg.Nodes-1)
-		for j := 0; j < cfg.Nodes; j++ {
-			if j != i {
-				view = append(view, protocol.NodeID(j))
-			}
-		}
-		n.view.Store(&view)
-		cl.nodes = append(cl.nodes, n)
+		cl.nodes = append(cl.nodes, &liveNode{id: NodeID(i), cl: cl})
 	}
 	cl.register(newExp, sleepOf, trueOpt, cl.nodes[0])
 	for _, n := range cl.nodes {
@@ -374,21 +356,29 @@ func newCluster(cfg Config, newExp func() protocol.Expander, sleepOf func(it pro
 }
 
 // newIncarnation builds one boot of a node — a fresh mux, fed from the given
-// inbox: all the state the paper lets a process lose — and opens every
-// instance the node still has to solve. contacts is non-nil only for a
-// joiner's first incarnation.
+// inbox, and a fresh member: all the state the paper lets a process lose —
+// and opens every instance the node still has to solve. contacts is non-nil
+// only for a joiner's first incarnation, whose member knows just them; any
+// other knows every node, the pool it never left. Callers hold stopMu or own
+// the cluster before Run.
 func (cl *Cluster) newIncarnation(n *liveNode, gen int64, inbox <-chan Envelope, contacts []NodeID) *incarnation {
 	inc := &incarnation{
 		n: n, gen: gen, inbox: inbox, mux: instance.NewMux(), contacts: contacts,
 		rng:     rand.New(rand.NewPCG(uint64(cl.cfg.Seed), uint64(n.id)<<32|uint64(gen))),
+		rejoin:  map[NodeID]bool{},
 		helloAt: math.Inf(1), tickAt: math.Inf(1),
 	}
+	pool := contacts
 	if contacts != nil {
 		inc.helloAt = 0 // due at the first loop turn
+	} else {
+		for _, o := range cl.nodes {
+			pool = append(pool, o.id)
+		}
 	}
+	inc.mem = newMember(inc, pool)
 	if cl.cfg.SuspectAfter > 0 {
-		inc.rejoin = map[NodeID]bool{}
-		inc.det, inc.tickAt = newDetector(inc), 0
+		inc.tickAt = 0
 	}
 	inc.syncInstances()
 	return inc
@@ -423,7 +413,7 @@ func (cl *Cluster) newCore(inc *incarnation, exp protocol.Expander, id protocol.
 		Clock:     cl.clock,
 		Sender:    &instSender{inc: inc, id: id},
 		Expander:  exp,
-		Peers:     n.peers,
+		Peers:     inc.mem.Peers,
 		Rand:      inc.rng.IntN,
 		RandFloat: inc.rng.Float64,
 	})
@@ -436,7 +426,7 @@ func (cl *Cluster) newCore(inc *incarnation, exp protocol.Expander, id protocol.
 // flag and transport updates into a half-dead state.
 func (cl *Cluster) Crash(id NodeID) {
 	cl.stopMu.Lock()
-	if int(id) < len(cl.nodes) {
+	if cl.isNode(id) {
 		cl.nodes[id].crashed.Store(true)
 		cl.tr.Crash(id)
 	}
@@ -459,7 +449,7 @@ func (cl *Cluster) Restart(id NodeID) {
 	// (AddNode also appends to cl.nodes under this lock.)
 	cl.stopMu.Lock()
 	defer cl.stopMu.Unlock()
-	if int(id) >= len(cl.nodes) {
+	if !cl.isNode(id) {
 		return
 	}
 	n := cl.nodes[id]
@@ -485,35 +475,34 @@ func (cl *Cluster) Restart(id NodeID) {
 // AddNode grows a running cluster by one brand-new process — elastic
 // membership's join, the live counterpart of the simulator's Join events.
 // The node gets the next free identity and a fresh transport endpoint (for
-// TCP, a fresh listener whose address spreads via the join gossip), starts
-// with only the contacts in its view (default: node 0), and announces itself
-// to them. The Hello flood absorbs it into every live peer view, the first
-// Welcome triggers its completion-table bootstrap, and from then on it
-// steals, expands, and reports like any boot-time member. AddNode only works
-// on a running cluster; it returns the new identity.
+// TCP, a fresh listener), starts with only the contacts in its view
+// (default: node 0), and announces itself to them with a Hello. A contact
+// answers with its heartbeat table — the joiner's whole view — and forwards
+// the Hello once to its own view; that first heartbeat triggers the joiner's
+// completion-table bootstrap, and from then on it steals, expands, and
+// reports like any boot-time member. AddNode only works on a running
+// cluster, through contacts that are its nodes; it returns the new identity.
 func (cl *Cluster) AddNode(contacts ...NodeID) (NodeID, error) {
 	cl.stopMu.Lock()
 	defer cl.stopMu.Unlock()
 	if !cl.started || cl.stopped {
 		return 0, fmt.Errorf("live: AddNode on a cluster that is not running")
 	}
+	for _, c := range contacts {
+		if !cl.isNode(c) {
+			return 0, fmt.Errorf("live: AddNode contact %d is not a node of the cluster", c)
+		}
+	}
+	if len(contacts) == 0 {
+		contacts = []NodeID{0}
+	}
 	id := NodeID(len(cl.nodes))
 	inbox := cl.tr.Add(id)
 	if inbox == nil {
 		return 0, fmt.Errorf("live: transport already closed")
 	}
-	if len(contacts) == 0 {
-		contacts = []NodeID{0}
-	}
 	n := &liveNode{id: id, cl: cl}
-	view := make([]protocol.NodeID, 0, len(contacts))
-	for _, c := range contacts {
-		if c != id {
-			view = append(view, protocol.NodeID(c))
-		}
-	}
-	n.view.Store(&view)
-	inc := cl.newIncarnation(n, 0, inbox, append([]NodeID(nil), contacts...))
+	inc := cl.newIncarnation(n, 0, inbox, slices.Clone(contacts))
 	n.cur = inc
 	cl.nodes = append(cl.nodes, n)
 	cl.wg.Add(1)
@@ -582,6 +571,9 @@ loop:
 	}
 	cl.wg.Wait()
 	defer cl.tr.Close()
+	cl.stopMu.Lock()
+	cl.started = false
+	cl.stopMu.Unlock()
 
 	res := Result{Elapsed: time.Since(start)}
 	for _, n := range cl.nodes {
@@ -602,64 +594,22 @@ loop:
 	return res
 }
 
-// PeerView returns a copy of id's current peer view — the membership the
-// node would steer work exchange by right now. Soak harnesses use it to
-// assert no live node ends a healed run permanently excluded.
+// PeerView returns a copy of id's view — the membership the node steers work
+// exchange by — once Run has returned. Soak harnesses use it to assert no
+// live node ends a healed run permanently excluded. It is nil for an id that
+// is not a node, and while the cluster runs: the view belongs to the node's
+// goroutine.
 func (cl *Cluster) PeerView(id NodeID) []protocol.NodeID {
 	cl.stopMu.Lock()
 	defer cl.stopMu.Unlock()
-	if int(id) >= len(cl.nodes) {
+	if !cl.isNode(id) || cl.started {
 		return nil
 	}
-	return append([]protocol.NodeID(nil), cl.nodes[id].peers()...)
+	return slices.Clone(cl.nodes[id].cur.mem.Peers())
 }
 
-// peers returns the node's current view (crashed members included — failures
-// only manifest as unanswered requests). The slice is immutable once
-// published; the core reads it without retaining or mutating it.
-func (n *liveNode) peers() []protocol.NodeID {
-	return *n.view.Load()
-}
-
-// learnPeer absorbs a newly learned member into the view (copy-on-write).
-// It reports whether the member was news — the signal to forward its Hello
-// onward, flooding the join through the cluster from one contact.
-func (n *liveNode) learnPeer(id protocol.NodeID) bool {
-	if NodeID(id) == n.id {
-		return false
-	}
-	n.viewMu.Lock()
-	defer n.viewMu.Unlock()
-	cur := *n.view.Load()
-	for _, p := range cur {
-		if p == id {
-			return false
-		}
-	}
-	next := make([]protocol.NodeID, len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = id
-	n.view.Store(&next)
-	return true
-}
-
-// dropPeer removes an excluded member from the view (copy-on-write) — the
-// detector-driven counterpart of the §5.2 view shrink a crash notification
-// produces. Re-absorption undoes it via learnPeer.
-func (n *liveNode) dropPeer(id protocol.NodeID) {
-	n.viewMu.Lock()
-	defer n.viewMu.Unlock()
-	cur := *n.view.Load()
-	for i, p := range cur {
-		if p == id {
-			next := make([]protocol.NodeID, 0, len(cur)-1)
-			next = append(next, cur[:i]...)
-			next = append(next, cur[i+1:]...)
-			n.view.Store(&next)
-			return
-		}
-	}
-}
+// isNode reports whether id names a node of the cluster; callers hold stopMu.
+func (cl *Cluster) isNode(id NodeID) bool { return id >= 0 && int(id) < len(cl.nodes) }
 
 // yieldEvery is how many expansions a busy incarnation runs between yields of
 // its processor: a few hundred microseconds of a code-driven problem, and a
@@ -744,13 +694,13 @@ func (inc *incarnation) runDue() {
 		inc.announce(now)
 	}
 	if now >= inc.tickAt {
-		inc.tickAt = inc.det.Tick(now)
+		inc.tickAt = inc.mem.Tick(now)
 	}
 }
 
 // wait is the one place an incarnation blocks: until a message arrives
 // (handled here), the cluster stops, or the clock reaches the earliest
-// deadline — every hosted core's WakeAt, the detector's next tick, a
+// deadline — every hosted core's WakeAt, the member's next tick, a
 // joiner's next Hello and, when idle, the next registry poll. No deadline,
 // no timer. The mux only reaches here when no hosted instance can expand,
 // so the wait never withholds the processor from runnable work.
@@ -776,11 +726,10 @@ func (inc *incarnation) wait(idle bool) {
 }
 
 // handle demultiplexes one delivered message to its instance's core. The
-// membership handshake (Hello/Welcome) is driver business — views live in
-// the driver — so those two kinds are intercepted before any core, and a
-// heartbeat table goes to the detector first.
-// Untagged messages are the boot problem's (instance 0), tagged ones carry
-// their instance; either way they route through the mux, with reaped
+// member hears every envelope first, a Hello is membership business alone,
+// and a heartbeat table goes to the member before its scalars reach the boot
+// core. Untagged messages are the boot problem's (instance 0), tagged ones
+// carry their instance; either way they route through the mux, with reaped
 // instances answered from their tombstone and unknown ones triggering a
 // registry poll — a submitted instance's traffic can outrun the submission
 // epoch's propagation to this node.
@@ -788,21 +737,16 @@ func (inc *incarnation) handle(env Envelope) {
 	// Every delivered envelope is evidence its sender is alive — the
 	// piggybacked heartbeat. This must precede routing: a suspect's work
 	// request clears the suspicion before the core decides how to answer.
-	if inc.det != nil {
-		inc.det.Heard(protocol.NodeID(env.From), inc.n.cl.clock.Now())
-	}
+	now := inc.n.cl.clock.Now()
+	news := inc.mem.Heard(protocol.NodeID(env.From), now)
 	pm, ok := env.Msg.(protocol.Msg)
 	switch m := pm.(type) {
 	case protocol.Hello:
-		inc.onHello(env.From, m)
-		return
-	case protocol.Welcome:
-		inc.onWelcome(env.From, m)
+		inc.onHello(env.From, m, news)
 		return
 	case protocol.Heartbeat:
-		if inc.det != nil {
-			inc.det.Gossip(m, inc.n.cl.clock.Now())
-		}
+		inc.mem.Gossip(m, now)
+		inc.onHeartbeat(env.From)
 		// Its scalars reach the boot core as an explicit heartbeat's would.
 		pm = protocol.Ping{Incumbent: m.Incumbent, ActAge: m.ActAge}
 	}
@@ -844,10 +788,10 @@ func (inc *incarnation) noteTerminated(e *instance.Entry) {
 	inc.mux.Reap(e.ID)
 }
 
-// hello is this node's join announcement, which the failure detector also
-// sends as its probe of an excluded peer.
+// hello is this node's join announcement, which its member also sends as
+// its probe of an excluded peer.
 func (inc *incarnation) hello() protocol.Hello {
-	h := protocol.Hello{ID: protocol.NodeID(inc.n.id), Addr: inc.n.cl.tr.AddrOf(inc.n.id)}
+	h := protocol.Hello{ID: protocol.NodeID(inc.n.id)}
 	h.Incumbent, h.ActAge = inc.bootScalars()
 	return h
 }
@@ -863,78 +807,48 @@ func (inc *incarnation) bootScalars() (incumbent, actAge float64) {
 	return inc.boot.Incumbent(), inc.boot.ActivityAge()
 }
 
-// onHello absorbs a join announcement (§5.2 over the canonical wire): learn
-// the joiner's address and membership, answer with this node's own view so
-// the joiner can populate its pool and bootstrap its table, and — when the
-// joiner was news — forward the hello to the rest of the view, flooding the
-// join through the cluster from a single contact. Views reached at different
-// times stay inconsistent for a while; that is safe, as the resource pool
-// only steers randomized work exchange (see the package comment of
-// internal/member). The detector learns every member the view does.
-func (inc *incarnation) onHello(from NodeID, h protocol.Hello) {
+// onHello absorbs a join announcement (§5.2 over the canonical wire). A
+// Hello from the announcing process itself — a joiner, or a member probing
+// one that excluded it — is answered with the member's heartbeat table, the
+// whole view, and forwarded once to that view when the announcer was news
+// (news: Heard just learned it). A forwarded Hello only teaches the
+// announcer's id. Views reached at different times stay inconsistent for a
+// while; that is safe, as the resource pool only steers randomized work
+// exchange (see the package comment of internal/member).
+func (inc *incarnation) onHello(from NodeID, h protocol.Hello, news bool) {
 	n := inc.n
-	cl := n.cl
-	cl.tr.Learn(NodeID(h.ID), h.Addr)
-	fresh := n.learnPeer(h.ID)
-	if inc.det != nil {
-		inc.det.Learn(h.ID, cl.clock.Now())
-	}
-	view := n.peers()
-	peers := make([]protocol.Peer, 0, len(view)+1)
-	peers = append(peers, protocol.Peer{ID: protocol.NodeID(n.id), Addr: cl.tr.AddrOf(n.id)})
-	for _, p := range view {
-		if p == h.ID {
-			continue
-		}
-		peers = append(peers, protocol.Peer{ID: p, Addr: cl.tr.AddrOf(NodeID(p))})
-	}
-	w := protocol.Welcome{Peers: peers}
-	w.Incumbent, w.ActAge = inc.bootScalars()
-	cl.tr.Send(n.id, NodeID(h.ID), w)
-	if fresh {
-		for _, p := range view {
-			if p == h.ID || NodeID(p) == from {
-				continue
-			}
-			cl.tr.Send(n.id, NodeID(p), h)
-		}
-	}
-}
-
-// onWelcome merges a join answer: the responder's whole view, addresses
-// included. The responder's activity evidence anchors the fresh core's
-// remote-activity clock (an empty table must not read as global quiescence),
-// and until the first subtree lands the joiner pulls its completion-table
-// bootstrap — the Full-root subtree transfer — from whoever welcomed it.
-func (inc *incarnation) onWelcome(from NodeID, w protocol.Welcome) {
-	n := inc.n
-	for _, p := range w.Peers {
-		n.cl.tr.Learn(NodeID(p.ID), p.Addr)
-		n.learnPeer(p.ID)
-		if inc.det != nil {
-			inc.det.Learn(p.ID, n.cl.clock.Now())
-		}
-	}
-	inc.helloAt = math.Inf(1) // somebody answered: the announcing is over
-	c := inc.boot
-	if c == nil {
-		inc.welcomed = true // nothing to bootstrap: the boot problem resolved
+	if from != NodeID(h.ID) {
+		inc.mem.Learn(h.ID, n.cl.clock.Now())
 		return
 	}
-	c.NoteRemoteActivity(w.ActAge)
-	// A Welcome from a peer this detector recently re-absorbed answers our
-	// probe after a severed link: both sides completed work the other never
-	// heard about, so pull the Full-root subtree to catch up — the same
-	// bootstrap a brand-new joiner does.
-	if !inc.welcomed || c.Table().Len() == 0 || inc.rejoin[from] {
-		delete(inc.rejoin, from)
-		inc.welcomed = true
-		c.Bootstrap(protocol.NodeID(from))
+	inc.mem.Answer(h.ID)
+	if news {
+		for _, p := range inc.mem.Peers() {
+			if p != h.ID {
+				n.cl.tr.Send(n.id, NodeID(p), h)
+			}
+		}
 	}
 }
 
-// announce is the joiner's half of the handshake: until somebody welcomes
-// it, it re-announces itself to its contacts every RetryDelay.
+// onHeartbeat pulls the boot table's bootstrap — the Full-root subtree
+// transfer — from the sender of a joiner's first heartbeat, normally its
+// Hello's answer, which also ends its announcing; and from a peer this
+// member re-absorbed, on its first heartbeat since: while the link was
+// severed both sides completed work the other never heard about.
+func (inc *incarnation) onHeartbeat(from NodeID) {
+	if math.IsInf(inc.helloAt, 1) && !inc.rejoin[from] {
+		return
+	}
+	inc.helloAt = math.Inf(1)
+	delete(inc.rejoin, from)
+	if inc.boot != nil {
+		inc.boot.Bootstrap(protocol.NodeID(from))
+	}
+}
+
+// announce is the joiner's half of the join: until its first heartbeat
+// arrives, it re-announces itself to its contacts every RetryDelay.
 func (inc *incarnation) announce(now float64) {
 	cl := inc.n.cl
 	inc.helloAt = now + cl.cfg.RetryDelay.Seconds()

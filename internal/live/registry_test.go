@@ -166,9 +166,7 @@ func TestOpenAnchorsActivity(t *testing.T) {
 	sub := cl.register(cl.specs[0].newExp, nil, 0, cl.nodes[0])
 
 	restarted := cl.newIncarnation(cl.nodes[1], 1, nil, nil)
-	joiner := &liveNode{id: 3, cl: cl}
-	joiner.view.Store(&[]protocol.NodeID{0})
-	joined := cl.newIncarnation(joiner, 0, nil, []NodeID{0})
+	joined := cl.newIncarnation(&liveNode{id: 3, cl: cl}, 0, nil, []NodeID{0})
 
 	for _, c := range []struct {
 		name   string

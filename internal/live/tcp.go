@@ -126,29 +126,13 @@ func (t *TCPNetwork) Register(id NodeID) <-chan Envelope {
 }
 
 // Add implements Net: a brand-new node joins mid-run — a fresh listener on a
-// fresh loopback port, a fresh inbox. Its address spreads to the rest of the
-// cluster via the Hello/Welcome gossip, after which peers dial it on demand.
+// fresh loopback port, a fresh inbox. The network is one object shared by
+// every node, so its address is known to all of them before any of them
+// hears of the node, and peers dial it on demand.
 func (t *TCPNetwork) Add(id NodeID) <-chan Envelope {
 	ep, _ := t.listen(id, "")
 	return ep
 }
-
-// Learn implements Net: record a gossiped dialable address for id. A node's
-// own listener address always wins — Learn only fills gaps, so a stale
-// gossiped address cannot clobber a live endpoint's fresh one.
-func (t *TCPNetwork) Learn(id NodeID, addr string) {
-	if addr == "" {
-		return
-	}
-	t.mu.Lock()
-	if t.addrs[id] == "" {
-		t.addrs[id] = addr
-	}
-	t.mu.Unlock()
-}
-
-// AddrOf implements Net.
-func (t *TCPNetwork) AddrOf(id NodeID) string { return t.Addr(id) }
 
 // Restart implements Net: the crashed node reboots under its old identity —
 // a fresh listener on its recorded address, a fresh empty inbox. Peers

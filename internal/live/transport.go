@@ -35,15 +35,9 @@ type Net interface {
 	Restart(id NodeID) <-chan Envelope
 	// Add creates a brand-new endpoint mid-run — elastic membership's join —
 	// and returns its inbox, or nil if the transport is already closed. For
-	// TCP it brings up a fresh listener whose address peers then learn via
-	// the Hello/Welcome gossip.
+	// TCP it brings up a fresh listener, which every sender in the process
+	// can dial at once.
 	Add(id NodeID) <-chan Envelope
-	// Learn records a dialable address gossiped for id. Transports that
-	// route by identity alone (the in-memory one) ignore it.
-	Learn(id NodeID, addr string)
-	// AddrOf returns id's dialable address, or "" when unknown or when the
-	// transport routes by identity.
-	AddrOf(id NodeID) string
 	// Send queues msg for asynchronous delivery; it must never block the
 	// caller and may drop silently (loss, crash, congestion).
 	Send(from, to NodeID, msg Message)
@@ -53,8 +47,9 @@ type Net interface {
 	Crashed(id NodeID) bool
 	// Exclude sets or clears failure-detector suppression of the directed
 	// link from → to: while set, sends on it drop (counted under the
-	// NetStats Suspect cause) — except Hello and Welcome, the §5.2
-	// re-announcement path a falsely-excluded peer needs to get back in.
+	// NetStats Suspect cause) — except a Hello and the heartbeat table that
+	// answers it, the §5.2 re-announcement path a falsely-excluded peer needs
+	// to get back in.
 	Exclude(from, to NodeID, down bool)
 	// NetStats returns the traffic ledger: sends and bytes, in total and
 	// per message kind, drops by cause, and nemesis injections.
@@ -89,13 +84,6 @@ func (t *Transport) Restart(id NodeID) <-chan Envelope { return t.open(id) }
 // Add implements Net: a brand-new endpoint joins mid-run. In memory that is
 // just a fresh inbox; identity is the only address there is.
 func (t *Transport) Add(id NodeID) <-chan Envelope { return t.open(id) }
-
-// Learn implements Net: the in-memory transport routes by identity, so
-// gossiped addresses carry no information for it.
-func (t *Transport) Learn(NodeID, string) {}
-
-// AddrOf implements Net: in-memory endpoints have no dialable address.
-func (t *Transport) AddrOf(NodeID) string { return "" }
 
 // handOff is the in-memory delivery mechanism: the copy goes straight into
 // the endpoint it was addressed to. Identity is the only address, so a

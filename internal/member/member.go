@@ -7,13 +7,14 @@
 // transport or clock handle. Its inputs are its driver's calls, each with the
 // driver's time in seconds: Heard (any envelope is direct evidence its sender
 // is alive), Gossip (a heartbeat table is indirect evidence, counted only on
-// strict progress), Learn and Tick. Its outputs go through Deps: messages,
-// random draws from the caller's stream, and transitions.
+// strict progress), Learn, Answer and Tick. Its outputs go through Deps:
+// messages, random draws from the caller's stream, and transitions.
 //
 // Heartbeat tables also spread membership: a member that learns of a
 // newcomer relays it, so a joiner that knows one contact is in every view a
-// few rounds later (§5.2's gossip servers). A driver whose transport needs
-// addresses adds its own handshake, as the live runtime's Hello/Welcome does.
+// few rounds later (§5.2's gossip servers). A driver may shortcut a join: the
+// live runtime answers a joiner's Hello with the contact's table (Answer), so
+// the joiner's view is whole after one round trip.
 //
 // Consistent views are impossible in asynchronous unreliable systems
 // (Chandra et al.), and the paper's algorithm does not need them: the view
@@ -167,11 +168,14 @@ func (m *Member) learn(id protocol.NodeID, beat uint64, now float64) (p *peer, f
 }
 
 // Heard records direct evidence: an envelope from `from` arrived. It clears
-// a suspicion and re-absorbs an excluded member, whatever its heartbeat says.
-func (m *Member) Heard(from protocol.NodeID, now float64) {
-	if p, fresh := m.learn(from, 0, now); p != nil && !fresh {
+// a suspicion and re-absorbs an excluded member, whatever its heartbeat says,
+// and reports whether `from` was news.
+func (m *Member) Heard(from protocol.NodeID, now float64) bool {
+	p, fresh := m.learn(from, 0, now)
+	if p != nil && !fresh {
 		m.revive(p, now)
 	}
+	return fresh
 }
 
 func (m *Member) revive(p *peer, now float64) {
@@ -219,8 +223,6 @@ func (m *Member) Tick(now float64) float64 {
 	}
 	m.beatAt = now + m.cfg.SuspectAfter/3
 	m.beat++
-	hb := protocol.Heartbeat{Beats: make([]protocol.Beat, 1, len(m.view)+1), Incumbent: math.Inf(1), ActAge: math.Inf(1)}
-	hb.Beats[0] = protocol.Beat{ID: m.self, Count: m.beat}
 	for i := range m.peers {
 		p := &m.peers[i]
 		switch silent := now - p.heard; {
@@ -232,14 +234,13 @@ func (m *Member) Tick(now float64) float64 {
 			p.state = suspect
 			m.emit(p.id, Suspected)
 		}
-		if p.state != excluded {
-			hb.Beats = append(hb.Beats, protocol.Beat{ID: p.id, Count: p.beat})
-		} else if now >= p.probeAt {
+		if p.state == excluded && now >= p.probeAt {
 			p.probeAt = now + m.cfg.ExcludeAfter*(1+float64(m.d.Rand(256))/1024)
 			m.d.Send(p.id, protocol.Hello{ID: m.self, Incumbent: math.Inf(1), ActAge: math.Inf(1)})
 		}
 	}
 	// Fanout distinct targets in exactly as many draws (Floyd's sampling).
+	hb := m.table()
 	n := len(m.view)
 	m.targets = m.targets[:0]
 	for j := n - min(m.cfg.Fanout, n); j < n; j++ {
@@ -251,6 +252,28 @@ func (m *Member) Tick(now float64) float64 {
 		m.d.Send(to, hb)
 	}
 	return m.beatAt
+}
+
+// Answer sends the heartbeat table to a process that announced itself with a
+// Hello: a joiner learns the whole view in one message, and an excluded
+// member probing this one hears that it is alive.
+func (m *Member) Answer(to protocol.NodeID) {
+	if !m.left {
+		m.d.Send(to, m.table())
+	}
+}
+
+// table is the heartbeat table, with +Inf scalars: this member and its view,
+// each with the latest counter it knows.
+func (m *Member) table() protocol.Heartbeat {
+	hb := protocol.Heartbeat{Beats: make([]protocol.Beat, 1, len(m.view)+1), Incumbent: math.Inf(1), ActAge: math.Inf(1)}
+	hb.Beats[0] = protocol.Beat{ID: m.self, Count: m.beat}
+	for _, p := range m.peers {
+		if p.state != excluded {
+			hb.Beats = append(hb.Beats, protocol.Beat{ID: p.id, Count: p.beat})
+		}
+	}
+	return hb
 }
 
 // rebuild recomputes the view in place after an exclusion or re-absorption.

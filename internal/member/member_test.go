@@ -493,3 +493,122 @@ func BenchmarkMembershipRound64(b *testing.B) {
 		g.run(50)
 	}
 }
+
+// scramble puts every member of g in an arbitrary state as of g.now: its own
+// counter and round phase random, and a partial view that still connects the
+// group — a random spanning tree, each edge known from one random end, plus
+// each other pair known with probability 1/3 — whose every entry has a random
+// counter, a last-heard time up to twice ExcludeAfter old, a random state of
+// alive, suspect or excluded, and a probe due within one probe cadence.
+func scramble(g *group, r *rand.Rand) {
+	n := len(g.ms)
+	cfg := g.ms[0].cfg
+	knows := make([][]bool, n)
+	for i := range knows {
+		knows[i] = make([]bool, n)
+		for j := range knows[i] {
+			knows[i][j] = i != j && r.Intn(3) == 0
+		}
+	}
+	for i := 1; i < n; i++ {
+		j := r.Intn(i)
+		if r.Intn(2) == 0 {
+			knows[i][j] = true
+		} else {
+			knows[j][i] = true
+		}
+	}
+	for i, m := range g.ms {
+		m.beat = uint64(r.Intn(50))
+		m.beatAt = g.now + r.Float64()*cfg.SuspectAfter/3
+		m.peers = m.peers[:0]
+		for j := range n {
+			if knows[i][j] {
+				m.peers = append(m.peers, peer{
+					id:      protocol.NodeID(j),
+					beat:    uint64(r.Intn(50)),
+					heard:   g.now - r.Float64()*2*cfg.ExcludeAfter,
+					probeAt: g.now + r.Float64()*1.25*cfg.ExcludeAfter,
+					state:   state(r.Intn(3)),
+				})
+			}
+		}
+		m.rebuild()
+	}
+}
+
+// converged reports whether every member of g has the full view with every
+// peer alive.
+func converged(g *group) bool {
+	for _, m := range g.ms {
+		if len(m.peers) != len(g.ms)-1 || len(m.view) != len(m.peers) {
+			return false
+		}
+		for _, p := range m.peers {
+			if p.state != alive {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestConvergesFromAnyState: the membership is self-stabilizing (Dubois et
+// al.). Whatever state its members start in (scramble), fair lossless
+// heartbeat rounds bring every member to the full view, with nobody suspect
+// or excluded, within convergeRounds rounds: at worst a pair whose only link
+// is an exclusion waits out one probe cadence (1.25 ExcludeAfter, 15 rounds),
+// and the view it brings back spreads in a few more.
+func TestConvergesFromAnyState(t *testing.T) {
+	const convergeRounds = 20
+	cfg := Config{SuspectAfter: 3, ExcludeAfter: 12, Fanout: 3}
+	period := cfg.SuspectAfter / 3
+	worst := 0
+	for _, n := range []int{4, 8, 16} {
+		for seed := int64(1); seed <= 10; seed++ {
+			g := newGroup(seed, n, cfg)
+			g.now = 2 * cfg.ExcludeAfter
+			scramble(g, rand.New(rand.NewSource(seed<<8|int64(n))))
+			for i := range g.ms {
+				g.start(i)
+			}
+			rounds := 0
+			for ; !converged(g) && rounds < convergeRounds; rounds++ {
+				g.run(g.now + period)
+			}
+			if !converged(g) {
+				for i, m := range g.ms {
+					t.Logf("member %d: view %v, peers %+v", i, m.Peers(), m.peers)
+				}
+				t.Fatalf("%d members, seed %d: not converged after %d rounds", n, seed, convergeRounds)
+			}
+			worst = max(worst, rounds)
+		}
+	}
+	t.Logf("converged within %d rounds", worst)
+}
+
+// TestAnswerIsTheRoundTable: a member answers a Hello with the table its
+// next round would send, without advancing its counter or drawing: itself
+// and every peer it has not excluded.
+func TestAnswerIsTheRoundTable(t *testing.T) {
+	var sent []protocol.Msg
+	m := New(0, Config{SuspectAfter: 3, ExcludeAfter: 6}, Deps{
+		Send: func(_ protocol.NodeID, msg protocol.Msg) { sent = append(sent, msg) },
+		Rand: func(int) int { t.Fatal("an answer drew"); return 0 },
+	}, 0)
+	for _, id := range []protocol.NodeID{1, 2, 3} {
+		m.Learn(id, 0)
+	}
+	m.Gossip(beat(2, 7), 0)
+	m.peers[2].state = excluded // member 3
+	m.rebuild()
+	m.Answer(9)
+	want := []protocol.Beat{{ID: 0}, {ID: 1}, {ID: 2, Count: 7}}
+	if len(sent) != 1 || !slices.Equal(sent[0].(protocol.Heartbeat).Beats, want) {
+		t.Fatalf("answer = %+v, want one table %v", sent, want)
+	}
+	if m.beat != 0 {
+		t.Errorf("answering moved the counter to %d", m.beat)
+	}
+}

@@ -116,16 +116,6 @@ func Encode(dst []byte, m Msg) ([]byte, error) {
 	case Hello:
 		put(KindHello, t.Incumbent, t.ActAge)
 		dst = binary.AppendUvarint(dst, uint64(t.ID))
-		dst = binary.AppendUvarint(dst, uint64(len(t.Addr)))
-		dst = append(dst, t.Addr...)
-	case Welcome:
-		put(KindWelcome, t.Incumbent, t.ActAge)
-		dst = binary.AppendUvarint(dst, uint64(len(t.Peers)))
-		for _, p := range t.Peers {
-			dst = binary.AppendUvarint(dst, uint64(p.ID))
-			dst = binary.AppendUvarint(dst, uint64(len(p.Addr)))
-			dst = append(dst, p.Addr...)
-		}
 	case Ping:
 		put(KindPing, t.Incumbent, t.ActAge)
 	case Heartbeat:
@@ -140,10 +130,6 @@ func Encode(dst []byte, m Msg) ([]byte, error) {
 	}
 	return dst, nil
 }
-
-// maxAddrLen bounds address strings in Hello/Welcome payloads; real
-// addresses are host:port strings, so anything longer is a corrupt frame.
-const maxAddrLen = 1 << 10
 
 // Decode reads one message from the front of buf, returning the message and
 // the number of bytes consumed. Decode is the version-0 (single-instance)
@@ -292,36 +278,7 @@ func decodeMsg(kind byte, buf []byte, off int) (Msg, int, error) {
 			return nil, 0, errors.New("protocol: bad hello id")
 		}
 		off += n
-		addr, n, err := decodeAddr(buf[off:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("protocol: hello: %w", err)
-		}
-		off += n
-		return Hello{ID: NodeID(id), Addr: addr, Incumbent: incumbent, ActAge: actAge}, off, nil
-	case KindWelcome:
-		cnt, n := binary.Uvarint(buf[off:])
-		if n <= 0 || cnt > uint64(len(buf)-off) {
-			return nil, 0, errors.New("protocol: bad welcome count")
-		}
-		off += n
-		var peers []Peer
-		if cnt > 0 {
-			peers = make([]Peer, 0, cnt)
-		}
-		for i := uint64(0); i < cnt; i++ {
-			id, n := binary.Uvarint(buf[off:])
-			if n <= 0 || id > math.MaxInt32 {
-				return nil, 0, errors.New("protocol: bad welcome peer id")
-			}
-			off += n
-			addr, n, err := decodeAddr(buf[off:])
-			if err != nil {
-				return nil, 0, fmt.Errorf("protocol: welcome: %w", err)
-			}
-			off += n
-			peers = append(peers, Peer{ID: NodeID(id), Addr: addr})
-		}
-		return Welcome{Peers: peers, Incumbent: incumbent, ActAge: actAge}, off, nil
+		return Hello{ID: NodeID(id), Incumbent: incumbent, ActAge: actAge}, off, nil
 	case KindPing:
 		return Ping{Incumbent: incumbent, ActAge: actAge}, off, nil
 	case KindHeartbeat:
@@ -376,14 +333,4 @@ func decodeTrie(buf []byte) (*ctree.Table, int, error) {
 		return ctree.Empty(), 1, nil
 	}
 	return ctree.DecodeOne(buf)
-}
-
-// decodeAddr reads one length-prefixed address string, returning it and the
-// bytes consumed.
-func decodeAddr(buf []byte) (string, int, error) {
-	l, n := binary.Uvarint(buf)
-	if n <= 0 || l > maxAddrLen || l > uint64(len(buf)-n) {
-		return "", 0, errors.New("bad address length")
-	}
-	return string(buf[n : n+int(l)]), n + int(l), nil
 }

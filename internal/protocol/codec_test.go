@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"gossipbnb/internal/code"
@@ -84,11 +85,8 @@ func TestCodecRoundTrip(t *testing.T) {
 			Kids: [2]ctree.ChildDigest{{Present: true, Digest: 7}, {Present: true, Digest: 0xffffffffffffffff}}},
 		SubtreeReply{Prefix: code.Root(), BranchVar: 1,
 			Kids: [2]ctree.ChildDigest{1: {Present: true, Digest: 42}}},
-		Hello{ID: 7, Addr: "127.0.0.1:9021", Incumbent: math.Inf(1), ActAge: 0.5},
+		Hello{ID: 7, Incumbent: math.Inf(1), ActAge: 0.5},
 		Hello{ID: 300, Incumbent: 1},
-		Welcome{Peers: []Peer{{ID: 0, Addr: "10.0.0.1:80"}, {ID: 5}, {ID: 999, Addr: "x"}},
-			Incumbent: -4, ActAge: 6},
-		Welcome{Incumbent: 2},
 		Ping{Incumbent: 3.5, ActAge: 0.25},
 		Ping{},
 	}
@@ -205,23 +203,27 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	if _, _, err := Decode(buf[:len(buf)-3]); err == nil {
 		t.Error("truncated child digests accepted")
 	}
-	// Hello whose address is cut off.
-	buf, _ = Encode(nil, Hello{ID: 3, Addr: "host:1234"})
-	if _, _, err := Decode(buf[:len(buf)-2]); err == nil {
-		t.Error("truncated hello address accepted")
-	}
-	// Welcome whose last peer is cut off.
-	buf, _ = Encode(nil, Welcome{Peers: []Peer{{ID: 1, Addr: "a:1"}, {ID: 2, Addr: "b:2"}}})
+	// Hello whose id is cut off, and one whose id overflows a NodeID.
+	buf, _ = Encode(nil, Hello{ID: 300})
 	if _, _, err := Decode(buf[:len(buf)-1]); err == nil {
-		t.Error("truncated welcome peer accepted")
+		t.Error("truncated hello id accepted")
 	}
-	// Hello with a corrupt declared address length.
-	buf, _ = Encode(nil, Hello{ID: 1})
-	buf[len(buf)-1] = 0xff // addr length varint continues into nothing
+	buf = binary.AppendUvarint(buf[:len(buf)-2], 1<<40)
 	if _, _, err := Decode(buf); err == nil {
-		t.Error("bad hello address length accepted")
+		t.Error("hello id beyond int32 accepted")
+	}
+	// Kind 10, the retired join answer: the bytes the codec wrote for one
+	// decode as an unknown kind.
+	buf, _ = hex.DecodeString(retiredJoinAnswer)
+	if _, _, err := Decode(buf); err == nil || !strings.Contains(err.Error(), "unknown message kind 10") {
+		t.Errorf("retired kind 10 decoded: %v", err)
 	}
 }
+
+// retiredJoinAnswer is the encoding of the last message of kind 10, the join
+// answer that carried a view with addresses, which the heartbeat table
+// replaced: peers 1 ("a:1") and 2 (""), ActAge 3.
+const retiredJoinAnswer = "0a00000000000000000000000000000840020103613a310200"
 
 // TestHeartbeatRoundTrip: the membership heartbeat table encodes to exactly
 // Size bytes and decodes to itself, bare and instance-tagged alike, and a
@@ -270,8 +272,7 @@ func TestCodecInstanceRoundTrip(t *testing.T) {
 		SubtreeRequest{Prefix: codes[1], Full: true, Incumbent: 9},
 		SubtreeReply{Prefix: codes[1], Leaf: true, table: tableOf(codes[2:]...), Incumbent: 5},
 		Report{table: tableOf(tableCodes()...), Incumbent: 3},
-		Hello{ID: 7, Addr: "127.0.0.1:9021", Incumbent: 1},
-		Welcome{Peers: []Peer{{ID: 0, Addr: "10.0.0.1:80"}}, Incumbent: -4},
+		Hello{ID: 7, Incumbent: 1},
 		Ping{Incumbent: 12, ActAge: 0.5},
 	}
 	for _, inst := range []InstanceID{0, 1, 2, 127, 128, 300, math.MaxUint32} {
@@ -376,9 +377,10 @@ func TestDecodeInstanceRejectsGarbage(t *testing.T) {
 // decode fine but re-encode shorter.) Both decode modes run on every input:
 // the version-0 Decode and the instance-aware DecodeInstance.
 func FuzzDecode(f *testing.F) {
-	// Seeds 0–23: a message of every kind, then tagged ones. Six of them are
-	// the bytes the codec wrote when reports, digest reports and leaf subtree
-	// replies carried a front-coded code list; they are garbage now.
+	// Seeds 0–23: a message of every kind, then tagged ones. Seven of them
+	// are bytes the codec once wrote and that are garbage now: six from when
+	// reports, digest reports and leaf subtree replies carried a front-coded
+	// code list, and one of the retired kind 10.
 	var seeds [][]byte
 	for _, m := range []Msg{
 		Report{Codes: sampleCodes(), Incumbent: 1, ActAge: 2},
@@ -391,8 +393,8 @@ func FuzzDecode(f *testing.F) {
 		SubtreeReply{Leaf: true, Prefix: sampleCodes()[1], table: tableOf(sampleCodes()[2:]...)},
 		SubtreeReply{Prefix: sampleCodes()[2], BranchVar: 3,
 			Kids: [2]ctree.ChildDigest{{Present: true, Digest: 11}}},
-		Hello{ID: 12, Addr: "127.0.0.1:8080", Incumbent: 7},
-		Welcome{Peers: []Peer{{ID: 1, Addr: "a:1"}, {ID: 2}}, ActAge: 3},
+		Hello{ID: 12, Incumbent: 7},
+		Ping{}, // overwritten below with kind 10's last bytes
 		Ping{Incumbent: 1, ActAge: 2},
 	} {
 		seeds = append(seeds, mustEncode(f, m))
@@ -403,7 +405,7 @@ func FuzzDecode(f *testing.F) {
 			Report{Codes: sampleCodes(), Incumbent: 1},
 			WorkRequest{ActAge: 2},
 			DigestReport{Digest: 0x77, Codes: sampleCodes()[:1]},
-			Hello{ID: 3, Addr: "h:1"},
+			Hello{ID: 3},
 		} {
 			seeds = append(seeds, mustEncode(f, InstMsg{Instance: inst, Msg: m}))
 		}
@@ -412,6 +414,7 @@ func FuzzDecode(f *testing.F) {
 		0:  "01000000000000f03f00000000000000400300000202050001d904",
 		5:  "060000000000001840000000000000000034120000000000000300000202050001d904",
 		7:  "080000000000000000000000000000000001070202050101d904",
+		10: retiredJoinAnswer,
 		12: "8101000000000000f03f00000000000000000300000202050001d904",
 		16: "818001000000000000f03f00000000000000000300000202050001d904",
 		20: "81ffffffff0f000000000000f03f00000000000000000300000202050001d904",

@@ -59,7 +59,7 @@ const (
 	KindSubtreeRequest
 	KindSubtreeReply
 	KindHello
-	KindWelcome
+	_ // 10: the retired join answer; the answer is a Heartbeat now
 	KindPing
 	KindHeartbeat
 
@@ -89,8 +89,6 @@ func KindName(k byte) string {
 		return "subreply"
 	case KindHello:
 		return "hello"
-	case KindWelcome:
-		return "welcome"
 	case KindPing:
 		return "ping"
 	case KindHeartbeat:
@@ -403,47 +401,23 @@ func (m SubtreeReply) Size() int {
 // Kind implements Msg.
 func (m SubtreeReply) Kind() byte { return KindSubtreeReply }
 
-// Hello announces a brand-new process to a member it has an address for —
-// the §5.2 join step lifted onto the canonical wire so it crosses real
-// transports. ID is the joiner's own identity (which need not match the
-// envelope sender when a member forwards the hello onward), Addr its dialable
-// address ("" on transports that route by ID alone). A member that learns a
-// new peer from a Hello forwards it to its own view and answers Welcome, so
-// one contact suffices to flood a join through the cluster.
+// Hello announces a process to a member: a joiner's announcement to its
+// contacts, or a failure detector's probe of a member it excluded. ID is the
+// announcing process, which is the envelope sender unless a contact forwarded
+// the Hello to its view. A member answers a Hello from ID itself with its
+// heartbeat table, and forwards it once, when ID was news; a forwarded Hello
+// only teaches ID.
 type Hello struct {
 	ID        NodeID
-	Addr      string
 	Incumbent float64
 	ActAge    float64
 }
 
 // Size implements Msg.
-func (m Hello) Size() int {
-	return scalarSize + code.UvarintLen(uint64(m.ID)) + code.UvarintLen(uint64(len(m.Addr))) + len(m.Addr)
-}
+func (m Hello) Size() int { return scalarSize + code.UvarintLen(uint64(m.ID)) }
 
 // Kind implements Msg.
 func (m Hello) Kind() byte { return KindHello }
-
-// Peer pairs a member's identity with its dialable address, for Welcome
-// payloads.
-type Peer struct {
-	ID   NodeID
-	Addr string
-}
-
-// Welcome answers a Hello with the responder's current view (itself
-// included), each member with its last-known address. The joiner merges the
-// peers into its own view and bootstraps its completion table from the
-// responder via the Full-root subtree pull. Views gossiped this way may be
-// mutually inconsistent while a join floods; that is safe for the same reason
-// the paper's §5.2 protocol tolerates it — every view member is a valid
-// steal/report target, and missing members only thin the fanout temporarily.
-type Welcome struct {
-	Peers     []Peer
-	Incumbent float64
-	ActAge    float64
-}
 
 // Ping carries only the scalars every message piggybacks. No runtime sends
 // it since the membership heartbeat (Heartbeat) replaced the live detector's
@@ -465,7 +439,8 @@ func (m Ping) Kind() byte { return KindPing }
 // latest heartbeat counter it knows. A member sends it to a constant fanout
 // of random view members once per heartbeat period, so its load per member
 // does not grow with the group; a receiver refreshes a member only on strict
-// counter progress.
+// counter progress. It is also the answer to a Hello, which hands a joiner
+// the whole view at once.
 type Heartbeat struct {
 	Beats     []Beat
 	Incumbent float64
@@ -489,18 +464,6 @@ func (m Heartbeat) Size() int {
 
 // Kind implements Msg.
 func (m Heartbeat) Kind() byte { return KindHeartbeat }
-
-// Size implements Msg.
-func (m Welcome) Size() int {
-	sz := scalarSize + code.UvarintLen(uint64(len(m.Peers)))
-	for _, p := range m.Peers {
-		sz += code.UvarintLen(uint64(p.ID)) + code.UvarintLen(uint64(len(p.Addr))) + len(p.Addr)
-	}
-	return sz
-}
-
-// Kind implements Msg.
-func (m Welcome) Kind() byte { return KindWelcome }
 
 // scalarSize is the fixed part of every message: one kind byte plus the two
 // 8-byte piggybacked scalars.
