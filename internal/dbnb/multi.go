@@ -1,6 +1,8 @@
 package dbnb
 
 import (
+	"runtime"
+
 	"gossipbnb/internal/bnb"
 	"gossipbnb/internal/metrics"
 	"gossipbnb/internal/nemesis"
@@ -42,7 +44,10 @@ type InstanceResult struct {
 	FirstDetect float64
 	// Optimum is the best solution value known to the instance's terminated
 	// processes; OptimumOK compares it against the instance's own sequential
-	// solve (SeqOptimum, found in SeqExpanded expansions).
+	// solve (SeqOptimum, found in SeqExpanded expansions). RunInstances
+	// solves that reference on a goroutine beside the simulation and the
+	// result carries it once the run is over; RunProblemRef takes it from
+	// its caller and Run reads it off the recorded tree.
 	Optimum     float64
 	OptimumOK   bool
 	SeqOptimum  float64
@@ -98,8 +103,6 @@ func RunInstances(cfg Config) MultiResult {
 		cfg.LinkLatency != nil || cfg.fireHook != nil || shardLookahead(cfg) <= 0 {
 		panic("dbnb: RunInstances does not support Trace, Joins, LinkLatency, or a latency model without a positive floor")
 	}
-	// Sequential references first: they are both the OptimumOK cross-check
-	// and the throughput baseline the experiments compare against.
 	specs := make([]*spec, len(cfg.Instances))
 	for i, in := range cfg.Instances {
 		specs[i] = &spec{
@@ -108,8 +111,78 @@ func RunInstances(cfg Config) MultiResult {
 			start:    max(in.StartTime, 0),
 			seed:     in.Seed,
 			seedNode: i % cfg.Procs, // spread the roots across processes
-			w:        problemWorkload(in.Problem, bnb.SolveProblem(in.Problem)),
+			w:        problemWorkload(in.Problem, bnb.Result{}),
 		}
 	}
-	return newHarness(cfg, specs, true).run()
+	// Sequential references beside the simulation: they are the OptimumOK
+	// cross-check and the throughput baseline the experiments compare
+	// against, and nothing the simulation reads, so one goroutine of their
+	// own solves them while the harness is built and run, and only fold,
+	// after the run, reads them.
+	refs := solveRefs(cfg.Instances, specs)
+	defer refs.wait()
+	h := newHarness(cfg, specs, true)
+	h.refs = refs
+	h.yieldUntil(refs.done)
+	return h.run()
+}
+
+// refSolve is the one goroutine that solves RunInstances' sequential
+// references, in instance order, storing each on its spec. One, not one per
+// instance: the simulation runs beside it, and more runnable references would
+// time-slice the simulation's own goroutine.
+type refSolve struct {
+	done  chan struct{} // closed when the goroutine is over
+	fault any           // a panic it met
+}
+
+func solveRefs(ins []Instance, specs []*spec) *refSolve {
+	r := &refSolve{done: make(chan struct{})}
+	go func() {
+		defer close(r.done)
+		defer func() { r.fault = recover() }()
+		for i, in := range ins {
+			ref := bnb.SolveProblem(in.Problem)
+			specs[i].w.trueOpt, specs[i].w.seqExpanded = ref.Value, ref.Expanded
+		}
+	}()
+	return r
+}
+
+// wait joins the goroutine and re-raises any panic it met. It may be called
+// again.
+func (r *refSolve) wait() {
+	<-r.done
+	if r.fault != nil {
+		panic(r.fault)
+	}
+}
+
+// yieldEvery is how many events a shard fires between yields of its
+// processor while the references are solved: well under a millisecond of
+// simulation.
+const yieldEvery = 1024
+
+// yieldUntil makes every shard's kernel yield its processor every yieldEvery
+// events until done is closed, then drop the hook. While the references are
+// solved, the simulation and the reference goroutine are both CPU-bound and
+// reach no scheduling point of their own, so with one processor each the
+// garbage collector's mark worker waits for a whole preemption slice, both
+// keep allocating, and the heap runs far past its goal: sim-multi8's peak
+// RSS rose by a third without the yields. A yield moves no event.
+func (h *harness) yieldUntil(done <-chan struct{}) {
+	for _, sh := range h.shards {
+		k, n := sh.k, 0
+		k.SetFireHook(func(float64, uint64) {
+			if n++; n%yieldEvery != 0 {
+				return
+			}
+			select {
+			case <-done:
+				k.SetFireHook(nil)
+			default:
+				runtime.Gosched()
+			}
+		})
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"gossipbnb/internal/bnb"
@@ -307,4 +308,102 @@ func TestRunInstancesRejectsUnsupported(t *testing.T) {
 		Joins:     []Join{{Time: 1, Count: 1}},
 		Instances: fourInstances()[:1],
 	})
+}
+
+// TestRunInstancesReferenceOutlastsRun: RunInstances solves its sequential
+// references on a goroutine beside the simulation. Here the run stops at
+// MaxTime long before the QAP's reference (tens of milliseconds of
+// expansions, solved first) is done, and the knapsack's is solved after it;
+// the result must still carry both exactly as bnb.SolveProblem finds them,
+// and judge OptimumOK against them: the knapsack terminated on its optimum,
+// the QAP did not terminate.
+func TestRunInstancesReferenceOutlastsRun(t *testing.T) {
+	qap := bnb.RandomQAP(rand.New(rand.NewSource(1)), 8)
+	ks := fourInstances()[0].Problem
+	res := RunInstances(Config{
+		Procs: 4, Seed: 5, Prune: true, Select: DepthFirst, MaxTime: 5,
+		Instances: []Instance{{Problem: qap, Seed: 1}, {Problem: ks, Seed: 2}},
+	})
+	for i, p := range []bnb.Problem{qap, ks} {
+		ir, ref := res.Instances[i], bnb.SolveProblem(p)
+		if ir.SeqOptimum != ref.Value || ir.SeqExpanded != ref.Expanded {
+			t.Errorf("instance %d: reference %g in %d expansions, bnb.SolveProblem %g in %d",
+				ir.ID, ir.SeqOptimum, ir.SeqExpanded, ref.Value, ref.Expanded)
+		}
+		if want := ir.Terminated && ir.Optimum == ref.Value; ir.OptimumOK != want {
+			t.Errorf("instance %d: OptimumOK %v, want %v (terminated %v, optimum %g)",
+				ir.ID, ir.OptimumOK, want, ir.Terminated, ir.Optimum)
+		}
+	}
+	if q, k := res.Instances[0], res.Instances[1]; q.Terminated || !k.OptimumOK {
+		t.Errorf("want the QAP cut off at MaxTime and the knapsack solved: QAP terminated %v, knapsack OptimumOK %v",
+			q.Terminated, k.OptimumOK)
+	}
+}
+
+// TestRunInstancesMixedProblems runs a QAP and a knapsack on two shards while
+// their references are solved beside the run. Under -race it shows that a
+// bnb.Problem is only read while the reference solve and the processes'
+// expanders share it.
+func TestRunInstancesMixedProblems(t *testing.T) {
+	res := RunInstances(Config{
+		Procs: 6, Seed: 3, Prune: true, Select: DepthFirst, Shards: 2,
+		Instances: []Instance{
+			{Problem: bnb.RandomQAP(rand.New(rand.NewSource(2)), 7), Seed: 1},
+			{Problem: bnb.RandomKnapsack(rand.New(rand.NewSource(25)), 14), Seed: 2, StartTime: 1},
+		},
+	})
+	for _, ir := range res.Instances {
+		if !ir.OptimumOK || ir.SeqExpanded == 0 {
+			t.Errorf("instance %d: terminated %v, optimum %g, reference %g in %d expansions",
+				ir.ID, ir.Terminated, ir.Optimum, ir.SeqOptimum, ir.SeqExpanded)
+		}
+	}
+}
+
+// rootPanics is a problem whose every solve, sequential or distributed,
+// panics at its root.
+type rootPanics struct{}
+
+func (rootPanics) Root() bnb.Subproblem { panic("rootPanics: no root") }
+
+// settledGoroutines counts goroutines once those that are only finishing —
+// a joined goroutine past its last statement, a previous test's mesh
+// workers — have exited: a hundred yields, far shorter than any reference
+// solve.
+func settledGoroutines() int {
+	for range 100 {
+		runtime.Gosched()
+	}
+	return runtime.NumGoroutine()
+}
+
+// TestRunInstancesLeavesNoGoroutine: RunInstances joins its reference
+// goroutine on every return, a panic included, and re-raises a panic the
+// reference met. Every run ends long before its QAP reference, solved first,
+// is done, so a goroutine left running would still be counted: the first at
+// MaxTime; the second when the simulation panics at the root of its second
+// instance, which the reference goroutine meets after the QAP's; the third
+// at MaxTime, before that instance is submitted, so only the reference
+// panics.
+func TestRunInstancesLeavesNoGoroutine(t *testing.T) {
+	qap := Instance{Problem: bnb.RandomQAP(rand.New(rand.NewSource(1)), 8), Seed: 1}
+	bad := Instance{Problem: rootPanics{}, Seed: 2}
+	late := bad
+	late.StartTime = 100
+	base := settledGoroutines()
+	for i, ins := range [][]Instance{{qap}, {qap, bad}, {qap, late}} {
+		func() {
+			defer func() {
+				if r := recover(); (i > 0) != (r == "rootPanics: no root") {
+					t.Errorf("run %d recovered %v", i, r)
+				}
+			}()
+			RunInstances(Config{Procs: 4, Seed: 5, Prune: true, Select: DepthFirst, MaxTime: 5, Instances: ins})
+		}()
+	}
+	if n := settledGoroutines(); n != base {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after RunInstances, %d before:\n%s", n, base, buf[:runtime.Stack(buf, true)])
+	}
 }

@@ -52,7 +52,9 @@ type workload struct {
 	// the CostFactor granularity knob.
 	costOf func(it protocol.Item) float64
 	// trueOpt is the single-processor reference optimum, found in
-	// seqExpanded expansions (a recorded tree's size).
+	// seqExpanded expansions (a recorded tree's size). RunInstances stores
+	// both from its reference goroutine while the run reads the fields above
+	// (harness.refs), so the run never copies a whole workload.
 	trueOpt     float64
 	seqExpanded int
 }
@@ -151,6 +153,10 @@ type harness struct {
 	// fireFn is fire bound once: the callback of every node event of the
 	// run (node.event).
 	fireFn func(int)
+	// refs, if non-nil, is the goroutine solving the specs' sequential
+	// references beside the run (RunInstances); nil when the specs carry
+	// theirs from the start.
+	refs *refSolve
 }
 
 // shardOf returns the context owning process i.
@@ -627,6 +633,9 @@ func (h *harness) run() MultiResult {
 		Met:        &metrics.Multi{Systems: make([]*metrics.System, len(h.specs))},
 	}
 	end := h.mesh.Run(h.cfg.MaxTime)
+	if h.refs != nil {
+		h.refs.wait()
+	}
 	res.Net = h.mesh.Stats()
 	res.Events = h.mesh.Events()
 	res.Shards = len(h.shards)

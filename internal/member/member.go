@@ -34,8 +34,11 @@ import (
 // Config tunes the detector.
 type Config struct {
 	// SuspectAfter is the silence — no envelope from a member, no progress of
-	// its heartbeat — after which it is suspected. A third of it is the
-	// heartbeat period. 0 means 3 s.
+	// its heartbeat — after which it is suspected in a group of up to four.
+	// A counter takes about log₂(n) gossip rounds to reach all of n members,
+	// so a member that knows a group of n, itself and its view, suspects
+	// after SuspectAfter × max(1, log₂(n)/2), never past ExcludeAfter. A
+	// third of it is the heartbeat period at every size. 0 means 3 s.
 	SuspectAfter float64
 	// ExcludeAfter is the silence after which a member leaves the view; 0
 	// means 4×SuspectAfter, and it is never below SuspectAfter.
@@ -209,11 +212,12 @@ func (m *Member) Gossip(hb protocol.Heartbeat, now float64) {
 
 // Tick runs the heartbeat round if it is due and returns the next deadline,
 // +Inf once the member left. A round advances the member's own counter,
-// suspects each peer silent past SuspectAfter and excludes each one silent
-// past ExcludeAfter, probes each excluded peer with a Hello on a slow
-// jittered cadence — evidence of life that a falsely excluded or healed peer
-// answers — and sends the heartbeat table, itself and its view, to Fanout
-// distinct random view members.
+// suspects each peer silent past the group's suspicion threshold (see
+// Config.SuspectAfter) and excludes each one silent past ExcludeAfter,
+// probes each excluded peer with a Hello on a slow jittered cadence —
+// evidence of life that a falsely excluded or healed peer answers — and
+// sends the heartbeat table, itself and its view, to Fanout distinct random
+// view members.
 func (m *Member) Tick(now float64) float64 {
 	if m.left {
 		return math.Inf(1)
@@ -223,6 +227,7 @@ func (m *Member) Tick(now float64) float64 {
 	}
 	m.beatAt = now + m.cfg.SuspectAfter/3
 	m.beat++
+	suspectAfter := min(m.cfg.SuspectAfter*max(1, math.Log2(float64(len(m.view)+1))/2), m.cfg.ExcludeAfter)
 	for i := range m.peers {
 		p := &m.peers[i]
 		switch silent := now - p.heard; {
@@ -230,7 +235,7 @@ func (m *Member) Tick(now float64) float64 {
 			p.state = excluded
 			m.rebuild()
 			m.emit(p.id, Excluded)
-		case p.state == alive && silent > m.cfg.SuspectAfter:
+		case p.state == alive && silent > suspectAfter:
 			p.state = suspect
 			m.emit(p.id, Suspected)
 		}

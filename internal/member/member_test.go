@@ -5,22 +5,25 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"gossipbnb/internal/protocol"
 )
 
 // group is a deterministic test network for members: every message takes
-// the paper's 1.5 ms, is lost with probability loss, and never reaches or
-// leaves a crashed member. Each member's heartbeat rounds run at the
-// deadlines its Tick returns; every delivery is Heard, and a heartbeat table
-// is Gossip too.
+// lat plus up to jit more (the paper's 1.5 ms flat by default), is lost with
+// probability loss, and never reaches or leaves a crashed member. Each
+// member's heartbeat rounds run at the deadlines its Tick returns; every
+// delivery is Heard, and a heartbeat table is Gossip too.
 type group struct {
 	now   float64
 	seq   int
 	q     events
 	rng   *rand.Rand
 	loss  float64
+	lat   float64
+	jit   float64
 	ms    []*Member
 	down  []bool
 	sent  int
@@ -65,7 +68,7 @@ func (g *group) run(until float64) {
 
 // newGroup builds n members that know nobody; cfg applies to all.
 func newGroup(seed int64, n int, cfg Config) *group {
-	g := &group{rng: rand.New(rand.NewSource(seed)), down: make([]bool, n)}
+	g := &group{rng: rand.New(rand.NewSource(seed)), lat: 1.5e-3, down: make([]bool, n)}
 	for i := 0; i < n; i++ {
 		id := protocol.NodeID(i)
 		g.ms = append(g.ms, New(id, cfg, Deps{
@@ -87,7 +90,11 @@ func (g *group) send(from, to protocol.NodeID, m protocol.Msg) {
 	if g.loss > 0 && g.rng.Float64() < g.loss {
 		return
 	}
-	g.at(g.now+1.5e-3, func() {
+	delay := g.lat
+	if g.jit > 0 {
+		delay += g.jit * g.rng.Float64()
+	}
+	g.at(g.now+delay, func() {
 		if int(to) < len(g.ms) && !g.down[to] {
 			g.ms[to].Heard(from, g.now)
 			if hb, ok := m.(protocol.Heartbeat); ok {
@@ -610,5 +617,102 @@ func TestAnswerIsTheRoundTable(t *testing.T) {
 	}
 	if m.beat != 0 {
 		t.Errorf("answering moved the counter to %d", m.beat)
+	}
+}
+
+// TestNoIdleSuspicionsAtScale: on a lossless network with sub-millisecond
+// jittered latency, a group whose every member is alive raises no suspicion
+// in 60 heartbeat rounds at 4 to 64 members, five seeds each. A peer's
+// counter takes about log₂(n) gossip rounds to reach every member, so a
+// threshold of three rounds at every size suspected live members from 8
+// members up; the threshold scales with the group (Tick).
+func TestNoIdleSuspicionsAtScale(t *testing.T) {
+	cfg := Config{SuspectAfter: 0.03}
+	for _, n := range []int{4, 8, 16, 32, 64} {
+		suspicions, exclusions := 0, 0
+		for seed := int64(1); seed <= 5; seed++ {
+			g := newGroup(seed, n, cfg)
+			g.lat, g.jit = 0.25e-3, 0.5e-3
+			g.boot()
+			g.run(60 * cfg.SuspectAfter / 3)
+			for _, tr := range g.trans {
+				switch {
+				case strings.HasSuffix(tr, Suspected.String()):
+					suspicions++
+				case strings.HasSuffix(tr, Excluded.String()):
+					exclusions++
+				}
+			}
+		}
+		t.Logf("%2d members: %d suspicions, %d exclusions", n, suspicions, exclusions)
+		if suspicions != 0 || exclusions != 0 {
+			t.Errorf("%d live members raised %d suspicions and %d exclusions over 5 seeds, want none",
+				n, suspicions, exclusions)
+		}
+	}
+}
+
+// TestSuspicionScalesWithGroup: a silent peer is suspected after SuspectAfter
+// × max(1, log₂(n)/2) of silence, n the member and its view: exactly
+// SuspectAfter up to 4 members, twice it at 16. At the cap, ExcludeAfter, the
+// peer is excluded without a suspicion first, as when the two are equal.
+func TestSuspicionScalesWithGroup(t *testing.T) {
+	cfg := Config{SuspectAfter: 3, ExcludeAfter: 8}
+	for _, c := range []struct {
+		n     int
+		first Transition
+		after float64 // silence at the first transition
+	}{{2, Suspected, 3}, {3, Suspected, 3}, {4, Suspected, 3}, {8, Suspected, 4.5}, {16, Suspected, 6}, {64, Excluded, 8}} {
+		var now, at float64
+		first := Transition(-1)
+		m := New(0, cfg, Deps{Send: func(protocol.NodeID, protocol.Msg) {}, Rand: func(int) int { return 0 },
+			On: func(_ protocol.NodeID, tr Transition) {
+				if first < 0 {
+					first, at = tr, now
+				}
+			}}, 0)
+		for id := 1; id < c.n; id++ {
+			m.Learn(protocol.NodeID(id), 0)
+		}
+		// Rounds every 0.25 s, so the transition lands within a quarter
+		// second of its threshold.
+		for now = 0.25; first < 0 && now < 20; now += 0.25 {
+			m.beatAt = now
+			m.Tick(now)
+		}
+		if first != c.first || at <= c.after || at > c.after+0.25 {
+			t.Errorf("%d members: %v after %g s of silence, want %v just past %g s", c.n, first, at, c.first, c.after)
+		}
+	}
+}
+
+// TestLeaverSuspectedThenExcludedAtScale: at 64 members, where suspicion
+// waits three SuspectAfter, a member that leaves is still suspected and then
+// excluded by every peer, suspected first, each once.
+func TestLeaverSuspectedThenExcludedAtScale(t *testing.T) {
+	const n = 64
+	cfg := Config{SuspectAfter: 0.03}
+	g := newGroup(1, n, cfg)
+	g.lat, g.jit = 0.25e-3, 0.5e-3
+	g.boot()
+	g.run(20 * cfg.SuspectAfter / 3)
+	left := g.now
+	seen := make([][]Transition, n)
+	for i, m := range g.ms {
+		m.d.On = func(p protocol.NodeID, tr Transition) {
+			if p == n-1 {
+				seen[i] = append(seen[i], tr)
+			}
+		}
+	}
+	g.ms[n-1].Leave()
+	g.run(left + 2*g.ms[0].cfg.ExcludeAfter)
+	for i, got := range seen[:n-1] {
+		if !slices.Equal(got, []Transition{Suspected, Excluded}) {
+			t.Errorf("member %d saw the leaver %v, want suspected then excluded", i, got)
+		}
+		if knows(g.ms[i], n-1) {
+			t.Errorf("member %d still has the leaver in view", i)
+		}
 	}
 }

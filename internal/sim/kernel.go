@@ -128,9 +128,10 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 func (k *Kernel) Events() uint64 { return k.fired }
 
 // SetFireHook installs fn to observe every fired event's (time, seq) just
-// before its callback runs. The hook exists for golden event-order tests:
-// hashing the observed stream pins the kernel's exact firing order across
-// rewrites. A nil fn removes the hook.
+// before its callback runs. Golden event-order tests hash the observed stream
+// to pin the kernel's exact firing order across rewrites; a driver may also
+// use it to yield the processor every so many events. A nil fn removes the
+// hook; fn may remove it too.
 func (k *Kernel) SetFireHook(fn func(t float64, seq uint64)) { k.hook = fn }
 
 // Event is a value handle to a scheduled event; Cancel prevents it from
