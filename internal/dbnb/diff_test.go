@@ -17,15 +17,19 @@ import (
 
 // reportPathBytes sums the wire bytes of every message kind that exists to
 // propagate completion state: legacy reports and full-table pushes, plus —
-// in diff mode — digest reports and the subtree walk traffic. Work-stealing
-// kinds (request/grant/deny) are excluded: both modes need them and their
-// volume is a function of starvation, not of the gossip encoding.
+// in diff mode — digest reports and the subtree walk traffic, plus the table
+// pushes that ride work requests: a request's bytes beyond a bare request's.
+// Work-stealing kinds (request/grant/deny) are otherwise excluded: both
+// modes need them and their volume is a function of starvation, not of the
+// gossip encoding.
 func reportPathBytes(res Result) int64 {
+	bare := int64(protocol.WorkRequest{}.Size())
 	return res.Net.KindBytes[protocol.KindReport] +
 		res.Net.KindBytes[protocol.KindTable] +
 		res.Net.KindBytes[protocol.KindDigestReport] +
 		res.Net.KindBytes[protocol.KindSubtreeRequest] +
-		res.Net.KindBytes[protocol.KindSubtreeReply]
+		res.Net.KindBytes[protocol.KindSubtreeReply] +
+		res.Net.KindBytes[protocol.KindRequest] - bare*res.Net.KindSent[protocol.KindRequest]
 }
 
 // TestDiffGossipParityTable1 is the acceptance run: the seeded Table-1

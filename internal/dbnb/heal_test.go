@@ -102,12 +102,12 @@ func TestHealStallWindow(t *testing.T) {
 15 2→1 excluded
 15 2→3 excluded
 15 3→2 excluded
-26.00159 1→2 reabsorbed
-26.00159 2→3 reabsorbed
-27.00159 2→0 reabsorbed
-27.00161 3→2 reabsorbed
-27.00163 2→1 reabsorbed
-27.267407213937148 0→2 reabsorbed`)
+26.00159 2→0 reabsorbed
+26.00159 2→1 reabsorbed
+26.00159 0→2 reabsorbed
+27.00162 1→2 reabsorbed
+27.00163 2→3 reabsorbed
+28.00163 3→2 reabsorbed`)
 	checkViews(t, h, "[1 2 3] [0 2 3] [0 1 3] [0 1 2]")
 }
 
@@ -158,13 +158,13 @@ func TestHealPartition(t *testing.T) {
 15 2→1 excluded
 15 3→0 excluded
 15 3→1 excluded
-26.00159 3→0 reabsorbed
-26.00159 1→2 reabsorbed
-26.00159 0→3 reabsorbed
+26.00159 2→0 reabsorbed
+26.00159 2→1 reabsorbed
+26.00159 0→2 reabsorbed
 26.00159 1→3 reabsorbed
-27.00159 2→0 reabsorbed
+27.00159 3→0 reabsorbed
 27.00162 3→1 reabsorbed
-27.00162 0→2 reabsorbed
-27.00163 2→1 reabsorbed`)
+27.00163 0→3 reabsorbed
+27.00163 1→2 reabsorbed`)
 	checkViews(t, h, "[1 2 3] [0 2 3] [0 1 3] [0 1 2]")
 }

@@ -600,6 +600,15 @@ func (n *node) drainInbox() {
 			// Merging the pulled subtree (branch replies have no codes and
 			// cost the single digest comparison).
 			contractCost += contractPerCode * float64(t.Len()+1)
+		case protocol.WorkRequest:
+			// A carried push costs what it cost as a message of its own: a
+			// TableMsg's merge, or a bare DigestReport's digest comparison.
+			switch {
+			case t.Snapshot() != nil:
+				contractCost += contractPerCode * float64(t.Len())
+			case t.Pushed():
+				contractCost += contractPerCode
+			}
 		case protocol.WorkGrant:
 			lbCost += commOverhead * float64(1+len(t.Codes)/8)
 		}

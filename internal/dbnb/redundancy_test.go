@@ -93,7 +93,11 @@ func faultsShape(seed int64, i int) (*btree.Tree, Config) {
 // uncoordinated recoverers — stay under 0.40 of the tree. A planner that reads
 // a prefix window of the complement fails both (1.83 and 0.77; the uniform
 // eighth measures ≈ 1.37 and ≈ 0.31). The lost share is printed, not bounded:
-// it is the crash schedule's, and no planner moves it.
+// it is the crash schedule's, and no planner moves it. The messages the
+// system sends per sequential expansion stay at most 3.36: 3.09 measured with
+// a starving probe carrying the table push (σ of the mean 0.10), plus the
+// ≈ 2.7σ the work bound keeps; with the push sent beside the probe, as
+// before, they were 5.13.
 //
 // One tree's work ratio has a standard deviation of 0.25–0.3 and a long tail
 // (one solve in a hundred does three times the sequential work), so the bounds
@@ -125,7 +129,7 @@ func TestRedundancyLedger(t *testing.T) {
 				t.Fatalf("seed %d tree %d: the ledger sorted %d redundant expansions, the run booked %d", seed, i, got, ir.Redundant)
 			}
 			plans, _ := res.Met.At(0).TotalRecoveries()
-			sum.add(ghostTotals{1, tree.Size(), ir.Expanded, plans, g.known, g.inFlight, g.lost})
+			sum.add(ghostTotals{1, tree.Size(), ir.Expanded, int(res.Net.Sent), plans, g.known, g.inFlight, g.lost})
 		}
 		t.Logf("seed %d: %v", seed, sum)
 		all.add(sum)
@@ -140,19 +144,23 @@ func TestRedundancyLedger(t *testing.T) {
 	if c := all.collided(); c > 0.40 {
 		t.Errorf("known + in-progress redundancy is %.2f of the tree, want ≤ 0.40", c)
 	}
+	if m := all.msgRatio(); m > 3.36 {
+		t.Errorf("%.3f messages per sequential expansion, want ≤ 3.36", m)
+	}
 }
 
 // ghostTotals sums solves: sequential and distributed expansions, recovery
 // plans, and the ledger's three counts.
 type ghostTotals struct {
-	solves, size, expanded, plans int
-	known, inFlight, lost         int
+	solves, size, expanded, msgs, plans int
+	known, inFlight, lost               int
 }
 
 func (a *ghostTotals) add(b ghostTotals) {
 	a.solves += b.solves
 	a.size += b.size
 	a.expanded += b.expanded
+	a.msgs += b.msgs
 	a.plans += b.plans
 	a.known += b.known
 	a.inFlight += b.inFlight
@@ -161,11 +169,14 @@ func (a *ghostTotals) add(b ghostTotals) {
 
 func (a ghostTotals) workRatio() float64 { return float64(a.expanded) / float64(a.size) }
 
+// msgRatio is the messages sent per sequential expansion.
+func (a ghostTotals) msgRatio() float64 { return float64(a.msgs) / float64(a.size) }
+
 // collided is the known and in-progress redundancy as a share of the tree.
 func (a ghostTotals) collided() float64 { return float64(a.known+a.inFlight) / float64(a.size) }
 
 func (a ghostTotals) String() string {
 	per := func(n int) float64 { return float64(n) / float64(a.solves) }
-	return fmt.Sprintf("mean of %d solves: work_ratio %.3f, %.1f plans, redundant known %.0f + in progress %.0f + lost %.0f (collisions %.2f of the tree)",
-		a.solves, a.workRatio(), per(a.plans), per(a.known), per(a.inFlight), per(a.lost), a.collided())
+	return fmt.Sprintf("mean of %d solves: work_ratio %.3f, %.3f messages per sequential expansion, %.1f plans, redundant known %.0f + in progress %.0f + lost %.0f (collisions %.2f of the tree)",
+		a.solves, a.workRatio(), a.msgRatio(), per(a.plans), per(a.known), per(a.inFlight), per(a.lost), a.collided())
 }

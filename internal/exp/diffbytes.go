@@ -31,13 +31,18 @@ type DiffRow struct {
 	OptimumOK   bool
 }
 
-// reportPathBytes sums the wire bytes of the completion-propagation kinds.
+// reportPathBytes sums the wire bytes of the completion-propagation kinds,
+// and of the table pushes that ride work requests: a request's bytes beyond a
+// bare request's, so the frontier and diff columns count the same pushes
+// whichever message carries them.
 func reportPathBytes(res dbnb.Result) int64 {
+	bare := int64(protocol.WorkRequest{}.Size())
 	return res.Net.KindBytes[protocol.KindReport] +
 		res.Net.KindBytes[protocol.KindTable] +
 		res.Net.KindBytes[protocol.KindDigestReport] +
 		res.Net.KindBytes[protocol.KindSubtreeRequest] +
-		res.Net.KindBytes[protocol.KindSubtreeReply]
+		res.Net.KindBytes[protocol.KindSubtreeReply] +
+		res.Net.KindBytes[protocol.KindRequest] - bare*res.Net.KindSent[protocol.KindRequest]
 }
 
 func diffRow(scenario, mode string, res dbnb.Result) DiffRow {

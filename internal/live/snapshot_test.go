@@ -9,10 +9,11 @@ import (
 	"gossipbnb/internal/protocol"
 )
 
-// snapshotFanout hands every table push a cluster sends — a TableMsg carrying
-// the sender's frozen table snapshot — to every other node as well, and
-// encodes and decodes it on a goroutine of its own: one snapshot is then
-// merged by several receiving node loops and encoded at the same time.
+// snapshotFanout hands every table push a cluster sends — a starving
+// process's work request carrying the sender's frozen table snapshot — to
+// every other node as well, and encodes and decodes it on a goroutine of its
+// own: one snapshot is then merged by several receiving node loops and
+// encoded at the same time.
 type snapshotFanout struct {
 	Net
 	nodes                int
@@ -22,8 +23,8 @@ type snapshotFanout struct {
 
 func (f *snapshotFanout) Send(from, to NodeID, msg Message) {
 	f.Net.Send(from, to, msg)
-	m, ok := msg.(protocol.TableMsg)
-	if !ok || m.Codes != nil || m.Len() == 0 {
+	m, ok := msg.(protocol.WorkRequest)
+	if !ok || m.Snapshot() == nil || m.Len() == 0 {
 		return // not a push of a non-empty snapshot
 	}
 	f.pushes.Add(1)
@@ -38,7 +39,7 @@ func (f *snapshotFanout) Send(from, to NodeID, msg Message) {
 		defer f.wg.Done()
 		buf, err := protocol.Encode(nil, m)
 		back, _, derr := protocol.Decode(buf)
-		if err != nil || derr != nil || len(buf) != m.Size() || back.(protocol.TableMsg).Len() != m.Len() {
+		if err != nil || derr != nil || len(buf) != m.Size() || back.(protocol.WorkRequest).Len() != m.Len() {
 			f.bads.Add(1)
 		}
 	}()
@@ -47,7 +48,9 @@ func (f *snapshotFanout) Send(from, to NodeID, msg Message) {
 // TestSnapshotSharedLiveCluster: on the in-memory transport, which hands
 // messages over by reference, every table push reaches every node and is
 // encoded concurrently; the cluster still finishes with the optimum, and
-// under -race no reader ever writes into a shared snapshot.
+// under -race no reader ever writes into a shared snapshot. Every node a
+// copy reaches answers the request too, so the requester also meets grants
+// it did not ask for.
 func TestSnapshotSharedLiveCluster(t *testing.T) {
 	const nodes = 6
 	net := &snapshotFanout{Net: NewTransport(61, nil, 0), nodes: nodes}

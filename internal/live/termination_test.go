@@ -16,14 +16,15 @@ import (
 // has answered it yet. Requests are noted before they are forwarded, so an
 // answer finds its request; a broadcast copy that crosses a request is taken
 // for its answer, which only under-counts the unsolicited ones. onRoot, if
-// set, sees every root report after it was forwarded.
+// set, sees every root report after it was forwarded, and whether it was an
+// answer.
 type rootWatch struct {
 	Net
 	mu          sync.Mutex
 	asked       map[NodeID]NodeID // requester → target of its outstanding work request
 	unsolicited map[NodeID]int
 	answers     int
-	onRoot      func(from NodeID)
+	onRoot      func(from NodeID, answer bool)
 }
 
 func newRootWatch(inner Net) *rootWatch {
@@ -40,7 +41,7 @@ func (w *rootWatch) answered(from, to NodeID) bool {
 }
 
 func (w *rootWatch) Send(from, to NodeID, msg Message) {
-	root := false
+	root, answer := false, false
 	w.mu.Lock()
 	switch m := msg.(type) {
 	case protocol.WorkRequest:
@@ -51,7 +52,7 @@ func (w *rootWatch) Send(from, to NodeID, msg Message) {
 		if root = m.Snapshot() == ctree.Done(); !root {
 			break
 		}
-		if w.answered(from, to) {
+		if answer = w.answered(from, to); answer {
 			w.answers++
 		} else {
 			w.unsolicited[from]++
@@ -60,7 +61,7 @@ func (w *rootWatch) Send(from, to NodeID, msg Message) {
 	w.mu.Unlock()
 	w.Net.Send(from, to, msg)
 	if root && w.onRoot != nil {
-		w.onRoot(from)
+		w.onRoot(from, answer)
 	}
 }
 
@@ -116,7 +117,10 @@ func TestTerminationUnderHeavyLoss(t *testing.T) {
 // TestTerminationDetectorDiesMidBroadcast: the first node to detect
 // termination is crashed after a single copy of its broadcast left. The one
 // node it told forwards the news, the rest pull it by probing, and everyone
-// alive terminates at the optimum without a second solve.
+// alive terminates at the optimum without a second solve. The first root
+// report of a run is a detector's — a learner needs one to learn — but it can
+// be the detector's answer to the probe whose table push completed its table,
+// which leaves before the broadcast; the crash waits for the broadcast.
 func TestTerminationDetectorDiesMidBroadcast(t *testing.T) {
 	const nodes = 8
 	w := newRootWatch(NewTransport(62, nil, 0))
@@ -124,13 +128,18 @@ func TestTerminationDetectorDiesMidBroadcast(t *testing.T) {
 		Nodes: nodes, Seed: 62, TimeScale: 0.0005, Network: w,
 		RecoveryQuiet: 40 * time.Millisecond, Timeout: 120 * time.Second,
 	})
-	var once sync.Once
-	first := NodeID(-1)
-	w.onRoot = func(from NodeID) {
-		once.Do(func() {
+	var mu sync.Mutex
+	first, crashed := NodeID(-1), false
+	w.onRoot = func(from NodeID, answer bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if first < 0 {
 			first = from
+		}
+		if from == first && !answer && !crashed {
+			crashed = true
 			cl.Crash(from)
-		})
+		}
 	}
 	res := cl.Run()
 	if !res.Terminated || !res.OptimumOK {

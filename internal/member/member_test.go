@@ -565,9 +565,12 @@ func converged(g *group) bool {
 // heartbeat rounds bring every member to the full view, with nobody suspect
 // or excluded, within convergeRounds rounds: at worst a pair whose only link
 // is an exclusion waits out one probe cadence (1.25 ExcludeAfter, 15 rounds),
-// and the view it brings back spreads in a few more.
+// and the view it brings back spreads in a few more. A view, once whole,
+// stays whole: nobody is suspected or excluded, even for an instant, in
+// stableRounds further lossless rounds — which the suspicion threshold that
+// grows with log n makes possible at 8 and 16 members.
 func TestConvergesFromAnyState(t *testing.T) {
-	const convergeRounds = 20
+	const convergeRounds, stableRounds = 20, 60
 	cfg := Config{SuspectAfter: 3, ExcludeAfter: 12, Fanout: 3}
 	period := cfg.SuspectAfter / 3
 	worst := 0
@@ -590,6 +593,18 @@ func TestConvergesFromAnyState(t *testing.T) {
 				t.Fatalf("%d members, seed %d: not converged after %d rounds", n, seed, convergeRounds)
 			}
 			worst = max(worst, rounds)
+			whole := len(g.trans)
+			for r := 1; r <= stableRounds; r++ {
+				g.run(g.now + period)
+				for _, tr := range g.trans[whole:] {
+					if strings.HasSuffix(tr, Suspected.String()) || strings.HasSuffix(tr, Excluded.String()) {
+						t.Fatalf("%d members, seed %d: %s, %d rounds after the view was whole", n, seed, tr, r)
+					}
+				}
+				if !converged(g) {
+					t.Fatalf("%d members, seed %d: the view broke %d rounds after it was whole", n, seed, r)
+				}
+			}
 		}
 	}
 	t.Logf("converged within %d rounds", worst)

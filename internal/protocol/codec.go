@@ -18,6 +18,8 @@ import (
 //	         | u8(kind|0x80) uvarint(instance)        (instance-scoped)
 //	payload := set                                    (report, table)
 //	         | list                                   (grant)
+//	         | u8(0) | u8(1) trie | u8(2) u64le(digest) (request: bare,
+//	                                                   table push, digest push)
 //	         | u64le(digest) set                      (digest report)
 //	         | u8(full) code                          (subtree request)
 //	         | u8(1) code trie                        (subtree reply, leaf)
@@ -32,7 +34,10 @@ import (
 //	code    := uvarint(depth) {uvarint(var<<1|branch)}   (code.Code.Append)
 //
 // A set of codes — a report's, a table push's, a leaf subtree reply's
-// subtree, relative to the code before it — is a trie. A grant's codes are a
+// subtree, relative to the code before it — is a trie. A work request's body
+// says which table push rides it, if any (WorkRequest): a push carried by a
+// request is the same trie a TableMsg carries, or the digest a bare
+// DigestReport push carries, and never a list. A grant's codes are a
 // list: pool entries, not a contracted set. A set goes as a list only when a
 // hand-built message carries codes and no trie; the 0x80 0x00 before it is a
 // padded zero, which no trie starts with.
@@ -73,6 +78,13 @@ func Encode(dst []byte, m Msg) ([]byte, error) {
 		dst = t.set().appendTo(dst)
 	case WorkRequest:
 		put(KindRequest, t.Incumbent, t.ActAge)
+		dst = append(dst, t.push)
+		switch t.push {
+		case pushTable:
+			dst = t.table.Encode(dst)
+		case pushDigest:
+			dst = binary.LittleEndian.AppendUint64(dst, t.digest)
+		}
 	case WorkGrant:
 		put(KindGrant, t.Incumbent, t.ActAge)
 		dst = code.AppendList(dst, t.Codes)
@@ -197,7 +209,30 @@ func decodeMsg(kind byte, buf []byte, off int) (Msg, int, error) {
 		}
 		return TableMsg{Codes: s.codes, table: s.table, Incumbent: incumbent, ActAge: actAge}, off + n, nil
 	case KindRequest:
-		return WorkRequest{Incumbent: incumbent, ActAge: actAge}, off, nil
+		if len(buf) < off+1 {
+			return nil, 0, errors.New("protocol: truncated work request")
+		}
+		m := WorkRequest{push: buf[off], Incumbent: incumbent, ActAge: actAge}
+		off++
+		switch m.push {
+		case pushNone:
+		case pushTable:
+			tb, n, err := decodeTrie(buf[off:])
+			if err != nil {
+				return nil, 0, fmt.Errorf("protocol: work request push: %w", err)
+			}
+			m.table = tb
+			off += n
+		case pushDigest:
+			if len(buf) < off+8 {
+				return nil, 0, errors.New("protocol: truncated work request digest")
+			}
+			m.digest = binary.LittleEndian.Uint64(buf[off:])
+			off += 8
+		default:
+			return nil, 0, fmt.Errorf("protocol: bad work request push %#x", m.push)
+		}
+		return m, off, nil
 	case KindGrant:
 		cs, n, err := code.DecodeList(buf[off:])
 		if err != nil {

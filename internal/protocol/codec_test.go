@@ -59,8 +59,90 @@ func said(m Msg) any {
 		cs := t.trie().Codes()
 		t.table = nil
 		return []any{t, cs}
+	case WorkRequest:
+		var cs []code.Code
+		if t.table != nil {
+			cs = t.table.Codes()
+		}
+		t.table = nil
+		return []any{t, cs}
 	}
 	return m
+}
+
+// pushingRequests returns a request of every shape: bare, carrying a table
+// push (a real trie, the empty table, the complete one), and carrying a
+// digest push.
+func pushingRequests() []WorkRequest {
+	return []WorkRequest{
+		{Incumbent: math.Inf(1), ActAge: 0},
+		{push: pushTable, table: tableOf(tableCodes()...), Incumbent: -1, ActAge: 12},
+		{push: pushTable, table: ctree.Empty(), Incumbent: 2},
+		{push: pushTable, table: ctree.Done(), ActAge: 3},
+		{push: pushDigest, digest: 0xdeadbeefcafef00d, Incumbent: 4, ActAge: 5},
+		{push: pushDigest},
+	}
+}
+
+// TestCodecWorkRequestBody: a work request's body says which push rides it.
+// Every shape round-trips, bare and instance-tagged, at exactly Size() bytes,
+// a bare request one byte past the scalars. Every strict prefix of an
+// encoding is refused; so are a push tag the codec does not write and a trie
+// body no table encodes to, the list spelling of a set included. A byte past
+// the body is not the request's: Decode leaves it, and a transport framing
+// one message per body (live.readFrame) refuses the frame.
+func TestCodecWorkRequestBody(t *testing.T) {
+	if got := (WorkRequest{}).Size(); got != scalarSize+1 {
+		t.Errorf("a bare request weighs %d bytes, want %d", got, scalarSize+1)
+	}
+	for _, m := range pushingRequests() {
+		for _, inst := range []InstanceID{0, 1, 300} {
+			im := InstMsg{Instance: inst, Msg: m}
+			buf, err := Encode(nil, im)
+			if err != nil || len(buf) != im.Size() {
+				t.Fatalf("inst %d %+v: encoded %d bytes, Size() %d (%v)", inst, m, len(buf), im.Size(), err)
+			}
+			gotInst, got, n, err := DecodeInstance(buf)
+			if err != nil || gotInst != inst || n != len(buf) || !sameMsg(got, m) || got.Size() != len(buf)-(im.Size()-m.Size()) {
+				t.Fatalf("inst %d %+v: decoded %+v, inst %d, %d of %d bytes (%v)", inst, m, got, gotInst, n, len(buf), err)
+			}
+			if got.(WorkRequest).Len() != m.Len() {
+				t.Errorf("inst %d %+v: decoded push of %d codes, want %d", inst, m, got.(WorkRequest).Len(), m.Len())
+			}
+			for k := 0; k < len(buf); k++ {
+				if _, _, _, err := DecodeInstance(buf[:k]); err == nil {
+					t.Fatalf("inst %d %+v: the first %d of %d bytes decoded", inst, m, k, len(buf))
+				}
+			}
+			if _, _, n, err := DecodeInstance(append(buf, 0xab)); err != nil || n != len(buf) {
+				t.Errorf("inst %d %+v: with a trailing byte, consumed %d of %d bytes (%v)", inst, m, n, len(buf), err)
+			}
+		}
+	}
+	head := mustEncode(t, WorkRequest{Incumbent: 1})[:scalarSize]
+	for _, bad := range []struct {
+		name string
+		body []byte
+	}{
+		{"push tag 3", []byte{3}},
+		{"push tag 0x80", []byte{0x80}},
+		{"a set spelled as a list", append([]byte{pushTable}, listMark+"\x01\x00"...)},
+		{"a padded vertex count", []byte{pushTable, 0x81, 0x00, 0x00}},
+		{"a pair of complete children", []byte{pushTable, 3, 0x03, 5}},
+		{"a count the tags leave open", []byte{pushTable, 2, 0x03, 5}},
+		{"nonzero padding bits", []byte{pushTable, 1, 0x04}},
+		{"a padded variable", []byte{pushTable, 2, 0x01, 0x85, 0x00}},
+		{"a count the frame cannot hold", []byte{pushTable, 0xff, 0xff, 0x03, 0, 0}},
+		{"a short digest", []byte{pushDigest, 1, 2, 3, 4, 5, 6, 7}},
+	} {
+		if m, _, err := Decode(append(slices.Clip(head), bad.body...)); err == nil {
+			t.Errorf("%s decoded: %+v", bad.name, m)
+		}
+	}
+	// The bare request as the codec wrote it before requests had a body.
+	if _, _, err := Decode(head); err == nil {
+		t.Error("a request without a body decoded")
+	}
 }
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -497,6 +579,20 @@ func FuzzDecode(f *testing.F) {
 	f.Add(mustEncode(f, WorkGrant{Codes: []code.Code{descent(3000)}}))
 	// The membership heartbeat, the last kind added.
 	f.Add(mustEncode(f, Heartbeat{Beats: []Beat{{ID: 0, Count: 9}, {ID: 300, Count: 1 << 40}}, Incumbent: 1}))
+	// Work requests with a body: every shape, bare and tagged; the bodiless
+	// request of before; push tags the codec does not write; and a table push
+	// of each trie above, real and near miss, or spelled as a list.
+	for _, m := range pushingRequests() {
+		f.Add(mustEncode(f, m))
+		f.Add(mustEncode(f, InstMsg{Instance: 128, Msg: m}))
+	}
+	request := scalarsOf(f, WorkRequest{Incumbent: 4})
+	f.Add(request)
+	f.Add(append(request, 3))
+	f.Add(append(request, pushDigest, 1, 2))
+	for _, body := range append(tries, []byte(listMark+"\x01\x00")) {
+		f.Add(append(append(request, pushTable), body...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzInstanceDecode(t, data)
 		m, n, err := Decode(data)
@@ -511,7 +607,7 @@ func FuzzDecode(f *testing.F) {
 		// codes per byte, and the codes listed beside it at most maxListed
 		// decisions per byte; a list takes a byte per decision.
 		switch t2 := m.(type) {
-		case Report, TableMsg, DigestReport, SubtreeReply:
+		case Report, TableMsg, DigestReport, SubtreeReply, WorkRequest:
 			if k := setLen(m); k > 4*n {
 				t.Fatalf("%d bytes decoded to a %T of %d codes", n, m, k)
 			}
@@ -546,11 +642,12 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// mustEncode encodes a seed message.
-func mustEncode(f *testing.F, m Msg) []byte {
+// mustEncode encodes a seed or test message.
+func mustEncode(tb testing.TB, m Msg) []byte {
+	tb.Helper()
 	buf, err := Encode(nil, m)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	return buf
 }
@@ -576,6 +673,8 @@ func setLen(m Msg) int {
 	case DigestReport:
 		return t.Len()
 	case SubtreeReply:
+		return t.Len()
+	case WorkRequest:
 		return t.Len()
 	}
 	return 0

@@ -230,7 +230,7 @@ type Counters struct {
 	ReportsSent   int // work-report messages sent
 	ReportCodes   int // codes carried by those reports (after compression)
 	ReportedComps int // completions covered by flushed reports (before compression)
-	TablesSent    int // full-table gossip messages sent
+	TablesSent    int // full-table pushes sent, alone or riding a work request
 	WorkRequests  int // work-request messages sent
 	WorkSent      int // subproblems shipped to requesters
 	RecoveryPlans int // non-empty complement recovery plans drawn
@@ -641,7 +641,9 @@ func (c *Core) ReportOverdue() bool {
 	return c.outbox.Len() > 0 && c.d.Clock.Now()-c.lastReport >= timeout
 }
 
-// SendTable pushes the full table to one member (§5.2's consistency gossip).
+// SendTable pushes the full table to one member (§5.2's consistency gossip):
+// the periodic push of Tick. A starving process's push rides its work
+// request instead (Starve), with the same payload.
 // The push carries the table's snapshot, copied once per table state however
 // many pushes go out before the next completion; the receiver merges it trie
 // to trie. In diff mode the push is a bare digest: the receiver pulls only
@@ -681,7 +683,8 @@ const (
 // outstanding or the retry pace runs; otherwise flush any pending report
 // (lightly loaded processes send more work reports, §6.3.1), then either
 // probe a random member for work or — when requests keep failing and the
-// whole system has looked inactive for a quiet window — recover.
+// whole system has looked inactive for a quiet window — recover. A probe
+// after a failed request carries the table push (WorkRequest).
 func (c *Core) Starve() StarveDecision {
 	c.expire()
 	now := c.d.Clock.Now()
@@ -715,12 +718,20 @@ func (c *Core) Starve() StarveDecision {
 		}
 		// Keep probing; the counter stays at the threshold.
 	}
+	req := WorkRequest{Incumbent: c.incumbent, ActAge: c.ActivityAge()}
 	if c.failedReqs > 0 {
-		// Starving: suspect termination and push the table to a random
-		// member, spreading completion information faster (§6.3.1).
-		c.SendTable(peers[c.d.Rand(len(peers))])
+		// Starving: suspect termination and push the table, spreading
+		// completion information faster (§6.3.1). The push rides the probe
+		// itself, the message a starving process sends most (§5): what
+		// SendTable would send, in one message instead of two.
+		if c.cfg.DiffGossip {
+			req.push, req.digest = pushDigest, c.table.Digest()
+		} else {
+			req.push, req.table = pushTable, c.table.Snapshot()
+		}
+		c.cnt.TablesSent++
 	}
-	c.d.Sender.Send(peers[c.d.Rand(len(peers))], WorkRequest{Incumbent: c.incumbent, ActAge: c.ActivityAge()})
+	c.d.Sender.Send(peers[c.d.Rand(len(peers))], req)
 	c.cnt.WorkRequests++
 	c.reqPending = true
 	c.reqDeadline = now + c.cfg.RequestTimeout
@@ -927,6 +938,15 @@ func (c *Core) HandleMessage(from NodeID, m Msg) Effect {
 	case WorkRequest:
 		c.observeIncumbent(t.Incumbent)
 		c.noteActivity(t.ActAge)
+		// A carried push is merged before the answer, as if its TableMsg or
+		// bare DigestReport had arrived first: a push that completes the
+		// table is answered with the root report.
+		switch t.push {
+		case pushTable:
+			c.mergeTable(nil, t.table)
+		case pushDigest:
+			c.maybeSync(from, t.digest)
+		}
 		c.handleWorkRequest(from)
 	case WorkGrant:
 		c.observeIncumbent(t.Incumbent)
@@ -1231,10 +1251,11 @@ func (c *Core) poolSet() *ctree.Set {
 }
 
 // handleWorkRequest grants half the pool (up to maxShare) if the process has
-// enough problems, else denies. A terminated process answers with the root
-// report so the requester can terminate too.
+// enough problems, else denies. A process whose table is complete — it
+// terminated, or the request's own push just completed it and Next has yet to
+// see that — answers with the root report so the requester can terminate too.
 func (c *Core) handleWorkRequest(from NodeID) {
-	if c.terminated {
+	if c.terminated || c.table.Complete() {
 		c.d.Sender.Send(from, RootReport(c.incumbent, c.ActivityAge()))
 		return
 	}

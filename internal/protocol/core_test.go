@@ -214,17 +214,18 @@ func TestCoreRequestLifecycle(t *testing.T) {
 	if !eff.Answered || !eff.Failed {
 		t.Fatalf("deny effect = %+v", eff)
 	}
-	// Next starve also pushes the table (starving processes gossip more).
+	// Next starve also pushes the table (starving processes gossip more),
+	// on the request itself.
 	e.clk.t = 1
 	if dec := e.core.Starve(); dec != StarveRequested {
 		t.Fatalf("starve after deny = %v", dec)
 	}
 	out := e.snd.take()
-	if len(out) != 2 {
-		t.Fatalf("want table push + request, got %d messages", len(out))
+	if len(out) != 1 {
+		t.Fatalf("want one request carrying the table push, got %d messages", len(out))
 	}
-	if _, ok := out[0].m.(TableMsg); !ok {
-		t.Errorf("first message = %T, want TableMsg", out[0].m)
+	if req, ok := out[0].m.(WorkRequest); !ok || req.push != pushTable || req.table != e.core.table.Snapshot() {
+		t.Errorf("message = %+v, want a WorkRequest carrying the table's snapshot", out[0].m)
 	}
 	// A grant with usable work resolves and resets the failure count.
 	it, _ := e.tree.Locate(code.Root().Child(1, 0))

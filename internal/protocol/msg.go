@@ -254,14 +254,57 @@ const listMark = "\x80\x00"
 // few bytes a level, and its listed codes in a decision per level per code.
 const maxListed = 64
 
-// WorkRequest asks a randomly chosen member for problems.
+// WorkRequest asks a randomly chosen member for problems. A starving
+// process's probe after a failed request also carries the §6.3.1 table push
+// that Core.SendTable would send (Core.Starve): the sender's table snapshot,
+// with a Report's trie body, or under DiffGossip its table digest. The paper
+// embeds shared information "in the most frequently sent messages" (§5), and
+// the probe is the message a starving process sends most. The receiver merges
+// the push before it answers, so a requester whose push completes the
+// receiver's table is answered with the root report.
 type WorkRequest struct {
 	Incumbent float64
 	ActAge    float64
+
+	push   byte         // the carried push: pushNone, pushTable or pushDigest
+	table  *ctree.Table // pushTable: the sender's snapshot or the decoded trie
+	digest uint64       // pushDigest: the sender's table digest
 }
 
-// Size implements Msg.
-func (m WorkRequest) Size() int { return scalarSize }
+// The pushes a WorkRequest can carry. Each is also the tag byte that starts
+// the request's body on the wire.
+const (
+	pushNone byte = iota
+	pushTable
+	pushDigest
+)
+
+// Size implements Msg: a bare request is one tag byte past the scalars.
+func (m WorkRequest) Size() int {
+	switch m.push {
+	case pushTable:
+		return scalarSize + 1 + m.table.EncodedSize()
+	case pushDigest:
+		return scalarSize + 1 + 8
+	}
+	return scalarSize + 1
+}
+
+// Pushed reports whether the request carries a table push, in either form.
+func (m WorkRequest) Pushed() bool { return m.push != pushNone }
+
+// Len returns the number of codes the carried table push holds: 0 for a bare
+// request or a digest push.
+func (m WorkRequest) Len() int {
+	if m.push != pushTable {
+		return 0
+	}
+	return m.table.Len()
+}
+
+// Snapshot returns the trie a frontier-mode push carries — the sender's
+// snapshot, or the decoded trie — or nil. It must not be mutated.
+func (m WorkRequest) Snapshot() *ctree.Table { return m.table }
 
 // Kind implements Msg.
 func (m WorkRequest) Kind() byte { return KindRequest }

@@ -8,14 +8,15 @@ import (
 )
 
 // TestTablePushSizeStamp: every set of codes a core sends — a report, a
-// digest report, a table push — carries a trie, the outbox's or the table's
-// snapshot, and is sized by the sums that trie keeps, so Size() is a field
-// read on the sending side however many members the message goes to. Real
-// cores are driven over the loopback net, with frontier reports and with diff
-// gossip — core 0 works in short bursts, the rest starve, steal, report and
-// push their tables between them — and every such message must be charged
-// exactly what the codec writes; the same message rebuilt by Decode must
-// carry the same trie and report the same size.
+// digest report, a table push, which a starving core's work request carries —
+// carries a trie, the outbox's or the table's snapshot, and is sized by the
+// sums that trie keeps, so Size() is a field read on the sending side however
+// many members the message goes to. Real cores are driven over the loopback
+// net, with frontier reports and with diff gossip — core 0 works in short
+// bursts, the rest starve, steal, report and push their tables on their
+// probes between them — and every such message must be charged exactly what
+// the codec writes; the same message rebuilt by Decode must carry the same
+// trie and report the same size.
 func TestTablePushSizeStamp(t *testing.T) {
 	const n = 8
 	var multi [KindCount]int // per kind: messages of more than one code
@@ -47,6 +48,12 @@ func TestTablePushSizeStamp(t *testing.T) {
 				s = m.set()
 			case TableMsg:
 				s = m.set()
+			case WorkRequest:
+				if m.push != pushTable {
+					checkSize(t, f.m)
+					continue
+				}
+				s = codeSet{table: m.table}
 			default:
 				continue
 			}
@@ -56,7 +63,7 @@ func TestTablePushSizeStamp(t *testing.T) {
 			checkSetMsg(t, f.m, s)
 		}
 	}
-	for _, k := range []byte{KindTable, KindReport, KindDigestReport} {
+	for _, k := range []byte{KindRequest, KindReport, KindDigestReport} {
 		if multi[k] == 0 {
 			t.Errorf("no %s message of more than one code: the scenario no longer sends real frontiers", KindName(k))
 		}
@@ -87,9 +94,24 @@ func checkSetMsg(t *testing.T, m Msg, s codeSet) {
 		bs = b.set()
 	case TableMsg:
 		bs = b.set()
+	case WorkRequest:
+		bs = codeSet{b.table, b.table.Codes()}
 	}
 	if bs.table == nil || back.Size() != len(buf) || !slices.EqualFunc(bs.codes, s.frontier(), code.Code.Equal) {
 		t.Fatalf("decoded %T: table %v, Size() %d for %d bytes, codes %v, want %v",
 			back, bs.table != nil, back.Size(), len(buf), bs.codes, s.frontier())
+	}
+}
+
+// checkSize requires a sent message to weigh what the codec writes, and to
+// decode to a message of the same size.
+func checkSize(t *testing.T, m Msg) {
+	t.Helper()
+	buf, err := Encode(nil, m)
+	if err != nil || m.Size() != len(buf) {
+		t.Fatalf("%+v: Size() %d, encodes to %d bytes (%v)", m, m.Size(), len(buf), err)
+	}
+	if back, used, err := Decode(buf); err != nil || used != len(buf) || back.Size() != len(buf) {
+		t.Fatalf("Decode(%+v): %v, consumed %d of %d bytes", m, err, used, len(buf))
 	}
 }
