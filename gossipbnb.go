@@ -203,7 +203,7 @@ func NewLiveProblemClusterRef(p bnb.Problem, ref bnb.Result, cfg LiveConfig) *li
 }
 
 // InstanceHandle tracks one problem instance submitted mid-run to a live
-// cluster with Cluster.Submit: Done closes at cluster-wide resolution,
+// cluster with Cluster.SubmitRef: Done closes at cluster-wide resolution,
 // Result cross-checks the optimum, Expanded reports live progress.
 type InstanceHandle = live.Handle
 
@@ -214,7 +214,9 @@ type InstanceHandle = live.Handle
 // Run) from fault specs in the nemesis grammar, e.g.
 // "partition:1-3:0,1|2,3", "flap:0-2:0.25", "stall:2:1-", "corrupt:0.1:0-5",
 // "reorder:0.2:5ms", "replay:0.05". The same (time, src, dst) gets the same
-// verdict in both runtimes.
+// verdict in both runtimes, carried out in the same order, and a corrupt
+// message is one damaged copy in both. The schedule keeps no clock, so one
+// value may serve several runs, each from its own start.
 func ParseNemesis(specs ...string) (*nemesis.Schedule, error) {
 	fs, err := nemesis.ParseAll(specs)
 	if err != nil {

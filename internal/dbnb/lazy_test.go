@@ -156,6 +156,36 @@ func TestLazyExpanderRestart(t *testing.T) {
 	}
 }
 
+// TestLazyExpanderRestartGranted holds TestLazyExpanderRestart's subject by
+// construction rather than by the draw: of two processes, the restarted one's
+// only peer is the root process, which still holds a deep pool, so the
+// restarted process's first probe is granted and it rebuilds its expander in
+// the grant's Locate, at every seed.
+func TestLazyExpanderRestartGranted(t *testing.T) {
+	k, ref := lazyKnapsack()
+	for seed := int64(1); seed <= 10; seed++ {
+		cfg := Config{Procs: 2, Seed: seed, Prune: true, Shards: 2,
+			Crashes: []Crash{{Time: 0.5, Node: 1, Restart: 1}}}
+		h := tracedHarness(k, ref, cfg)
+		n := h.nodes[1]
+		h.shardOf(int(n.id)).k.At(cfg.Crashes[0].Restart, func() {
+			if n.crashed || n.exp != nil {
+				t.Errorf("seed %d: restart of process 1: crashed %v, expander carried over %v", seed, n.crashed, n.exp != nil)
+			}
+		})
+		mr := h.run()
+		if ir := mr.Instances[0]; !ir.Terminated || !ir.OptimumOK {
+			t.Fatalf("seed %d: terminated %v, optimum ok %v", seed, ir.Terminated, ir.OptimumOK)
+		}
+		if first := firstCall(n); first != "Locate" {
+			t.Errorf("seed %d: the restarted process rebuilt its expander in %q, want Locate", seed, first)
+		}
+		if c := n.core.Counters(); c.Expanded == 0 {
+			t.Errorf("seed %d: the restarted incarnation expanded nothing", seed)
+		}
+	}
+}
+
 // TestLazyDigestsDiffGossip: under diff gossip every table's digest side
 // array is built by the first digest a report or a walk asks of it.
 func TestLazyDigestsDiffGossip(t *testing.T) {

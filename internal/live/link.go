@@ -1,8 +1,9 @@
 package live
 
 import (
-	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -39,19 +40,20 @@ type parcel struct {
 // Send is one pipeline, in this order: size and kind the message once →
 // refuse it if the link is closed or either end crashed → tally it in the
 // nemesis.NetStats ledger (Sent, Bytes, per kind) → failure-detector
-// exclusion, the join handshake exempt → nemesis verdict: cut → loss →
-// corrupt → reorder → duplicate → replay (the simulator's order) → hand each
-// copy to carry, now or from a tracked timer. A message is
-// counted Sent before any drop cause can claim it, and a copy that vanishes
-// is counted under exactly one cause. Sends from or to a crashed node, and
-// sends after Close, are counted nowhere. The loss rate and the delay
-// function apply wherever the constructor set them; the nemesis schedule
-// wherever SetNemesis installed one.
+// exclusion, the join handshake exempt → the nemesis verdict at the wall
+// time since SetNemesis, carried out by Verdict.Apply, the simulator's own →
+// hand each copy it sentences to carry, now or from a tracked timer. A
+// message is counted Sent before any drop cause can claim it, and a copy
+// that vanishes is counted under exactly one cause. Sends from or to a
+// crashed node, and sends after Close, are counted nowhere. The delay
+// function applies wherever the constructor set it; the constructor's loss
+// rate is a loss fault of the link's schedule, beside whatever SetNemesis
+// installs.
 //
-// The policy decides Suspect, Cut, Lost and Closed, and — in deliver, which
-// every arriving copy passes through — Delivered, ToDead and Congested. The
-// delivery mechanism decides Unrouted and Corrupt, and ToDead for a socket
-// that died under the write.
+// The policy decides Suspect and Closed, Apply decides Cut and Lost, and
+// deliver, which every arriving copy passes through, decides Delivered,
+// ToDead and Congested. The delivery mechanism decides Unrouted and Corrupt,
+// and ToDead for a socket that died under the write.
 //
 // Every boot of a node is a distinct endpoint: open hands it a fresh inbox,
 // and the channel's identity names the boot. A copy in flight carries the
@@ -67,14 +69,15 @@ type link struct {
 	closed  bool
 	rng     *rand.Rand
 	delay   func(bytes int) time.Duration
-	loss    float64
-	nem     *nemesis.Schedule
+	loss    float64           // the constructor's rate, folded into nem
+	nem     *nemesis.Schedule // nil: no fault
+	origin  time.Time         // the instant nem's windows start from
 	stats   nemesis.NetStats
 	carry   func(parcel) // the embedding transport's delivery mechanism
 }
 
 // init prepares a link. delay maps message size to one-way latency (nil =
-// none); loss is the independent drop probability.
+// none); loss is the drop probability of a loss fault over the whole run.
 func (l *link) init(seed int64, delay func(bytes int) time.Duration, loss float64, carry func(parcel)) {
 	l.inboxes = map[NodeID]chan Envelope{}
 	l.crashed = map[NodeID]bool{}
@@ -82,6 +85,7 @@ func (l *link) init(seed int64, delay func(bytes int) time.Duration, loss float6
 	l.timers = map[*time.Timer]struct{}{}
 	l.rng = rand.New(rand.NewSource(seed))
 	l.delay, l.loss, l.carry = delay, loss, carry
+	l.SetNemesis(nil)
 }
 
 // open boots id — at registration, on a join or after a crash — with a
@@ -99,22 +103,29 @@ func (l *link) open(id NodeID) chan Envelope {
 	return ch
 }
 
-// Live defaults for a nemesis reorder fault without a window and a replay
-// fault without a delay.
+// Live defaults, in seconds, for a nemesis reorder fault without a window
+// and a replay fault without a delay.
 const (
-	reorderWindow = 5 * time.Millisecond
-	replayAfter   = 50 * time.Millisecond
+	reorderWindow = 0.005
+	replayAfter   = 0.05
 )
 
-// SetNemesis attaches a fault-injection schedule: every send is judged
-// against it once, at send time — cut, delayed, lost, corrupted, held back,
-// duplicated or replayed accordingly. Call it before the cluster starts
-// sending. (Embedding promotes it onto TCPNetwork as well, where the copies
-// become extra frames.)
+// SetNemesis attaches a fault-injection schedule, nil for none, beside the
+// constructor's loss rate, and starts its windows now: every later send is
+// judged against it once, at send time — cut, delayed, lost, corrupted, held
+// back, duplicated or replayed accordingly. The schedule keeps no clock, so
+// one value may serve several links, each from its own SetNemesis.
+// (Embedding promotes it onto TCPNetwork as well, where the copies become
+// extra frames.)
 func (l *link) SetNemesis(s *nemesis.Schedule) {
+	if l.loss > 0 {
+		s = nemesis.New(append(slices.Clone(s.Faults()), nemesis.Fault{Kind: nemesis.Loss, Prob: l.loss})...)
+	} else if len(s.Faults()) == 0 {
+		s = nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.nem = s
+	l.nem, l.origin = s, time.Now()
 }
 
 // Exclude implements Net: failure-detector suppression of one directed link.
@@ -165,56 +176,26 @@ func (l *link) Send(from, to NodeID, msg Message) {
 		l.mu.Unlock()
 		return
 	}
-	// Judging is lock-free in the schedule, so it can run under l.mu.
-	verdict := l.nem.JudgeNow(int(from), int(to))
-	if verdict.Cut {
-		l.dropLocked(&l.stats.Cut)
-		l.mu.Unlock()
-		return
+	var v nemesis.Verdict
+	if l.nem != nil {
+		v = l.nem.At(int(from), int(to), time.Since(l.origin))
 	}
-	// The transport's own rate and a loss fault drop independently; the sum
-	// is exact when either is zero.
-	if loss := l.loss + verdict.Loss - l.loss*verdict.Loss; loss > 0 && l.rng.Float64() < loss {
-		l.dropLocked(&l.stats.Lost)
-		l.mu.Unlock()
-		return
-	}
-	p := parcel{to: to, ep: l.inboxes[to], env: Envelope{From: from, Msg: msg}}
-	p.corrupt = verdict.Corrupt > 0 && l.rng.Float64() < verdict.Corrupt
-	d := verdict.Delay
+	var base float64
 	if l.delay != nil {
-		d += l.delay(size)
+		base = l.delay(size).Seconds()
 	}
-	var scratch [3]time.Duration
-	copies := scratch[:0]
-	first := d
-	if verdict.Reorder > 0 && l.rng.Float64() < verdict.Reorder {
-		// Held back: messages sent after this one can overtake it.
-		w := cmp.Or(verdict.ReorderWindow, reorderWindow)
-		first += time.Duration(l.rng.Float64() * float64(w))
-		l.stats.Reordered++
-	}
-	copies = append(copies, first)
-	if verdict.Dup > 0 && l.rng.Float64() < verdict.Dup {
-		copies = append(copies, d)
-		l.stats.Duplicated++
-	}
-	if verdict.Replay > 0 && l.rng.Float64() < verdict.Replay {
-		// A stale copy from the past surfaces long after both ends moved on.
-		lag := cmp.Or(verdict.ReplayAfter, replayAfter)
-		copies = append(copies, lag+time.Duration(l.rng.Float64()*float64(lag)))
-		l.stats.Replayed++
-	}
+	st := v.Apply(l.rng, base, reorderWindow, replayAfter, &l.stats)
+	p := parcel{to: to, ep: l.inboxes[to], env: Envelope{From: from, Msg: msg}, corrupt: st.Corrupt}
 	immediate := 0
-	for _, dc := range copies {
-		if dc <= 0 {
+	for _, sec := range st.Delay[:st.Copies] {
+		if d := time.Duration(math.Round(sec * float64(time.Second))); d > 0 {
+			l.holdLocked(p, d)
+		} else {
 			immediate++
-			continue
 		}
-		l.holdLocked(p, dc)
 	}
 	l.mu.Unlock()
-	for i := 0; i < immediate; i++ {
+	for range immediate {
 		l.carry(p)
 	}
 }

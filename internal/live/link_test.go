@@ -85,22 +85,24 @@ func (r *linkRig) settle() {
 	}
 }
 
+// linkNets opens each transport that embeds the link, with three nodes.
+var linkNets = []struct {
+	name string
+	open func(t *testing.T) linkNet
+}{
+	{"mem", func(*testing.T) linkNet { return NewTransport(1, nil, 0) }},
+	{"tcp", func(t *testing.T) linkNet {
+		nw, err := NewTCPNetwork(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nw
+	}},
+}
+
 // TestLinkPolicy pins the link layer's rules once, against both transports
 // that embed it.
 func TestLinkPolicy(t *testing.T) {
-	nets := []struct {
-		name string
-		open func(t *testing.T) linkNet
-	}{
-		{"mem", func(*testing.T) linkNet { return NewTransport(1, nil, 0) }},
-		{"tcp", func(t *testing.T) linkNet {
-			nw, err := NewTCPNetwork(3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return nw
-		}},
-	}
 	cases := []struct {
 		name string
 		run  func(t *testing.T, r *linkRig)
@@ -212,7 +214,7 @@ func TestLinkPolicy(t *testing.T) {
 			}
 		}},
 	}
-	for _, nt := range nets {
+	for _, nt := range linkNets {
 		for _, c := range cases {
 			t.Run(nt.name+"/"+c.name, func(t *testing.T) {
 				r := &linkRig{t: t, nw: nt.open(t)}

@@ -44,7 +44,7 @@ type Config struct {
 	// Timeout bounds Run's wall-clock time.
 	Timeout time.Duration
 	// Linger keeps a fully terminated cluster running this much longer
-	// before Run returns, leaving a window for late Submits — without it
+	// before Run returns, leaving a window for late SubmitRefs — without it
 	// the run closes within one completion-check tick of the last instance
 	// resolving. A submission during the window resets it.
 	Linger time.Duration
@@ -64,8 +64,8 @@ type Config struct {
 	// Nemesis injects scheduled faults into the transport, in the grammar
 	// the simulator also speaks: partitions, one-way cuts, flaps, stalls,
 	// slow links, and per-message loss, corruption, reordering, duplication
-	// and stale replay. nil means none. The schedule is armed when Run
-	// starts.
+	// and stale replay. nil means none. Run installs it on the transport,
+	// so its windows start when Run does.
 	Nemesis *nemesis.Schedule
 	// OnDetect observes failure-detector transitions (suspected, cleared,
 	// excluded, reabsorbed) across all nodes. Called from node goroutines —
@@ -333,11 +333,6 @@ func newCluster(cfg Config, newExp func() protocol.Expander, sleepOf func(it pro
 	if tr == nil {
 		tr = NewTransport(cfg.Seed, nil, 0)
 	}
-	if cfg.Nemesis != nil {
-		if s, ok := tr.(interface{ SetNemesis(*nemesis.Schedule) }); ok {
-			s.SetNemesis(cfg.Nemesis)
-		}
-	}
 	cl := &Cluster{
 		cfg:     cfg,
 		tr:      tr,
@@ -530,10 +525,10 @@ func (cl *Cluster) closeLocked() {
 // run's verdict is the boot problem's resolution.
 func (cl *Cluster) Run() Result {
 	start := time.Now()
-	if cl.cfg.Nemesis != nil {
+	if s, ok := cl.tr.(interface{ SetNemesis(*nemesis.Schedule) }); ok && cl.cfg.Nemesis != nil {
 		// Fault windows are relative to the run, not to construction or the
 		// first send.
-		cl.cfg.Nemesis.Arm(start)
+		s.SetNemesis(cl.cfg.Nemesis)
 	}
 	cl.stopMu.Lock()
 	cl.started = true

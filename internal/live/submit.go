@@ -71,23 +71,18 @@ func (h *Handle) Result() (optimum float64, ok bool) {
 // instance so far — live progress, monotone while the instance runs.
 func (h *Handle) Expanded() int64 { return h.spec.expanded.Load() }
 
-// Submit starts solving a brand-new problem instance on the running cluster,
-// multiplexed over the same nodes, transport, and membership as everything
-// already in flight. The sequential reference optimum is computed here
-// (synchronously) for the Result cross-check; use SubmitRef to skip it.
-func (cl *Cluster) Submit(p bnb.Problem) (*Handle, error) {
-	return cl.SubmitRef(p, bnb.SolveProblem(p))
-}
-
-// SubmitRef is Submit with a precomputed sequential reference. The instance
-// is assigned the next wire ID, a live node is elected to seed its root, and
-// every node opens it at its next registry poll. Submission requires a
-// running cluster, like AddNode.
+// SubmitRef starts solving a brand-new problem instance on the running
+// cluster, multiplexed over the same nodes, transport, and membership as
+// everything already in flight; ref is its sequential solve
+// (bnb.SolveProblem), the reference Handle.Result cross-checks the optimum
+// against. The instance is assigned the next wire ID, a live node is elected
+// to seed its root, and every node opens it at its next registry poll.
+// Submission requires a running cluster, like AddNode.
 func (cl *Cluster) SubmitRef(p bnb.Problem, ref bnb.Result) (*Handle, error) {
 	cl.stopMu.Lock()
 	defer cl.stopMu.Unlock()
 	if !cl.started || cl.stopped {
-		return nil, fmt.Errorf("live: Submit on a cluster that is not running")
+		return nil, fmt.Errorf("live: SubmitRef on a cluster that is not running")
 	}
 	for _, n := range cl.nodes {
 		if !n.crashed.Load() {
@@ -201,7 +196,7 @@ func (cl *Cluster) noteInstanceDone(sp *instSpec, node NodeID, incumbent float64
 // unsolved instance — and reports whether the run is settled: every
 // instance resolved, or no node left alive to resolve one. With stop set, a
 // settled run is closed before the lock is released. Both are decided under
-// stopMu, so no Restart, AddNode or Submit lands between the verdict and
+// stopMu, so no Restart, AddNode or SubmitRef lands between the verdict and
 // what follows from it.
 func (cl *Cluster) sweep(stop bool) bool {
 	cl.stopMu.Lock()

@@ -11,12 +11,13 @@ import (
 	"gossipbnb/internal/protocol"
 )
 
-// submitWhenRunning retries Submit until the cluster's Run has started.
+// submitWhenRunning retries SubmitRef until the cluster's Run has started.
 func submitWhenRunning(t *testing.T, cl *Cluster, p bnb.Problem) *Handle {
 	t.Helper()
+	ref := bnb.SolveProblem(p)
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		h, err := cl.Submit(p)
+		h, err := cl.SubmitRef(p, ref)
 		if err == nil {
 			return h
 		}
@@ -161,20 +162,20 @@ func TestSubmitOverTCP(t *testing.T) {
 	}
 }
 
-// TestSubmitRejectedWhenNotRunning pins the Submit lifecycle errors.
+// TestSubmitRejectedWhenNotRunning pins the SubmitRef lifecycle errors.
 func TestSubmitRejectedWhenNotRunning(t *testing.T) {
 	tr := liveTree(39, 51)
 	cl := NewCluster(tr, Config{Nodes: 2, Seed: 39, TimeScale: 0.0002})
 	p := bnb.RandomKnapsack(rand.New(rand.NewSource(40)), 10)
-	if _, err := cl.Submit(p); err == nil {
-		t.Error("Submit accepted before Run")
+	if _, err := cl.SubmitRef(p, bnb.SolveProblem(p)); err == nil {
+		t.Error("SubmitRef accepted before Run")
 	}
 	res := cl.Run()
 	if !res.Terminated {
 		t.Fatalf("%+v", res)
 	}
-	if _, err := cl.Submit(p); err == nil {
-		t.Error("Submit accepted after Run returned")
+	if _, err := cl.SubmitRef(p, bnb.SolveProblem(p)); err == nil {
+		t.Error("SubmitRef accepted after Run returned")
 	}
 }
 

@@ -65,7 +65,8 @@ var _ Net = (*Transport)(nil)
 type Transport struct{ link }
 
 // NewTransport creates a transport. delay maps message size to one-way
-// latency (nil = none); loss is the independent drop probability.
+// latency (nil = none); loss is the drop probability of a loss fault over
+// the whole run, kept beside any schedule SetNemesis installs.
 func NewTransport(seed int64, delay func(bytes int) time.Duration, loss float64) *Transport {
 	t := &Transport{}
 	t.init(seed, delay, loss, t.handOff)

@@ -34,15 +34,17 @@ func simFate(sched *nemesis.Schedule, from, to int, t float64) fate {
 }
 
 // liveFate sends one message from → to over a delay-free in-memory
-// transport judged by sched, re-armed so the send lands at into the run. A
+// transport, its schedule's origin moved so the send lands at into it. A
 // message with no added delay is in the inbox when Send returns. A held one
 // counts as delayed by want when it arrives no sooner than want and less
 // than a second later — timers never fire early but may fire late — and by
 // its measured delay otherwise.
-func liveFate(t *testing.T, tr *Transport, inboxes []<-chan Envelope, sched *nemesis.Schedule, from, to int, at, want time.Duration) fate {
+func liveFate(t *testing.T, tr *Transport, inboxes []<-chan Envelope, from, to int, at, want time.Duration) fate {
 	t.Helper()
 	cut := tr.NetStats().Cut
-	sched.Arm(time.Now().Add(-at))
+	tr.mu.Lock()
+	tr.origin = time.Now().Add(-at)
+	tr.mu.Unlock()
 	start := time.Now()
 	tr.Send(NodeID(from), NodeID(to), protocol.WorkDeny{})
 	select {
@@ -100,7 +102,7 @@ func TestNemesisSameVerdictBothRuntimes(t *testing.T) {
 					continue
 				}
 				s := simFate(sched, from, to, sec)
-				l := liveFate(t, tr, inboxes, sched, from, to, time.Duration(sec*float64(time.Second)), s.delay)
+				l := liveFate(t, tr, inboxes, from, to, time.Duration(sec*float64(time.Second)), s.delay)
 				if s != l {
 					t.Errorf("t=%gs %d→%d: simulator %+v, live %+v", sec, from, to, s, l)
 				}
@@ -114,5 +116,86 @@ func TestNemesisSameVerdictBothRuntimes(t *testing.T) {
 	}
 	if cuts == 0 || delays == 0 {
 		t.Errorf("scenario judged %d cuts and %d delays; want both", cuts, delays)
+	}
+}
+
+// TestNemesisCorruptOneDamagedCopy: under corrupt:1 and dup:1 a message is
+// one damaged copy on both live transports, never delivered and never
+// duplicated, and the ledger is the simulator's for the same send.
+func TestNemesisCorruptOneDamagedCopy(t *testing.T) {
+	sched := mustFaults(t, "corrupt:1", "dup:1")
+	k := sim.New(1)
+	snw := sim.NewNetwork(k, nil)
+	snw.SetNemesis(sched)
+	snw.Register(1, func(sim.NodeID, sim.Message) {})
+	snw.Send(0, 1, protocol.WorkDeny{})
+	k.Run(math.Inf(1))
+	want := snw.Stats()
+	if want.Corrupt != 1 || want.Duplicated != 0 || want.Delivered != 0 {
+		t.Fatalf("simulator ledger %+v, want one corrupt message and no duplicate", want)
+	}
+	for _, nt := range linkNets {
+		t.Run(nt.name, func(t *testing.T) {
+			r := &linkRig{t: t, nw: nt.open(t)}
+			defer r.nw.Close()
+			ch := r.register(1)
+			r.nw.SetNemesis(sched)
+			r.nw.Send(0, 1, protocol.WorkDeny{})
+			r.settle()
+			r.silent(ch, 20*time.Millisecond)
+			if got := r.nw.NetStats(); got != want {
+				t.Errorf("ledger %+v, want the simulator's %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestNemesisSharedSchedule: one schedule serves two transports, each
+// judging its windows from its own SetNemesis. A partition of node 0 over
+// the first quarter second cuts the second transport's first send, though
+// the first transport started the same schedule longer ago than that, and
+// its own window has passed.
+func TestNemesisSharedSchedule(t *testing.T) {
+	sched := mustFaults(t, "partition:0-250ms:0")
+	first := NewTransport(1, nil, 0)
+	defer first.Close()
+	ch1 := first.Register(1)
+	first.SetNemesis(sched)
+	first.Send(0, 1, protocol.WorkDeny{})
+	if ns := first.NetStats(); ns.Cut != 1 {
+		t.Fatalf("first transport inside the window: %+v, want the send cut", ns)
+	}
+	time.Sleep(350 * time.Millisecond)
+
+	second := NewTransport(2, nil, 0)
+	defer second.Close()
+	ch2 := second.Register(1)
+	second.SetNemesis(sched)
+	second.Send(0, 1, protocol.WorkDeny{})
+	if ns := second.NetStats(); ns.Cut != 1 || len(ch2) != 0 {
+		t.Errorf("second transport inside its window: %+v, want the send cut", ns)
+	}
+	first.Send(0, 1, protocol.WorkDeny{})
+	if ns := first.NetStats(); ns.Cut != 1 || len(ch1) != 1 {
+		t.Errorf("first transport past its window: %+v, %d delivered; want the send through", ns, len(ch1))
+	}
+}
+
+// TestLinkSendAllocs: a send the schedule judges and leaves undelayed
+// allocates nothing on the in-memory transport.
+func TestLinkSendAllocs(t *testing.T) {
+	tr := NewTransport(1, nil, 0)
+	defer tr.Close()
+	ch := tr.Register(1)
+	tr.SetNemesis(mustFaults(t, "partition:0-:2|3", "slow:2-3:50ms", "dup:0"))
+	var msg Message = protocol.WorkDeny{}
+	if a := testing.AllocsPerRun(100, func() {
+		tr.Send(0, 1, msg)
+		<-ch
+	}); a != 0 {
+		t.Errorf("a judged, undelayed send allocates %v times, want 0", a)
+	}
+	if ns := tr.NetStats(); ns.Delivered != 101 || ns.Dropped != 0 {
+		t.Errorf("ledger %+v, want 101 delivered", ns)
 	}
 }

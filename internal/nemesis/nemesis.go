@@ -6,13 +6,15 @@
 // probabilities that it is lost, corrupted, held back (reordered),
 // duplicated or replayed stale.
 //
-// The grammar is runtime-neutral and so are the verdicts: the live link
-// judges each send against the wall clock since Arm, the simulator judges
-// each send against virtual time with At, and the same (time, src, dst)
-// gets the same verdict in both. Only the random draws and the defaults
-// for an unset reorder window or replay delay belong to the runtime.
-// Faults compose: a link may be slowed by one fault and flapped by another,
-// and two loss faults active together drop independently.
+// The grammar is runtime-neutral and so are the verdicts: a Schedule is
+// immutable data that keeps no clock, and each runtime judges a send with At
+// at its own instant — the simulator in virtual time, the live link in wall
+// time since its SetNemesis — so the same (time, src, dst) gets the same
+// verdict in both. Verdict.Apply is the one place a verdict becomes copies:
+// the runtime brings only its random stream, its base latency and its
+// defaults for an unset reorder window or replay delay. Faults compose: a
+// link may be slowed by one fault and flapped by another, and two loss
+// faults active together drop independently.
 //
 // NetStats is the ledger both runtimes count a message's fate in: sent,
 // delivered, dropped by cause, or injected by a fault.
@@ -21,11 +23,11 @@ package nemesis
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -202,12 +204,7 @@ func fmtDur(d time.Duration) string {
 }
 
 // Verdict is a Schedule's judgement of one message on one directed link at
-// one instant. Zero value = deliver normally.
-//
-// A runtime applies it in one order: a cut drops the message; otherwise
-// the draws run loss → corrupt → reorder → duplicate → replay, each only
-// when its probability is positive, and Delay is added to every copy that
-// takes the link's base latency.
+// one instant. Zero value = deliver normally. Apply carries it out.
 type Verdict struct {
 	Cut   bool
 	Delay time.Duration // extra latency a slow link adds
@@ -220,17 +217,80 @@ type Verdict struct {
 	ReorderWindow, ReplayAfter time.Duration
 }
 
+// Sentence is what Apply makes of one message: Delay[:Copies] are the
+// delays, in seconds after the send, of the copies that take the wire, the
+// original first; Corrupt marks the one copy of a damaged message. No copies
+// means the message vanished, and Apply counted why.
+type Sentence struct {
+	Delay   [3]float64
+	Copies  int
+	Corrupt bool
+}
+
+// Apply carries out the verdict on one message, the one transcription of the
+// order both runtimes follow: a cut drops it; otherwise the draws run loss →
+// corrupt → reorder → duplicate → replay on r, each only when its
+// probability is positive, so a run without a fault of a kind draws nothing
+// for it. A corrupt message is one damaged copy at the base latency, and
+// draws nothing further. Delay is added to every copy that takes base, the
+// link's latency in seconds; a held-back original gains up to the verdict's
+// window, else reorderWindow, and a replayed copy comes one to two times the
+// verdict's lag, else replayAfter, after the send. Apply counts the cut and
+// the loss in st and the reorder, duplicate and replay injections; the
+// runtime counts a copy's fate on the wire, a damaged one's included.
+func (v Verdict) Apply(r *rand.Rand, base, reorderWindow, replayAfter float64, st *NetStats) Sentence {
+	var s Sentence
+	switch {
+	case v.Cut:
+		st.Drop(&st.Cut)
+		return s
+	case v.Loss > 0 && r.Float64() < v.Loss:
+		st.Drop(&st.Lost)
+		return s
+	}
+	delay := base + v.Delay.Seconds()
+	s.Delay[0], s.Copies = delay, 1
+	if v.Corrupt > 0 && r.Float64() < v.Corrupt {
+		s.Corrupt = true
+		return s
+	}
+	if v.Reorder > 0 && r.Float64() < v.Reorder {
+		// Held back: messages sent after this one can overtake it.
+		if v.ReorderWindow > 0 {
+			reorderWindow = v.ReorderWindow.Seconds()
+		}
+		s.Delay[0] += r.Float64() * reorderWindow
+		st.Reordered++
+	}
+	if v.Dup > 0 && r.Float64() < v.Dup {
+		// The duplicate takes its own base latency, so the copies race.
+		s.Delay[s.Copies] = delay
+		s.Copies++
+		st.Duplicated++
+	}
+	if v.Replay > 0 && r.Float64() < v.Replay {
+		// A stale copy surfaces much later — a retransmit buffer flushing, a
+		// route flap healing — when both ends have long moved past it.
+		if v.ReplayAfter > 0 {
+			replayAfter = v.ReplayAfter.Seconds()
+		}
+		s.Delay[s.Copies] = replayAfter * (1 + r.Float64())
+		s.Copies++
+		st.Replayed++
+	}
+	return s
+}
+
 // either is the probability that at least one of two independent events
 // with probabilities p and q happens. It is exact when either is 0, so a
 // lone fault's probability reaches the draw unrounded.
 func either(p, q float64) float64 { return p + q - p*q }
 
-// Schedule holds a scenario's faults and judges links against them. The
-// zero time origin is set by Arm (or lazily by the first JudgeNow call), so
-// fault windows are relative to the start of the run, not process start.
+// Schedule holds a scenario's faults and judges links against them. It is
+// immutable and keeps no clock: fault windows are relative to an origin the
+// runtime judging it keeps, so one Schedule may serve several runs at once.
 type Schedule struct {
 	faults []Fault
-	t0     atomic.Int64 // wall-clock origin, unix nanos; 0 = not armed
 }
 
 // New builds a schedule over the given faults. It panics on a fault the
@@ -254,13 +314,9 @@ func (s *Schedule) Faults() []Fault {
 	return s.faults
 }
 
-// Arm fixes the schedule's time origin. Calling Arm again re-bases the
-// windows — useful when one Schedule value is reused across runs.
-func (s *Schedule) Arm(t0 time.Time) { s.t0.Store(t0.UnixNano()) }
-
-// At is the pure judgement: the verdict for a message from → to at instant
-// t after the origin. Deterministic, lock-free and allocation-free, so tests
-// can table-drive it and the simulator calls it with virtual time.
+// At is the judgement: the verdict for a message from → to at instant t
+// after the origin. Deterministic, lock-free and allocation-free; a nil
+// schedule judges every message clean.
 func (s *Schedule) At(from, to int, t time.Duration) Verdict {
 	var v Verdict
 	if s == nil {
@@ -295,20 +351,6 @@ func (s *Schedule) At(from, to int, t time.Duration) Verdict {
 		}
 	}
 	return v
-}
-
-// JudgeNow judges a message from → to at the current wall-clock instant,
-// arming the schedule at first use if Arm was never called.
-func (s *Schedule) JudgeNow(from, to int) Verdict {
-	if s == nil || len(s.faults) == 0 {
-		return Verdict{}
-	}
-	t0 := s.t0.Load()
-	if t0 == 0 {
-		s.t0.CompareAndSwap(0, time.Now().UnixNano())
-		t0 = s.t0.Load()
-	}
-	return s.At(from, to, time.Duration(time.Now().UnixNano()-t0))
 }
 
 // Horizon returns the latest window end across all faults (0 if any fault

@@ -385,6 +385,42 @@ func TestIdlePatienceAfterDenies(t *testing.T) {
 	}
 }
 
+// TestIdleRequestFailed pins the hooks of a driver that keeps its own
+// request timer and pace: a probe leaves a request pending; RequestFailed
+// settles it as one failed attempt with no retry pace, so WakeAt carries
+// none and the next Starve probes at once; with nothing pending it does
+// nothing; and RecoveryPatience such failures, and not one fewer, let a
+// process past its quiet window recover.
+func TestIdleRequestFailed(t *testing.T) {
+	const patience = 3
+	e := newEnv(t, 4, Config{RetryDelay: 1, RequestTimeout: 100, RecoveryPatience: patience, RecoveryQuiet: 0.5}, []NodeID{1})
+	if e.core.RequestFailed(); e.core.RequestPending() || e.core.failedReqs != 0 {
+		t.Fatalf("RequestFailed with nothing pending: pending %v, %d failures; want a no-op", e.core.RequestPending(), e.core.failedReqs)
+	}
+	for i := 0; i < patience; i++ {
+		// From the second probe on the quiet window has passed; only the
+		// failure count holds recovery back.
+		if dec, p := e.starveAt(float64(i)); dec != StarveRequested || p != 1 {
+			t.Fatalf("starve after %d failures = %v with %d probes, want one request", i, dec, p)
+		}
+		if !e.core.RequestPending() {
+			t.Fatalf("no request pending after probe %d", i)
+		}
+		e.clk.t += 0.5
+		e.core.RequestFailed()
+		e.core.RequestFailed() // nothing pending any more: no second failure
+		if e.core.RequestPending() || e.core.failedReqs != i+1 {
+			t.Fatalf("after RequestFailed on probe %d: pending %v, %d failures; want settled as one", i, e.core.RequestPending(), e.core.failedReqs)
+		}
+		if got := e.core.WakeAt(); !math.IsInf(got, 1) {
+			t.Fatalf("WakeAt after RequestFailed = %g, want +Inf: no pace", got)
+		}
+	}
+	if dec, _ := e.starveAt(patience - 0.5); dec != StarveRecover {
+		t.Fatalf("starve after %d failures past the quiet window = %v, want StarveRecover", patience, dec)
+	}
+}
+
 func TestCoreRecoveryAfterQuietWindow(t *testing.T) {
 	e := newEnv(t, 4, Config{RecoveryPatience: 3, RecoveryQuiet: 10, RequestTimeout: 0.5, RetryDelay: 0.5}, []NodeID{1})
 	// Three unanswered probes, one a second: each times out after half a

@@ -111,7 +111,7 @@ func (n *Network) delayFor(from, to NodeID, sz int) float64 {
 // empty message, or 10 ms under a zero-latency model; a replay fault
 // without a delay replays between 1 and 2 seconds late. nil restores a
 // well-behaved network, and so does a schedule without faults: a send then
-// makes no judgement at all.
+// draws nothing.
 func (n *Network) SetNemesis(s *nemesis.Schedule) {
 	if len(s.Faults()) == 0 {
 		s = nil
@@ -122,6 +122,9 @@ func (n *Network) SetNemesis(s *nemesis.Schedule) {
 		n.reorderWindow = 0.01
 	}
 }
+
+// replayAfter is the lag, in seconds, of a replay fault that names none.
+const replayAfter = 1.0
 
 // virtual converts a virtual instant in seconds to the schedule's time
 // axis, saturating rather than wrapping past time.Duration's range.
@@ -178,9 +181,10 @@ func (n *Network) Crashed(id NodeID) bool {
 }
 
 // Send queues msg for delivery from -> to under the latency model and the
-// nemesis schedule. Sends from or to crashed nodes, and messages a fault
-// cuts, loses or corrupts, all vanish silently — exactly the asynchronous
-// model the algorithm must tolerate.
+// nemesis schedule, whose verdict Apply carries out: this half only routes
+// the copies it sentences. Sends from or to crashed nodes, and messages a
+// fault cuts, loses or corrupts, all vanish silently — exactly the
+// asynchronous model the algorithm must tolerate.
 //
 // In a Mesh, the crashed-destination check moves to delivery time for
 // cross-shard sends (the sender's shard cannot see a remote node's crash
@@ -196,50 +200,14 @@ func (n *Network) Send(from, to NodeID, msg Message) {
 		n.stats.Drop(&n.stats.ToDead)
 		return
 	}
-	if n.nem == nil {
-		n.route(from, to, msg, n.delayFor(from, to, sz))
-		return
-	}
 	v := n.nem.At(int(from), int(to), virtual(n.k.now))
-	if v.Cut {
-		n.stats.Drop(&n.stats.Cut)
+	st := v.Apply(n.k.Rand(), n.delayFor(from, to, sz), n.reorderWindow, replayAfter, &n.stats)
+	if st.Corrupt {
+		n.stats.Drop(&n.stats.Corrupt) // the CRC a real receiver runs rejects it
 		return
 	}
-	r := n.k.Rand()
-	if v.Loss > 0 && r.Float64() < v.Loss {
-		n.stats.Drop(&n.stats.Lost)
-		return
-	}
-	if v.Corrupt > 0 && r.Float64() < v.Corrupt {
-		n.stats.Drop(&n.stats.Corrupt)
-		return
-	}
-	slow := v.Delay.Seconds()
-	delay := n.delayFor(from, to, sz) + slow
-	if v.Reorder > 0 && r.Float64() < v.Reorder {
-		// Held back: messages sent after this one can overtake it.
-		w := n.reorderWindow
-		if v.ReorderWindow > 0 {
-			w = v.ReorderWindow.Seconds()
-		}
-		delay += r.Float64() * w
-		n.stats.Reordered++
-	}
-	n.route(from, to, msg, delay)
-	if v.Dup > 0 && r.Float64() < v.Dup {
-		// The duplicate takes its own base latency, so the copies race.
-		n.stats.Duplicated++
-		n.route(from, to, msg, n.delayFor(from, to, sz)+slow)
-	}
-	if v.Replay > 0 && r.Float64() < v.Replay {
-		// A stale copy surfaces much later — a retransmit buffer flushing, a
-		// route flap healing — when the system has long moved past it.
-		lag := 1.0
-		if v.ReplayAfter > 0 {
-			lag = v.ReplayAfter.Seconds()
-		}
-		n.stats.Replayed++
-		n.route(from, to, msg, lag*(1+r.Float64()))
+	for _, d := range st.Delay[:st.Copies] {
+		n.route(from, to, msg, d)
 	}
 }
 
