@@ -37,8 +37,9 @@ func TestArenaGrowsMidWalk(t *testing.T) {
 	if !ok || err != nil {
 		t.Fatalf("Insert(deep) = %v, %v", ok, err)
 	}
-	if len(tb.nodes) != depth+1 || tb.NodeCount() != depth+1 {
-		t.Fatalf("arena holds %d vertices, NodeCount %d, want %d", len(tb.nodes), tb.NodeCount(), depth+1)
+	if len(tb.nodes) != depth || tb.NodeCount() != depth+1 {
+		t.Fatalf("arena holds %d vertices, NodeCount %d, want %d and %d (the complete leaf is a slot)",
+			len(tb.nodes), tb.NodeCount(), depth, depth+1)
 	}
 	probes := []code.Code{deep, deep[:depth/2], deep.Sibling()}
 	checkAgainstRef(t, tb, ref, probes)

@@ -18,10 +18,12 @@
 // The implementation is the protocol's hot path — every completion, report
 // flush, table gossip, and wire-size query goes through it — so it is tuned
 // to be O(depth) per insert and allocation-lean (DESIGN.md "Completion-table
-// hot path"): the trie's vertices are 16 pointer-free bytes each in one arena
-// slice per table and name each other by index, so the collector never scans
-// a trie, Clone is one slice copy, and pruned vertices go onto a free list
-// (indices again) that later inserts pop instead of growing the arena; the
+// hot path"): the trie's inner vertices are 16 pointer-free bytes each in one
+// arena slice per table and name each other by index, so the collector never
+// scans a trie, Clone is one slice copy, and recycled vertices go onto a free
+// list (indices again) that later inserts pop instead of growing the arena; a
+// complete vertex below the root — every leaf of the trie — is a reserved
+// value in its parent's child slot, not a vertex of its own; the
 // subtree digests only diff gossip reads live in a side array the table
 // allocates on the first digest request; Insert keeps an explicit path stack
 // so contraction walks bottom-up without re-walking from the root per level;
@@ -35,8 +37,8 @@
 // first), and Subtree copies out the part below one code; Merge folds one
 // table into another — MergeAt into the part below a code — by a lockstep
 // walk of the two tries that skips every subtree the receiver already holds
-// complete, marks complete wherever the other is, grafts wherever the receiver
-// has no vertex and contracts on the way back up. On the wire it is the trie
+// complete, writes a complete slot wherever the other holds one, grafts
+// wherever the receiver has no vertex and contracts on the way back up. On the wire it is the trie
 // again: Encode writes the vertices in pre-order, two bits of shape each and
 // the branching variable of each inner one, and Decode lays them out as a
 // compact depth-first arena, sums included, so a receiver rebuilds the
@@ -58,6 +60,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"gossipbnb/internal/code"
@@ -68,22 +71,31 @@ import (
 // and name each other by index, so a vertex holds no pointer and the collector
 // never scans a trie. The root is index 0 and is nobody's child, so a child
 // index of 0 means "no child on this branch"; free-listed vertices are
-// threaded through children[0] the same way (0 ends the list). 16 bytes: the
-// subtree digest lives in the table's side array (digest.go), and the wire
-// bytes of the edge from the parent are recomputed from the parent's
-// branchVar where they are needed (newChild, prune).
+// threaded through children[0] the same way (0 ends the list). A complete
+// vertex below the root has no arena vertex at all: it is the doneChild value
+// in its parent's slot, so every arena vertex but a complete root is an inner
+// vertex of the trie. 16 bytes: the subtree digest lives in the table's side
+// array (digest.go), and the wire bytes of the edge from the parent are
+// recomputed from the parent's branchVar where they are needed (newChild,
+// completeChild, recycle).
 type node struct {
 	children [2]uint32
 
 	branchVar uint32 // condition variable the children branch on
 
 	// meta packs the length of the vertex's own code — fixed when the vertex
-	// is created, so completing or pruning it adjusts the table's sums without
-	// knowing the path that led here — above two bits: metaComplete, and
-	// metaDigestOK, the validity bit of the vertex's cached digest, cleared
-	// along the mutation path.
+	// is created, so recycling it adjusts the table's sums without knowing
+	// the path that led here; a doneChild slot's code is one decision longer
+	// than its parent's — above two bits: metaComplete, set only on a
+	// complete root (and on a Set's members), and metaDigestOK, the validity
+	// bit of the vertex's cached digest, cleared along the mutation path.
 	meta uint32
 }
+
+// doneChild in a child slot is a complete vertex: the whole subproblem on
+// that branch is done, and nothing below it is kept. It is no arena index
+// (an arena that long would be 64 GB).
+const doneChild = ^uint32(0)
 
 const (
 	metaComplete = 1 << iota
@@ -106,6 +118,9 @@ func (n *node) depth() uint32  { return n.meta >> metaDepthShift }
 
 // leaf reports that nothing was ever recorded below n.
 func (n *node) leaf() bool { return n.children[0]|n.children[1] == 0 }
+
+// bothDone reports that both of n's branches are complete slots: n contracts.
+func (n *node) bothDone() bool { return n.children[0]&n.children[1] == doneChild }
 
 // gaps is the number of complement regions an incomplete n stands for: the
 // branch nothing was recorded on, or — a leaf, which in a settled table is
@@ -130,11 +145,13 @@ type Table struct {
 	// vertex is reachable from it through children, and the rest are on the
 	// free list. It starts at one vertex and grows by append, so a pointer
 	// into it (&t.nodes[i]) dies at the next newChild; code that creates
-	// vertices holds indices and re-takes the pointer.
+	// vertices holds indices and re-takes the pointer. The live vertices are
+	// the trie's inner ones, nodeCount − codes of them, or the root alone
+	// when it is complete (liveVertices).
 	nodes []node
 
 	// free is the head of the vertex free list, threaded through
-	// children[0]; 0 means empty. prune feeds it; newChild pops it.
+	// children[0]; 0 means empty. recycle feeds it; newChild pops it.
 	free uint32
 
 	// gaps counts the regions of the complement — the incomplete vertices that
@@ -144,18 +161,18 @@ type Table struct {
 	// the 80-byte size class.)
 	gaps int32
 
-	// nodeCount is the live trie vertices, for storage accounting, the
-	// snapshot's compaction rule and the encoding's vertex count.
+	// nodeCount is the trie's vertices, complete slots included, for storage
+	// accounting and the encoding's vertex count.
 	nodeCount int32
 
 	// Sums over the frontier, kept where the trie changes. codes and depthSum
-	// count the complete vertices and the decisions of their codes (tally).
-	// Len reads the first; Codes sizes its chunks by both.
+	// count the complete vertices and the decisions of their codes. Len reads
+	// the first; Codes sizes its chunks by both.
 	//
 	// varSum is the encoding's variable bytes: the uvarint length of the
 	// branching variable of every inner vertex (one with a child). newChild
-	// adds it when a leaf gets its first child, prune takes it back when a
-	// vertex loses them. EncodedSize reads it.
+	// and completeChild add it when a leaf gets its first child, recycle
+	// takes it back when a vertex loses them. EncodedSize reads it.
 	//
 	// (A vertex adds at most five bytes to varSum, so it overflows only past
 	// 400 M vertices, a 6.4 GB arena.)
@@ -179,7 +196,7 @@ type Table struct {
 // walk that needs any of it. path holds the root-to-leaf vertex stack of the
 // last insert (path[i] = index of the vertex at depth i) and of MergeAt's walk
 // to its prefix; prefix is the complement walk's code; frames and nstack are
-// the iterative-walk stacks of Complement and of the pruning, counting and
+// the iterative-walk stacks of Complement and of the recycling, counting and
 // compaction walks. sortBuf is InsertAll's out-of-order fallback only: the
 // sorted copy of the part of a batch that broke prefix order. It is cleared
 // when the fallback returns, so it never keeps a received batch's chunks
@@ -216,11 +233,12 @@ type walkFrame struct {
 	b int8
 }
 
-// frontierFrame is one vertex the frontier walk has yet to visit, with the
-// decision that leads to it from its parent.
+// frontierFrame is one vertex the frontier walk has yet to visit — an arena
+// index, or doneChild for a complete slot — with its depth and the decision
+// that leads to it from its parent.
 type frontierFrame struct {
-	n   uint32
-	via code.Decision
+	n, depth uint32
+	via      code.Decision
 }
 
 // New returns an empty table: nothing is known to be completed. It is two
@@ -236,7 +254,7 @@ func New() *Table {
 // free list so the next inserts allocate nothing. The protocol core resets
 // its report outbox on every flush instead of allocating a fresh table.
 func (t *Table) Reset() {
-	t.prune(0)
+	t.recycle(0)
 	t.nodes[0] = node{}
 	t.codes, t.varSum, t.depthSum, t.gaps = 0, 0, 0, 1
 	if t.sc != nil {
@@ -275,11 +293,42 @@ func (t *Table) newChild(p uint32, b uint8) uint32 {
 // varBytes is the encoded size of an inner vertex branching on variable v.
 func varBytes(v uint32) int32 { return int32(code.UvarintLen(uint64(v))) }
 
-// tally adds (sign +1) or removes (sign -1) a complete vertex's code from the
-// frontier sums.
-func (t *Table) tally(n *node, sign int) {
-	t.codes += int32(sign)
-	t.depthSum += sign * int(n.depth())
+// completeChild makes branch b of vertex p a complete slot, whatever the
+// branch held: nothing, which adds a vertex to the trie, or an inner vertex,
+// recycled whole with its subtree. The slot's code joins the frontier sums.
+// p's cached digest is stale; the caller clears it and the ones above. The
+// caller guarantees the branch is not complete already.
+func (t *Table) completeChild(p uint32, b uint8) {
+	n := &t.nodes[p] // recycling creates no vertex: n stays valid
+	if c := n.children[b]; c != 0 {
+		t.recycle(c)
+	} else if n.leaf() {
+		t.varSum += varBytes(n.branchVar) // n's gap stays: its other branch
+	} else {
+		t.gaps-- // the branch n lacked
+	}
+	n.children[b] = doneChild
+	t.nodeCount++
+	t.codes++
+	t.depthSum += int(n.depth()) + 1
+}
+
+// completeRoot completes the root: everything below it is recycled, and the
+// root code is the whole frontier.
+func (t *Table) completeRoot() {
+	t.recycle(0)
+	root := &t.nodes[0]
+	root.meta = root.meta&^metaDigestOK | metaComplete
+	t.codes++ // the root code has no decisions
+}
+
+// liveVertices returns the number of live arena vertices: the trie's inner
+// ones, or the root alone when it is complete.
+func (t *Table) liveVertices() int {
+	if t.Complete() {
+		return 1
+	}
+	return int(t.nodeCount - t.codes)
 }
 
 // VarMismatchError reports an Insert whose code branches a subproblem on a
@@ -311,7 +360,8 @@ func (t *Table) Insert(c code.Code) (bool, error) {
 // caller guarantees every reused vertex is live and incomplete (see
 // InsertAll). It returns the number of path entries that remain valid for the
 // next prefix-sharing insert: vertices at depths < valid are live and
-// incomplete; the vertex at depth valid (if walked) may be complete.
+// incomplete; the vertex at depth valid is live, and may be complete only if
+// it is the root.
 //
 // The single path stack is what makes contraction O(depth): the old
 // implementation re-walked from the root for every level it contracted,
@@ -326,13 +376,19 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 	} else {
 		sc.path = sc.path[:from+1]
 	}
-	at := sc.path[from]
-	for depth := from; depth < len(c); depth++ {
+	if t.Complete() {
+		return false, 0, nil // everything is subsumed
+	}
+	if len(c) == 0 {
+		t.completeRoot()
+		t.invalidate()
+		return true, 0, nil
+	}
+	// Walk to c's parent, the vertex at depth last: c itself is a slot.
+	at, last := sc.path[from], len(c)-1
+	for depth := from; ; depth++ {
 		d := c[depth]
 		n := &t.nodes[at]
-		if n.complete() {
-			return false, depth, nil // an ancestor is complete: c is subsumed
-		}
 		if n.leaf() {
 			n.branchVar = d.Var
 		} else if n.branchVar != d.Var {
@@ -340,39 +396,37 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 		}
 		b := d.Branch & 1
 		next := n.children[b]
+		if next == doneChild {
+			return false, depth, nil // c or an ancestor is complete: c is subsumed
+		}
+		if depth == last {
+			break
+		}
 		if next == 0 {
 			next = t.newChild(at, b) // n may be stale now: the arena may have moved
 		}
 		at = next
 		sc.path = append(sc.path, at)
 	}
-	n := &t.nodes[at] // no vertex is created from here on
-	if n.complete() {
-		return false, len(c), nil
-	}
-	n.meta |= metaComplete
-	t.tally(n, +1)
-	t.prune(at)
-	// Contract bottom-up along the recorded path, replacing complete sibling
-	// pairs with their parent. Vertices below the shallowest completed depth
-	// are recycled, so only path[:valid+1] survives for prefix reuse.
-	valid = len(c)
-	for i := len(c) - 1; i >= 0; i-- {
-		p := &t.nodes[sc.path[i]]
-		if p.children[0] == 0 || p.children[1] == 0 ||
-			!t.nodes[p.children[0]].complete() || !t.nodes[p.children[1]].complete() {
-			break // cannot contract further
+	// Complete c's slot, recycling whatever was recorded below it, then
+	// contract bottom-up along the recorded path: a vertex whose branches are
+	// both complete becomes a slot in its parent, and its own vertex is
+	// recycled, so only path[:valid+1] survives for prefix reuse.
+	valid = last
+	t.completeChild(at, c[last].Branch&1)
+	for t.nodes[sc.path[valid]].bothDone() {
+		if valid == 0 {
+			t.completeRoot()
+			break
 		}
-		p.meta |= metaComplete
-		t.tally(p, +1)
-		t.prune(sc.path[i])
-		valid = i
+		valid--
+		t.completeChild(sc.path[valid], c[valid].Branch&1)
 	}
 	// Every vertex on the walked path now roots a changed subtree, so their
 	// cached digests are stale. Vertices recycled by the contraction above
-	// were zeroed by prune; re-clearing them is harmless. Nothing off the
-	// path changed, so nothing else needs touching — this is the same
-	// invalidation discipline as the snapshot cache, pushed down to vertices.
+	// were zeroed; re-clearing them is harmless. Nothing off the path
+	// changed, so nothing else needs touching — this is the same invalidation
+	// discipline as the snapshot cache, pushed down to vertices.
 	if len(sc.digests) > 0 {
 		for _, v := range sc.path {
 			t.nodes[v].meta &^= metaDigestOK
@@ -382,45 +436,37 @@ func (t *Table) insertFrom(c code.Code, from int) (changed bool, valid int, err 
 	return true, valid, nil
 }
 
-// prune recycles the subtrees below a vertex that just became complete; its
-// descendants carry no extra information, and the codes of the complete ones
-// leave the frontier sums, the variables of the vertex and its inner
-// descendants leave the encoding's, and whatever the vertex and its incomplete
-// descendants lacked leaves the complement. The walk
-// is iterative and feeds the free list, so a prune is allocation-free and
-// later inserts reuse the vertices. Its stack is the scratch's where the table
-// has one, and otherwise starts on the goroutine stack: it holds at most one
-// vertex per level, so a merge that completes a shallow trie — a termination
-// report reaching an idle process — allocates nothing.
-func (t *Table) prune(at uint32) {
-	n := &t.nodes[at]
-	t.gaps -= n.gaps()
-	if n.leaf() {
-		return
-	}
+// recycle puts vertex i and every vertex below it on the free list, taking
+// them, their complete slots and whatever they lacked out of the sums. i of 0
+// recycles everything below the root and leaves the root a leaf. The walk is
+// iterative and feeds the free list, so a recycle is allocation-free and
+// later inserts reuse the vertices. Its stack is the scratch's where the
+// table has one, and otherwise starts on the goroutine stack: it holds at
+// most one vertex per level, so a merge that completes a shallow trie — a
+// termination report reaching an idle process — allocates nothing.
+func (t *Table) recycle(i uint32) {
 	if t.sc != nil {
-		t.sc.nstack = t.pruneBelow(t.sc.nstack[:0], n) // keep what the walk grew
+		t.sc.nstack = t.recycleFrom(t.sc.nstack[:0], i) // keep what the walk grew
 		return
 	}
 	var stk [walkDepth]uint32
-	t.pruneBelow(stk[:0], n)
+	t.recycleFrom(stk[:0], i)
 }
 
-// pruneBelow is prune's walk over the descendants of n on stack, which it
-// returns.
-func (t *Table) pruneBelow(stack []uint32, n *node) []uint32 {
-	stack = t.pushChildren(stack, n)
-	n.children = [2]uint32{}
+// recycleFrom is recycle's walk on stack, which it returns.
+func (t *Table) recycleFrom(stack []uint32, i uint32) []uint32 {
+	if i == 0 {
+		root := &t.nodes[0]
+		stack = t.release(stack, root)
+		root.children = [2]uint32{}
+	} else {
+		stack = append(stack, i)
+	}
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		v := &t.nodes[i]
-		stack = t.pushChildren(stack, v)
-		if v.complete() {
-			t.tally(v, -1)
-		} else {
-			t.gaps -= v.gaps()
-		}
+		stack = t.release(stack, v)
 		t.nodeCount--
 		*v = node{children: [2]uint32{t.free, 0}}
 		t.free = i
@@ -428,14 +474,23 @@ func (t *Table) pruneBelow(stack []uint32, n *node) []uint32 {
 	return stack
 }
 
-// pushChildren queues v's children on prune's stack and takes v's variable
-// out of the encoding's sum if it has a child.
-func (t *Table) pushChildren(stack []uint32, v *node) []uint32 {
-	if !v.leaf() {
-		t.varSum -= varBytes(v.branchVar)
+// release takes what v stands for out of the sums — its gap, its variable if
+// it has a child, and the codes of its complete slots — and queues its inner
+// children on recycle's stack.
+func (t *Table) release(stack []uint32, v *node) []uint32 {
+	t.gaps -= v.gaps()
+	if v.leaf() {
+		return stack
 	}
+	t.varSum -= varBytes(v.branchVar)
 	for _, c := range v.children {
-		if c != 0 {
+		switch c {
+		case 0:
+		case doneChild:
+			t.nodeCount--
+			t.codes--
+			t.depthSum -= int(v.depth()) + 1
+		default:
 			stack = append(stack, c)
 		}
 	}
@@ -449,18 +504,21 @@ func (t *Table) Complete() bool { return t.nodes[0].complete() }
 // Contains reports whether the subproblem encoded by c is known completed,
 // either directly or through a completed ancestor.
 func (t *Table) Contains(c code.Code) bool {
+	if t.Complete() {
+		return true
+	}
 	n := &t.nodes[0]
 	for _, d := range c {
-		if n.complete() {
-			return true
-		}
 		next := n.children[d.Branch&1]
-		if next == 0 || n.branchVar != d.Var {
+		switch {
+		case next == 0 || n.branchVar != d.Var:
 			return false
+		case next == doneChild:
+			return true
 		}
 		n = &t.nodes[next]
 	}
-	return n.complete()
+	return false // n is an inner vertex, never complete
 }
 
 // Overlaps reports whether the table knows of any completion at, above or
@@ -471,18 +529,21 @@ func (t *Table) Contains(c code.Code) bool {
 // that branches a vertex on another variable than the table does overlaps
 // nothing.
 func (t *Table) Overlaps(c code.Code) bool {
+	if t.Complete() {
+		return true
+	}
 	n := &t.nodes[0]
 	for _, d := range c {
-		if n.complete() {
-			return true
-		}
 		next := n.children[d.Branch&1]
-		if next == 0 || n.branchVar != d.Var {
+		switch {
+		case next == 0 || n.branchVar != d.Var:
 			return false
+		case next == doneChild:
+			return true
 		}
 		n = &t.nodes[next]
 	}
-	return n.complete() || !n.leaf()
+	return !n.leaf()
 }
 
 // Covering returns the contraction of c in the table: the code of the
@@ -491,19 +552,19 @@ func (t *Table) Overlaps(c code.Code) bool {
 // contained. The result is a prefix of c and aliases its storage; callers
 // must treat it as immutable.
 func (t *Table) Covering(c code.Code) (code.Code, bool) {
+	if t.Complete() {
+		return c[:0:0], true
+	}
 	n := &t.nodes[0]
 	for i, d := range c {
-		if n.complete() {
-			return c[:i:i], true
-		}
 		next := n.children[d.Branch&1]
-		if next == 0 || n.branchVar != d.Var {
+		switch {
+		case next == 0 || n.branchVar != d.Var:
 			return nil, false
+		case next == doneChild:
+			return c[: i+1 : i+1], true
 		}
 		n = &t.nodes[next]
-	}
-	if n.complete() {
-		return c, true
 	}
 	return nil, false
 }
@@ -542,12 +603,11 @@ func (t *Table) Codes() []code.Code {
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		v := &t.nodes[f.n]
-		d := int(v.depth())
+		d := int(f.depth)
 		if d > 0 {
 			prefix = append(prefix[:d-1], f.via)
 		}
-		if v.complete() {
+		if f.n == doneChild || t.nodes[f.n].complete() {
 			if d > cap(chunk)-len(chunk) {
 				chunk = make(code.Code, 0, max(d, min(decs, code.ChunkLen)))
 			}
@@ -557,9 +617,10 @@ func (t *Table) Codes() []code.Code {
 			decs -= d
 			continue
 		}
+		v := &t.nodes[f.n]
 		for b := 1; b >= 0; b-- { // pushed in reverse: branch 0 pops first
 			if v.children[b] != 0 {
-				stack = append(stack, frontierFrame{v.children[b], code.Decision{Var: v.branchVar, Branch: uint8(b)}})
+				stack = append(stack, frontierFrame{v.children[b], f.depth + 1, code.Decision{Var: v.branchVar, Branch: uint8(b)}})
 			}
 		}
 	}
@@ -570,14 +631,14 @@ func (t *Table) Codes() []code.Code {
 // goroutine stack to the heap: deeper than any tree the experiments build.
 const walkDepth = 64
 
-// extent counts the vertices of the subtree rooted at start and whether its
-// frontier holds at most max codes, stopping once it does not; a max of 0 or
-// less admits anything. The anti-entropy responder uses it to choose between
-// shipping a small subtree (Subtree, which sizes its copy by the count) and
-// describing another level of the digest walk.
+// extent counts the arena vertices of the subtree rooted at start, a live
+// vertex, and whether its frontier holds at most max codes, stopping once it
+// does not; a max of 0 or less admits anything. The anti-entropy responder
+// uses it to choose between shipping a small subtree (Subtree, which sizes
+// its copy by the count) and describing another level of the digest walk.
 func (t *Table) extent(start uint32, max int) (vertices int, ok bool) {
 	if start == 0 {
-		return int(t.nodeCount), max <= 0 || int(t.codes) <= max
+		return t.liveVertices(), max <= 0 || int(t.codes) <= max
 	}
 	codes := 0
 	sc := t.work()
@@ -586,15 +647,15 @@ func (t *Table) extent(start uint32, max int) (vertices int, ok bool) {
 		v := &t.nodes[sc.nstack[len(sc.nstack)-1]]
 		sc.nstack = sc.nstack[:len(sc.nstack)-1]
 		vertices++
-		if v.complete() {
-			if codes++; max > 0 && codes > max {
-				return vertices, false
-			}
-			continue
-		}
 		for b := 0; b < 2; b++ {
-			if v.children[b] != 0 {
-				sc.nstack = append(sc.nstack, v.children[b])
+			switch c := v.children[b]; c {
+			case 0:
+			case doneChild:
+				if codes++; max > 0 && codes > max {
+					return vertices, false
+				}
+			default:
+				sc.nstack = append(sc.nstack, c)
 			}
 		}
 	}
@@ -666,9 +727,13 @@ func (t *Table) eachGap(visit func(c code.Code) bool) {
 		if f.b < 2 {
 			b := uint8(f.b)
 			f.b++
+			c := n.children[b]
+			if c == doneChild {
+				continue
+			}
 			sc.prefix = sc.prefix.AppendChild(n.branchVar, b)
-			if n.children[b] != 0 {
-				sc.frames = append(sc.frames, walkFrame{n: n.children[b]})
+			if c != 0 {
+				sc.frames = append(sc.frames, walkFrame{n: c})
 				continue
 			}
 			// The sibling branch was reported but this branch never was:
@@ -691,9 +756,10 @@ func (t *Table) eachGap(visit func(c code.Code) bool) {
 // t.InsertAll(other.Codes()) would: changed counts the frontier codes of other
 // that t did not already cover, errs those that branch a vertex of t on
 // another variable. It walks the two tries in lockstep instead of the code
-// list — a subtree t holds complete is skipped whole, a complete vertex of
-// other completes t's, a branch t lacks is grafted vertex by vertex, and a
-// vertex whose children both end up complete contracts on the way back — so
+// list — a subtree t holds complete is skipped whole, a complete slot of
+// other is one slot write in t (recycling whatever t held there), a branch t
+// lacks is grafted vertex by vertex, and a vertex whose children both end up
+// complete contracts into a slot on the way back — so
 // a push of mostly known completions costs the walk down to where t is
 // complete, not a path walk per code. other is only read: the snapshot a push
 // carries is merged by each receiver as it stands.
@@ -707,11 +773,27 @@ func (t *Table) Merge(other *Table) (changed int, errs int) { return t.MergeAt(n
 // vertex on another variable than t does, or would put a code deeper than a
 // table holds, every code of other is an error.
 func (t *Table) MergeAt(prefix code.Code, other *Table) (changed int, errs int) {
-	if other.codes == 0 {
+	if other.codes == 0 || t.Complete() {
 		return 0, 0
 	}
 	if len(prefix) > 0 && len(prefix)+len(other.nodes) > maxDepth && len(prefix)+other.height() > maxDepth {
 		return 0, int(other.codes)
+	}
+	if other.Complete() {
+		// other is the root code alone: t gains prefix itself, as Insert
+		// would record it. At the root that needs no path, so no scratch.
+		if len(prefix) > 0 {
+			switch ok, err := t.Insert(prefix); {
+			case err != nil:
+				return 0, 1
+			case ok:
+				return 1, 0
+			}
+			return 0, 0
+		}
+		t.completeRoot()
+		t.invalidate()
+		return 1, 0
 	}
 	// Only a walk to a prefix records its path, for the contraction back up;
 	// a plain Merge needs no scratch.
@@ -723,16 +805,16 @@ func (t *Table) MergeAt(prefix code.Code, other *Table) (changed int, errs int) 
 	at := uint32(0)
 	for _, d := range prefix {
 		n := &t.nodes[at]
-		if n.complete() {
-			return 0, 0
-		}
 		if n.leaf() {
 			n.branchVar = d.Var
 		} else if n.branchVar != d.Var {
 			return 0, int(other.codes)
 		}
 		next := n.children[d.Branch&1]
-		if next == 0 {
+		switch next {
+		case doneChild:
+			return 0, 0
+		case 0:
 			// From here down every vertex is new, and the merge below it
 			// completes something, so none is left an incomplete leaf.
 			next = t.newChild(at, d.Branch&1)
@@ -743,39 +825,50 @@ func (t *Table) MergeAt(prefix code.Code, other *Table) (changed int, errs int) 
 	if changed, errs = t.mergeAt(at, other, 0); changed == 0 {
 		return 0, errs
 	}
-	for i := len(prefix) - 1; i >= 0; i-- {
-		p := &t.nodes[sc.path[i]]
-		p.meta &^= metaDigestOK
-		if !p.complete() && p.children[0] != 0 && p.children[1] != 0 &&
-			t.nodes[p.children[0]].complete() && t.nodes[p.children[1]].complete() {
-			t.markComplete(sc.path[i])
+	// Contract back up the walked path, the merge's own vertex first: one
+	// whose branches are both complete becomes a slot in its parent.
+	for i := len(prefix); i >= 0; i-- {
+		v := uint32(0)
+		if i > 0 {
+			v = sc.path[i]
+		}
+		n := &t.nodes[v]
+		n.meta &^= metaDigestOK
+		switch {
+		case !n.bothDone():
+		case i == 0:
+			t.completeRoot()
+		default:
+			t.completeChild(sc.path[i-1], prefix[i-1].Branch&1)
 		}
 	}
 	t.invalidate()
 	return changed, errs
 }
 
-// height returns the depth of the deepest vertex, reading every arena slot: a
-// free-listed vertex is zeroed, depth 0 included.
+// height returns the depth of the deepest vertex, complete slots included,
+// reading every arena slot: a free-listed vertex is zeroed, depth 0 included.
 func (t *Table) height() int {
 	h := uint32(0)
 	for i := range t.nodes {
-		h = max(h, t.nodes[i].depth())
+		n := &t.nodes[i]
+		d := n.depth()
+		if n.children[0] == doneChild || n.children[1] == doneChild {
+			d++
+		}
+		h = max(h, d)
 	}
 	return int(h)
 }
 
 // mergeAt merges the subtree of o at oi into the subtree of t at ti, the same
-// position in the tree; Merge documents the counts. Recursion depth is the
-// depth of o's trie.
+// position in the tree: ti a live incomplete vertex, oi an inner one; Merge
+// documents the counts. A branch of ti that the merge completes becomes a
+// slot, but ti itself is left for the caller to contract: only the caller
+// knows its parent. Recursion depth is the depth of o's trie.
 func (t *Table) mergeAt(ti uint32, o *Table, oi uint32) (changed, errs int) {
 	n, on := &t.nodes[ti], &o.nodes[oi]
 	switch {
-	case n.complete():
-		return 0, 0
-	case on.complete():
-		t.markComplete(ti)
-		return 1, 0
 	case n.leaf():
 		n.branchVar = on.branchVar // the bare root of an empty table
 	case n.branchVar != on.branchVar:
@@ -786,64 +879,57 @@ func (t *Table) mergeAt(ti uint32, o *Table, oi uint32) (changed, errs int) {
 		if oc == 0 {
 			continue
 		}
-		if tc := t.nodes[ti].children[b]; tc != 0 {
+		switch tc := t.nodes[ti].children[b]; {
+		case tc == doneChild: // t holds the branch complete: skip it whole
+		case oc == doneChild:
+			t.completeChild(ti, b)
+			changed++
+		case tc == 0:
+			changed += t.graft(ti, b, o, oc)
+		default:
 			ch, er := t.mergeAt(tc, o, oc)
 			changed, errs = changed+ch, errs+er
-		} else {
-			changed += t.graft(ti, b, o, oc)
+			if ch > 0 && t.nodes[tc].bothDone() {
+				t.completeChild(ti, b)
+			}
 		}
 	}
-	if changed == 0 {
-		return 0, errs
-	}
-	n = &t.nodes[ti] // the grafts may have moved the arena
-	n.meta &^= metaDigestOK
-	if n.children[0] != 0 && n.children[1] != 0 &&
-		t.nodes[n.children[0]].complete() && t.nodes[n.children[1]].complete() {
-		t.markComplete(ti)
+	if changed > 0 {
+		t.nodes[ti].meta &^= metaDigestOK // the grafts may have moved the arena
 	}
 	return changed, errs
 }
 
-// graft copies the subtree of o at oi under vertex p of t, on branch b, and
-// returns the number of complete vertices it copied. o is contracted, so the
-// copy needs no contraction of its own.
+// graft copies the subtree of o at oi, an inner vertex, under vertex p of t,
+// on branch b, and returns the number of complete slots it copied. o is
+// contracted, so the copy needs no contraction of its own.
 func (t *Table) graft(p uint32, b uint8, o *Table, oi uint32) (codes int) {
 	on := &o.nodes[oi]
 	i := t.newChild(p, b)
-	if on.complete() {
-		t.markComplete(i)
-		return 1
-	}
 	t.nodes[i].branchVar = on.branchVar
 	for c := uint8(0); c < 2; c++ {
-		if oc := on.children[c]; oc != 0 {
+		switch oc := on.children[c]; oc {
+		case 0:
+		case doneChild:
+			t.completeChild(i, c)
+			codes++
+		default:
 			codes += t.graft(i, c, o, oc)
 		}
 	}
 	return codes
 }
 
-// markComplete completes vertex i: its code joins the frontier sums and its
-// subtree is recycled. A cached digest of i is stale; the caller clears the
-// ones above it.
-func (t *Table) markComplete(i uint32) {
-	n := &t.nodes[i]
-	n.meta = n.meta&^metaDigestOK | metaComplete
-	t.tally(n, +1)
-	t.prune(i)
-}
-
-// countFrontier counts the complete vertices of the subtree at i, reading
+// countFrontier counts the complete slots below the inner vertex i, reading
 // nothing but the arena.
 func (t *Table) countFrontier(i uint32) int {
-	n := &t.nodes[i]
-	if n.complete() {
-		return 1
-	}
 	k := 0
-	for _, c := range n.children {
-		if c != 0 {
+	for _, c := range t.nodes[i].children {
+		switch c {
+		case 0:
+		case doneChild:
+			k++
+		default:
 			k += t.countFrontier(c)
 		}
 	}
@@ -959,11 +1045,12 @@ func (t *Table) Encode(dst []byte) []byte {
 	var stk [walkDepth]uint32
 	stack := append(stk[:0], 0)
 	for k := 0; len(stack) > 0; k++ {
-		v := &t.nodes[stack[len(stack)-1]]
+		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if v.complete() {
+		if i == doneChild || t.nodes[i].complete() {
 			continue // tag 00
 		}
+		v := &t.nodes[i]
 		var tag byte
 		for b := 1; b >= 0; b-- { // pushed in reverse: branch 0 pops first
 			if v.children[b] != 0 {
@@ -992,15 +1079,16 @@ func Decode(buf []byte) (*Table, error) {
 }
 
 // DecodeOne reads one encoded table from the front of buf and returns it with
-// the number of bytes it took. It lays the vertices out in the order they
-// arrive — a compact depth-first arena — and computes every sum as it goes.
+// the number of bytes it took. It lays the inner vertices out in the order
+// they arrive — a compact depth-first arena — writes each complete leaf as a
+// slot in its parent, and computes every sum as it goes.
 // The table must be in its one canonical spelling: DecodeOne rejects a tag
 // stream that is not one tree of exactly V vertices, a vertex with two
 // complete children (the input is not contracted), a vertex deeper than the
 // table holds (ErrDepth), a variable that is cut short, padded or wider than
-// 32 bits, and nonzero padding bits. The arena it builds is 16 bytes a
-// vertex, and a vertex takes at least two bits of input: memory is bounded by
-// the input, whatever depth the trie claims.
+// 32 bits, and nonzero padding bits. The arena it builds is 16 bytes an
+// inner vertex, and a vertex takes at least two bits of input: memory is
+// bounded by the input, whatever depth the trie claims.
 func DecodeOne(buf []byte) (*Table, int, error) {
 	nv, off, err := canonicalUvarint(buf)
 	switch {
@@ -1017,37 +1105,56 @@ func DecodeOne(buf []byte) (*Table, int, error) {
 		return nil, 0, errors.New("ctree: decode: nonzero padding bits")
 	}
 	off += len(tags)
-	t := &Table{nodes: make([]node, n), nodeCount: int32(n)}
+	// Only inner vertices take an arena vertex, and a nonzero tag is one
+	// (the padding bits are zero). A complete root is the one leaf that
+	// does, as the arena is never empty.
+	inner := 0
+	for _, x := range tags {
+		inner += bits.OnesCount8((x | x>>1) & 0x55)
+	}
+	t := &Table{nodes: make([]node, max(inner, 1)), nodeCount: int32(n)}
 	// stack holds the links still to fill — parent<<1|branch — branch 0 on
-	// top, as compact lays a trie out.
+	// top, as compact lays a trie out; next is the arena index of the next
+	// inner vertex.
 	var stk [walkDepth]uint32
 	stack := stk[:0]
+	next := uint32(0)
 	for k := 0; k < n; k++ {
-		v := &t.nodes[k]
 		var p *node
+		var b, depth uint32
 		if k > 0 {
 			if len(stack) == 0 {
 				return nil, 0, fmt.Errorf("ctree: decode: the tree closes after %d of %d vertices", k, n)
 			}
 			link := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			p = &t.nodes[link>>1]
-			p.children[link&1] = uint32(k)
-			if v.meta = (p.depth() + 1) << metaDepthShift; v.depth() > maxDepth {
+			p, b = &t.nodes[link>>1], link&1
+			if depth = p.depth() + 1; depth > maxDepth {
 				return nil, 0, ErrDepth
 			}
 		}
 		tag := tags[k/4] >> (2 * (k % 4)) & 3
 		if tag == 0 {
-			// A complete leaf. Under a parent whose branch 0 is complete too,
-			// it is the second of a pair that should have contracted.
-			if p != nil && p.children[1] == uint32(k) && p.children[0] != 0 && t.nodes[p.children[0]].complete() {
+			// A complete leaf: a slot, or the root of a complete table. As
+			// the second child of a parent whose branch 0 is complete too, it
+			// is one of a pair that should have contracted.
+			switch {
+			case p == nil:
+				t.nodes[0].meta = metaComplete
+			case b == 1 && p.children[0] == doneChild:
 				return nil, 0, fmt.Errorf("ctree: decode: vertex %d and its sibling are both complete", k)
+			default:
+				p.children[b] = doneChild
 			}
-			v.meta |= metaComplete
-			t.tally(v, +1)
+			t.codes++
+			t.depthSum += int(depth)
 			continue
 		}
+		if p != nil {
+			p.children[b] = next
+		}
+		v := &t.nodes[next]
+		v.meta = depth << metaDepthShift
 		x, m, err := canonicalUvarint(buf[off:])
 		if err != nil || x > math.MaxUint32 {
 			return nil, 0, fmt.Errorf("ctree: decode: variable of vertex %d: bad varint", k)
@@ -1059,11 +1166,12 @@ func DecodeOne(buf []byte) (*Table, int, error) {
 			t.gaps++
 		}
 		if tag&2 != 0 { // pushed in reverse: branch 0 pops first
-			stack = append(stack, uint32(k)<<1|1)
+			stack = append(stack, next<<1|1)
 		}
 		if tag&1 != 0 {
-			stack = append(stack, uint32(k)<<1)
+			stack = append(stack, next<<1)
 		}
+		next++
 	}
 	if len(stack) > 0 {
 		return nil, 0, fmt.Errorf("ctree: decode: %d vertices do not close the tree", n)
@@ -1089,7 +1197,7 @@ func canonicalUvarint(buf []byte) (uint64, int, error) {
 // copied once. The copy is Clone: one copy of the arena, free-listed vertices
 // included — nothing reachable from the root points at them, and every reader
 // walks from the root. A table whose free vertices outnumber its live ones
-// first compacts (compact), so neither arena ever holds more free vertices
+// compacts instead (compact), so neither arena ever holds more free vertices
 // than live ones. A snapshot must never be mutated. Read as a Merge argument,
 // and through Encode, EncodedSize, Codes, Len, Decisions, Complete and
 // Snapshot, it is never written, so those may run from any goroutine. An empty table's
@@ -1102,22 +1210,34 @@ func (t *Table) Snapshot() *Table {
 		t.snap = emptySnapshot
 		return t.snap
 	}
-	if len(t.nodes)-int(t.nodeCount) > int(t.nodeCount) {
-		t.compact()
+	var s *Table
+	if live := t.liveVertices(); len(t.nodes)-live > live {
+		s = t.compact(live)
+	} else {
+		s = t.Clone()
 	}
-	s := t.Clone()
 	s.snap = s
 	t.snap = s
 	return s
 }
 
-// compact lays the live vertices depth-first (branch 0 first) at the front of
-// the arena and drops the free list, so later walks read a defragmented arena.
-// The cached digests are dropped with it; the next Digest recomputes them.
-func (t *Table) compact() {
-	live := make([]node, t.nodeCount)
+// compact returns the table's snapshot with the live vertices laid out
+// depth-first (branch 0 first) in an arena of exactly live vertices, and
+// copies that arena back over the front of the table's own, dropping its free
+// list, so later walks read a defragmented arena too: one allocation and two
+// passes. The table's cached digests are dropped with it; the next Digest
+// recomputes them.
+func (t *Table) compact(live int) *Table {
+	s := &Table{
+		nodes:     make([]node, live),
+		nodeCount: t.nodeCount,
+		codes:     t.codes,
+		varSum:    t.varSum,
+		depthSum:  t.depthSum,
+		gaps:      t.gaps,
+	}
 	// nstack holds pairs: a vertex of t to copy, and where to link its copy —
-	// parent<<1|branch in live.
+	// parent<<1|branch in s.
 	next := uint32(0)
 	sc := t.work()
 	sc.nstack = append(sc.nstack[:0], 0, 0)
@@ -1125,20 +1245,26 @@ func (t *Table) compact() {
 		link, src := sc.nstack[len(sc.nstack)-2], sc.nstack[len(sc.nstack)-1]
 		sc.nstack = sc.nstack[:len(sc.nstack)-2]
 		v := &t.nodes[src]
-		live[next] = node{branchVar: v.branchVar, meta: v.meta &^ metaDigestOK}
+		c := &s.nodes[next]
+		*c = node{branchVar: v.branchVar, meta: v.meta &^ metaDigestOK}
 		if next > 0 {
-			live[link>>1].children[link&1] = next
+			s.nodes[link>>1].children[link&1] = next
 		}
 		for b := 1; b >= 0; b-- { // pushed in reverse: branch 0 is copied first
-			if v.children[b] != 0 {
-				sc.nstack = append(sc.nstack, next<<1|uint32(b), v.children[b])
+			switch ch := v.children[b]; ch {
+			case 0:
+			case doneChild:
+				c.children[b] = doneChild
+			default:
+				sc.nstack = append(sc.nstack, next<<1|uint32(b), ch)
 			}
 		}
 		next++
 	}
-	t.nodes = append(t.nodes[:0], live...) // within capacity: no allocation
+	t.nodes = append(t.nodes[:0], s.nodes...) // within capacity: no allocation
 	t.free = 0
 	sc.digests = sc.digests[:0]
+	return s
 }
 
 // emptySnapshot is the snapshot of every empty table (Empty), and

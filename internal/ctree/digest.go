@@ -14,10 +14,10 @@ import (
 // tables with equal frontiers have structurally identical tries, and
 // (modulo hash collisions) equal root digests. The digest of a vertex is:
 //
-//   - a fixed constant for a complete vertex. Its branchVar is dead state
-//     (contraction marks parents complete without clearing it), and "this
-//     whole subtree is done" means the same thing wherever it appears, so
-//     the constant is position-independent by design;
+//   - a fixed constant for a complete vertex — a doneChild slot, or the root
+//     of a complete table. "This whole subtree is done" means the same thing
+//     wherever it appears, so the constant is position-independent by
+//     design, and a slot, having no arena vertex, has no cache entry either;
 //   - for an internal vertex, a mix of its branching variable and, per
 //     branch, a presence marker and the child's digest;
 //   - a distinct constant for the bare root of an empty table.
@@ -70,17 +70,25 @@ func (t *Table) digestOf(at uint32) uint64 {
 		h = digestEmpty // the bare root of an empty table
 	default:
 		h = mixDigest(digestEmpty, uint64(n.branchVar))
-		for b := 0; b < 2; b++ {
-			if n.children[b] != 0 {
-				h = mixDigest(h, t.digestOf(n.children[b]))
-			} else {
-				h = mixDigest(h, digestAbsent)
-			}
+		for _, c := range n.children {
+			h = mixDigest(h, t.childDigest(c))
 		}
 	}
 	t.sc.digests[at] = h
 	n.meta |= metaDigestOK
 	return h
+}
+
+// childDigest is the digest of what a child slot holds: nothing, a complete
+// vertex, or an inner vertex's subtree.
+func (t *Table) childDigest(c uint32) uint64 {
+	switch c {
+	case 0:
+		return digestAbsent
+	case doneChild:
+		return digestComplete
+	}
+	return t.digestOf(c)
 }
 
 // growDigests extends the digest side array to the arena's length before a
@@ -106,24 +114,26 @@ func (t *Table) Digest() uint64 {
 // reports that the whole subtree is covered by a complete vertex at or above
 // prefix's end.
 func (t *Table) DigestAt(prefix code.Code) (digest uint64, known, complete bool) {
+	if t.Complete() {
+		return digestComplete, true, true
+	}
 	at := uint32(0)
 	for _, d := range prefix {
 		n := &t.nodes[at]
-		if n.complete() {
-			return digestComplete, true, true
-		}
 		next := n.children[d.Branch&1]
-		if next == 0 || n.branchVar != d.Var {
+		switch {
+		case next == 0 || n.branchVar != d.Var:
 			return 0, false, false
+		case next == doneChild:
+			return digestComplete, true, true
 		}
 		at = next
 	}
-	n := &t.nodes[at]
-	if !n.complete() && n.leaf() {
-		return 0, false, false
+	if t.nodes[at].leaf() {
+		return 0, false, false // the bare root of an empty table
 	}
 	t.growDigests()
-	return t.digestOf(at), true, n.complete()
+	return t.digestOf(at), true, false
 }
 
 // ChildDigest describes one branch of a trie vertex to an anti-entropy
@@ -141,22 +151,19 @@ type ChildDigest struct {
 func (t *Table) Children(prefix code.Code) (branchVar uint32, kids [2]ChildDigest, ok bool) {
 	n := &t.nodes[0]
 	for _, d := range prefix {
-		if n.complete() {
-			return 0, kids, false
-		}
 		next := n.children[d.Branch&1]
-		if next == 0 || n.branchVar != d.Var {
+		if next == 0 || next == doneChild || n.branchVar != d.Var {
 			return 0, kids, false
 		}
 		n = &t.nodes[next]
 	}
-	if n.complete() || n.leaf() {
+	if n.leaf() { // the bare root of an empty table, or a complete one
 		return 0, kids, false
 	}
 	t.growDigests()
-	for b := 0; b < 2; b++ {
-		if n.children[b] != 0 {
-			kids[b] = ChildDigest{Present: true, Digest: t.digestOf(n.children[b])}
+	for b, c := range n.children {
+		if c != 0 {
+			kids[b] = ChildDigest{Present: true, Digest: t.childDigest(c)}
 		}
 	}
 	return n.branchVar, kids, true
@@ -170,30 +177,30 @@ func (t *Table) Children(prefix code.Code) (branchVar uint32, kids [2]ChildDiges
 // subtree's frontier holds more than max codes, ok is false and nothing is
 // copied — the responder should describe children digests instead.
 func (t *Table) Subtree(prefix code.Code, max int) (sub *Table, ok bool) {
+	if t.Complete() {
+		return doneSnapshot, true
+	}
 	at := uint32(0)
-	for i := 0; ; i++ {
+	for _, d := range prefix {
 		n := &t.nodes[at]
-		switch {
-		case n.complete():
-			return doneSnapshot, true
-		case i == len(prefix):
-			if n.leaf() {
-				return emptySnapshot, true
-			}
-			vertices, ok := t.extent(at, max)
-			if !ok {
-				return nil, false
-			}
-			sub = &Table{nodes: make([]node, 1, vertices), nodeCount: 1, gaps: 1} // New, sized
-			sub.mergeAt(0, t, at)
-			sub.snap = sub
-			return sub, true
-		}
-		d := prefix[i]
 		next := n.children[d.Branch&1]
-		if next == 0 || n.branchVar != d.Var {
+		switch {
+		case next == 0 || n.branchVar != d.Var:
 			return emptySnapshot, true // nothing known under prefix
+		case next == doneChild:
+			return doneSnapshot, true
 		}
 		at = next
 	}
+	if t.nodes[at].leaf() {
+		return emptySnapshot, true
+	}
+	vertices, ok := t.extent(at, max)
+	if !ok {
+		return nil, false
+	}
+	sub = &Table{nodes: make([]node, 1, vertices), nodeCount: 1, gaps: 1} // New, sized
+	sub.mergeAt(0, t, at)
+	sub.snap = sub
+	return sub, true
 }

@@ -15,8 +15,11 @@ import (
 
 // scratchDigest recomputes the digest of the vertex at index at bottom-up,
 // neither reading nor writing any cache — the oracle the incremental
-// maintenance is pinned to.
+// maintenance is pinned to. at may be a complete slot (doneChild).
 func scratchDigest(t *Table, at uint32) uint64 {
+	if at == doneChild {
+		return digestComplete
+	}
 	n := &t.nodes[at]
 	switch {
 	case n.complete():

@@ -41,9 +41,9 @@ func checkSums(t *testing.T, tb *Table, when string) {
 
 // checkDecoded requires Decode(enc), enc being tb's encoding, to rebuild tb:
 // the same frontier, sums, gaps, complement and digest, and the encoding
-// again, laid out as a compact arena with no free vertex. tb is only read —
-// its digest and complement are taken from a clone — so a caller's table keeps
-// the state that the paths under test depend on.
+// again, laid out as a compact arena of its inner vertices with no free one.
+// tb is only read — its digest and complement are taken from a clone — so a
+// caller's table keeps the state that the paths under test depend on.
 func checkDecoded(t *testing.T, tb *Table, enc []byte, when string) {
 	t.Helper()
 	back, err := Decode(enc)
@@ -58,9 +58,9 @@ func checkDecoded(t *testing.T, tb *Table, enc []byte, when string) {
 	if !codesExactlyEqual(back.Complement(0), c.Complement(0)) || back.Digest() != c.Digest() {
 		t.Fatalf("%s: decoded complement %v digest %#x, want %v %#x", when, back.Complement(0), back.Digest(), c.Complement(0), c.Digest())
 	}
-	if len(back.nodes) != back.NodeCount() || back.free != 0 || !bytes.Equal(back.Encode(nil), enc) {
-		t.Fatalf("%s: decoded arena of %d for %d vertices, free list %d; re-encodes to %x, want %x",
-			when, len(back.nodes), back.NodeCount(), back.free, back.Encode(nil), enc)
+	if len(back.nodes) != arenaVertices(back) || back.free != 0 || !bytes.Equal(back.Encode(nil), enc) {
+		t.Fatalf("%s: decoded arena of %d for %d arena vertices, free list %d; re-encodes to %x, want %x",
+			when, len(back.nodes), arenaVertices(back), back.free, back.Encode(nil), enc)
 	}
 }
 

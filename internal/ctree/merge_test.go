@@ -159,11 +159,16 @@ func TestPropMergeAlgebra(t *testing.T) {
 // reachable lists the vertices reachable from t's root, depth-first, branch 0
 // first: each with its branching variable, depth and completion, and its
 // children as presence bits — the trie as a reader sees it, wherever in the
-// arena its vertices lie.
+// arena its vertices lie. A complete slot is listed as the complete leaf it
+// stands for.
 func reachable(t *Table) []node {
 	var out []node
-	var walk func(i uint32)
-	walk = func(i uint32) {
+	var walk func(i, depth uint32)
+	walk = func(i, depth uint32) {
+		if i == doneChild {
+			out = append(out, node{meta: depth<<metaDepthShift | metaComplete})
+			return
+		}
 		n := t.nodes[i]
 		v := node{branchVar: n.branchVar, meta: n.meta &^ metaDigestOK}
 		for b, c := range n.children {
@@ -174,11 +179,11 @@ func reachable(t *Table) []node {
 		out = append(out, v)
 		for _, c := range n.children {
 			if c != 0 {
-				walk(c)
+				walk(c, n.depth()+1)
 			}
 		}
 	}
-	walk(0)
+	walk(0, 0)
 	return out
 }
 
@@ -202,7 +207,7 @@ func TestPropSnapshot(t *testing.T) {
 		if r.Intn(2) == 0 {
 			src.Digest() // the copy carries the side array, the compaction drops it
 		}
-		if free := len(src.nodes) - src.NodeCount(); free > src.NodeCount() {
+		if free := len(src.nodes) - arenaVertices(src); free > arenaVertices(src) {
 			compacted++
 		} else {
 			copied++
@@ -221,8 +226,8 @@ func TestPropSnapshot(t *testing.T) {
 			t.Fatalf("seed %d: snapshot %v, table %v", seed, s.Codes(), want)
 		}
 		for _, a := range []*Table{src, s} {
-			if free := len(a.nodes) - a.NodeCount(); free > a.NodeCount() {
-				t.Fatalf("seed %d: an arena of %d holds %d free vertices for %d live", seed, len(a.nodes), free, a.NodeCount())
+			if free := len(a.nodes) - arenaVertices(a); free > arenaVertices(a) {
+				t.Fatalf("seed %d: an arena of %d holds %d free vertices for %d live", seed, len(a.nodes), free, arenaVertices(a))
 			}
 		}
 		enc := s.Encode(nil)
